@@ -133,10 +133,6 @@ def _lrs_spec(args) -> lrs.LrsSpec:
     raise ValueError("this command needs --lrs k c1..ck u1..uk or --lrs-file")
 
 
-def _cache_dir(args) -> str | None:
-    return _resolve(args, "cache_dir", os.environ.get(CACHE_ENV))
-
-
 # ---------------------------------------------------------------------------
 # eds commands
 
@@ -145,7 +141,7 @@ def cmd_eds_gen(args) -> int:
     curve, point = _curve_point(args)
     n = _resolve(args, "n", 20, int)
     stride = args.stride or 1
-    cache = _cache_dir(args)
+    cache = _resolve(args, "cache_dir", os.environ.get(CACHE_ENV))
     seq = None
     if cache:
         seq = eds.load_sequence(cache, curve, point, n * stride)
@@ -455,9 +451,6 @@ def cmd_prooflab_fixedpoint(args) -> int:
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="key=value config file")
     parser.add_argument("--format", choices=("table", "json", "csv"), default=None)
-    parser.add_argument("--cache-dir", dest="cache_dir", default=None)
-    parser.add_argument("--jobs", type=int, default=None, help="worker processes for prime scans")
-    parser.add_argument("--exclude", default=None, help="comma-separated primes to skip in scans")
 
 
 def _add_curve_point(parser: argparse.ArgumentParser) -> None:
@@ -489,6 +482,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_curve_point(sp)
     sp.add_argument("--n", type=int, default=None)
     sp.add_argument("--stride", type=int, default=None, help="list z_(stride*n) instead of z_n")
+    sp.add_argument("--cache-dir", dest="cache_dir", default=None)
     sp.set_defaults(func=cmd_eds_gen)
     sp = eds_sub.add_parser("ward", help="extend four seed values by the bilinear recurrences")
     _add_common(sp)
@@ -560,6 +554,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--q", type=int, required=True)
     sp.add_argument("--a", type=int, default=None)
     sp.add_argument("--x", type=int, default=None, help="prime bound")
+    sp.add_argument("--jobs", type=int, default=None, help="worker processes for the prime scan")
+    sp.add_argument("--exclude", default=None, help="comma-separated primes to skip in the scan")
     sp.set_defaults(func=cmd_density_empirical)
 
     sp = top.add_parser("refute", help="find a witness prime and write a certificate")
@@ -570,6 +566,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--a", type=int, default=None, help="trace target (default 3)")
     sp.add_argument("--p-max", dest="p_max", type=int, default=None)
     sp.add_argument("--out", help="certificate output path (default: stdout)")
+    sp.add_argument("--exclude", default=None, help="comma-separated primes to skip in the scan")
     sp.set_defaults(func=cmd_refute)
 
     sp = top.add_parser("verify", help="re-check a certificate file from scratch")

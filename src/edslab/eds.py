@@ -3,9 +3,10 @@ growth, primitive divisors, and periods modulo p.
 
 A geometric sequence stores the positive denominators z_n of nP.  Reductions
 modulo p are computed on the canonical signed companion sequence w_n obtained
-from the normalized division-polynomial seed values; |w_n| = z_n away from bad
-primes, and the sign ambiguity is irrelevant to every question asked here
-(zeros, divisibility, periods up to sign).
+from the normalized division-polynomial seed values; |w_n| = z_n exactly when
+gcd(2y, 3x^2 + a*z^4) = 1 (see `require_exact_companion`), and the sign
+ambiguity is irrelevant to every question asked here (zeros, divisibility,
+periods up to sign).
 """
 
 from __future__ import annotations
@@ -100,6 +101,26 @@ def division_poly_seeds(curve: CurveQ, point: PointQ) -> tuple[int, int, int, in
         - a**3 * z1**12
     )
     return (1, w2, w3, w4)
+
+
+def require_exact_companion(curve: CurveQ, point: PointQ) -> None:
+    """Raise ValueError unless gcd(2y, 3x^2 + a*z^4) = 1, naming the bad primes.
+
+    This gcd is 1 exactly when |w_n| = z_n for every n, i.e. when the point
+    is non-singular modulo every prime (Ayad, Manuscripta Math. 76, 1992).
+    Otherwise |w_n| / z_n is a growing product of the primes dividing it,
+    and residues and periods of w_n modulo p are not those of z_n.
+    """
+    g = math.gcd(2 * point.y, 3 * point.x**2 + curve.a * point.z**4)
+    if g != 1:
+        try:
+            primes = sorted(factorize(g))
+        except IncompleteFactorization as exc:
+            primes = [*sorted(exc.factors), exc.cofactor]
+        raise ValueError(
+            f"gcd(2y, 3x^2 + a*z^4) = {g}: the point is singular modulo {primes}, "
+            "so |w_n| != z_n and the modular sequence model does not apply"
+        )
 
 
 def generate_geometric(curve: CurveQ, point: PointQ, n_terms: int) -> EdsSequence:
@@ -220,6 +241,7 @@ def eds_period_mod_p(seq: EdsSequence, p: int, horizon: int | None = None) -> Ed
         curve, point = seq.curve, seq.point
         if curve.disc % p == 0 or point.z % p == 0:
             raise ValueError(f"need p coprime to the discriminant and to z1 (p={p})")
+        require_exact_companion(curve, point)
         seeds = division_poly_seeds(curve, point)
         cfp = CurveFp.from_curve(curve, p)
         n_points, trace = count_points(cfp)

@@ -2,8 +2,8 @@
 decimation, degeneracy detection, and periods modulo p.
 
 Root-sensitive questions (degeneracy, root-of-unity ratios) are answered
-with exact resultants and cyclotomic divisibility, never with floating
-point; numerical root finding only ever appears in tests as a cross-check.
+exactly, by Newton's identities on power sums and cyclotomic divisibility;
+numerical root finding only ever appears in tests as a cross-check.
 """
 
 from __future__ import annotations
@@ -84,7 +84,6 @@ def companion_matrix(spec: LrsSpec) -> list[list[int]]:
 
 
 def _mat_mul_mod(a, b, p):
-    n = len(a)
     bt = list(zip(*b))
     return [[sum(x * y for x, y in zip(row, col)) % p for col in bt] for row in a]
 
@@ -196,55 +195,38 @@ def fit_minimal_recurrence(terms: list[int], bound: int = DEFAULT_FIT_BOUND) -> 
 # decimation and degeneracy
 
 
-def _char_poly_of_matrix(mat: list[list[int]]) -> Poly:
-    """Characteristic polynomial of an integer matrix (Faddeev-LeVerrier)."""
-    n = len(mat)
-    a = [[Fraction(x) for x in row] for row in mat]
-    m = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    coeffs = [Fraction(1)]  # leading coefficient of x^n
-    for k in range(1, n + 1):
-        am = [[sum(a[i][t] * m[t][j] for t in range(n)) for j in range(n)] for i in range(n)]
-        c = -sum(am[i][i] for i in range(n)) / k
-        coeffs.append(c)
-        m = [[am[i][j] + (c if i == j else 0) for j in range(n)] for i in range(n)]
-    poly = Poly(*reversed(coeffs))
-    assert all(c.denominator == 1 for c in poly.coeffs)
-    return poly
+def _power_sums(f: Poly, n: int) -> list[Fraction]:
+    """p_0..p_n, the power sums of the roots of the monic f (Newton's identities)."""
+    d = f.degree
+    a = [f[d - i] for i in range(n + 1)]  # f = x^d + a_1*x^(d-1) + ... + a_d, a_i = 0 for i > d
+    p = [Fraction(d)]
+    for t in range(1, n + 1):
+        p.append(-t * a[t] - sum(a[i] * p[t - i] for i in range(1, min(t, d + 1))))
+    return p
 
 
-def _mat_pow_int(mat: list[list[int]], e: int) -> list[list[int]]:
-    n = len(mat)
-    result = [[int(i == j) for j in range(n)] for i in range(n)]
-    base = [row[:] for row in mat]
-    while e:
-        if e & 1:
-            result = [
-                [sum(result[i][t] * base[t][j] for t in range(n)) for j in range(n)]
-                for i in range(n)
-            ]
-        e >>= 1
-        if e:
-            base = [
-                [sum(base[i][t] * base[t][j] for t in range(n)) for j in range(n)]
-                for i in range(n)
-            ]
-    return result
+def _poly_from_power_sums(p: list[Fraction]) -> Poly:
+    """The monic polynomial of degree n whose roots have the power sums p_0..p_n."""
+    c = [Fraction(1)]  # c_t is the coefficient of x^(n-t)
+    for t in range(1, len(p)):
+        c.append(-sum(c[t - i] * p[i] for i in range(1, t + 1)) / t)
+    return Poly(*reversed(c))
 
 
 def decimate(spec: LrsSpec, m: int) -> LrsSpec:
     """A spec whose terms are u_{m*n}, re-minimized on generated terms.
 
-    The decimated sequence satisfies the characteristic polynomial of the
-    m-th power of the companion matrix (degree k), so a fit with bound k
-    on 2k + 8 terms always succeeds.
+    The decimated sequence satisfies chi(C^m) of degree k, built from the
+    power sums p_m, p_2m, ..., p_km of the roots of chi(C), so a fit with
+    bound k on 2k + 8 terms always succeeds.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     if m == 1:
         return spec
     k = spec.order
-    power = _mat_pow_int(companion_matrix(spec), m)
-    chi = _char_poly_of_matrix(power)
+    sums = _power_sums(char_poly(spec), k * m)
+    chi = _poly_from_power_sums(sums[::m])
     coeffs = tuple(int(-chi[k - i]) for i in range(1, k + 1))
     need = 2 * k + 8
     sample = generate(spec, m * need)
@@ -257,63 +239,39 @@ def decimate(spec: LrsSpec, m: int) -> LrsSpec:
 
 
 def _ratio_polynomial(psi: Poly) -> Poly:
-    """Polynomial whose roots are all ratios r/s of roots of the squarefree psi.
+    """Monic polynomial of the ratios r_i/r_j, i != j, of the roots of psi.
 
-    Computed as Res_y(psi(y), psi(x*y)) by evaluation at deg^2 + 1 points and
-    exact interpolation; the full ratio set includes 1 with multiplicity
-    exactly deg(psi), which the caller strips.
+    For the monic squarefree psi of degree s with psi(0) != 0, the power
+    sums of all s^2 ratios are p_t(psi) * p_t(1/psi), 1/psi being the
+    reversed psi made monic; the factor (x-1)^s of the ratios r_i/r_i is
+    stripped.
     """
     s = psi.degree
-    npoints = s * s + 1
-    xs: list[Fraction] = []
-    v = 1
-    while len(xs) < npoints:
-        xs.append(Fraction(v))
-        if len(xs) < npoints:
-            xs.append(Fraction(-v))
-        v += 1
-    ys = []
-    for x0 in xs:
-        scaled = Poly(*[c * x0**i for i, c in enumerate(psi.coeffs)])
-        ys.append(psi.resultant(scaled))
-    # Lagrange interpolation on (xs, ys)
-    result = Poly()
-    for i, (xi, yi) in enumerate(zip(xs, ys)):
-        if yi == 0:
-            continue
-        li = Poly(yi)
-        for j, xj in enumerate(xs):
-            if j != i:
-                li = li * Poly(-xj, 1) * Fraction(1, xi - xj)
-        result = result + li
-    return result
-
-
-def is_degenerate(spec: LrsSpec) -> tuple[bool, int | None]:
-    """Is some ratio of distinct characteristic roots a root of unity?
-
-    Exact: the ratio polynomial is built by resultants, the trivial factor
-    (x-1)^s is stripped, and the remainder is tested for cyclotomic factors
-    with phi(m) <= k^2 (a ratio of two degree-<=k algebraic numbers that is
-    a root of unity has order m with phi(m) <= k^2).  Returns the smallest
-    witness order when degenerate.
-    """
-    if spec.order < 2:
-        return False, None
-    psi = char_poly(spec).squarefree_part()
-    s = psi.degree
-    if s < 2:
-        return False, None
-    ratio = _ratio_polynomial(psi)
+    inverse = Poly(*reversed(psi.coeffs)).monic()
+    sums = zip(_power_sums(psi, s * s), _power_sums(inverse, s * s))
+    ratio = _poly_from_power_sums([a * b for a, b in sums])
     one = Poly(-1, 1)
     for _ in range(s):
         q, r = ratio.divmod_exact(one)
         assert r.is_zero(), "ratio polynomial must vanish to order deg(psi) at 1"
         ratio = q
     assert ratio(1) != 0
-    bound = spec.order**2
-    found, order = cyclotomic_root_of_unity_test(ratio, bound)
-    return (found, order) if found else (False, None)
+    return ratio
+
+
+def is_degenerate(spec: LrsSpec) -> tuple[bool, int | None]:
+    """Is some ratio of distinct characteristic roots a root of unity?
+
+    Exact: the ratio polynomial is built from power sums by Newton's
+    identities, the trivial factor (x-1)^s is stripped, and the remainder is
+    tested for cyclotomic factors with phi(m) <= k^2 (a ratio of two
+    degree-<=k algebraic numbers that is a root of unity has order m with
+    phi(m) <= k^2).  Returns the smallest witness order when degenerate.
+    """
+    psi = char_poly(spec).squarefree_part()
+    if psi.degree < 2:
+        return False, None
+    return cyclotomic_root_of_unity_test(_ratio_polynomial(psi), spec.order**2)
 
 
 def nondegenerate_reduction(spec: LrsSpec) -> tuple[int, LrsSpec]:
@@ -326,14 +284,9 @@ def nondegenerate_reduction(spec: LrsSpec) -> tuple[int, LrsSpec]:
     degenerate, _ = is_degenerate(spec)
     if not degenerate:
         return 1, spec
-    psi = char_poly(spec).squarefree_part()
-    ratio = _ratio_polynomial(psi)
-    one = Poly(-1, 1)
-    for _ in range(psi.degree):
-        ratio = ratio.divmod_exact(one)[0]
     bound = spec.order**2
     orders = []
-    probe = ratio
+    probe = _ratio_polynomial(char_poly(spec).squarefree_part())
     while True:
         found, order = cyclotomic_root_of_unity_test(probe, bound)
         if not found:
@@ -436,7 +389,11 @@ def square_sampled_period(spec: LrsSpec, p: int) -> SquarePeriodResult:
     candidate against one complete L-cycle.
     """
     lam = lrs_period_mod_p(spec, p)
-    table = [u % p for u in generate(spec, lam)]  # u_1..u_lam
+    # u_1..u_lam, iterated mod p: the exact terms would need O(lam^2) bits
+    coeffs = [c % p for c in spec.coeffs]
+    table = [u % p for u in spec.initial[:lam]]
+    while len(table) < lam:
+        table.append(sum(c * table[-i] for i, c in enumerate(coeffs, start=1)) % p)
 
     def u_sq(n: int) -> int:
         return table[(n * n - 1) % lam]

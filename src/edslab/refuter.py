@@ -15,7 +15,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .eds import division_poly_seeds, generate_geometric, stream_mod_p
+from .eds import (
+    _minimal_stream_period,
+    division_poly_seeds,
+    generate_geometric,
+    require_exact_companion,
+    stream_mod_p,
+)
 from .elliptic import (
     CurveFp,
     CurveQ,
@@ -28,7 +34,7 @@ from .elliptic import (
     scalar_mul,
 )
 from .lrs import LrsSpec, eval_mod, is_degenerate, square_sampled_period
-from .ntkernel import is_prime, sieve_primes
+from .ntkernel import is_prime, next_prime, sieve_primes
 
 SCHEMA_VERSION = "1"
 DEFAULT_A_TARGET = 3
@@ -149,7 +155,7 @@ def choose_q(spec: LrsSpec, curve: CurveQ, exclusions: tuple[int, ...] = ()) -> 
     """Smallest admissible prime larger than the recurrence order."""
     q = spec.order
     while True:
-        q = _next_prime(q)
+        q = next_prime(q)
         if q < 3:
             continue
         try:
@@ -157,13 +163,6 @@ def choose_q(spec: LrsSpec, curve: CurveQ, exclusions: tuple[int, ...] = ()) -> 
             return q
         except ValueError:
             continue
-
-
-def _next_prime(n: int) -> int:
-    k = n + 1
-    while not is_prime(k):
-        k += 1
-    return k
 
 
 # ---------------------------------------------------------------------------
@@ -181,15 +180,6 @@ class FindResult:
     @property
     def found(self) -> bool:
         return self.status == "found"
-
-
-def _minimal_stream_period_multiple(stream, step, horizon) -> int | None:
-    t = step
-    while 2 * t <= horizon:
-        if all(stream[n + t] == stream[n] for n in range(1, horizon - t + 1)):
-            return t
-        t += step
-    return None
 
 
 def _mismatch_residue(z_mod: int, u_mod: int, p: int) -> bool:
@@ -225,6 +215,7 @@ def find_witness(
     if point.x == 0:
         # order divisibility by an odd q is unchanged under doubling
         point = scalar_mul(2, point, curve)
+    require_exact_companion(curve, point)
     degenerate, witness_order = is_degenerate(spec)
     if degenerate:
         raise ValueError(
@@ -283,7 +274,7 @@ def find_witness(
             stats["period_unconfirmed"] += 1
             continue
         stream = stream_mod_p(division_poly_seeds(curve, point), p, horizon)
-        tz = _minimal_stream_period_multiple(stream, order_p, horizon)
+        tz = _minimal_stream_period(stream, order_p, horizon)
         if tz is None:
             stats["period_unconfirmed"] += 1
             continue
@@ -385,7 +376,7 @@ def verify_certificate(cert: WitnessCertificate) -> VerifyResult:
     if lo == 1 and hi >= 2 * cert.tz_period and cert.tz_period % order_p == 0:
         stream = stream_mod_p(division_poly_seeds(curve, point), p, hi)
         tz_ok = all(stream[n + cert.tz_period] == stream[n] for n in range(1, hi - cert.tz_period + 1))
-        smaller = _minimal_stream_period_multiple(stream, order_p, hi)
+        smaller = _minimal_stream_period(stream, order_p, hi)
         minimal_ok = smaller == cert.tz_period
     check("tz_period", tz_ok, "period must hold across the stated window")
     check("tz_minimal", minimal_ok, "a smaller multiple of the point order must not be a period")
@@ -442,6 +433,7 @@ def direct_falsify(
         raise ValueError("p must be an odd prime")
     if (curve.disc * point.z * 2 * point.y) % p == 0:
         raise ValueError("need good reduction and p coprime to z1, 2*y1")
+    require_exact_companion(curve, point)
     if n_claim < 1 or window < 1:
         raise ValueError("need n_claim >= 1 and window >= 1")
     hi = n_claim + window - 1

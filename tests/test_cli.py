@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from edslab.cli import main
 
 
@@ -202,6 +204,40 @@ def test_falsify(capsys):
     )
     assert code == 0
     assert out.strip()
+
+
+OUTSIDE_COMPANION_MODEL = ("--curve", "0", "17", "--point", "-2", "3", "1")  # gcd(2y, 3x^2 + a) = 6
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("eds", "period", *OUTSIDE_COMPANION_MODEL, "--p", "7"),
+        ("refute", *OUTSIDE_COMPANION_MODEL, "--lrs", "2", "1", "1", "1", "1", "--q", "5", "--p-max", "2000"),
+        ("falsify", *OUTSIDE_COMPANION_MODEL, "--lrs", "2", "1", "1", "1", "1", "--p", "7"),
+    ],
+)
+def test_point_outside_companion_model_exit2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert not out
+    assert "singular modulo [2, 3]" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("refute", "--curve", "-4", "4", "--point", "1", "1", "1", "--lrs", "2", "1", "1", "1", "1",
+         "--q", "5", "--p-max", "6", "--jobs", "2"),
+        ("eds", "period", "--curve", "0", "3", "--point", "1", "2", "1", "--p", "5", "--cache-dir", "c"),
+        ("lrs", "eval", "--lrs", "2", "1", "1", "1", "1", "--n", "5", "--exclude", "3"),
+    ],
+)
+def test_flag_ignored_by_subcommand_exit2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
 
 
 def test_prooflab_qlemma(capsys):

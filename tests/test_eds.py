@@ -151,6 +151,18 @@ def test_period_rejects_bad_primes():
         eds_period_mod_p(fixture_sequence(5), 4)
 
 
+def test_period_rejects_point_outside_companion_model():
+    # gcd(2y, 3x^2 + a*z^4) = gcd(6, 12) = 6: |w_n| / z_n grows by factors of 2
+    # and 3, and the period 39 of the stream mod 7 is not a period of z_n
+    curve, point = CurveQ(0, 17), PointQ(-2, 3, 1)
+    geo = generate_geometric(curve, point, 40)
+    ward = generate_ward(WardSeed(*division_poly_seeds(curve, point)), 40)
+    assert any(abs(ward.term(n)) != geo.term(n) for n in range(1, 41))
+    assert (geo.term(40) % 7, geo.term(1) % 7) == (3, 1)
+    with pytest.raises(ValueError, match=r"singular modulo \[2, 3\]"):
+        eds_period_mod_p(geo, 7)
+
+
 def test_primitive_divisors_fixture():
     seq = fixture_sequence(20)
     reports = primitive_divisor_scan(seq)

@@ -8,6 +8,7 @@ from edslab.elliptic import CurveQ, PointQ
 from edslab.lrs import (
     FIBONACCI,
     LrsSpec,
+    _ratio_polynomial,
     char_poly,
     decimate,
     eval_exact,
@@ -139,18 +140,43 @@ def test_decimate_fibonacci():
 
 def test_decimate_agrees_with_direct_eval():
     rng = random.Random(31)
-    for _ in range(5):
-        k = rng.randint(1, 3)
+    # m = 36 is the decimation by M^2 that a reduction with M = 6 runs
+    for k, m in [(rng.randint(1, 6), rng.randint(2, 4)) for _ in range(5)] + [(6, 36)]:
         spec = LrsSpec(
             k,
             tuple(rng.randint(-2, 2) for _ in range(k - 1)) + (rng.choice([-2, -1, 1, 2]),),
             tuple(rng.randint(-3, 3) for _ in range(k)),
         )
-        m = rng.randint(2, 4)
         dec = decimate(spec, m)
         full = generate(spec, m * 100)
         decimated = generate(dec, 100)
         assert decimated == [full[m * n - 1] for n in range(1, 101)]
+
+
+def test_ratio_polynomial_matches_sylvester_resultant():
+    # Res_y(psi(y), psi(x*y)) = prod_(i,j) (x*r_i - r_j) = (-psi(0))^s * (x - 1)^s * R(x)
+    rng = random.Random(47)
+    specs = [FIBONACCI, LrsSpec(2, (0, 1), (0, 2)), LrsSpec(2, (2, -2), (1, 1))]
+    specs.append(LrsSpec(4, (4, -5, 4, -4), (1, 0, 0, 0)))  # (x - 2)^2 (x^2 + 1): psi has degree 3
+    for _ in range(6):
+        k = rng.randint(2, 4)
+        coeffs = tuple(rng.randint(-4, 4) for _ in range(k - 1)) + (rng.choice([-3, -2, -1, 1, 2, 3]),)
+        specs.append(LrsSpec(k, coeffs, (1,) * k))
+    for spec in specs:
+        psi = char_poly(spec).squarefree_part()
+        s = psi.degree
+        ratio = _ratio_polynomial(psi)
+        assert ratio.degree == s * s - s and ratio.leading == 1
+        quotients = []
+        x0 = 2
+        while len(quotients) < s * s + 1:
+            res = psi.resultant(Poly(*[c * x0**i for i, c in enumerate(psi.coeffs)]))
+            if ratio(x0) == 0:
+                assert res == 0
+            else:
+                quotients.append(res / ((x0 - 1) ** s * ratio(x0)))
+            x0 += 1
+        assert set(quotients) == {(-psi(0)) ** s}
 
 
 def test_degenerate_plus_minus_one():
@@ -234,6 +260,21 @@ def test_square_sampled_period():
     for d in range(1, result.period):
         if result.period % d == 0 and d < result.period:
             assert any(idx(n + d) != idx(n) for n in range(1, 21))
+
+
+def test_square_sampled_period_memory():
+    import tracemalloc
+
+    # lam = 20136 here; the exact terms u_1..u_lam alone would take about 48 MB
+    spec = LrsSpec(2, (3, 1), (1, 2))
+    tracemalloc.start()
+    try:
+        result = square_sampled_period(spec, 10067)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.lrs_period == 20136
+    assert peak < 8_000_000
 
 
 def test_growth_diagnostic_dominant_root():
