@@ -193,6 +193,12 @@ def stream_mod_p(seeds: tuple[int, int, int, int], p: int, horizon: int) -> list
     return w[: horizon + 1]
 
 
+def _period_horizon(rank: int, p: int) -> int:
+    """Stream length that confirms the period of a geometric stream mod p,
+    rank the order of the point; the verifier also bounds a stated window by it."""
+    return 2 * rank * (p - 1) + 2 * rank + 16
+
+
 def _minimal_stream_period(stream: list[int], step: int, horizon: int) -> int | None:
     """Smallest period that is a multiple of `step`, verified on the window.
 
@@ -248,7 +254,7 @@ def eds_period_mod_p(seq: EdsSequence, p: int, horizon: int | None = None) -> Ed
         rank = point_order_fp(reduce_point(point, curve, p), cfp, n_points)
         bound = 2 * (p - 1) * n_points
         if horizon is None:
-            horizon = 2 * rank * (p - 1) + 2 * rank + 16
+            horizon = _period_horizon(rank, p)
     else:
         seeds = seq.seed.as_tuple()
         n_points = trace = bound = None

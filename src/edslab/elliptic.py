@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .ntkernel import factorize, invmod, is_prime
+from .ntkernel import factorize, invmod, is_prime, sqrt_mod_prime
 
 # uniform bound on the order of rational torsion points, with margin
 TORSION_SEARCH_BOUND = 16
@@ -221,11 +221,12 @@ def fp_scalar_mul(n: int, pt: PointFp, curve: CurveFp) -> PointFp:
     return result
 
 
-def count_points(curve: CurveFp) -> tuple[int, int]:
-    """(#E(F_p), a_p) by the naive quadratic-character sum over all x.
+def count_points_naive(curve: CurveFp) -> tuple[int, int]:
+    """(#E(F_p), a_p) by the quadratic-character sum over all x, in O(p).
 
-    #E = p + 1 + sum_x chi(x^3 + ax + b); for good reduction Hasse gives
-    |a_p| < 2*sqrt(p).
+    #E = p + 1 + sum_x chi(x^3 + ax + b).  It shares no code with
+    `count_points` beyond the curve record, so the verifier uses it as the
+    independent recount and the tests use it as the oracle.
     """
     p, a, b = curve.p, curve.a, curve.b
     qr = bytearray(p)  # 2 marks a nonzero square
@@ -236,6 +237,119 @@ def count_points(curve: CurveFp) -> tuple[int, int]:
     for x in range(p):
         total += qr[(x * x * x + a * x + b) % p] - 1
     return total, p + 1 - total
+
+
+# below this prime the O(p) sum beats baby-step giant-step
+NAIVE_COUNT_BELOW = 400
+# points tried before the fallback; for p > 229 E or its twist has a point
+# whose order alone pins #E down (Mestre), so only small primes can run out
+MESTRE_MAX_POINTS = 16
+
+
+def _order_dividing(pt: PointFp, curve: CurveFp, multiple: int) -> int:
+    """Exact order of pt, given a positive multiple of it, by stripping primes."""
+    order = multiple
+    for ell in factorize(multiple):
+        while order % ell == 0 and fp_scalar_mul(order // ell, pt, curve) is None:
+            order //= ell
+    return order
+
+
+def _multiple_in_hasse(pt: PointFp, curve: CurveFp) -> int | None:
+    """Some m > 0 with m*pt = O, found by baby-step giant-step over p + 1 + k,
+    |k| <= 2*sqrt(p); None only if the curve breaks Hasse's bound."""
+    p = curve.p
+    w = math.isqrt(4 * p)
+    s = math.isqrt(w) + 1
+    baby: dict[int, tuple[int, int]] = {}  # x(j*pt) -> (j, y(j*pt)), 1 <= j <= s
+    q = pt
+    for j in range(1, s + 1):
+        if q is None:
+            return j
+        baby.setdefault(q[0], (j, q[1]))
+        q = fp_add(q, pt, curve)
+    step = 2 * s + 1
+    giants = max(0, -(-(w - s) // step))
+    r = fp_scalar_mul(p + 1 - giants * step, pt, curve)
+    stride = fp_scalar_mul(step, pt, curve)
+    for g in range(-giants, giants + 1):
+        # r = (p + 1 + g*step) * pt; r = O or r = +-j*pt gives a multiple
+        m = p + 1 + g * step
+        if r is not None:
+            hit = baby.get(r[0])
+            m = 0 if hit is None else m - hit[0] if hit[1] == r[1] else m + hit[0]
+        if m > 0:
+            return m
+        r = fp_add(r, stride, curve)
+    return None
+
+
+def _unique_hasse_candidate(m_e: int, m_twist: int, p: int) -> int | None:
+    """The one N in the Hasse interval with m_e | N and m_twist | 2p+2-N, if
+    there is exactly one."""
+    w = math.isqrt(4 * p)
+    lo, hi = p + 1 - w, p + 1 + w
+    g = math.gcd(m_e, m_twist)
+    if (2 * p + 2) % g:
+        return None
+    # N = m_e * t with m_e * t = 2p + 2 (mod m_twist)
+    mod = m_twist // g
+    t = (2 * p + 2) // g * invmod(m_e // g, mod) % mod
+    period = m_e * mod
+    n = m_e * t
+    n += -(-(lo - n) // period) * period  # least candidate >= lo
+    if n > hi or n + period <= hi:
+        return None
+    return n
+
+
+def count_points(curve: CurveFp) -> tuple[int, int]:
+    """(#E(F_p), a_p), exactly, by Shanks-Mestre in O(p^(1/4)) group operations.
+
+    Points are drawn at x = 0, 1, 2, ...: a square f(x) gives a point on E,
+    a non-square one gives the point (d*x, d*sqrt(d*f(x))) on the quadratic
+    twist E': Y^2 = X^3 + a*d^2*X + b*d^3, d the least non-residue.  Each
+    point's exact order comes from a multiple found by baby-step giant-step
+    over the Hasse interval.  With M and M' the lcm of the orders on E and
+    E', #E is returned once it is the only N in [p+1-2*sqrt(p), p+1+2*sqrt(p)]
+    with M | N and M' | 2p+2-N (as #E + #E' = 2p+2); Hasse's bound makes that
+    N exact, not probable.  Small primes, bad reduction and the (for p > 229
+    impossible) case of MESTRE_MAX_POINTS points without a unique candidate
+    go to `count_points_naive`.
+    """
+    p, a, b = curve.p, curve.a, curve.b
+    if p < NAIVE_COUNT_BELOW or not curve.good:
+        return count_points_naive(curve)
+    half = (p - 1) // 2
+    d = 2
+    while pow(d, half, p) == 1:
+        d += 1
+    twist = CurveFp(p, a * d * d % p, b * d * d * d % p, True)
+    m_e = m_twist = 1
+    points = 0
+    for x in range(p):
+        fx = (x * x * x + a * x + b) % p
+        if fx == 0:
+            continue
+        if pow(fx, half, p) == 1:
+            pt, on = (x, sqrt_mod_prime(fx, p)), curve
+        else:
+            pt, on = (d * x % p, d * sqrt_mod_prime(d * fx, p) % p), twist
+        multiple = _multiple_in_hasse(pt, on)
+        if multiple is None:
+            break
+        order = _order_dividing(pt, on, multiple)
+        if on is curve:
+            m_e = math.lcm(m_e, order)
+        else:
+            m_twist = math.lcm(m_twist, order)
+        n_points = _unique_hasse_candidate(m_e, m_twist, p)
+        if n_points is not None:
+            return n_points, p + 1 - n_points
+        points += 1
+        if points == MESTRE_MAX_POINTS:
+            break
+    return count_points_naive(curve)
 
 
 def hasse_window(n_points: int, p: int) -> bool:
@@ -251,10 +365,7 @@ def point_order_fp(pt: PointFp, curve: CurveFp, n_points: int | None = None) -> 
         return 1
     if n_points is None:
         n_points, _ = count_points(curve)
-    order = n_points
-    for ell in factorize(n_points):
-        while order % ell == 0 and fp_scalar_mul(order // ell, pt, curve) is None:
-            order //= ell
+    order = _order_dividing(pt, curve, n_points)
     assert fp_scalar_mul(order, pt, curve) is None
     return order
 

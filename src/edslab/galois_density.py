@@ -9,6 +9,7 @@ and with q dividing the order of a fixed rational point modulo p.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -206,10 +207,14 @@ def empirical_density(
     exclusion list stands in for the finitely many primes where the
     group-theoretic model is not available.  With jobs > 1 the primes are
     partitioned across worker processes and the tallies summed, which is
-    order-independent, so reruns are deterministic either way.
+    order-independent, so reruns are deterministic either way.  jobs must
+    be at least 1 and is clamped to the CPU count.
     """
     if not is_prime(q):
         raise ValueError("q must be prime")
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    jobs = min(jobs, os.cpu_count() or 1)
     b = (a - 1) % q
     if b == 0:
         raise ValueError("need a != 1 (mod q) so that the determinant class b = a-1 is non-zero")

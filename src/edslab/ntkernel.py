@@ -37,6 +37,9 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 # Miller-Rabin with these bases is a proof of primality below this bound.
 _MR_DETERMINISTIC_BOUND = 3317044064679887385961981
+# bases 2, 3, 5, 7 already prove it below this one (Pomerance, Selfridge and
+# Wagstaff, Math. Comp. 35, 1980)
+_MR_FOUR_BASES_BOUND = 3215031751
 _MR_EXTRA_BASES = (41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97, 101)
 
 
@@ -62,7 +65,9 @@ def is_prime(n: int) -> bool:
         if n % p == 0:
             return n == p
     bases = _SMALL_PRIMES
-    if n >= _MR_DETERMINISTIC_BOUND:
+    if n < _MR_FOUR_BASES_BOUND:
+        bases = _SMALL_PRIMES[:4]
+    elif n >= _MR_DETERMINISTIC_BOUND:
         bases = _SMALL_PRIMES + _MR_EXTRA_BASES
     return all(_miller_rabin(n, b) for b in bases)
 
@@ -211,7 +216,7 @@ def sqrt_mod_prime(a: int, r: int) -> int:
         q //= 2
         e += 1
     z = 2
-    while legendre_symbol(z, r) != -1:
+    while pow(z, (r - 1) // 2, r) != r - 1:  # r is known prime here
         z += 1
     c = pow(z, q, r)
     s = pow(a, (q + 1) // 2, r)

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 from .eds import (
     _minimal_stream_period,
+    _period_horizon,
     division_poly_seeds,
     generate_geometric,
     require_exact_companion,
@@ -27,6 +28,7 @@ from .elliptic import (
     CurveQ,
     PointQ,
     count_points,
+    count_points_naive,
     hasse_window,
     is_torsion,
     point_order_fp,
@@ -40,6 +42,10 @@ SCHEMA_VERSION = "1"
 DEFAULT_A_TARGET = 3
 DEFAULT_MISMATCH_LIMIT = 60
 DEFAULT_MIN_MISMATCHES = 10
+# largest mismatch index the verifier recomputes: the exact z_n it needs has
+# about h*n^2 digits (h the canonical height), so work grows with n^2; with
+# distinct indices this also caps the number of exact multiples at 240
+MAX_MISMATCH_INDEX = 4 * DEFAULT_MISMATCH_LIMIT
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +275,7 @@ def find_witness(
             continue
         stats["candidates"] += 1
 
-        horizon = 2 * order_p * (p - 1) + 2 * order_p + 16
+        horizon = _period_horizon(order_p, p)
         if horizon > horizon_cap:
             stats["period_unconfirmed"] += 1
             continue
@@ -341,6 +347,11 @@ def verify_certificate(cert: WitnessCertificate) -> VerifyResult:
     """Re-derive every certified fact from scratch; fail naming the field.
 
     Uses only the arithmetic primitives, not any state cached by the finder.
+    #E(F_p) is recounted by `count_points_naive`, an algorithm independent
+    of the Shanks-Mestre count that found the witness.  The stream window
+    and the mismatch indices are bounded before any stream or exact
+    multiple is computed, so an edited certificate cannot make the
+    verifier run away.
     """
     checks: list[CheckResult] = []
 
@@ -355,6 +366,12 @@ def verify_certificate(cert: WitnessCertificate) -> VerifyResult:
     check("point_on_curve", curve.contains(point))
     torsion, _ = is_torsion(point, curve)
     check("point_nontorsion", not torsion)
+    try:
+        require_exact_companion(curve, point)
+        companion_ok, companion_detail = True, ""
+    except ValueError as exc:
+        companion_ok, companion_detail = False, str(exc)
+    check("companion_model", companion_ok, companion_detail)
     good = (curve.disc * point.z * 2 * point.y) % p != 0
     check("good_reduction", good, "p must avoid disc, z1 and 2*y1")
     check("lrs_reduction", spec.coeffs[-1] % p != 0, "p must not divide the last coefficient")
@@ -362,7 +379,7 @@ def verify_certificate(cert: WitnessCertificate) -> VerifyResult:
         return VerifyResult(False, checks)
 
     cfp = CurveFp.from_curve(curve, p)
-    n_points, trace = count_points(cfp)
+    n_points, trace = count_points_naive(cfp)
     check("n_points", n_points == cert.n_points, f"recounted {n_points}")
     check("trace", trace == cert.trace, f"recomputed {trace}")
     check("hasse", hasse_window(n_points, p))
@@ -371,6 +388,17 @@ def verify_certificate(cert: WitnessCertificate) -> VerifyResult:
     check("q_divides_order", order_p % q == 0)
 
     lo, hi = cert.tz_window
+    window_cap = _period_horizon(order_p, p)
+    window_ok = check("tz_window", hi <= window_cap, f"end {hi}, finder's limit {window_cap}")
+    indices = [n for n, _, _ in cert.mismatches]
+    indices_ok = check(
+        "mismatch_index",
+        len(set(indices)) == len(indices) and all(1 <= n <= MAX_MISMATCH_INDEX for n in indices),
+        f"mismatches indices must be distinct and lie in 1..{MAX_MISMATCH_INDEX}",
+    )
+    if not (window_ok and indices_ok):
+        return VerifyResult(False, checks)
+
     tz_ok = False
     minimal_ok = False
     if lo == 1 and hi >= 2 * cert.tz_period and cert.tz_period % order_p == 0:

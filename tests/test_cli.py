@@ -1,8 +1,13 @@
 import json
+import multiprocessing
+import os
 
 import pytest
 
+from edslab import refuter
 from edslab.cli import main
+from edslab.elliptic import CurveQ, PointQ
+from edslab.lrs import FIBONACCI
 
 
 def run(capsys, *argv):
@@ -184,6 +189,76 @@ def test_refute_verify_roundtrip(tmp_path, capsys):
     code, out, _ = run(capsys, "verify", str(cert_path), "--format", "json")
     assert code == 4
     assert json.loads(out)["ok"] is False
+
+
+def _failing_checks(out):
+    return [c["name"] for c in json.loads(out)["checks"] if not c["ok"]]
+
+
+@pytest.mark.parametrize(
+    "field,edit",
+    [
+        ("tz_window", lambda pl: pl.update(tz_window=["1", str(int(pl["tz_window"][1]) + 1)])),
+        ("mismatch_index", lambda pl: pl["mismatches"][0].update(n=str(refuter.MAX_MISMATCH_INDEX + 1))),
+    ],
+)
+def test_verify_unbounded_certificate_exit4(tmp_path, capsys, monkeypatch, field, edit):
+    cert_path = tmp_path / "cert.json"
+    code, _, _ = run(
+        capsys,
+        "refute", "--curve", "-4", "4", "--point", "1", "1", "1",
+        "--lrs", "2", "1", "1", "1", "1", "--q", "5", "--p-max", "100", "--out", str(cert_path),
+    )
+    assert code == 0
+    payload = json.loads(cert_path.read_text())
+    edit(payload)
+    cert_path.write_text(json.dumps(payload))
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("the verifier did work before bounding it")
+
+    monkeypatch.setattr(refuter, "stream_mod_p", no_work)
+    monkeypatch.setattr(refuter, "scalar_mul", no_work)
+    code, out, _ = run(capsys, "verify", str(cert_path), "--format", "json")
+    assert code == 4
+    assert _failing_checks(out) == [field]
+
+
+def test_verify_point_outside_companion_model_exit4(tmp_path, capsys):
+    # gcd(2*3, 3*(-2)^2 + 0) = 6: |w_n| != z_n, so no tz claim can be trusted
+    cert = refuter.WitnessCertificate(
+        curve=CurveQ(0, 17), point=PointQ(-2, 3, 1), spec=FIBONACCI,
+        q=5, p=7, trace=3, n_points=5, point_order=5, tz_period=35, tz_window=(1, 100),
+        tu_period=4, tu_window=(1, 64), lrs_period=16, q_divides_tz=True, q_divides_tu=False,
+        mismatches=[(1, 1, 1)],
+    )
+    cert_path = tmp_path / "cert.json"
+    cert_path.write_text(cert.to_json())
+    code, out, _ = run(capsys, "verify", str(cert_path), "--format", "json")
+    assert code == 4
+    assert "companion_model" in _failing_checks(out)
+
+
+EMPIRICAL = ("density", "empirical", "--curve", "0", "3", "--point", "1", "2", "1", "--q", "3")
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_density_empirical_jobs_below_one_exit2(capsys, jobs):
+    code, out, err = run(capsys, *EMPIRICAL, "--x", "1000", "--jobs", jobs)
+    assert code == 2
+    assert not out
+    assert "jobs must be at least 1" in err
+
+
+def test_density_empirical_jobs_clamped_to_cpu_count(capsys, monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+    code, out, _ = run(capsys, *EMPIRICAL, "--x", "1000", "--jobs", "2", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["empirical"]["scanned"] > 64
 
 
 def test_refute_exhaustion_exit3(capsys):

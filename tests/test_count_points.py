@@ -1,0 +1,65 @@
+"""Shanks-Mestre `count_points` against the character-sum oracle."""
+
+import random
+
+from edslab import elliptic
+from edslab.elliptic import CurveFp, CurveQ, count_points, count_points_naive
+from edslab.ntkernel import is_prime, sieve_primes
+
+# the fixture curve, a j = 0 curve (a = 0) and a j = 1728 curve (b = 0)
+CURVES = [CurveQ(0, 3), CurveQ(0, 17), CurveQ(-1, 0), CurveQ(2, 0), CurveQ(-4, 4)]
+
+
+def _good_reductions(curve, primes):
+    return [CurveFp.from_curve(curve, p) for p in primes if p != 2 and curve.disc % p]
+
+
+def test_matches_naive_below_3000():
+    primes = sieve_primes(3000)
+    for curve in CURVES:
+        for cfp in _good_reductions(curve, primes):
+            assert count_points(cfp) == count_points_naive(cfp), (curve, cfp.p)
+
+
+def test_matches_naive_on_seeded_large_primes():
+    rng = random.Random(20261017)
+    primes = []
+    while len(primes) < 40:
+        p = rng.randrange(10**4, 10**5) | 1
+        if is_prime(p):
+            primes.append(p)
+    for i, p in enumerate(primes):
+        cfp = CurveFp.from_curve(CURVES[i % len(CURVES)], p)
+        n_points, trace = count_points(cfp)
+        assert (n_points, trace) == count_points_naive(cfp), (cfp, p)
+        assert trace * trace <= 4 * p
+
+
+def test_repeated_calls_agree():
+    cfp = CurveFp.from_curve(CURVES[0], 99991)
+    first = count_points(cfp)
+    assert all(count_points(cfp) == first for _ in range(3))
+
+
+def test_both_sides_of_the_crossover(monkeypatch):
+    cut = elliptic.NAIVE_COUNT_BELOW
+    near = [p for p in sieve_primes(cut + 200) if p > cut - 200]
+    assert near[0] < cut <= near[-1]
+    calls = []
+    real_naive = elliptic.count_points_naive
+    monkeypatch.setattr(elliptic, "count_points_naive", lambda c: calls.append(c.p) or real_naive(c))
+    for curve in CURVES:
+        for cfp in _good_reductions(curve, near):
+            assert count_points(cfp) == real_naive(cfp), (curve, cfp.p)
+    # above the crossover every count was settled without the fallback
+    assert calls and max(calls) < cut
+
+
+def test_baby_giant_counts_small_primes_exactly(monkeypatch):
+    # with the crossover removed, every count is still exact: primes where no
+    # point pins #E down (only possible for p <= 229) fall back to the sum
+    monkeypatch.setattr(elliptic, "NAIVE_COUNT_BELOW", 3)
+    primes = sieve_primes(400)
+    for curve in CURVES:
+        for cfp in _good_reductions(curve, primes):
+            assert count_points(cfp) == count_points_naive(cfp), (curve, cfp.p)

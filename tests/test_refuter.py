@@ -1,11 +1,14 @@
 import json
+from dataclasses import replace
 
 import pytest
 
+from edslab import refuter
 from edslab.eds import WardSeed, division_poly_seeds, generate_geometric, generate_ward
 from edslab.elliptic import CurveQ, PointQ
 from edslab.lrs import FIBONACCI, LrsSpec
 from edslab.refuter import (
+    MAX_MISMATCH_INDEX,
     WitnessCertificate,
     choose_q,
     compare_streams,
@@ -233,3 +236,36 @@ def test_soundness_across_fixtures(curve, point, spec):
     roundtrip = WitnessCertificate.from_json(result.certificate.to_json())
     verdict = verify_certificate(roundtrip)
     assert verdict.ok, verdict.failures
+
+
+def test_verifier_recounts_independently_of_the_finder(monkeypatch):
+    cert = find_witness(E, P, FIBONACCI, 5, p_max=10_000).certificate
+    monkeypatch.setattr(refuter, "count_points", lambda cfp: (cfp.p + 2, -1))
+    verdict = verify_certificate(cert)
+    assert verdict.ok, verdict.failures
+
+
+def _no_work(*args, **kwargs):
+    raise AssertionError("the verifier did work before bounding it")
+
+
+@pytest.mark.parametrize(
+    "field,edit",
+    [
+        ("tz_window", lambda c, cap: replace(c, tz_window=(1, cap + 1))),
+        ("mismatch_index", lambda c, cap: replace(c, mismatches=[(MAX_MISMATCH_INDEX + 1, 0, 1)])),
+        ("mismatch_index", lambda c, cap: replace(c, mismatches=[(0, 0, 1)])),
+        ("mismatch_index", lambda c, cap: replace(c, mismatches=c.mismatches[:1] * 2)),
+    ],
+)
+def test_verifier_bounds_work_before_starting(monkeypatch, field, edit):
+    cert = find_witness(E, P, FIBONACCI, 5, p_max=10_000).certificate
+    order, p = cert.point_order, cert.p
+    assert cert.tz_window[1] == 2 * order * (p - 1) + 2 * order + 16
+    assert MAX_MISMATCH_INDEX >= refuter.DEFAULT_MISMATCH_LIMIT
+    bad = edit(cert, cert.tz_window[1])
+    monkeypatch.setattr(refuter, "stream_mod_p", _no_work)
+    monkeypatch.setattr(refuter, "scalar_mul", _no_work)
+    verdict = verify_certificate(bad)
+    assert not verdict.ok
+    assert verdict.failures == [field]
