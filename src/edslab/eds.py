@@ -3,10 +3,12 @@ growth, primitive divisors, and periods modulo p.
 
 A geometric sequence stores the positive denominators z_n of nP.  Reductions
 modulo p are computed on the canonical signed companion sequence w_n obtained
-from the normalized division-polynomial seed values; |w_n| = z_n exactly when
-gcd(2y, 3x^2 + a*z^4) = 1 (see `require_exact_companion`), and the sign
-ambiguity is irrelevant to every question asked here (zeros, divisibility,
-periods up to sign).
+from the normalized division-polynomial seed values; z_n = z_1*|w_n| exactly
+when gcd(2y, 3x^2 + a*z^4) = 1 (see `require_exact_companion`).  At a prime
+not dividing z_1 the factor z_1 is a unit, and the sign ambiguity is
+irrelevant to every question asked here (zeros, divisibility, periods up to
+sign).  Periods of a geometric stream come from Ward's symmetry
+(`ward_period`), which needs only w_1..w_{r+2}, r the rank of apparition.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .elliptic import (
     reduce_point,
     scalar_mul,
 )
-from .ntkernel import IncompleteFactorization, factorize, invmod, is_prime
+from .ntkernel import IncompleteFactorization, factorize, invmod, is_prime, multiplicative_order
 
 
 class InexactDivisionError(ValueError):
@@ -82,8 +84,8 @@ def division_poly_seeds(curve: CurveQ, point: PointQ) -> tuple[int, int, int, in
 
     These are the evaluations of the first four division polynomials at
     (x/z^2, y/z^3), cleared of denominators by the weight z^(n^2-1); they
-    start the bilinear recurrences and satisfy |w_n| = z_n at primes of
-    good reduction.
+    start the bilinear recurrences, whose terms satisfy z_n = z_1*|w_n| when
+    `require_exact_companion` passes.
     """
     a, b = curve.a, curve.b
     x1, y1, z1 = point.x, point.y, point.z
@@ -106,10 +108,11 @@ def division_poly_seeds(curve: CurveQ, point: PointQ) -> tuple[int, int, int, in
 def require_exact_companion(curve: CurveQ, point: PointQ) -> None:
     """Raise ValueError unless gcd(2y, 3x^2 + a*z^4) = 1, naming the bad primes.
 
-    This gcd is 1 exactly when |w_n| = z_n for every n, i.e. when the point
-    is non-singular modulo every prime (Ayad, Manuscripta Math. 76, 1992).
-    Otherwise |w_n| / z_n is a growing product of the primes dividing it,
-    and residues and periods of w_n modulo p are not those of z_n.
+    This gcd is 1 exactly when z_n = z_1*|w_n| for every n, i.e. when the
+    point is non-singular modulo every prime (Ayad, Manuscripta Math. 76,
+    1992).  Otherwise z_1*|w_n| / z_n is a growing product of the primes
+    dividing it, and residues and periods of w_n modulo p are not those of
+    z_n.
     """
     g = math.gcd(2 * point.y, 3 * point.x**2 + curve.a * point.z**4)
     if g != 1:
@@ -119,7 +122,7 @@ def require_exact_companion(curve: CurveQ, point: PointQ) -> None:
             primes = [*sorted(exc.factors), exc.cofactor]
         raise ValueError(
             f"gcd(2y, 3x^2 + a*z^4) = {g}: the point is singular modulo {primes}, "
-            "so |w_n| != z_n and the modular sequence model does not apply"
+            "so z_n != z_1*|w_n| and the modular sequence model does not apply"
         )
 
 
@@ -214,6 +217,46 @@ def _minimal_stream_period(stream: list[int], step: int, horizon: int) -> int | 
     return None
 
 
+def ward_constants(w: list[int], rank: int, p: int) -> tuple[int, int]:
+    """The constants (a, b) of Ward's symmetry w_{kr+n} = w_n * a^(nk) * b^(k^2) (mod p).
+
+    Read off w_1..w_{r+2} (index 0 unused), r = `rank` the rank of
+    apparition, from w_{r+1} = w_1*a*b and w_{r+2} = w_2*a^2*b (M. Ward,
+    Amer. J. Math. 70, 1948).  Raises ValueError when w_1*w_2*w_{r+1}*w_{r+2}
+    = 0 (mod p), which happens when r is not the rank or r < 3.
+    """
+    if w[1] * w[2] * w[rank + 1] * w[rank + 2] % p == 0:
+        raise ValueError(f"w_1*w_2*w_{rank + 1}*w_{rank + 2} = 0 (mod {p}): {rank} is not the rank")
+    a = w[rank + 2] * w[1] * invmod(w[2] * w[rank + 1], p) % p
+    b = w[rank + 1] * invmod(w[1] * a, p) % p
+    return a, b
+
+
+def _symmetry_period(a: int, b: int, p: int) -> int:
+    """Least t >= 1 with a^t = 1 and b^(t^2) = 1 (mod p); the valid t are its multiples.
+
+    b^(k^2) = 1 exactly when l^ceil(e/2) divides k for every l^e || ord(b).
+    """
+    t = multiplicative_order(a, p)
+    for ell, e in factorize(multiplicative_order(b, p)).items():
+        t = math.lcm(t, ell ** ((e + 1) // 2))
+    return t
+
+
+def ward_period(seeds: tuple[int, int, int, int], p: int, rank: int) -> int:
+    """Exact minimal period of the stream w_n mod p, from w_1..w_{rank+2} alone.
+
+    `rank` must be the rank of apparition: the zeros of the stream sit
+    exactly on its multiples, as they do on the multiples of the order of
+    P mod p for a geometric source at a good prime.  A period maps the zero
+    set onto itself, so it is some k*r, and by Ward's symmetry k*r is a
+    period exactly when a^k = 1 and b^(k^2) = 1.  Costs O(r + log p), not
+    the O(r*p) window `_minimal_stream_period` scans.
+    """
+    a, b = ward_constants(stream_mod_p(seeds, p, rank + 2), rank, p)
+    return rank * _symmetry_period(a, b, p)
+
+
 @dataclass
 class EdsPeriodResult:
     p: int
@@ -237,12 +280,16 @@ def eds_period_mod_p(seq: EdsSequence, p: int, horizon: int | None = None) -> Ed
 
     The period is computed on the canonical signed stream; for a geometric
     source it divides 2*(p-1)*#E(F_p), and the zeros fall exactly on the
-    multiples of the order of the reduced point.  When the horizon cannot
-    confirm a full period twice the status is "unconfirmed" and no period
-    is reported.
+    multiples of the order of the reduced point.  A geometric period is
+    exact from Ward's symmetry (`ward_period`), and the zeros are checked on
+    w_1..w_{2r+2}; a Ward-seeded one is searched for over the window.  When
+    the horizon is shorter than twice the period the status is
+    "unconfirmed" and no period is reported.
     """
     if p == 2 or not is_prime(p):
         raise ValueError("p must be an odd prime")
+    if horizon is not None and horizon < 1:
+        raise ValueError("horizon must be >= 1")
     if seq.source == "geometric":
         curve, point = seq.curve, seq.point
         if curve.disc % p == 0 or point.z % p == 0:
@@ -255,26 +302,19 @@ def eds_period_mod_p(seq: EdsSequence, p: int, horizon: int | None = None) -> Ed
         bound = 2 * (p - 1) * n_points
         if horizon is None:
             horizon = _period_horizon(rank, p)
+        prefix = stream_mod_p(seeds, p, 2 * rank + 2)
+        zeros_consistent = all((prefix[n] == 0) == (n % rank == 0) for n in range(1, 2 * rank + 3))
+        period = rank * _symmetry_period(*ward_constants(prefix, rank, p), p)
+        if horizon < 2 * period:
+            period = None
     else:
-        seeds = seq.seed.as_tuple()
-        n_points = trace = bound = None
-        rank = None
+        n_points = trace = bound = zeros_consistent = None
         if horizon is None:
             horizon = max(4096, 16 * p)
+        stream = stream_mod_p(seq.seed.as_tuple(), p, horizon)
+        rank = next((n for n in range(1, horizon + 1) if stream[n] == 0), None)
+        period = _minimal_stream_period(stream, rank or 1, horizon)
 
-    stream = stream_mod_p(seeds, p, horizon)
-    first_zero = next((n for n in range(1, horizon + 1) if stream[n] == 0), None)
-    zeros_consistent = None
-    if seq.source == "geometric":
-        zeros_consistent = all(
-            (stream[n] == 0) == (n % rank == 0) for n in range(1, horizon + 1)
-        )
-        step = rank
-    else:
-        rank = first_zero
-        step = first_zero if first_zero is not None else 1
-
-    period = _minimal_stream_period(stream, step, horizon)
     if period is None:
         return EdsPeriodResult(
             p, "unconfirmed", None, rank, (1, horizon), n_points, trace, bound, None, zeros_consistent

@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .ntkernel import factorize, invmod, is_prime, sqrt_mod_prime
+from .ntkernel import invmod, is_prime, order_from_multiple, sqrt_mod_prime
 
 # uniform bound on the order of rational torsion points, with margin
 TORSION_SEARCH_BOUND = 16
@@ -246,15 +246,6 @@ NAIVE_COUNT_BELOW = 400
 MESTRE_MAX_POINTS = 16
 
 
-def _order_dividing(pt: PointFp, curve: CurveFp, multiple: int) -> int:
-    """Exact order of pt, given a positive multiple of it, by stripping primes."""
-    order = multiple
-    for ell in factorize(multiple):
-        while order % ell == 0 and fp_scalar_mul(order // ell, pt, curve) is None:
-            order //= ell
-    return order
-
-
 def _multiple_in_hasse(pt: PointFp, curve: CurveFp) -> int | None:
     """Some m > 0 with m*pt = O, found by baby-step giant-step over p + 1 + k,
     |k| <= 2*sqrt(p); None only if the curve breaks Hasse's bound."""
@@ -338,7 +329,7 @@ def count_points(curve: CurveFp) -> tuple[int, int]:
         multiple = _multiple_in_hasse(pt, on)
         if multiple is None:
             break
-        order = _order_dividing(pt, on, multiple)
+        order = order_from_multiple(multiple, lambda k: fp_scalar_mul(k, pt, on) is None)
         if on is curve:
             m_e = math.lcm(m_e, order)
         else:
@@ -365,7 +356,7 @@ def point_order_fp(pt: PointFp, curve: CurveFp, n_points: int | None = None) -> 
         return 1
     if n_points is None:
         n_points, _ = count_points(curve)
-    order = _order_dividing(pt, curve, n_points)
+    order = order_from_multiple(n_points, lambda k: fp_scalar_mul(k, pt, curve) is None)
     assert fp_scalar_mul(order, pt, curve) is None
     return order
 

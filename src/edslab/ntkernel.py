@@ -162,6 +162,26 @@ def factorize(n: int, *, rho_iters: int = 2_000_000) -> dict[int, int]:
     return factors
 
 
+def order_from_multiple(multiple: int, is_identity) -> int:
+    """Order of a group element, given a positive multiple of it, by stripping primes.
+
+    `is_identity(k)` says whether the element's k-th power is the identity;
+    it is called only on divisors of `multiple`.
+    """
+    order = multiple
+    for ell in factorize(multiple):
+        while order % ell == 0 and is_identity(order // ell):
+            order //= ell
+    return order
+
+
+def multiplicative_order(a: int, p: int) -> int:
+    """Order of a in (Z/p)^*, p prime, by stripping the primes of p - 1."""
+    if a % p == 0:
+        raise ValueError(f"{a} is not a unit modulo {p}")
+    return order_from_multiple(p - 1, lambda k: pow(a, k, p) == 1)
+
+
 def euler_phi(n: int) -> int:
     """Euler's totient via factorization."""
     if n < 1:

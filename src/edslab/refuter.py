@@ -16,12 +16,14 @@ import json
 from dataclasses import dataclass, field
 
 from .eds import (
-    _minimal_stream_period,
+    WardSeed,
     _period_horizon,
     division_poly_seeds,
-    generate_geometric,
+    generate_ward,
     require_exact_companion,
     stream_mod_p,
+    ward_constants,
+    ward_period,
 )
 from .elliptic import (
     CurveFp,
@@ -36,7 +38,7 @@ from .elliptic import (
     scalar_mul,
 )
 from .lrs import LrsSpec, eval_mod, is_degenerate, square_sampled_period
-from .ntkernel import is_prime, next_prime, sieve_primes
+from .ntkernel import factorize, is_prime, next_prime, sieve_primes
 
 SCHEMA_VERSION = "1"
 DEFAULT_A_TARGET = 3
@@ -46,6 +48,12 @@ DEFAULT_MIN_MISMATCHES = 10
 # about h*n^2 digits (h the canonical height), so work grows with n^2; with
 # distinct indices this also caps the number of exact multiples at 240
 MAX_MISMATCH_INDEX = 4 * DEFAULT_MISMATCH_LIMIT
+# the finder skips a prime whose period window 2r(p-1)+2r+16 exceeds this
+DEFAULT_HORIZON_CAP = 6_000_000
+# largest witness prime the finder can certify under the default cap: the
+# order r is at least 3, and _period_horizon(3, p) = 6p + 16; the verifier
+# bounds p by it before its O(p) recount
+MAX_WITNESS_P = (DEFAULT_HORIZON_CAP - 16) // 6
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +209,7 @@ def find_witness(
     a_target: int = DEFAULT_A_TARGET,
     p_max: int = 1_000_000,
     exclusions: tuple[int, ...] = (),
-    horizon_cap: int = 6_000_000,
+    horizon_cap: int = DEFAULT_HORIZON_CAP,
     mismatch_limit: int = DEFAULT_MISMATCH_LIMIT,
     min_mismatches: int = DEFAULT_MIN_MISMATCHES,
 ) -> FindResult:
@@ -209,9 +217,11 @@ def find_witness(
 
     Wanted: p = a_target - 1 (mod q), good reduction, a_p = a_target (mod q),
     and q dividing the order of P modulo p (then q divides #E(F_p) too).  For
-    the first such p the minimal verified periods are computed; a p whose
-    period cannot be confirmed under the horizon cap is counted and skipped,
-    never certified.  Identical inputs always produce identical output.
+    the first such p the minimal periods of both sequences are computed, the
+    divisibility sequence's by Ward's symmetry (`ward_period`); a p whose
+    period window 2r(p-1)+2r+16 exceeds the horizon cap is counted and
+    skipped, never certified.  Identical inputs always produce identical
+    output.
     """
     torsion, order = is_torsion(point, curve)
     if torsion:
@@ -222,6 +232,7 @@ def find_witness(
         # order divisibility by an odd q is unchanged under doubling
         point = scalar_mul(2, point, curve)
     require_exact_companion(curve, point)
+    seeds = division_poly_seeds(curve, point)
     degenerate, witness_order = is_degenerate(spec)
     if degenerate:
         raise ValueError(
@@ -279,18 +290,16 @@ def find_witness(
         if horizon > horizon_cap:
             stats["period_unconfirmed"] += 1
             continue
-        stream = stream_mod_p(division_poly_seeds(curve, point), p, horizon)
-        tz = _minimal_stream_period(stream, order_p, horizon)
-        if tz is None:
-            stats["period_unconfirmed"] += 1
-            continue
+        tz = ward_period(seeds, p, order_p)
         sq = square_sampled_period(spec, p)
         if sq.period % q == 0:
             # cannot happen when q passes validate_q; counted, never certified
             stats["tu_divisible"] += 1
             continue
         if exact_prefix is None:
-            exact_prefix = generate_geometric(curve, point, mismatch_limit).terms
+            # z_n = z_1*|w_n|, as require_exact_companion passed
+            ward = generate_ward(WardSeed(*seeds), mismatch_limit)
+            exact_prefix = [point.z * abs(w) for w in ward.terms]
         mismatches = []
         for n in range(1, mismatch_limit + 1):
             z_mod = exact_prefix[n - 1] % p
@@ -343,15 +352,38 @@ class VerifyResult:
         return [c.name for c in self.checks if not c.ok]
 
 
+def _check_ward_period(w: list[int], r: int, t: int, p: int) -> tuple[bool, bool, str]:
+    """(r*t is a period of w_n mod p, it is the least one, detail), from w_1..w_{2r+2}.
+
+    r >= 3 is the order of P mod p: good reduction rules out p | z1 and p | 2*y1.
+    """
+    if not all((w[n] == 0) == (n % r == 0) for n in range(1, 2 * r + 3)):
+        return False, False, f"the zeros of w_1..w_{2 * r + 2} are not the multiples of {r}"
+    a, b = ward_constants(w, r, p)
+    if any(w[r + n] != w[n] * pow(a, n, p) * b % p for n in range(1, r + 3)):
+        return False, False, "Ward's symmetry w_(r+n) = w_n * a^n * b fails for some n <= r + 2"
+
+    def is_period(k: int) -> bool:
+        return pow(a, k, p) == 1 and pow(b, k * k, p) == 1
+
+    if not is_period(t):
+        return False, False, f"a^t = b^(t^2) = 1 fails at t = tz/r = {t}"
+    return True, not any(is_period(t // ell) for ell in factorize(t)), ""
+
+
 def verify_certificate(cert: WitnessCertificate) -> VerifyResult:
     """Re-derive every certified fact from scratch; fail naming the field.
 
     Uses only the arithmetic primitives, not any state cached by the finder.
     #E(F_p) is recounted by `count_points_naive`, an algorithm independent
-    of the Shanks-Mestre count that found the witness.  The stream window
-    and the mismatch indices are bounded before any stream or exact
-    multiple is computed, so an edited certificate cannot make the
-    verifier run away.
+    of the Shanks-Mestre count that found the witness.  tz is re-derived in
+    O(r + log p): the zeros of w_1..w_{2r+2} must sit exactly on the
+    multiples of r, Ward's symmetry w_{r+n} = w_n * a^n * b must hold for
+    n = 1..r+2, t = tz/r must satisfy a^t = 1 and b^(t^2) = 1, and t/l must
+    fail that for every prime l | t (the valid t are the multiples of the
+    least one).  p, the stated window and the mismatch indices are bounded before
+    any count, stream or exact multiple is computed, so an edited
+    certificate cannot make the verifier run away.
     """
     checks: list[CheckResult] = []
 
@@ -361,6 +393,7 @@ def verify_certificate(cert: WitnessCertificate) -> VerifyResult:
 
     check("q_prime", is_prime(cert.q) and cert.q % 2 == 1, f"q={cert.q}")
     check("p_prime", is_prime(cert.p) and cert.p % 2 == 1, f"p={cert.p}")
+    check("p_bound", cert.p <= MAX_WITNESS_P, f"p={cert.p}, finder's limit {MAX_WITNESS_P}")
     check("p_distinct_from_q", cert.p != cert.q)
     curve, point, spec, p, q = cert.curve, cert.point, cert.spec, cert.p, cert.q
     check("point_on_curve", curve.contains(point))
@@ -399,14 +432,13 @@ def verify_certificate(cert: WitnessCertificate) -> VerifyResult:
     if not (window_ok and indices_ok):
         return VerifyResult(False, checks)
 
-    tz_ok = False
-    minimal_ok = False
-    if lo == 1 and hi >= 2 * cert.tz_period and cert.tz_period % order_p == 0:
-        stream = stream_mod_p(division_poly_seeds(curve, point), p, hi)
-        tz_ok = all(stream[n + cert.tz_period] == stream[n] for n in range(1, hi - cert.tz_period + 1))
-        smaller = _minimal_stream_period(stream, order_p, hi)
-        minimal_ok = smaller == cert.tz_period
-    check("tz_period", tz_ok, "period must hold across the stated window")
+    tz, r = cert.tz_period, order_p
+    tz_ok = minimal_ok = False
+    tz_detail = "tz must be a multiple of the point order, with 2*tz inside the stated window"
+    if lo == 1 and 0 < 2 * tz <= hi and tz % r == 0:
+        w = stream_mod_p(division_poly_seeds(curve, point), p, 2 * r + 2)
+        tz_ok, minimal_ok, tz_detail = _check_ward_period(w, r, tz // r, p)
+    check("tz_period", tz_ok, tz_detail)
     check("tz_minimal", minimal_ok, "a smaller multiple of the point order must not be a period")
     check("q_divides_tz", cert.q_divides_tz and cert.tz_period % q == 0)
 
@@ -465,7 +497,8 @@ def direct_falsify(
     if n_claim < 1 or window < 1:
         raise ValueError("need n_claim >= 1 and window >= 1")
     hi = n_claim + window - 1
-    stream = stream_mod_p(division_poly_seeds(curve, point), p, hi)
+    # z_n = z_1*|w_n|; the sign of w_n does not matter against +-u_{n^2}
+    stream = [point.z * w % p for w in stream_mod_p(division_poly_seeds(curve, point), p, hi)]
     u_vals = [0] * (hi + 1)
     for n in range(n_claim, hi + 1):
         u_vals[n] = eval_mod(spec, n * n, p)

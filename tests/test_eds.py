@@ -5,6 +5,7 @@ import pytest
 from edslab.eds import (
     InexactDivisionError,
     WardSeed,
+    _minimal_stream_period,
     division_poly_seeds,
     eds_period_mod_p,
     generate_geometric,
@@ -13,8 +14,10 @@ from edslab.eds import (
     primitive_divisor_scan,
     save_sequence,
     stream_mod_p,
+    ward_period,
 )
 from edslab.elliptic import CurveFp, CurveQ, PointQ, count_points, point_order_fp, reduce_point
+from edslab.ntkernel import sieve_primes
 
 E = CurveQ(0, 3)
 P = PointQ(1, 2, 1)
@@ -82,6 +85,66 @@ def test_ward_matches_geometric_up_to_sign():
         assert abs(ward.term(i)) == geo.term(i), i
         signs.append(1 if ward.term(i) > 0 else -1)
     assert signs[:4] == [1, 1, 1, -1]
+
+
+# points with gcd(2y, 3x^2 + a*z^4) = 1; (25, -3, 4) is 2*(0, 2, 1) on (-5, 4)
+COMPANION_FIXTURES = [
+    (CurveQ(0, 3), PointQ(1, 2, 1)),
+    (CurveQ(-4, 4), PointQ(1, 1, 1)),
+    (CurveQ(-5, 4), PointQ(25, -3, 4)),
+    (CurveQ(-5, 2), PointQ(-2, 2, 1)),
+    (CurveQ(-3, -1), PointQ(2, 1, 1)),
+    (CurveQ(-6, 6), PointQ(1, 1, 1)),
+]
+
+
+@pytest.mark.parametrize("curve,point", COMPANION_FIXTURES)
+def test_geometric_terms_are_z1_times_companion(curve, point):
+    # z_n = z1*|w_n|, not |w_n|: the ratio is z1 = 4 at every n for (25, -3, 4)
+    ward = generate_ward(WardSeed(*division_poly_seeds(curve, point)), 40)
+    assert generate_geometric(curve, point, 40).terms == [point.z * abs(w) for w in ward.terms]
+
+
+def _windowed_period(seeds, p, rank, period):
+    """The minimal period found by scanning a window that holds it twice."""
+    horizon = 2 * period + 2 * rank + 16
+    return _minimal_stream_period(stream_mod_p(seeds, p, horizon), rank, horizon)
+
+
+def test_ward_period_matches_windowed_search():
+    # every odd good prime below 400 on five curves, among them ranks 3
+    # (the shortest prefix Ward's constants can be read from) and z1 = 4
+    ranks = []
+    for curve, point in COMPANION_FIXTURES[:5]:
+        seq = generate_geometric(curve, point, 4)
+        seeds = division_poly_seeds(curve, point)
+        for p in sieve_primes(400)[1:]:
+            if (curve.disc * point.z * 2 * point.y) % p == 0:
+                continue
+            result = eds_period_mod_p(seq, p)
+            assert result.confirmed and result.zeros_consistent
+            assert ward_period(seeds, p, result.rank) == result.period
+            windowed = _windowed_period(seeds, p, result.rank, result.period)
+            assert windowed == result.period, (curve, point, p)
+            ranks.append(result.rank)
+    assert len(ranks) == 4 * 76 + 75
+    assert ranks.count(3) == 8
+
+
+@pytest.mark.parametrize("p,rank,period", [(1009, 237, 17064), (3001, 1554, 2331000)])
+def test_ward_period_matches_windowed_search_large_p(p, rank, period):
+    result = eds_period_mod_p(fixture_sequence(4), p)
+    assert (result.rank, result.period) == (rank, period)
+    assert _windowed_period(division_poly_seeds(E, P), p, rank, period) == period
+
+
+def test_period_confirmed_exactly_from_twice_the_period():
+    seq = fixture_sequence(4)
+    period = eds_period_mod_p(seq, 13).period
+    assert eds_period_mod_p(seq, 13, horizon=2 * period).period == period
+    assert eds_period_mod_p(seq, 13, horizon=2 * period - 1).status == "unconfirmed"
+    with pytest.raises(ValueError, match="horizon"):
+        eds_period_mod_p(seq, 13, horizon=0)
 
 
 def test_stream_matches_exact_reduction():

@@ -20,6 +20,7 @@ from edslab.ntkernel import (
     kernel_basis,
     lcm_tower,
     legendre_symbol,
+    multiplicative_order,
     next_prime,
     sieve_primes,
     solve_exact,
@@ -150,6 +151,14 @@ def test_factorize_effort_cap():
     with pytest.raises(IncompleteFactorization) as exc:
         factorize(p * q, rho_iters=10)
     assert exc.value.cofactor > 1
+
+
+def test_multiplicative_order_matches_exhaustive_powers():
+    for p in (3, 5, 7, 13, 31, 97, 1009):
+        for a in range(1, min(p, 120)):
+            assert multiplicative_order(a, p) == next(k for k in range(1, p) if pow(a, k, p) == 1)
+    with pytest.raises(ValueError):
+        multiplicative_order(14, 7)
 
 
 def test_euler_phi():

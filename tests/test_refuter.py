@@ -1,14 +1,23 @@
+import hashlib
 import json
 from dataclasses import replace
 
 import pytest
 
-from edslab import refuter
-from edslab.eds import WardSeed, division_poly_seeds, generate_geometric, generate_ward
-from edslab.elliptic import CurveQ, PointQ
-from edslab.lrs import FIBONACCI, LrsSpec
+from edslab import eds, refuter
+from edslab.eds import (
+    WardSeed,
+    _period_horizon,
+    division_poly_seeds,
+    generate_geometric,
+    generate_ward,
+)
+from edslab.elliptic import CurveFp, CurveQ, PointQ, point_order_fp, reduce_point
+from edslab.lrs import FIBONACCI, LrsSpec, eval_mod
 from edslab.refuter import (
+    DEFAULT_HORIZON_CAP,
     MAX_MISMATCH_INDEX,
+    MAX_WITNESS_P,
     WitnessCertificate,
     choose_q,
     compare_streams,
@@ -175,6 +184,19 @@ def test_direct_falsify_finds_counterexamples():
     assert all(1 <= n <= 50 for n in indices)
 
 
+@pytest.mark.parametrize("p", [7, 11, 13])
+def test_direct_falsify_matches_exact_terms_when_z1_is_not_one(p):
+    # z_n = 4*|w_n| for (25, -3, 4): comparing w_n itself reports wrong indices
+    curve, point = CurveQ(-5, 4), PointQ(25, -3, 4)
+    geo = generate_geometric(curve, point, 30)
+    exact = [
+        n
+        for n in range(1, 31)
+        if refuter._mismatch_residue(geo.term(n) % p, eval_mod(FIBONACCI, n * n, p), p)
+    ]
+    assert direct_falsify(curve, point, FIBONACCI, 1, p, 30) == exact
+
+
 def test_direct_falsify_rejects_bad_prime():
     with pytest.raises(ValueError):
         direct_falsify(E, P, FIBONACCI, 1, 11, 10)  # 11 divides disc = 176
@@ -269,3 +291,69 @@ def test_verifier_bounds_work_before_starting(monkeypatch, field, edit):
     verdict = verify_certificate(bad)
     assert not verdict.ok
     assert verdict.failures == [field]
+
+
+def test_verifier_bounds_p_before_the_recount(monkeypatch):
+    # the finder never certifies a p whose window for the least order, 3,
+    # exceeds its default cap; a larger p is refused before any O(p) work
+    assert _period_horizon(3, MAX_WITNESS_P) <= DEFAULT_HORIZON_CAP
+    assert _period_horizon(3, MAX_WITNESS_P + 1) > DEFAULT_HORIZON_CAP
+    cert = find_witness(E, P, FIBONACCI, 5, p_max=10_000).certificate
+    monkeypatch.setattr(refuter, "count_points_naive", _no_work)
+    verdict = verify_certificate(replace(cert, p=1_000_003))
+    assert verdict.failures == ["p_bound"]
+
+
+TRIBONACCI = LrsSpec(3, (1, 1, 1), (1, 1, 2), minimal=True)
+LUCAS = LrsSpec(2, (1, 1), (1, 3), minimal=True)
+PADOVAN = LrsSpec(3, (0, 1, 1), (1, 1, 1), minimal=True)
+
+
+@pytest.mark.parametrize(
+    "curve,point,spec,edit,failures",
+    [
+        # p = 37, order 15, tz = 270 = 15*18: tz*2 still fits the window twice
+        (CurveQ(-6, 6), P, TRIBONACCI, lambda tz: 2 * tz, ["tz_minimal"]),
+        (E, P, FIBONACCI, lambda tz: tz + 1, ["tz_period", "tz_minimal", "q_divides_tz"]),
+        (E, P, FIBONACCI, lambda tz: tz + 5, ["tz_period", "tz_minimal"]),
+    ],
+)
+def test_verifier_rederives_tz(curve, point, spec, edit, failures):
+    cert = find_witness(curve, point, spec, choose_q(spec, curve), p_max=20_000).certificate
+    verdict = verify_certificate(replace(cert, tz_period=edit(cert.tz_period)))
+    assert verdict.failures == failures
+
+
+def test_period_work_stays_within_twice_the_order(monkeypatch):
+    # neither the finder nor the verifier streams past w_{2r+2}
+    stream = eds.stream_mod_p
+
+    def short_stream(seeds, p, horizon):
+        cfp = CurveFp.from_curve(E, p)
+        order = point_order_fp(reduce_point(P, E, p), cfp)
+        if horizon > 2 * order + 2:
+            raise AssertionError(f"stream of {horizon} terms at p={p}, order {order}")
+        return stream(seeds, p, horizon)
+
+    monkeypatch.setattr(eds, "stream_mod_p", short_stream)
+    monkeypatch.setattr(refuter, "stream_mod_p", short_stream)
+    cert = find_witness(E, P, FIBONACCI, 5, p_max=10_000).certificate
+    verdict = verify_certificate(cert)
+    assert verdict.ok, verdict.failures
+
+
+# SHA-256 of the certificates written by the windowed stream-period finder
+CERTIFICATE_DIGESTS = [
+    (E, P, FIBONACCI, 10_000, "7674588d0695fdfab70cc61e06d1ac91363ab9e824f03e4a204f46327f7c6d4a"),
+    (CurveQ(-6, 6), P, TRIBONACCI, 20_000, "e0f9b327ba3d8386c33a2414b27f2a6e7b98b5f2645aa538145a71af7c2c4025"),
+    (CurveQ(-5, 4), PointQ(0, 2, 1), FIBONACCI, 5_000, "013da4d4f58ec26725af23978f8195bc0d58d52699e869b947b0fa410b27f320"),
+    (CurveQ(-5, 2), PointQ(-2, 2, 1), FIBONACCI, 50_000, "ba5d1ed9bfcc8fa2bbd892ad230cc5e51f28e98f07b0af845128baab8c825953"),
+    (CurveQ(-3, -1), PointQ(2, 1, 1), LUCAS, 50_000, "1b65ffaa0f7847da13ad78a0c1ad77d0b2f03d494aae734017e6faaaac792e0e"),
+    (CurveQ(-6, 6), P, PADOVAN, 50_000, "18e638b476c338e8f423d3d8fae95f66dd74b02a0c4f3808b4f24dd2132a5f1a"),
+]
+
+
+@pytest.mark.parametrize("curve,point,spec,p_max,digest", CERTIFICATE_DIGESTS)
+def test_certificate_bytes_unchanged(curve, point, spec, p_max, digest):
+    cert = find_witness(curve, point, spec, choose_q(spec, curve), p_max=p_max).certificate
+    assert hashlib.sha256(cert.to_json().encode()).hexdigest() == digest
