@@ -9,6 +9,7 @@ root can also be set with the EDSLAB_CACHE environment variable.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -468,7 +469,10 @@ def _add_lrs_source(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--lrs-file", dest="lrs_file")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built on the first call and shared after it:
+    parsing leaves no state on it, and building it costs far more than a parse."""
     parser = argparse.ArgumentParser(
         prog="edslab",
         description="elliptic divisibility sequences, linear recurrences, densities, witness certificates",
@@ -489,7 +493,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", nargs=4, type=int, required=True, metavar=("W1", "W2", "W3", "W4"))
     sp.add_argument("--n", type=int, default=None)
     sp.set_defaults(func=cmd_eds_ward)
-    sp = eds_sub.add_parser("period", help="minimal verified period modulo p")
+    sp = eds_sub.add_parser(
+        "period",
+        help="minimal period of the companion w_n modulo p; z_n = z_1*|w_n| agrees with it up to sign",
+    )
     _add_common(sp)
     _add_curve_point(sp)
     sp.add_argument("--p", type=int, required=True)

@@ -14,15 +14,16 @@ sign).  Periods of a geometric stream come from Ward's symmetry
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 import os
+import tempfile
 from dataclasses import dataclass
 
 from .elliptic import (
     CurveFp,
     CurveQ,
     PointQ,
-    add,
     count_points,
     is_torsion,
     point_order_fp,
@@ -105,6 +106,11 @@ def division_poly_seeds(curve: CurveQ, point: PointQ) -> tuple[int, int, int, in
     return (1, w2, w3, w4)
 
 
+def _companion_gcd(curve: CurveQ, point: PointQ) -> int:
+    """gcd(2y, 3x^2 + a*z^4): 1 exactly when z_n = z_1*|w_n| for every n."""
+    return math.gcd(2 * point.y, 3 * point.x**2 + curve.a * point.z**4)
+
+
 def require_exact_companion(curve: CurveQ, point: PointQ) -> None:
     """Raise ValueError unless gcd(2y, 3x^2 + a*z^4) = 1, naming the bad primes.
 
@@ -114,7 +120,7 @@ def require_exact_companion(curve: CurveQ, point: PointQ) -> None:
     dividing it, and residues and periods of w_n modulo p are not those of
     z_n.
     """
-    g = math.gcd(2 * point.y, 3 * point.x**2 + curve.a * point.z**4)
+    g = _companion_gcd(curve, point)
     if g != 1:
         try:
             primes = sorted(factorize(g))
@@ -127,7 +133,16 @@ def require_exact_companion(curve: CurveQ, point: PointQ) -> None:
 
 
 def generate_geometric(curve: CurveQ, point: PointQ, n_terms: int) -> EdsSequence:
-    """z_1..z_N extracted from exact scalar multiples, each positive."""
+    """z_1..z_N, each positive, from the division-polynomial recurrence.
+
+    The exact integers w_n of `generate_ward` on `division_poly_seeds` give
+    x(nP) = (x*w_n^2 - w_(n-1)*w_(n+1)) / (z^2*w_n^2), with w_0 = 0.  When
+    gcd(2y, 3x^2 + a*z^4) = 1 that fraction is already in lowest terms, so
+    z_n = z*|w_n| with no further arithmetic (Ayad's criterion, see
+    `require_exact_companion`).  Otherwise z_n^2 is its denominator after
+    one gcd per term.  Chord-tangent `add` does none of this work; it stays
+    the independent oracle of the tests, the cache check and the verifier.
+    """
     if n_terms < 1:
         raise ValueError("need at least one term")
     torsion, order = is_torsion(point, curve)
@@ -135,12 +150,20 @@ def generate_geometric(curve: CurveQ, point: PointQ, n_terms: int) -> EdsSequenc
         raise ValueError(f"point is torsion (order {order}); the sequence degenerates")
     if not curve.contains(point):
         raise ValueError("point is not on the curve")
+    seed = WardSeed(*division_poly_seeds(curve, point))
+    z = point.z
+    if _companion_gcd(curve, point) == 1:
+        terms = [z * abs(w) for w in generate_ward(seed, n_terms).terms]
+        return EdsSequence("geometric", terms, curve=curve, point=point)
+    w = [0, *generate_ward(seed, n_terms + 1).terms]
     terms = []
-    current = point
     for n in range(1, n_terms + 1):
-        if n > 1:
-            current = add(current, point, curve)
-        terms.append(current.z)
+        den = (z * w[n]) ** 2
+        den //= math.gcd(point.x * w[n] ** 2 - w[n - 1] * w[n + 1], den)
+        z_n = math.isqrt(den)
+        if z_n * z_n != den:
+            raise ValueError(f"the reduced denominator of x({n}P) is not a square")
+        terms.append(z_n)
     return EdsSequence("geometric", terms, curve=curve, point=point)
 
 
@@ -392,37 +415,62 @@ def cache_path(cache_dir: str, curve: CurveQ, point: PointQ) -> str:
     return os.path.join(cache_dir, cache_key(curve, point) + ".eds")
 
 
+CACHE_HEADER = "edslab-eds 2\n"
+
+
 def save_sequence(cache_dir: str, seq: EdsSequence) -> str:
+    """Write the terms and a SHA-256 of the file above it, replacing the
+    file atomically; a write that fails leaves the previous file as it was."""
     if seq.source != "geometric":
         raise ValueError("only geometric sequences are cached")
     os.makedirs(cache_dir, exist_ok=True)
     path = cache_path(cache_dir, seq.curve, seq.point)
-    with open(path, "w") as fh:
-        for n in range(1, len(seq) + 1):
-            fh.write(f"{n} {seq.term(n)}\n")
+    fd, tmp = tempfile.mkstemp(dir=cache_dir, prefix=".eds-", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            digest = hashlib.sha256()
+            lines = (f"{n} {z}\n" for n, z in enumerate(seq.terms, start=1))
+            for line in itertools.chain([CACHE_HEADER], lines):
+                digest.update(line.encode())
+                fh.write(line)
+            fh.write(f"sha256 {digest.hexdigest()}\n")
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
     return path
 
 
 def load_sequence(cache_dir: str, curve: CurveQ, point: PointQ, n_terms: int) -> EdsSequence | None:
-    """Load a cached prefix; revalidates the first and last term exactly.
+    """Load a cached prefix, or None on a miss.
 
-    Returns None on a miss or on corruption (the caller regenerates).
+    A file without the header, without a matching SHA-256 line, with other
+    than the lines 1..M, or with M < n_terms is a miss; so is one whose
+    first or last requested term differs from the exact chord-tangent
+    multiple.  The caller regenerates.
     """
     path = cache_path(cache_dir, curve, point)
-    if not os.path.exists(path):
-        return None
-    terms: dict[int, int] = {}
     try:
         with open(path) as fh:
-            for line in fh:
-                n_str, z_str = line.split()
-                terms[int(n_str)] = int(z_str)
-    except (ValueError, OSError):
+            text = fh.read()
+    except (OSError, ValueError):
         return None
-    if not terms or any(n not in terms for n in range(1, n_terms + 1)):
+    body, _, trailer = text[:-1].rpartition("\n")
+    body += "\n"
+    if not body.startswith(CACHE_HEADER) or trailer != f"sha256 {hashlib.sha256(body.encode()).hexdigest()}":
         return None
-    last = max(n for n in terms if n <= n_terms)
-    for n in (1, last):
-        if scalar_mul(n, point, curve).z != terms[n]:
+    terms = []
+    try:
+        for n, line in enumerate(body[len(CACHE_HEADER) :].splitlines(), start=1):
+            n_str, z_str = line.split()
+            if int(n_str) != n:
+                return None
+            terms.append(int(z_str))
+    except ValueError:
+        return None
+    if len(terms) < n_terms:
+        return None
+    for n in (1, n_terms):
+        if scalar_mul(n, point, curve).z != terms[n - 1]:
             return None
-    return EdsSequence("geometric", [terms[n] for n in range(1, n_terms + 1)], curve=curve, point=point)
+    return EdsSequence("geometric", terms[:n_terms], curve=curve, point=point)

@@ -5,9 +5,15 @@ the certificate file alone.
 
 The incompatibility: q divides the order of P modulo p, the zeros of the
 divisibility sequence mod p sit exactly on multiples of that order, so every
-eventual period of (z_n mod p) is divisible by q; but the minimal period of
-(u_{n^2} mod p) is coprime to q.  Eventual equality of the two sequences is
-therefore impossible, and sample mismatch indices witness it directly.
+shift that eventually maps the zero set of (z_n mod p) onto itself is
+divisible by q; but the minimal period of (u_{n^2} mod p) is coprime to q.
+Eventual equality of the two sequences is therefore impossible, and sample
+mismatch indices witness it directly.
+
+The certificate's tz_period is the period of the signed companion w_n mod p,
+not of z_n mod p: z_n = z_1*|w_n| repeats it only up to the sign of the
+integer w_n, which is not periodic, so z_n mod p need not have a period at
+all.  Its zero set does, and the zero set is all the argument uses.
 """
 
 from __future__ import annotations
@@ -70,7 +76,7 @@ class WitnessCertificate:
     trace: int
     n_points: int
     point_order: int
-    tz_period: int
+    tz_period: int  # of w_n mod p; z_n mod p agrees with w_n only up to sign
     tz_window: tuple[int, int]
     tu_period: int
     tu_window: tuple[int, int]

@@ -5,7 +5,7 @@ import os
 import pytest
 
 from edslab import refuter
-from edslab.cli import main
+from edslab.cli import build_parser, main
 from edslab.elliptic import CurveQ, PointQ
 from edslab.lrs import FIBONACCI
 
@@ -43,6 +43,27 @@ def test_eds_gen_uses_cache(tmp_path, capsys):
     assert list(tmp_path.glob("*.eds"))
     code, out2, _ = run(capsys, *args)
     assert code == 0 and out1 == out2
+
+
+def test_parser_is_built_once_and_keeps_no_state_between_calls(tmp_path, capsys):
+    assert build_parser() is build_parser()
+    lrs_args = ("lrs", "period", "--lrs", "2", "1", "1", "1", "1", "--p", "5")
+    code, out, _ = run(capsys, *lrs_args, "--squares", "--format", "json")
+    assert code == 0 and json.loads(out) == {"p": 5, "period": 20, "square_sampled_period": 10}
+    # the curve file, the format default and the cache must not come from the
+    # earlier calls, nor --squares or --format json from the first one
+    src = tmp_path / "fixture.curve"
+    src.write_text("curve -4 4\npoint 1 1 1\n")
+    code, out, _ = run(
+        capsys, "eds", "gen", "--curve", "0", "3", "--point", "1", "2", "1", "--n", "2",
+        "--format", "csv", "--cache-dir", str(tmp_path / "cache"),
+    )
+    assert code == 0 and out.splitlines()[2].startswith("2,4,")
+    code, out, _ = run(capsys, "eds", "gen", "--curve-file", str(src), "--n", "2")
+    assert code == 0 and out.splitlines()[2].split()[:2] == ["2", "2"]
+    assert len(list((tmp_path / "cache").iterdir())) == 1
+    code, out, _ = run(capsys, *lrs_args)
+    assert code == 0 and out.splitlines()[1].split() == ["5", "20"]
 
 
 def test_eds_ward_fixture(capsys):

@@ -1,10 +1,14 @@
 import math
+import os
 
 import pytest
+
+from edslab import elliptic
 
 from edslab.eds import (
     InexactDivisionError,
     WardSeed,
+    _companion_gcd,
     _minimal_stream_period,
     division_poly_seeds,
     eds_period_mod_p,
@@ -16,7 +20,18 @@ from edslab.eds import (
     stream_mod_p,
     ward_period,
 )
-from edslab.elliptic import CurveFp, CurveQ, PointQ, count_points, point_order_fp, reduce_point
+from edslab.elliptic import (
+    TORSION_SEARCH_BOUND,
+    CurveFp,
+    CurveQ,
+    PointQ,
+    add,
+    count_points,
+    is_torsion,
+    point_order_fp,
+    reduce_point,
+    scalar_mul,
+)
 from edslab.ntkernel import sieve_primes
 
 E = CurveQ(0, 3)
@@ -103,6 +118,97 @@ def test_geometric_terms_are_z1_times_companion(curve, point):
     # z_n = z1*|w_n|, not |w_n|: the ratio is z1 = 4 at every n for (25, -3, 4)
     ward = generate_ward(WardSeed(*division_poly_seeds(curve, point)), 40)
     assert generate_geometric(curve, point, 40).terms == [point.z * abs(w) for w in ward.terms]
+
+
+def _chord_tangent_terms(curve, point, n):
+    """z_1..z_n of P, 2P, ..., nP by repeated chord-tangent addition."""
+    current, terms = point, [point.z]
+    for _ in range(n - 1):
+        current = add(current, point, curve)
+        terms.append(current.z)
+    return terms
+
+
+# (curve, point, gcd(2y, 3x^2 + a*z^4)); the 2P and 3P rows are multiples of
+# (0, 2, 1) on (-5, 4), (1, 2, 1) on (0, 3), (1, 1, 1) on (-4, 4),
+# (0, 1, 1) on (1, 1), and (-2, 3, 1) and (2, 5, 1) on (0, 17)
+ORACLE_FIXTURES = [
+    (CurveQ(0, 3), PointQ(1, 2, 1), 1),
+    (CurveQ(-4, 4), PointQ(1, 1, 1), 1),
+    (CurveQ(1, 1), PointQ(0, 1, 1), 1),
+    (CurveQ(1, 1), PointQ(72, 611, 1), 1),  # 3P
+    (CurveQ(-5, 4), PointQ(25, -3, 4), 1),  # 2P
+    (CurveQ(0, 3), PointQ(-23, -11, 4), 1),  # 2P
+    (CurveQ(-4, 4), PointQ(-7, -19, 2), 1),  # 2P
+    (CurveQ(1, 1), PointQ(1, -9, 2), 1),  # 2P
+    (CurveQ(0, 17), PointQ(-2, 3, 1), 6),
+    (CurveQ(0, 17), PointQ(8, -23, 1), 2),  # 2P
+    (CurveQ(0, 17), PointQ(19, 522, 5), 3),  # 3P
+    (CurveQ(0, 17), PointQ(2, 5, 1), 2),
+    (CurveQ(0, 17), PointQ(-64, 59, 5), 2),  # 2P
+]
+
+
+@pytest.mark.parametrize("curve,point,g", ORACLE_FIXTURES)
+def test_geometric_matches_chord_tangent_walk(curve, point, g):
+    # Ayad points (g = 1) with z_1 = 1 and z_1 > 1 take z_n = z_1*|w_n|;
+    # the others take one gcd per term, where z_1*|w_n| would be wrong
+    assert curve.contains(point) and _companion_gcd(curve, point) == g
+    assert generate_geometric(curve, point, 32).terms == _chord_tangent_terms(curve, point, 32)
+
+
+def test_geometric_matches_chord_tangent_walk_on_small_curves():
+    # every non-torsion P, 2P, 3P with P = (x, y, 1), |x| <= 4, y > 0, on the
+    # curves with |a|, |b| <= 4
+    classes = {True: 0, False: 0}
+    for a in range(-4, 5):
+        for b in range(-4, 5):
+            if 4 * a**3 + 27 * b**2 == 0:
+                continue
+            curve = CurveQ(a, b)
+            for x in range(-4, 5):
+                y = math.isqrt(max(x**3 + a * x + b, 0))
+                if y == 0 or y * y != x**3 + a * x + b or is_torsion(PointQ(x, y, 1), curve)[0]:
+                    continue
+                for k in (1, 2, 3):
+                    point = scalar_mul(k, PointQ(x, y, 1), curve)
+                    terms = generate_geometric(curve, point, 12).terms
+                    assert terms == _chord_tangent_terms(curve, point, 12), (a, b, point)
+                    classes[_companion_gcd(curve, point) == 1] += 1
+    assert classes[True] > 50 and classes[False] > 50, classes
+
+
+@pytest.mark.parametrize("curve,point", [(E, P), (CurveQ(0, 17), PointQ(-2, 3, 1))])
+def test_geometric_generation_does_no_point_addition(curve, point, monkeypatch):
+    # only the torsion check walks multiples with add, at most 15 of them
+    calls = []
+
+    def budgeted_add(p, q, c):
+        calls.append(1)
+        if len(calls) > TORSION_SEARCH_BOUND - 1:
+            raise AssertionError("generate_geometric added points beyond the torsion check")
+        return add(p, q, c)
+
+    monkeypatch.setattr(elliptic, "add", budgeted_add)
+    seq = generate_geometric(curve, point, 100)
+    assert len(seq) == 100 and all(t > 0 for t in seq.terms)
+    assert seq.term(100) % seq.term(50) == 0
+
+
+def test_z_repeats_the_companion_period_only_up_to_sign():
+    # tz = 30 is the period of w_n mod 7; z_n = |w_n| follows it up to the
+    # sign of the integer w_n, which is not periodic, so neither tz nor 2*tz
+    # is a period of z_n mod 7, while the zero set keeps the period rank 5
+    curve, point, p = CurveQ(-4, 4), PointQ(1, 1, 1), 7
+    result = eds_period_mod_p(generate_geometric(curve, point, 4), p)
+    assert (result.period, result.rank) == (30, 5)
+    z = [0, *generate_geometric(curve, point, 130).terms]
+    assert all((z[n + 30] - z[n]) * (z[n + 30] + z[n]) % p == 0 for n in range(1, 101))
+    flipped = [n for n in range(1, 71) if (z[n + 30] + z[n]) % p == 0 and z[n] % p]
+    assert len(flipped) == 18
+    for t in (30, 60):
+        assert any((z[n + t] - z[n]) % p for n in range(1, 71))
+    assert all((z[n] % p == 0) == (n % 5 == 0) for n in range(1, 131))
 
 
 def _windowed_period(seeds, p, rank, period):
@@ -282,6 +388,50 @@ def test_cache_roundtrip_and_corruption(tmp_path):
     assert load_sequence(str(tmp_path), E, P, 12) is None
     # short cache is a miss
     assert load_sequence(str(tmp_path), E, P, 40) is None
+
+
+def test_cache_rejects_edited_middle_line(tmp_path):
+    seq = fixture_sequence(12)
+    path = save_sequence(str(tmp_path), seq)
+    text = open(path).read()
+    assert text.startswith("edslab-eds 2\n") and text.splitlines()[-1].startswith("sha256 ")
+    # z_6 changes while z_1 and z_12, the terms re-derived exactly, do not
+    edited = text.replace(f"\n6 {seq.term(6)}\n", f"\n6 {seq.term(6) + 1}\n")
+    assert edited != text
+    open(path, "w").write(edited)
+    assert load_sequence(str(tmp_path), E, P, 12) is None
+
+
+def test_cache_rejects_missing_hash_and_old_format(tmp_path):
+    seq = fixture_sequence(12)
+    path = save_sequence(str(tmp_path), seq)
+    lines = open(path).read().splitlines(keepends=True)
+    open(path, "w").write("".join(lines[:-1]))
+    assert load_sequence(str(tmp_path), E, P, 12) is None
+    open(path, "w").write("".join(lines[1:-1]))  # the unhashed format of earlier versions
+    assert load_sequence(str(tmp_path), E, P, 12) is None
+    open(path, "w").write("".join(lines[:-2]) + lines[-1])  # a dropped line
+    assert load_sequence(str(tmp_path), E, P, 12) is None
+    save_sequence(str(tmp_path), seq)
+    assert load_sequence(str(tmp_path), E, P, 7).terms == seq.terms[:7]
+
+
+class _Unprintable(int):
+    def __format__(self, spec):
+        raise ValueError("Exceeds the limit for integer string conversion")
+
+
+def test_failed_save_keeps_previous_file_and_leaves_no_temp(tmp_path):
+    seq = fixture_sequence(12)
+    path = save_sequence(str(tmp_path), seq)
+    before = open(path).read()
+    longer = fixture_sequence(20)
+    longer.terms[15] = _Unprintable(longer.terms[15])
+    with pytest.raises(ValueError, match="limit"):
+        save_sequence(str(tmp_path), longer)
+    assert os.listdir(tmp_path) == [os.path.basename(path)]
+    assert open(path).read() == before
+    assert load_sequence(str(tmp_path), E, P, 12).terms == seq.terms
 
 
 def test_growth_rate_stabilizes():
