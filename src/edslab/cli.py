@@ -100,6 +100,16 @@ def _emit(fmt: str, headers: list[str], rows: list[list], json_payload=None, out
             out.write("  ".join(str(v).ljust(w) for v, w in zip(row, widths)).rstrip() + "\n")
 
 
+def _emit_record(fmt: str, payload: dict) -> None:
+    """One record: a one-row table or CSV, or the JSON object itself."""
+    _emit(fmt, list(payload), [list(payload.values())], json_payload=payload)
+
+
+def _fields(obj, *names: str) -> dict:
+    """The named attributes of obj, in the order given."""
+    return {name: getattr(obj, name) for name in names}
+
+
 # ---------------------------------------------------------------------------
 # shared ingestion
 
@@ -176,18 +186,8 @@ def cmd_eds_period(args) -> int:
     seq = eds.generate_geometric(curve, point, 8)
     horizon = _resolve(args, "horizon", None, int)
     result = eds.eds_period_mod_p(seq, args.p, horizon)
-    payload = {
-        "p": result.p,
-        "status": result.status,
-        "period": result.period,
-        "rank": result.rank,
-        "n_points": result.n_points,
-        "trace": result.trace,
-        "period_bound": result.period_bound,
-        "divides_bound": result.divides_bound,
-        "window": list(result.window),
-    }
-    _emit(args.format, list(payload), [list(payload.values())], json_payload=payload)
+    keys = ("p", "status", "period", "rank", "n_points", "trace", "period_bound", "divides_bound")
+    _emit_record(args.format, {**_fields(result, *keys), "window": list(result.window)})
     return EXIT_OK if result.confirmed else EXIT_INCONCLUSIVE
 
 
@@ -256,19 +256,17 @@ def cmd_lrs_degenerate(args) -> int:
         m, reduced = lrs.nondegenerate_reduction(spec)
         payload["reduction_m"] = m
         payload["reduced"] = str(reduced)
-    _emit(args.format, list(payload), [list(payload.values())], json_payload=payload)
+    _emit_record(args.format, payload)
     return EXIT_OK
 
 
 def cmd_lrs_period(args) -> int:
     spec = _lrs_spec(args)
     period = lrs.lrs_period_mod_p(spec, args.p, method=args.method)
+    payload = {"p": args.p, "period": period}
     if args.squares:
-        sq = lrs.square_sampled_period(spec, args.p)
-        payload = {"p": args.p, "period": period, "square_sampled_period": sq.period}
-    else:
-        payload = {"p": args.p, "period": period}
-    _emit(args.format, list(payload), [list(payload.values())], json_payload=payload)
+        payload["square_sampled_period"] = lrs.square_sampled_period(spec, args.p).period
+    _emit_record(args.format, payload)
     return EXIT_OK
 
 
@@ -308,7 +306,7 @@ def _emit_density(fmt: str, report: galois_density.DensityReport) -> None:
     if report.empirical is not None:
         payload["frequency"] = f"{report.empirical.hits}/{report.empirical.scanned}"
     payload["delta"] = f"{report.numerator}/{report.denominator}"
-    _emit(fmt, list(payload), [list(payload.values())], json_payload=payload)
+    _emit_record(fmt, payload)
 
 
 # ---------------------------------------------------------------------------
@@ -373,13 +371,9 @@ def cmd_falsify(args) -> int:
 # prooflab commands
 
 
-def _parse_fraction(text: str) -> Fraction:
-    return Fraction(text)
-
-
 def cmd_prooflab_qlemma(args) -> int:
-    poly = Poly(*[_parse_fraction(c) for c in args.coeffs])
-    alpha = _parse_fraction(args.alpha)
+    poly = Poly(*[Fraction(c) for c in args.coeffs])
+    alpha = Fraction(args.alpha)
     result = prooflab.expand_q(poly, alpha)
     degree, leading = prooflab.q_lemma_prediction(poly, alpha)
     ok = result.degree == degree and result.leading == leading
@@ -390,32 +384,19 @@ def cmd_prooflab_qlemma(args) -> int:
         "predicted_leading": str(leading),
         "pass": ok,
     }
-    _emit(args.format, list(payload), [list(payload.values())], json_payload=payload)
+    _emit_record(args.format, payload)
     return EXIT_OK if ok else EXIT_VERIFY_FAILED
 
 
 def cmd_prooflab_det(args) -> int:
     result = prooflab.det_beta_identity(args.betas, args.q)
-    payload = {
-        "determinant": result.determinant,
-        "product": result.product,
-        "sign": result.sign,
-        "consistent": result.consistent,
-    }
-    _emit(args.format, list(payload), [list(payload.values())], json_payload=payload)
+    _emit_record(args.format, _fields(result, "determinant", "product", "sign", "consistent"))
     return EXIT_OK if result.consistent else EXIT_VERIFY_FAILED
 
 
 def cmd_prooflab_resclass(args) -> int:
     report = prooflab.count_admissible_residues(args.r, args.t, args.c)
-    payload = {
-        "r": report.r,
-        "t": report.t,
-        "c": report.c,
-        "count": report.count,
-        "deviation": report.deviation,
-    }
-    _emit(args.format, list(payload), [list(payload.values())], json_payload=payload)
+    _emit_record(args.format, _fields(report, "r", "t", "c", "count", "deviation"))
     return EXIT_OK
 
 
@@ -426,14 +407,12 @@ def cmd_prooflab_ell(args) -> int:
         sys.stderr.write(f"{exc}\n")
         return EXIT_INCONCLUSIVE
     payload = {"ell": ell.value, "modulus": ell.modulus, "verified": True}
-    _emit(args.format, list(payload), [list(payload.values())], json_payload=payload)
+    _emit_record(args.format, payload)
     return EXIT_OK
 
 
 def cmd_prooflab_fixedpoint(args) -> int:
-    rows = []
-    for row_text in args.matrix.split(";"):
-        rows.append([_parse_fraction(cell) for cell in row_text.split(",")])
+    rows = [[Fraction(cell) for cell in row.split(",")] for row in args.matrix.split(";")]
     report = prooflab.fixed_point_collision(rows)
     payload = {
         "size": report.size,
@@ -441,7 +420,7 @@ def cmd_prooflab_fixedpoint(args) -> int:
         "colliding_pairs": [list(p) for p in report.colliding_pairs],
         "pass": report.has_collision,
     }
-    _emit(args.format, list(payload), [list(payload.values())], json_payload=payload)
+    _emit_record(args.format, payload)
     return EXIT_OK if report.has_collision else EXIT_VERIFY_FAILED
 
 
@@ -449,9 +428,14 @@ def cmd_prooflab_fixedpoint(args) -> int:
 # parser assembly
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _leaf(sub, func, name: str, **kw) -> argparse.ArgumentParser:
+    """Subcommand `name` that runs `func`, with the --config and --format
+    options every subcommand takes."""
+    parser = sub.add_parser(name, **kw)
     parser.add_argument("--config", help="key=value config file")
     parser.add_argument("--format", choices=("table", "json", "csv"), default=None)
+    parser.set_defaults(func=func)
+    return parser
 
 
 def _add_curve_point(parser: argparse.ArgumentParser) -> None:
@@ -481,92 +465,76 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_eds = top.add_parser("eds", help="divisibility sequence generation and analysis")
     eds_sub = p_eds.add_subparsers(dest="subcommand", required=True)
-    sp = eds_sub.add_parser("gen", help="generate z_n from a curve and point")
-    _add_common(sp)
+    sp = _leaf(eds_sub, cmd_eds_gen, "gen", help="generate z_n from a curve and point")
     _add_curve_point(sp)
     sp.add_argument("--n", type=int, default=None)
     sp.add_argument("--stride", type=int, default=None, help="list z_(stride*n) instead of z_n")
     sp.add_argument("--cache-dir", dest="cache_dir", default=None)
-    sp.set_defaults(func=cmd_eds_gen)
-    sp = eds_sub.add_parser("ward", help="extend four seed values by the bilinear recurrences")
-    _add_common(sp)
+    sp = _leaf(
+        eds_sub, cmd_eds_ward, "ward", help="extend four seed values by the bilinear recurrences"
+    )
     sp.add_argument("--seed", nargs=4, type=int, required=True, metavar=("W1", "W2", "W3", "W4"))
     sp.add_argument("--n", type=int, default=None)
-    sp.set_defaults(func=cmd_eds_ward)
-    sp = eds_sub.add_parser(
-        "period",
+    sp = _leaf(
+        eds_sub, cmd_eds_period, "period",
         help="minimal period of the companion w_n modulo p; z_n = z_1*|w_n| agrees with it up to sign",
     )
-    _add_common(sp)
     _add_curve_point(sp)
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--horizon", type=int, default=None)
-    sp.set_defaults(func=cmd_eds_period)
-    sp = eds_sub.add_parser("zsigmondy", help="primitive divisor scan")
-    _add_common(sp)
+    sp = _leaf(eds_sub, cmd_eds_zsigmondy, "zsigmondy", help="primitive divisor scan")
     _add_curve_point(sp)
     sp.add_argument("--n", type=int, default=None)
-    sp.set_defaults(func=cmd_eds_zsigmondy)
 
     p_lrs = top.add_parser("lrs", help="linear recurrence engine")
     lrs_sub = p_lrs.add_subparsers(dest="subcommand", required=True)
-    sp = lrs_sub.add_parser("fit", help="minimal integer recurrence from terms (one per line)")
-    _add_common(sp)
+    sp = _leaf(
+        lrs_sub, cmd_lrs_fit, "fit", help="minimal integer recurrence from terms (one per line)"
+    )
     sp.add_argument("--terms-file", dest="terms_file")
     sp.add_argument("--bound", type=int, default=None)
-    sp.set_defaults(func=cmd_lrs_fit)
-    sp = lrs_sub.add_parser("eval", help="evaluate u_n exactly or modulo p")
-    _add_common(sp)
+    sp = _leaf(lrs_sub, cmd_lrs_eval, "eval", help="evaluate u_n exactly or modulo p")
     _add_lrs_source(sp)
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--mod", type=int, default=None)
-    sp.set_defaults(func=cmd_lrs_eval)
-    sp = lrs_sub.add_parser("decimate", help="spec for the subsequence u_(m*n)")
-    _add_common(sp)
+    sp = _leaf(lrs_sub, cmd_lrs_decimate, "decimate", help="spec for the subsequence u_(m*n)")
     _add_lrs_source(sp)
     sp.add_argument("--m", type=int, required=True)
-    sp.set_defaults(func=cmd_lrs_decimate)
-    sp = lrs_sub.add_parser("degenerate", help="root-of-unity ratio detection")
-    _add_common(sp)
+    sp = _leaf(lrs_sub, cmd_lrs_degenerate, "degenerate", help="root-of-unity ratio detection")
     _add_lrs_source(sp)
     sp.add_argument("--reduce", action="store_true", help="also emit the decimated reduction")
-    sp.set_defaults(func=cmd_lrs_degenerate)
-    sp = lrs_sub.add_parser("period", help="minimal period modulo p")
-    _add_common(sp)
+    sp = _leaf(lrs_sub, cmd_lrs_period, "period", help="minimal period modulo p")
     _add_lrs_source(sp)
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--method", choices=("matrix", "iteration"), default="matrix")
     sp.add_argument("--squares", action="store_true", help="also report the square-sampled period")
-    sp.set_defaults(func=cmd_lrs_period)
 
     p_density = top.add_parser("density", help="matrix and affine densities, empirical scans")
     den_sub = p_density.add_subparsers(dest="subcommand", required=True)
-    sp = den_sub.add_parser("gl2", help="exact trace/determinant density")
-    _add_common(sp)
+    sp = _leaf(den_sub, cmd_density_gl2, "gl2", help="exact trace/determinant density")
     sp.add_argument("--q", type=int, required=True)
     sp.add_argument("--a", type=int, required=True)
     sp.add_argument("--b", type=int, required=True)
     sp.add_argument("--linear-cap", dest="linear_cap", type=int, default=None)
-    sp.set_defaults(func=cmd_density_gl2)
-    sp = den_sub.add_parser("affine", help="exact affine density with translation part")
-    _add_common(sp)
+    sp = _leaf(
+        den_sub, cmd_density_affine, "affine", help="exact affine density with translation part"
+    )
     sp.add_argument("--q", type=int, required=True)
     sp.add_argument("--a", type=int, required=True)
     sp.add_argument("--b", type=int, required=True)
     sp.add_argument("--affine-cap", dest="affine_cap", type=int, default=None)
-    sp.set_defaults(func=cmd_density_affine)
-    sp = den_sub.add_parser("empirical", help="prime-scan frequency beside the exact density")
-    _add_common(sp)
+    sp = _leaf(
+        den_sub, cmd_density_empirical, "empirical",
+        help="prime-scan frequency beside the exact density",
+    )
     _add_curve_point(sp)
     sp.add_argument("--q", type=int, required=True)
     sp.add_argument("--a", type=int, default=None)
     sp.add_argument("--x", type=int, default=None, help="prime bound")
     sp.add_argument("--jobs", type=int, default=None, help="worker processes for the prime scan")
     sp.add_argument("--exclude", default=None, help="comma-separated primes to skip in the scan")
-    sp.set_defaults(func=cmd_density_empirical)
 
-    sp = top.add_parser("refute", help="find a witness prime and write a certificate")
-    _add_common(sp)
+    sp = _leaf(top, cmd_refute, "refute", help="find a witness prime and write a certificate")
     _add_curve_point(sp)
     _add_lrs_source(sp)
     sp.add_argument("--q", type=int, default=None)
@@ -574,52 +542,42 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p-max", dest="p_max", type=int, default=None)
     sp.add_argument("--out", help="certificate output path (default: stdout)")
     sp.add_argument("--exclude", default=None, help="comma-separated primes to skip in the scan")
-    sp.set_defaults(func=cmd_refute)
 
-    sp = top.add_parser("verify", help="re-check a certificate file from scratch")
-    _add_common(sp)
+    sp = _leaf(top, cmd_verify, "verify", help="re-check a certificate file from scratch")
     sp.add_argument("certificate")
-    sp.set_defaults(func=cmd_verify)
 
-    sp = top.add_parser("falsify", help="mismatch indices beyond a claimed threshold")
-    _add_common(sp)
+    sp = _leaf(top, cmd_falsify, "falsify", help="mismatch indices beyond a claimed threshold")
     _add_curve_point(sp)
     _add_lrs_source(sp)
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--start", type=int, default=1)
     sp.add_argument("--window", type=int, default=50)
-    sp.set_defaults(func=cmd_falsify)
 
     p_lab = top.add_parser("prooflab", help="executable lemma checks")
     lab_sub = p_lab.add_subparsers(dest="subcommand", required=True)
-    sp = lab_sub.add_parser("qlemma", help="degree/leading-coefficient expansion check")
-    _add_common(sp)
+    sp = _leaf(
+        lab_sub, cmd_prooflab_qlemma, "qlemma", help="degree/leading-coefficient expansion check"
+    )
     sp.add_argument("--coeffs", nargs="+", required=True, help="P ascending from the constant term")
     sp.add_argument("--alpha", required=True)
-    sp.set_defaults(func=cmd_prooflab_qlemma)
-    sp = lab_sub.add_parser("det", help="determinant factorization check")
-    _add_common(sp)
+    sp = _leaf(lab_sub, cmd_prooflab_det, "det", help="determinant factorization check")
     sp.add_argument("--q", type=int, required=True)
     sp.add_argument("--betas", nargs="+", type=int, required=True)
-    sp.set_defaults(func=cmd_prooflab_det)
-    sp = lab_sub.add_parser("resclass", help="admissible residue count")
-    _add_common(sp)
+    sp = _leaf(lab_sub, cmd_prooflab_resclass, "resclass", help="admissible residue count")
     sp.add_argument("--r", type=int, required=True)
     sp.add_argument("--t", type=int, required=True)
     sp.add_argument("--c", type=int, default=1)
-    sp.set_defaults(func=cmd_prooflab_resclass)
-    sp = lab_sub.add_parser("ell", help="quadratic congruence lift")
-    _add_common(sp)
+    sp = _leaf(lab_sub, cmd_prooflab_ell, "ell", help="quadratic congruence lift")
     sp.add_argument("--r", type=int, required=True)
     sp.add_argument("--e", type=int, default=1)
     sp.add_argument("--n0", type=int, required=True)
     sp.add_argument("--j", type=int, required=True)
     sp.add_argument("--c", type=int, required=True)
-    sp.set_defaults(func=cmd_prooflab_ell)
-    sp = lab_sub.add_parser("fixedpoint", help="stochastic fixed-point collision check")
-    _add_common(sp)
+    sp = _leaf(
+        lab_sub, cmd_prooflab_fixedpoint, "fixedpoint",
+        help="stochastic fixed-point collision check",
+    )
     sp.add_argument("--matrix", required=True, help="rows ';'-separated, entries ','-separated")
-    sp.set_defaults(func=cmd_prooflab_fixedpoint)
 
     return parser
 

@@ -26,6 +26,7 @@ from .elliptic import (
     PointQ,
     count_points,
     is_torsion,
+    log_bigint,
     point_order_fp,
     reduce_point,
     scalar_mul,
@@ -167,31 +168,57 @@ def generate_geometric(curve: CurveQ, point: PointQ, n_terms: int) -> EdsSequenc
     return EdsSequence("geometric", terms, curve=curve, point=point)
 
 
-def generate_ward(seed: WardSeed, n_terms: int) -> EdsSequence:
-    """Extend four seed values by the bilinear recurrences, checking exactness.
+def _ward_step(w: list[int], m: int) -> int:
+    """Numerator of w_m from the terms below it, by Ward's odd or even step.
 
     Odd step:  w(2n+1) * w1^3      = w(n+2)*w(n)^3 - w(n+1)^3*w(n-1)
     Even step: w(2n)   * w2 * w1^2 = w(n+2)*w(n)*w(n-1)^2 - w(n)*w(n-2)*w(n+1)^2
     """
+    n = m // 2
+    if m % 2:
+        return w[n + 2] * w[n] ** 3 - w[n + 1] ** 3 * w[n - 1]
+    return w[n + 2] * w[n] * w[n - 1] ** 2 - w[n] * w[n - 2] * w[n + 1] ** 2
+
+
+def generate_ward(seed: WardSeed, n_terms: int) -> EdsSequence:
+    """Extend four seed values by the bilinear recurrences (`_ward_step`),
+    checking that each division is exact."""
     if n_terms < 1:
         raise ValueError("need at least one term")
     w = [0, *seed.as_tuple()]
     degenerate_at = next((i for i in range(1, min(4, n_terms) + 1) if w[i] == 0), None)
     for m in range(5, n_terms + 1):
-        if m % 2:
-            n = (m - 1) // 2
-            num = w[n + 2] * w[n] ** 3 - w[n + 1] ** 3 * w[n - 1]
-            den = seed.w1**3
-        else:
-            n = m // 2
-            num = w[n + 2] * w[n] * w[n - 1] ** 2 - w[n] * w[n - 2] * w[n + 1] ** 2
-            den = seed.w2 * seed.w1**2
+        num = _ward_step(w, m)
+        den = seed.w1**3 if m % 2 else seed.w2 * seed.w1**2
         if num % den != 0:
             raise InexactDivisionError(m, num, den)
         w.append(num // den)
         if w[m] == 0 and degenerate_at is None:
             degenerate_at = m
     return EdsSequence("ward", w[1 : n_terms + 1], seed=seed, degenerate_at=degenerate_at)
+
+
+@dataclass
+class HeightReport:
+    estimates: list[tuple[int, float]]  # (n, log z_n / n^2)
+    limit: float
+    convergence_gap: float  # |c_{n_max} - c_{n_max/2}|
+
+
+def canonical_height_estimate(p: PointQ, curve: CurveQ, n_max: int) -> HeightReport:
+    """Estimates c_n = log z_n / n^2 over the z_n of `generate_geometric`; the
+    limit is the height of the point.  Torsion input is rejected there, because
+    its z-sequence does not grow.
+    """
+    if n_max < 2:
+        raise ValueError("n_max must be >= 2")
+    terms = generate_geometric(curve, p, n_max).terms
+    estimates = [(n, log_bigint(z) / n**2) for n, z in enumerate(terms, start=1) if z > 1]
+    if not estimates:
+        raise ValueError("sequence did not grow within the range")
+    limit = estimates[-1][1]
+    half = next((c for n, c in reversed(estimates) if n <= n_max // 2), estimates[0][1])
+    return HeightReport(estimates, limit, abs(limit - half))
 
 
 # ---------------------------------------------------------------------------
@@ -210,12 +237,7 @@ def stream_mod_p(seeds: tuple[int, int, int, int], p: int, horizon: int) -> list
     inv_odd = invmod(pow(w1, 3, p), p)
     inv_even = invmod(w2 * w1 * w1 % p, p)
     for m in range(5, horizon + 1):
-        if m % 2:
-            n = (m - 1) // 2
-            w[m] = (w[n + 2] * w[n] ** 3 - w[n + 1] ** 3 * w[n - 1]) * inv_odd % p
-        else:
-            n = m // 2
-            w[m] = (w[n + 2] * w[n] * w[n - 1] ** 2 - w[n] * w[n - 2] * w[n + 1] ** 2) * inv_even % p
+        w[m] = _ward_step(w, m) * (inv_odd if m % 2 else inv_even) % p
     return w[: horizon + 1]
 
 
@@ -283,19 +305,27 @@ def ward_period(seeds: tuple[int, int, int, int], p: int, rank: int) -> int:
 @dataclass
 class EdsPeriodResult:
     p: int
-    status: str  # "confirmed" | "unconfirmed"
-    period: int | None
+    period: int | None  # None when the window does not confirm one
     rank: int | None  # rank of apparition (first zero index)
     window: tuple[int, int]
     n_points: int | None = None
     trace: int | None = None
     period_bound: int | None = None  # 2*(p-1)*#E(F_p) for geometric sources
-    divides_bound: bool | None = None
     zeros_consistent: bool | None = None
 
     @property
+    def status(self) -> str:
+        return "unconfirmed" if self.period is None else "confirmed"
+
+    @property
     def confirmed(self) -> bool:
-        return self.status == "confirmed"
+        return self.period is not None
+
+    @property
+    def divides_bound(self) -> bool | None:
+        if self.period is None or self.period_bound is None:
+            return None
+        return self.period_bound % self.period == 0
 
 
 def eds_period_mod_p(seq: EdsSequence, p: int, horizon: int | None = None) -> EdsPeriodResult:
@@ -337,23 +367,7 @@ def eds_period_mod_p(seq: EdsSequence, p: int, horizon: int | None = None) -> Ed
         stream = stream_mod_p(seq.seed.as_tuple(), p, horizon)
         rank = next((n for n in range(1, horizon + 1) if stream[n] == 0), None)
         period = _minimal_stream_period(stream, rank or 1, horizon)
-
-    if period is None:
-        return EdsPeriodResult(
-            p, "unconfirmed", None, rank, (1, horizon), n_points, trace, bound, None, zeros_consistent
-        )
-    return EdsPeriodResult(
-        p,
-        "confirmed",
-        period,
-        rank,
-        (1, horizon),
-        n_points,
-        trace,
-        bound,
-        None if bound is None else bound % period == 0,
-        zeros_consistent,
-    )
+    return EdsPeriodResult(p, period, rank, (1, horizon), n_points, trace, bound, zeros_consistent)
 
 
 # ---------------------------------------------------------------------------

@@ -137,11 +137,16 @@ def is_torsion(p: PointQ, curve: CurveQ, bound: int = TORSION_SEARCH_BOUND) -> t
     """Detect torsion by checking nP = O for n <= bound.
 
     Rational torsion orders are at most 12; the default bound 16 leaves margin.
+    On this integral model a rational torsion point has integer coordinates
+    (Nagell-Lutz; Silverman, AEC, Cor. VIII.7.2), so the walk stops at the
+    first multiple with z != 1.
     """
     if p.is_infinity:
         return True, 1
     current = p
     for n in range(2, bound + 1):
+        if current.z != 1:
+            return False, None
         current = add(current, p, curve)
         if current.is_infinity:
             return True, n
@@ -362,7 +367,7 @@ def point_order_fp(pt: PointFp, curve: CurveFp, n_points: int | None = None) -> 
 
 
 # ---------------------------------------------------------------------------
-# growth of the denominator sequence
+# big-integer logarithms
 
 
 def log_bigint(n: int) -> float:
@@ -374,40 +379,6 @@ def log_bigint(n: int) -> float:
         return math.log(n)
     shift = bl - 64
     return math.log(n >> shift) + shift * math.log(2)
-
-
-@dataclass
-class HeightReport:
-    estimates: list[tuple[int, float]]  # (n, log z_n / n^2)
-    limit: float
-    convergence_gap: float  # |c_{n_max} - c_{n_max/2}|
-
-
-def canonical_height_estimate(p: PointQ, curve: CurveQ, n_max: int) -> HeightReport:
-    """Estimates c_n = log z_n / n^2; the limit is the height of the point.
-
-    Only the z-coordinates of the exact multiples are used; torsion input
-    is rejected because its z-sequence does not grow.
-    """
-    torsion, _ = is_torsion(p, curve)
-    if torsion:
-        raise ValueError("height growth estimate needs a non-torsion point")
-    if n_max < 2:
-        raise ValueError("n_max must be >= 2")
-    estimates = []
-    current = p
-    zs = {}
-    for n in range(1, n_max + 1):
-        if n > 1:
-            current = add(current, p, curve)
-        zs[n] = current.z
-        if current.z > 1:
-            estimates.append((n, log_bigint(current.z) / n**2))
-    if not estimates:
-        raise ValueError("sequence did not grow within the range")
-    limit = estimates[-1][1]
-    half = next((c for n, c in reversed(estimates) if n <= n_max // 2), estimates[0][1])
-    return HeightReport(estimates, limit, abs(limit - half))
 
 
 # ---------------------------------------------------------------------------

@@ -77,25 +77,28 @@ def _validate_q(q: int, cap: int) -> None:
         raise ValueError(f"q={q} exceeds the enumeration cap {cap}")
 
 
-def count_gl2(q: int, a: int, b: int, cap: int = DEFAULT_LINEAR_CAP) -> DensityReport:
-    """Exact count of J in GL2(F_q) with tr(J) = a and det(J) = b != 0.
-
-    Plain exhaustive enumeration of all q^4 matrices.
-    """
+def _trace_det_cell(q: int, a: int, b: int, cap: int) -> tuple[int, int, list[tuple[int, ...]]]:
+    """(a mod q, b mod q, every J = (m11, m12, m21, m22) over F_q with tr(J) = a
+    and det(J) = b != 0), from the q^3 matrices with trace a."""
     _validate_q(q, cap)
     a %= q
     b %= q
     if b == 0:
         raise ValueError("the determinant class must be non-zero")
-    count = 0
-    for m11 in range(q):
-        m22 = (a - m11) % q
-        diag = m11 * m22
-        for m12 in range(q):
-            for m21 in range(q):
-                if (diag - m12 * m21) % q == b:
-                    count += 1
-    return DensityReport(q, a, b, count, gl2_order(q), "gl2")
+    cell = [
+        (m11, m12, m21, (a - m11) % q)
+        for m11 in range(q)
+        for m12 in range(q)
+        for m21 in range(q)
+        if (m11 * (a - m11) - m12 * m21) % q == b
+    ]
+    return a, b, cell
+
+
+def count_gl2(q: int, a: int, b: int, cap: int = DEFAULT_LINEAR_CAP) -> DensityReport:
+    """Exact count of J in GL2(F_q) with tr(J) = a and det(J) = b != 0, by enumeration."""
+    a, b, cell = _trace_det_cell(q, a, b, cap)
+    return DensityReport(q, a, b, len(cell), gl2_order(q), "gl2")
 
 
 def gl2_histogram(q: int, cap: int = DEFAULT_LINEAR_CAP) -> dict[tuple[int, int], int]:
@@ -126,35 +129,19 @@ def conjugacy_type_count(q: int, a: int, b: int) -> int:
     return q * q - q
 
 
-def _image_of(mat: tuple[int, int, int, int], q: int) -> set[tuple[int, int]]:
-    m11, m12, m21, m22 = mat
+def _image_of_j_minus_i(j: tuple[int, ...], q: int) -> set[tuple[int, int]]:
+    m11, m12, m21, m22 = j[0] - 1, j[1], j[2], j[3] - 1
     return {((m11 * s + m12 * t) % q, (m21 * s + m22 * t) % q) for s in range(q) for t in range(q)}
 
 
 def count_affine(q: int, a: int, b: int, cap: int = DEFAULT_AFFINE_CAP) -> DensityReport:
     """Pairs (J, u) with tr(J) = a, det(J) = b, and u outside Im(J - I).
 
-    For each qualifying J the translation parts u are enumerated against the
-    exact image set of J - I; the denominator is |GL2(F_q)| * q^2.
+    For each qualifying J the q^2 translation parts u less the exact image
+    set of J - I are counted; the denominator is |GL2(F_q)| * q^2.
     """
-    _validate_q(q, cap)
-    a %= q
-    b %= q
-    if b == 0:
-        raise ValueError("the determinant class must be non-zero")
-    count = 0
-    for m11 in range(q):
-        m22 = (a - m11) % q
-        diag = m11 * m22
-        for m12 in range(q):
-            for m21 in range(q):
-                if (diag - m12 * m21) % q != b:
-                    continue
-                image = _image_of(((m11 - 1) % q, m12, m21, (m22 - 1) % q), q)
-                for u1 in range(q):
-                    for u2 in range(q):
-                        if (u1, u2) not in image:
-                            count += 1
+    a, b, cell = _trace_det_cell(q, a, b, cap)
+    count = sum(q * q - len(_image_of_j_minus_i(j, q)) for j in cell)
     return DensityReport(q, a, b, count, gl2_order(q) * q * q, "affine")
 
 
@@ -166,7 +153,7 @@ def affine_witness(q: int, a: int) -> tuple[tuple[int, int, int, int], tuple[int
     """
     j = ((a - 1) % q, (-1) % q, 0, 1)
     u = (1, 1)
-    image = _image_of(((j[0] - 1) % q, j[1], j[2], (j[3] - 1) % q), q)
+    image = _image_of_j_minus_i(j, q)
     return j, u, u not in image
 
 

@@ -16,9 +16,9 @@ from .ntkernel import (
     Poly,
     cyclotomic_polynomial,
     cyclotomic_root_of_unity_test,
-    factorize,
     is_prime,
     lcm_tower,
+    order_from_multiple,
     rref_fraction,
     solve_exact,
 )
@@ -328,8 +328,8 @@ def _state_seq_period_matrix(spec: LrsSpec, p: int) -> int:
     """Minimal T with M^T s = s via divisor refinement of a known multiple.
 
     The companion matrix order divides p^ceil(log_p k) * lcm(p^j - 1, j<=k),
-    so the orbit period divides that too; strip prime factors while the
-    state still returns.
+    so the orbit period divides that too; `order_from_multiple` strips
+    prime factors while the state still returns.
     """
     k = spec.order
     mat = companion_matrix(spec)
@@ -339,18 +339,12 @@ def _state_seq_period_matrix(spec: LrsSpec, p: int) -> int:
     while pk < k:
         pk *= p
     bound *= pk
-    t = bound
-    assert _mat_vec_mod(_mat_pow_mod(mat, t, p), state, p) == state
-    for ell, e in sorted(factorize(bound).items()):
-        for _ in range(e):
-            if t % ell:
-                break
-            candidate = t // ell
-            if _mat_vec_mod(_mat_pow_mod(mat, candidate, p), state, p) == state:
-                t = candidate
-            else:
-                break
-    return t
+
+    def returns(t: int) -> bool:
+        return _mat_vec_mod(_mat_pow_mod(mat, t, p), state, p) == state
+
+    assert returns(bound)
+    return order_from_multiple(bound, returns)
 
 
 def lrs_period_mod_p(spec: LrsSpec, p: int, method: str = "matrix") -> int:
@@ -385,8 +379,9 @@ def square_sampled_period(spec: LrsSpec, p: int) -> SquarePeriodResult:
     """Minimal T with u_{(n+T)^2} = u_{n^2} (mod p) for all n, fully verified.
 
     The square-sampled stream is purely periodic with period dividing the
-    period L of u itself; the minimal divisor is found by checking each
-    candidate against one complete L-cycle.
+    period L of u itself, and its periods are the multiples of the least
+    one; `order_from_multiple` strips primes from L while the candidate
+    still repeats over one complete L-cycle.
     """
     lam = lrs_period_mod_p(spec, p)
     # u_1..u_lam, iterated mod p: the exact terms would need O(lam^2) bits
@@ -399,17 +394,14 @@ def square_sampled_period(spec: LrsSpec, p: int) -> SquarePeriodResult:
         return table[(n * n - 1) % lam]
 
     values = [u_sq(n) for n in range(1, 2 * lam + 1)]
-    for d in _divisors(lam):
-        if all(values[n + d - 1] == values[n - 1] for n in range(1, lam + 1)):
-            return SquarePeriodResult(p, lam, d, (1, lam + d))
-    raise AssertionError("the full period always verifies")
 
+    def repeats(d: int) -> bool:
+        return all(values[n + d - 1] == values[n - 1] for n in range(1, lam + 1))
 
-def _divisors(n: int) -> list[int]:
-    divs = [1]
-    for q, e in factorize(n).items():
-        divs = [d * q**i for d in divs for i in range(e + 1)]
-    return sorted(divs)
+    period = order_from_multiple(lam, repeats)
+    # a stripped period passed `repeats`; L itself is checked only when kept
+    assert period < lam or repeats(lam), "the full period always verifies"
+    return SquarePeriodResult(p, lam, period, (1, lam + period))
 
 
 # ---------------------------------------------------------------------------

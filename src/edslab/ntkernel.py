@@ -450,10 +450,6 @@ class Poly:
         self.coeffs = tuple(cs)
 
     @classmethod
-    def from_list(cls, coeffs) -> "Poly":
-        return cls(*coeffs)
-
-    @classmethod
     def x_power(cls, n: int) -> "Poly":
         return cls(*([0] * n + [1]))
 

@@ -22,10 +22,9 @@ import json
 from dataclasses import dataclass, field
 
 from .eds import (
-    WardSeed,
     _period_horizon,
     division_poly_seeds,
-    generate_ward,
+    generate_geometric,
     require_exact_companion,
     stream_mod_p,
     ward_constants,
@@ -66,6 +65,19 @@ MAX_WITNESS_P = (DEFAULT_HORIZON_CAP - 16) // 6
 # certificates
 
 
+# scalar certificate fields: integers as decimal strings, windows as pairs of
+# them, flags as JSON booleans
+_INT_FIELDS = ("q", "p", "trace", "n_points", "point_order", "tz_period", "tu_period", "lrs_period")
+_WINDOW_FIELDS = ("tz_window", "tu_window")
+_FLAG_FIELDS = ("q_divides_tz", "q_divides_tu")
+
+
+def _int_pair(value) -> tuple[int, int]:
+    if not isinstance(value, list) or len(value) != 2:
+        raise ValueError(f"expected a pair of integers, got {value!r}")
+    return int(value[0]), int(value[1])
+
+
 @dataclass
 class WitnessCertificate:
     curve: CurveQ
@@ -96,58 +108,46 @@ class WitnessCertificate:
                 "coeffs": [str(c) for c in self.spec.coeffs],
                 "initial": [str(u) for u in self.spec.initial],
             },
-            "q": str(self.q),
-            "p": str(self.p),
-            "trace": str(self.trace),
-            "n_points": str(self.n_points),
-            "point_order": str(self.point_order),
-            "tz_period": str(self.tz_period),
-            "tz_window": [str(self.tz_window[0]), str(self.tz_window[1])],
-            "tu_period": str(self.tu_period),
-            "tu_window": [str(self.tu_window[0]), str(self.tu_window[1])],
-            "lrs_period": str(self.lrs_period),
-            "q_divides_tz": self.q_divides_tz,
-            "q_divides_tu": self.q_divides_tu,
             "mismatches": [
                 {"n": str(n), "z_mod": str(z), "u_mod": str(u)} for n, z, u in self.mismatches
             ],
+            **{name: str(getattr(self, name)) for name in _INT_FIELDS},
+            **{name: [str(v) for v in getattr(self, name)] for name in _WINDOW_FIELDS},
+            **{name: getattr(self, name) for name in _FLAG_FIELDS},
         }
         return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "WitnessCertificate":
+        """Parse `to_json` output; a missing or malformed field raises
+        ValueError naming it, never another exception."""
         payload = json.loads(text)
+        if not isinstance(payload, dict):
+            raise ValueError("a certificate must be a JSON object")
         if payload.get("schema_version") != SCHEMA_VERSION:
             raise ValueError(f"unsupported schema version {payload.get('schema_version')!r}")
-        curve = CurveQ(int(payload["curve"]["a"]), int(payload["curve"]["b"]))
-        point = PointQ(
-            int(payload["point"]["x"]), int(payload["point"]["y"]), int(payload["point"]["z"])
-        )
-        spec = LrsSpec(
-            int(payload["lrs"]["order"]),
-            tuple(int(c) for c in payload["lrs"]["coeffs"]),
-            tuple(int(u) for u in payload["lrs"]["initial"]),
-        )
-        return cls(
-            curve=curve,
-            point=point,
-            spec=spec,
-            q=int(payload["q"]),
-            p=int(payload["p"]),
-            trace=int(payload["trace"]),
-            n_points=int(payload["n_points"]),
-            point_order=int(payload["point_order"]),
-            tz_period=int(payload["tz_period"]),
-            tz_window=(int(payload["tz_window"][0]), int(payload["tz_window"][1])),
-            tu_period=int(payload["tu_period"]),
-            tu_window=(int(payload["tu_window"][0]), int(payload["tu_window"][1])),
-            lrs_period=int(payload["lrs_period"]),
-            q_divides_tz=bool(payload["q_divides_tz"]),
-            q_divides_tu=bool(payload["q_divides_tu"]),
-            mismatches=[
-                (int(m["n"]), int(m["z_mod"]), int(m["u_mod"])) for m in payload["mismatches"]
-            ],
-        )
+        parsers = {
+            "curve": lambda c: CurveQ(int(c["a"]), int(c["b"])),
+            "point": lambda c: PointQ(int(c["x"]), int(c["y"]), int(c["z"])),
+            "lrs": lambda s: LrsSpec(
+                int(s["order"]),
+                tuple(int(c) for c in s["coeffs"]),
+                tuple(int(u) for u in s["initial"]),
+            ),
+            "mismatches": lambda ms: [(int(m["n"]), int(m["z_mod"]), int(m["u_mod"])) for m in ms],
+            **dict.fromkeys(_INT_FIELDS, int),
+            **dict.fromkeys(_WINDOW_FIELDS, _int_pair),
+            **dict.fromkeys(_FLAG_FIELDS, bool),
+        }
+        fields = {}
+        for name, parse in parsers.items():
+            if name not in payload:
+                raise ValueError(f"certificate field {name!r} is missing")
+            try:
+                fields[name] = parse(payload[name])
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ValueError(f"certificate field {name!r} is malformed: {exc!r}") from None
+        return cls(spec=fields.pop("lrs"), **fields)
 
 
 # ---------------------------------------------------------------------------
@@ -234,9 +234,6 @@ def find_witness(
         raise ValueError(f"point is torsion (order {order})")
     if point.y == 0:
         raise ValueError("a point with y = 0 is 2-torsion")
-    if point.x == 0:
-        # order divisibility by an odd q is unchanged under doubling
-        point = scalar_mul(2, point, curve)
     require_exact_companion(curve, point)
     seeds = division_poly_seeds(curve, point)
     degenerate, witness_order = is_degenerate(spec)
@@ -303,9 +300,7 @@ def find_witness(
             stats["tu_divisible"] += 1
             continue
         if exact_prefix is None:
-            # z_n = z_1*|w_n|, as require_exact_companion passed
-            ward = generate_ward(WardSeed(*seeds), mismatch_limit)
-            exact_prefix = [point.z * abs(w) for w in ward.terms]
+            exact_prefix = generate_geometric(curve, point, mismatch_limit).terms
         mismatches = []
         for n in range(1, mismatch_limit + 1):
             z_mod = exact_prefix[n - 1] % p

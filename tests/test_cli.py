@@ -1,6 +1,8 @@
 import json
 import multiprocessing
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -258,6 +260,29 @@ def test_verify_point_outside_companion_model_exit4(tmp_path, capsys):
     code, out, _ = run(capsys, "verify", str(cert_path), "--format", "json")
     assert code == 4
     assert "companion_model" in _failing_checks(out)
+
+
+@pytest.mark.parametrize(
+    "edit,named",
+    [
+        (lambda pl: {k: v for k, v in pl.items() if k != "tz_window"}, "tz_window"),
+        (lambda pl: {**pl, "tz_window": ["1"]}, "tz_window"),
+        (lambda pl: {**pl, "mismatches": [{"n": "3", "u_mod": "6"}]}, "mismatches"),
+        (lambda pl: [], "JSON object"),
+    ],
+    ids=["missing_key", "short_window", "mismatch_without_z_mod", "top_level_list"],
+)
+def test_verify_malformed_certificate_exit2(tmp_path, edit, named):
+    cert = refuter.find_witness(CurveQ(-4, 4), PointQ(1, 1, 1), FIBONACCI, 5, p_max=100).certificate
+    cert_path = tmp_path / "cert.json"
+    cert_path.write_text(json.dumps(edit(json.loads(cert.to_json()))))
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    proc = subprocess.run(
+        [sys.executable, "-m", "edslab.cli", "verify", str(cert_path)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr and named in proc.stderr
 
 
 EMPIRICAL = ("density", "empirical", "--curve", "0", "3", "--point", "1", "2", "1", "--q", "3")

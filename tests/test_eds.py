@@ -7,6 +7,7 @@ from edslab import elliptic
 
 from edslab.eds import (
     InexactDivisionError,
+    canonical_height_estimate,
     WardSeed,
     _companion_gcd,
     _minimal_stream_period,
@@ -21,7 +22,6 @@ from edslab.eds import (
     ward_period,
 )
 from edslab.elliptic import (
-    TORSION_SEARCH_BOUND,
     CurveFp,
     CurveQ,
     PointQ,
@@ -178,21 +178,41 @@ def test_geometric_matches_chord_tangent_walk_on_small_curves():
     assert classes[True] > 50 and classes[False] > 50, classes
 
 
-@pytest.mark.parametrize("curve,point", [(E, P), (CurveQ(0, 17), PointQ(-2, 3, 1))])
-def test_geometric_generation_does_no_point_addition(curve, point, monkeypatch):
-    # only the torsion check walks multiples with add, at most 15 of them
+def _addition_budget(monkeypatch, budget):
+    """Patch `elliptic.add` to raise after `budget` calls; returns the call list."""
     calls = []
 
     def budgeted_add(p, q, c):
         calls.append(1)
-        if len(calls) > TORSION_SEARCH_BOUND - 1:
-            raise AssertionError("generate_geometric added points beyond the torsion check")
+        if len(calls) > budget:
+            raise AssertionError(f"more than {budget} point additions")
         return add(p, q, c)
 
     monkeypatch.setattr(elliptic, "add", budgeted_add)
+    return calls
+
+
+# the torsion check stops at the first multiple with z != 1, so it makes one
+# addition per leading integral multiple: P for (0,3), (1,2,1); P and
+# 2P = (8,-23,1) for (0,17), (-2,3,1)
+TORSION_CHECK_ADDITIONS = {E: 1, CurveQ(0, 17): 2}
+
+
+@pytest.mark.parametrize("curve,point", [(E, P), (CurveQ(0, 17), PointQ(-2, 3, 1))])
+def test_geometric_generation_does_no_point_addition(curve, point, monkeypatch):
+    additions = TORSION_CHECK_ADDITIONS[curve]
+    calls = _addition_budget(monkeypatch, additions)
     seq = generate_geometric(curve, point, 100)
     assert len(seq) == 100 and all(t > 0 for t in seq.terms)
     assert seq.term(100) % seq.term(50) == 0
+    assert len(calls) == additions
+
+
+def test_height_estimate_does_no_point_addition(monkeypatch):
+    calls = _addition_budget(monkeypatch, 1)
+    report = canonical_height_estimate(P, E, 48)
+    assert [n for n, _ in report.estimates] == list(range(2, 49))
+    assert len(calls) == 1
 
 
 def test_z_repeats_the_companion_period_only_up_to_sign():

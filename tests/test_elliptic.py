@@ -3,13 +3,14 @@ import random
 
 import pytest
 
+from edslab.eds import canonical_height_estimate
 from edslab.elliptic import (
+    TORSION_SEARCH_BOUND,
     BadReductionError,
     CurveFp,
     CurveQ,
     PointQ,
     add,
-    canonical_height_estimate,
     count_points,
     fp_add,
     fp_scalar_mul,
@@ -87,6 +88,41 @@ def test_torsion_detection():
     curve = CurveQ(0, -1)
     assert is_torsion(PointQ(1, 0, 1), curve) == (True, 2)
     assert is_torsion(P, E) == (False, None)
+
+
+def _full_torsion_walk(point, curve):
+    """is_torsion without its early exit: all 16 multiples, by add."""
+    if point.is_infinity:
+        return True, 1
+    current = point
+    for n in range(2, TORSION_SEARCH_BOUND + 1):
+        current = add(current, point, curve)
+        if current.is_infinity:
+            return True, n
+    return False, None
+
+
+def test_torsion_early_exit_matches_the_full_walk():
+    # P, 2P, 3P for every integral P = (x, y, 1), |x| <= 4, y >= 0, on the
+    # curves with |a|, |b| <= 4; the torsion orders met there are 1, 2, 3, 4, 6
+    orders = set()
+    for a in range(-4, 5):
+        for b in range(-4, 5):
+            if 4 * a**3 + 27 * b**2 == 0:
+                continue
+            curve = CurveQ(a, b)
+            for x in range(-4, 5):
+                f = x**3 + a * x + b
+                y = math.isqrt(max(f, 0))
+                if f < 0 or y * y != f:
+                    continue
+                for k in (1, 2, 3):
+                    point = scalar_mul(k, PointQ(x, y, 1), curve)
+                    verdict = is_torsion(point, curve)
+                    assert verdict == _full_torsion_walk(point, curve), (a, b, x, k)
+                    if verdict[0]:
+                        orders.add(verdict[1])
+    assert orders == {1, 2, 3, 4, 6}
 
 
 def test_count_points_fixture():

@@ -232,17 +232,6 @@ def test_second_fixture_roundtrip():
     assert verdict.ok, verdict.failures
 
 
-def test_zero_x_point_replaced_by_double():
-    # x = 0 makes the order-divisibility question equivalent for 2P, which
-    # the finder substitutes; the certificate names the point it used
-    curve = CurveQ(-5, 4)
-    point = PointQ(0, 2, 1)
-    result = find_witness(curve, point, FIBONACCI, 5, p_max=5_000)
-    assert result.found
-    assert result.certificate.point == PointQ(25, -3, 4)
-    assert verify_certificate(result.certificate).ok
-
-
 @pytest.mark.parametrize(
     "curve,point,spec",
     [
@@ -309,6 +298,21 @@ LUCAS = LrsSpec(2, (1, 1), (1, 3), minimal=True)
 PADOVAN = LrsSpec(3, (0, 1, 1), (1, 1, 1), minimal=True)
 
 
+@pytest.mark.parametrize("spec", [FIBONACCI, LUCAS])
+def test_zero_x_point_is_certified_as_given(spec):
+    # the claim z_k(P) = u_(k^2) says nothing direct about 2P, so the
+    # certificate must name P itself, x = 0 or not
+    curve, point = CurveQ(-5, 4), PointQ(0, 2, 1)
+    cert = find_witness(curve, point, spec, choose_q(spec, curve), p_max=5_000).certificate
+    assert cert.point == point and cert.p == 7
+    payload = json.loads(cert.to_json())
+    assert verify_certificate(WitnessCertificate.from_json(json.dumps(payload))).ok
+    first = payload["mismatches"][0]
+    first["z_mod"] = str((int(first["z_mod"]) + 1) % cert.p)
+    verdict = verify_certificate(WitnessCertificate.from_json(json.dumps(payload)))
+    assert verdict.failures == ["mismatches"]
+
+
 @pytest.mark.parametrize(
     "curve,point,spec,edit,failures",
     [
@@ -346,7 +350,8 @@ def test_period_work_stays_within_twice_the_order(monkeypatch):
 CERTIFICATE_DIGESTS = [
     (E, P, FIBONACCI, 10_000, "7674588d0695fdfab70cc61e06d1ac91363ab9e824f03e4a204f46327f7c6d4a"),
     (CurveQ(-6, 6), P, TRIBONACCI, 20_000, "e0f9b327ba3d8386c33a2414b27f2a6e7b98b5f2645aa538145a71af7c2c4025"),
-    (CurveQ(-5, 4), PointQ(0, 2, 1), FIBONACCI, 5_000, "013da4d4f58ec26725af23978f8195bc0d58d52699e869b947b0fa410b27f320"),
+    # x = 0: the certificate names P itself, not 2P
+    (CurveQ(-5, 4), PointQ(0, 2, 1), FIBONACCI, 5_000, "87dd9a2d766c255b8ddd12c76915cb61411884deccb3dbcdceb0178393fa726a"),
     (CurveQ(-5, 2), PointQ(-2, 2, 1), FIBONACCI, 50_000, "ba5d1ed9bfcc8fa2bbd892ad230cc5e51f28e98f07b0af845128baab8c825953"),
     (CurveQ(-3, -1), PointQ(2, 1, 1), LUCAS, 50_000, "1b65ffaa0f7847da13ad78a0c1ad77d0b2f03d494aae734017e6faaaac792e0e"),
     (CurveQ(-6, 6), P, PADOVAN, 50_000, "18e638b476c338e8f423d3d8fae95f66dd74b02a0c4f3808b4f24dd2132a5f1a"),
