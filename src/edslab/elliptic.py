@@ -8,6 +8,7 @@ denominator term of the associated divisibility sequence.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -133,6 +134,14 @@ def scalar_mul(n: int, p: PointQ, curve: CurveQ) -> PointQ:
     return result
 
 
+def multiples(point: PointQ, curve: CurveQ) -> Iterator[PointQ]:
+    """P, 2P, 3P, ... without end, one chord-tangent addition per step."""
+    current = point
+    while True:
+        yield current
+        current = add(current, point, curve)
+
+
 def is_torsion(p: PointQ, curve: CurveQ, bound: int = TORSION_SEARCH_BOUND) -> tuple[bool, int | None]:
     """Detect torsion by checking nP = O for n <= bound.
 
@@ -141,16 +150,11 @@ def is_torsion(p: PointQ, curve: CurveQ, bound: int = TORSION_SEARCH_BOUND) -> t
     (Nagell-Lutz; Silverman, AEC, Cor. VIII.7.2), so the walk stops at the
     first multiple with z != 1.
     """
-    if p.is_infinity:
-        return True, 1
-    current = p
-    for n in range(2, bound + 1):
-        if current.z != 1:
-            return False, None
-        current = add(current, p, curve)
+    for n, current in enumerate(multiples(p, curve), start=1):
         if current.is_infinity:
             return True, n
-    return False, None
+        if n >= bound or current.z != 1:
+            return False, None
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,9 @@ numerical root finding only ever appears in tests as a cross-check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 
 from .ntkernel import (
     Poly,
@@ -309,18 +310,13 @@ def nondegenerate_reduction(spec: LrsSpec) -> tuple[int, LrsSpec]:
 
 
 def _state_seq_period_iterative(spec: LrsSpec, p: int, cap: int = 10_000_000) -> int:
-    k = spec.order
-    coeffs = [c % p for c in spec.coeffs]
-    start = tuple(u % p for u in spec.initial)
-    window = list(start)
-    steps = 0
-    while steps < cap:
-        nxt = sum(c * window[-i] for i, c in enumerate(coeffs, start=1)) % p
-        window.append(nxt)
-        window.pop(0)
-        steps += 1
-        if tuple(window) == start:
+    coeffs = [c % p for c in reversed(spec.coeffs)]
+    start = [u % p for u in spec.initial]
+    window = start[1:] + [sum(map(mul, coeffs, start)) % p]
+    for steps in range(1, cap + 1):
+        if window == start:
             return steps
+        window = window[1:] + [sum(map(mul, coeffs, window)) % p]
     raise RuntimeError(f"no period found within {cap} steps")
 
 
@@ -347,6 +343,13 @@ def _state_seq_period_matrix(spec: LrsSpec, p: int) -> int:
     return order_from_multiple(bound, returns)
 
 
+def _require_purely_periodic(spec: LrsSpec, p: int) -> None:
+    if not is_prime(p):
+        raise ValueError("p must be prime")
+    if spec.coeffs[-1] % p == 0:
+        raise ValueError(f"p={p} divides the last coefficient: the reduction is not purely periodic")
+
+
 def lrs_period_mod_p(spec: LrsSpec, p: int, method: str = "matrix") -> int:
     """Minimal period of (u_n mod p); requires p not dividing the last coefficient.
 
@@ -354,12 +357,7 @@ def lrs_period_mod_p(spec: LrsSpec, p: int, method: str = "matrix") -> int:
     returns; "matrix" refines a divisor bound on the companion-matrix order.
     They agree and can cross-check each other.
     """
-    if not is_prime(p):
-        raise ValueError("p must be prime")
-    if spec.coeffs[-1] % p == 0:
-        raise ValueError(
-            f"p={p} divides the last coefficient: the reduction is not purely periodic"
-        )
+    _require_purely_periodic(spec, p)
     if method == "iteration":
         return _state_seq_period_iterative(spec, p)
     if method == "matrix":
@@ -373,27 +371,34 @@ class SquarePeriodResult:
     lrs_period: int  # minimal period of u_n mod p
     period: int  # minimal period of n -> u_{n^2} mod p
     window: tuple[int, int]
+    table: list[int] = field(repr=False, compare=False)  # u_1..u_lrs_period mod p
+
+    def u_mod(self, n: int) -> int:
+        """u_n mod p for any n >= 1, read from the table of one period."""
+        return self.table[(n - 1) % self.lrs_period]
 
 
 def square_sampled_period(spec: LrsSpec, p: int) -> SquarePeriodResult:
     """Minimal T with u_{(n+T)^2} = u_{n^2} (mod p) for all n, fully verified.
 
-    The square-sampled stream is purely periodic with period dividing the
-    period L of u itself, and its periods are the multiples of the least
-    one; `order_from_multiple` strips primes from L while the candidate
-    still repeats over one complete L-cycle.
+    One walk of the state mod p, until the initial state returns (p does not
+    divide c_k, so the state map is a bijection), gives the period L of u and
+    the table u_1..u_L mod p that `u_mod` reads.  The square-sampled stream is
+    purely periodic with period dividing L, and its periods are the multiples
+    of the least one; `order_from_multiple` strips primes from L while the
+    candidate still repeats over one complete L-cycle.
     """
-    lam = lrs_period_mod_p(spec, p)
-    # u_1..u_lam, iterated mod p: the exact terms would need O(lam^2) bits
-    coeffs = [c % p for c in spec.coeffs]
-    table = [u % p for u in spec.initial[:lam]]
-    while len(table) < lam:
-        table.append(sum(c * table[-i] for i, c in enumerate(coeffs, start=1)) % p)
-
-    def u_sq(n: int) -> int:
-        return table[(n * n - 1) % lam]
-
-    values = [u_sq(n) for n in range(1, 2 * lam + 1)]
+    _require_purely_periodic(spec, p)
+    k = spec.order
+    coeffs = [c % p for c in reversed(spec.coeffs)]
+    start = [u % p for u in spec.initial]
+    # u_1..u_{L+k}, iterated mod p: the exact terms would need O(L^2) bits
+    table = list(start)
+    while len(table) == k or table[-k:] != start:
+        table.append(sum(map(mul, coeffs, table[-k:])) % p)
+    lam = len(table) - k
+    del table[lam:]
+    values = [table[(n * n - 1) % lam] for n in range(1, 2 * lam + 1)]
 
     def repeats(d: int) -> bool:
         return all(values[n + d - 1] == values[n - 1] for n in range(1, lam + 1))
@@ -401,7 +406,7 @@ def square_sampled_period(spec: LrsSpec, p: int) -> SquarePeriodResult:
     period = order_from_multiple(lam, repeats)
     # a stripped period passed `repeats`; L itself is checked only when kept
     assert period < lam or repeats(lam), "the full period always verifies"
-    return SquarePeriodResult(p, lam, period, (1, lam + period))
+    return SquarePeriodResult(p, lam, period, (1, lam + period), table)
 
 
 # ---------------------------------------------------------------------------

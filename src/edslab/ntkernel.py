@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 
 
 class NonResidueError(ValueError):
@@ -90,8 +91,8 @@ def sieve_primes(limit: int) -> list[int]:
     mark[0:2] = b"\x00\x00"
     for i in range(2, math.isqrt(limit) + 1):
         if mark[i]:
-            mark[i * i :: i] = bytearray(len(mark[i * i :: i]))
-    return [i for i in range(limit + 1) if mark[i]]
+            mark[i * i :: i] = bytes((limit - i * i) // i + 1)
+    return list(compress(range(limit + 1), mark))
 
 
 def _brent_rho(n: int, c: int, max_iters: int) -> int:

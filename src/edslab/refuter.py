@@ -38,9 +38,9 @@ from .elliptic import (
     count_points_naive,
     hasse_window,
     is_torsion,
+    multiples,
     point_order_fp,
     reduce_point,
-    scalar_mul,
 )
 from .lrs import LrsSpec, eval_mod, is_degenerate, square_sampled_period
 from .ntkernel import factorize, is_prime, next_prime, sieve_primes
@@ -76,6 +76,12 @@ def _int_pair(value) -> tuple[int, int]:
     if not isinstance(value, list) or len(value) != 2:
         raise ValueError(f"expected a pair of integers, got {value!r}")
     return int(value[0]), int(value[1])
+
+
+def _json_bool(value) -> bool:
+    if not isinstance(value, bool):
+        raise ValueError(f"expected a JSON boolean, got {value!r}")
+    return value
 
 
 @dataclass
@@ -137,7 +143,7 @@ class WitnessCertificate:
             "mismatches": lambda ms: [(int(m["n"]), int(m["z_mod"]), int(m["u_mod"])) for m in ms],
             **dict.fromkeys(_INT_FIELDS, int),
             **dict.fromkeys(_WINDOW_FIELDS, _int_pair),
-            **dict.fromkeys(_FLAG_FIELDS, bool),
+            **dict.fromkeys(_FLAG_FIELDS, _json_bool),
         }
         fields = {}
         for name, parse in parsers.items():
@@ -301,12 +307,8 @@ def find_witness(
             continue
         if exact_prefix is None:
             exact_prefix = generate_geometric(curve, point, mismatch_limit).terms
-        mismatches = []
-        for n in range(1, mismatch_limit + 1):
-            z_mod = exact_prefix[n - 1] % p
-            u_mod = eval_mod(spec, n * n, p)
-            if _mismatch_residue(z_mod, u_mod, p):
-                mismatches.append((n, z_mod, u_mod))
+        residues = [(n, z % p, sq.u_mod(n * n)) for n, z in enumerate(exact_prefix, start=1)]
+        mismatches = [(n, z, u) for n, z, u in residues if _mismatch_residue(z, u, p)]
         if len(mismatches) < min_mismatches:
             stats["too_few_mismatches"] += 1
             continue
@@ -446,13 +448,15 @@ def verify_certificate(cert: WitnessCertificate) -> VerifyResult:
     sq = square_sampled_period(spec, p)
     check("lrs_period", sq.lrs_period == cert.lrs_period, f"recomputed {sq.lrs_period}")
     check("tu_period", sq.period == cert.tu_period, f"recomputed {sq.period}")
+    check("tu_window", cert.tu_window == sq.window, f"recomputed {sq.window}")
     check("q_not_divides_tu", (not cert.q_divides_tu) and sq.period % q != 0)
 
     mism_ok = len(cert.mismatches) >= 1
     detail = ""
+    # one chord-tangent walk to the largest index, bounded by mismatch_index
+    z_at = dict(zip(range(1, max(indices, default=0) + 1), (m.z % p for m in multiples(point, curve))))
     for n, z_stated, u_stated in cert.mismatches:
-        z_mod = scalar_mul(n, point, curve).z % p
-        u_mod = eval_mod(spec, n * n, p)
+        z_mod, u_mod = z_at[n], sq.u_mod(n * n)
         if z_mod != z_stated or u_mod != u_stated:
             mism_ok, detail = False, f"index {n}: stored residues do not recompute"
             break
@@ -470,11 +474,7 @@ def verify_certificate(cert: WitnessCertificate) -> VerifyResult:
 
 def compare_streams(a: list[int], b: list[int], p: int, start: int, count: int) -> list[int]:
     """Indices n in [start, start+count) where a_n != +-b_n mod p (1-based)."""
-    out = []
-    for n in range(start, start + count):
-        if _mismatch_residue(a[n] % p, b[n] % p, p):
-            out.append(n)
-    return out
+    return [n for n in range(start, start + count) if _mismatch_residue(a[n] % p, b[n] % p, p)]
 
 
 def direct_falsify(

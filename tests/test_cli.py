@@ -241,7 +241,7 @@ def test_verify_unbounded_certificate_exit4(tmp_path, capsys, monkeypatch, field
         raise AssertionError("the verifier did work before bounding it")
 
     monkeypatch.setattr(refuter, "stream_mod_p", no_work)
-    monkeypatch.setattr(refuter, "scalar_mul", no_work)
+    monkeypatch.setattr(refuter, "multiples", no_work)
     code, out, _ = run(capsys, "verify", str(cert_path), "--format", "json")
     assert code == 4
     assert _failing_checks(out) == [field]
@@ -269,8 +269,13 @@ def test_verify_point_outside_companion_model_exit4(tmp_path, capsys):
         (lambda pl: {**pl, "tz_window": ["1"]}, "tz_window"),
         (lambda pl: {**pl, "mismatches": [{"n": "3", "u_mod": "6"}]}, "mismatches"),
         (lambda pl: [], "JSON object"),
+        (lambda pl: {**pl, "q_divides_tu": "false"}, "q_divides_tu"),
+        (lambda pl: {**pl, "q_divides_tz": 1}, "q_divides_tz"),
     ],
-    ids=["missing_key", "short_window", "mismatch_without_z_mod", "top_level_list"],
+    ids=[
+        "missing_key", "short_window", "mismatch_without_z_mod", "top_level_list",
+        "flag_as_string", "flag_as_integer",
+    ],
 )
 def test_verify_malformed_certificate_exit2(tmp_path, edit, named):
     cert = refuter.find_witness(CurveQ(-4, 4), PointQ(1, 1, 1), FIBONACCI, 5, p_max=100).certificate
@@ -283,6 +288,7 @@ def test_verify_malformed_certificate_exit2(tmp_path, edit, named):
     )
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr and named in proc.stderr
+    assert proc.stderr.startswith("error: ")
 
 
 EMPIRICAL = ("density", "empirical", "--curve", "0", "3", "--point", "1", "2", "1", "--q", "3")

@@ -1,8 +1,10 @@
 import math
 import random
+from itertools import islice
 
 import pytest
 
+from edslab import elliptic
 from edslab.eds import canonical_height_estimate
 from edslab.elliptic import (
     TORSION_SEARCH_BOUND,
@@ -16,6 +18,7 @@ from edslab.elliptic import (
     fp_scalar_mul,
     hasse_window,
     is_torsion,
+    multiples,
     parse_curve,
     parse_point,
     point_from_affine,
@@ -61,6 +64,17 @@ def test_scalar_mul_matches_repeated_add():
         acc = add(acc, P, E)
         assert scalar_mul(n, P, E) == acc
         assert E.contains(acc)
+
+
+def test_multiples_walk_the_multiples_lazily(monkeypatch):
+    expected = [scalar_mul(n, P, E) for n in range(1, 13)]
+    # one addition per step after P, and none before a step is asked for
+    calls = []
+    monkeypatch.setattr(elliptic, "add", lambda a, b, c: calls.append(1) or add(a, b, c))
+    walk = multiples(P, E)
+    assert next(walk) == P and not calls
+    assert list(islice(walk, 11)) == expected[1:]
+    assert len(calls) == 11
 
 
 def test_group_law_axioms_exact():

@@ -21,9 +21,10 @@ from edslab.lrs import (
     nondegenerate_reduction,
     parse_lrs_spec,
     parse_terms,
+    SquarePeriodResult,
     square_sampled_period,
 )
-from edslab.ntkernel import Poly
+from edslab.ntkernel import Poly, sieve_primes
 
 
 def test_spec_validation():
@@ -260,6 +261,40 @@ def test_square_sampled_period():
     for d in range(1, result.period):
         if result.period % d == 0 and d < result.period:
             assert any(idx(n + d) != idx(n) for n in range(1, 21))
+    # the table is not part of the printed or compared result
+    assert repr(result) == "SquarePeriodResult(p=5, lrs_period=20, period=10, window=(1, 30))"
+    assert result == SquarePeriodResult(5, 20, 10, (1, 30), [])
+
+
+def test_square_sampled_walk_matches_both_period_methods():
+    # one seeded spec per order 1..4 against every prime p < 300 with p not
+    # dividing c_k; the walk is O(lambda) and lambda reaches p^k - 1, so it
+    # runs where the matrix period is at most 20,000
+    rng = random.Random(2026)
+    walked = {}
+    for k in (1, 2, 3, 4):
+        spec = LrsSpec(
+            k,
+            tuple(rng.randint(-3, 3) for _ in range(k - 1)) + (rng.choice([-3, -2, -1, 1, 2, 3]),),
+            tuple(rng.randint(-5, 5) for _ in range(k)),
+        )
+        for p in sieve_primes(300):
+            if spec.coeffs[-1] % p == 0:
+                continue
+            lam = lrs_period_mod_p(spec, p, "matrix")
+            if lam > 20_000:
+                continue
+            result = square_sampled_period(spec, p)
+            assert result.lrs_period == lam == lrs_period_mod_p(spec, p, "iteration")
+            # every n <= 3*lam for short periods, 40 seeded ones otherwise,
+            # and three indices far past the table
+            indices = range(1, 3 * lam + 1)
+            if lam > 40:
+                indices = rng.sample(indices, 40)
+            for n in [*indices, 10**18, 10**18 + 1, 7**30]:
+                assert result.u_mod(n) == eval_mod(spec, n, p), (spec, p, n)
+            walked[k] = walked.get(k, 0) + 1
+    assert walked == {1: 61, 2: 61, 3: 62, 4: 26}
 
 
 def test_square_sampled_period_memory():

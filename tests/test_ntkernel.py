@@ -122,6 +122,12 @@ def test_lcm_tower_values():
     assert lcm_tower(2, 3) == 21
 
 
+def test_sieve_matches_is_prime():
+    assert sieve_primes(10**5) == [n for n in range(10**5 + 1) if is_prime(n)]
+    assert sieve_primes(1) == sieve_primes(0) == sieve_primes(-5) == []
+    assert sieve_primes(2) == [2] and sieve_primes(9) == [2, 3, 5, 7]
+
+
 def test_prime_helpers():
     assert [p for p in sieve_primes(30)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     assert is_prime(2**61 - 1)

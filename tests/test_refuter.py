@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from edslab import eds, refuter
+from edslab import eds, lrs, refuter
 from edslab.eds import (
     WardSeed,
     _period_horizon,
@@ -170,6 +170,14 @@ def test_mutation_suite_all_caught():
         assert not verdict.ok, f"mutation {name} was not caught"
 
 
+@pytest.mark.parametrize("window", [(5, 3), (1, 10**30)])
+def test_verifier_checks_tu_window(window):
+    cert = find_witness(E, P, FIBONACCI, 5, p_max=10_000).certificate
+    assert cert.tu_window == (1, 24)
+    edited = WitnessCertificate.from_json(replace(cert, tu_window=window).to_json())
+    assert verify_certificate(edited).failures == ["tu_window"]
+
+
 def test_verifier_failures_name_fields():
     cert = find_witness(E, P, FIBONACCI, 5, p_max=10_000).certificate
     payload = json.loads(cert.to_json())
@@ -276,7 +284,7 @@ def test_verifier_bounds_work_before_starting(monkeypatch, field, edit):
     assert MAX_MISMATCH_INDEX >= refuter.DEFAULT_MISMATCH_LIMIT
     bad = edit(cert, cert.tz_window[1])
     monkeypatch.setattr(refuter, "stream_mod_p", _no_work)
-    monkeypatch.setattr(refuter, "scalar_mul", _no_work)
+    monkeypatch.setattr(refuter, "multiples", _no_work)
     verdict = verify_certificate(bad)
     assert not verdict.ok
     assert verdict.failures == [field]
@@ -362,3 +370,16 @@ CERTIFICATE_DIGESTS = [
 def test_certificate_bytes_unchanged(curve, point, spec, p_max, digest):
     cert = find_witness(curve, point, spec, choose_q(spec, curve), p_max=p_max).certificate
     assert hashlib.sha256(cert.to_json().encode()).hexdigest() == digest
+
+
+def test_finder_and_verifier_use_no_companion_matrix_power(monkeypatch):
+    # u_{n^2} mod p and the period of u come from square_sampled_period's one
+    # walk of the recurrence mod p; the certificate is unchanged
+    def no_matrix(*args):
+        raise AssertionError("companion-matrix power")
+
+    monkeypatch.setattr(lrs, "_mat_pow_mod", no_matrix)
+    cert = find_witness(E, P, FIBONACCI, 5, p_max=10_000).certificate
+    assert hashlib.sha256(cert.to_json().encode()).hexdigest() == CERTIFICATE_DIGESTS[0][-1]
+    verdict = verify_certificate(WitnessCertificate.from_json(cert.to_json()))
+    assert verdict.ok, verdict.failures
