@@ -8,7 +8,7 @@ when gcd(2y, 3x^2 + a*z^4) = 1 (see `require_exact_companion`).  At a prime
 not dividing z_1 the factor z_1 is a unit, and the sign ambiguity is
 irrelevant to every question asked here (zeros, divisibility, periods up to
 sign).  Periods of a geometric stream come from Ward's symmetry
-(`ward_period`), which needs only w_1..w_{r+2}, r the rank of apparition.
+(`ward_period`), which needs only w_1..w_{2r+2}, r the rank of apparition.
 """
 
 from __future__ import annotations
@@ -262,44 +262,30 @@ def _minimal_stream_period(stream: list[int], step: int, horizon: int) -> int | 
     return None
 
 
-def ward_constants(w: list[int], rank: int, p: int) -> tuple[int, int]:
-    """The constants (a, b) of Ward's symmetry w_{kr+n} = w_n * a^(nk) * b^(k^2) (mod p).
+def ward_period(seeds: tuple[int, int, int, int], p: int, rank: int) -> int | None:
+    """Exact minimal period of the stream w_n mod p, from w_1..w_{2r+2}, r = `rank`.
 
-    Read off w_1..w_{r+2} (index 0 unused), r = `rank` the rank of
-    apparition, from w_{r+1} = w_1*a*b and w_{r+2} = w_2*a^2*b (M. Ward,
-    Amer. J. Math. 70, 1948).  Raises ValueError when w_1*w_2*w_{r+1}*w_{r+2}
-    = 0 (mod p), which happens when r is not the rank or r < 3.
+    None unless the zeros fall exactly on the multiples of r (the order of
+    P mod p, for a geometric source at a good prime) and Ward's symmetry
+    w_{r+n} = w_n * a^n * b holds for n = 1..r+2, a and b read off w_{r+1}
+    and w_{r+2} (M. Ward, Amer. J. Math. 70, 1948).  A period maps the zero
+    set onto itself, so it is some k*r, and k*r is one exactly when a^k = 1
+    and b^(k^2) = 1: k a multiple of ord(a) and of l^ceil(e/2) for every
+    l^e || ord(b).  Costs O(r + log p), not the O(r*p) window scanned by
+    `_minimal_stream_period`.
     """
-    if w[1] * w[2] * w[rank + 1] * w[rank + 2] % p == 0:
-        raise ValueError(f"w_1*w_2*w_{rank + 1}*w_{rank + 2} = 0 (mod {p}): {rank} is not the rank")
+    w = stream_mod_p(seeds, p, 2 * rank + 2)
+    if any((w[n] == 0) != (n % rank == 0) for n in range(1, 2 * rank + 3)):
+        return None
+    # so rank >= 3 (w_1 = 1, and stream_mod_p refuses w_2 = 0): w_{r+1}, w_{r+2} are units
     a = w[rank + 2] * w[1] * invmod(w[2] * w[rank + 1], p) % p
     b = w[rank + 1] * invmod(w[1] * a, p) % p
-    return a, b
-
-
-def _symmetry_period(a: int, b: int, p: int) -> int:
-    """Least t >= 1 with a^t = 1 and b^(t^2) = 1 (mod p); the valid t are its multiples.
-
-    b^(k^2) = 1 exactly when l^ceil(e/2) divides k for every l^e || ord(b).
-    """
+    if any(w[rank + n] != w[n] * pow(a, n, p) * b % p for n in range(1, rank + 3)):
+        return None
     t = multiplicative_order(a, p)
     for ell, e in factorize(multiplicative_order(b, p)).items():
         t = math.lcm(t, ell ** ((e + 1) // 2))
-    return t
-
-
-def ward_period(seeds: tuple[int, int, int, int], p: int, rank: int) -> int:
-    """Exact minimal period of the stream w_n mod p, from w_1..w_{rank+2} alone.
-
-    `rank` must be the rank of apparition: the zeros of the stream sit
-    exactly on its multiples, as they do on the multiples of the order of
-    P mod p for a geometric source at a good prime.  A period maps the zero
-    set onto itself, so it is some k*r, and by Ward's symmetry k*r is a
-    period exactly when a^k = 1 and b^(k^2) = 1.  Costs O(r + log p), not
-    the O(r*p) window `_minimal_stream_period` scans.
-    """
-    a, b = ward_constants(stream_mod_p(seeds, p, rank + 2), rank, p)
-    return rank * _symmetry_period(a, b, p)
+    return rank * t
 
 
 @dataclass
@@ -348,17 +334,15 @@ def eds_period_mod_p(seq: EdsSequence, p: int, horizon: int | None = None) -> Ed
         if curve.disc % p == 0 or point.z % p == 0:
             raise ValueError(f"need p coprime to the discriminant and to z1 (p={p})")
         require_exact_companion(curve, point)
-        seeds = division_poly_seeds(curve, point)
         cfp = CurveFp.from_curve(curve, p)
         n_points, trace = count_points(cfp)
         rank = point_order_fp(reduce_point(point, curve, p), cfp, n_points)
         bound = 2 * (p - 1) * n_points
         if horizon is None:
             horizon = _period_horizon(rank, p)
-        prefix = stream_mod_p(seeds, p, 2 * rank + 2)
-        zeros_consistent = all((prefix[n] == 0) == (n % rank == 0) for n in range(1, 2 * rank + 3))
-        period = rank * _symmetry_period(*ward_constants(prefix, rank, p), p)
-        if horizon < 2 * period:
+        period = ward_period(division_poly_seeds(curve, point), p, rank)
+        zeros_consistent = period is not None
+        if period is not None and horizon < 2 * period:
             period = None
     else:
         n_points = trace = bound = zeros_consistent = None

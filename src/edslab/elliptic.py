@@ -142,10 +142,10 @@ def multiples(point: PointQ, curve: CurveQ) -> Iterator[PointQ]:
         current = add(current, point, curve)
 
 
-def is_torsion(p: PointQ, curve: CurveQ, bound: int = TORSION_SEARCH_BOUND) -> tuple[bool, int | None]:
-    """Detect torsion by checking nP = O for n <= bound.
+def is_torsion(p: PointQ, curve: CurveQ) -> tuple[bool, int | None]:
+    """Detect torsion by checking nP = O for n <= `TORSION_SEARCH_BOUND`.
 
-    Rational torsion orders are at most 12; the default bound 16 leaves margin.
+    Rational torsion orders are at most 12; the bound 16 leaves margin.
     On this integral model a rational torsion point has integer coordinates
     (Nagell-Lutz; Silverman, AEC, Cor. VIII.7.2), so the walk stops at the
     first multiple with z != 1.
@@ -153,7 +153,7 @@ def is_torsion(p: PointQ, curve: CurveQ, bound: int = TORSION_SEARCH_BOUND) -> t
     for n, current in enumerate(multiples(p, curve), start=1):
         if current.is_infinity:
             return True, n
-        if n >= bound or current.z != 1:
+        if n >= TORSION_SEARCH_BOUND or current.z != 1:
             return False, None
 
 

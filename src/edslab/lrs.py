@@ -25,6 +25,8 @@ from .ntkernel import (
 )
 
 DEFAULT_FIT_BOUND = 12
+# longest walk of the state mod p: the period of u mod p can reach p^k - 1
+MAX_WALK = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -309,15 +311,15 @@ def nondegenerate_reduction(spec: LrsSpec) -> tuple[int, LrsSpec]:
 # periods modulo p
 
 
-def _state_seq_period_iterative(spec: LrsSpec, p: int, cap: int = 10_000_000) -> int:
+def _state_seq_period_iterative(spec: LrsSpec, p: int) -> int:
     coeffs = [c % p for c in reversed(spec.coeffs)]
     start = [u % p for u in spec.initial]
     window = start[1:] + [sum(map(mul, coeffs, start)) % p]
-    for steps in range(1, cap + 1):
+    for steps in range(1, MAX_WALK + 1):
         if window == start:
             return steps
         window = window[1:] + [sum(map(mul, coeffs, window)) % p]
-    raise RuntimeError(f"no period found within {cap} steps")
+    raise ValueError(f"the recurrence mod {p} does not return within {MAX_WALK} steps")
 
 
 def _state_seq_period_matrix(spec: LrsSpec, p: int) -> int:
@@ -354,8 +356,9 @@ def lrs_period_mod_p(spec: LrsSpec, p: int, method: str = "matrix") -> int:
     """Minimal period of (u_n mod p); requires p not dividing the last coefficient.
 
     Two implementations: "iteration" walks states until the initial state
-    returns; "matrix" refines a divisor bound on the companion-matrix order.
-    They agree and can cross-check each other.
+    returns, and raises ValueError past `MAX_WALK` steps; "matrix" refines a
+    divisor bound on the companion-matrix order.  They agree and can
+    cross-check each other.
     """
     _require_purely_periodic(spec, p)
     if method == "iteration":
@@ -386,7 +389,8 @@ def square_sampled_period(spec: LrsSpec, p: int) -> SquarePeriodResult:
     the table u_1..u_L mod p that `u_mod` reads.  The square-sampled stream is
     purely periodic with period dividing L, and its periods are the multiples
     of the least one; `order_from_multiple` strips primes from L while the
-    candidate still repeats over one complete L-cycle.
+    candidate still repeats over one complete L-cycle.  A walk longer than
+    `MAX_WALK` steps raises ValueError.
     """
     _require_purely_periodic(spec, p)
     k = spec.order
@@ -394,8 +398,12 @@ def square_sampled_period(spec: LrsSpec, p: int) -> SquarePeriodResult:
     start = [u % p for u in spec.initial]
     # u_1..u_{L+k}, iterated mod p: the exact terms would need O(L^2) bits
     table = list(start)
-    while len(table) == k or table[-k:] != start:
+    for _ in range(MAX_WALK):
         table.append(sum(map(mul, coeffs, table[-k:])) % p)
+        if table[-k:] == start:
+            break
+    else:
+        raise ValueError(f"the recurrence mod {p} does not return within {MAX_WALK} steps")
     lam = len(table) - k
     del table[lam:]
     values = [table[(n * n - 1) % lam] for n in range(1, 2 * lam + 1)]

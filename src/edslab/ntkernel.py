@@ -1,4 +1,4 @@
-"""Exact arithmetic primitives: primes, modular square roots, CRT, polynomials.
+"""Exact arithmetic primitives: primes, modular square roots, polynomials.
 
 Everything here is exact big-integer or rational arithmetic; no floating
 point.  All functions are pure and safe to call concurrently.
@@ -202,7 +202,7 @@ def invmod(a: int, m: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# modular square roots, CRT, lcm towers
+# modular square roots, lcm towers
 
 
 def legendre_symbol(a: int, r: int) -> int:
@@ -274,28 +274,6 @@ def hensel_lift_sqrt(a: int, r: int, e: int) -> int:
         mod *= r
         s = (s - (s * s - a) * invmod(2 * s, mod)) % mod
     return s
-
-
-def crt_combine(residues: list[tuple[int, int]]) -> "Residue":
-    """Combine congruences x = v_i (mod m_i) with pairwise coprime moduli."""
-    if not residues:
-        raise ValueError("need at least one congruence")
-    for v, m in residues:
-        if m < 1:
-            raise ValueError(f"modulus {m} must be positive")
-    for i in range(len(residues)):
-        for j in range(i + 1, len(residues)):
-            g = math.gcd(residues[i][1], residues[j][1])
-            if g != 1:
-                raise ValueError(
-                    f"moduli {residues[i][1]} and {residues[j][1]} share factor {g}"
-                )
-    value, modulus = residues[0][0] % residues[0][1], residues[0][1]
-    for v, m in residues[1:]:
-        t = (v - value) * invmod(modulus, m) % m
-        value += modulus * t
-        modulus *= m
-    return Residue(value % modulus, modulus)
 
 
 def lcm_tower(p: int, k: int) -> int:
@@ -549,25 +527,6 @@ class Poly:
             r = a % b
             a, b = b, (r.monic() if not r.is_zero() else r)
         return a.monic() if not a.is_zero() else a
-
-    def resultant(self, other: "Poly") -> Fraction:
-        """Resultant via the Sylvester matrix determinant."""
-        n, m = self.degree, other.degree
-        if n < 0 or m < 0:
-            return Fraction(0)
-        if n == 0:
-            return self.coeffs[0] ** m
-        if m == 0:
-            return other.coeffs[0] ** n
-        size = n + m
-        rows = []
-        fc = list(reversed(self.coeffs))
-        gc = list(reversed(other.coeffs))
-        for i in range(m):
-            rows.append([Fraction(0)] * i + fc + [Fraction(0)] * (size - n - 1 - i))
-        for i in range(n):
-            rows.append([Fraction(0)] * i + gc + [Fraction(0)] * (size - m - 1 - i))
-        return det_fraction(rows)
 
     def squarefree_part(self) -> "Poly":
         if self.degree < 1:

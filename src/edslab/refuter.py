@@ -27,7 +27,6 @@ from .eds import (
     generate_geometric,
     require_exact_companion,
     stream_mod_p,
-    ward_constants,
     ward_period,
 )
 from .elliptic import (
@@ -42,17 +41,17 @@ from .elliptic import (
     point_order_fp,
     reduce_point,
 )
-from .lrs import LrsSpec, eval_mod, is_degenerate, square_sampled_period
-from .ntkernel import factorize, is_prime, next_prime, sieve_primes
+from .lrs import LrsSpec, eval_mod, square_sampled_period
+from .ntkernel import is_prime, next_prime, sieve_primes
 
 SCHEMA_VERSION = "1"
 DEFAULT_A_TARGET = 3
+# the finder lists mismatches only among z_1..z_60 and certifies at least 10
 DEFAULT_MISMATCH_LIMIT = 60
 DEFAULT_MIN_MISMATCHES = 10
-# largest mismatch index the verifier recomputes: the exact z_n it needs has
-# about h*n^2 digits (h the canonical height), so work grows with n^2; with
-# distinct indices this also caps the number of exact multiples at 240
-MAX_MISMATCH_INDEX = 4 * DEFAULT_MISMATCH_LIMIT
+# largest mismatch index the verifier recomputes, exactly the finder's limit:
+# the exact z_n it needs has about h*n^2 digits (h the canonical height)
+MAX_MISMATCH_INDEX = DEFAULT_MISMATCH_LIMIT
 # the finder skips a prime whose period window 2r(p-1)+2r+16 exceeds this
 DEFAULT_HORIZON_CAP = 6_000_000
 # largest witness prime the finder can certify under the default cap: the
@@ -200,8 +199,6 @@ class FindResult:
     status: str  # "found" | "exhausted"
     certificate: WitnessCertificate | None
     stats: dict[str, int] = field(default_factory=dict)
-    p_max: int = 0
-    q: int = 0
 
     @property
     def found(self) -> bool:
@@ -221,33 +218,26 @@ def find_witness(
     a_target: int = DEFAULT_A_TARGET,
     p_max: int = 1_000_000,
     exclusions: tuple[int, ...] = (),
-    horizon_cap: int = DEFAULT_HORIZON_CAP,
-    mismatch_limit: int = DEFAULT_MISMATCH_LIMIT,
-    min_mismatches: int = DEFAULT_MIN_MISMATCHES,
 ) -> FindResult:
     """Scan primes in ascending order for a witness and certify the first hit.
 
     Wanted: p = a_target - 1 (mod q), good reduction, a_p = a_target (mod q),
-    and q dividing the order of P modulo p (then q divides #E(F_p) too).  For
-    the first such p the minimal periods of both sequences are computed, the
-    divisibility sequence's by Ward's symmetry (`ward_period`); a p whose
-    period window 2r(p-1)+2r+16 exceeds the horizon cap is counted and
-    skipped, never certified.  Identical inputs always produce identical
-    output.
+    and q dividing the order r of P modulo p (then q divides #E(F_p) too).
+    For the first such p the minimal periods of both sequences are computed,
+    w_n's by `ward_period` and u's by `square_sampled_period`; a p whose
+    window 2r(p-1)+2r+16 exceeds `DEFAULT_HORIZON_CAP`, where `ward_period`
+    returns None, or where the walk of u passes `lrs.MAX_WALK` is counted as
+    `period_unconfirmed`, never certified.  Any non-torsion point and any
+    recurrence is accepted: the zeros of z_n mod p are the multiples of r at
+    every p the scan keeps, as each prime of gcd(2y, 3x^2 + a*z^4) divides
+    2y.  Identical inputs always produce identical output.
     """
     torsion, order = is_torsion(point, curve)
     if torsion:
         raise ValueError(f"point is torsion (order {order})")
     if point.y == 0:
         raise ValueError("a point with y = 0 is 2-torsion")
-    require_exact_companion(curve, point)
     seeds = division_poly_seeds(curve, point)
-    degenerate, witness_order = is_degenerate(spec)
-    if degenerate:
-        raise ValueError(
-            f"spec is degenerate (root-of-unity ratio of order {witness_order}); "
-            "apply nondegenerate_reduction first"
-        )
     if q is None:
         q = choose_q(spec, curve, exclusions)
     else:
@@ -296,20 +286,23 @@ def find_witness(
         stats["candidates"] += 1
 
         horizon = _period_horizon(order_p, p)
-        if horizon > horizon_cap:
+        tz = ward_period(seeds, p, order_p) if horizon <= DEFAULT_HORIZON_CAP else None
+        try:
+            sq = square_sampled_period(spec, p) if tz is not None else None
+        except ValueError:  # the walk of u mod p passed lrs.MAX_WALK
+            sq = None
+        if sq is None:
             stats["period_unconfirmed"] += 1
             continue
-        tz = ward_period(seeds, p, order_p)
-        sq = square_sampled_period(spec, p)
         if sq.period % q == 0:
             # cannot happen when q passes validate_q; counted, never certified
             stats["tu_divisible"] += 1
             continue
         if exact_prefix is None:
-            exact_prefix = generate_geometric(curve, point, mismatch_limit).terms
+            exact_prefix = generate_geometric(curve, point, DEFAULT_MISMATCH_LIMIT).terms
         residues = [(n, z % p, sq.u_mod(n * n)) for n, z in enumerate(exact_prefix, start=1)]
         mismatches = [(n, z, u) for n, z, u in residues if _mismatch_residue(z, u, p)]
-        if len(mismatches) < min_mismatches:
+        if len(mismatches) < DEFAULT_MIN_MISMATCHES:
             stats["too_few_mismatches"] += 1
             continue
         cert = WitnessCertificate(
@@ -328,10 +321,10 @@ def find_witness(
             lrs_period=sq.lrs_period,
             q_divides_tz=tz % q == 0,
             q_divides_tu=False,
-            mismatches=mismatches[: max(min_mismatches, 12)],
+            mismatches=mismatches[:12],
         )
-        return FindResult("found", cert, stats, p_max, q)
-    return FindResult("exhausted", None, stats, p_max, q)
+        return FindResult("found", cert, stats)
+    return FindResult("exhausted", None, stats)
 
 
 # ---------------------------------------------------------------------------
@@ -355,38 +348,18 @@ class VerifyResult:
         return [c.name for c in self.checks if not c.ok]
 
 
-def _check_ward_period(w: list[int], r: int, t: int, p: int) -> tuple[bool, bool, str]:
-    """(r*t is a period of w_n mod p, it is the least one, detail), from w_1..w_{2r+2}.
-
-    r >= 3 is the order of P mod p: good reduction rules out p | z1 and p | 2*y1.
-    """
-    if not all((w[n] == 0) == (n % r == 0) for n in range(1, 2 * r + 3)):
-        return False, False, f"the zeros of w_1..w_{2 * r + 2} are not the multiples of {r}"
-    a, b = ward_constants(w, r, p)
-    if any(w[r + n] != w[n] * pow(a, n, p) * b % p for n in range(1, r + 3)):
-        return False, False, "Ward's symmetry w_(r+n) = w_n * a^n * b fails for some n <= r + 2"
-
-    def is_period(k: int) -> bool:
-        return pow(a, k, p) == 1 and pow(b, k * k, p) == 1
-
-    if not is_period(t):
-        return False, False, f"a^t = b^(t^2) = 1 fails at t = tz/r = {t}"
-    return True, not any(is_period(t // ell) for ell in factorize(t)), ""
-
-
 def verify_certificate(cert: WitnessCertificate) -> VerifyResult:
     """Re-derive every certified fact from scratch; fail naming the field.
 
     Uses only the arithmetic primitives, not any state cached by the finder.
     #E(F_p) is recounted by `count_points_naive`, an algorithm independent
-    of the Shanks-Mestre count that found the witness.  tz is re-derived in
-    O(r + log p): the zeros of w_1..w_{2r+2} must sit exactly on the
-    multiples of r, Ward's symmetry w_{r+n} = w_n * a^n * b must hold for
-    n = 1..r+2, t = tz/r must satisfy a^t = 1 and b^(t^2) = 1, and t/l must
-    fail that for every prime l | t (the valid t are the multiples of the
-    least one).  p, the stated window and the mismatch indices are bounded before
-    any count, stream or exact multiple is computed, so an edited
-    certificate cannot make the verifier run away.
+    of the Shanks-Mestre count that found the witness.  The least period of
+    w_n mod p is re-derived by `ward_period` from the recomputed order r, in
+    O(r + log p); the periods are its multiples, so tz must be one and, to be
+    minimal, equal it.  p, the stated window and the mismatch indices are
+    bounded by the finder's own limits before any count, stream or exact
+    multiple is computed, and the walk of u mod p by `lrs.MAX_WALK`, so an
+    edited certificate cannot make the verifier run away.
     """
     checks: list[CheckResult] = []
 
@@ -402,12 +375,6 @@ def verify_certificate(cert: WitnessCertificate) -> VerifyResult:
     check("point_on_curve", curve.contains(point))
     torsion, _ = is_torsion(point, curve)
     check("point_nontorsion", not torsion)
-    try:
-        require_exact_companion(curve, point)
-        companion_ok, companion_detail = True, ""
-    except ValueError as exc:
-        companion_ok, companion_detail = False, str(exc)
-    check("companion_model", companion_ok, companion_detail)
     good = (curve.disc * point.z * 2 * point.y) % p != 0
     check("good_reduction", good, "p must avoid disc, z1 and 2*y1")
     check("lrs_reduction", spec.coeffs[-1] % p != 0, "p must not divide the last coefficient")
@@ -435,17 +402,19 @@ def verify_certificate(cert: WitnessCertificate) -> VerifyResult:
     if not (window_ok and indices_ok):
         return VerifyResult(False, checks)
 
-    tz, r = cert.tz_period, order_p
-    tz_ok = minimal_ok = False
-    tz_detail = "tz must be a multiple of the point order, with 2*tz inside the stated window"
-    if lo == 1 and 0 < 2 * tz <= hi and tz % r == 0:
-        w = stream_mod_p(division_poly_seeds(curve, point), p, 2 * r + 2)
-        tz_ok, minimal_ok, tz_detail = _check_ward_period(w, r, tz // r, p)
-    check("tz_period", tz_ok, tz_detail)
-    check("tz_minimal", minimal_ok, "a smaller multiple of the point order must not be a period")
+    tz = cert.tz_period
+    least = ward_period(division_poly_seeds(curve, point), p, order_p)
+    tz_ok = least is not None and lo == 1 and 0 < 2 * tz <= hi and tz % least == 0
+    tz_detail = f"least period {least}: tz must be a multiple of it, with 2*tz inside the stated window"
+    check("tz_period", tz_ok, "" if tz_ok else tz_detail)
+    check("tz_minimal", tz_ok and tz == least, "a smaller multiple of the point order must not be a period")
     check("q_divides_tz", cert.q_divides_tz and cert.tz_period % q == 0)
 
-    sq = square_sampled_period(spec, p)
+    try:
+        sq = square_sampled_period(spec, p)
+    except ValueError as exc:  # the walk of u mod p passed lrs.MAX_WALK
+        check("lrs_period", False, str(exc))
+        return VerifyResult(False, checks)
     check("lrs_period", sq.lrs_period == cert.lrs_period, f"recomputed {sq.lrs_period}")
     check("tu_period", sq.period == cert.tu_period, f"recomputed {sq.period}")
     check("tu_window", cert.tu_window == sq.window, f"recomputed {sq.window}")

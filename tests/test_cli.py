@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from edslab import refuter
+from edslab import lrs, refuter
 from edslab.cli import build_parser, main
 from edslab.elliptic import CurveQ, PointQ
 from edslab.lrs import FIBONACCI
@@ -247,19 +247,28 @@ def test_verify_unbounded_certificate_exit4(tmp_path, capsys, monkeypatch, field
     assert _failing_checks(out) == [field]
 
 
-def test_verify_point_outside_companion_model_exit4(tmp_path, capsys):
-    # gcd(2*3, 3*(-2)^2 + 0) = 6: |w_n| != z_n, so no tz claim can be trusted
-    cert = refuter.WitnessCertificate(
-        curve=CurveQ(0, 17), point=PointQ(-2, 3, 1), spec=FIBONACCI,
-        q=5, p=7, trace=3, n_points=5, point_order=5, tz_period=35, tz_window=(1, 100),
-        tu_period=4, tu_window=(1, 64), lrs_period=16, q_divides_tz=True, q_divides_tu=False,
-        mismatches=[(1, 1, 1)],
-    )
-    cert_path = tmp_path / "cert.json"
-    cert_path.write_text(cert.to_json())
+def _assert_verifies_until_edited(capsys, cert_path):
+    """verify accepts the file, and fails only `mismatches` once one residue is edited."""
+    code, _, _ = run(capsys, "verify", str(cert_path))
+    assert code == 0
+    payload = json.loads(cert_path.read_text())
+    first = payload["mismatches"][0]
+    first["z_mod"] = str((int(first["z_mod"]) + 1) % int(payload["p"]))
+    cert_path.write_text(json.dumps(payload))
     code, out, _ = run(capsys, "verify", str(cert_path), "--format", "json")
     assert code == 4
-    assert "companion_model" in _failing_checks(out)
+    assert _failing_checks(out) == ["mismatches"]
+
+
+def test_verify_point_outside_companion_model_exit4(tmp_path, capsys):
+    # gcd(2*2, 3*2^2 - 2) = 2: |w_n| != z_n, yet the zeros of z_n mod p are the
+    # multiples of the point order at every p not dividing 2y
+    point = PointQ(2, 2, 1)
+    cert = refuter.find_witness(CurveQ(-2, 0), point, FIBONACCI, 5, p_max=2_000).certificate
+    assert cert.point == point and cert.p == 17
+    cert_path = tmp_path / "cert.json"
+    cert_path.write_text(cert.to_json())
+    _assert_verifies_until_edited(capsys, cert_path)
 
 
 @pytest.mark.parametrize(
@@ -340,15 +349,41 @@ OUTSIDE_COMPANION_MODEL = ("--curve", "0", "17", "--point", "-2", "3", "1")  # g
     "argv",
     [
         ("eds", "period", *OUTSIDE_COMPANION_MODEL, "--p", "7"),
-        ("refute", *OUTSIDE_COMPANION_MODEL, "--lrs", "2", "1", "1", "1", "1", "--q", "5", "--p-max", "2000"),
         ("falsify", *OUTSIDE_COMPANION_MODEL, "--lrs", "2", "1", "1", "1", "1", "--p", "7"),
     ],
 )
 def test_point_outside_companion_model_exit2(capsys, argv):
+    # both answer about z_n mod p itself, which here is not z_1*|w_n| mod p
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert not out
     assert "singular modulo [2, 3]" in err
+
+
+def test_refute_certifies_point_outside_companion_model(tmp_path, capsys):
+    # the certificate rests only on the zero set, the order and tu; q = 5
+    # finds no witness here, since the curve has CM by Q(sqrt(-3))
+    cert_path = tmp_path / "cert.json"
+    code, out, _ = run(
+        capsys,
+        "refute", *OUTSIDE_COMPANION_MODEL, "--lrs", "2", "1", "1", "1", "1", "--q", "7",
+        "--p-max", "2000", "--out", str(cert_path),
+    )
+    assert code == 0
+    assert "witness p=37" in out
+    assert json.loads(cert_path.read_text())["point"] == {"x": "-2", "y": "3", "z": "1"}
+    _assert_verifies_until_edited(capsys, cert_path)
+
+
+def test_lrs_period_past_the_walk_bound_exit2(capsys, monkeypatch):
+    # the period of this recurrence mod 3169 is 10,042,560
+    monkeypatch.setattr(lrs, "MAX_WALK", 1_000)
+    code, out, err = run(
+        capsys, "lrs", "period", "--lrs", "2", "1", "7", "1", "1", "--p", "3169", "--method", "iteration",
+    )
+    assert code == 2
+    assert not out
+    assert err == "error: the recurrence mod 3169 does not return within 1000 steps\n"
 
 
 @pytest.mark.parametrize(

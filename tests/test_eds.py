@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from edslab import elliptic
+from edslab import eds, elliptic
 
 from edslab.eds import (
     InexactDivisionError,
@@ -255,6 +255,26 @@ def test_ward_period_matches_windowed_search():
             ranks.append(result.rank)
     assert len(ranks) == 4 * 76 + 75
     assert ranks.count(3) == 8
+
+
+def test_ward_period_refuses_a_rank_that_is_not_the_rank_of_apparition(monkeypatch):
+    # at 2r Ward's symmetry still holds (with a^2, b^4), so only the zero
+    # check refuses it; at r + 1 the zero check and the symmetry both fail
+    seeds, p = division_poly_seeds(E, P), 7
+    r = eds_period_mod_p(fixture_sequence(5), p).rank
+    assert (r, ward_period(seeds, p, r)) == (13, 39)
+    assert ward_period(seeds, p, 2 * r) is None
+    assert ward_period(seeds, p, r + 1) is None
+    # zeros on the multiples of r, but w_(r+3) != w_3 * a^3 * b
+    stream = eds.stream_mod_p
+
+    def tampered(seeds, p, horizon):
+        w = stream(seeds, p, horizon)
+        w[r + 3] = 2 * w[r + 3] % p
+        return w
+
+    monkeypatch.setattr(eds, "stream_mod_p", tampered)
+    assert ward_period(seeds, p, r) is None
 
 
 @pytest.mark.parametrize("p,rank,period", [(1009, 237, 17064), (3001, 1554, 2331000)])

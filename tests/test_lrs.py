@@ -24,7 +24,7 @@ from edslab.lrs import (
     SquarePeriodResult,
     square_sampled_period,
 )
-from edslab.ntkernel import Poly, sieve_primes
+from edslab.ntkernel import Poly, det_fraction, sieve_primes
 
 
 def test_spec_validation():
@@ -154,6 +154,31 @@ def test_decimate_agrees_with_direct_eval():
         assert decimated == [full[m * n - 1] for n in range(1, 101)]
 
 
+def _resultant(f: Poly, g: Poly) -> Fraction:
+    """Resultant via the Sylvester matrix determinant: the reference that
+    `_ratio_polynomial`'s power-sum construction is checked against."""
+    n, m = f.degree, g.degree
+    if n < 0 or m < 0:
+        return Fraction(0)
+    if n == 0:
+        return f.coeffs[0] ** m
+    if m == 0:
+        return g.coeffs[0] ** n
+    size = n + m
+    fc = list(reversed(f.coeffs))
+    gc = list(reversed(g.coeffs))
+    rows = [[Fraction(0)] * i + fc + [Fraction(0)] * (size - n - 1 - i) for i in range(m)]
+    rows += [[Fraction(0)] * i + gc + [Fraction(0)] * (size - m - 1 - i) for i in range(n)]
+    return det_fraction(rows)
+
+
+def test_poly_resultant_known():
+    # res(x^2-1, x-2) = (2-1)(2+1) = 3
+    assert _resultant(Poly(-1, 0, 1), Poly(-2, 1)) == 3
+    # shared root gives 0
+    assert _resultant(Poly(-1, 0, 1), Poly(-1, 1)) == 0
+
+
 def test_ratio_polynomial_matches_sylvester_resultant():
     # Res_y(psi(y), psi(x*y)) = prod_(i,j) (x*r_i - r_j) = (-psi(0))^s * (x - 1)^s * R(x)
     rng = random.Random(47)
@@ -171,7 +196,7 @@ def test_ratio_polynomial_matches_sylvester_resultant():
         quotients = []
         x0 = 2
         while len(quotients) < s * s + 1:
-            res = psi.resultant(Poly(*[c * x0**i for i, c in enumerate(psi.coeffs)]))
+            res = _resultant(psi, Poly(*[c * x0**i for i, c in enumerate(psi.coeffs)]))
             if ratio(x0) == 0:
                 assert res == 0
             else:

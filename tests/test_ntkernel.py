@@ -8,7 +8,6 @@ from edslab.ntkernel import (
     NonResidueError,
     Poly,
     Residue,
-    crt_combine,
     cyclotomic_polynomial,
     cyclotomic_root_of_unity_test,
     det_fraction,
@@ -95,27 +94,6 @@ def test_hensel_rejects_non_unit():
         hensel_lift_sqrt(7, 7, 2)
 
 
-def test_crt_fixed_values():
-    assert crt_combine([(2, 3), (3, 5)]) == Residue(8, 15)
-    assert crt_combine([(0, 91)]) == Residue(0, 91)
-    assert crt_combine([(1, 2), (1, 3), (1, 5)]) == Residue(1, 30)
-
-
-def test_crt_reconstructs_inputs():
-    rng = random.Random(13)
-    for _ in range(100):
-        moduli = rng.sample([4, 9, 25, 7, 11, 13, 17], k=rng.randint(1, 4))
-        residues = [(rng.randrange(m), m) for m in moduli]
-        combined = crt_combine(residues)
-        for v, m in residues:
-            assert combined.value % m == v
-
-
-def test_crt_rejects_noncoprime():
-    with pytest.raises(ValueError, match="share factor 3"):
-        crt_combine([(1, 6), (2, 9)])
-
-
 def test_lcm_tower_values():
     assert lcm_tower(5, 2) == 24
     assert lcm_tower(7, 1) == 6
@@ -199,13 +177,6 @@ def test_poly_gcd_and_squarefree():
     g = Poly(-1, 1) * Poly(3, 1)
     assert f.gcd(g) == Poly(-1, 1)
     assert f.squarefree_part() == (Poly(-1, 1) * Poly(2, 1)).monic()
-
-
-def test_poly_resultant_known():
-    # res(x^2-1, x-2) = (2-1)(2+1) = 3
-    assert Poly(-1, 0, 1).resultant(Poly(-2, 1)) == 3
-    # shared root gives 0
-    assert Poly(-1, 0, 1).resultant(Poly(-1, 1)) == 0
 
 
 def test_cyclotomic_polynomials():

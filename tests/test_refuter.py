@@ -71,10 +71,33 @@ def test_find_witness_deterministic():
     assert a.stats == b.stats
 
 
-def test_find_witness_rejects_degenerate_spec():
-    degenerate = LrsSpec(2, (0, 1), (0, 2))
-    with pytest.raises(ValueError, match="nondegenerate_reduction"):
-        find_witness(E, P, degenerate, 5, p_max=100)
+def _assert_certified_as_given(curve, point, spec, q, p_max, p):
+    """The certificate names the given point, verifies after a JSON round
+    trip, and fails only `mismatches` once one residue is edited."""
+    cert = find_witness(curve, point, spec, q, p_max=p_max).certificate
+    assert cert.point == point and cert.p == p
+    payload = json.loads(cert.to_json())
+    assert verify_certificate(WitnessCertificate.from_json(json.dumps(payload))).ok
+    first = payload["mismatches"][0]
+    first["z_mod"] = str((int(first["z_mod"]) + 1) % cert.p)
+    verdict = verify_certificate(WitnessCertificate.from_json(json.dumps(payload)))
+    assert verdict.failures == ["mismatches"]
+
+
+@pytest.mark.parametrize(
+    "spec,q,p",
+    [
+        (LrsSpec(2, (0, 1), (0, 2)), 5, 7),  # 1 + (-1)^n: roots {1, -1}
+        (LrsSpec(3, (3, 4, -12), (1, 1, 1)), 5, 7),  # roots {2, -2, 3}
+        (LrsSpec(3, (2, 1, -2), (1, 1, 1)), 5, 7),  # roots {1, -1, 2}
+        (LrsSpec(4, (0, 3, 0, -1), (1, 1, 1, 1)), 13, 223),  # x^4 - 3x^2 + 1: roots +-phi, +-1/phi
+    ],
+)
+def test_find_witness_certifies_degenerate_spec(spec, q, p):
+    # the argument never uses non-degeneracy: a root-of-unity ratio of
+    # characteristic roots changes neither the zeros of z_n mod p nor tu
+    assert lrs.is_degenerate(spec)[0]
+    _assert_certified_as_given(E, P, spec, q, 20_000, p)
 
 
 def test_find_witness_rejects_torsion_point():
@@ -284,10 +307,37 @@ def test_verifier_bounds_work_before_starting(monkeypatch, field, edit):
     assert MAX_MISMATCH_INDEX >= refuter.DEFAULT_MISMATCH_LIMIT
     bad = edit(cert, cert.tz_window[1])
     monkeypatch.setattr(refuter, "stream_mod_p", _no_work)
+    monkeypatch.setattr(refuter, "ward_period", _no_work)
     monkeypatch.setattr(refuter, "multiples", _no_work)
     verdict = verify_certificate(bad)
     assert not verdict.ok
     assert verdict.failures == [field]
+
+
+def test_verifier_bounds_mismatch_indices_by_the_finders_limit(monkeypatch):
+    # the finder lists mismatches only among z_1..z_60, so index 61 is
+    # refused before the chord-tangent walk to it starts
+    cert = find_witness(E, P, FIBONACCI, 5, p_max=10_000).certificate
+    monkeypatch.setattr(refuter, "multiples", _no_work)
+    verdict = verify_certificate(replace(cert, mismatches=[*cert.mismatches[1:], (61, 0, 1)]))
+    assert verdict.failures == ["mismatch_index"]
+
+
+def test_verifier_bounds_the_walk_of_u(monkeypatch):
+    # Fibonacci has period 16 mod 7, past a walk bound of 10
+    cert = find_witness(E, P, FIBONACCI, 5, p_max=10_000).certificate
+    monkeypatch.setattr(lrs, "MAX_WALK", 10)
+    verdict = verify_certificate(cert)
+    assert verdict.failures == ["lrs_period"]
+    assert verdict.checks[-1].detail == "the recurrence mod 7 does not return within 10 steps"
+
+
+def test_finder_skips_a_prime_past_the_walk_bound(monkeypatch):
+    # p = 7 is the witness unbounded; no Fibonacci period mod a scanned p is <= 10
+    monkeypatch.setattr(lrs, "MAX_WALK", 10)
+    result = find_witness(E, P, FIBONACCI, 5, p_max=2_000)
+    assert not result.found
+    assert result.stats["period_unconfirmed"] == result.stats["candidates"] > 0
 
 
 def test_verifier_bounds_p_before_the_recount(monkeypatch):
@@ -311,14 +361,7 @@ def test_zero_x_point_is_certified_as_given(spec):
     # the claim z_k(P) = u_(k^2) says nothing direct about 2P, so the
     # certificate must name P itself, x = 0 or not
     curve, point = CurveQ(-5, 4), PointQ(0, 2, 1)
-    cert = find_witness(curve, point, spec, choose_q(spec, curve), p_max=5_000).certificate
-    assert cert.point == point and cert.p == 7
-    payload = json.loads(cert.to_json())
-    assert verify_certificate(WitnessCertificate.from_json(json.dumps(payload))).ok
-    first = payload["mismatches"][0]
-    first["z_mod"] = str((int(first["z_mod"]) + 1) % cert.p)
-    verdict = verify_certificate(WitnessCertificate.from_json(json.dumps(payload)))
-    assert verdict.failures == ["mismatches"]
+    _assert_certified_as_given(curve, point, spec, choose_q(spec, curve), 5_000, 7)
 
 
 @pytest.mark.parametrize(
