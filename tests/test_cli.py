@@ -348,8 +348,11 @@ OUTSIDE_COMPANION_MODEL = ("--curve", "0", "17", "--point", "-2", "3", "1")  # g
 @pytest.mark.parametrize(
     "argv",
     [
-        ("eds", "period", *OUTSIDE_COMPANION_MODEL, "--p", "7"),
-        ("falsify", *OUTSIDE_COMPANION_MODEL, "--lrs", "2", "1", "1", "1", "1", "--p", "7"),
+        pytest.param(("eds", "period", *OUTSIDE_COMPANION_MODEL, "--p", "7"), id="argv0"),
+        pytest.param(
+            ("falsify", *OUTSIDE_COMPANION_MODEL, "--lrs", "2", "1", "1", "1", "1", "--p", "7"),
+            id="argv2",
+        ),
     ],
 )
 def test_point_outside_companion_model_exit2(capsys, argv):
