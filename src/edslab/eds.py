@@ -107,11 +107,6 @@ def division_poly_seeds(curve: CurveQ, point: PointQ) -> tuple[int, int, int, in
     return (1, w2, w3, w4)
 
 
-def _companion_gcd(curve: CurveQ, point: PointQ) -> int:
-    """gcd(2y, 3x^2 + a*z^4): 1 exactly when z_n = z_1*|w_n| for every n."""
-    return math.gcd(2 * point.y, 3 * point.x**2 + curve.a * point.z**4)
-
-
 def require_exact_companion(curve: CurveQ, point: PointQ) -> None:
     """Raise ValueError unless gcd(2y, 3x^2 + a*z^4) = 1, naming the bad primes.
 
@@ -121,7 +116,7 @@ def require_exact_companion(curve: CurveQ, point: PointQ) -> None:
     dividing it, and residues and periods of w_n modulo p are not those of
     z_n.
     """
-    g = _companion_gcd(curve, point)
+    g = math.gcd(2 * point.y, 3 * point.x**2 + curve.a * point.z**4)
     if g != 1:
         try:
             primes = sorted(factorize(g))
@@ -153,7 +148,7 @@ def generate_geometric(curve: CurveQ, point: PointQ, n_terms: int) -> EdsSequenc
         raise ValueError("point is not on the curve")
     seed = WardSeed(*division_poly_seeds(curve, point))
     z = point.z
-    if _companion_gcd(curve, point) == 1:
+    if math.gcd(2 * point.y, 3 * point.x**2 + curve.a * point.z**4) == 1:
         terms = [z * abs(w) for w in generate_ward(seed, n_terms).terms]
         return EdsSequence("geometric", terms, curve=curve, point=point)
     w = [0, *generate_ward(seed, n_terms + 1).terms]

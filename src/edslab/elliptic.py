@@ -255,7 +255,7 @@ NAIVE_COUNT_BELOW = 400
 MESTRE_MAX_POINTS = 16
 
 
-def _multiple_in_hasse(pt: PointFp, curve: CurveFp) -> int | None:
+def multiple_in_hasse(pt: PointFp, curve: CurveFp) -> int | None:
     """Some m > 0 with m*pt = O, found by baby-step giant-step over p + 1 + k,
     |k| <= 2*sqrt(p); None only if the curve breaks Hasse's bound."""
     p = curve.p
@@ -335,7 +335,7 @@ def count_points(curve: CurveFp) -> tuple[int, int]:
             pt, on = (x, sqrt_mod_prime(fx, p)), curve
         else:
             pt, on = (d * x % p, d * sqrt_mod_prime(d * fx, p) % p), twist
-        multiple = _multiple_in_hasse(pt, on)
+        multiple = multiple_in_hasse(pt, on)
         if multiple is None:
             break
         order = order_from_multiple(multiple, lambda k: fp_scalar_mul(k, pt, on) is None)

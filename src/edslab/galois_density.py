@@ -3,8 +3,8 @@
 The linear density counts J in GL2(F_q) with prescribed trace and
 determinant; the affine variant additionally counts translation parts u
 outside the column space of J - I.  Every density is an exact rational.
-Empirical scans tally primes p with matching Frobenius data (a_p, p mod q)
-and with q dividing the order of a fixed rational point modulo p.
+Empirical scans tally primes p = a-1 (mod q) at which q divides the order of
+a fixed rational point modulo p, which forces the trace a_p = a (mod q).
 """
 
 from __future__ import annotations
@@ -12,8 +12,9 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations, product
 
-from .elliptic import CurveFp, CurveQ, PointQ, count_points, point_order_fp, reduce_point
+from .elliptic import CurveFp, CurveQ, PointQ, fp_scalar_mul, multiple_in_hasse, reduce_point
 from .ntkernel import is_prime, sieve_primes
 
 DEFAULT_LINEAR_CAP = 31
@@ -87,9 +88,7 @@ def _trace_det_cell(q: int, a: int, b: int, cap: int) -> tuple[int, int, list[tu
         raise ValueError("the determinant class must be non-zero")
     cell = [
         (m11, m12, m21, (a - m11) % q)
-        for m11 in range(q)
-        for m12 in range(q)
-        for m21 in range(q)
+        for m11, m12, m21 in product(range(q), repeat=3)
         if (m11 * (a - m11) - m12 * m21) % q == b
     ]
     return a, b, cell
@@ -105,14 +104,11 @@ def gl2_histogram(q: int, cap: int = DEFAULT_LINEAR_CAP) -> dict[tuple[int, int]
     """Counts of invertible matrices by (trace, determinant) in one pass."""
     _validate_q(q, cap)
     hist: dict[tuple[int, int], int] = {}
-    for m11 in range(q):
-        for m12 in range(q):
-            for m21 in range(q):
-                for m22 in range(q):
-                    det = (m11 * m22 - m12 * m21) % q
-                    if det:
-                        key = ((m11 + m22) % q, det)
-                        hist[key] = hist.get(key, 0) + 1
+    for m11, m12, m21, m22 in product(range(q), repeat=4):
+        det = (m11 * m22 - m12 * m21) % q
+        if det:
+            key = ((m11 + m22) % q, det)
+            hist[key] = hist.get(key, 0) + 1
     return hist
 
 
@@ -129,53 +125,58 @@ def conjugacy_type_count(q: int, a: int, b: int) -> int:
     return q * q - q
 
 
-def _image_of_j_minus_i(j: tuple[int, ...], q: int) -> set[tuple[int, int]]:
-    m11, m12, m21, m22 = j[0] - 1, j[1], j[2], j[3] - 1
-    return {((m11 * s + m12 * t) % q, (m21 * s + m22 * t) % q) for s in range(q) for t in range(q)}
+def _rank(rows: tuple[tuple[int, ...], tuple[int, ...]], q: int) -> int:
+    """Rank over F_q of a matrix with two rows: 2 if some 2x2 minor is non-zero."""
+    if any((x0 * y1 - y0 * x1) % q for (x0, x1), (y0, y1) in combinations(zip(*rows), 2)):
+        return 2
+    return 1 if any(v % q for row in rows for v in row) else 0
 
 
 def count_affine(q: int, a: int, b: int, cap: int = DEFAULT_AFFINE_CAP) -> DensityReport:
     """Pairs (J, u) with tr(J) = a, det(J) = b, and u outside Im(J - I).
 
-    For each qualifying J the q^2 translation parts u less the exact image
-    set of J - I are counted; the denominator is |GL2(F_q)| * q^2.
+    Im(J - I) has q^rank(J - I) elements, so each qualifying J contributes
+    q^2 - q^rank translation parts u; the denominator is |GL2(F_q)| * q^2.
     """
     a, b, cell = _trace_det_cell(q, a, b, cap)
-    count = sum(q * q - len(_image_of_j_minus_i(j, q)) for j in cell)
+    count = sum(q * q - q ** _rank(((j[0] - 1, j[1]), (j[2], j[3] - 1)), q) for j in cell)
     return DensityReport(q, a, b, count, gl2_order(q) * q * q, "affine")
 
 
 def affine_witness(q: int, a: int) -> tuple[tuple[int, int, int, int], tuple[int, int], bool]:
     """The explicit qualifying pair for b = a - 1: J = [[a-1, -1], [0, 1]], u = (1, 1).
 
-    Returns (J, u, outside) where outside says u avoids Im(J - I); the image
-    is the line {(x, 0)}, so the pair always qualifies.
+    Returns (J, u, outside) where outside says u avoids Im(J - I): appending u
+    raises the rank, as the image is the line {(x, 0)}.
     """
     j = ((a - 1) % q, (-1) % q, 0, 1)
     u = (1, 1)
-    image = _image_of_j_minus_i(j, q)
-    return j, u, u not in image
+    m = ((j[0] - 1, j[1]), (j[2], j[3] - 1))  # J - I
+    return j, u, _rank((m[0] + u[:1], m[1] + u[1:]), q) > _rank(m, q)
 
 
-def _scan_one_prime(curve: CurveQ, point: PointQ, q: int, a: int, b: int, p: int) -> bool:
+def _scan_one_prime(curve: CurveQ, point: PointQ, q: int, b: int, p: int) -> bool:
+    """Whether p = b (mod q) and q | ord(P mod p), without counting points.
+
+    Baby-step giant-step gives some m > 0 with m*P = O (never None at a
+    good prime, by Hasse's bound).  ord(P) | m, so q | ord(P) iff q | m and
+    (m with every factor q removed)*P != O.
+    """
     if p % q != b:
         return False
-    cfp = CurveFp.from_curve(curve, p)
-    n_points, trace = count_points(cfp)
-    if trace % q != a % q:
+    cfp = CurveFp(p, curve.a % p, curve.b % p, True)
+    pt = reduce_point(point, curve, p)
+    m = multiple_in_hasse(pt, cfp)
+    if m % q:
         return False
-    # matching congruences force q | #E = p - a_p + 1
-    assert n_points % q == 0
-    order = point_order_fp(reduce_point(point, curve, p), cfp, n_points)
-    return order % q == 0
+    while m % q == 0:
+        m //= q
+    return fp_scalar_mul(m, pt, cfp) is not None
 
 
-def _empirical_chunk(args) -> tuple[int, int]:
-    curve_a, curve_b, px, py, pz, q, a, b, primes = args
-    curve = CurveQ(curve_a, curve_b)
-    point = PointQ(px, py, pz)
-    hits = sum(1 for p in primes if _scan_one_prime(curve, point, q, a, b, p))
-    return hits, len(primes)
+def _empirical_chunk(args) -> int:
+    curve, point, q, b, primes = args
+    return sum(1 for p in primes if _scan_one_prime(curve, point, q, b, p))
 
 
 def empirical_density(
@@ -189,13 +190,14 @@ def empirical_density(
 ) -> DensityReport:
     """Frequency of primes p <= x with a_p = a, p = a-1 (mod q), q | ord(P mod p).
 
-    Reported beside the exact affine density for (q, a, b = a-1).  Only
-    odd primes of good reduction coprime to z1 are scanned; a configurable
-    exclusion list stands in for the finitely many primes where the
-    group-theoretic model is not available.  With jobs > 1 the primes are
-    partitioned across worker processes and the tallies summed, which is
-    order-independent, so reruns are deterministic either way.  jobs must
-    be at least 1 and is clamped to the CPU count.
+    A prime is a hit iff p = a-1 (mod q) and q | ord(P mod p), so no point
+    is counted: #E(F_p) = p + 1 - a_p = a - a_p (mod q) and ord(P) | #E,
+    so q | ord(P) forces a_p = a (mod q).  Reported beside the exact affine
+    density for (q, a, b = a-1).  Only odd primes of good reduction coprime
+    to z1 are scanned; a configurable exclusion list stands in for the
+    finitely many primes where the group-theoretic model is not available.
+    jobs (at least 1, clamped to the CPU count) worker processes split the
+    primes and sum their tallies, so reruns are deterministic.
     """
     if not is_prime(q):
         raise ValueError("q must be prime")
@@ -211,17 +213,14 @@ def empirical_density(
         for p in sieve_primes(x)
         if p != 2 and p != q and p not in exclusions and curve.disc % p and point.z % p
     ]
+    payload = (curve, point, q, b)
     if jobs > 1 and len(primes) > 64:
         import multiprocessing
 
-        chunks = [primes[i::jobs] for i in range(jobs)]
-        payload = [(curve.a, curve.b, point.x, point.y, point.z, q, a, b, c) for c in chunks]
+        chunks = [payload + (primes[i::jobs],) for i in range(jobs)]
         with multiprocessing.Pool(jobs) as pool:
-            results = pool.map(_empirical_chunk, payload)
-        hits = sum(h for h, _ in results)
-        scanned = sum(s for _, s in results)
+            hits = sum(pool.map(_empirical_chunk, chunks))
     else:
-        hits = sum(1 for p in primes if _scan_one_prime(curve, point, q, a, b, p))
-        scanned = len(primes)
-    scan = EmpiricalScan(x, hits, scanned, small_sample=hits < 30)
+        hits = _empirical_chunk(payload + (primes,))
+    scan = EmpiricalScan(x, hits, len(primes), small_sample=hits < 30)
     return DensityReport(q, a % q, b, exact.numerator, exact.denominator, "affine", scan)

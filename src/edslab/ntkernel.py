@@ -83,8 +83,13 @@ def next_prime(n: int) -> int:
     return k
 
 
+MAX_SIEVE_LIMIT = 10**8  # 10^8 bytes of marks plus 5.8 million prime ints: about 0.3 GB
+
+
 def sieve_primes(limit: int) -> list[int]:
-    """All primes <= limit by a plain sieve of Eratosthenes."""
+    """All primes <= limit by a plain sieve of Eratosthenes; limit <= MAX_SIEVE_LIMIT."""
+    if limit > MAX_SIEVE_LIMIT:
+        raise ValueError(f"prime bound {limit} exceeds the sieve limit {MAX_SIEVE_LIMIT}")
     if limit < 2:
         return []
     mark = bytearray([1]) * (limit + 1)

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from edslab import lrs, refuter
+from edslab import lrs, ntkernel, refuter
 from edslab.cli import build_parser, main
 from edslab.elliptic import CurveQ, PointQ
 from edslab.lrs import FIBONACCI
@@ -320,6 +320,22 @@ def test_density_empirical_jobs_clamped_to_cpu_count(capsys, monkeypatch):
     code, out, _ = run(capsys, *EMPIRICAL, "--x", "1000", "--jobs", "2", "--format", "json")
     assert code == 0
     assert json.loads(out)["empirical"]["scanned"] > 64
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("density", "empirical", "--curve", "0", "3", "--point", "1", "2", "1", "--q", "5", "--x", "1001"),
+        ("refute", "--curve", "-4", "4", "--point", "1", "1", "1", "--lrs", "2", "1", "1", "1", "1",
+         "--q", "5", "--p-max", "1001"),
+    ],
+)
+def test_prime_bound_past_the_sieve_limit_exit2(capsys, monkeypatch, argv):
+    monkeypatch.setattr(ntkernel, "MAX_SIEVE_LIMIT", 1000)
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert not out
+    assert err == "error: prime bound 1001 exceeds the sieve limit 1000\n"
 
 
 def test_refute_exhaustion_exit3(capsys):

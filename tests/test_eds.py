@@ -9,7 +9,6 @@ from edslab.eds import (
     InexactDivisionError,
     canonical_height_estimate,
     WardSeed,
-    _companion_gcd,
     _minimal_stream_period,
     division_poly_seeds,
     eds_period_mod_p,
@@ -147,6 +146,11 @@ ORACLE_FIXTURES = [
     (CurveQ(0, 17), PointQ(2, 5, 1), 2),
     (CurveQ(0, 17), PointQ(-64, 59, 5), 2),  # 2P
 ]
+
+
+def _companion_gcd(curve, point):
+    """gcd(2y, 3x^2 + a*z^4): 1 exactly when z_n = z_1*|w_n| for every n (Ayad)."""
+    return math.gcd(2 * point.y, 3 * point.x**2 + curve.a * point.z**4)
 
 
 @pytest.mark.parametrize("curve,point,g", ORACLE_FIXTURES)

@@ -2,8 +2,19 @@ import json
 
 import pytest
 
-from edslab.elliptic import CurveQ, PointQ
+from edslab import elliptic, galois_density
+from edslab.elliptic import (
+    NAIVE_COUNT_BELOW,
+    CurveFp,
+    CurveQ,
+    PointQ,
+    count_points,
+    multiple_in_hasse,
+    point_order_fp,
+    reduce_point,
+)
 from edslab.galois_density import (
+    _scan_one_prime,
     affine_witness,
     conjugacy_type_count,
     count_affine,
@@ -12,6 +23,7 @@ from edslab.galois_density import (
     gl2_histogram,
     gl2_order,
 )
+from edslab.ntkernel import sieve_primes
 
 E = CurveQ(0, 3)
 P = PointQ(1, 2, 1)
@@ -79,6 +91,79 @@ def test_affine_counts_witness():
             if b == 0:
                 continue
             assert count_affine(q, a, b).numerator >= 1
+
+
+def test_affine_count_matches_image_enumeration():
+    # reference: enumerate Im(J - I) as a set for every J of the class
+    for q in (3, 5, 7):
+        for a in range(q):
+            for b in range(1, q):
+                count = 0
+                for m11 in range(q):
+                    for m12 in range(q):
+                        for m21 in range(q):
+                            m22 = (a - m11) % q
+                            if (m11 * m22 - m12 * m21) % q != b:
+                                continue
+                            image = {
+                                (((m11 - 1) * s + m12 * t) % q, (m21 * s + (m22 - 1) * t) % q)
+                                for s in range(q)
+                                for t in range(q)
+                            }
+                            count += q * q - len(image)
+                assert count_affine(q, a, b).numerator == count
+
+
+CM_CURVES = [
+    (CurveQ(0, 17), PointQ(-2, 3, 1)),  # j = 0
+    (CurveQ(-2, 0), PointQ(2, 2, 1)),  # j = 1728
+]
+
+
+def test_scan_predicate_matches_point_count_and_order():
+    # primes on both sides of NAIVE_COUNT_BELOW, every q and every trace class
+    primes = [p for p in sieve_primes(3 * NAIVE_COUNT_BELOW) if p > 2]
+    assert primes[0] < NAIVE_COUNT_BELOW < primes[-1]
+    for curve, point in CM_CURVES:
+        for p in primes:
+            if curve.disc % p == 0:
+                continue
+            cfp = CurveFp.from_curve(curve, p)
+            _, trace = count_points(cfp)
+            order = point_order_fp(reduce_point(point, curve, p), cfp)
+            for q in (3, 5, 7, 11, 13):
+                if q == p:
+                    continue
+                for a in range(q):
+                    b = (a - 1) % q
+                    if b:
+                        expected = p % q == b and trace % q == a and order % q == 0
+                        assert _scan_one_prime(curve, point, q, b, p) == expected, (curve, q, a, p)
+
+
+def test_scan_predicate_when_the_baby_steps_reach_the_identity():
+    # ord(P mod p) <= the number of baby steps: the multiple is the order itself
+    for (curve, point), p, q in ((CM_CURVES[0], 181, 5), (CM_CURVES[0], 673, 7), (CM_CURVES[1], 79, 5)):
+        cfp = CurveFp.from_curve(curve, p)
+        pt = reduce_point(point, curve, p)
+        assert multiple_in_hasse(pt, cfp) == point_order_fp(pt, cfp) == q
+        assert _scan_one_prime(curve, point, q, p % q, p)
+        assert not _scan_one_prime(curve, point, 3, p % 3, p)
+
+
+def test_empirical_scan_counts_no_points(monkeypatch):
+    expected = empirical_density(E, P, 3, 3, 3000).empirical
+    assert expected.scanned > 64 and expected.hits > 0
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the scan counted points")
+
+    for name in ("count_points", "count_points_naive", "point_order_fp"):
+        monkeypatch.setattr(elliptic, name, refuse)
+        monkeypatch.setattr(galois_density, name, refuse, raising=False)
+    for jobs in (1, 2):
+        scan = empirical_density(E, P, 3, 3, 3000, jobs=jobs).empirical
+        assert (scan.hits, scan.scanned) == (expected.hits, expected.scanned)
 
 
 def test_empirical_scan_fixture():

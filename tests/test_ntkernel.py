@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from edslab import ntkernel
 from edslab.ntkernel import (
     IncompleteFactorization,
     NonResidueError,
@@ -104,6 +105,13 @@ def test_sieve_matches_is_prime():
     assert sieve_primes(10**5) == [n for n in range(10**5 + 1) if is_prime(n)]
     assert sieve_primes(1) == sieve_primes(0) == sieve_primes(-5) == []
     assert sieve_primes(2) == [2] and sieve_primes(9) == [2, 3, 5, 7]
+
+
+def test_sieve_refuses_a_bound_past_its_limit(monkeypatch):
+    monkeypatch.setattr(ntkernel, "MAX_SIEVE_LIMIT", 100)
+    assert sieve_primes(100)[-1] == 97
+    with pytest.raises(ValueError, match="exceeds the sieve limit 100"):
+        sieve_primes(101)
 
 
 def test_prime_helpers():
