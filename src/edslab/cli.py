@@ -24,6 +24,10 @@ EXIT_INCONCLUSIVE = 3
 EXIT_VERIFY_FAILED = 4
 
 CACHE_ENV = "EDSLAB_CACHE"
+# largest `lrs decimate --m`: decimation generates m*(2k+8) exact terms whose
+# sizes grow linearly in the index, so memory grows as m^2 (Fibonacci at
+# m = 3000 peaks at 80 MB)
+MAX_DECIMATE_M = 1000
 
 CONFIG_KEYS = {
     "format",
@@ -243,6 +247,8 @@ def cmd_lrs_eval(args) -> int:
 
 
 def cmd_lrs_decimate(args) -> int:
+    if args.m > MAX_DECIMATE_M:
+        raise ValueError(f"--m {args.m} exceeds the decimation bound {MAX_DECIMATE_M}")
     spec = _lrs_spec(args)
     print(lrs.decimate(spec, args.m))
     return EXIT_OK

@@ -11,11 +11,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 from operator import mul
 
 from .ntkernel import (
     Poly,
-    cyclotomic_polynomial,
+    cyclotomic_factor_orders,
     cyclotomic_root_of_unity_test,
     is_prime,
     lcm_tower,
@@ -198,22 +199,30 @@ def fit_minimal_recurrence(terms: list[int], bound: int = DEFAULT_FIT_BOUND) -> 
 # decimation and degeneracy
 
 
-def _power_sums(f: Poly, n: int) -> list[Fraction]:
-    """p_0..p_n, the power sums of the roots of the monic f (Newton's identities)."""
-    d = f.degree
-    a = [f[d - i] for i in range(n + 1)]  # f = x^d + a_1*x^(d-1) + ... + a_d, a_i = 0 for i > d
-    p = [Fraction(d)]
+def _power_sums(a: list[int], n: int) -> list[int]:
+    """p_0..p_n, the power sums of the roots of x^d + a_1*x^(d-1) + ... + a_d.
+
+    a = [1, a_1, ..., a_d] over Z; Newton's identities keep the sums integral.
+    """
+    d = len(a) - 1
+    a = a + [0] * (n - d)  # a_i = 0 for i > d
+    p = [d]
     for t in range(1, n + 1):
         p.append(-t * a[t] - sum(a[i] * p[t - i] for i in range(1, min(t, d + 1))))
     return p
 
 
-def _poly_from_power_sums(p: list[Fraction]) -> Poly:
-    """The monic polynomial of degree n whose roots have the power sums p_0..p_n."""
-    c = [Fraction(1)]  # c_t is the coefficient of x^(n-t)
+def _poly_from_power_sums(p: list[int]) -> list[int]:
+    """[1, a_1, ..., a_n] of the monic polynomial whose n roots have the power sums p_0..p_n.
+
+    The roots must be algebraic integers, so that every a_t is an integer.
+    """
+    a = [1]
     for t in range(1, len(p)):
-        c.append(-sum(c[t - i] * p[i] for i in range(1, t + 1)) / t)
-    return Poly(*reversed(c))
+        total = -sum(a[t - i] * p[i] for i in range(1, t + 1))
+        assert total % t == 0, "the roots must be algebraic integers"
+        a.append(total // t)
+    return a
 
 
 def decimate(spec: LrsSpec, m: int) -> LrsSpec:
@@ -228,9 +237,8 @@ def decimate(spec: LrsSpec, m: int) -> LrsSpec:
     if m == 1:
         return spec
     k = spec.order
-    sums = _power_sums(char_poly(spec), k * m)
-    chi = _poly_from_power_sums(sums[::m])
-    coeffs = tuple(int(-chi[k - i]) for i in range(1, k + 1))
+    sums = _power_sums([1, *(-c for c in spec.coeffs)], k * m)
+    coeffs = tuple(-b for b in _poly_from_power_sums(sums[::m])[1:])
     need = 2 * k + 8
     sample = generate(spec, m * need)
     terms = [sample[m * n - 1] for n in range(1, need + 1)]
@@ -241,66 +249,52 @@ def decimate(spec: LrsSpec, m: int) -> LrsSpec:
     return fit.spec
 
 
-def _ratio_polynomial(psi: Poly) -> Poly:
-    """Monic polynomial of the ratios r_i/r_j, i != j, of the roots of psi.
+def _ratio_polynomial(chi: Poly) -> Poly:
+    """Monic polynomial R of the ratios r_i/r_j, r_i != r_j, of the roots of chi.
 
-    For the monic squarefree psi of degree s with psi(0) != 0, the power
-    sums of all s^2 ratios are p_t(psi) * p_t(1/psi), 1/psi being the
-    reversed psi made monic; the factor (x-1)^s of the ratios r_i/r_i is
-    stripped.
+    chi = x^k + a_1*x^(k-1) + ... + a_k is monic and integral, with
+    c = a_k != 0.  The y_j = c/r_j are algebraic integers, the roots of
+    y^k + a_(k-1)*y^(k-1) + a_(k-2)*c*y^(k-2) + ... + c^(k-1), so the k^2
+    products r_i*y_j = c*r_i/r_j have the integer power sums p_t(r)*p_t(y)
+    and a monic integer polynomial S.  S(c*x) = c^(k^2) * (x-1)^e * R(x),
+    where e counts the pairs with r_i = r_j: every factor x - 1 is stripped
+    by exact division.
     """
-    s = psi.degree
-    inverse = Poly(*reversed(psi.coeffs)).monic()
-    sums = zip(_power_sums(psi, s * s), _power_sums(inverse, s * s))
-    ratio = _poly_from_power_sums([a * b for a, b in sums])
-    one = Poly(-1, 1)
-    for _ in range(s):
-        q, r = ratio.divmod_exact(one)
-        assert r.is_zero(), "ratio polynomial must vanish to order deg(psi) at 1"
-        ratio = q
-    assert ratio(1) != 0
-    return ratio
+    k = chi.degree
+    a = [int(chi[k - i]) for i in range(k + 1)]
+    c = a[k]
+    y = [1] + [a[k - i] * c ** (i - 1) for i in range(1, k + 1)]
+    sums = zip(_power_sums(a, k * k), _power_sums(y, k * k))
+    ratio = [b * c ** (k * k - i) for i, b in enumerate(_poly_from_power_sums([u * v for u, v in sums]))]
+    while True:
+        *quotient, rem = accumulate(ratio)  # synthetic division by x - 1
+        if rem:
+            return Poly(*(Fraction(b, c ** (k * k)) for b in reversed(ratio)))
+        ratio = quotient
 
 
 def is_degenerate(spec: LrsSpec) -> tuple[bool, int | None]:
     """Is some ratio of distinct characteristic roots a root of unity?
 
     Exact: the ratio polynomial is built from power sums by Newton's
-    identities, the trivial factor (x-1)^s is stripped, and the remainder is
-    tested for cyclotomic factors with phi(m) <= k^2 (a ratio of two
-    degree-<=k algebraic numbers that is a root of unity has order m with
-    phi(m) <= k^2).  Returns the smallest witness order when degenerate.
+    identities and tested for cyclotomic factors Phi_m with phi(m) <= k^2 (a
+    ratio of two degree-<=k algebraic numbers that is a root of unity has
+    order m with phi(m) <= k^2).  Returns the smallest witness order when
+    degenerate.
     """
-    psi = char_poly(spec).squarefree_part()
-    if psi.degree < 2:
-        return False, None
-    return cyclotomic_root_of_unity_test(_ratio_polynomial(psi), spec.order**2)
+    return cyclotomic_root_of_unity_test(_ratio_polynomial(char_poly(spec)), spec.order**2)
 
 
 def nondegenerate_reduction(spec: LrsSpec) -> tuple[int, LrsSpec]:
     """(M, decimation by M^2) with every root-of-unity ratio collapsed.
 
-    M is the lcm of all cyclotomic orders dividing the stripped ratio
-    polynomial; after decimating by M^2 those ratios become 1 and the
-    corresponding roots merge, so the result is non-degenerate.
+    M is the lcm of all cyclotomic orders dividing the ratio polynomial,
+    found in one ascending scan; after decimating by M^2 those ratios become
+    1 and the corresponding roots merge, so the result is non-degenerate.
     """
-    degenerate, _ = is_degenerate(spec)
-    if not degenerate:
+    m = math.lcm(*cyclotomic_factor_orders(_ratio_polynomial(char_poly(spec)), spec.order**2))
+    if m == 1:
         return 1, spec
-    bound = spec.order**2
-    orders = []
-    probe = _ratio_polynomial(char_poly(spec).squarefree_part())
-    while True:
-        found, order = cyclotomic_root_of_unity_test(probe, bound)
-        if not found:
-            break
-        orders.append(order)
-        q, r = probe.divmod_exact(cyclotomic_polynomial(order))
-        assert r.is_zero()
-        probe = q
-        if probe.degree < 1:
-            break
-    m = math.lcm(*orders)
     reduced = decimate(spec, m * m)
     still_degenerate, _ = is_degenerate(reduced)
     assert not still_degenerate, "reduction must produce a non-degenerate sequence"

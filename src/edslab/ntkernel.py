@@ -83,21 +83,32 @@ def next_prime(n: int) -> int:
     return k
 
 
-MAX_SIEVE_LIMIT = 10**8  # 10^8 bytes of marks plus 5.8 million prime ints: about 0.3 GB
+MAX_SIEVE_LIMIT = 10**8  # sieve_primes(10^8) holds 5.8 million prime ints: about 0.3 GB
+_SIEVE_SEGMENT = 1 << 16  # the marks iter_primes holds, whatever the limit
+
+
+def iter_primes(limit: int):
+    """The primes <= limit, ascending, by a segmented sieve of Eratosthenes.
+
+    It holds the base primes up to sqrt(limit) and one segment of marks, so a
+    scan that stops early costs what it read.  limit <= MAX_SIEVE_LIMIT.
+    """
+    if limit > MAX_SIEVE_LIMIT:
+        raise ValueError(f"prime bound {limit} exceeds the sieve limit {MAX_SIEVE_LIMIT}")
+    base = list(iter_primes(math.isqrt(limit))) if limit >= 4 else []
+    for lo in range(2, limit + 1, _SIEVE_SEGMENT):
+        mark = bytearray([1]) * (min(lo + _SIEVE_SEGMENT, limit + 1) - lo)
+        for p in base:
+            if p * p >= lo + len(mark):
+                break
+            start = max(p * p, -(-lo // p) * p) - lo
+            mark[start::p] = bytes(len(range(start, len(mark), p)))
+        yield from compress(range(lo, lo + len(mark)), mark)
 
 
 def sieve_primes(limit: int) -> list[int]:
-    """All primes <= limit by a plain sieve of Eratosthenes; limit <= MAX_SIEVE_LIMIT."""
-    if limit > MAX_SIEVE_LIMIT:
-        raise ValueError(f"prime bound {limit} exceeds the sieve limit {MAX_SIEVE_LIMIT}")
-    if limit < 2:
-        return []
-    mark = bytearray([1]) * (limit + 1)
-    mark[0:2] = b"\x00\x00"
-    for i in range(2, math.isqrt(limit) + 1):
-        if mark[i]:
-            mark[i * i :: i] = bytes((limit - i * i) // i + 1)
-    return list(compress(range(limit + 1), mark))
+    """All primes <= limit, as a list; limit <= MAX_SIEVE_LIMIT."""
+    return list(iter_primes(limit))
 
 
 def _brent_rho(n: int, c: int, max_iters: int) -> int:
@@ -186,16 +197,6 @@ def multiplicative_order(a: int, p: int) -> int:
     if a % p == 0:
         raise ValueError(f"{a} is not a unit modulo {p}")
     return order_from_multiple(p - 1, lambda k: pow(a, k, p) == 1)
-
-
-def euler_phi(n: int) -> int:
-    """Euler's totient via factorization."""
-    if n < 1:
-        raise ValueError("phi is defined for n >= 1")
-    result = n
-    for p in factorize(n):
-        result = result // p * (p - 1)
-    return result
 
 
 def invmod(a: int, m: int) -> int:
@@ -433,10 +434,6 @@ class Poly:
             cs.pop()
         self.coeffs = tuple(cs)
 
-    @classmethod
-    def x_power(cls, n: int) -> "Poly":
-        return cls(*([0] * n + [1]))
-
     @property
     def degree(self) -> int:
         """Degree; the zero polynomial has degree -1."""
@@ -518,67 +515,55 @@ class Poly:
     def __mod__(self, other: "Poly") -> "Poly":
         return self.divmod_exact(other)[1]
 
-    def derivative(self) -> "Poly":
-        return Poly(*[i * c for i, c in enumerate(self.coeffs)][1:])
-
-    def monic(self) -> "Poly":
-        if self.is_zero():
-            return self
-        return self * (1 / self.leading)
-
-    def gcd(self, other: "Poly") -> "Poly":
-        a, b = self, other
-        while not b.is_zero():
-            r = a % b
-            a, b = b, (r.monic() if not r.is_zero() else r)
-        return a.monic() if not a.is_zero() else a
-
-    def squarefree_part(self) -> "Poly":
-        if self.degree < 1:
-            return self.monic()
-        g = self.gcd(self.derivative())
-        if g.degree < 1:
-            return self.monic()
-        return self.divmod_exact(g)[0].monic()
-
     def __repr__(self):
         return f"Poly({', '.join(repr(c) for c in self.coeffs)})"
 
 
-_CYCLOTOMIC_CACHE: dict[int, Poly] = {}
+def totients(n: int) -> list[int]:
+    """phi(0..n) by a totient sieve (phi(0) = 0 stands in)."""
+    phi = list(range(n + 1))
+    for p in range(2, n + 1):
+        if phi[p] == p:  # no smaller prime divides p
+            for j in range(p, n + 1, p):
+                phi[j] -= phi[j] // p
+    return phi
 
 
-def cyclotomic_polynomial(m: int) -> Poly:
-    """The m-th cyclotomic polynomial, computed by exact division."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if m in _CYCLOTOMIC_CACHE:
-        return _CYCLOTOMIC_CACHE[m]
-    num = Poly.x_power(m) - Poly(1)
-    for d in range(1, m):
-        if m % d == 0:
-            q, r = num.divmod_exact(cyclotomic_polynomial(d))
-            assert r.is_zero()
-            num = q
-    _CYCLOTOMIC_CACHE[m] = num
-    return num
+def cyclotomic_orders(bound: int) -> list[int]:
+    """Every m with phi(m) <= bound, ascending; phi(m) >= sqrt(m/2) keeps m <= 2*bound^2."""
+    phi = totients(2 * max(bound, 0) ** 2 + 1)
+    return [m for m in range(1, len(phi)) if phi[m] <= bound]
+
+
+def cyclotomic_factor_orders(f: Poly, bound: int):
+    """Yield, ascending, every m with phi(m) <= bound for which Phi_m divides f.
+
+    Exact over Z, and no Phi_m is formed.  g = c*f is integral for c the lcm
+    of the denominators.  Fold g modulo x^m - 1 to h, and multiply h, modulo
+    x^m - 1, by x^d - 1 for each d | m, d < m.  The product vanishes at every
+    non-primitive m-th root of unity, and at a primitive one iff h does.  As
+    x^m - 1 is squarefree, the product is 0 iff h, so f, vanishes at the
+    primitive m-th roots, that is, iff the irreducible Phi_m divides f.
+    """
+    if f.is_zero():
+        raise ValueError("f must be non-zero")
+    scale = math.lcm(*(c.denominator for c in f.coeffs))
+    g = [int(c * scale) for c in f.coeffs]
+    for m in cyclotomic_orders(min(bound, f.degree)):
+        h = [0] * m
+        for i, c in enumerate(g):
+            h[i % m] += c
+        for d in range(1, m):
+            if m % d == 0:
+                h = [h[i - d] - h[i] for i in range(m)]  # h * (x^d - 1), cyclically
+        if not any(h):
+            yield m
 
 
 def cyclotomic_root_of_unity_test(f: Poly, bound: int) -> tuple[bool, int | None]:
     """Does f share a factor with some cyclotomic polynomial Phi_m, phi(m) <= bound?
 
-    Returns (True, m) for the smallest such m, else (False, None).  Since
-    Phi_m is irreducible over Q, sharing a factor means Phi_m divides f.
+    Returns (True, m) for the smallest such m, else (False, None).
     """
-    if f.is_zero():
-        raise ValueError("f must be non-zero")
-    eff = min(bound, f.degree)
-    if eff < 1:
-        return False, None
-    # phi(m) >= sqrt(m/2), so phi(m) <= eff forces m <= 2*eff^2.
-    for m in range(1, 2 * eff * eff + 2):
-        if euler_phi(m) > eff:
-            continue
-        if (f % cyclotomic_polynomial(m)).is_zero():
-            return True, m
-    return False, None
+    m = next(cyclotomic_factor_orders(f, bound), None)
+    return m is not None, m

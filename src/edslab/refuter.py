@@ -42,7 +42,7 @@ from .elliptic import (
     reduce_point,
 )
 from .lrs import LrsSpec, eval_mod, square_sampled_period
-from .ntkernel import is_prime, next_prime, sieve_primes
+from .ntkernel import is_prime, iter_primes, next_prime
 
 SCHEMA_VERSION = "1"
 DEFAULT_A_TARGET = 3
@@ -58,6 +58,11 @@ DEFAULT_HORIZON_CAP = 6_000_000
 # order r is at least 3, and _period_horizon(3, p) = 6p + 16; the verifier
 # bounds p by it before its O(p) recount
 MAX_WITNESS_P = (DEFAULT_HORIZON_CAP - 16) // 6
+# direct_falsify takes one companion-matrix power per index of its window
+# (about 3 ms each at order 6), and holds w_1..w_(start+window-1) mod p
+# (about 15 MB at 10^6 terms)
+MAX_FALSIFY_WINDOW = 10_000
+MAX_FALSIFY_INDEX = 10**6
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +268,7 @@ def find_witness(
     ck = spec.coeffs[-1]
     exact_prefix: list[int] | None = None
 
-    for p in sieve_primes(p_max):
+    for p in iter_primes(p_max):
         stats["scanned"] += 1
         if p == 2 or p == q or p in exclusions:
             stats["excluded"] += 1
@@ -459,14 +464,18 @@ def direct_falsify(
     An empty result only means no counterexample was seen in the window,
     never that the sequences agree.
     """
+    if n_claim < 1 or window < 1:
+        raise ValueError("need n_claim >= 1 and window >= 1")
+    if window > MAX_FALSIFY_WINDOW:
+        raise ValueError(f"window {window} exceeds the falsify window bound {MAX_FALSIFY_WINDOW}")
+    hi = n_claim + window - 1
+    if hi > MAX_FALSIFY_INDEX:
+        raise ValueError(f"last index {hi} exceeds the falsify index bound {MAX_FALSIFY_INDEX}")
     if p == 2 or not is_prime(p):
         raise ValueError("p must be an odd prime")
     if (curve.disc * point.z * 2 * point.y) % p == 0:
         raise ValueError("need good reduction and p coprime to z1, 2*y1")
     require_exact_companion(curve, point)
-    if n_claim < 1 or window < 1:
-        raise ValueError("need n_claim >= 1 and window >= 1")
-    hi = n_claim + window - 1
     # z_n = z_1*|w_n|; the sign of w_n does not matter against +-u_{n^2}
     stream = [point.z * w % p for w in stream_mod_p(division_poly_seeds(curve, point), p, hi)]
     u_vals = [0] * (hi + 1)

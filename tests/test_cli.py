@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from edslab import lrs, ntkernel, refuter
+from edslab import cli, lrs, ntkernel, refuter
 from edslab.cli import build_parser, main
 from edslab.elliptic import CurveQ, PointQ
 from edslab.lrs import FIBONACCI
@@ -403,6 +403,41 @@ def test_lrs_period_past_the_walk_bound_exit2(capsys, monkeypatch):
     assert code == 2
     assert not out
     assert err == "error: the recurrence mod 3169 does not return within 1000 steps\n"
+
+
+FIB_ARGS = ("--lrs", "2", "1", "1", "1", "1")
+FALSIFY_FIB = ("falsify", "--curve", "-4", "4", "--point", "1", "1", "1", *FIB_ARGS, "--p", "7")
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("work started before the bound was checked")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("lrs", "decimate", *FIB_ARGS, "--m", "1001"), "--m 1001 exceeds the decimation bound 1000"),
+        ((*FALSIFY_FIB, "--window", "10001"), "window 10001 exceeds the falsify window bound 10000"),
+        (
+            (*FALSIFY_FIB, "--start", "999990", "--window", "12"),
+            "last index 1000001 exceeds the falsify index bound 1000000",
+        ),
+    ],
+)
+def test_sizing_option_past_its_bound_exit2_before_any_work(capsys, monkeypatch, argv, message):
+    monkeypatch.setattr(lrs, "generate", _refuse)
+    monkeypatch.setattr(refuter, "stream_mod_p", _refuse)
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+def test_reduction_decimates_past_the_decimate_bound(capsys, monkeypatch):
+    # the bound is on the --m option; the reduction's own decimation by M^2 = 4 passes it
+    monkeypatch.setattr(cli, "MAX_DECIMATE_M", 1)
+    code, out, _ = run(
+        capsys, "lrs", "degenerate", "--lrs", "2", "0", "1", "0", "2", "--reduce", "--format", "json",
+    )
+    assert code == 0
+    assert json.loads(out)["reduction_m"] == 2
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -25,6 +26,7 @@ from edslab.lrs import (
     square_sampled_period,
 )
 from edslab.ntkernel import Poly, det_fraction, sieve_primes
+from test_ntkernel import _reference_cyclotomic_orders, cyclotomic_polynomial
 
 
 def test_spec_validation():
@@ -180,29 +182,31 @@ def test_poly_resultant_known():
 
 
 def test_ratio_polynomial_matches_sylvester_resultant():
-    # Res_y(psi(y), psi(x*y)) = prod_(i,j) (x*r_i - r_j) = (-psi(0))^s * (x - 1)^s * R(x)
+    # Res_y(chi(y), chi(x*y)) = prod_(i,j) (x*r_i - r_j) = (-chi(0))^k * (x - 1)^e * R(x)
     rng = random.Random(47)
     specs = [FIBONACCI, LrsSpec(2, (0, 1), (0, 2)), LrsSpec(2, (2, -2), (1, 1))]
-    specs.append(LrsSpec(4, (4, -5, 4, -4), (1, 0, 0, 0)))  # (x - 2)^2 (x^2 + 1): psi has degree 3
+    specs.append(LrsSpec(4, (4, -5, 4, -4), (1, 0, 0, 0)))  # (x - 2)^2 (x^2 + 1): e = 2^2 + 1 + 1
     for _ in range(6):
         k = rng.randint(2, 4)
         coeffs = tuple(rng.randint(-4, 4) for _ in range(k - 1)) + (rng.choice([-3, -2, -1, 1, 2, 3]),)
         specs.append(LrsSpec(k, coeffs, (1,) * k))
     for spec in specs:
-        psi = char_poly(spec).squarefree_part()
-        s = psi.degree
-        ratio = _ratio_polynomial(psi)
-        assert ratio.degree == s * s - s and ratio.leading == 1
+        chi = char_poly(spec)
+        k = chi.degree
+        ratio = _ratio_polynomial(chi)
+        e = k * k - ratio.degree  # the pairs (i, j) with r_i = r_j
+        assert ratio.leading == 1 and ratio(1) != 0
+        assert e == (6 if spec.coeffs == (4, -5, 4, -4) else k)
         quotients = []
         x0 = 2
-        while len(quotients) < s * s + 1:
-            res = _resultant(psi, Poly(*[c * x0**i for i, c in enumerate(psi.coeffs)]))
+        while len(quotients) < k * k + 1:
+            res = _resultant(chi, Poly(*[c * x0**i for i, c in enumerate(chi.coeffs)]))
             if ratio(x0) == 0:
                 assert res == 0
             else:
-                quotients.append(res / ((x0 - 1) ** s * ratio(x0)))
+                quotients.append(res / ((x0 - 1) ** e * ratio(x0)))
             x0 += 1
-        assert set(quotients) == {(-psi(0)) ** s}
+        assert set(quotients) == {(-chi(0)) ** k}
 
 
 def test_degenerate_plus_minus_one():
@@ -245,6 +249,41 @@ def test_nondegenerate_reduction_random_property():
         _, reduced = nondegenerate_reduction(spec)
         assert is_degenerate(reduced) == (False, None)
         done += 1
+
+
+def _reference_reduction(spec: LrsSpec) -> tuple[int, LrsSpec]:
+    """The divide-and-rescan loop: take the least cyclotomic order of the ratio
+    polynomial, divide its Phi_m out, and scan again from m = 1."""
+    probe = _ratio_polynomial(char_poly(spec))
+    orders = []
+    while probe.degree >= 1:
+        found = _reference_cyclotomic_orders(probe, spec.order**2)
+        if not found:
+            break
+        orders.append(found[0])
+        probe = probe.divmod_exact(cyclotomic_polynomial(found[0]))[0]
+    m = math.lcm(*orders)
+    return m, decimate(spec, m * m)
+
+
+def test_one_scan_reduction_matches_divide_and_rescan():
+    # cores with a root-of-unity ratio: -1 (x^2 -+ s), i (1 +- i), w (x^2 + x + 1,
+    # x^3 - s), 2 and 4 (x^4 + 1); times a random factor up to order 5
+    cores = [(-2, 0, 1), (3, 0, 1), (2, -2, 1), (1, 1, 1), (-2, 0, 0, 1), (1, 0, 0, 0, 1), (-5, 0, 1)]
+    rng = random.Random(53)
+    orders_seen = set()
+    for _ in range(24):
+        poly = Poly(*rng.choice(cores))
+        while poly.degree < 5 and rng.random() < 0.6:
+            poly = poly * Poly(rng.choice([-3, -2, -1, 1, 2, 3]), 1)
+        k = poly.degree
+        coeffs = tuple(int(-poly[k - i]) for i in range(1, k + 1))
+        spec = LrsSpec(k, coeffs, tuple(rng.randint(-4, 4) for _ in range(k)))
+        assert is_degenerate(spec)[0]
+        m, reduced = nondegenerate_reduction(spec)
+        assert (m, reduced) == _reference_reduction(spec), spec
+        orders_seen.add(k)
+    assert orders_seen == {2, 3, 4, 5}
 
 
 def test_pisano_periods_both_methods():
@@ -354,11 +393,26 @@ def test_parsers():
     assert parse_terms(["1", "", "# comment", "2"]) == [1, 2]
 
 
+def _squarefree_part(f: Poly) -> Poly:
+    """f / gcd(f, f'), made monic: the distinct roots of f, each once."""
+    a, b = f, Poly(*[i * c for i, c in enumerate(f.coeffs)][1:])
+    while not b.is_zero():
+        a, b = b, a % b
+    q = f.divmod_exact(a)[0]
+    return q * (1 / q.leading)
+
+
+def test_squarefree_part():
+    f = Poly(-1, 1) * Poly(-1, 1) * Poly(2, 1) * Poly(1, 0, 1)
+    assert _squarefree_part(f) == Poly(-1, 1) * Poly(2, 1) * Poly(1, 0, 1)
+    assert _squarefree_part(Poly(3, 6)) == Poly(Fraction(1, 2), 1)
+
+
 def _numeric_degeneracy_oracle(spec, bits=120):
     """Root-of-unity ratio detection with high-precision numerics (mpmath)."""
     import mpmath
 
-    psi = char_poly(spec).squarefree_part()
+    psi = _squarefree_part(char_poly(spec))
     with mpmath.workprec(bits):
         coeffs = [mpmath.mpf(c.numerator) / mpmath.mpf(c.denominator) for c in reversed(psi.coeffs)]
         roots = mpmath.polyroots(coeffs, maxsteps=200, extraprec=120)

@@ -1,4 +1,6 @@
+import functools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -9,12 +11,13 @@ from edslab.ntkernel import (
     NonResidueError,
     Poly,
     Residue,
-    cyclotomic_polynomial,
+    cyclotomic_factor_orders,
+    cyclotomic_orders,
     cyclotomic_root_of_unity_test,
     det_fraction,
-    euler_phi,
     factorize,
     hensel_lift_sqrt,
+    iter_primes,
     invmod,
     is_prime,
     kernel_basis,
@@ -25,6 +28,7 @@ from edslab.ntkernel import (
     sieve_primes,
     solve_exact,
     sqrt_mod_prime,
+    totients,
 )
 
 
@@ -114,6 +118,25 @@ def test_sieve_refuses_a_bound_past_its_limit(monkeypatch):
         sieve_primes(101)
 
 
+def test_segmented_sieve_across_segment_edges(monkeypatch):
+    monkeypatch.setattr(ntkernel, "_SIEVE_SEGMENT", 64)
+    for limit in (2, 3, 63, 64, 65, 127, 128, 4099):
+        assert sieve_primes(limit) == [n for n in range(limit + 1) if is_prime(n)]
+
+
+def test_iter_primes_sieves_only_what_is_read():
+    # at the largest bound, the first primes need only the base primes and one segment
+    tracemalloc.start()
+    try:
+        primes = iter_primes(ntkernel.MAX_SIEVE_LIMIT)
+        first = [next(primes) for _ in range(5)]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert first == [2, 3, 5, 7, 11]
+    assert peak < 10**6
+
+
 def test_prime_helpers():
     assert [p for p in sieve_primes(30)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     assert is_prime(2**61 - 1)
@@ -153,8 +176,26 @@ def test_multiplicative_order_matches_exhaustive_powers():
         multiplicative_order(14, 7)
 
 
+def euler_phi(n: int) -> int:
+    """Euler's totient via factorization: the reference for the totient sieve."""
+    result = n
+    for p in factorize(n):
+        result = result // p * (p - 1)
+    return result
+
+
 def test_euler_phi():
-    assert [euler_phi(n) for n in range(1, 13)] == [1, 1, 2, 2, 4, 2, 6, 4, 6, 4, 10, 4]
+    expected = [1, 1, 2, 2, 4, 2, 6, 4, 6, 4, 10, 4]
+    assert [euler_phi(n) for n in range(1, 13)] == expected
+    assert totients(12)[1:] == expected
+    assert totients(5000)[1:] == [euler_phi(n) for n in range(1, 5001)]
+
+
+def test_cyclotomic_orders_match_brute_force():
+    # search well past the 2*B^2 + 1 the order list stops at
+    phi = {m: euler_phi(m) for m in range(1, 4 * 40 * 40 + 5)}
+    for bound in range(1, 41):
+        assert cyclotomic_orders(bound) == [m for m in range(1, 4 * bound * bound + 5) if phi[m] <= bound]
 
 
 def test_poly_ring_axioms_randomized():
@@ -180,11 +221,15 @@ def test_poly_compose_evaluate_divmod():
     assert q == Poly(1, 1, 1) and r.is_zero()
 
 
-def test_poly_gcd_and_squarefree():
-    f = Poly(-1, 1) * Poly(-1, 1) * Poly(2, 1)
-    g = Poly(-1, 1) * Poly(3, 1)
-    assert f.gcd(g) == Poly(-1, 1)
-    assert f.squarefree_part() == (Poly(-1, 1) * Poly(2, 1)).monic()
+@functools.cache
+def cyclotomic_polynomial(m: int) -> Poly:
+    """Phi_m by exact division of x^m - 1 over Q: the reference for the integer search."""
+    num = Poly(-1, *[0] * (m - 1), 1)
+    for d in range(1, m):
+        if m % d == 0:
+            num, rem = num.divmod_exact(cyclotomic_polynomial(d))
+            assert rem.is_zero()
+    return num
 
 
 def test_cyclotomic_polynomials():
@@ -193,6 +238,14 @@ def test_cyclotomic_polynomials():
     assert cyclotomic_polynomial(3) == Poly(1, 1, 1)
     assert cyclotomic_polynomial(4) == Poly(1, 0, 1)
     assert cyclotomic_polynomial(12) == Poly(1, 0, -1, 0, 1)
+    # x^m - 1 is the product of the Phi_d, d | m
+    for m in range(1, 61):
+        product = Poly(1)
+        for d in range(1, m + 1):
+            if m % d == 0:
+                product = product * cyclotomic_polynomial(d)
+        assert product == Poly(-1, *[0] * (m - 1), 1)
+        assert cyclotomic_polynomial(m).degree == euler_phi(m)
 
 
 def test_root_of_unity_detection():
@@ -201,6 +254,47 @@ def test_root_of_unity_detection():
     assert cyclotomic_root_of_unity_test(Poly(1, 1, 1), 6) == (True, 3)
     # x - 1 is the order-1 root of unity
     assert cyclotomic_root_of_unity_test(Poly(-1, 1), 4) == (True, 1)
+    with pytest.raises(ValueError):
+        cyclotomic_root_of_unity_test(Poly(), 4)
+
+
+def _reference_cyclotomic_orders(f: Poly, bound: int) -> list[int]:
+    """Every m, phi(m) <= bound, with Phi_m | f, by Poly division over Q."""
+    eff = min(bound, f.degree)
+    candidates = range(1, 2 * eff * eff + 2) if eff >= 1 else ()
+    return [m for m in candidates if euler_phi(m) <= eff and (f % cyclotomic_polynomial(m)).is_zero()]
+
+
+def test_integer_cyclotomic_search_matches_poly_division():
+    rng = random.Random(1009)
+    hits = 0
+    for _ in range(150):
+        f = Poly(*[Fraction(rng.randint(-6, 6), rng.randint(1, 5)) for _ in range(rng.randint(1, 5))])
+        for _ in range(rng.randint(0, 3)):
+            f = f * cyclotomic_polynomial(rng.randint(1, 36))
+        if f.is_zero():
+            continue
+        bound = rng.randint(1, 20)
+        expected = _reference_cyclotomic_orders(f, bound)
+        assert list(cyclotomic_factor_orders(f, bound)) == expected, (f, bound)
+        assert cyclotomic_root_of_unity_test(f, bound) == (bool(expected), expected[0] if expected else None)
+        hits += bool(expected)
+    assert hits > 30
+
+
+def test_cyclotomic_search_makes_no_poly_division(monkeypatch):
+    cases = [
+        Poly(1, 1) * Poly(1, 0, 1) * Poly(Fraction(1, 3), 2),
+        cyclotomic_polynomial(15) * cyclotomic_polynomial(7),
+        Poly(-2, 1) * Poly(3, 0, 1),
+    ]
+
+    def refuse(self, divisor):
+        raise AssertionError("Poly.divmod_exact called")
+
+    monkeypatch.setattr(Poly, "divmod_exact", refuse)
+    assert [cyclotomic_root_of_unity_test(f, 20) for f in cases] == [(True, 2), (True, 7), (False, None)]
+    assert list(cyclotomic_factor_orders(cases[1], 20)) == [7, 15]
 
 
 def test_exact_linear_algebra():

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -62,6 +63,18 @@ def test_find_witness_fixture():
     assert cert.tu_period % 5 != 0
     assert cert.n_points == cert.p - cert.trace + 1
     assert len(cert.mismatches) >= 10
+
+
+def test_finder_memory_follows_the_primes_it_scans():
+    # the witness is p = 7 at any p_max: the prime source must not sieve to p_max first
+    tracemalloc.start()
+    try:
+        result = find_witness(E, P, FIBONACCI, 5, p_max=10**8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.certificate.p == 7
+    assert peak < 2 * 10**6
 
 
 def test_find_witness_deterministic():
