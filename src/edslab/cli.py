@@ -90,18 +90,20 @@ def _emit(fmt: str, headers: list[str], rows: list[list], json_payload=None, out
             dict(zip(headers, row)) for row in rows
         ]
         out.write(json.dumps(payload, sort_keys=True, default=str) + "\n")
-    elif fmt == "csv":
+        return
+    cells = [[str(v) for v in row] for row in rows]  # int -> str is quadratic in the digits
+    if fmt == "csv":
         out.write(",".join(headers) + "\n")
-        for row in rows:
-            out.write(",".join(str(v) for v in row) + "\n")
+        for row in cells:
+            out.write(",".join(row) + "\n")
     else:
         widths = [
-            max(len(str(h)), *(len(str(r[i])) for r in rows)) if rows else len(str(h))
+            max(len(str(h)), *(len(r[i]) for r in cells)) if cells else len(str(h))
             for i, h in enumerate(headers)
         ]
         out.write("  ".join(h.ljust(w) for h, w in zip(headers, widths)).rstrip() + "\n")
-        for row in rows:
-            out.write("  ".join(str(v).ljust(w) for v, w in zip(row, widths)).rstrip() + "\n")
+        for row in cells:
+            out.write("  ".join(v.ljust(w) for v, w in zip(row, widths)).rstrip() + "\n")
 
 
 def _emit_record(fmt: str, payload: dict) -> None:

@@ -255,33 +255,74 @@ NAIVE_COUNT_BELOW = 400
 MESTRE_MAX_POINTS = 16
 
 
-def multiple_in_hasse(pt: PointFp, curve: CurveFp) -> int | None:
-    """Some m > 0 with m*pt = O, found by baby-step giant-step over p + 1 + k,
-    |k| <= 2*sqrt(p); None only if the curve breaks Hasse's bound."""
+def multiple_in_hasse(pt: PointFp, curve: CurveFp, d: int = 1) -> int | None:
+    """Some m > 0 with d | m and m*pt = O, found by baby-step giant-step over
+    the multiples of d in the Hasse interval [p+1-w, p+1+w], w = isqrt(4p);
+    None exactly when no multiple of d there kills pt.
+
+    With base = d*pt it looks for k*base = O with k in [lo, hi] =
+    [ceil((p+1-w)/d), floor((p+1+w)/d)], from s = isqrt(hi-lo)+1 baby steps
+    j*base.  If they find o = ord(base) (j*base = O, or x(j*base) =
+    x(j'*base), when o = j + j'), m = o*d, or None if no multiple of o lies
+    in [lo, hi].  Otherwise o > 2s+1, so each giant window [c-s, c+s] holds
+    at most one k with k*base = O, and a baby match at c gives it; the
+    stride (2s+1)*base is the sum of the last two baby steps.  At a good
+    prime with d = 1 the result is never None, as #E lies in the interval.
+    """
     p = curve.p
     w = math.isqrt(4 * p)
-    s = math.isqrt(w) + 1
-    baby: dict[int, tuple[int, int]] = {}  # x(j*pt) -> (j, y(j*pt)), 1 <= j <= s
-    q = pt
-    for j in range(1, s + 1):
-        if q is None:
-            return j
-        baby.setdefault(q[0], (j, q[1]))
-        q = fp_add(q, pt, curve)
-    step = 2 * s + 1
-    giants = max(0, -(-(w - s) // step))
-    r = fp_scalar_mul(p + 1 - giants * step, pt, curve)
-    stride = fp_scalar_mul(step, pt, curve)
-    for g in range(-giants, giants + 1):
-        # r = (p + 1 + g*step) * pt; r = O or r = +-j*pt gives a multiple
-        m = p + 1 + g * step
-        if r is not None:
+    lo, hi = -(-(p + 1 - w) // d), (p + 1 + w) // d
+    if lo > hi:
+        return None
+    s = math.isqrt(hi - lo) + 1
+    base = fp_scalar_mul(d, pt, curve)
+    baby: dict[int, tuple[int, int]] = {}  # x(j*base) -> (j, y(j*base)), 1 <= j <= s
+    prev, cur = None, base  # cur = j*base
+    order = None
+    for j in range(1, s + 2):
+        if cur is None:
+            order = j
+            break
+        hit = baby.get(cur[0])
+        if hit is not None:  # cur = -hit*base, as no smaller multiple is O
+            order = j + hit[0]
+            break
+        if j <= s:
+            baby[cur[0]] = (j, cur[1])
+            prev, cur = cur, fp_add(cur, base, curve)
+    if order is not None:
+        return order * d if -(-lo // order) * order <= hi else None
+    stride = fp_add(prev, cur, curve)  # (2s+1)*base from s*base and (s+1)*base
+    c = lo + s
+    r = fp_scalar_mul(c, base, curve)
+    while c - s <= hi:
+        if r is None:
+            k = c
+        else:
             hit = baby.get(r[0])
-            m = 0 if hit is None else m - hit[0] if hit[1] == r[1] else m + hit[0]
-        if m > 0:
-            return m
-        r = fp_add(r, stride, curve)
+            k = None if hit is None else c - hit[0] if hit[1] == r[1] else c + hit[0]
+        if k is not None:
+            return k * d if k <= hi else None
+        c += 2 * s + 1
+        if c - s <= hi:
+            r = fp_add(r, stride, curve)
     return None
+
+
+def q_divides_order(pt: PointFp, curve: CurveFp, q: int) -> bool:
+    """Whether the prime q divides ord(pt), without counting points.
+
+    ord(pt) divides #E, which lies in the Hasse interval, so if q | ord(pt)
+    some multiple of q there kills pt and `multiple_in_hasse(pt, curve, q)`
+    is not None.  Any m it returns is a multiple of ord(pt), so q | ord(pt)
+    iff (m with every factor q removed)*pt != O.
+    """
+    m = multiple_in_hasse(pt, curve, q)
+    if m is None:
+        return False
+    while m % q == 0:
+        m //= q
+    return fp_scalar_mul(m, pt, curve) is not None
 
 
 def _unique_hasse_candidate(m_e: int, m_twist: int, p: int) -> int | None:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 
-from .elliptic import CurveFp, CurveQ, PointQ, fp_scalar_mul, multiple_in_hasse, reduce_point
+from .elliptic import CurveFp, CurveQ, PointQ, q_divides_order, reduce_point
 from .ntkernel import is_prime, sieve_primes
 
 DEFAULT_LINEAR_CAP = 31
@@ -156,22 +156,12 @@ def affine_witness(q: int, a: int) -> tuple[tuple[int, int, int, int], tuple[int
 
 
 def _scan_one_prime(curve: CurveQ, point: PointQ, q: int, b: int, p: int) -> bool:
-    """Whether p = b (mod q) and q | ord(P mod p), without counting points.
-
-    Baby-step giant-step gives some m > 0 with m*P = O (never None at a
-    good prime, by Hasse's bound).  ord(P) | m, so q | ord(P) iff q | m and
-    (m with every factor q removed)*P != O.
-    """
+    """Whether p = b (mod q) and q | ord(P mod p), without counting points:
+    `q_divides_order` searches only the multiples of q in the Hasse interval."""
     if p % q != b:
         return False
     cfp = CurveFp(p, curve.a % p, curve.b % p, True)
-    pt = reduce_point(point, curve, p)
-    m = multiple_in_hasse(pt, cfp)
-    if m % q:
-        return False
-    while m % q == 0:
-        m //= q
-    return fp_scalar_mul(m, pt, cfp) is not None
+    return q_divides_order(reduce_point(point, curve, p), cfp, q)
 
 
 def _empirical_chunk(args) -> int:
@@ -192,7 +182,9 @@ def empirical_density(
 
     A prime is a hit iff p = a-1 (mod q) and q | ord(P mod p), so no point
     is counted: #E(F_p) = p + 1 - a_p = a - a_p (mod q) and ord(P) | #E,
-    so q | ord(P) forces a_p = a (mod q).  Reported beside the exact affine
+    so q | ord(P) forces a_p = a (mod q).  `elliptic.q_divides_order`
+    decides q | ord(P mod p) by a search over the multiples of q in the
+    Hasse interval and one scalar multiple.  Reported beside the exact affine
     density for (q, a, b = a-1).  Only odd primes of good reduction coprime
     to z1 are scanned; a configurable exclusion list stands in for the
     finitely many primes where the group-theoretic model is not available.
@@ -208,10 +200,11 @@ def empirical_density(
     if b == 0:
         raise ValueError("need a != 1 (mod q) so that the determinant class b = a-1 is non-zero")
     exact = count_affine(q, a % q, b)
+    disc = curve.disc
     primes = [
         p
         for p in sieve_primes(x)
-        if p != 2 and p != q and p not in exclusions and curve.disc % p and point.z % p
+        if p != 2 and p != q and p not in exclusions and disc % p and point.z % p
     ]
     payload = (curve, point, q, b)
     if jobs > 1 and len(primes) > 64:

@@ -39,6 +39,7 @@ from .elliptic import (
     is_torsion,
     multiples,
     point_order_fp,
+    q_divides_order,
     reduce_point,
 )
 from .lrs import LrsSpec, eval_mod, square_sampled_period
@@ -228,7 +229,11 @@ def find_witness(
 
     Wanted: p = a_target - 1 (mod q), good reduction, a_p = a_target (mod q),
     and q dividing the order r of P modulo p (then q divides #E(F_p) too).
-    For the first such p the minimal periods of both sequences are computed,
+    A prime in the residue class is kept iff `q_divides_order` holds, which
+    counts no points; a_p = a_target (mod q) follows, as #E(F_p) =
+    a_target - a_p (mod q).  Only at such a candidate are #E(F_p) and r
+    computed, which the certificate states.
+    For the first candidate the minimal periods of both sequences are computed,
     w_n's by `ward_period` and u's by `square_sampled_period`; a p whose
     window 2r(p-1)+2r+16 exceeds `DEFAULT_HORIZON_CAP`, where `ward_period`
     returns None, or where the walk of u passes `lrs.MAX_WALK` is counted as
@@ -258,14 +263,13 @@ def find_witness(
         "excluded": 0,
         "divides_invariants": 0,
         "residue_class": 0,
-        "trace": 0,
         "order": 0,
         "period_unconfirmed": 0,
         "tu_divisible": 0,
         "too_few_mismatches": 0,
         "candidates": 0,
     }
-    ck = spec.coeffs[-1]
+    invariants = curve.disc * point.z * spec.coeffs[-1] * 2 * point.y
     exact_prefix: list[int] | None = None
 
     for p in iter_primes(p_max):
@@ -273,22 +277,21 @@ def find_witness(
         if p == 2 or p == q or p in exclusions:
             stats["excluded"] += 1
             continue
-        if (curve.disc * point.z * ck * 2 * point.y) % p == 0:
+        if invariants % p == 0:
             stats["divides_invariants"] += 1
             continue
         if p % q != b_target:
             stats["residue_class"] += 1
             continue
-        cfp = CurveFp.from_curve(curve, p)
-        n_points, trace = count_points(cfp)
-        if trace % q != a_target % q:
-            stats["trace"] += 1
-            continue
-        order_p = point_order_fp(reduce_point(point, curve, p), cfp, n_points)
-        if order_p % q != 0:
+        cfp = CurveFp(p, curve.a % p, curve.b % p, True)
+        pt = reduce_point(point, curve, p)
+        if not q_divides_order(pt, cfp, q):
             stats["order"] += 1
             continue
         stats["candidates"] += 1
+        n_points, trace = count_points(cfp)
+        assert trace % q == a_target % q  # #E = a_target - trace (mod q), and q | #E
+        order_p = point_order_fp(pt, cfp, n_points)
 
         horizon = _period_horizon(order_p, p)
         tz = ward_period(seeds, p, order_p) if horizon <= DEFAULT_HORIZON_CAP else None

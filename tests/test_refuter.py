@@ -353,6 +353,23 @@ def test_finder_skips_a_prime_past_the_walk_bound(monkeypatch):
     assert result.stats["period_unconfirmed"] == result.stats["candidates"] > 0
 
 
+def test_finder_counts_points_only_at_candidates(monkeypatch):
+    # q | ord(P mod p) is decided without #E(F_p); the finder counts points
+    # only at a candidate, whose certificate states #E
+    calls = []
+    count = refuter.count_points
+    monkeypatch.setattr(refuter, "count_points", lambda cfp: calls.append(cfp.p) or count(cfp))
+    exhausted = find_witness(CurveQ(0, 3), PointQ(1, 2, 1), FIBONACCI, 5, p_max=10_000)
+    assert not exhausted.found and exhausted.stats["order"] > 0
+    assert exhausted.stats["candidates"] == 0 and calls == []
+    found = find_witness(E, P, FIBONACCI, 5, p_max=10_000)
+    assert found.found and len(calls) == found.stats["candidates"] == 1
+    calls.clear()
+    monkeypatch.setattr(lrs, "MAX_WALK", 10)  # every candidate below 2000 is skipped
+    skipped = find_witness(E, P, FIBONACCI, 5, p_max=2_000)
+    assert len(calls) == skipped.stats["candidates"] > 1
+
+
 def test_verifier_bounds_p_before_the_recount(monkeypatch):
     # the finder never certifies a p whose window for the least order, 3,
     # exceeds its default cap; a larger p is refused before any O(p) work
