@@ -8,7 +8,7 @@ when gcd(2y, 3x^2 + a*z^4) = 1 (see `require_exact_companion`).  At a prime
 not dividing z_1 the factor z_1 is a unit, and the sign ambiguity is
 irrelevant to every question asked here (zeros, divisibility, periods up to
 sign).  Periods of a geometric stream come from Ward's symmetry
-(`ward_period`), which needs only w_1..w_{2r+2}, r the rank of apparition.
+(`ward_period`) on a few blocks of w_n, each read in O(log p) by `ladder_block`.
 """
 
 from __future__ import annotations
@@ -229,10 +229,9 @@ def stream_mod_p(seeds: tuple[int, int, int, int], p: int, horizon: int) -> list
         raise ValueError(f"stream modulo {p} needs p coprime to w1*w2")
     w = [0] * (max(horizon, 4) + 1)
     w[1], w[2], w[3], w[4] = (s % p for s in seeds)
-    inv_odd = invmod(pow(w1, 3, p), p)
-    inv_even = invmod(w2 * w1 * w1 % p, p)
+    inv = (invmod(w2 * w1 * w1 % p, p), invmod(pow(w1, 3, p), p))  # even, odd steps
     for m in range(5, horizon + 1):
-        w[m] = _ward_step(w, m) * (inv_odd if m % 2 else inv_even) % p
+        w[m] = _ward_step(w, m) * inv[m & 1] % p
     return w[: horizon + 1]
 
 
@@ -257,25 +256,44 @@ def _minimal_stream_period(stream: list[int], step: int, horizon: int) -> int | 
     return None
 
 
-def ward_period(seeds: tuple[int, int, int, int], p: int, rank: int) -> int | None:
-    """Exact minimal period of the stream w_n mod p, from w_1..w_{2r+2}, r = `rank`.
+def ladder_block(seeds: tuple[int, int, int, int], p: int, n: int) -> list[int]:
+    """w_{n-3}..w_{n+4} modulo p in O(log n) steps; needs p coprime to w1*w2.
 
-    None unless the zeros fall exactly on the multiples of r (the order of
-    P mod p, for a geometric source at a good prime) and Ward's symmetry
-    w_{r+n} = w_n * a^n * b holds for n = 1..r+2, a and b read off w_{r+1}
-    and w_{r+2} (M. Ward, Amer. J. Math. 70, 1948).  A period maps the zero
-    set onto itself, so it is some k*r, and k*r is one exactly when a^k = 1
-    and b^(k^2) = 1: k a multiple of ord(a) and of l^ceil(e/2) for every
-    l^e || ord(b).  Costs O(r + log p), not the O(r*p) window scanned by
-    `_minimal_stream_period`.
+    Shipsey's double-and-add (R. Shipsey, thesis, Goldsmiths 2000): with w_{-m} = -w_m,
+    `_ward_step` maps the block at j (w_{j-3}..w_{j+4} at list positions 0..7) to the
+    one at 2j + b, at positions 3 + b..10 + b of indices shifted down by the even 2(j-3).
     """
-    w = stream_mod_p(seeds, p, 2 * rank + 2)
-    if any((w[n] == 0) != (n % rank == 0) for n in range(1, 2 * rank + 3)):
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    w1, w2, w3, w4 = (s % p for s in seeds)
+    if w1 == 0 or w2 == 0:
+        raise ValueError(f"stream modulo {p} needs p coprime to w1*w2")
+    inv = (invmod(w2 * w1 * w1 % p, p), invmod(pow(w1, 3, p), p))  # even, odd steps
+    w = [-w3, -w2, -w1, 0, w1, w2, w3, w4]  # the block at j = 0
+    for b in map(int, bin(n)[2:]):
+        w = [_ward_step(w, m) * inv[m & 1] % p for m in range(3 + b, 11 + b)]
+    return w
+
+
+def ward_period(seeds: tuple[int, int, int, int], p: int, rank: int) -> int | None:
+    """Exact minimal period of the stream w_n mod p, from the `ladder_block` at r = `rank`.
+
+    None unless w_r = 0 and w_{r/l} != 0 for each prime l | r, so that r is
+    the rank of apparition and the zeros are its multiples (p does not
+    divide w_2), and Ward's symmetry w_{r+n} = w_n * a^n * b holds for the
+    block's n = -3..4, a and b read off w_{r+1} and w_{r+2} (M. Ward, Amer.
+    J. Math. 70, 1948).  A period maps the zero set onto itself, so it is
+    some k*r, and k*r is one exactly when a^k = 1 and b^(k^2) = 1: k a
+    multiple of ord(a) and of l^ceil(e/2) for every l^e || ord(b).  Costs
+    1 + omega(r) ladders, not the O(r*p) window of `_minimal_stream_period`.
+    """
+    block, w = ladder_block(seeds, p, rank), ladder_block(seeds, p, 0)  # w: w_n for n = -3..4
+    if block[3] != 0 or any(ladder_block(seeds, p, rank // ell)[3] == 0 for ell in factorize(rank)):
         return None
-    # so rank >= 3 (w_1 = 1, and stream_mod_p refuses w_2 = 0): w_{r+1}, w_{r+2} are units
-    a = w[rank + 2] * w[1] * invmod(w[2] * w[rank + 1], p) % p
-    b = w[rank + 1] * invmod(w[1] * a, p) % p
-    if any(w[rank + n] != w[n] * pow(a, n, p) * b % p for n in range(1, rank + 3)):
+    # so rank >= 3 (w_1 and w_2 are units): w_{r+1}, w_{r+2} are units too
+    a = block[5] * w[4] * invmod(w[5] * block[4], p) % p
+    b = block[4] * invmod(w[4] * a, p) % p
+    if any(block[n + 3] != w[n + 3] * pow(a, n, p) * b % p for n in range(-3, 5)):
         return None
     t = multiplicative_order(a, p)
     for ell, e in factorize(multiplicative_order(b, p)).items():
@@ -315,10 +333,10 @@ def eds_period_mod_p(seq: EdsSequence, p: int, horizon: int | None = None) -> Ed
     The period is computed on the canonical signed stream; for a geometric
     source it divides 2*(p-1)*#E(F_p), and the zeros fall exactly on the
     multiples of the order of the reduced point.  A geometric period is
-    exact from Ward's symmetry (`ward_period`), and the zeros are checked on
-    w_1..w_{2r+2}; a Ward-seeded one is searched for over the window.  When
-    the horizon is shorter than twice the period the status is
-    "unconfirmed" and no period is reported.
+    exact from Ward's symmetry (`ward_period`, which also checks that the
+    order is the rank of apparition); a Ward-seeded one is searched for over
+    the window.  When the horizon is shorter than twice the period the status
+    is "unconfirmed" and no period is reported.
     """
     if p == 2 or not is_prime(p):
         raise ValueError("p must be an odd prime")

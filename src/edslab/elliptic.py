@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .ntkernel import invmod, is_prime, order_from_multiple, sqrt_mod_prime
 
@@ -69,11 +68,6 @@ class PointQ:
     def is_infinity(self) -> bool:
         return self.z == 0
 
-    def affine(self) -> tuple[Fraction, Fraction]:
-        if self.is_infinity:
-            raise ValueError("infinity has no affine coordinates")
-        return Fraction(self.x, self.z**2), Fraction(self.y, self.z**3)
-
     def __neg__(self) -> "PointQ":
         if self.is_infinity:
             return self
@@ -83,40 +77,37 @@ class PointQ:
         return "O" if self.is_infinity else f"({self.x}:{self.y}:{self.z})"
 
 
-def point_from_affine(xa: Fraction, ya: Fraction) -> PointQ:
-    """Normalize affine rational coordinates into (x, y, z) form.
-
-    On an integral short Weierstrass model the reduced denominator of x is
-    always a perfect square z^2 and the denominator of y is z^3.
-    """
-    xa, ya = Fraction(xa), Fraction(ya)
-    z = math.isqrt(xa.denominator)
-    if z * z != xa.denominator:
-        raise ValueError(f"denominator {xa.denominator} is not a perfect square")
-    x = xa.numerator
-    yz3 = ya * z**3
-    if yz3.denominator != 1:
-        raise ValueError("y denominator is not the cube of z")
-    return PointQ(x, int(yz3), z)
-
-
 def add(p: PointQ, q: PointQ, curve: CurveQ) -> PointQ:
-    """Chord-tangent sum of two points, renormalized."""
-    if p.is_infinity:
-        return q
-    if q.is_infinity:
-        return p
-    x1, y1 = p.affine()
-    x2, y2 = q.affine()
-    if x1 == x2:
-        if y1 == -y2:
+    """Chord-tangent sum of two points, in Jacobian coordinates over Z.
+
+    Clearing the slope's denominator z1*e1 = z2*e2 from the affine formulas
+    gives (x3/z3^2, y3/z3^3).  One renormalization follows: u^2 = gcd(x3,
+    z3^2) leaves x/z^2 in lowest terms, and y3/u^3 must be an integer; both
+    hold on an integral model, otherwise ValueError.
+    """
+    if p.is_infinity or q.is_infinity:
+        return q if p.is_infinity else p
+    z1s, z2s = p.z * p.z, q.z * q.z
+    u1, u2 = p.x * z2s, q.x * z1s
+    s1, s2 = p.y * z2s * q.z, q.y * z1s * p.z
+    if u1 == u2:
+        if s1 == -s2 or p.y == 0:  # p.y = 0 != q.y only off the curve: a vertical tangent
             return PointQ.infinity()
-        lam = (3 * x1 * x1 + curve.a) / (2 * y1)
+        q, num, e1, e2 = p, 3 * p.x * p.x + curve.a * z1s * z1s, 2 * p.y, 2 * p.y  # tangent, x2 = x1
     else:
-        lam = (y2 - y1) / (x2 - x1)
-    x3 = lam * lam - x1 - x2
-    y3 = lam * (x1 - x3) - y1
-    return point_from_affine(x3, y3)
+        num, e1, e2 = s2 - s1, q.z * (u2 - u1), p.z * (u2 - u1)
+    x1e = p.x * e1 * e1
+    x3 = num * num - x1e - q.x * e2 * e2
+    y3 = num * (x1e - x3) - p.y * e1**3
+    z3 = p.z * e1
+    g = math.gcd(x3, z3 * z3)
+    u = math.isqrt(g) if z3 > 0 else -math.isqrt(g)
+    if u * u != g:
+        raise ValueError(f"denominator {z3 * z3 // g} is not a perfect square")
+    y, rem = divmod(y3, u * g)
+    if rem:
+        raise ValueError("y denominator is not the cube of z")
+    return PointQ(x3 // g, y, z3 // u)
 
 
 def scalar_mul(n: int, p: PointQ, curve: CurveQ) -> PointQ:

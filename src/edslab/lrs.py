@@ -383,8 +383,8 @@ def square_sampled_period(spec: LrsSpec, p: int) -> SquarePeriodResult:
     the table u_1..u_L mod p that `u_mod` reads.  The square-sampled stream is
     purely periodic with period dividing L, and its periods are the multiples
     of the least one; `order_from_multiple` strips primes from L while the
-    candidate still repeats over one complete L-cycle.  A walk longer than
-    `MAX_WALK` steps raises ValueError.
+    candidate still leaves one L-cycle of it unchanged by rotation.  A walk
+    longer than `MAX_WALK` steps raises ValueError.
     """
     _require_purely_periodic(spec, p)
     k = spec.order
@@ -400,14 +400,8 @@ def square_sampled_period(spec: LrsSpec, p: int) -> SquarePeriodResult:
         raise ValueError(f"the recurrence mod {p} does not return within {MAX_WALK} steps")
     lam = len(table) - k
     del table[lam:]
-    values = [table[(n * n - 1) % lam] for n in range(1, 2 * lam + 1)]
-
-    def repeats(d: int) -> bool:
-        return all(values[n + d - 1] == values[n - 1] for n in range(1, lam + 1))
-
-    period = order_from_multiple(lam, repeats)
-    # a stripped period passed `repeats`; L itself is checked only when kept
-    assert period < lam or repeats(lam), "the full period always verifies"
+    values = [table[(n * n - 1) % lam] for n in range(1, lam + 1)]
+    period = order_from_multiple(lam, lambda d: values[d:] + values[:d] == values)
     return SquarePeriodResult(p, lam, period, (1, lam + period), table)
 
 

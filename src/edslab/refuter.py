@@ -53,12 +53,10 @@ DEFAULT_MIN_MISMATCHES = 10
 # largest mismatch index the verifier recomputes, exactly the finder's limit:
 # the exact z_n it needs has about h*n^2 digits (h the canonical height)
 MAX_MISMATCH_INDEX = DEFAULT_MISMATCH_LIMIT
-# the finder skips a prime whose period window 2r(p-1)+2r+16 exceeds this
-DEFAULT_HORIZON_CAP = 6_000_000
-# largest witness prime the finder can certify under the default cap: the
-# order r is at least 3, and _period_horizon(3, p) = 6p + 16; the verifier
-# bounds p by it before its O(p) recount
-MAX_WITNESS_P = (DEFAULT_HORIZON_CAP - 16) // 6
+# largest witness prime: the verifier's independent recount of #E(F_p),
+# `count_points_naive`, takes O(p) time and memory, so it bounds p by this
+# before the recount, and the finder certifies no larger p
+MAX_WITNESS_P = 999_997
 # direct_falsify takes one companion-matrix power per index of its window
 # (about 3 ms each at order 6), and holds w_1..w_(start+window-1) mod p
 # (about 15 MB at 10^6 terms)
@@ -234,10 +232,10 @@ def find_witness(
     a_target - a_p (mod q).  Only at such a candidate are #E(F_p) and r
     computed, which the certificate states.
     For the first candidate the minimal periods of both sequences are computed,
-    w_n's by `ward_period` and u's by `square_sampled_period`; a p whose
-    window 2r(p-1)+2r+16 exceeds `DEFAULT_HORIZON_CAP`, where `ward_period`
-    returns None, or where the walk of u passes `lrs.MAX_WALK` is counted as
-    `period_unconfirmed`, never certified.  Any non-torsion point and any
+    w_n's by `ward_period` and u's by `square_sampled_period`; a p where
+    `ward_period` returns None or the walk of u passes `lrs.MAX_WALK` is
+    counted as `period_unconfirmed`, never certified, and a p above
+    `MAX_WITNESS_P`, which the verifier refuses, as `excluded`.  Any non-torsion point and any
     recurrence is accepted: the zeros of z_n mod p are the multiples of r at
     every p the scan keeps, as each prime of gcd(2y, 3x^2 + a*z^4) divides
     2y.  Identical inputs always produce identical output.
@@ -274,7 +272,7 @@ def find_witness(
 
     for p in iter_primes(p_max):
         stats["scanned"] += 1
-        if p == 2 or p == q or p in exclusions:
+        if p == 2 or p == q or p in exclusions or p > MAX_WITNESS_P:
             stats["excluded"] += 1
             continue
         if invariants % p == 0:
@@ -293,8 +291,7 @@ def find_witness(
         assert trace % q == a_target % q  # #E = a_target - trace (mod q), and q | #E
         order_p = point_order_fp(pt, cfp, n_points)
 
-        horizon = _period_horizon(order_p, p)
-        tz = ward_period(seeds, p, order_p) if horizon <= DEFAULT_HORIZON_CAP else None
+        tz = ward_period(seeds, p, order_p)
         try:
             sq = square_sampled_period(spec, p) if tz is not None else None
         except ValueError:  # the walk of u mod p passed lrs.MAX_WALK
@@ -323,7 +320,7 @@ def find_witness(
             n_points=n_points,
             point_order=order_p,
             tz_period=tz,
-            tz_window=(1, horizon),
+            tz_window=(1, _period_horizon(order_p, p)),
             tu_period=sq.period,
             tu_window=sq.window,
             lrs_period=sq.lrs_period,
@@ -363,11 +360,11 @@ def verify_certificate(cert: WitnessCertificate) -> VerifyResult:
     #E(F_p) is recounted by `count_points_naive`, an algorithm independent
     of the Shanks-Mestre count that found the witness.  The least period of
     w_n mod p is re-derived by `ward_period` from the recomputed order r, in
-    O(r + log p); the periods are its multiples, so tz must be one and, to be
-    minimal, equal it.  p, the stated window and the mismatch indices are
-    bounded by the finder's own limits before any count, stream or exact
-    multiple is computed, and the walk of u mod p by `lrs.MAX_WALK`, so an
-    edited certificate cannot make the verifier run away.
+    O(log p) ladder steps; the periods are its multiples, so tz must be one
+    and, to be minimal, equal it.  p, the stated window and the mismatch
+    indices are bounded by the finder's own limits before any count, ladder
+    or exact multiple is computed, and the walk of u mod p by `lrs.MAX_WALK`,
+    so an edited certificate cannot make the verifier run away.
     """
     checks: list[CheckResult] = []
 
@@ -430,7 +427,7 @@ def verify_certificate(cert: WitnessCertificate) -> VerifyResult:
 
     mism_ok = len(cert.mismatches) >= 1
     detail = ""
-    # one chord-tangent walk to the largest index, bounded by mismatch_index
+    # one integer chord-tangent walk to the largest index, bounded by mismatch_index
     z_at = dict(zip(range(1, max(indices, default=0) + 1), (m.z % p for m in multiples(point, curve))))
     for n, z_stated, u_stated in cert.mismatches:
         z_mod, u_mod = z_at[n], sq.u_mod(n * n)

@@ -214,6 +214,21 @@ def test_refute_verify_roundtrip(tmp_path, capsys):
     assert json.loads(out)["ok"] is False
 
 
+def test_refute_verify_a_witness_past_the_former_horizon_cap(tmp_path, capsys):
+    # the window of p = 2,699 (order 2,697) is 14,558,422 terms, and no
+    # longer keeps refute from certifying it
+    cert_path = tmp_path / "cert.json"
+    code, out, _ = run(
+        capsys,
+        "refute", "--curve", "-4", "4", "--point", "1", "1", "1",
+        "--lrs", "2", "1", "1", "1", "1", "--q", "31", "--p-max", "10000",
+        "--out", str(cert_path),
+    )
+    assert (code, out) == (0, f"witness p=2699 (q=31); certificate: {cert_path}\n")
+    code, out, _ = run(capsys, "verify", str(cert_path))
+    assert code == 0 and "FAIL" not in out
+
+
 def _failing_checks(out):
     return [c["name"] for c in json.loads(out)["checks"] if not c["ok"]]
 
@@ -241,6 +256,7 @@ def test_verify_unbounded_certificate_exit4(tmp_path, capsys, monkeypatch, field
         raise AssertionError("the verifier did work before bounding it")
 
     monkeypatch.setattr(refuter, "stream_mod_p", no_work)
+    monkeypatch.setattr(refuter, "ward_period", no_work)
     monkeypatch.setattr(refuter, "multiples", no_work)
     code, out, _ = run(capsys, "verify", str(cert_path), "--format", "json")
     assert code == 4

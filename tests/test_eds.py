@@ -1,5 +1,6 @@
 import math
 import os
+import random
 
 import pytest
 
@@ -14,6 +15,7 @@ from edslab.eds import (
     eds_period_mod_p,
     generate_geometric,
     generate_ward,
+    ladder_block,
     load_sequence,
     primitive_divisor_scan,
     save_sequence,
@@ -31,7 +33,7 @@ from edslab.elliptic import (
     reduce_point,
     scalar_mul,
 )
-from edslab.ntkernel import sieve_primes
+from edslab.ntkernel import factorize, sieve_primes
 
 E = CurveQ(0, 3)
 P = PointQ(1, 2, 1)
@@ -262,23 +264,71 @@ def test_ward_period_matches_windowed_search():
 
 
 def test_ward_period_refuses_a_rank_that_is_not_the_rank_of_apparition(monkeypatch):
-    # at 2r Ward's symmetry still holds (with a^2, b^4), so only the zero
-    # check refuses it; at r + 1 the zero check and the symmetry both fail
+    # at 2r Ward's symmetry still holds (with a^2, b^4) and w_(2r) = 0, so
+    # only the check w_(2r/2) != 0 refuses it; at r + 1 w_(r+1) != 0
     seeds, p = division_poly_seeds(E, P), 7
     r = eds_period_mod_p(fixture_sequence(5), p).rank
     assert (r, ward_period(seeds, p, r)) == (13, 39)
     assert ward_period(seeds, p, 2 * r) is None
     assert ward_period(seeds, p, r + 1) is None
-    # zeros on the multiples of r, but w_(r+3) != w_3 * a^3 * b
-    stream = eds.stream_mod_p
+    # r is the rank of apparition, but w_(r+3) != w_3 * a^3 * b in the block at r
+    ladder = eds.ladder_block
 
-    def tampered(seeds, p, horizon):
-        w = stream(seeds, p, horizon)
-        w[r + 3] = 2 * w[r + 3] % p
-        return w
+    def tampered(seeds, p, n):
+        block = ladder(seeds, p, n)
+        if n == r:
+            block[6] = 2 * block[6] % p
+        return block
 
-    monkeypatch.setattr(eds, "stream_mod_p", tampered)
+    monkeypatch.setattr(eds, "ladder_block", tampered)
     assert ward_period(seeds, p, r) is None
+
+
+def _signed(stream, p, n):
+    """w_n mod p for any integer n, from w_{-n} = -w_n."""
+    return stream[n] if n >= 0 else -stream[-n] % p
+
+
+@pytest.mark.parametrize("curve,point", COMPANION_FIXTURES[:2] + [(CurveQ(0, 17), PointQ(-2, 3, 1))])
+def test_ladder_block_matches_the_stream(curve, point):
+    # n = 0..4 (the block reaches below w_0), random n <= 10^4, and n next
+    # to the zeros, at the multiples of the rank
+    rng = random.Random(12)
+    seeds = division_poly_seeds(curve, point)
+    for p in (11, 101, 1009):
+        if (curve.disc * 2 * point.y) % p == 0:
+            continue
+        stream = stream_mod_p(seeds, p, 10_010)
+        rank = next(n for n in range(1, 10_010) if stream[n] == 0)
+        near_zeros = [k * rank + d for k in (1, 2, 7) for d in range(-4, 5) if k * rank + d >= 1]
+        for n in [0, 1, 2, 3, 4, *near_zeros, *(rng.randint(5, 10_000) for _ in range(60))]:
+            assert ladder_block(seeds, p, n) == [_signed(stream, p, m) for m in range(n - 3, n + 5)], (p, n)
+    with pytest.raises(ValueError, match="coprime to w1\\*w2"):
+        ladder_block(seeds, 2, 5)
+
+
+def test_ladder_block_repeats_with_the_period_at_any_distance():
+    # a walk of the stream could not reach n + 2^64 * T
+    seeds, p = division_poly_seeds(E, P), 1009
+    period = ward_period(seeds, p, 237)
+    for n in (1, 5, 237, 1000):
+        assert ladder_block(seeds, p, n + 2**64 * period) == ladder_block(seeds, p, n)
+
+
+def test_ward_period_takes_logarithmically_many_ladder_steps(monkeypatch):
+    # at p = 999,979 the order is 499,538 = 2 * 13 * 19,213; the least
+    # period is the one the former 2r + 2 term stream gave
+    seeds, p, r = division_poly_seeds(E, P), 999_979, 499_538
+
+    def no_stream(*args):
+        raise AssertionError("ward_period streamed w_n")
+
+    steps = []
+    ladder = eds.ladder_block
+    monkeypatch.setattr(eds, "stream_mod_p", no_stream)
+    monkeypatch.setattr(eds, "ladder_block", lambda s, p, n: steps.append(max(n.bit_length(), 1)) or ladder(s, p, n))
+    assert ward_period(seeds, p, r) == 5_741_689_772
+    assert 0 < sum(steps) <= 4 * (1 + len(factorize(r))) * math.log2(r)
 
 
 @pytest.mark.parametrize("p,rank,period", [(1009, 237, 17064), (3001, 1554, 2331000)])

@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 from itertools import islice
 
 import pytest
@@ -21,7 +22,6 @@ from edslab.elliptic import (
     multiples,
     parse_curve,
     parse_point,
-    point_from_affine,
     point_order_fp,
     reduce_point,
     scalar_mul,
@@ -90,10 +90,71 @@ def test_group_law_axioms_exact():
         assert add(add(a, b, curve), c, curve) == add(a, add(b, c, curve), curve)
 
 
+def _affine(point):
+    return Fraction(point.x, point.z**2), Fraction(point.y, point.z**3)
+
+
+def _point_from_affine(xa, ya):
+    """(x, y, z) with x/z^2 and y/z^3 in lowest terms, as on an integral model."""
+    z = math.isqrt(xa.denominator)
+    if z * z != xa.denominator:
+        raise ValueError(f"denominator {xa.denominator} is not a perfect square")
+    yz3 = ya * z**3
+    if yz3.denominator != 1:
+        raise ValueError("y denominator is not the cube of z")
+    return PointQ(xa.numerator, int(yz3), z)
+
+
+def _fraction_add(p, q, curve):
+    """The affine chord-tangent law in `Fraction` arithmetic: the reference
+    for the integer Jacobian `add`."""
+    if p.is_infinity:
+        return q
+    if q.is_infinity:
+        return p
+    (x1, y1), (x2, y2) = _affine(p), _affine(q)
+    if x1 == x2:
+        if y1 == -y2:
+            return PointQ.infinity()
+        lam = (3 * x1 * x1 + curve.a) / (2 * y1)
+    else:
+        lam = (y2 - y1) / (x2 - x1)
+    x3 = lam * lam - x1 - x2
+    return _point_from_affine(x3, lam * (x1 - x3) - y1)
+
+
 def test_normalization_idempotent():
     q = scalar_mul(3, P, E)
-    x, y = q.affine()
-    assert point_from_affine(x, y) == q
+    assert _point_from_affine(*_affine(q)) == q
+
+
+@pytest.mark.parametrize(
+    "curve,point", [(CurveQ(-4, 4), PointQ(1, 1, 1)), (E, P), (CurveQ(0, 17), PointQ(-2, 3, 1))]
+)
+def test_integer_add_matches_the_fraction_chord_tangent_law(curve, point):
+    ref = [PointQ.infinity(), point]
+    for _ in range(2, 41):
+        ref.append(_fraction_add(ref[-1], point, curve))
+    for n in range(1, 41):
+        assert scalar_mul(n, point, curve) == ref[n]
+        assert add(ref[n], -ref[n], curve) == PointQ.infinity()
+        assert add(ref[n], ref[n], curve) == _fraction_add(ref[n], ref[n], curve) == scalar_mul(2 * n, point, curve)
+    for m, n in ((1, 2), (3, 5), (7, 20), (20, 7), (13, 27)):
+        assert add(ref[m], ref[n], curve) == _fraction_add(ref[m], ref[n], curve) == ref[m + n]
+        assert add(ref[n], -ref[m], curve) == _fraction_add(ref[n], -ref[m], curve)
+    assert list(islice(multiples(point, curve), 40)) == ref[1:]
+
+
+@pytest.mark.parametrize(
+    "point,message",
+    [(PointQ(-3, 1, 3), "denominator 12 is not a perfect square"), (PointQ(-2, 1, 2), "not the cube of z")],
+)
+def test_integer_add_refuses_a_point_off_the_integral_model(point, message):
+    assert not E.contains(point)
+    with pytest.raises(ValueError, match=message):
+        _fraction_add(point, point, E)
+    with pytest.raises(ValueError, match=message):
+        add(point, point, E)
 
 
 def test_torsion_detection():

@@ -330,6 +330,14 @@ def test_square_sampled_period():
     assert result == SquarePeriodResult(5, 20, 10, (1, 30), [])
 
 
+def _two_cycle_square_period(table):
+    """The least T | L with u_{(n+T)^2} = u_{n^2} for n = 1..L, read off
+    2L square-sampled values: the reference for the one-cycle rotation."""
+    lam = len(table)
+    values = [table[(n * n - 1) % lam] for n in range(1, 2 * lam + 1)]
+    return min(d for d in range(1, lam + 1) if lam % d == 0 and values[d : d + lam] == values[:lam])
+
+
 def test_square_sampled_walk_matches_both_period_methods():
     # one seeded spec per order 1..4 against every prime p < 300 with p not
     # dividing c_k; the walk is O(lambda) and lambda reaches p^k - 1, so it
@@ -350,6 +358,7 @@ def test_square_sampled_walk_matches_both_period_methods():
                 continue
             result = square_sampled_period(spec, p)
             assert result.lrs_period == lam == lrs_period_mod_p(spec, p, "iteration")
+            assert result.period == _two_cycle_square_period(result.table)
             # every n <= 3*lam for short periods, 40 seeded ones otherwise,
             # and three indices far past the table
             indices = range(1, 3 * lam + 1)

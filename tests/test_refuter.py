@@ -8,15 +8,14 @@ import pytest
 from edslab import eds, lrs, refuter
 from edslab.eds import (
     WardSeed,
-    _period_horizon,
     division_poly_seeds,
     generate_geometric,
     generate_ward,
 )
-from edslab.elliptic import CurveFp, CurveQ, PointQ, point_order_fp, reduce_point
+from edslab.elliptic import CurveQ, PointQ
 from edslab.lrs import FIBONACCI, LrsSpec, eval_mod
+from edslab.ntkernel import next_prime
 from edslab.refuter import (
-    DEFAULT_HORIZON_CAP,
     MAX_MISMATCH_INDEX,
     MAX_WITNESS_P,
     WitnessCertificate,
@@ -371,14 +370,37 @@ def test_finder_counts_points_only_at_candidates(monkeypatch):
 
 
 def test_verifier_bounds_p_before_the_recount(monkeypatch):
-    # the finder never certifies a p whose window for the least order, 3,
-    # exceeds its default cap; a larger p is refused before any O(p) work
-    assert _period_horizon(3, MAX_WITNESS_P) <= DEFAULT_HORIZON_CAP
-    assert _period_horizon(3, MAX_WITNESS_P + 1) > DEFAULT_HORIZON_CAP
+    # the finder never certifies a p above MAX_WITNESS_P, and 1,000,003 is
+    # the least prime above it; a larger p is refused before any O(p) work
+    assert MAX_WITNESS_P == 999_997
+    assert next_prime(MAX_WITNESS_P) == 1_000_003
     cert = find_witness(E, P, FIBONACCI, 5, p_max=10_000).certificate
     monkeypatch.setattr(refuter, "count_points_naive", _no_work)
     verdict = verify_certificate(replace(cert, p=1_000_003))
     assert verdict.failures == ["p_bound"]
+
+
+def test_finder_certifies_no_p_above_the_verifiers_bound(monkeypatch):
+    # p = 7 is the witness unbounded; past the bound every prime is
+    # excluded before its order is looked at
+    monkeypatch.setattr(refuter, "q_divides_order", _no_work)
+    monkeypatch.setattr(refuter, "MAX_WITNESS_P", 6)
+    result = find_witness(E, P, FIBONACCI, 5, p_max=200)
+    assert not result.found and result.stats["candidates"] == 0
+    assert result.stats["excluded"] == result.stats["scanned"] - 1  # all but p = 3
+
+
+def test_finder_certifies_a_witness_whose_window_passes_the_former_cap():
+    # q = 31: the first candidate, p = 2,699 with order 2,697, has the window
+    # 2r(p-1) + 2r + 16 = 14,558,422, above the 6 * 10^6 horizon cap the
+    # finder used to skip such a prime by, though the verifier accepts it
+    result = find_witness(E, P, FIBONACCI, 31, p_max=10_000)
+    assert result.found, result.stats
+    cert = result.certificate
+    assert (cert.p, cert.point_order, cert.tz_window) == (2_699, 2_697, (1, 14_558_422))
+    assert result.stats["period_unconfirmed"] == 0
+    verdict = verify_certificate(WitnessCertificate.from_json(cert.to_json()))
+    assert verdict.ok, verdict.failures
 
 
 TRIBONACCI = LrsSpec(3, (1, 1, 1), (1, 1, 2), minimal=True)
@@ -410,18 +432,13 @@ def test_verifier_rederives_tz(curve, point, spec, edit, failures):
 
 
 def test_period_work_stays_within_twice_the_order(monkeypatch):
-    # neither the finder nor the verifier streams past w_{2r+2}
-    stream = eds.stream_mod_p
+    # neither the finder nor the verifier streams w_n at all, let alone past
+    # w_{2r+2}: tz comes from ladder blocks
+    def no_stream(seeds, p, horizon):
+        raise AssertionError(f"stream of {horizon} terms at p={p}")
 
-    def short_stream(seeds, p, horizon):
-        cfp = CurveFp.from_curve(E, p)
-        order = point_order_fp(reduce_point(P, E, p), cfp)
-        if horizon > 2 * order + 2:
-            raise AssertionError(f"stream of {horizon} terms at p={p}, order {order}")
-        return stream(seeds, p, horizon)
-
-    monkeypatch.setattr(eds, "stream_mod_p", short_stream)
-    monkeypatch.setattr(refuter, "stream_mod_p", short_stream)
+    monkeypatch.setattr(eds, "stream_mod_p", no_stream)
+    monkeypatch.setattr(refuter, "stream_mod_p", no_stream)
     cert = find_witness(E, P, FIBONACCI, 5, p_max=10_000).certificate
     verdict = verify_certificate(cert)
     assert verdict.ok, verdict.failures
