@@ -332,7 +332,8 @@ def cmd_refute(args) -> int:
         curve, point, spec, q, a_target=a, p_max=p_max, exclusions=exclusions
     )
     if not result.found:
-        sys.stderr.write(f"no witness prime <= {p_max}; per-condition counts:\n")
+        bound = min(p_max, refuter.MAX_WITNESS_P)
+        sys.stderr.write(f"no witness prime <= {bound}; per-condition counts:\n")
         for key, value in sorted(result.stats.items()):
             sys.stderr.write(f"  {key}: {value}\n")
         return EXIT_INCONCLUSIVE

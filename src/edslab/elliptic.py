@@ -182,9 +182,9 @@ def reduce_point(p: PointQ, curve: CurveQ, prime: int) -> PointFp:
         return None
     if p.z % prime == 0:
         return None  # reduces into the identity
-    z2 = invmod(p.z * p.z, prime)
-    z3 = z2 * invmod(p.z, prime)
-    return (p.x * z2 % prime, p.y * z3 % prime)
+    zi = invmod(p.z, prime)
+    z2 = zi * zi % prime
+    return (p.x * z2 % prime, p.y * z2 * zi % prime)
 
 
 def fp_add(p1: PointFp, p2: PointFp, curve: CurveFp) -> PointFp:
@@ -207,18 +207,46 @@ def fp_add(p1: PointFp, p2: PointFp, curve: CurveFp) -> PointFp:
 
 
 def fp_scalar_mul(n: int, pt: PointFp, curve: CurveFp) -> PointFp:
+    """n*pt for any integer n, left to right in Jacobian coordinates
+    (X/Z^2, Y/Z^3), Z = 0 standing for O.  Each bit doubles the running
+    point and, on a 1, adds the affine pt by mixed addition (Cohen, Miyaji,
+    Ono 1998), so the only inversion is the one back to affine at the end.
+    Doubling sets Z to 2YZ, which is 0 at O and at a point with Y = 0."""
+    if pt is None or n == 0:
+        return None
+    p, a = curve.p, curve.a
+    x, y = pt
     if n < 0:
-        pt = None if pt is None else (pt[0], (-pt[1]) % curve.p)
-        n = -n
-    result: PointFp = None
-    base = pt
-    while n:
-        if n & 1:
-            result = fp_add(result, base, curve)
-        n >>= 1
-        if n:
-            base = fp_add(base, base, curve)
-    return result
+        n, y = -n, -y % p
+    X, Y, Z = x, y, 1
+    for bit in bin(n)[3:]:
+        yy, zz = Y * Y % p, Z * Z % p
+        s, m = 4 * X * yy % p, (3 * X * X + a * zz * zz) % p
+        X = (m * m - 2 * s) % p
+        Y, Z = (m * (s - X) - 8 * yy * yy) % p, 2 * Y * Z % p
+        if bit == "0":
+            continue
+        if Z == 0:
+            X, Y, Z = x, y, 1
+            continue
+        zz = Z * Z % p
+        h, r = (x * zz - X) % p, (y * zz * Z - Y) % p
+        if h:
+            hh = h * h % p
+            hhh, v = h * hh % p, X * hh % p
+            X = (r * r - hhh - 2 * v) % p
+            Y, Z = (r * (v - X) - Y * hhh) % p, Z * h % p
+        elif r:  # the running point is -pt
+            Z = 0
+        else:  # the running point is pt: double the affine pt
+            s, m = 4 * x * y * y % p, (3 * x * x + a) % p
+            X = (m * m - 2 * s) % p
+            Y, Z = (m * (s - X) - 8 * y**4) % p, 2 * y % p
+    if Z == 0:
+        return None
+    zi = pow(Z, -1, p)
+    z2 = zi * zi % p
+    return (X * z2 % p, Y * z2 * zi % p)
 
 
 def count_points_naive(curve: CurveFp) -> tuple[int, int]:
@@ -256,9 +284,13 @@ def multiple_in_hasse(pt: PointFp, curve: CurveFp, d: int = 1) -> int | None:
     j*base.  If they find o = ord(base) (j*base = O, or x(j*base) =
     x(j'*base), when o = j + j'), m = o*d, or None if no multiple of o lies
     in [lo, hi].  Otherwise o > 2s+1, so each giant window [c-s, c+s] holds
-    at most one k with k*base = O, and a baby match at c gives it; the
-    stride (2s+1)*base is the sum of the last two baby steps.  At a good
-    prime with d = 1 the result is never None, as #E lies in the interval.
+    at most one k with k*base = O, a baby match at c gives it, and m = k*d
+    for the least such k >= lo.  The windows sit on the multiples c =
+    g*(2s+1), from the first that reaches lo, so the first giant point is
+    g*stride, a short scalar multiple of the stride (2s+1)*base, itself the
+    sum of the last two baby steps.  A k below lo in that window is skipped:
+    the next, k+o, lies in a later window.  At a good prime with d = 1 the
+    result is never None, as #E lies in the interval.
     """
     p = curve.p
     w = math.isqrt(4 * p)
@@ -284,15 +316,16 @@ def multiple_in_hasse(pt: PointFp, curve: CurveFp, d: int = 1) -> int | None:
     if order is not None:
         return order * d if -(-lo // order) * order <= hi else None
     stride = fp_add(prev, cur, curve)  # (2s+1)*base from s*base and (s+1)*base
-    c = lo + s
-    r = fp_scalar_mul(c, base, curve)
+    g = -(-(lo - s) // (2 * s + 1))
+    c = g * (2 * s + 1)
+    r = fp_scalar_mul(g, stride, curve)
     while c - s <= hi:
         if r is None:
             k = c
         else:
             hit = baby.get(r[0])
             k = None if hit is None else c - hit[0] if hit[1] == r[1] else c + hit[0]
-        if k is not None:
+        if k is not None and k >= lo:
             return k * d if k <= hi else None
         c += 2 * s + 1
         if c - s <= hi:

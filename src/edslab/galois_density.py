@@ -166,7 +166,7 @@ def _scan_one_prime(curve: CurveQ, point: PointQ, q: int, b: int, p: int) -> boo
 
 def _empirical_chunk(args) -> int:
     curve, point, q, b, primes = args
-    return sum(1 for p in primes if _scan_one_prime(curve, point, q, b, p))
+    return sum(1 for p in primes if p % q == b and _scan_one_prime(curve, point, q, b, p))
 
 
 def empirical_density(

@@ -234,11 +234,12 @@ def find_witness(
     For the first candidate the minimal periods of both sequences are computed,
     w_n's by `ward_period` and u's by `square_sampled_period`; a p where
     `ward_period` returns None or the walk of u passes `lrs.MAX_WALK` is
-    counted as `period_unconfirmed`, never certified, and a p above
-    `MAX_WITNESS_P`, which the verifier refuses, as `excluded`.  Any non-torsion point and any
-    recurrence is accepted: the zeros of z_n mod p are the multiples of r at
-    every p the scan keeps, as each prime of gcd(2y, 3x^2 + a*z^4) divides
-    2y.  Identical inputs always produce identical output.
+    counted as `period_unconfirmed`, never certified.  The scan stops at
+    min(p_max, `MAX_WITNESS_P`), as the verifier refuses a larger p.  Any
+    non-torsion point and any recurrence is accepted: the zeros of z_n mod p
+    are the multiples of r at every p the scan keeps, as each prime of
+    gcd(2y, 3x^2 + a*z^4) divides 2y.  Identical inputs always produce
+    identical output.
     """
     torsion, order = is_torsion(point, curve)
     if torsion:
@@ -270,9 +271,9 @@ def find_witness(
     invariants = curve.disc * point.z * spec.coeffs[-1] * 2 * point.y
     exact_prefix: list[int] | None = None
 
-    for p in iter_primes(p_max):
+    for p in iter_primes(min(p_max, MAX_WITNESS_P)):
         stats["scanned"] += 1
-        if p == 2 or p == q or p in exclusions or p > MAX_WITNESS_P:
+        if p == 2 or p == q or p in exclusions:
             stats["excluded"] += 1
             continue
         if invariants % p == 0:

@@ -364,6 +364,20 @@ def test_refute_exhaustion_exit3(capsys):
     assert "no witness prime" in err
 
 
+def test_refute_scans_no_prime_above_the_witness_bound(capsys, monkeypatch):
+    # (0,3), (1,2,1), Fibonacci, q = 5 has no witness: the scan stops at
+    # MAX_WITNESS_P, not at --p-max, and the message names the bound it used
+    monkeypatch.setattr(refuter, "MAX_WITNESS_P", 1_000)
+    code, _, err = run(
+        capsys,
+        "refute", "--curve", "0", "3", "--point", "1", "2", "1",
+        "--lrs", "2", "1", "1", "1", "1", "--q", "5", "--p-max", "100000",
+    )
+    assert code == 3
+    assert err.startswith("no witness prime <= 1000; per-condition counts:\n")
+    assert "  scanned: 168\n" in err
+
+
 def test_falsify(capsys):
     code, out, _ = run(
         capsys,

@@ -8,6 +8,7 @@ import pytest
 from edslab import elliptic
 from edslab.eds import canonical_height_estimate
 from edslab.elliptic import (
+    NAIVE_COUNT_BELOW,
     TORSION_SEARCH_BOUND,
     BadReductionError,
     CurveFp,
@@ -15,10 +16,12 @@ from edslab.elliptic import (
     PointQ,
     add,
     count_points,
+    count_points_naive,
     fp_add,
     fp_scalar_mul,
     hasse_window,
     is_torsion,
+    multiple_in_hasse,
     multiples,
     parse_curve,
     parse_point,
@@ -26,7 +29,8 @@ from edslab.elliptic import (
     reduce_point,
     scalar_mul,
 )
-from edslab.ntkernel import sieve_primes
+from edslab.ntkernel import order_from_multiple, sieve_primes, sqrt_mod_prime
+from test_galois_density import CM_CURVES
 
 E = CurveQ(0, 3)
 P = PointQ(1, 2, 1)
@@ -250,6 +254,122 @@ def test_reduction_compatible_with_scalar_mul():
                 assert fp_scalar_mul(n, pt, curve) is None
             else:
                 assert fp_scalar_mul(n, pt, curve) == reduce_point(q, E, p)
+
+
+def _affine_scalar_mul(n, pt, curve):
+    """n*pt by right-to-left double-and-add of affine points, one inversion
+    per `fp_add`: the reference for the Jacobian `fp_scalar_mul`."""
+    if n < 0:
+        pt = None if pt is None else (pt[0], (-pt[1]) % curve.p)
+        n = -n
+    result = None
+    base = pt
+    while n:
+        if n & 1:
+            result = fp_add(result, base, curve)
+        n >>= 1
+        if n:
+            base = fp_add(base, base, curve)
+    return result
+
+
+def test_jacobian_scalar_mul_matches_the_affine_double_and_add():
+    # primes on both sides of NAIVE_COUNT_BELOW; the reduced point, every
+    # point with y = 0, and a random point; n in {0, +-1, +-2}, the multiples
+    # of ord(pt) and of #E near 0, and random n in +-3p
+    rng = random.Random(13)
+    primes = [p for p in sieve_primes(2 * NAIVE_COUNT_BELOW) if p > 2]
+    assert primes[0] < NAIVE_COUNT_BELOW < primes[-1]
+    two_torsion = 0
+    for curve, point in [(E, P), *CM_CURVES]:
+        for p in primes:
+            if curve.disc % p == 0 or point.z % p == 0:
+                continue
+            cfp = CurveFp.from_curve(curve, p)
+            n_points, _ = count_points_naive(cfp)
+            roots = [(x, 0) for x in range(p) if cfp.contains((x, 0))]
+            two_torsion += len(roots)
+            fx = 0
+            while pow(fx, (p - 1) // 2, p) != 1:
+                x = rng.randrange(p)
+                fx = (x**3 + cfp.a * x + cfp.b) % p
+            for pt in [reduce_point(point, curve, p), *roots, (x, sqrt_mod_prime(fx, p))]:
+                order = order_from_multiple(n_points, lambda k: _affine_scalar_mul(k, pt, cfp) is None)
+                ns = [0, 1, -1, 2, -2, n_points, -n_points, n_points + 1]
+                ns += [k * order + e for k in (1, 2, -3) for e in (-1, 0, 1)]
+                ns += [rng.randrange(-3 * p, 3 * p + 1) for _ in range(8)]
+                for n in ns:
+                    assert fp_scalar_mul(n, pt, cfp) == _affine_scalar_mul(n, pt, cfp), (curve, p, pt, n)
+            assert fp_scalar_mul(5, None, cfp) is None
+    assert two_torsion > 0
+
+
+def _multiple_in_hasse_from_lo(pt, curve, d=1):
+    """`multiple_in_hasse` with its giant windows laid from lo, [lo, lo+2s],
+    [lo+2s+1, lo+4s+1], ..., and the first giant point (lo+s)*base: the
+    oracle for the windows anchored on multiples of the stride."""
+    p = curve.p
+    w = math.isqrt(4 * p)
+    lo, hi = -(-(p + 1 - w) // d), (p + 1 + w) // d
+    if lo > hi:
+        return None
+    s = math.isqrt(hi - lo) + 1
+    base = _affine_scalar_mul(d, pt, curve)
+    baby = {}
+    prev, cur = None, base
+    order = None
+    for j in range(1, s + 2):
+        if cur is None:
+            order = j
+            break
+        hit = baby.get(cur[0])
+        if hit is not None:
+            order = j + hit[0]
+            break
+        if j <= s:
+            baby[cur[0]] = (j, cur[1])
+            prev, cur = cur, fp_add(cur, base, curve)
+    if order is not None:
+        return order * d if -(-lo // order) * order <= hi else None
+    stride = fp_add(prev, cur, curve)
+    c = lo + s
+    r = _affine_scalar_mul(c, base, curve)
+    while c - s <= hi:
+        if r is None:
+            k = c
+        else:
+            hit = baby.get(r[0])
+            k = None if hit is None else c - hit[0] if hit[1] == r[1] else c + hit[0]
+        if k is not None:
+            return k * d if k <= hi else None
+        c += 2 * s + 1
+        if c - s <= hi:
+            r = fp_add(r, stride, curve)
+    return None
+
+
+def test_multiple_in_hasse_matches_the_windows_laid_from_lo():
+    for curve, point in [(E, P), *CM_CURVES]:
+        for p in sieve_primes(2000):
+            if p == 2 or curve.disc % p == 0 or point.z % p == 0:
+                continue
+            cfp = CurveFp.from_curve(curve, p)
+            pt = reduce_point(point, curve, p)
+            for d in (1, 2, 3, 5, 7, 13):
+                assert multiple_in_hasse(pt, cfp, d) == _multiple_in_hasse_from_lo(pt, cfp, d), (curve, p, d)
+
+
+@pytest.mark.parametrize(
+    "p,d,expected",
+    [
+        (41, 1, 42),  # ord = 14; windows [28, 38], [39, 49] and lo = 30: 28 is skipped
+        (97, 2, None),  # ord(2P) = 39; windows [39, 49], [50, 60] and lo = 40: 39 is skipped
+    ],
+)
+def test_multiple_in_hasse_skips_a_kill_below_lo(p, d, expected):
+    cfp = CurveFp.from_curve(E, p)
+    pt = reduce_point(P, E, p)
+    assert multiple_in_hasse(pt, cfp, d) == expected == _multiple_in_hasse_from_lo(pt, cfp, d)
 
 
 def test_point_order_rejects_bad_reduction():

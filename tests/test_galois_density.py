@@ -176,14 +176,20 @@ def test_multiple_in_hasse_searches_only_the_multiples_of_d():
 
 
 def test_scan_searches_only_the_multiples_of_q(monkeypatch):
-    # a search over the whole Hasse interval took 1,625 additions on this
-    # scan; searching only the multiples of q takes 1,021
-    calls = []
-    add = elliptic.fp_add
-    monkeypatch.setattr(elliptic, "fp_add", lambda *args: calls.append(1) or add(*args))
+    # the search over the whole Hasse interval (d = 1) takes 731 affine
+    # additions on this scan, the search over the multiples of q 271; scalar
+    # multiples add no affine points.  Each prime in the residue class takes
+    # at most 3 scalar multiples: base, the first giant point, the q-free
+    # part of the multiple.
+    adds, muls = [], []
+    add, mul = elliptic.fp_add, elliptic.fp_scalar_mul
+    monkeypatch.setattr(elliptic, "fp_add", lambda *args: adds.append(1) or add(*args))
+    monkeypatch.setattr(elliptic, "fp_scalar_mul", lambda *args: muls.append(1) or mul(*args))
     scan = empirical_density(E, P, 13, 3, 4000).empirical
     assert (scan.hits, scan.scanned) == (4, 547)
-    assert len(calls) <= 1_200
+    in_class = [p for p in sieve_primes(4000) if p % 13 == 2 and p != 2 and E.disc % p]
+    assert len(adds) <= 400
+    assert len(muls) <= 3 * len(in_class)
 
 
 def test_empirical_scan_counts_no_points(monkeypatch):

@@ -381,12 +381,14 @@ def test_verifier_bounds_p_before_the_recount(monkeypatch):
 
 
 def test_finder_certifies_no_p_above_the_verifiers_bound(monkeypatch):
-    # p = 7 is the witness unbounded; past the bound every prime is
-    # excluded before its order is looked at
+    # p = 7 is the witness unbounded; the scan stops at the bound, and of
+    # the primes 2, 3, 5 below it all but p = 3 are excluded before their
+    # order is looked at
     monkeypatch.setattr(refuter, "q_divides_order", _no_work)
     monkeypatch.setattr(refuter, "MAX_WITNESS_P", 6)
     result = find_witness(E, P, FIBONACCI, 5, p_max=200)
     assert not result.found and result.stats["candidates"] == 0
+    assert result.stats["scanned"] == 3
     assert result.stats["excluded"] == result.stats["scanned"] - 1  # all but p = 3
 
 
