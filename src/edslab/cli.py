@@ -155,9 +155,11 @@ def _lrs_spec(args) -> lrs.LrsSpec:
 
 
 def cmd_eds_gen(args) -> int:
+    stride = 1 if args.stride is None else args.stride
+    if stride < 1:
+        raise ValueError(f"--stride {stride} must be at least 1")
     curve, point = _curve_point(args)
     n = _resolve(args, "n", 20, int)
-    stride = args.stride or 1
     cache = _resolve(args, "cache_dir", os.environ.get(CACHE_ENV))
     seq = None
     if cache:

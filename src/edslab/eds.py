@@ -8,7 +8,8 @@ when gcd(2y, 3x^2 + a*z^4) = 1 (see `require_exact_companion`).  At a prime
 not dividing z_1 the factor z_1 is a unit, and the sign ambiguity is
 irrelevant to every question asked here (zeros, divisibility, periods up to
 sign).  Periods of a geometric stream come from Ward's symmetry
-(`ward_period`) on a few blocks of w_n, each read in O(log p) by `ladder_block`.
+(`ward_period`) on a few blocks of w_n, each read in O(log p) by `ladder_block`;
+the same ladder over Z gives one exact z_n (`geometric_term`) for the cache check.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from .elliptic import (
     log_bigint,
     point_order_fp,
     reduce_point,
-    scalar_mul,
 )
 from .ntkernel import IncompleteFactorization, factorize, invmod, is_prime, multiplicative_order
 
@@ -107,6 +107,11 @@ def division_poly_seeds(curve: CurveQ, point: PointQ) -> tuple[int, int, int, in
     return (1, w2, w3, w4)
 
 
+def _companion_gcd(curve: CurveQ, point: PointQ) -> int:
+    """gcd(2y, 3x^2 + a*z^4): 1 exactly when z_n = z_1*|w_n| for every n."""
+    return math.gcd(2 * point.y, 3 * point.x**2 + curve.a * point.z**4)
+
+
 def require_exact_companion(curve: CurveQ, point: PointQ) -> None:
     """Raise ValueError unless gcd(2y, 3x^2 + a*z^4) = 1, naming the bad primes.
 
@@ -116,7 +121,7 @@ def require_exact_companion(curve: CurveQ, point: PointQ) -> None:
     dividing it, and residues and periods of w_n modulo p are not those of
     z_n.
     """
-    g = math.gcd(2 * point.y, 3 * point.x**2 + curve.a * point.z**4)
+    g = _companion_gcd(curve, point)
     if g != 1:
         try:
             primes = sorted(factorize(g))
@@ -128,16 +133,30 @@ def require_exact_companion(curve: CurveQ, point: PointQ) -> None:
         )
 
 
+def _z_from_w(point: PointQ, coprime: bool, n: int, w_prev: int, w_n: int, w_next: int) -> int:
+    """z_n from w_(n-1), w_n, w_(n+1) of `division_poly_seeds`.
+
+    x(nP) = (x*w_n^2 - w_(n-1)*w_(n+1)) / (z^2*w_n^2).  When the companion gcd
+    is 1 (`coprime`) that fraction is already in lowest terms, so z_n = z*|w_n|
+    (Ayad's criterion, see `require_exact_companion`); otherwise z_n^2 is its
+    denominator after one gcd.
+    """
+    if coprime:
+        return point.z * abs(w_n)
+    den = (point.z * w_n) ** 2
+    den //= math.gcd(point.x * w_n**2 - w_prev * w_next, den)
+    z_n = math.isqrt(den)
+    if z_n * z_n != den:
+        raise ValueError(f"the reduced denominator of x({n}P) is not a square")
+    return z_n
+
+
 def generate_geometric(curve: CurveQ, point: PointQ, n_terms: int) -> EdsSequence:
     """z_1..z_N, each positive, from the division-polynomial recurrence.
 
     The exact integers w_n of `generate_ward` on `division_poly_seeds` give
-    x(nP) = (x*w_n^2 - w_(n-1)*w_(n+1)) / (z^2*w_n^2), with w_0 = 0.  When
-    gcd(2y, 3x^2 + a*z^4) = 1 that fraction is already in lowest terms, so
-    z_n = z*|w_n| with no further arithmetic (Ayad's criterion, see
-    `require_exact_companion`).  Otherwise z_n^2 is its denominator after
-    one gcd per term.  Chord-tangent `add` does none of this work; it stays
-    the independent oracle of the tests, the cache check and the verifier.
+    each z_n by `_z_from_w`.  Chord-tangent `add` does none of this work; it
+    stays the independent oracle of the tests and the verifier.
     """
     if n_terms < 1:
         raise ValueError("need at least one term")
@@ -147,20 +166,17 @@ def generate_geometric(curve: CurveQ, point: PointQ, n_terms: int) -> EdsSequenc
     if not curve.contains(point):
         raise ValueError("point is not on the curve")
     seed = WardSeed(*division_poly_seeds(curve, point))
-    z = point.z
-    if math.gcd(2 * point.y, 3 * point.x**2 + curve.a * point.z**4) == 1:
-        terms = [z * abs(w) for w in generate_ward(seed, n_terms).terms]
-        return EdsSequence("geometric", terms, curve=curve, point=point)
-    w = [0, *generate_ward(seed, n_terms + 1).terms]
-    terms = []
-    for n in range(1, n_terms + 1):
-        den = (z * w[n]) ** 2
-        den //= math.gcd(point.x * w[n] ** 2 - w[n - 1] * w[n + 1], den)
-        z_n = math.isqrt(den)
-        if z_n * z_n != den:
-            raise ValueError(f"the reduced denominator of x({n}P) is not a square")
-        terms.append(z_n)
+    coprime = _companion_gcd(curve, point) == 1
+    # the coprime path reads no w_(n+1): its last term is never generated
+    w = [0, *generate_ward(seed, n_terms + (not coprime)).terms, None]
+    terms = [_z_from_w(point, coprime, n, w[n - 1], w[n], w[n + 1]) for n in range(1, n_terms + 1)]
     return EdsSequence("geometric", terms, curve=curve, point=point)
+
+
+def geometric_term(curve: CurveQ, point: PointQ, n: int) -> int:
+    """z_n alone, from the exact `ladder_block` at n: O(log n) steps over Z."""
+    block = ladder_block(division_poly_seeds(curve, point), None, n)
+    return _z_from_w(point, _companion_gcd(curve, point) == 1, n, *block[2:5])
 
 
 def _ward_step(w: list[int], m: int) -> int:
@@ -175,6 +191,18 @@ def _ward_step(w: list[int], m: int) -> int:
     return w[n + 2] * w[n] * w[n - 1] ** 2 - w[n] * w[n - 2] * w[n + 1] ** 2
 
 
+def _ward_denominators(w1: int, w2: int) -> tuple[int, int]:
+    """The divisors of the even and the odd `_ward_step`: w2*w1^2 and w1^3."""
+    return (w2 * w1 * w1, w1**3)
+
+
+def _exact_div(num: int, den: int, index: int) -> int:
+    q, r = divmod(num, den)
+    if r:
+        raise InexactDivisionError(index, num, den)
+    return q
+
+
 def generate_ward(seed: WardSeed, n_terms: int) -> EdsSequence:
     """Extend four seed values by the bilinear recurrences (`_ward_step`),
     checking that each division is exact."""
@@ -182,12 +210,9 @@ def generate_ward(seed: WardSeed, n_terms: int) -> EdsSequence:
         raise ValueError("need at least one term")
     w = [0, *seed.as_tuple()]
     degenerate_at = next((i for i in range(1, min(4, n_terms) + 1) if w[i] == 0), None)
+    den = _ward_denominators(seed.w1, seed.w2)
     for m in range(5, n_terms + 1):
-        num = _ward_step(w, m)
-        den = seed.w1**3 if m % 2 else seed.w2 * seed.w1**2
-        if num % den != 0:
-            raise InexactDivisionError(m, num, den)
-        w.append(num // den)
+        w.append(_exact_div(_ward_step(w, m), den[m & 1], m))
         if w[m] == 0 and degenerate_at is None:
             degenerate_at = m
     return EdsSequence("ward", w[1 : n_terms + 1], seed=seed, degenerate_at=degenerate_at)
@@ -229,7 +254,7 @@ def stream_mod_p(seeds: tuple[int, int, int, int], p: int, horizon: int) -> list
         raise ValueError(f"stream modulo {p} needs p coprime to w1*w2")
     w = [0] * (max(horizon, 4) + 1)
     w[1], w[2], w[3], w[4] = (s % p for s in seeds)
-    inv = (invmod(w2 * w1 * w1 % p, p), invmod(pow(w1, 3, p), p))  # even, odd steps
+    inv = [invmod(d % p, p) for d in _ward_denominators(w1, w2)]
     for m in range(5, horizon + 1):
         w[m] = _ward_step(w, m) * inv[m & 1] % p
     return w[: horizon + 1]
@@ -256,20 +281,31 @@ def _minimal_stream_period(stream: list[int], step: int, horizon: int) -> int | 
     return None
 
 
-def ladder_block(seeds: tuple[int, int, int, int], p: int, n: int) -> list[int]:
-    """w_{n-3}..w_{n+4} modulo p in O(log n) steps; needs p coprime to w1*w2.
+def ladder_block(seeds: tuple[int, int, int, int], p: int | None, n: int) -> list[int]:
+    """w_{n-3}..w_{n+4} modulo p, or over Z when p is None, in O(log n) steps.
 
     Shipsey's double-and-add (R. Shipsey, thesis, Goldsmiths 2000): with w_{-m} = -w_m,
     `_ward_step` maps the block at j (w_{j-3}..w_{j+4} at list positions 0..7) to the
     one at 2j + b, at positions 3 + b..10 + b of indices shifted down by the even 2(j-3).
+    Modulo p the divisions are by inverses, so p must be coprime to w1*w2; over Z each
+    must be exact, or `InexactDivisionError` names the index.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    w1, w2, w3, w4 = (s % p for s in seeds)
+    w1, w2, w3, w4 = seeds if p is None else (s % p for s in seeds)
     if w1 == 0 or w2 == 0:
-        raise ValueError(f"stream modulo {p} needs p coprime to w1*w2")
-    inv = (invmod(w2 * w1 * w1 % p, p), invmod(pow(w1, 3, p), p))  # even, odd steps
+        raise ValueError(
+            "w1 and w2 must be non-zero" if p is None else f"stream modulo {p} needs p coprime to w1*w2"
+        )
     w = [-w3, -w2, -w1, 0, w1, w2, w3, w4]  # the block at j = 0
+    den = _ward_denominators(w1, w2)
+    if p is None:
+        j = 0
+        for b in map(int, bin(n)[2:]):
+            w = [_exact_div(_ward_step(w, m), den[m & 1], m + 2 * j - 6) for m in range(3 + b, 11 + b)]
+            j = 2 * j + b
+        return w
+    inv = [invmod(d % p, p) for d in den]
     for b in map(int, bin(n)[2:]):
         w = [_ward_step(w, m) * inv[m & 1] % p for m in range(3 + b, 11 + b)]
     return w
@@ -426,12 +462,16 @@ def cache_path(cache_dir: str, curve: CurveQ, point: PointQ) -> str:
     return os.path.join(cache_dir, cache_key(curve, point) + ".eds")
 
 
-CACHE_HEADER = "edslab-eds 2\n"
+CACHE_HEADER = "edslab-eds 3\n"
 
 
 def save_sequence(cache_dir: str, seq: EdsSequence) -> str:
-    """Write the terms and a SHA-256 of the file above it, replacing the
-    file atomically; a write that fails leaves the previous file as it was."""
+    """Write the terms in hex and a SHA-256 of the file above it, replacing
+    the file atomically; a write that fails leaves the previous file as it was.
+
+    Hex, unlike decimal, converts in time linear in the size of a term and
+    has no length limit.
+    """
     if seq.source != "geometric":
         raise ValueError("only geometric sequences are cached")
     os.makedirs(cache_dir, exist_ok=True)
@@ -440,7 +480,7 @@ def save_sequence(cache_dir: str, seq: EdsSequence) -> str:
     try:
         with os.fdopen(fd, "w") as fh:
             digest = hashlib.sha256()
-            lines = (f"{n} {z}\n" for n, z in enumerate(seq.terms, start=1))
+            lines = (f"{n} {z:x}\n" for n, z in enumerate(seq.terms, start=1))
             for line in itertools.chain([CACHE_HEADER], lines):
                 digest.update(line.encode())
                 fh.write(line)
@@ -455,33 +495,34 @@ def save_sequence(cache_dir: str, seq: EdsSequence) -> str:
 def load_sequence(cache_dir: str, curve: CurveQ, point: PointQ, n_terms: int) -> EdsSequence | None:
     """Load a cached prefix, or None on a miss.
 
-    A file without the header, without a matching SHA-256 line, with other
-    than the lines 1..M, or with M < n_terms is a miss; so is one whose
-    first or last requested term differs from the exact chord-tangent
-    multiple.  The caller regenerates.
+    A file without the current header (a decimal file of format 2 too),
+    without a matching SHA-256 line, with other than the lines 1..M, or with
+    M < n_terms is a miss.  The hash only finds corruption; it does not tie
+    the file to its (curve, point), so the first and last requested terms
+    must also equal the exact z_1 and z_n of `geometric_term`, O(log n)
+    ladder steps over Z.  The caller regenerates.
     """
-    path = cache_path(cache_dir, curve, point)
     try:
-        with open(path) as fh:
-            text = fh.read()
-    except (OSError, ValueError):
+        with open(cache_path(cache_dir, curve, point), "rb") as fh:
+            data = fh.read()
+    except OSError:
         return None
-    body, _, trailer = text[:-1].rpartition("\n")
-    body += "\n"
-    if not body.startswith(CACHE_HEADER) or trailer != f"sha256 {hashlib.sha256(body.encode()).hexdigest()}":
+    end = data.rfind(b"\n", 0, -1) + 1  # where the hash line starts
+    digest = hashlib.sha256(memoryview(data)[:end]).hexdigest()
+    if not data.startswith(CACHE_HEADER.encode()) or data[end:] != f"sha256 {digest}\n".encode():
+        return None
+    lines = data[len(CACHE_HEADER) : end].splitlines()
+    if len(lines) < n_terms:
         return None
     terms = []
     try:
-        for n, line in enumerate(body[len(CACHE_HEADER) :].splitlines(), start=1):
+        for n, line in enumerate(lines, start=1):
             n_str, z_str = line.split()
             if int(n_str) != n:
                 return None
-            terms.append(int(z_str))
-    except ValueError:
-        return None
-    if len(terms) < n_terms:
-        return None
-    for n in (1, n_terms):
-        if scalar_mul(n, point, curve).z != terms[n - 1]:
+            terms.append(int(z_str, 16))
+        if any(geometric_term(curve, point, n) != terms[n - 1] for n in (1, n_terms)):
             return None
+    except ValueError:  # a malformed line, or a point whose sequence the ladder refuses
+        return None
     return EdsSequence("geometric", terms[:n_terms], curve=curve, point=point)

@@ -37,6 +37,14 @@ def test_eds_gen_stride(capsys):
     assert [r[0] for r in rows] == ["2", "4", "6"]
 
 
+@pytest.mark.parametrize("stride", ["0", "-2"])
+def test_eds_gen_refuses_a_stride_below_one(capsys, stride):
+    # stride 0 listed stride 1; -2 failed with "need at least one term"
+    code, out, err = run(capsys, "eds", "gen", "--curve", "0", "3", "--point", "1", "2", "1", "--stride", stride)
+    assert code == 2 and out == ""
+    assert f"--stride {stride}" in err
+
+
 def test_eds_gen_uses_cache(tmp_path, capsys):
     args = ("eds", "gen", "--curve", "0", "3", "--point", "1", "2", "1", "--n", "6",
             "--cache-dir", str(tmp_path))

@@ -1,6 +1,8 @@
+import hashlib
 import math
 import os
 import random
+import shutil
 
 import pytest
 
@@ -15,6 +17,7 @@ from edslab.eds import (
     eds_period_mod_p,
     generate_geometric,
     generate_ward,
+    geometric_term,
     ladder_block,
     load_sequence,
     primitive_divisor_scan,
@@ -488,9 +491,9 @@ def test_cache_rejects_edited_middle_line(tmp_path):
     seq = fixture_sequence(12)
     path = save_sequence(str(tmp_path), seq)
     text = open(path).read()
-    assert text.startswith("edslab-eds 2\n") and text.splitlines()[-1].startswith("sha256 ")
+    assert text.startswith("edslab-eds 3\n") and text.splitlines()[-1].startswith("sha256 ")
     # z_6 changes while z_1 and z_12, the terms re-derived exactly, do not
-    edited = text.replace(f"\n6 {seq.term(6)}\n", f"\n6 {seq.term(6) + 1}\n")
+    edited = text.replace(f"\n6 {seq.term(6):x}\n", f"\n6 {seq.term(6) + 1:x}\n")
     assert edited != text
     open(path, "w").write(edited)
     assert load_sequence(str(tmp_path), E, P, 12) is None
@@ -510,7 +513,89 @@ def test_cache_rejects_missing_hash_and_old_format(tmp_path):
     assert load_sequence(str(tmp_path), E, P, 7).terms == seq.terms[:7]
 
 
+def test_cache_stores_hex_terms_and_misses_a_decimal_file(tmp_path):
+    seq = fixture_sequence(12)
+    path = save_sequence(str(tmp_path), seq)
+    assert open(path).read().splitlines()[1:13] == [f"{n} {z:x}" for n, z in enumerate(seq.terms, start=1)]
+    # the decimal format 2, correctly hashed, is a miss; a new save overwrites it
+    decimal = "edslab-eds 2\n" + "".join(f"{n} {z}\n" for n, z in enumerate(seq.terms, start=1))
+    open(path, "w").write(decimal + f"sha256 {hashlib.sha256(decimal.encode()).hexdigest()}\n")
+    assert load_sequence(str(tmp_path), E, P, 12) is None
+    save_sequence(str(tmp_path), seq)
+    assert open(path).read().startswith("edslab-eds 3\n")
+    assert load_sequence(str(tmp_path), E, P, 12).terms == seq.terms
+
+
+def test_cache_misses_a_valid_file_of_another_point(tmp_path):
+    # the hash is right, but the terms are those of (1, 1, 1) on (-4, 4): only
+    # the exact check of z_12 sees it (z_1 = 1 on both)
+    other = save_sequence(str(tmp_path / "other"), generate_geometric(CurveQ(-4, 4), PointQ(1, 1, 1), 12))
+    shutil.copy(other, eds.cache_path(str(tmp_path), E, P))
+    assert load_sequence(str(tmp_path), E, P, 12) is None
+
+
+def test_cache_round_trips_terms_past_the_decimal_limit(tmp_path):
+    # z_87 of (13, 48, 1) on (8, 3) has 4,398 digits, past CPython's default
+    # 4,300-digit int-to-str limit, which the decimal format raised on
+    curve, point = CurveQ(8, 3), PointQ(13, 48, 1)
+    seq = generate_geometric(curve, point, 87)
+    assert seq.term(87).bit_length() > 4300 * math.log2(10)
+    save_sequence(str(tmp_path), seq)
+    assert load_sequence(str(tmp_path), curve, point, 87).terms == seq.terms
+
+
+def test_warm_load_adds_no_points_and_takes_logarithmically_many_steps(tmp_path, monkeypatch):
+    curve, point, n = CurveQ(1, -9), PointQ(2, 1, 1), 105
+    seq = generate_geometric(curve, point, n)
+    save_sequence(str(tmp_path), seq)
+
+    def forbidden(*args):
+        raise AssertionError("a warm load regenerated or added points")
+
+    for module, name in ((elliptic, "scalar_mul"), (elliptic, "add"), (eds, "generate_ward")):
+        monkeypatch.setattr(module, name, forbidden)
+    steps = []
+    step = eds._ward_step
+    monkeypatch.setattr(eds, "_ward_step", lambda w, m: steps.append(m) or step(w, m))
+    assert load_sequence(str(tmp_path), curve, point, n).terms == seq.terms
+    # one ladder at 1 and one at n, 8 steps per bit
+    assert 0 < len(steps) <= 8 * (math.log2(n) + 2)
+
+
+# Ayad points on (1, -9), (8, 3), (-4, 4) and (0, 3), and a gcd-path point
+EXACT_LADDER_FIXTURES = [
+    (CurveQ(1, -9), PointQ(2, 1, 1)),
+    (CurveQ(8, 3), PointQ(13, 48, 1)),
+    (CurveQ(-4, 4), PointQ(1, 1, 1)),
+    (E, P),
+    (CurveQ(0, 17), PointQ(-2, 3, 1)),
+]
+
+
+@pytest.mark.parametrize("curve,point", EXACT_LADDER_FIXTURES)
+def test_exact_ladder_matches_the_recurrence_and_the_geometric_terms(curve, point):
+    n_max = 120
+    seeds = division_poly_seeds(curve, point)
+    ward = [0, *generate_ward(WardSeed(*seeds), n_max + 4).terms]
+    geo = generate_geometric(curve, point, n_max).terms
+    for n in range(0, n_max + 1):
+        block = [ward[m] if m >= 0 else -ward[-m] for m in range(n - 3, n + 5)]  # w_{-m} = -w_m
+        assert ladder_block(seeds, None, n) == block, n
+        if n:
+            assert geometric_term(curve, point, n) == geo[n - 1], n
+    for n in (1, 2, 7, 30):
+        assert geometric_term(curve, point, n) == scalar_mul(n, point, curve).z
+
+
+def test_exact_ladder_reports_an_inexact_division():
+    # w5 = -2/27 on the seed (3, 1, 1, 1), as in generate_ward
+    with pytest.raises(InexactDivisionError) as exc:
+        ladder_block((3, 1, 1, 1), None, 5)
+    assert exc.value.index == 5
+
+
 class _Unprintable(int):
+    # raises for every format spec, the hex one of save_sequence too
     def __format__(self, spec):
         raise ValueError("Exceeds the limit for integer string conversion")
 
