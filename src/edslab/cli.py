@@ -154,12 +154,19 @@ def _lrs_spec(args) -> lrs.LrsSpec:
 # eds commands
 
 
+def _term_count(args, default: int) -> int:
+    n = _resolve(args, "n", default, int)
+    if n < 1:
+        raise ValueError(f"--n {n} must be at least 1")
+    return n
+
+
 def cmd_eds_gen(args) -> int:
     stride = 1 if args.stride is None else args.stride
     if stride < 1:
         raise ValueError(f"--stride {stride} must be at least 1")
+    n = _term_count(args, 20)
     curve, point = _curve_point(args)
-    n = _resolve(args, "n", 20, int)
     cache = _resolve(args, "cache_dir", os.environ.get(CACHE_ENV))
     seq = None
     if cache:
@@ -180,7 +187,7 @@ def cmd_eds_gen(args) -> int:
 
 def cmd_eds_ward(args) -> int:
     seed = eds.WardSeed(*args.seed)
-    n = _resolve(args, "n", 10, int)
+    n = _term_count(args, 10)
     seq = eds.generate_ward(seed, n)
     rows = [[i, seq.term(i)] for i in range(1, n + 1)]
     _emit(args.format, ["n", "w_n"], rows)
@@ -200,8 +207,8 @@ def cmd_eds_period(args) -> int:
 
 
 def cmd_eds_zsigmondy(args) -> int:
+    n = _term_count(args, 20)
     curve, point = _curve_point(args)
-    n = _resolve(args, "n", 20, int)
     seq = eds.generate_geometric(curve, point, n)
     reports = eds.primitive_divisor_scan(seq)
     rows = [

@@ -14,11 +14,9 @@ the same ladder over Z gives one exact z_n (`geometric_term`) for the cache chec
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import math
 import os
-import tempfile
 from dataclasses import dataclass
 
 from .elliptic import (
@@ -38,7 +36,9 @@ class InexactDivisionError(ValueError):
     """A bilinear recurrence step did not divide exactly."""
 
     def __init__(self, index: int, numerator: int, denominator: int):
-        super().__init__(f"inexact division at index {index}: {numerator} / {denominator}")
+        # sizes, not values: str() raises on an int past 4,300 decimal digits
+        sizes = f"a {numerator.bit_length()}-bit numerator by a {denominator.bit_length()}-bit denominator"
+        super().__init__(f"inexact division at index {index}: {sizes}")
         self.index = index
 
 
@@ -454,6 +454,8 @@ def primitive_divisor_scan(seq: EdsSequence, *, rho_iters: int = 200_000) -> lis
 
 
 def cache_key(curve: CurveQ, point: PointQ) -> str:
+    import hashlib  # in the cache functions only: other commands do not load OpenSSL
+
     payload = f"curve {curve.a} {curve.b} point {point.x} {point.y} {point.z}"
     return hashlib.sha256(payload.encode()).hexdigest()
 
@@ -472,6 +474,9 @@ def save_sequence(cache_dir: str, seq: EdsSequence) -> str:
     Hex, unlike decimal, converts in time linear in the size of a term and
     has no length limit.
     """
+    import hashlib
+    import tempfile
+
     if seq.source != "geometric":
         raise ValueError("only geometric sequences are cached")
     os.makedirs(cache_dir, exist_ok=True)
@@ -502,6 +507,8 @@ def load_sequence(cache_dir: str, curve: CurveQ, point: PointQ, n_terms: int) ->
     must also equal the exact z_1 and z_n of `geometric_term`, O(log n)
     ladder steps over Z.  The caller regenerates.
     """
+    import hashlib
+
     try:
         with open(cache_path(cache_dir, curve, point), "rb") as fh:
             data = fh.read()

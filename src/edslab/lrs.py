@@ -9,6 +9,7 @@ numerical root finding only ever appears in tests as a cross-check.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
@@ -22,7 +23,6 @@ from .ntkernel import (
     lcm_tower,
     order_from_multiple,
     rref_fraction,
-    solve_exact,
 )
 
 DEFAULT_FIT_BOUND = 12
@@ -78,48 +78,35 @@ def char_poly(spec: LrsSpec) -> Poly:
     return Poly(*coeffs)
 
 
-def companion_matrix(spec: LrsSpec) -> list[list[int]]:
-    k = spec.order
-    mat = [[0] * k for _ in range(k)]
-    mat[0] = list(spec.coeffs)
-    for i in range(1, k):
-        mat[i][i - 1] = 1
-    return mat
+def _x_pow_mod(coeffs: tuple[int, ...], t: int, m: int) -> list[int]:
+    """[r_0, ..., r_(k-1)] with x^t = r_0 + r_1*x + ... + r_(k-1)*x^(k-1) mod (chi, m).
 
-
-def _mat_mul_mod(a, b, p):
-    bt = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) % p for col in bt] for row in a]
-
-
-def _mat_vec_mod(a, v, p):
-    return [sum(x * y for x, y in zip(row, v)) % p for row in a]
-
-
-def _mat_pow_mod(m, e, p):
-    n = len(m)
-    result = [[int(i == j) for j in range(n)] for i in range(n)]
-    base = [[x % p for x in row] for row in m]
-    while e:
-        if e & 1:
-            result = _mat_mul_mod(result, base, p)
-        e >>= 1
-        if e:
-            base = _mat_mul_mod(base, base, p)
-    return result
+    chi = x^k - c1*x^(k-1) - ... - ck.  Each bit of t costs one square and
+    one reduction, O(k^2), where a companion-matrix product costs O(k^3).
+    """
+    k = len(coeffs)
+    low = [c % m for c in reversed(coeffs)]  # x^k = ck + c(k-1)*x + ... + c1*x^(k-1)
+    r = [1 % m] + [0] * (k - 1)
+    for bit in bin(t)[2:]:
+        prod = [0] * (2 * k)  # r^2, times x when the bit is set
+        for i, a in enumerate(r, int(bit)):
+            if a:
+                for j, b in enumerate(r, i):
+                    prod[j] += a * b
+        for d in range(2 * k - 1, k - 1, -1):  # x^d = x^(d-k) * x^k
+            top = prod[d] % m
+            if top:
+                for i, c in enumerate(low, d - k):
+                    prod[i] += top * c
+        r = [a % m for a in prod[:k]]
+    return r
 
 
 def eval_mod(spec: LrsSpec, n: int, p: int) -> int:
-    """u_n mod p by companion-matrix exponentiation; n may be astronomically large."""
+    """u_n mod p = r_0*u_1 + ... + r_(k-1)*u_k with r = x^(n-1) mod chi; n may be astronomically large."""
     if n < 1:
         raise ValueError("indices start at 1")
-    k = spec.order
-    if n <= k:
-        return spec.initial[n - 1] % p
-    # state s_m = (u_{m+k-1}, ..., u_m); s_n = M^(n-1) s_1, u_n is its last entry
-    mat = _mat_pow_mod(companion_matrix(spec), n - 1, p)
-    state = [spec.initial[k - 1 - i] % p for i in range(k)]
-    return _mat_vec_mod(mat, state, p)[-1]
+    return sum(map(mul, _x_pow_mod(spec.coeffs, n - 1, p), spec.initial)) % p
 
 
 # ---------------------------------------------------------------------------
@@ -149,50 +136,59 @@ def hankel_rank(terms: list[int]) -> int:
     return len(pivots)
 
 
-def _fit_order(terms: list[int], k: int) -> tuple[Fraction, ...] | None:
-    """Solve for order-k coefficients reproducing all windows, or None."""
-    rows = [[Fraction(terms[i + k - j]) for j in range(1, k + 1)] for i in range(len(terms) - k)]
-    rhs = [Fraction(terms[i + k]) for i in range(len(terms) - k)]
-    solved = solve_exact(rows, rhs)
-    if solved is None:
-        return None
-    particular, null_basis = solved
-    coeffs = list(particular)
-    if coeffs[-1] == 0:
-        # prefer a representative with a non-zero trailing coefficient
-        for vec in null_basis:
-            if vec[-1] != 0:
-                coeffs = [c + v for c, v in zip(coeffs, vec)]
-                break
+def _berlekamp_massey(terms: list[int]) -> tuple[int, list[int]]:
+    """Linear complexity L and [C_0, ..., C_L] over Z, C_0 != 0, with
+    C_0*u_n + C_1*u_(n-1) + ... + C_L*u_(n-L) = 0 for every window of the terms.
+
+    Massey's algorithm over Q, kept fraction-free: the update
+    C - (d/b)*x^s*B is scaled by b, and each C is divided by its content.
+    """
+    conn, prev = [1], [1]  # C, and B: the C before the last length change
+    length, shift, prev_d = 0, 1, 1
+    for n in range(len(terms)):
+        d = sum(c * terms[n - i] for i, c in enumerate(conn))
+        if d == 0:
+            shift += 1
+            continue
+        update = [prev_d * c for c in conn] + [0] * (shift + len(prev) - len(conn))
+        for i, b in enumerate(prev, shift):
+            update[i] -= d * b
+        g = math.gcd(*update)
+        if 2 * length <= n:
+            prev, prev_d = conn, d
+            length, shift = n + 1 - length, 1
         else:
-            return None
-    return tuple(coeffs)
+            shift += 1
+        conn = [c // g for c in update]
+    return length, conn + [0] * (length + 1 - len(conn))
 
 
 def fit_minimal_recurrence(terms: list[int], bound: int = DEFAULT_FIT_BOUND) -> FitResult:
     """Smallest-order integer recurrence reproducing every supplied term.
 
-    Orders are tried in ascending order; a consistent rational solution with
-    non-integer coefficients is recorded as a Fatou violation for that order
-    (an integer sequence that truly satisfies an integer recurrence has
-    integer minimal coefficients) and the search continues.
+    Berlekamp-Massey gives the linear complexity L and the unique order-L
+    recurrence mu over Q (unique once 2L <= len(terms)); no order below L
+    fits.  For L <= k <= len(terms)/2 every order-k recurrence has
+    characteristic polynomial mu*g with g monic, so its last coefficient is 0
+    when mu's is, and by Gauss's lemma it is integral only when mu is.  A
+    non-integral mu is recorded as the order-L Fatou violation (an integer
+    sequence that truly satisfies an integer recurrence has integer minimal
+    coefficients).
     """
     if len(terms) < 2:
         raise ValueError("need at least two terms")
-    violations: list[tuple[int, tuple[Fraction, ...]]] = []
-    for k in range(1, bound + 1):
-        if 2 * k > len(terms):
-            break
-        coeffs = _fit_order(terms, k)
-        if coeffs is None:
-            continue
-        if any(c.denominator != 1 for c in coeffs):
-            violations.append((k, coeffs))
-            continue
-        spec = LrsSpec(k, tuple(int(c) for c in coeffs), tuple(terms[:k]), minimal=True)
-        if generate(spec, len(terms)) == terms:
-            return FitResult("ok", spec, bound, violations)
-    return FitResult("no_fit", None, bound, violations)
+    length, conn = _berlekamp_massey(terms)
+    if length == 0:  # all zeros: the first order tried is u_(n+1) = u_n
+        length, conn = 1, [1, -1]
+    if 2 * length > len(terms) or length > bound or conn[-1] == 0:
+        return FitResult("no_fit", None, bound, [])
+    lead = conn[0]
+    if any(c % lead for c in conn):
+        return FitResult("no_fit", None, bound, [(length, tuple(Fraction(-c, lead) for c in conn[1:]))])
+    spec = LrsSpec(length, tuple(-c // lead for c in conn[1:]), tuple(terms[:length]), minimal=True)
+    if generate(spec, len(terms)) == terms:
+        return FitResult("ok", spec, bound, [])
+    return FitResult("no_fit", None, bound, [])
 
 
 # ---------------------------------------------------------------------------
@@ -317,23 +313,22 @@ def _state_seq_period_iterative(spec: LrsSpec, p: int) -> int:
 
 
 def _state_seq_period_matrix(spec: LrsSpec, p: int) -> int:
-    """Minimal T with M^T s = s via divisor refinement of a known multiple.
+    """Minimal T with C^T s = s for the companion matrix C, via divisor
+    refinement of a known multiple.
 
-    The companion matrix order divides p^ceil(log_p k) * lcm(p^j - 1, j<=k),
-    so the orbit period divides that too; `order_from_multiple` strips
-    prime factors while the state still returns.
+    F_p[x]/(chi) is F_p[C], so C^T s = s exactly when r = x^T mod chi gives
+    u_(j+T) = r_0*u_j + ... + r_(k-1)*u_(j+k-1) = u_j for j = 1..k.  The
+    order of C divides p^ceil(log_p k) * lcm(p^j - 1, j<=k), so the orbit
+    period divides that too; `order_from_multiple` strips prime factors
+    while the state still returns.
     """
     k = spec.order
-    mat = companion_matrix(spec)
-    state = [spec.initial[k - 1 - i] % p for i in range(k)]
-    bound = lcm_tower(p, k)
-    pk = 1
-    while pk < k:
-        pk *= p
-    bound *= pk
+    terms = [u % p for u in generate(spec, 2 * k - 1)]
+    bound = lcm_tower(p, k) * next(p**e for e in range(k) if p**e >= k)
 
     def returns(t: int) -> bool:
-        return _mat_vec_mod(_mat_pow_mod(mat, t, p), state, p) == state
+        r = _x_pow_mod(spec.coeffs, t, p)
+        return all(sum(map(mul, r, terms[j : j + k])) % p == terms[j] for j in range(k))
 
     assert returns(bound)
     return order_from_multiple(bound, returns)
@@ -383,21 +378,26 @@ def square_sampled_period(spec: LrsSpec, p: int) -> SquarePeriodResult:
     the table u_1..u_L mod p that `u_mod` reads.  The square-sampled stream is
     purely periodic with period dividing L, and its periods are the multiples
     of the least one; `order_from_multiple` strips primes from L while the
-    candidate still leaves one L-cycle of it unchanged by rotation.  A walk
-    longer than `MAX_WALK` steps raises ValueError.
+    candidate still leaves one L-cycle of it unchanged by rotation.  When
+    L > `MAX_WALK`, ValueError is raised before the walk starts.
     """
     _require_purely_periodic(spec, p)
     k = spec.order
+    # L <= p^k - 1: only when p^k > MAX_WALK is L read first, from x^t mod chi
+    if p**k > MAX_WALK and _state_seq_period_matrix(spec, p) > MAX_WALK:
+        raise ValueError(f"the recurrence mod {p} does not return within {MAX_WALK} steps")
     coeffs = [c % p for c in reversed(spec.coeffs)]
     start = [u % p for u in spec.initial]
+    last = start[-1]
     # u_1..u_{L+k}, iterated mod p: the exact terms would need O(L^2) bits
     table = list(start)
-    for _ in range(MAX_WALK):
-        table.append(sum(map(mul, coeffs, table[-k:])) % p)
-        if table[-k:] == start:
+    window = deque(start, maxlen=k)
+    while True:  # at most MAX_WALK steps: L <= p^k - 1 <= MAX_WALK, or L was read above
+        u = sum(map(mul, coeffs, window)) % p
+        table.append(u)
+        window.append(u)
+        if u == last and table[-k:] == start:
             break
-    else:
-        raise ValueError(f"the recurrence mod {p} does not return within {MAX_WALK} steps")
     lam = len(table) - k
     del table[lam:]
     values = [table[(n * n - 1) % lam] for n in range(1, lam + 1)]

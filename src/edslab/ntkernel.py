@@ -376,21 +376,6 @@ def kernel_basis(rows: list[list[Fraction]]) -> list[list[Fraction]]:
     return basis
 
 
-def solve_exact(
-    rows: list[list[Fraction]], rhs: list[Fraction]
-) -> tuple[list[Fraction], list[list[Fraction]]] | None:
-    """Solve A x = b exactly; returns (particular, kernel basis) or None."""
-    aug = [list(map(Fraction, row)) + [Fraction(v)] for row, v in zip(rows, rhs)]
-    ncols = len(rows[0]) if rows else 0
-    rref, pivots = rref_fraction(aug)
-    if ncols in pivots:
-        return None  # inconsistent: pivot in the augmented column
-    particular = [Fraction(0)] * ncols
-    for r, pc in enumerate(pivots):
-        particular[pc] = rref[r][ncols]
-    return particular, kernel_basis([row[:ncols] for row in rows])
-
-
 def det_fraction(rows: list[list[Fraction]]) -> Fraction:
     """Determinant over Q by fraction Gaussian elimination."""
     n = len(rows)

@@ -45,6 +45,35 @@ def test_eds_gen_refuses_a_stride_below_one(capsys, stride):
     assert f"--stride {stride}" in err
 
 
+@pytest.mark.parametrize("n", ["0", "-3"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("eds", "gen", "--curve", "0", "3", "--point", "1", "2", "1", "--cache-dir", "."),
+        ("eds", "zsigmondy", "--curve", "0", "3", "--point", "1", "2", "1"),
+        ("eds", "ward", "--seed", "1", "1", "-1", "1"),
+    ],
+    ids=["gen", "zsigmondy", "ward"],
+)
+def test_term_count_below_one_exit2_before_any_work(capsys, monkeypatch, argv, n):
+    # these failed with "need at least one term", which names no option
+    for name in ("load_sequence", "generate_geometric", "generate_ward"):
+        monkeypatch.setattr(cli.eds, name, _refuse)
+    assert run(capsys, *argv, "--n", n) == (2, "", f"error: --n {n} must be at least 1\n")
+
+
+def test_importing_the_cli_loads_no_cache_modules():
+    # hashlib (OpenSSL) and tempfile are loaded by the cache functions only;
+    # -S keeps site-packages hooks from importing them first
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    probe = "import sys, edslab.cli; print(sorted({'hashlib', 'tempfile'} & set(sys.modules)))"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", probe],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, check=True,
+    )
+    assert proc.stdout == "[]\n"
+
+
 def test_eds_gen_uses_cache(tmp_path, capsys):
     args = ("eds", "gen", "--curve", "0", "3", "--point", "1", "2", "1", "--n", "6",
             "--cache-dir", str(tmp_path))

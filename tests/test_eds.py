@@ -93,6 +93,14 @@ def test_ward_inexact_division_reported():
     assert exc.value.index == 5
 
 
+def test_inexact_division_error_states_sizes_not_decimal_values():
+    # a numerator past CPython's 4,300-digit str() limit used to make the
+    # constructor itself raise ValueError
+    exc = InexactDivisionError(5, 10**5000, 3)
+    assert exc.index == 5
+    assert str(exc) == "inexact division at index 5: a 16610-bit numerator by a 2-bit denominator"
+
+
 def test_ward_matches_geometric_up_to_sign():
     n = 24
     geo = fixture_sequence(n)

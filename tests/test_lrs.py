@@ -25,7 +25,15 @@ from edslab.lrs import (
     SquarePeriodResult,
     square_sampled_period,
 )
-from edslab.ntkernel import Poly, det_fraction, sieve_primes
+from edslab.ntkernel import (
+    Poly,
+    det_fraction,
+    kernel_basis,
+    lcm_tower,
+    order_from_multiple,
+    rref_fraction,
+    sieve_primes,
+)
 from test_ntkernel import _reference_cyclotomic_orders, cyclotomic_polynomial
 
 
@@ -56,6 +64,68 @@ def test_eval_exact_matches_matrix_power():
         terms = generate(spec, 200)
         for n in (1, 7, 50, 200):
             assert eval_mod(spec, n, p) == terms[n - 1] % p
+
+
+def _companion_power(spec: LrsSpec, e: int, m: int) -> list[list[int]]:
+    """C^e mod m for the companion matrix C: the reference for x^e mod chi."""
+    k = spec.order
+    base = [[c % m for c in spec.coeffs]] + [[int(j == i - 1) for j in range(k)] for i in range(1, k)]
+    result = [[int(i == j) % m for j in range(k)] for i in range(k)]
+
+    def mat_mul(a, b):
+        return [[sum(x * y for x, y in zip(row, col)) % m for col in zip(*b)] for row in a]
+
+    while e:
+        if e & 1:
+            result = mat_mul(result, base)
+        e >>= 1
+        base = mat_mul(base, base)
+    return result
+
+
+def _reference_eval_mod(spec: LrsSpec, n: int, m: int) -> int:
+    # the state (u_(n+k-1), ..., u_n) is C^(n-1) applied to (u_k, ..., u_1)
+    state = [u % m for u in reversed(spec.initial)]
+    return sum(x * y for x, y in zip(_companion_power(spec, n - 1, m)[-1], state)) % m
+
+
+def _reference_matrix_period(spec: LrsSpec, p: int) -> int:
+    state = [u % p for u in reversed(spec.initial)]
+    bound = lcm_tower(p, spec.order) * next(p**e for e in range(spec.order) if p**e >= spec.order)
+
+    def returns(t):
+        return [sum(x * y for x, y in zip(row, state)) % p for row in _companion_power(spec, t, p)] == state
+
+    return order_from_multiple(bound, returns)
+
+
+def _random_spec(rng, k, size=5):
+    coeffs = tuple(rng.randint(-size, size) for _ in range(k - 1)) + (rng.choice([-3, -2, -1, 1, 2, 3]),)
+    return LrsSpec(k, coeffs, tuple(rng.randint(-size, size) for _ in range(k)))
+
+
+def test_eval_mod_matches_companion_matrix_power():
+    rng = random.Random(59)
+    for k in range(1, 7):
+        for _ in range(4):
+            spec = _random_spec(rng, k)
+            # prime moduli, and 2^64 and 12, which are not prime
+            for m in (2, 101, 10**9 + 7, 2**64, 12):
+                for n in (1, k, k + 1, rng.randint(1, 10**6), 10**18 + rng.randint(0, 10**6), 7**90):
+                    assert eval_mod(spec, n, m) == _reference_eval_mod(spec, n, m), (spec, n, m)
+
+
+def test_matrix_period_matches_companion_matrix_power():
+    rng = random.Random(61)
+    done = 0
+    while done < 36:
+        k = done % 6 + 1
+        p = rng.choice([2, 3, 5, 7, 11, 13, 101])
+        spec = _random_spec(rng, k)
+        if spec.coeffs[-1] % p == 0:
+            continue
+        assert lrs_period_mod_p(spec, p, "matrix") == _reference_matrix_period(spec, p), (spec, p)
+        done += 1
 
 
 def test_eval_mod_huge_index():
@@ -106,6 +176,111 @@ def test_fit_fatou_violation_diagnostic():
     assert not fit.ok
     assert fit.fatou_violations and fit.fatou_violations[0][0] == 1
     assert fit.fatou_violations[0][1] == (Fraction(3, 2),)
+
+
+def _reference_fit_order(terms: list[int], k: int) -> tuple[Fraction, ...] | None:
+    """Order-k coefficients reproducing every window, by one Fraction RREF, or None."""
+    rows = [[Fraction(terms[i + k - j]) for j in range(1, k + 1)] for i in range(len(terms) - k)]
+    augmented = [row + [Fraction(terms[i + k])] for i, row in enumerate(rows)]
+    rref, pivots = rref_fraction(augmented)
+    if k in pivots:
+        return None  # inconsistent
+    coeffs = [Fraction(0)] * k
+    for r, pc in enumerate(pivots):
+        coeffs[pc] = rref[r][k]
+    if coeffs[-1] == 0:
+        # prefer a representative with a non-zero trailing coefficient
+        for vec in kernel_basis(rows):
+            if vec[-1] != 0:
+                coeffs = [c + v for c, v in zip(coeffs, vec)]
+                break
+        else:
+            return None
+    return tuple(coeffs)
+
+
+def _reference_fit(terms: list[int], bound: int):
+    """The per-order search: one RREF for each order 1..bound, a Fatou
+    violation recorded for each order with only rational coefficients."""
+    violations = []
+    for k in range(1, bound + 1):
+        if 2 * k > len(terms):
+            break
+        coeffs = _reference_fit_order(terms, k)
+        if coeffs is None:
+            continue
+        if any(c.denominator != 1 for c in coeffs):
+            violations.append((k, coeffs))
+            continue
+        spec = LrsSpec(k, tuple(int(c) for c in coeffs), tuple(terms[:k]), minimal=True)
+        if generate(spec, len(terms)) == terms:
+            return spec, violations
+    return None, violations
+
+
+def _assert_fit_matches_reference(terms, bound):
+    fit = fit_minimal_recurrence(terms, bound)
+    spec, violations = _reference_fit(terms, bound)
+    assert fit.spec == spec, (terms, bound)
+    assert fit.ok == (spec is not None)
+    # the search reports only the least order that fits over Q
+    assert fit.fatou_violations == violations[:1], (terms, bound)
+    return fit, violations
+
+
+def test_berlekamp_massey_fit_matches_per_order_rref():
+    rng = random.Random(71)
+    seen = set()
+    for _ in range(300):
+        spec = _random_spec(rng, rng.randint(1, 6), size=9)
+        terms = generate(spec, rng.randint(2, 3 * spec.order + 6))
+        kind = rng.choice(["exact", "perturbed", "scaled", "rational"])
+        if kind == "perturbed":
+            terms[rng.randrange(len(terms))] += rng.choice([-1, 1])
+        elif kind == "rational":  # u_(n+1) = 3/2 * u_n on integer terms
+            a = rng.randint(1, 3)
+            terms = [a * 3**i * 2 ** (len(terms) - i) for i in range(len(terms))]
+        elif kind == "scaled":
+            terms = [2 * t for t in terms]
+        fit, violations = _assert_fit_matches_reference(terms, rng.randint(0, 8))
+        seen.add("ok" if fit.ok else "violation" if violations else "no_fit")
+    assert seen == {"ok", "violation", "no_fit"}
+
+
+@pytest.mark.parametrize(
+    "terms, bound, expected",
+    [
+        ([0] * 6, 3, "lrs 1 1 0"),  # linear complexity 0: the first order tried
+        ([4, 6, 9], 1, None),  # c = 3/2 at order 1: a Fatou violation
+        ([1, 0, 0, 0, 0, 0], 3, None),  # u_(n+1) = 0*u_n: a zero trailing coefficient
+        ([0, 1, 2, 4, 8, 16], 3, None),  # chi = x(x - 2)
+        ([1, 2, 6, 24, 120, 720, 5040, 40320], 3, None),  # n!: complexity 4 > bound
+        ([1, 1, 2, 3, 5, 8, 13], 8, "lrs 2 1 1 1 1"),  # 2L <= 7: bound 8 is not reached
+        ([1, 1, 2, 3], 8, "lrs 2 1 1 1 1"),
+        ([1, 1, 2], 8, None),  # complexity 2 needs 4 terms
+    ],
+)
+def test_fit_edge_cases_match_per_order_rref(terms, bound, expected):
+    fit, _ = _assert_fit_matches_reference(terms, bound)
+    assert (str(fit.spec) if fit.ok else None) == expected
+
+
+def test_fit_order_drops_under_decimation():
+    # u_n = u_(n-2): u_(2n) is constant (order 1), u_(3n) alternates (order 2)
+    spec = LrsSpec(2, (0, 1), (3, 5))
+    for m, expected in ((2, "lrs 1 1 5"), (3, "lrs 2 0 1 3 5")):
+        terms = generate(spec, m * 12)[m - 1 :: m]
+        fit, _ = _assert_fit_matches_reference(terms, 2)
+        assert str(fit.spec) == str(decimate(spec, m)) == expected
+
+
+def test_decimate_order_12_at_m_30():
+    # the order-12 spec whose per-order RREF re-minimization took 0.62 s
+    spec = LrsSpec(12, (9, 1, 2, 3, 1, 2, 3, 1, 2, 3, 1, 7), tuple(range(1, 13)))
+    dec = decimate(spec, 30)
+    terms = generate(spec, 30 * 32)[29::30]
+    assert dec == _reference_fit(terms, 12)[0]
+    assert dec.order == 12 and generate(dec, 32) == terms
 
 
 def test_fit_roundtrip_random_specs():
@@ -383,6 +558,23 @@ def test_square_sampled_period_memory():
         tracemalloc.stop()
     assert result.lrs_period == 20136
     assert peak < 8_000_000
+
+
+def test_square_sampled_period_refuses_a_long_walk_before_it_starts():
+    import tracemalloc
+
+    # p^5 > MAX_WALK, and u mod 223 has period 2,484,112,961 > MAX_WALK: the
+    # walk, which would hold MAX_WALK terms before giving up, never starts
+    spec = LrsSpec(5, (1, 1, 0, 0, 1), (1, 1, 1, 1, 1))
+    assert lrs_period_mod_p(spec, 223) == 2_484_112_961
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="^the recurrence mod 223 does not return within 10000000 steps"):
+            square_sampled_period(spec, 223)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_growth_diagnostic_dominant_root():

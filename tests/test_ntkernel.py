@@ -26,7 +26,6 @@ from edslab.ntkernel import (
     multiplicative_order,
     next_prime,
     sieve_primes,
-    solve_exact,
     sqrt_mod_prime,
     totients,
 )
@@ -300,12 +299,6 @@ def test_cyclotomic_search_makes_no_poly_division(monkeypatch):
 def test_exact_linear_algebra():
     rows = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]
     assert kernel_basis(rows) == [[Fraction(-2), Fraction(1)]]
-    sol = solve_exact([[Fraction(1), Fraction(1)], [Fraction(1), Fraction(-1)]], [Fraction(3), Fraction(1)])
-    assert sol is not None
-    particular, null = sol
-    assert particular == [Fraction(2), Fraction(1)] and null == []
-    assert solve_exact([[Fraction(1), Fraction(1)]], [Fraction(1)]) is not None
-    assert solve_exact([[Fraction(0), Fraction(0)]], [Fraction(1)]) is None
     assert det_fraction([[Fraction(1), Fraction(2)], [Fraction(3), Fraction(4)]]) == -2
 
 

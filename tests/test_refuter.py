@@ -405,6 +405,24 @@ def test_finder_certifies_a_witness_whose_window_passes_the_former_cap():
     assert verdict.ok, verdict.failures
 
 
+def test_finder_rejects_a_long_walk_of_u_before_it_starts():
+    # chi = x^5 - x^4 - x^3 - 1: at the first candidate, p = 223, u mod p has
+    # period 2,484,112,961 > MAX_WALK.  x^t mod chi finds it without a walk,
+    # which would hold a list of MAX_WALK terms (over 80 MB) before giving up
+    spec = LrsSpec(5, (1, 1, 0, 0, 1), (1, 1, 1, 1, 1))
+    tracemalloc.start()
+    try:
+        result = find_witness(E, P, spec, 13, p_max=20_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.found and result.certificate.p == 353
+    assert result.stats["period_unconfirmed"] == 1
+    assert peak < 20_000_000
+    verdict = verify_certificate(WitnessCertificate.from_json(result.certificate.to_json()))
+    assert verdict.ok, verdict.failures
+
+
 TRIBONACCI = LrsSpec(3, (1, 1, 1), (1, 1, 2), minimal=True)
 LUCAS = LrsSpec(2, (1, 1), (1, 3), minimal=True)
 PADOVAN = LrsSpec(3, (0, 1, 1), (1, 1, 1), minimal=True)
@@ -466,11 +484,12 @@ def test_certificate_bytes_unchanged(curve, point, spec, p_max, digest):
 
 def test_finder_and_verifier_use_no_companion_matrix_power(monkeypatch):
     # u_{n^2} mod p and the period of u come from square_sampled_period's one
-    # walk of the recurrence mod p; the certificate is unchanged
+    # walk of the recurrence mod p; the certificate is unchanged.  x^t mod chi
+    # is the companion-matrix power C^t in F_p[C]
     def no_matrix(*args):
         raise AssertionError("companion-matrix power")
 
-    monkeypatch.setattr(lrs, "_mat_pow_mod", no_matrix)
+    monkeypatch.setattr(lrs, "_x_pow_mod", no_matrix)
     cert = find_witness(E, P, FIBONACCI, 5, p_max=10_000).certificate
     assert hashlib.sha256(cert.to_json().encode()).hexdigest() == CERTIFICATE_DIGESTS[0][-1]
     verdict = verify_certificate(WitnessCertificate.from_json(cert.to_json()))
