@@ -38,7 +38,6 @@ CONFIG_KEYS = {
     "jobs",
     "exclude",
     "bound",
-    "horizon",
     "n",
     "x",
     "linear_cap",
@@ -199,8 +198,7 @@ def cmd_eds_ward(args) -> int:
 def cmd_eds_period(args) -> int:
     curve, point = _curve_point(args)
     seq = eds.generate_geometric(curve, point, 8)
-    horizon = _resolve(args, "horizon", None, int)
-    result = eds.eds_period_mod_p(seq, args.p, horizon)
+    result = eds.eds_period_mod_p(seq, args.p)
     keys = ("p", "status", "period", "rank", "n_points", "trace", "period_bound", "divides_bound")
     _emit_record(args.format, {**_fields(result, *keys), "window": list(result.window)})
     return EXIT_OK if result.confirmed else EXIT_INCONCLUSIVE
@@ -250,10 +248,12 @@ def cmd_lrs_fit(args) -> int:
 
 def cmd_lrs_eval(args) -> int:
     spec = _lrs_spec(args)
-    if args.mod:
-        print(lrs.eval_mod(spec, args.n, args.mod))
-    else:
+    if args.mod is None:
         print(lrs.eval_exact(spec, args.n))
+    elif args.mod < 2:
+        raise ValueError(f"--mod {args.mod} must be at least 2")
+    else:
+        print(lrs.eval_mod(spec, args.n, args.mod))
     return EXIT_OK
 
 
@@ -499,7 +499,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_curve_point(sp)
     sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--horizon", type=int, default=None)
     sp = _leaf(eds_sub, cmd_eds_zsigmondy, "zsigmondy", help="primitive divisor scan")
     _add_curve_point(sp)
     sp.add_argument("--n", type=int, default=None)

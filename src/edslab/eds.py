@@ -7,7 +7,7 @@ from the normalized division-polynomial seed values; z_n = z_1*|w_n| exactly
 when gcd(2y, 3x^2 + a*z^4) = 1 (see `require_exact_companion`).  At a prime
 not dividing z_1 the factor z_1 is a unit, and the sign ambiguity is
 irrelevant to every question asked here (zeros, divisibility, periods up to
-sign).  Periods of a geometric stream come from Ward's symmetry
+sign).  Periods of geometric and Ward-seeded streams come from Ward's symmetry
 (`ward_period`) on a few blocks of w_n, each read in O(log p) by `ladder_block`;
 the same ladder over Z gives one exact z_n (`geometric_term`) for the cache check.
 """
@@ -245,40 +245,25 @@ def canonical_height_estimate(p: PointQ, curve: CurveQ, n_max: int) -> HeightRep
 # reductions modulo p
 
 
-def stream_mod_p(seeds: tuple[int, int, int, int], p: int, horizon: int) -> list[int]:
-    """w_1..w_horizon modulo p (index 0 unused); needs p coprime to w1*w2."""
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
+def stream_mod_p(seeds: tuple[int, int, int, int], p: int, n_terms: int) -> list[int]:
+    """w_1..w_(n_terms) modulo p (index 0 unused); needs p coprime to w1*w2."""
+    if n_terms < 1:
+        raise ValueError("need at least one term")
     w1, w2 = seeds[0] % p, seeds[1] % p
     if w1 == 0 or w2 == 0:
         raise ValueError(f"stream modulo {p} needs p coprime to w1*w2")
-    w = [0] * (max(horizon, 4) + 1)
+    w = [0] * (max(n_terms, 4) + 1)
     w[1], w[2], w[3], w[4] = (s % p for s in seeds)
     inv = [invmod(d % p, p) for d in _ward_denominators(w1, w2)]
-    for m in range(5, horizon + 1):
+    for m in range(5, n_terms + 1):
         w[m] = _ward_step(w, m) * inv[m & 1] % p
-    return w[: horizon + 1]
+    return w[: n_terms + 1]
 
 
 def _period_horizon(rank: int, p: int) -> int:
-    """Stream length that confirms the period of a geometric stream mod p,
-    rank the order of the point; the verifier also bounds a stated window by it."""
+    """Stream length that holds twice a period of w_n mod p, at most rank*(p-1);
+    the verifier also bounds a stated window by it."""
     return 2 * rank * (p - 1) + 2 * rank + 16
-
-
-def _minimal_stream_period(stream: list[int], step: int, horizon: int) -> int | None:
-    """Smallest period that is a multiple of `step`, verified on the window.
-
-    Any period maps the zero set onto itself, and the zeros sit exactly on
-    the multiples of the rank of apparition, so only multiples of the rank
-    can be periods.
-    """
-    t = step
-    while 2 * t <= horizon:
-        if all(stream[n + t] == stream[n] for n in range(1, horizon - t + 1)):
-            return t
-        t += step
-    return None
 
 
 def ladder_block(seeds: tuple[int, int, int, int], p: int | None, n: int) -> list[int]:
@@ -321,12 +306,14 @@ def ward_period(seeds: tuple[int, int, int, int], p: int, rank: int) -> int | No
     J. Math. 70, 1948).  A period maps the zero set onto itself, so it is
     some k*r, and k*r is one exactly when a^k = 1 and b^(k^2) = 1: k a
     multiple of ord(a) and of l^ceil(e/2) for every l^e || ord(b).  Costs
-    1 + omega(r) ladders, not the O(r*p) window of `_minimal_stream_period`.
+    1 + omega(r) ladders, not an O(r*p) window of the stream.  None too when
+    w_{r+1} or w_{r+2} vanishes, as it can when p | w_3: r is then no proper rank.
     """
     block, w = ladder_block(seeds, p, rank), ladder_block(seeds, p, 0)  # w: w_n for n = -3..4
-    if block[3] != 0 or any(ladder_block(seeds, p, rank // ell)[3] == 0 for ell in factorize(rank)):
+    if block[3] != 0 or 0 in block[4:6]:
         return None
-    # so rank >= 3 (w_1 and w_2 are units): w_{r+1}, w_{r+2} are units too
+    if any(ladder_block(seeds, p, rank // ell)[3] == 0 for ell in factorize(rank)):
+        return None
     a = block[5] * w[4] * invmod(w[5] * block[4], p) % p
     b = block[4] * invmod(w[4] * a, p) % p
     if any(block[n + 3] != w[n + 3] * pow(a, n, p) * b % p for n in range(-3, 5)):
@@ -340,7 +327,7 @@ def ward_period(seeds: tuple[int, int, int, int], p: int, rank: int) -> int | No
 @dataclass
 class EdsPeriodResult:
     p: int
-    period: int | None  # None when the window does not confirm one
+    period: int | None  # None when `ward_period` does not confirm one
     rank: int | None  # rank of apparition (first zero index)
     window: tuple[int, int]
     n_points: int | None = None
@@ -363,21 +350,19 @@ class EdsPeriodResult:
         return self.period_bound % self.period == 0
 
 
-def eds_period_mod_p(seq: EdsSequence, p: int, horizon: int | None = None) -> EdsPeriodResult:
-    """Minimal verified period of the sequence modulo p.
+def eds_period_mod_p(seq: EdsSequence, p: int) -> EdsPeriodResult:
+    """Exact minimal period of the sequence modulo p, from `ward_period`.
 
-    The period is computed on the canonical signed stream; for a geometric
-    source it divides 2*(p-1)*#E(F_p), and the zeros fall exactly on the
-    multiples of the order of the reduced point.  A geometric period is
-    exact from Ward's symmetry (`ward_period`, which also checks that the
-    order is the rank of apparition); a Ward-seeded one is searched for over
-    the window.  When the horizon is shorter than twice the period the status
-    is "unconfirmed" and no period is reported.
+    The period is that of the canonical signed stream.  A geometric source's
+    rank is the order of the reduced point, and its period divides
+    2*(p-1)*#E(F_p).  A Ward seed's rank is the first zero of `stream_mod_p`
+    within p + 1 + isqrt(4p) terms: for p not dividing w1*w2*w3 the sequence
+    mod p is that of a point on a cubic over F_p (Ward 1948), whose order is
+    at most the top of the Hasse interval.  With no such zero, or with a rank
+    `ward_period` refuses, the status is "unconfirmed" and no period is given.
     """
     if p == 2 or not is_prime(p):
         raise ValueError("p must be an odd prime")
-    if horizon is not None and horizon < 1:
-        raise ValueError("horizon must be >= 1")
     if seq.source == "geometric":
         curve, point = seq.curve, seq.point
         if curve.disc % p == 0 or point.z % p == 0:
@@ -386,21 +371,20 @@ def eds_period_mod_p(seq: EdsSequence, p: int, horizon: int | None = None) -> Ed
         cfp = CurveFp.from_curve(curve, p)
         n_points, trace = count_points(cfp)
         rank = point_order_fp(reduce_point(point, curve, p), cfp, n_points)
+        seeds = division_poly_seeds(curve, point)
         bound = 2 * (p - 1) * n_points
-        if horizon is None:
-            horizon = _period_horizon(rank, p)
-        period = ward_period(division_poly_seeds(curve, point), p, rank)
-        zeros_consistent = period is not None
-        if period is not None and horizon < 2 * period:
-            period = None
     else:
-        n_points = trace = bound = zeros_consistent = None
-        if horizon is None:
-            horizon = max(4096, 16 * p)
-        stream = stream_mod_p(seq.seed.as_tuple(), p, horizon)
-        rank = next((n for n in range(1, horizon + 1) if stream[n] == 0), None)
-        period = _minimal_stream_period(stream, rank or 1, horizon)
-    return EdsPeriodResult(p, period, rank, (1, horizon), n_points, trace, bound, zeros_consistent)
+        n_points = trace = bound = None
+        seeds = seq.seed.as_tuple()
+        top = p + 1 + math.isqrt(4 * p)
+        stream = stream_mod_p(seeds, p, top)
+        rank = next((n for n in range(1, top + 1) if stream[n] == 0), None)
+        if rank is None:
+            return EdsPeriodResult(p, None, None, (1, top))
+    period = ward_period(seeds, p, rank)
+    zeros_consistent = period is not None if seq.source == "geometric" else None
+    window = (1, _period_horizon(rank, p))
+    return EdsPeriodResult(p, period, rank, window, n_points, trace, bound, zeros_consistent)
 
 
 # ---------------------------------------------------------------------------

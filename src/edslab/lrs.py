@@ -301,15 +301,23 @@ def nondegenerate_reduction(spec: LrsSpec) -> tuple[int, LrsSpec]:
 # periods modulo p
 
 
-def _state_seq_period_iterative(spec: LrsSpec, p: int) -> int:
+def _walk(spec: LrsSpec, p: int):
+    """u_1, u_2, ... mod p until the initial state returns: L terms, L the period
+    of u mod p (p does not divide c_k, so the state map is a bijection).
+    When L > `MAX_WALK`, ValueError is raised before the first term."""
+    k = spec.order
+    # L <= p^k - 1: only when p^k > MAX_WALK is L read first, from x^t mod chi
+    if p**k > MAX_WALK and _state_seq_period_matrix(spec, p) > MAX_WALK:
+        raise ValueError(f"the recurrence mod {p} does not return within {MAX_WALK} steps")
     coeffs = [c % p for c in reversed(spec.coeffs)]
     start = [u % p for u in spec.initial]
-    window = start[1:] + [sum(map(mul, coeffs, start)) % p]
-    for steps in range(1, MAX_WALK + 1):
-        if window == start:
-            return steps
-        window = window[1:] + [sum(map(mul, coeffs, window)) % p]
-    raise ValueError(f"the recurrence mod {p} does not return within {MAX_WALK} steps")
+    window = deque(start, maxlen=k)
+    while True:  # iterated mod p: the exact terms would need O(L^2) bits
+        yield window[0]
+        u = sum(map(mul, coeffs, window)) % p
+        window.append(u)
+        if u == start[-1] and list(window) == start:
+            return
 
 
 def _state_seq_period_matrix(spec: LrsSpec, p: int) -> int:
@@ -344,14 +352,14 @@ def _require_purely_periodic(spec: LrsSpec, p: int) -> None:
 def lrs_period_mod_p(spec: LrsSpec, p: int, method: str = "matrix") -> int:
     """Minimal period of (u_n mod p); requires p not dividing the last coefficient.
 
-    Two implementations: "iteration" walks states until the initial state
-    returns, and raises ValueError past `MAX_WALK` steps; "matrix" refines a
-    divisor bound on the companion-matrix order.  They agree and can
-    cross-check each other.
+    Two implementations: "iteration" counts the terms of one `_walk` of the
+    state, which refuses a period above `MAX_WALK` before it starts;
+    "matrix" refines a divisor bound on the companion-matrix order.  They
+    agree and can cross-check each other.
     """
     _require_purely_periodic(spec, p)
     if method == "iteration":
-        return _state_seq_period_iterative(spec, p)
+        return sum(1 for _ in _walk(spec, p))
     if method == "matrix":
         return _state_seq_period_matrix(spec, p)
     raise ValueError(f"unknown method {method!r}")
@@ -373,33 +381,16 @@ class SquarePeriodResult:
 def square_sampled_period(spec: LrsSpec, p: int) -> SquarePeriodResult:
     """Minimal T with u_{(n+T)^2} = u_{n^2} (mod p) for all n, fully verified.
 
-    One walk of the state mod p, until the initial state returns (p does not
-    divide c_k, so the state map is a bijection), gives the period L of u and
-    the table u_1..u_L mod p that `u_mod` reads.  The square-sampled stream is
+    One `_walk` of the state mod p gives the period L of u and the table
+    u_1..u_L mod p that `u_mod` reads.  The square-sampled stream is
     purely periodic with period dividing L, and its periods are the multiples
     of the least one; `order_from_multiple` strips primes from L while the
     candidate still leaves one L-cycle of it unchanged by rotation.  When
     L > `MAX_WALK`, ValueError is raised before the walk starts.
     """
     _require_purely_periodic(spec, p)
-    k = spec.order
-    # L <= p^k - 1: only when p^k > MAX_WALK is L read first, from x^t mod chi
-    if p**k > MAX_WALK and _state_seq_period_matrix(spec, p) > MAX_WALK:
-        raise ValueError(f"the recurrence mod {p} does not return within {MAX_WALK} steps")
-    coeffs = [c % p for c in reversed(spec.coeffs)]
-    start = [u % p for u in spec.initial]
-    last = start[-1]
-    # u_1..u_{L+k}, iterated mod p: the exact terms would need O(L^2) bits
-    table = list(start)
-    window = deque(start, maxlen=k)
-    while True:  # at most MAX_WALK steps: L <= p^k - 1 <= MAX_WALK, or L was read above
-        u = sum(map(mul, coeffs, window)) % p
-        table.append(u)
-        window.append(u)
-        if u == last and table[-k:] == start:
-            break
-    lam = len(table) - k
-    del table[lam:]
+    table = list(_walk(spec, p))
+    lam = len(table)
     values = [table[(n * n - 1) % lam] for n in range(1, lam + 1)]
     period = order_from_multiple(lam, lambda d: values[d:] + values[:d] == values)
     return SquarePeriodResult(p, lam, period, (1, lam + period), table)

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from edslab import cli, lrs, ntkernel, refuter
+from edslab import cli, eds, lrs, ntkernel, refuter
 from edslab.cli import build_parser, main
 from edslab.elliptic import CurveQ, PointQ
 from edslab.lrs import FIBONACCI
@@ -130,14 +130,25 @@ def test_eds_period_json(capsys):
     assert payload["divides_bound"] is True
 
 
-def test_eds_period_unconfirmed_exit3(capsys):
+def test_eds_period_unconfirmed_exit3(capsys, monkeypatch):
+    monkeypatch.setattr(eds, "ward_period", lambda seeds, p, rank: None)
     code, out, _ = run(
         capsys,
-        "eds", "period", "--curve", "0", "3", "--point", "1", "2", "1", "--p", "5",
-        "--horizon", "10", "--format", "json",
+        "eds", "period", "--curve", "0", "3", "--point", "1", "2", "1", "--p", "5", "--format", "json",
     )
     assert code == 3
     assert json.loads(out)["status"] == "unconfirmed"
+
+
+def test_eds_period_has_no_horizon(tmp_path, capsys):
+    argv = ["eds", "period", "--curve", "0", "3", "--point", "1", "2", "1", "--p", "5"]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--horizon", "10"])
+    assert exc.value.code == 2
+    config = tmp_path / "edslab.conf"
+    config.write_text("horizon = 10\n")
+    code, _, err = run(capsys, *argv, "--config", str(config))
+    assert code == 2 and "unknown key 'horizon'" in err
 
 
 def test_eds_zsigmondy(capsys):
@@ -173,6 +184,13 @@ def test_lrs_eval_and_mod(capsys):
         capsys, "lrs", "eval", "--lrs", "2", "1", "1", "1", "1", "--n", "1000000", "--mod", "5"
     )
     assert code == 0 and out.strip() == "0"
+
+
+@pytest.mark.parametrize("mod", ["0", "1", "-7"])
+def test_lrs_eval_rejects_a_modulus_below_2(capsys, mod):
+    code, out, err = run(capsys, "lrs", "eval", "--lrs", "2", "1", "1", "1", "1", "--n", "10", "--mod", mod)
+    assert (code, out) == (2, "")
+    assert err == f"error: --mod {mod} must be at least 2\n"
 
 
 def test_lrs_decimate(capsys):
@@ -470,6 +488,18 @@ def test_lrs_period_past_the_walk_bound_exit2(capsys, monkeypatch):
     assert code == 2
     assert not out
     assert err == "error: the recurrence mod 3169 does not return within 1000 steps\n"
+
+
+def test_lrs_period_iteration_refuses_before_walking(capsys, monkeypatch):
+    # the period mod 317 exceeds lrs.MAX_WALK: x^t mod chi reads it, and no
+    # state window is built
+    monkeypatch.setattr(lrs, "deque", _refuse)
+    code, out, err = run(
+        capsys, "lrs", "period", "--lrs", "4", "5", "1", "-1", "-3", "-3", "5", "-5", "0", "--p", "317",
+        "--method", "iteration",
+    )
+    assert (code, out) == (2, "")
+    assert err == f"error: the recurrence mod 317 does not return within {lrs.MAX_WALK} steps\n"
 
 
 FIB_ARGS = ("--lrs", "2", "1", "1", "1", "1")

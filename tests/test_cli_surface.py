@@ -53,7 +53,6 @@ LEAVES = {
         [
             *CURVE_POINT,
             ("--p", "p", None, True, None, None, int, None, None),
-            ("--horizon", "horizon", None, False, None, None, int, None, None),
         ],
     ),
     "eds zsigmondy": (

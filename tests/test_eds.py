@@ -12,7 +12,6 @@ from edslab.eds import (
     InexactDivisionError,
     canonical_height_estimate,
     WardSeed,
-    _minimal_stream_period,
     division_poly_seeds,
     eds_period_mod_p,
     generate_geometric,
@@ -248,6 +247,22 @@ def test_z_repeats_the_companion_period_only_up_to_sign():
     assert all((z[n] % p == 0) == (n % 5 == 0) for n in range(1, 131))
 
 
+def _minimal_stream_period(stream, step, horizon):
+    """Smallest period that is a multiple of `step`, verified on the window:
+    the windowed reference for `ward_period`.
+
+    Any period maps the zero set onto itself, and the zeros sit exactly on
+    the multiples of the rank of apparition, so only multiples of the rank
+    can be periods.
+    """
+    t = step
+    while 2 * t <= horizon:
+        if all(stream[n + t] == stream[n] for n in range(1, horizon - t + 1)):
+            return t
+        t += step
+    return None
+
+
 def _windowed_period(seeds, p, rank, period):
     """The minimal period found by scanning a window that holds it twice."""
     horizon = 2 * period + 2 * rank + 16
@@ -349,15 +364,6 @@ def test_ward_period_matches_windowed_search_large_p(p, rank, period):
     assert _windowed_period(division_poly_seeds(E, P), p, rank, period) == period
 
 
-def test_period_confirmed_exactly_from_twice_the_period():
-    seq = fixture_sequence(4)
-    period = eds_period_mod_p(seq, 13).period
-    assert eds_period_mod_p(seq, 13, horizon=2 * period).period == period
-    assert eds_period_mod_p(seq, 13, horizon=2 * period - 1).status == "unconfirmed"
-    with pytest.raises(ValueError, match="horizon"):
-        eds_period_mod_p(seq, 13, horizon=0)
-
-
 def test_stream_matches_exact_reduction():
     seeds = division_poly_seeds(E, P)
     ward = generate_ward(WardSeed(*seeds), 40)
@@ -404,18 +410,69 @@ def test_zero_pattern_matches_exact_terms():
             assert (seq.term(n) % p == 0) == (n % result.rank == 0)
 
 
-def test_period_unconfirmed_when_horizon_small():
-    result = eds_period_mod_p(fixture_sequence(5), 5, horizon=10)
-    assert result.status == "unconfirmed"
-    assert result.period is None
+def test_period_unconfirmed_when_ward_period_refuses(monkeypatch):
+    monkeypatch.setattr(eds, "ward_period", lambda seeds, p, rank: None)
+    for seq in (fixture_sequence(5), generate_ward(WardSeed(1, 1, -1, 1), 4)):
+        result = eds_period_mod_p(seq, 7)
+        assert result.status == "unconfirmed"
+        assert result.period is None and result.rank is not None
 
 
 def test_period_ward_source():
     seq = generate_ward(WardSeed(1, 1, -1, 1), 6)
-    result = eds_period_mod_p(seq, 7, horizon=512)
+    result = eds_period_mod_p(seq, 7)
     assert result.confirmed
     stream = stream_mod_p((1, 1, -1, 1), 7, 2 * result.period)
     assert all(stream[n + result.period] == stream[n] for n in range(1, result.period + 1))
+
+
+def test_ward_seeded_periods_past_the_former_window():
+    # a window of max(4096, 16p) terms left both unconfirmed; the rank is
+    # the first zero within p + 1 + isqrt(4p) terms
+    seeds = (1, 1, -1, 1)
+    seq = generate_ward(WardSeed(*seeds), 4)
+    result = eds_period_mod_p(seq, 1009)
+    assert (result.rank, result.period) == (1057, 532_728)
+    assert _windowed_period(seeds, 1009, result.rank, result.period) == result.period
+    result = eds_period_mod_p(seq, 10_007)
+    assert (result.rank, result.period, result.window) == (1657, 8_289_971, (1, 33_163_214))
+    for n in (1, 2, 1657, 123_456):
+        assert ladder_block(seeds, 10_007, n + result.period) == ladder_block(seeds, 10_007, n)
+
+
+def test_ward_seeded_periods_match_the_windowed_reference():
+    # random seeds at p < 200: every confirmed period is the windowed least
+    # period, and the former search over max(4096, 16p) terms confirmed a
+    # period that `ward_period` refuses only where p | w3
+    rng = random.Random(16)
+    primes = sieve_primes(200)[1:]
+    tally = {"confirmed": 0, "newly_confirmed": 0, "refused_at_p_dividing_w3": 0}
+    while sum(tally.values()) < 300:
+        w2, w3 = rng.choice([v for v in range(-9, 10) if v]), rng.choice([v for v in range(-30, 31) if v])
+        seeds = (rng.choice([1, 1, -1, 2, 3]), w2, w3, w2 * rng.randint(-20, 20))
+        p = rng.choice(primes if rng.random() < 0.5 else primes[:10])
+        if seeds[0] * seeds[1] % p == 0:
+            continue
+        result = eds_period_mod_p(generate_ward(WardSeed(*seeds), 4), p)
+        horizon = max(4096, 16 * p)
+        stream = stream_mod_p(seeds, p, horizon)
+        rank = next((n for n in range(1, horizon + 1) if stream[n] == 0), 1)
+        former = _minimal_stream_period(stream, rank, horizon)
+        if result.confirmed:
+            assert _windowed_period(seeds, p, result.rank, result.period) == result.period, (seeds, p)
+            assert former in (None, result.period), (seeds, p)
+            tally["confirmed" if former else "newly_confirmed"] += 1
+        elif former is not None:
+            assert seeds[2] % p == 0, (seeds, p)
+            tally["refused_at_p_dividing_w3"] += 1
+    assert min(tally.values()) > 0, tally
+
+
+def test_ward_period_refuses_a_rank_whose_next_terms_vanish():
+    # p | w3 and p | w4: w_3 = 0 but w_4 = 0 too, so no a and b exist
+    assert ward_period((2, 7, 3, 42), 3, 3) is None
+    result = eds_period_mod_p(generate_ward(WardSeed(1, 1, 3, 3), 4), 3)
+    assert (result.rank, result.status) == (3, "unconfirmed")
 
 
 def test_period_rejects_bad_primes():
