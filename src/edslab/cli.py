@@ -75,7 +75,18 @@ def _resolve(args, key: str, default=None, cast=None):
 def _parse_exclusions(text: str | None) -> tuple[int, ...]:
     if not text:
         return ()
-    return tuple(int(part) for part in text.replace(",", " ").split())
+    try:
+        return tuple(int(part) for part in text.replace(",", " ").split())
+    except ValueError:
+        raise ValueError(f"--exclude {text!r} must list integers, separated by commas") from None
+
+
+def _prime_bound(args, key: str, default: int) -> int:
+    """A prime bound of at least 3, the least that can hold an odd prime."""
+    bound = _resolve(args, key, default, int)
+    if bound < 3:
+        raise ValueError(f"--{key.replace('_', '-')} {bound} must be at least 3")
+    return bound
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +318,7 @@ def cmd_density_affine(args) -> int:
 
 def cmd_density_empirical(args) -> int:
     curve, point = _curve_point(args)
-    x = _resolve(args, "x", 10_000, int)
+    x = _prime_bound(args, "x", 10_000)
     a = _resolve(args, "a", refuter.DEFAULT_A_TARGET, int)
     jobs = _resolve(args, "jobs", 1, int)
     exclusions = _parse_exclusions(_resolve(args, "exclude"))
@@ -335,7 +346,7 @@ def cmd_refute(args) -> int:
     spec = _lrs_spec(args)
     q = _resolve(args, "q", None, int)
     a = _resolve(args, "a", refuter.DEFAULT_A_TARGET, int)
-    p_max = _resolve(args, "p_max", 1_000_000, int)
+    p_max = _prime_bound(args, "p_max", 1_000_000)
     exclusions = _parse_exclusions(_resolve(args, "exclude"))
     result = refuter.find_witness(
         curve, point, spec, q, a_target=a, p_max=p_max, exclusions=exclusions

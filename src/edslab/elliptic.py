@@ -15,6 +15,8 @@ from .ntkernel import invmod, is_prime, order_from_multiple, sqrt_mod_prime
 
 # uniform bound on the order of rational torsion points, with margin
 TORSION_SEARCH_BOUND = 16
+# largest denominator, in bits, of the rational q*P `small_multiple` forms
+RATIONAL_BASE_MAX_BITS = 4096
 
 
 class BadReductionError(ValueError):
@@ -187,34 +189,20 @@ def reduce_point(p: PointQ, curve: CurveQ, prime: int) -> PointFp:
     return (p.x * z2 % prime, p.y * z2 * zi % prime)
 
 
-def fp_add(p1: PointFp, p2: PointFp, curve: CurveFp) -> PointFp:
-    if p1 is None:
-        return p2
-    if p2 is None:
-        return p1
-    p = curve.p
-    x1, y1 = p1
-    x2, y2 = p2
-    if x1 == x2:
-        if (y1 + y2) % p == 0:
-            return None
-        lam = (3 * x1 * x1 + curve.a) * invmod(2 * y1, p) % p
-    else:
-        lam = (y2 - y1) * invmod(x2 - x1, p) % p
-    x3 = (lam * lam - x1 - x2) % p
-    y3 = (lam * (x1 - x3) - y1) % p
-    return (x3, y3)
-
-
 def fp_scalar_mul(n: int, pt: PointFp, curve: CurveFp) -> PointFp:
-    """n*pt for any integer n, left to right in Jacobian coordinates
-    (X/Z^2, Y/Z^3), Z = 0 standing for O.  Each bit doubles the running
-    point and, on a 1, adds the affine pt by mixed addition (Cohen, Miyaji,
-    Ono 1998), so the only inversion is the one back to affine at the end.
-    Doubling sets Z to 2YZ, which is 0 at O and at a point with Y = 0."""
+    """n*pt for any integer n; see `_mul`."""
+    return _mul(n, pt, curve.p, curve.a)
+
+
+def _mul(n: int, pt: PointFp, p: int, a: int) -> PointFp:
+    """n*pt on y^2 = x^3 + a*x + b over F_p (b is not needed), left to right
+    in Jacobian coordinates (X/Z^2, Y/Z^3), Z = 0 standing for O.  Each bit
+    doubles the running point and, on a 1, adds the affine pt by mixed
+    addition (Cohen, Miyaji, Ono 1998), so the only inversion is the one
+    back to affine at the end.  Doubling sets Z to 2YZ, which is 0 at O and
+    at a point with Y = 0."""
     if pt is None or n == 0:
         return None
-    p, a = curve.p, curve.a
     x, y = pt
     if n < 0:
         n, y = -n, -y % p
@@ -274,51 +262,67 @@ NAIVE_COUNT_BELOW = 400
 MESTRE_MAX_POINTS = 16
 
 
-def multiple_in_hasse(pt: PointFp, curve: CurveFp, d: int = 1) -> int | None:
-    """Some m > 0 with d | m and m*pt = O, found by baby-step giant-step over
-    the multiples of d in the Hasse interval [p+1-w, p+1+w], w = isqrt(4p);
-    None exactly when no multiple of d there kills pt.
+def multiple_in_hasse(base: PointFp, p: int, a: int, d: int = 1) -> int | None:
+    """Some m > 0 with d | m and (m/d)*base = O, found by baby-step giant-step
+    over the multiples of d in the Hasse interval [p+1-w, p+1+w], w =
+    isqrt(4p), on y^2 = x^3 + a*x + b over F_p; None exactly when no
+    multiple of d there has that property.  With base = d*P, m*P = O.
 
-    With base = d*pt it looks for k*base = O with k in [lo, hi] =
-    [ceil((p+1-w)/d), floor((p+1+w)/d)], from s = isqrt(hi-lo)+1 baby steps
-    j*base.  If they find o = ord(base) (j*base = O, or x(j*base) =
-    x(j'*base), when o = j + j'), m = o*d, or None if no multiple of o lies
-    in [lo, hi].  Otherwise o > 2s+1, so each giant window [c-s, c+s] holds
-    at most one k with k*base = O, a baby match at c gives it, and m = k*d
-    for the least such k >= lo.  The windows sit on the multiples c =
-    g*(2s+1), from the first that reaches lo, so the first giant point is
-    g*stride, a short scalar multiple of the stride (2s+1)*base, itself the
-    sum of the last two baby steps.  A k below lo in that window is skipped:
-    the next, k+o, lies in a later window.  At a good prime with d = 1 the
-    result is never None, as #E lies in the interval.
+    It looks for k*base = O with k in [lo, hi] = [ceil((p+1-w)/d),
+    floor((p+1+w)/d)], from s = isqrt(hi-lo)+1 baby steps j*base.  If they
+    find o = ord(base) (j*base = O, or x(j*base) = x(j'*base), when o = j +
+    j'), m = o*d, or None if no multiple of o lies in [lo, hi].  Otherwise o
+    > 2s+1, so each giant window [c-s, c+s] holds at most one k with k*base
+    = O, a baby match at c gives it, and m = k*d for the least such k >= lo.
+    The windows sit on the multiples c = g*(2s+1), from the first that
+    reaches lo, so the first giant point is g*stride, a short scalar
+    multiple of the stride (2s+1)*base, itself the sum of the last two baby
+    steps.  A k below lo in that window is skipped: the next, k+o, lies in a
+    later window.  At a good prime with d = 1 the result is never None, as
+    #E lies in the interval.
+
+    Both loops add affine points by the chord-tangent law, one inversion
+    per step.  A baby step j*base + base (j >= 2) is a chord: x(j*base) =
+    x(base) would have matched the baby table first.  The stride is a chord,
+    as o > 2s+1.  A giant step may meet O, the stride itself or its negative.
     """
-    p = curve.p
     w = math.isqrt(4 * p)
     lo, hi = -(-(p + 1 - w) // d), (p + 1 + w) // d
     if lo > hi:
         return None
     s = math.isqrt(hi - lo) + 1
-    base = fp_scalar_mul(d, pt, curve)
-    baby: dict[int, tuple[int, int]] = {}  # x(j*base) -> (j, y(j*base)), 1 <= j <= s
-    prev, cur = None, base  # cur = j*base
     order = None
-    for j in range(1, s + 2):
-        if cur is None:
-            order = j
-            break
-        hit = baby.get(cur[0])
-        if hit is not None:  # cur = -hit*base, as no smaller multiple is O
-            order = j + hit[0]
-            break
-        if j <= s:
-            baby[cur[0]] = (j, cur[1])
-            prev, cur = cur, fp_add(cur, base, curve)
+    if base is None:
+        order = 1
+    elif base[1] == 0:
+        order = 2
+    else:
+        bx, by = base
+        baby = {bx: (1, by)}  # x(j*base) -> (j, y(j*base)), 1 <= j <= s
+        lam = (3 * bx * bx + a) * pow(2 * by, -1, p) % p
+        px, py = bx, by  # (j-1)*base
+        x = (lam * lam - 2 * bx) % p  # (x, y) = j*base, from j = 2
+        y = (lam * (bx - x) - by) % p
+        for j in range(2, s + 2):
+            hit = baby.get(x)
+            if hit is not None:  # j*base = -hit*base, as no smaller multiple is O
+                order = j + hit[0]
+                break
+            if j > s:
+                break
+            baby[x] = (j, y)
+            lam = (y - by) * pow(x - bx, -1, p) % p
+            px, py, x = x, y, (lam * lam - x - bx) % p
+            y = (lam * (px - x) - py) % p
     if order is not None:
         return order * d if -(-lo // order) * order <= hi else None
-    stride = fp_add(prev, cur, curve)  # (2s+1)*base from s*base and (s+1)*base
-    g = -(-(lo - s) // (2 * s + 1))
-    c = g * (2 * s + 1)
-    r = fp_scalar_mul(g, stride, curve)
+    lam = (y - py) * pow(x - px, -1, p) % p  # (2s+1)*base from s*base and (s+1)*base
+    sx = (lam * lam - x - px) % p
+    sy = (lam * (px - sx) - py) % p
+    step = 2 * s + 1
+    g = -(-(lo - s) // step)
+    c = g * step
+    r = _mul(g, (sx, sy), p, a)
     while c - s <= hi:
         if r is None:
             k = c
@@ -327,26 +331,63 @@ def multiple_in_hasse(pt: PointFp, curve: CurveFp, d: int = 1) -> int | None:
             k = None if hit is None else c - hit[0] if hit[1] == r[1] else c + hit[0]
         if k is not None and k >= lo:
             return k * d if k <= hi else None
-        c += 2 * s + 1
-        if c - s <= hi:
-            r = fp_add(r, stride, curve)
+        c += step
+        if c - s > hi:
+            return None
+        if r is None:
+            r = (sx, sy)
+        elif r[0] != sx:
+            rx, ry = r
+            lam = (ry - sy) * pow(rx - sx, -1, p) % p
+            x = (lam * lam - rx - sx) % p
+            r = (x, (lam * (sx - x) - sy) % p)
+        elif r[1] == sy:  # r is the stride
+            r = _mul(2, r, p, a)
+        else:
+            r = None
     return None
 
 
-def q_divides_order(pt: PointFp, curve: CurveFp, q: int) -> bool:
-    """Whether the prime q divides ord(pt), without counting points.
+def small_multiple(q: int, point: PointQ, curve: CurveQ) -> PointQ | None:
+    """q*P over Q, the base `q_divides_order` reduces at every prime, or None
+    when its denominator would pass RATIONAL_BASE_MAX_BITS bits.
 
-    ord(pt) divides #E, which lies in the Hasse interval, so if q | ord(pt)
-    some multiple of q there kills pt and `multiple_in_hasse(pt, curve, q)`
-    is not None.  Any m it returns is a multiple of ord(pt), so q | ord(pt)
-    iff (m with every factor q removed)*pt != O.
+    Heights grow quadratically, so that size is about q^2/4 times the bits
+    of z(2P); past it, forming q*P and reducing it at each prime costs more
+    than multiplying P mod p by q at each prime (q = 1009 on (-4, 4),
+    (1, 1, 1) gives a 142,000-digit denominator).
     """
-    m = multiple_in_hasse(pt, curve, q)
+    double = add(point, point, curve)
+    if q * q * double.z.bit_length() > 4 * RATIONAL_BASE_MAX_BITS:
+        return None
+    return scalar_mul(q, point, curve)
+
+
+def q_divides_order(curve: CurveQ, point: PointQ, q_point: PointQ | None, p: int, q: int) -> bool:
+    """Whether the prime q divides ord(P mod p), without counting points, at
+    an odd prime p of good reduction with p != q and p not dividing z(P).
+
+    q_point is q*P over Q from `small_multiple`, or None.  Reduction mod p is
+    a homomorphism at a good prime (Silverman, AEC, Prop. VII.2.1), so the
+    search base q*(P mod p) is q_point mod p, which is O when p | z(q*P):
+    then ord(P mod p) = q.  With q_point None it is multiplied out mod p.
+    ord(P mod p) divides #E, which lies in the Hasse interval, so if q |
+    ord(P mod p) some multiple of q there kills it, and `multiple_in_hasse`
+    over the multiples of q is not None.  Any m it returns is a multiple of
+    ord(P mod p), so q | ord(P mod p) iff (m with every factor q removed)*(P
+    mod p) != O.
+    """
+    a = curve.a % p
+    if q_point is None:
+        base = _mul(q, reduce_point(point, curve, p), p, a)
+    else:
+        base = reduce_point(q_point, curve, p)
+    m = multiple_in_hasse(base, p, a, q)
     if m is None:
         return False
     while m % q == 0:
         m //= q
-    return fp_scalar_mul(m, pt, curve) is not None
+    return _mul(m, reduce_point(point, curve, p), p, a) is not None
 
 
 def _unique_hasse_candidate(m_e: int, m_twist: int, p: int) -> int | None:
@@ -400,7 +441,7 @@ def count_points(curve: CurveFp) -> tuple[int, int]:
             pt, on = (x, sqrt_mod_prime(fx, p)), curve
         else:
             pt, on = (d * x % p, d * sqrt_mod_prime(d * fx, p) % p), twist
-        multiple = multiple_in_hasse(pt, on)
+        multiple = multiple_in_hasse(pt, p, on.a)
         if multiple is None:
             break
         order = order_from_multiple(multiple, lambda k: fp_scalar_mul(k, pt, on) is None)

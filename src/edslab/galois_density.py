@@ -12,10 +12,10 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, islice, product
 
-from .elliptic import CurveFp, CurveQ, PointQ, q_divides_order, reduce_point
-from .ntkernel import is_prime, sieve_primes
+from .elliptic import CurveQ, PointQ, q_divides_order, small_multiple
+from .ntkernel import is_prime, iter_primes
 
 DEFAULT_LINEAR_CAP = 31
 DEFAULT_AFFINE_CAP = 13
@@ -137,9 +137,16 @@ def count_affine(q: int, a: int, b: int, cap: int = DEFAULT_AFFINE_CAP) -> Densi
 
     Im(J - I) has q^rank(J - I) elements, so each qualifying J contributes
     q^2 - q^rank translation parts u; the denominator is |GL2(F_q)| * q^2.
+    det(J - I) = det J - tr J + 1 = b - a + 1 on the whole cell, so unless b
+    = a - 1 every J - I is invertible and contributes nothing; if b = a - 1,
+    J - I has rank 1, except J = I (a = 2, b = 1), of rank 0.
     """
     a, b, cell = _trace_det_cell(q, a, b, cap)
-    count = sum(q * q - q ** _rank(((j[0] - 1, j[1]), (j[2], j[3] - 1)), q) for j in cell)
+    if (b - a + 1) % q:
+        count = 0
+    else:
+        identity = int(a == 2 % q)  # then b = 1
+        count = (len(cell) - identity) * (q * q - q) + identity * (q * q - 1)
     return DensityReport(q, a, b, count, gl2_order(q) * q * q, "affine")
 
 
@@ -155,18 +162,21 @@ def affine_witness(q: int, a: int) -> tuple[tuple[int, int, int, int], tuple[int
     return j, u, _rank((m[0] + u[:1], m[1] + u[1:]), q) > _rank(m, q)
 
 
-def _scan_one_prime(curve: CurveQ, point: PointQ, q: int, b: int, p: int) -> bool:
-    """Whether p = b (mod q) and q | ord(P mod p), without counting points:
-    `q_divides_order` searches only the multiples of q in the Hasse interval."""
-    if p % q != b:
-        return False
-    cfp = CurveFp(p, curve.a % p, curve.b % p, True)
-    return q_divides_order(reduce_point(point, curve, p), cfp, q)
-
-
-def _empirical_chunk(args) -> int:
-    curve, point, q, b, primes = args
-    return sum(1 for p in primes if p % q == b and _scan_one_prime(curve, point, q, b, p))
+def _empirical_chunk(args) -> tuple[int, int]:
+    """(hits, primes scanned) over the scanned primes i, i + jobs, i + 2*jobs,
+    ... of the stream, with q*P over Q formed once."""
+    curve, point, q, b, x, exclusions, jobs, i = args
+    q_point = small_multiple(q, point, curve)
+    disc, z = curve.disc, point.z
+    primes = (
+        p for p in iter_primes(x) if p != 2 and p != q and p not in exclusions and disc % p and z % p
+    )
+    hits = scanned = 0
+    for p in islice(primes, i, None, jobs):
+        scanned += 1
+        if p % q == b and q_divides_order(curve, point, q_point, p, q):
+            hits += 1
+    return hits, scanned
 
 
 def empirical_density(
@@ -183,13 +193,15 @@ def empirical_density(
     A prime is a hit iff p = a-1 (mod q) and q | ord(P mod p), so no point
     is counted: #E(F_p) = p + 1 - a_p = a - a_p (mod q) and ord(P) | #E,
     so q | ord(P) forces a_p = a (mod q).  `elliptic.q_divides_order`
-    decides q | ord(P mod p) by a search over the multiples of q in the
-    Hasse interval and one scalar multiple.  Reported beside the exact affine
-    density for (q, a, b = a-1).  Only odd primes of good reduction coprime
-    to z1 are scanned; a configurable exclusion list stands in for the
-    finitely many primes where the group-theoretic model is not available.
-    jobs (at least 1, clamped to the CPU count) worker processes split the
-    primes and sum their tallies, so reruns are deterministic.
+    decides q | ord(P mod p) from q*P over Q, formed once, by a search over
+    the multiples of q in the Hasse interval and one scalar multiple.
+    Reported beside the exact affine density for (q, a, b = a-1).  Only odd
+    primes of good reduction coprime to z1 are scanned; a configurable
+    exclusion list stands in for the finitely many primes where the
+    group-theoretic model is not available.  The primes are streamed from a
+    segmented sieve, so memory grows with sqrt(x), not x.  jobs (at least 1,
+    clamped to the CPU count) worker processes each take every jobs-th
+    scanned prime and sum their tallies, so reruns are deterministic.
     """
     if not is_prime(q):
         raise ValueError("q must be prime")
@@ -200,20 +212,14 @@ def empirical_density(
     if b == 0:
         raise ValueError("need a != 1 (mod q) so that the determinant class b = a-1 is non-zero")
     exact = count_affine(q, a % q, b)
-    disc = curve.disc
-    primes = [
-        p
-        for p in sieve_primes(x)
-        if p != 2 and p != q and p not in exclusions and disc % p and point.z % p
-    ]
-    payload = (curve, point, q, b)
-    if jobs > 1 and len(primes) > 64:
+    chunks = [(curve, point, q, b, x, exclusions, jobs, i) for i in range(jobs)]
+    if jobs > 1:
         import multiprocessing
 
-        chunks = [payload + (primes[i::jobs],) for i in range(jobs)]
         with multiprocessing.Pool(jobs) as pool:
-            hits = sum(pool.map(_empirical_chunk, chunks))
+            tallies = pool.map(_empirical_chunk, chunks)
     else:
-        hits = _empirical_chunk(payload + (primes,))
-    scan = EmpiricalScan(x, hits, len(primes), small_sample=hits < 30)
+        tallies = [_empirical_chunk(chunks[0])]
+    hits, scanned = map(sum, zip(*tallies))
+    scan = EmpiricalScan(x, hits, scanned, small_sample=hits < 30)
     return DensityReport(q, a % q, b, exact.numerator, exact.denominator, "affine", scan)

@@ -41,6 +41,7 @@ from .elliptic import (
     point_order_fp,
     q_divides_order,
     reduce_point,
+    small_multiple,
 )
 from .lrs import LrsSpec, eval_mod, square_sampled_period
 from .ntkernel import is_prime, iter_primes, next_prime
@@ -228,7 +229,8 @@ def find_witness(
     Wanted: p = a_target - 1 (mod q), good reduction, a_p = a_target (mod q),
     and q dividing the order r of P modulo p (then q divides #E(F_p) too).
     A prime in the residue class is kept iff `q_divides_order` holds, which
-    counts no points; a_p = a_target (mod q) follows, as #E(F_p) =
+    counts no points and reduces q*P over Q, formed once by
+    `small_multiple`; a_p = a_target (mod q) follows, as #E(F_p) =
     a_target - a_p (mod q).  Only at such a candidate are #E(F_p) and r
     computed, which the certificate states.
     For the first candidate the minimal periods of both sequences are computed,
@@ -269,6 +271,7 @@ def find_witness(
         "candidates": 0,
     }
     invariants = curve.disc * point.z * spec.coeffs[-1] * 2 * point.y
+    q_point = small_multiple(q, point, curve)
     exact_prefix: list[int] | None = None
 
     for p in iter_primes(min(p_max, MAX_WITNESS_P)):
@@ -282,15 +285,14 @@ def find_witness(
         if p % q != b_target:
             stats["residue_class"] += 1
             continue
-        cfp = CurveFp(p, curve.a % p, curve.b % p, True)
-        pt = reduce_point(point, curve, p)
-        if not q_divides_order(pt, cfp, q):
+        if not q_divides_order(curve, point, q_point, p, q):
             stats["order"] += 1
             continue
         stats["candidates"] += 1
+        cfp = CurveFp(p, curve.a % p, curve.b % p, True)
         n_points, trace = count_points(cfp)
         assert trace % q == a_target % q  # #E = a_target - trace (mod q), and q | #E
-        order_p = point_order_fp(pt, cfp, n_points)
+        order_p = point_order_fp(reduce_point(point, curve, p), cfp, n_points)
 
         tz = ward_period(seeds, p, order_p)
         try:

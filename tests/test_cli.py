@@ -382,6 +382,41 @@ def test_density_empirical_jobs_below_one_exit2(capsys, jobs):
     assert "jobs must be at least 1" in err
 
 
+REFUTE = (
+    "refute", "--curve", "-4", "4", "--point", "1", "1", "1", "--lrs", "2", "1", "1", "1", "1", "--q", "5",
+)
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        ((*EMPIRICAL, "--x", "-5"), "--x -5 must be at least 3"),
+        ((*EMPIRICAL, "--x", "2"), "--x 2 must be at least 3"),
+        ((*REFUTE, "--p-max", "0"), "--p-max 0 must be at least 3"),
+        ((*REFUTE, "--p-max", "2"), "--p-max 2 must be at least 3"),
+        ((*EMPIRICAL, "--exclude", "7,x"), "--exclude '7,x' must list integers, separated by commas"),
+        ((*REFUTE, "--exclude", "1.5"), "--exclude '1.5' must list integers, separated by commas"),
+    ],
+)
+def test_prime_bound_below_three_or_a_bad_exclusion_exit2(capsys, argv, message):
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+def test_density_empirical_prime_bound_three_scans_one_prime(capsys):
+    code, out, _ = run(capsys, "density", "empirical", "--curve", "-4", "4", "--point", "1", "1", "1",
+                       "--q", "5", "--x", "3", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["empirical"]["scanned"] == 1
+
+
+def test_density_empirical_jobs_two_prints_what_jobs_one_prints(capsys):
+    # with two CPUs, two workers each take every other scanned prime
+    argv = (*EMPIRICAL, "--x", "3000", "--exclude", "7,13", "--format", "json")
+    one, two = (run(capsys, *argv, "--jobs", jobs) for jobs in "12")
+    assert one == two
+    assert one[0] == 0 and json.loads(one[1])["empirical"]["scanned"] > 64
+
+
 def test_density_empirical_jobs_clamped_to_cpu_count(capsys, monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("a worker pool was started")

@@ -17,7 +17,6 @@ from edslab.elliptic import (
     add,
     count_points,
     count_points_naive,
-    fp_add,
     fp_scalar_mul,
     hasse_window,
     is_torsion,
@@ -28,12 +27,35 @@ from edslab.elliptic import (
     point_order_fp,
     reduce_point,
     scalar_mul,
+    small_multiple,
 )
 from edslab.ntkernel import order_from_multiple, sieve_primes, sqrt_mod_prime
 from test_galois_density import CM_CURVES
 
 E = CurveQ(0, 3)
 P = PointQ(1, 2, 1)
+
+
+def fp_add(p1, p2, curve):
+    """Affine chord-tangent sum mod p, one inversion per call: the reference
+    for the Jacobian `fp_scalar_mul` and the inlined steps of
+    `multiple_in_hasse`."""
+    if p1 is None:
+        return p2
+    if p2 is None:
+        return p1
+    p = curve.p
+    x1, y1 = p1
+    x2, y2 = p2
+    if x1 == x2:
+        if (y1 + y2) % p == 0:
+            return None
+        lam = (3 * x1 * x1 + curve.a) * pow(2 * y1, -1, p) % p
+    else:
+        lam = (y2 - y1) * pow(x2 - x1, -1, p) % p
+    x3 = (lam * lam - x1 - x2) % p
+    y3 = (lam * (x1 - x3) - y1) % p
+    return (x3, y3)
 
 
 def test_curve_rejects_singular():
@@ -356,7 +378,8 @@ def test_multiple_in_hasse_matches_the_windows_laid_from_lo():
             cfp = CurveFp.from_curve(curve, p)
             pt = reduce_point(point, curve, p)
             for d in (1, 2, 3, 5, 7, 13):
-                assert multiple_in_hasse(pt, cfp, d) == _multiple_in_hasse_from_lo(pt, cfp, d), (curve, p, d)
+                got = multiple_in_hasse(fp_scalar_mul(d, pt, cfp), p, cfp.a, d)
+                assert got == _multiple_in_hasse_from_lo(pt, cfp, d), (curve, p, d)
 
 
 @pytest.mark.parametrize(
@@ -369,7 +392,21 @@ def test_multiple_in_hasse_matches_the_windows_laid_from_lo():
 def test_multiple_in_hasse_skips_a_kill_below_lo(p, d, expected):
     cfp = CurveFp.from_curve(E, p)
     pt = reduce_point(P, E, p)
-    assert multiple_in_hasse(pt, cfp, d) == expected == _multiple_in_hasse_from_lo(pt, cfp, d)
+    got = multiple_in_hasse(fp_scalar_mul(d, pt, cfp), p, cfp.a, d)
+    assert got == expected == _multiple_in_hasse_from_lo(pt, cfp, d)
+
+
+def test_small_multiple_refuses_a_large_rational_base(monkeypatch):
+    # q = 1009 on (-4, 4), (1, 1, 1): q*P has a 142,000-digit denominator
+    # and takes seconds to form; the size predicted from 2P refuses it first
+    curve, point = CurveQ(-4, 4), PointQ(1, 1, 1)
+    assert small_multiple(13, point, curve) == scalar_mul(13, point, curve)
+    monkeypatch.setattr(elliptic, "scalar_mul", _no_multiple)
+    assert small_multiple(1009, point, curve) is None
+
+
+def _no_multiple(*args):
+    raise AssertionError("q*P was formed over Q")
 
 
 def test_point_order_rejects_bad_reduction():

@@ -1,5 +1,9 @@
+import builtins
 import json
 import math
+import random
+import sys
+import tracemalloc
 
 import pytest
 
@@ -13,10 +17,14 @@ from edslab.elliptic import (
     fp_scalar_mul,
     multiple_in_hasse,
     point_order_fp,
+    q_divides_order,
     reduce_point,
+    scalar_mul,
+    small_multiple,
 )
 from edslab.galois_density import (
-    _scan_one_prime,
+    _rank,
+    _trace_det_cell,
     affine_witness,
     conjugacy_type_count,
     count_affine,
@@ -116,10 +124,56 @@ def test_affine_count_matches_image_enumeration():
                 assert count_affine(q, a, b).numerator == count
 
 
+def test_affine_count_matches_the_rank_sum_on_every_cell():
+    # the closed form against q^2 - q^rank(J - I) summed over the cell, for
+    # every prime q <= 13 and every (a, b != 0), q = 2 included
+    for q in (2, 3, 5, 7, 11, 13):
+        for a in range(q):
+            for b in range(1, q):
+                _, _, cell = _trace_det_cell(q, a, b, 13)
+                ranks = sum(q * q - q ** _rank(((j[0] - 1, j[1]), (j[2], j[3] - 1)), q) for j in cell)
+                assert count_affine(q, a, b).numerator == ranks, (q, a, b)
+
+
 CM_CURVES = [
     (CurveQ(0, 17), PointQ(-2, 3, 1)),  # j = 0
     (CurveQ(-2, 0), PointQ(2, 2, 1)),  # j = 1728
 ]
+
+
+def test_order_test_matches_the_point_order_on_a_seeded_sweep():
+    # q | ord(P mod p) from the rational base q*P against point_order_fp,
+    # over every good p < 3 * 10^4 and q in {3, 5, 7, 11, 13}: over 10^5
+    # (point, q, p) triples, and at one p in six from q*(P mod p) too.  The
+    # points: both CM fixtures, among them the gcd-path point (0, 17),
+    # (-2, 3, 1); (0, 1) on y^2 = x^3 + 1, of order 3, so 3*P = O over Q and
+    # q = 3 holds at every prime; and seeded multiples of the CM points and
+    # of two more points
+    rng = random.Random(20161)
+    points = [*CM_CURVES, (CurveQ(0, 1), PointQ(0, 1, 1))]
+    for curve, point in [*CM_CURVES, (CurveQ(0, 3), PointQ(1, 2, 1)), (CurveQ(-4, 4), PointQ(1, 1, 1))]:
+        points.append((curve, scalar_mul(rng.randint(2, 4), point, curve)))
+    primes = [p for p in sieve_primes(30_000) if p > 2]
+    triples = hits = base_at_infinity = 0
+    for curve, point in points:
+        q_points = {q: small_multiple(q, point, curve) for q in (3, 5, 7, 11, 13)}
+        for p in primes:
+            if curve.disc % p == 0 or point.z % p == 0:
+                continue
+            cfp = CurveFp.from_curve(curve, p)
+            order = point_order_fp(reduce_point(point, curve, p), cfp)
+            for q, q_point in q_points.items():
+                if q == p:
+                    continue
+                expected = order % q == 0
+                assert q_divides_order(curve, point, q_point, p, q) == expected, (curve, point, q, p)
+                if p % 7 == 1:
+                    assert q_divides_order(curve, point, None, p, q) == expected, (curve, point, q, p)
+                triples += 1
+                hits += expected
+                base_at_infinity += q_point.z % p == 0
+    assert triples > 100_000 and hits > 10_000
+    assert base_at_infinity > len(primes)  # every p at 3*(0, 1) = O, and primes of z(q*P)
 
 
 def test_scan_predicate_matches_point_count_and_order():
@@ -136,11 +190,12 @@ def test_scan_predicate_matches_point_count_and_order():
             for q in (3, 5, 7, 11, 13):
                 if q == p:
                     continue
+                divides = q_divides_order(curve, point, small_multiple(q, point, curve), p, q)
                 for a in range(q):
                     b = (a - 1) % q
                     if b:
                         expected = p % q == b and trace % q == a and order % q == 0
-                        assert _scan_one_prime(curve, point, q, b, p) == expected, (curve, q, a, p)
+                        assert (p % q == b and divides) == expected, (curve, q, a, p)
 
 
 def test_scan_predicate_when_the_baby_steps_reach_the_identity():
@@ -148,9 +203,9 @@ def test_scan_predicate_when_the_baby_steps_reach_the_identity():
     for (curve, point), p, q in ((CM_CURVES[0], 181, 5), (CM_CURVES[0], 673, 7), (CM_CURVES[1], 79, 5)):
         cfp = CurveFp.from_curve(curve, p)
         pt = reduce_point(point, curve, p)
-        assert multiple_in_hasse(pt, cfp) == point_order_fp(pt, cfp) == q
-        assert _scan_one_prime(curve, point, q, p % q, p)
-        assert not _scan_one_prime(curve, point, 3, p % 3, p)
+        assert multiple_in_hasse(pt, p, cfp.a) == point_order_fp(pt, cfp) == q
+        assert q_divides_order(curve, point, small_multiple(q, point, curve), p, q)
+        assert not q_divides_order(curve, point, small_multiple(3, point, curve), p, 3)
 
 
 def test_multiple_in_hasse_searches_only_the_multiples_of_d():
@@ -166,7 +221,7 @@ def test_multiple_in_hasse_searches_only_the_multiples_of_d():
             order = point_order_fp(pt, cfp)
             w = math.isqrt(4 * p)
             for d in (1, 2, 3, 5, 7, 13):
-                m = multiple_in_hasse(pt, cfp, d)
+                m = multiple_in_hasse(fp_scalar_mul(d, pt, cfp), p, cfp.a, d)
                 step = math.lcm(d, order)
                 assert (m is None) == ((p + 1 + w) // step * step < p + 1 - w), (curve, p, d)
                 if m is not None:
@@ -176,20 +231,43 @@ def test_multiple_in_hasse_searches_only_the_multiples_of_d():
 
 
 def test_scan_searches_only_the_multiples_of_q(monkeypatch):
-    # the search over the whole Hasse interval (d = 1) takes 731 affine
-    # additions on this scan, the search over the multiples of q 271; scalar
-    # multiples add no affine points.  Each prime in the residue class takes
-    # at most 3 scalar multiples: base, the first giant point, the q-free
+    # one search per prime of the residue class, over the multiples of q,
+    # from q*P over Q formed once.  The search over the whole Hasse interval
+    # (d = 1) takes 731 affine additions on this scan, the search over the
+    # multiples of q 271.  Each is one inversion pow(., -1, p), except one
+    # base of order 2, whose double is O.  Besides them, each prime takes at
+    # most 2 scalar multiples mod p: the first giant point and the q-free
     # part of the multiple.
-    adds, muls = [], []
-    add, mul = elliptic.fp_add, elliptic.fp_scalar_mul
-    monkeypatch.setattr(elliptic, "fp_add", lambda *args: adds.append(1) or add(*args))
-    monkeypatch.setattr(elliptic, "fp_scalar_mul", lambda *args: muls.append(1) or mul(*args))
+    searches, muls, rational, inversions = [], [], [], []
+    search, mul, rational_mul = elliptic.multiple_in_hasse, elliptic._mul, elliptic.scalar_mul
+    in_mul = []
+
+    def counting_mul(*args):
+        muls.append(1)
+        in_mul.append(1)
+        try:
+            return mul(*args)
+        finally:
+            in_mul.pop()
+
+    def counting_pow(base, exp, mod=None):
+        if exp == -1 and not in_mul:
+            inversions.append(1)
+        return builtins.pow(base, exp, mod)
+
+    monkeypatch.setattr(
+        elliptic, "multiple_in_hasse", lambda *args: searches.append(args[3]) or search(*args)
+    )
+    monkeypatch.setattr(elliptic, "_mul", counting_mul)
+    monkeypatch.setattr(elliptic, "scalar_mul", lambda *args: rational.append(args[0]) or rational_mul(*args))
+    monkeypatch.setattr(elliptic, "pow", counting_pow, raising=False)
     scan = empirical_density(E, P, 13, 3, 4000).empirical
     assert (scan.hits, scan.scanned) == (4, 547)
     in_class = [p for p in sieve_primes(4000) if p % 13 == 2 and p != 2 and E.disc % p]
-    assert len(adds) <= 400
-    assert len(muls) <= 3 * len(in_class)
+    assert searches == [13] * len(in_class)
+    assert rational == [13]
+    assert len(inversions) == 270
+    assert len(muls) <= 2 * len(in_class)
 
 
 def test_empirical_scan_counts_no_points(monkeypatch):
@@ -241,6 +319,23 @@ def test_empirical_hits_verified_independently():
         if order % q == 0:
             recount += 1
     assert report.empirical.hits == recount
+
+
+def test_empirical_scan_streams_the_primes(monkeypatch):
+    # the primes come from the segmented sieve, one 65,536-mark segment at a
+    # time: the scan's peak is far below the size of the list of the 78,498
+    # primes below 10^6.  The order test is stubbed out: it holds no primes,
+    # and traced it takes 30 s
+    monkeypatch.setattr(galois_density, "q_divides_order", lambda *args: False)
+    tracemalloc.start()
+    try:
+        scan = empirical_density(E, P, 13, 3, 10**6).empirical
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    listed = sieve_primes(10**6)
+    assert scan.scanned == len(listed) - 3  # all but 2, q and 3, which divides disc
+    assert peak * 8 < sys.getsizeof(listed) + sum(map(sys.getsizeof, listed)), peak
 
 
 def test_empirical_rejects_a_equal_one():
