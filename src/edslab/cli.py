@@ -67,25 +67,40 @@ def _resolve(args, key: str, default=None, cast=None):
     if flag is not None:
         return flag
     config = getattr(args, "_config", {})
-    if key in config:
-        return cast(config[key]) if cast else config[key]
-    return default
+    if key not in config:
+        return default
+    if cast is None:
+        return config[key]
+    try:
+        return cast(config[key])
+    except ValueError:
+        raise ValueError(f"{key} = {config[key]} in {args.config} must be an integer") from None
 
 
-def _parse_exclusions(text: str | None) -> tuple[int, ...]:
+def _named(args, key: str, value) -> str:
+    """The value as an error names it: by its flag if one was given, else by
+    its key in the config file."""
+    if getattr(args, key, None) is not None:
+        return f"--{key.replace('_', '-')} {value}"
+    return f"{key} = {value} in {args.config}"
+
+
+def _exclusions(args) -> tuple[int, ...]:
+    text = _resolve(args, "exclude")
     if not text:
         return ()
     try:
         return tuple(int(part) for part in text.replace(",", " ").split())
     except ValueError:
-        raise ValueError(f"--exclude {text!r} must list integers, separated by commas") from None
+        named = _named(args, "exclude", repr(text))
+        raise ValueError(f"{named} must list integers, separated by commas") from None
 
 
 def _prime_bound(args, key: str, default: int) -> int:
     """A prime bound of at least 3, the least that can hold an odd prime."""
     bound = _resolve(args, key, default, int)
     if bound < 3:
-        raise ValueError(f"--{key.replace('_', '-')} {bound} must be at least 3")
+        raise ValueError(f"{_named(args, key, bound)} must be at least 3")
     return bound
 
 
@@ -167,7 +182,7 @@ def _lrs_spec(args) -> lrs.LrsSpec:
 def _term_count(args, default: int) -> int:
     n = _resolve(args, "n", default, int)
     if n < 1:
-        raise ValueError(f"--n {n} must be at least 1")
+        raise ValueError(f"{_named(args, 'n', n)} must be at least 1")
     return n
 
 
@@ -321,7 +336,7 @@ def cmd_density_empirical(args) -> int:
     x = _prime_bound(args, "x", 10_000)
     a = _resolve(args, "a", refuter.DEFAULT_A_TARGET, int)
     jobs = _resolve(args, "jobs", 1, int)
-    exclusions = _parse_exclusions(_resolve(args, "exclude"))
+    exclusions = _exclusions(args)
     report = galois_density.empirical_density(curve, point, args.q, a, x, exclusions, jobs=jobs)
     _emit_density(args.format, report)
     if report.empirical.small_sample:
@@ -347,7 +362,7 @@ def cmd_refute(args) -> int:
     q = _resolve(args, "q", None, int)
     a = _resolve(args, "a", refuter.DEFAULT_A_TARGET, int)
     p_max = _prime_bound(args, "p_max", 1_000_000)
-    exclusions = _parse_exclusions(_resolve(args, "exclude"))
+    exclusions = _exclusions(args)
     result = refuter.find_witness(
         curve, point, spec, q, a_target=a, p_max=p_max, exclusions=exclusions
     )

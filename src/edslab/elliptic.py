@@ -15,8 +15,9 @@ from .ntkernel import invmod, is_prime, order_from_multiple, sqrt_mod_prime
 
 # uniform bound on the order of rational torsion points, with margin
 TORSION_SEARCH_BOUND = 16
-# largest denominator, in bits, of the rational q*P `small_multiple` forms
-RATIONAL_BASE_MAX_BITS = 4096
+# largest denominator, in bits, of the rational q*P `small_multiple` forms, as
+# estimated from 2P
+RATIONAL_BASE_MAX_BITS = 2048
 
 
 class BadReductionError(ValueError):
@@ -189,18 +190,13 @@ def reduce_point(p: PointQ, curve: CurveQ, prime: int) -> PointFp:
     return (p.x * z2 % prime, p.y * z2 * zi % prime)
 
 
-def fp_scalar_mul(n: int, pt: PointFp, curve: CurveFp) -> PointFp:
-    """n*pt for any integer n; see `_mul`."""
-    return _mul(n, pt, curve.p, curve.a)
-
-
-def _mul(n: int, pt: PointFp, p: int, a: int) -> PointFp:
-    """n*pt on y^2 = x^3 + a*x + b over F_p (b is not needed), left to right
-    in Jacobian coordinates (X/Z^2, Y/Z^3), Z = 0 standing for O.  Each bit
-    doubles the running point and, on a 1, adds the affine pt by mixed
-    addition (Cohen, Miyaji, Ono 1998), so the only inversion is the one
-    back to affine at the end.  Doubling sets Z to 2YZ, which is 0 at O and
-    at a point with Y = 0."""
+def fp_scalar_mul(n: int, pt: PointFp, p: int, a: int) -> PointFp:
+    """n*pt for any integer n on y^2 = x^3 + a*x + b over F_p (b is not
+    needed), left to right in Jacobian coordinates (X/Z^2, Y/Z^3), Z = 0
+    standing for O.  Each bit doubles the running point and, on a 1, adds
+    the affine pt by mixed addition (Cohen, Miyaji, Ono 1998), so the only
+    inversion is the one back to affine at the end.  Doubling sets Z to
+    2YZ, which is 0 at O and at a point with Y = 0."""
     if pt is None or n == 0:
         return None
     x, y = pt
@@ -322,7 +318,7 @@ def multiple_in_hasse(base: PointFp, p: int, a: int, d: int = 1) -> int | None:
     step = 2 * s + 1
     g = -(-(lo - s) // step)
     c = g * step
-    r = _mul(g, (sx, sy), p, a)
+    r = fp_scalar_mul(g, (sx, sy), p, a)
     while c - s <= hi:
         if r is None:
             k = c
@@ -342,7 +338,7 @@ def multiple_in_hasse(base: PointFp, p: int, a: int, d: int = 1) -> int | None:
             x = (lam * lam - rx - sx) % p
             r = (x, (lam * (sx - x) - sy) % p)
         elif r[1] == sy:  # r is the stride
-            r = _mul(2, r, p, a)
+            r = fp_scalar_mul(2, r, p, a)
         else:
             r = None
     return None
@@ -353,9 +349,11 @@ def small_multiple(q: int, point: PointQ, curve: CurveQ) -> PointQ | None:
     when its denominator would pass RATIONAL_BASE_MAX_BITS bits.
 
     Heights grow quadratically, so that size is about q^2/4 times the bits
-    of z(2P); past it, forming q*P and reducing it at each prime costs more
-    than multiplying P mod p by q at each prime (q = 1009 on (-4, 4),
-    (1, 1, 1) gives a 142,000-digit denominator).
+    of z(2P).  Reducing q*P mod p costs what multiplying P mod p by q does
+    when z(q*P) has 2,500-3,500 bits, a third of that at the 100-300 bits
+    of q <= 13 on small points, and 11 times as much at q = 307, where
+    forming q*P also takes about a second.  The estimate from 2P is low by
+    up to half on small points, so the bound sits below that crossover.
     """
     double = add(point, point, curve)
     if q * q * double.z.bit_length() > 4 * RATIONAL_BASE_MAX_BITS:
@@ -375,11 +373,13 @@ def q_divides_order(curve: CurveQ, point: PointQ, q_point: PointQ | None, p: int
     ord(P mod p) some multiple of q there kills it, and `multiple_in_hasse`
     over the multiples of q is not None.  Any m it returns is a multiple of
     ord(P mod p), so q | ord(P mod p) iff (m with every factor q removed)*(P
-    mod p) != O.
+    mod p) != O; only then is P itself reduced, given a rational base.
     """
     a = curve.a % p
+    pt = None
     if q_point is None:
-        base = _mul(q, reduce_point(point, curve, p), p, a)
+        pt = reduce_point(point, curve, p)
+        base = fp_scalar_mul(q, pt, p, a)
     else:
         base = reduce_point(q_point, curve, p)
     m = multiple_in_hasse(base, p, a, q)
@@ -387,7 +387,7 @@ def q_divides_order(curve: CurveQ, point: PointQ, q_point: PointQ | None, p: int
         return False
     while m % q == 0:
         m //= q
-    return _mul(m, reduce_point(point, curve, p), p, a) is not None
+    return fp_scalar_mul(m, pt or reduce_point(point, curve, p), p, a) is not None
 
 
 def _unique_hasse_candidate(m_e: int, m_twist: int, p: int) -> int | None:
@@ -444,7 +444,7 @@ def count_points(curve: CurveFp) -> tuple[int, int]:
         multiple = multiple_in_hasse(pt, p, on.a)
         if multiple is None:
             break
-        order = order_from_multiple(multiple, lambda k: fp_scalar_mul(k, pt, on) is None)
+        order = order_from_multiple(multiple, lambda k: fp_scalar_mul(k, pt, p, on.a) is None)
         if on is curve:
             m_e = math.lcm(m_e, order)
         else:
@@ -471,8 +471,9 @@ def point_order_fp(pt: PointFp, curve: CurveFp, n_points: int | None = None) -> 
         return 1
     if n_points is None:
         n_points, _ = count_points(curve)
-    order = order_from_multiple(n_points, lambda k: fp_scalar_mul(k, pt, curve) is None)
-    assert fp_scalar_mul(order, pt, curve) is None
+    p, a = curve.p, curve.a
+    order = order_from_multiple(n_points, lambda k: fp_scalar_mul(k, pt, p, a) is None)
+    assert fp_scalar_mul(order, pt, p, a) is None
     return order
 
 

@@ -12,10 +12,10 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, islice, product
+from itertools import combinations, product
 
 from .elliptic import CurveQ, PointQ, q_divides_order, small_multiple
-from .ntkernel import is_prime, iter_primes
+from .ntkernel import check_sieve_limit, is_prime, iter_primes
 
 DEFAULT_LINEAR_CAP = 31
 DEFAULT_AFFINE_CAP = 13
@@ -163,16 +163,15 @@ def affine_witness(q: int, a: int) -> tuple[tuple[int, int, int, int], tuple[int
 
 
 def _empirical_chunk(args) -> tuple[int, int]:
-    """(hits, primes scanned) over the scanned primes i, i + jobs, i + 2*jobs,
-    ... of the stream, with q*P over Q formed once."""
-    curve, point, q, b, x, exclusions, jobs, i = args
+    """(hits, primes scanned) over the primes in (start, stop], with q*P over
+    Q formed once."""
+    curve, point, q, b, start, stop, exclusions = args
     q_point = small_multiple(q, point, curve)
     disc, z = curve.disc, point.z
-    primes = (
-        p for p in iter_primes(x) if p != 2 and p != q and p not in exclusions and disc % p and z % p
-    )
     hits = scanned = 0
-    for p in islice(primes, i, None, jobs):
+    for p in iter_primes(stop, start + 1):
+        if p == 2 or p == q or p in exclusions or disc % p == 0 or z % p == 0:
+            continue
         scanned += 1
         if p % q == b and q_divides_order(curve, point, q_point, p, q):
             hits += 1
@@ -200,8 +199,9 @@ def empirical_density(
     exclusion list stands in for the finitely many primes where the
     group-theoretic model is not available.  The primes are streamed from a
     segmented sieve, so memory grows with sqrt(x), not x.  jobs (at least 1,
-    clamped to the CPU count) worker processes each take every jobs-th
-    scanned prime and sum their tallies, so reruns are deterministic.
+    clamped to the CPU count) worker processes each sieve and scan one of
+    jobs equal ranges of [1, x] and sum their tallies, so reruns are
+    deterministic.
     """
     if not is_prime(q):
         raise ValueError("q must be prime")
@@ -212,7 +212,8 @@ def empirical_density(
     if b == 0:
         raise ValueError("need a != 1 (mod q) so that the determinant class b = a-1 is non-zero")
     exact = count_affine(q, a % q, b)
-    chunks = [(curve, point, q, b, x, exclusions, jobs, i) for i in range(jobs)]
+    check_sieve_limit(x)
+    chunks = [(curve, point, q, b, x * i // jobs, x * (i + 1) // jobs, exclusions) for i in range(jobs)]
     if jobs > 1:
         import multiprocessing
 

@@ -7,6 +7,7 @@ point.  All functions are pure and safe to call concurrently.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
@@ -87,16 +88,26 @@ MAX_SIEVE_LIMIT = 10**8  # sieve_primes(10^8) holds 5.8 million prime ints: abou
 _SIEVE_SEGMENT = 1 << 16  # the marks iter_primes holds, whatever the limit
 
 
-def iter_primes(limit: int):
-    """The primes <= limit, ascending, by a segmented sieve of Eratosthenes.
-
-    It holds the base primes up to sqrt(limit) and one segment of marks, so a
-    scan that stops early costs what it read.  limit <= MAX_SIEVE_LIMIT.
-    """
+def check_sieve_limit(limit: int) -> None:
     if limit > MAX_SIEVE_LIMIT:
         raise ValueError(f"prime bound {limit} exceeds the sieve limit {MAX_SIEVE_LIMIT}")
+
+
+def iter_primes(limit: int, start: int = 2) -> Iterator[int]:
+    """The primes p with start <= p <= limit, ascending, by a segmented sieve
+    of Eratosthenes; limit <= MAX_SIEVE_LIMIT, checked at the call.
+
+    It holds the base primes up to sqrt(limit) and one segment of marks, so a
+    scan that stops early costs what it read, and one from start sieves
+    nothing below it.
+    """
+    check_sieve_limit(limit)
+    return _sieve_segments(max(start, 2), limit)
+
+
+def _sieve_segments(start: int, limit: int) -> Iterator[int]:
     base = list(iter_primes(math.isqrt(limit))) if limit >= 4 else []
-    for lo in range(2, limit + 1, _SIEVE_SEGMENT):
+    for lo in range(start, limit + 1, _SIEVE_SEGMENT):
         mark = bytearray([1]) * (min(lo + _SIEVE_SEGMENT, limit + 1) - lo)
         for p in base:
             if p * p >= lo + len(mark):

@@ -402,6 +402,24 @@ def test_prime_bound_below_three_or_a_bad_exclusion_exit2(capsys, argv, message)
     assert run(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize(
+    "argv,line,message",
+    [
+        (EMPIRICAL, "x = 1", "x = 1 in {} must be at least 3"),
+        (REFUTE, "p_max = 2", "p_max = 2 in {} must be at least 3"),
+        (EMPIRICAL, "exclude = 7,x", "exclude = '7,x' in {} must list integers, separated by commas"),
+        (("eds", "gen", "--curve", "0", "3", "--point", "1", "2", "1"), "n = 0", "n = 0 in {} must be at least 1"),
+        (EMPIRICAL, "x = abc", "x = abc in {} must be an integer"),
+        (REFUTE, "a = 1.5", "a = 1.5 in {} must be an integer"),
+    ],
+)
+def test_a_bad_config_value_is_named_by_its_key_and_file(tmp_path, capsys, argv, line, message):
+    # a value from the config file is named by its key there, not by a flag never passed
+    config = tmp_path / "edslab.conf"
+    config.write_text(line + "\n")
+    assert run(capsys, *argv, "--config", str(config)) == (2, "", f"error: {message.format(config)}\n")
+
+
 def test_density_empirical_prime_bound_three_scans_one_prime(capsys):
     code, out, _ = run(capsys, "density", "empirical", "--curve", "-4", "4", "--point", "1", "1", "1",
                        "--q", "5", "--x", "3", "--format", "json")

@@ -248,11 +248,11 @@ def test_lagrange_and_order_minimality():
         pt = reduce_point(P, E, p)
         order = point_order_fp(pt, curve, n)
         assert n % order == 0
-        assert fp_scalar_mul(order, pt, curve) is None
+        assert fp_scalar_mul(order, pt, curve.p, curve.a) is None
         for ell in set(
             f for f in range(2, order + 1) if order % f == 0 and all(f % d for d in range(2, f))
         ):
-            assert fp_scalar_mul(order // ell, pt, curve) is not None
+            assert fp_scalar_mul(order // ell, pt, curve.p, curve.a) is not None
 
 
 def test_doubling_halves_or_keeps_order():
@@ -261,7 +261,7 @@ def test_doubling_halves_or_keeps_order():
         n, _ = count_points(curve)
         pt = reduce_point(P, E, p)
         o1 = point_order_fp(pt, curve, n)
-        o2 = point_order_fp(fp_scalar_mul(2, pt, curve), curve, n)
+        o2 = point_order_fp(fp_scalar_mul(2, pt, curve.p, curve.a), curve, n)
         assert o2 == o1 // math.gcd(2, o1)
 
 
@@ -273,9 +273,9 @@ def test_reduction_compatible_with_scalar_mul():
         for n in range(2, 51):
             q = add(q, P, E)
             if q.z % p == 0:
-                assert fp_scalar_mul(n, pt, curve) is None
+                assert fp_scalar_mul(n, pt, curve.p, curve.a) is None
             else:
-                assert fp_scalar_mul(n, pt, curve) == reduce_point(q, E, p)
+                assert fp_scalar_mul(n, pt, curve.p, curve.a) == reduce_point(q, E, p)
 
 
 def _affine_scalar_mul(n, pt, curve):
@@ -321,8 +321,8 @@ def test_jacobian_scalar_mul_matches_the_affine_double_and_add():
                 ns += [k * order + e for k in (1, 2, -3) for e in (-1, 0, 1)]
                 ns += [rng.randrange(-3 * p, 3 * p + 1) for _ in range(8)]
                 for n in ns:
-                    assert fp_scalar_mul(n, pt, cfp) == _affine_scalar_mul(n, pt, cfp), (curve, p, pt, n)
-            assert fp_scalar_mul(5, None, cfp) is None
+                    assert fp_scalar_mul(n, pt, p, cfp.a) == _affine_scalar_mul(n, pt, cfp), (curve, p, pt, n)
+            assert fp_scalar_mul(5, None, cfp.p, cfp.a) is None
     assert two_torsion > 0
 
 
@@ -378,7 +378,7 @@ def test_multiple_in_hasse_matches_the_windows_laid_from_lo():
             cfp = CurveFp.from_curve(curve, p)
             pt = reduce_point(point, curve, p)
             for d in (1, 2, 3, 5, 7, 13):
-                got = multiple_in_hasse(fp_scalar_mul(d, pt, cfp), p, cfp.a, d)
+                got = multiple_in_hasse(fp_scalar_mul(d, pt, cfp.p, cfp.a), p, cfp.a, d)
                 assert got == _multiple_in_hasse_from_lo(pt, cfp, d), (curve, p, d)
 
 
@@ -392,7 +392,7 @@ def test_multiple_in_hasse_matches_the_windows_laid_from_lo():
 def test_multiple_in_hasse_skips_a_kill_below_lo(p, d, expected):
     cfp = CurveFp.from_curve(E, p)
     pt = reduce_point(P, E, p)
-    got = multiple_in_hasse(fp_scalar_mul(d, pt, cfp), p, cfp.a, d)
+    got = multiple_in_hasse(fp_scalar_mul(d, pt, cfp.p, cfp.a), p, cfp.a, d)
     assert got == expected == _multiple_in_hasse_from_lo(pt, cfp, d)
 
 

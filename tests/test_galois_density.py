@@ -1,13 +1,14 @@
 import builtins
 import json
 import math
+import os
 import random
 import sys
 import tracemalloc
 
 import pytest
 
-from edslab import elliptic, galois_density
+from edslab import elliptic, galois_density, ntkernel
 from edslab.elliptic import (
     NAIVE_COUNT_BELOW,
     CurveFp,
@@ -221,11 +222,11 @@ def test_multiple_in_hasse_searches_only_the_multiples_of_d():
             order = point_order_fp(pt, cfp)
             w = math.isqrt(4 * p)
             for d in (1, 2, 3, 5, 7, 13):
-                m = multiple_in_hasse(fp_scalar_mul(d, pt, cfp), p, cfp.a, d)
+                m = multiple_in_hasse(fp_scalar_mul(d, pt, cfp.p, cfp.a), p, cfp.a, d)
                 step = math.lcm(d, order)
                 assert (m is None) == ((p + 1 + w) // step * step < p + 1 - w), (curve, p, d)
                 if m is not None:
-                    assert m % d == 0 and fp_scalar_mul(m, pt, cfp) is None, (curve, p, d)
+                    assert m % d == 0 and fp_scalar_mul(m, pt, cfp.p, cfp.a) is None, (curve, p, d)
                 no_multiple_of_d += (p + 1 + w) // d * d < p + 1 - w
     assert no_multiple_of_d > 0  # e.g. d = 13 at p = 3 and 5
 
@@ -239,7 +240,7 @@ def test_scan_searches_only_the_multiples_of_q(monkeypatch):
     # most 2 scalar multiples mod p: the first giant point and the q-free
     # part of the multiple.
     searches, muls, rational, inversions = [], [], [], []
-    search, mul, rational_mul = elliptic.multiple_in_hasse, elliptic._mul, elliptic.scalar_mul
+    search, mul, rational_mul = elliptic.multiple_in_hasse, elliptic.fp_scalar_mul, elliptic.scalar_mul
     in_mul = []
 
     def counting_mul(*args):
@@ -258,7 +259,7 @@ def test_scan_searches_only_the_multiples_of_q(monkeypatch):
     monkeypatch.setattr(
         elliptic, "multiple_in_hasse", lambda *args: searches.append(args[3]) or search(*args)
     )
-    monkeypatch.setattr(elliptic, "_mul", counting_mul)
+    monkeypatch.setattr(elliptic, "fp_scalar_mul", counting_mul)
     monkeypatch.setattr(elliptic, "scalar_mul", lambda *args: rational.append(args[0]) or rational_mul(*args))
     monkeypatch.setattr(elliptic, "pow", counting_pow, raising=False)
     scan = empirical_density(E, P, 13, 3, 4000).empirical
@@ -283,6 +284,56 @@ def test_empirical_scan_counts_no_points(monkeypatch):
     for jobs in (1, 2):
         scan = empirical_density(E, P, 3, 3, 3000, jobs=jobs).empirical
         assert (scan.hits, scan.scanned) == (expected.hits, expected.scanned)
+
+
+class _InlinePool:
+    """multiprocessing.Pool's map, run in this process."""
+
+    def __init__(self, jobs):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, func, chunks):
+        return list(map(func, chunks))
+
+
+def test_empirical_scan_workers_sieve_disjoint_ranges(monkeypatch):
+    # each of the jobs workers sieves and scans its own range of [1, x]; the
+    # ranges cover it once, and the tallies are the single worker's
+    import multiprocessing
+
+    expected = empirical_density(E, P, 5, 3, 3000, exclusions=(11,)).empirical
+    ranges = []
+    stream = galois_density.iter_primes
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(multiprocessing, "Pool", _InlinePool)
+    monkeypatch.setattr(
+        galois_density, "iter_primes", lambda stop, start: ranges.append((start, stop)) or stream(stop, start)
+    )
+    for jobs in (2, 3, 4):
+        ranges.clear()
+        scan = empirical_density(E, P, 5, 3, 3000, exclusions=(11,), jobs=jobs).empirical
+        assert (scan.hits, scan.scanned) == (expected.hits, expected.scanned)
+        assert ranges[0][0] == 1 and ranges[-1][1] == 3000 and len(ranges) == jobs
+        assert all(start == stop + 1 for (_, stop), (start, _) in zip(ranges, ranges[1:]))
+
+
+def test_empirical_scan_checks_the_sieve_limit_before_any_worker(monkeypatch):
+    import multiprocessing
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(ntkernel, "MAX_SIEVE_LIMIT", 1000)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+    with pytest.raises(ValueError, match="prime bound 1001 exceeds the sieve limit 1000"):
+        empirical_density(E, P, 5, 3, 1001, jobs=2)
 
 
 def test_empirical_scan_fixture():

@@ -123,6 +123,21 @@ def test_segmented_sieve_across_segment_edges(monkeypatch):
         assert sieve_primes(limit) == [n for n in range(limit + 1) if is_prime(n)]
 
 
+def test_iter_primes_from_a_start(monkeypatch):
+    monkeypatch.setattr(ntkernel, "_SIEVE_SEGMENT", 64)
+    for limit in (3, 64, 65, 128, 4099):
+        for start in (-3, 0, 2, 3, 4, 63, 64, 65, 127, limit, limit + 1):
+            expected = [n for n in range(max(start, 0), limit + 1) if is_prime(n)]
+            assert list(iter_primes(limit, start)) == expected, (limit, start)
+
+
+def test_iter_primes_refuses_a_bound_past_its_limit_at_the_call(monkeypatch):
+    # before anything is read, so a caller can check the bound before work starts
+    monkeypatch.setattr(ntkernel, "MAX_SIEVE_LIMIT", 100)
+    with pytest.raises(ValueError, match="exceeds the sieve limit 100"):
+        iter_primes(101, 90)
+
+
 def test_iter_primes_sieves_only_what_is_read():
     # at the largest bound, the first primes need only the base primes and one segment
     tracemalloc.start()
