@@ -18,7 +18,6 @@ from .elliptic import CurveQ, PointQ, q_divides_order, small_multiple
 from .ntkernel import check_sieve_limit, is_prime, iter_primes
 
 DEFAULT_LINEAR_CAP = 31
-DEFAULT_AFFINE_CAP = 13
 
 
 @dataclass
@@ -71,38 +70,24 @@ def gl2_order(q: int) -> int:
     return (q * q - 1) * (q * q - q)
 
 
-def _validate_q(q: int, cap: int) -> None:
+def count_gl2(q: int, a: int, b: int) -> DensityReport:
+    """Exact count of J in GL2(F_q) with tr(J) = a and det(J) = b != 0, from
+    `conjugacy_type_count`."""
     if not is_prime(q):
         raise ValueError(f"q={q} must be prime")
-    if q > cap:
-        raise ValueError(f"q={q} exceeds the enumeration cap {cap}")
-
-
-def _trace_det_cell(q: int, a: int, b: int, cap: int) -> tuple[int, int, list[tuple[int, ...]]]:
-    """(a mod q, b mod q, every J = (m11, m12, m21, m22) over F_q with tr(J) = a
-    and det(J) = b != 0), from the q^3 matrices with trace a."""
-    _validate_q(q, cap)
     a %= q
     b %= q
     if b == 0:
         raise ValueError("the determinant class must be non-zero")
-    cell = [
-        (m11, m12, m21, (a - m11) % q)
-        for m11, m12, m21 in product(range(q), repeat=3)
-        if (m11 * (a - m11) - m12 * m21) % q == b
-    ]
-    return a, b, cell
-
-
-def count_gl2(q: int, a: int, b: int, cap: int = DEFAULT_LINEAR_CAP) -> DensityReport:
-    """Exact count of J in GL2(F_q) with tr(J) = a and det(J) = b != 0, by enumeration."""
-    a, b, cell = _trace_det_cell(q, a, b, cap)
-    return DensityReport(q, a, b, len(cell), gl2_order(q), "gl2")
+    return DensityReport(q, a, b, conjugacy_type_count(q, a, b), gl2_order(q), "gl2")
 
 
 def gl2_histogram(q: int, cap: int = DEFAULT_LINEAR_CAP) -> dict[tuple[int, int], int]:
     """Counts of invertible matrices by (trace, determinant) in one pass."""
-    _validate_q(q, cap)
+    if not is_prime(q):
+        raise ValueError(f"q={q} must be prime")
+    if q > cap:
+        raise ValueError(f"q={q} exceeds the enumeration cap {cap}")
     hist: dict[tuple[int, int], int] = {}
     for m11, m12, m21, m22 in product(range(q), repeat=4):
         det = (m11 * m22 - m12 * m21) % q
@@ -113,14 +98,17 @@ def gl2_histogram(q: int, cap: int = DEFAULT_LINEAR_CAP) -> dict[tuple[int, int]
 
 
 def conjugacy_type_count(q: int, a: int, b: int) -> int:
-    """Predicted (trace, det) cell size from the factorization of x^2 - ax + b.
+    """Size of the (trace a, det b != 0) cell of GL2(F_q), from the factorization
+    of x^2 - ax + b (Fulton-Harris, GTM 129, 5.2).
 
     Distinct roots in F_q: q^2 + q; irreducible: q^2 - q; double root: q^2.
+    Over F_2 the polynomial is x^2 + ax + 1: a double root when a is even,
+    else x^2 + x + 1, which is irreducible.
     """
     disc = (a * a - 4 * b) % q
     if disc == 0:
         return q * q
-    if pow(disc, (q - 1) // 2, q) == 1:
+    if q > 2 and pow(disc, (q - 1) // 2, q) == 1:
         return q * q + q
     return q * q - q
 
@@ -132,7 +120,7 @@ def _rank(rows: tuple[tuple[int, ...], tuple[int, ...]], q: int) -> int:
     return 1 if any(v % q for row in rows for v in row) else 0
 
 
-def count_affine(q: int, a: int, b: int, cap: int = DEFAULT_AFFINE_CAP) -> DensityReport:
+def count_affine(q: int, a: int, b: int) -> DensityReport:
     """Pairs (J, u) with tr(J) = a, det(J) = b, and u outside Im(J - I).
 
     Im(J - I) has q^rank(J - I) elements, so each qualifying J contributes
@@ -141,13 +129,14 @@ def count_affine(q: int, a: int, b: int, cap: int = DEFAULT_AFFINE_CAP) -> Densi
     = a - 1 every J - I is invertible and contributes nothing; if b = a - 1,
     J - I has rank 1, except J = I (a = 2, b = 1), of rank 0.
     """
-    a, b, cell = _trace_det_cell(q, a, b, cap)
+    cell = count_gl2(q, a, b)
+    a, b = cell.a, cell.b
     if (b - a + 1) % q:
         count = 0
     else:
         identity = int(a == 2 % q)  # then b = 1
-        count = (len(cell) - identity) * (q * q - q) + identity * (q * q - 1)
-    return DensityReport(q, a, b, count, gl2_order(q) * q * q, "affine")
+        count = (cell.numerator - identity) * (q * q - q) + identity * (q * q - 1)
+    return DensityReport(q, a, b, count, cell.denominator * q * q, "affine")
 
 
 def affine_witness(q: int, a: int) -> tuple[tuple[int, int, int, int], tuple[int, int], bool]:

@@ -25,8 +25,8 @@ from .eds import (
     _period_horizon,
     division_poly_seeds,
     generate_geometric,
+    ladder_block,
     require_exact_companion,
-    stream_mod_p,
     ward_period,
 )
 from .elliptic import (
@@ -58,9 +58,9 @@ MAX_MISMATCH_INDEX = DEFAULT_MISMATCH_LIMIT
 # `count_points_naive`, takes O(p) time and memory, so it bounds p by this
 # before the recount, and the finder certifies no larger p
 MAX_WITNESS_P = 999_997
-# direct_falsify takes one companion-matrix power per index of its window
-# (about 3 ms each at order 6), and holds w_1..w_(start+window-1) mod p
-# (about 15 MB at 10^6 terms)
+# direct_falsify's window and last index bound its time only: each index
+# takes one `eval_mod` of u_(n^2) and one `ladder_block` for w_n, O(log n)
+# steps each, and no term outlives its index
 MAX_FALSIFY_WINDOW = 10_000
 MAX_FALSIFY_INDEX = 10**6
 
@@ -449,11 +449,6 @@ def verify_certificate(cert: WitnessCertificate) -> VerifyResult:
 # direct falsification
 
 
-def compare_streams(a: list[int], b: list[int], p: int, start: int, count: int) -> list[int]:
-    """Indices n in [start, start+count) where a_n != +-b_n mod p (1-based)."""
-    return [n for n in range(start, start + count) if _mismatch_residue(a[n] % p, b[n] % p, p)]
-
-
 def direct_falsify(
     curve: CurveQ,
     point: PointQ,
@@ -479,9 +474,10 @@ def direct_falsify(
     if (curve.disc * point.z * 2 * point.y) % p == 0:
         raise ValueError("need good reduction and p coprime to z1, 2*y1")
     require_exact_companion(curve, point)
+    seeds = division_poly_seeds(curve, point)
     # z_n = z_1*|w_n|; the sign of w_n does not matter against +-u_{n^2}
-    stream = [point.z * w % p for w in stream_mod_p(division_poly_seeds(curve, point), p, hi)]
-    u_vals = [0] * (hi + 1)
-    for n in range(n_claim, hi + 1):
-        u_vals[n] = eval_mod(spec, n * n, p)
-    return compare_streams(stream, u_vals, p, n_claim, window)
+    return [
+        n
+        for n in range(n_claim, hi + 1)
+        if _mismatch_residue(point.z * ladder_block(seeds, p, n)[3] % p, eval_mod(spec, n * n, p), p)
+    ]

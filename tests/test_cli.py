@@ -1,3 +1,4 @@
+import csv
 import json
 import multiprocessing
 import os
@@ -149,6 +150,18 @@ def test_eds_period_has_no_horizon(tmp_path, capsys):
     config.write_text("horizon = 10\n")
     code, _, err = run(capsys, *argv, "--config", str(config))
     assert code == 2 and "unknown key 'horizon'" in err
+
+
+@pytest.mark.parametrize("leaf,flag,key", [("gl2", "--linear-cap", "linear_cap"), ("affine", "--affine-cap", "affine_cap")])
+def test_density_has_no_enumeration_cap(tmp_path, capsys, leaf, flag, key):
+    argv = ["density", leaf, "--q", "5", "--a", "3", "--b", "2"]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, flag, "13"])
+    assert exc.value.code == 2
+    config = tmp_path / "edslab.conf"
+    config.write_text(f"{key} = 13\n")
+    code, _, err = run(capsys, *argv, "--config", str(config))
+    assert code == 2 and f"unknown key '{key}'" in err
 
 
 def test_eds_zsigmondy(capsys):
@@ -310,7 +323,7 @@ def test_verify_unbounded_certificate_exit4(tmp_path, capsys, monkeypatch, field
     def no_work(*args, **kwargs):
         raise AssertionError("the verifier did work before bounding it")
 
-    monkeypatch.setattr(refuter, "stream_mod_p", no_work)
+    monkeypatch.setattr(refuter, "ladder_block", no_work)
     monkeypatch.setattr(refuter, "ward_period", no_work)
     monkeypatch.setattr(refuter, "multiples", no_work)
     code, out, _ = run(capsys, "verify", str(cert_path), "--format", "json")
@@ -379,7 +392,7 @@ def test_density_empirical_jobs_below_one_exit2(capsys, jobs):
     code, out, err = run(capsys, *EMPIRICAL, "--x", "1000", "--jobs", jobs)
     assert code == 2
     assert not out
-    assert "jobs must be at least 1" in err
+    assert err == f"error: --jobs {jobs} must be at least 1\n"
 
 
 REFUTE = (
@@ -411,6 +424,7 @@ def test_prime_bound_below_three_or_a_bad_exclusion_exit2(capsys, argv, message)
         (("eds", "gen", "--curve", "0", "3", "--point", "1", "2", "1"), "n = 0", "n = 0 in {} must be at least 1"),
         (EMPIRICAL, "x = abc", "x = abc in {} must be an integer"),
         (REFUTE, "a = 1.5", "a = 1.5 in {} must be an integer"),
+        (EMPIRICAL, "jobs = 0", "jobs = 0 in {} must be at least 1"),
     ],
 )
 def test_a_bad_config_value_is_named_by_its_key_and_file(tmp_path, capsys, argv, line, message):
@@ -576,8 +590,16 @@ def _refuse(*args, **kwargs):
 )
 def test_sizing_option_past_its_bound_exit2_before_any_work(capsys, monkeypatch, argv, message):
     monkeypatch.setattr(lrs, "generate", _refuse)
-    monkeypatch.setattr(refuter, "stream_mod_p", _refuse)
+    monkeypatch.setattr(refuter, "ladder_block", _refuse)
     assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("option", ["--start", "--window"])
+@pytest.mark.parametrize("value", ["0", "-4"])
+def test_falsify_start_or_window_below_one_names_the_option(capsys, monkeypatch, option, value):
+    # these said "need n_claim >= 1 and window >= 1", which names no option
+    monkeypatch.setattr(refuter, "direct_falsify", _refuse)
+    assert run(capsys, *FALSIFY_FIB, option, value) == (2, "", f"error: {option} {value} must be at least 1\n")
 
 
 def test_reduction_decimates_past_the_decimate_bound(capsys, monkeypatch):
@@ -730,3 +752,17 @@ def test_falsify_no_counterexample_exit3(capsys):
     )
     assert code == 3
     assert "no counterexample" in out
+
+
+def test_csv_rows_are_as_wide_as_their_header(tmp_path, capsys):
+    # the empirical cell (a dict) and the good_reduction detail hold commas
+    code, out, _ = run(capsys, *EMPIRICAL, "--x", "500", "--format", "csv")
+    assert code == 0
+    cert = tmp_path / "cert.json"
+    assert run(capsys, *REFUTE, "--p-max", "100", "--out", str(cert))[0] == 0
+    code, verified, _ = run(capsys, "verify", str(cert), "--format", "csv")
+    assert code == 0
+    for text, width in ((out, 10), (verified, 3)):
+        rows = list(csv.reader(text.splitlines()))
+        assert len(rows) > 1 and {len(row) for row in rows} == {width}, rows
+    assert any("," in row[2] for row in rows)  # a detail with a comma stays one cell

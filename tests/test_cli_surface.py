@@ -1,11 +1,12 @@
 """The whole option surface of every leaf subcommand, pinned: option strings
 in order with dest, default, required, nargs, choices, type, metavar and help,
-the leaf's help text and its handler.  A change to how the parser is built
-must leave all of it as it is."""
+the leaf's help text and its handler; and the config-file keys, each the dest
+of a pinned option.  A change to how the parser is built must leave all of it
+as it is."""
 
 import argparse
 
-from edslab.cli import build_parser
+from edslab.cli import CONFIG_KEYS, build_parser
 
 COMMON = [
     ("-h --help", "help", argparse.SUPPRESS, False, 0, None, None, None, "show this help message and exit"),
@@ -113,7 +114,6 @@ LEAVES = {
             ("--q", "q", None, True, None, None, int, None, None),
             ("--a", "a", None, True, None, None, int, None, None),
             ("--b", "b", None, True, None, None, int, None, None),
-            ("--linear-cap", "linear_cap", None, False, None, None, int, None, None),
         ],
     ),
     "density affine": (
@@ -123,7 +123,6 @@ LEAVES = {
             ("--q", "q", None, True, None, None, int, None, None),
             ("--a", "a", None, True, None, None, int, None, None),
             ("--b", "b", None, True, None, None, int, None, None),
-            ("--affine-cap", "affine_cap", None, False, None, None, int, None, None),
         ],
     ),
     "density empirical": (
@@ -251,3 +250,10 @@ def test_every_leaf_keeps_its_options_in_order():
         assert help_text == expected_help, name
         assert sub.get_default("func").__name__ == handler, name
         assert [_option(a) for a in sub._actions] == COMMON + options, name
+
+
+def test_every_config_key_is_a_pinned_option():
+    # a retired flag takes its config key with it
+    assert CONFIG_KEYS == {"format", "cache_dir", "p_max", "q", "a", "jobs", "exclude", "bound", "n", "x"}
+    dests = {option[1] for _, _, options in LEAVES.values() for option in COMMON + options}
+    assert CONFIG_KEYS <= dests

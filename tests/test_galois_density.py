@@ -5,10 +5,12 @@ import os
 import random
 import sys
 import tracemalloc
+from itertools import product
 
 import pytest
 
 from edslab import elliptic, galois_density, ntkernel
+from edslab.cli import main
 from edslab.elliptic import (
     NAIVE_COUNT_BELOW,
     CurveFp,
@@ -25,7 +27,6 @@ from edslab.elliptic import (
 )
 from edslab.galois_density import (
     _rank,
-    _trace_det_cell,
     affine_witness,
     conjugacy_type_count,
     count_affine,
@@ -38,6 +39,21 @@ from edslab.ntkernel import sieve_primes
 
 E = CurveQ(0, 3)
 P = PointQ(1, 2, 1)
+
+
+def _trace_det_cell(q: int, a: int, b: int) -> list[tuple[int, int, int, int]]:
+    """Every J = (m11, m12, m21, m22) over F_q with tr(J) = a and det(J) = b,
+    from the q^3 matrices with trace a: the reference for the closed forms."""
+    return [
+        (m11, m12, m21, (a - m11) % q)
+        for m11, m12, m21 in product(range(q), repeat=3)
+        if (m11 * (a - m11) - m12 * m21 - b) % q == 0
+    ]
+
+
+def _affine_rank_sum(q: int, a: int, b: int) -> int:
+    """q^2 - q^rank(J - I) summed over the (a, b) cell: the affine count."""
+    return sum(q * q - q ** _rank(((j[0] - 1, j[1]), (j[2], j[3] - 1)), q) for j in _trace_det_cell(q, a, b))
 
 
 def test_gl2_order():
@@ -57,12 +73,15 @@ def test_count_gl2_rejects_zero_determinant():
         count_gl2(5, 1, 0)
     with pytest.raises(ValueError):
         count_gl2(4, 1, 1)
-    with pytest.raises(ValueError):
-        count_gl2(37, 1, 1)  # beyond the default cap
+    # no enumeration cap: at q = 37 a double root, split and irreducible cell
+    cells = [(2, 1), (1, 1), (0, 18)]
+    counts = [count_gl2(37, a, b).numerator for a, b in cells]
+    assert counts == [len(_trace_det_cell(37, a, b)) for a, b in cells]
+    assert sorted(counts) == [37 * 37 - 37, 37 * 37, 37 * 37 + 37]
 
 
 def test_histogram_partitions_group():
-    for q in (3, 5, 7):
+    for q in (2, 3, 5, 7):
         hist = gl2_histogram(q)
         assert sum(hist.values()) == gl2_order(q)
         for (a, b), count in hist.items():
@@ -131,9 +150,16 @@ def test_affine_count_matches_the_rank_sum_on_every_cell():
     for q in (2, 3, 5, 7, 11, 13):
         for a in range(q):
             for b in range(1, q):
-                _, _, cell = _trace_det_cell(q, a, b, 13)
-                ranks = sum(q * q - q ** _rank(((j[0] - 1, j[1]), (j[2], j[3] - 1)), q) for j in cell)
-                assert count_affine(q, a, b).numerator == ranks, (q, a, b)
+                assert count_affine(q, a, b).numerator == _affine_rank_sum(q, a, b), (q, a, b)
+
+
+def test_density_empirical_past_the_former_cap(capsys):
+    # the affine count came from an enumeration capped at q = 13, so q = 17 exited 2
+    argv = ["density", "empirical", "--curve", "-4", "4", "--point", "1", "1", "1", "--q", "17"]
+    assert main([*argv, "--x", "2000", "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["numerator"] == _affine_rank_sum(17, 3, 2) > 0
+    assert payload["denominator"] == gl2_order(17) * 17 * 17
 
 
 CM_CURVES = [

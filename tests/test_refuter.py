@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 import tracemalloc
 from dataclasses import replace
 
@@ -11,6 +12,7 @@ from edslab.eds import (
     division_poly_seeds,
     generate_geometric,
     generate_ward,
+    stream_mod_p,
 )
 from edslab.elliptic import CurveQ, PointQ
 from edslab.lrs import FIBONACCI, LrsSpec, eval_mod
@@ -20,7 +22,6 @@ from edslab.refuter import (
     MAX_WITNESS_P,
     WitnessCertificate,
     choose_q,
-    compare_streams,
     direct_falsify,
     find_witness,
     validate_q,
@@ -245,11 +246,43 @@ def test_direct_falsify_rejects_bad_prime():
         direct_falsify(E, P, FIBONACCI, 1, 11, 10)  # 11 divides disc = 176
 
 
-def test_compare_streams_self_is_empty():
+def test_mismatch_residue_ignores_the_sign():
     stream = [n % 11 for n in range(100)]
-    assert compare_streams(stream, stream, 11, 1, 90) == []
-    negated = [(-x) % 11 for x in stream]
-    assert compare_streams(stream, negated, 11, 1, 90) == []
+    assert not any(refuter._mismatch_residue(x, x, 11) for x in stream)
+    assert not any(refuter._mismatch_residue(x, (-x) % 11, 11) for x in stream)
+    assert refuter._mismatch_residue(1, 2, 11)
+
+
+def test_direct_falsify_matches_the_stream_on_seeded_windows():
+    # w_n per index from the ladder against w_1..w_hi from the stream, on
+    # random windows with start <= 5,000, z1 = 4 for the second point
+    rng = random.Random(2016)
+    fixtures = [(E, P), (CurveQ(-5, 4), PointQ(25, -3, 4)), (CurveQ(-6, 6), P)]
+    specs = [FIBONACCI, LrsSpec(3, (1, 1, 1), (1, 1, 2)), LrsSpec(2, (3, -1), (1, 5))]
+    for _ in range(12):
+        (curve, point), spec = rng.choice(fixtures), rng.choice(specs)
+        p = rng.choice([p for p in (7, 13, 17, 19, 23, 29, 31, 37) if curve.disc * point.z * point.y % p])
+        start, window = rng.randint(1, 5_000), rng.randint(1, 300)
+        hi = start + window - 1
+        stream = stream_mod_p(division_poly_seeds(curve, point), p, hi)
+        expected = [
+            n
+            for n in range(start, hi + 1)
+            if refuter._mismatch_residue(point.z * stream[n] % p, eval_mod(spec, n * n, p), p)
+        ]
+        assert direct_falsify(curve, point, spec, start, p, window) == expected, (curve, spec, p, start)
+
+
+def test_direct_falsify_holds_no_stream():
+    # the last 100 indices below the index bound: w_1..w_(10^6) mod p held
+    # 78.8 MB; the ladder holds one block at a time
+    tracemalloc.start()
+    try:
+        direct_falsify(E, P, FIBONACCI, refuter.MAX_FALSIFY_INDEX - 99, 10_007, 100)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000, peak
 
 
 def test_constructed_agreement_prefix_then_mismatch():
@@ -318,7 +351,7 @@ def test_verifier_bounds_work_before_starting(monkeypatch, field, edit):
     assert cert.tz_window[1] == 2 * order * (p - 1) + 2 * order + 16
     assert MAX_MISMATCH_INDEX >= refuter.DEFAULT_MISMATCH_LIMIT
     bad = edit(cert, cert.tz_window[1])
-    monkeypatch.setattr(refuter, "stream_mod_p", _no_work)
+    monkeypatch.setattr(refuter, "ladder_block", _no_work)
     monkeypatch.setattr(refuter, "ward_period", _no_work)
     monkeypatch.setattr(refuter, "multiples", _no_work)
     verdict = verify_certificate(bad)
@@ -458,7 +491,6 @@ def test_period_work_stays_within_twice_the_order(monkeypatch):
         raise AssertionError(f"stream of {horizon} terms at p={p}")
 
     monkeypatch.setattr(eds, "stream_mod_p", no_stream)
-    monkeypatch.setattr(refuter, "stream_mod_p", no_stream)
     cert = find_witness(E, P, FIBONACCI, 5, p_max=10_000).certificate
     verdict = verify_certificate(cert)
     assert verdict.ok, verdict.failures
