@@ -4,19 +4,17 @@ Exit codes: 0 success, 2 validation error, 3 exhaustion or inconclusive
 result, 4 verification failure.  Values come from flags, then from an
 optional key=value config file, then from built-in defaults; the cache
 root can also be set with the EDSLAB_CACHE environment variable.
+
+Each command imports the library modules it calls when it runs, so that
+importing this module and building the parser loads none of them.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
-from fractions import Fraction
-
-from . import eds, elliptic, galois_density, lrs, prooflab, refuter
-from .ntkernel import NonResidueError, Poly
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -28,6 +26,12 @@ CACHE_ENV = "EDSLAB_CACHE"
 # sizes grow linearly in the index, so memory grows as m^2 (Fibonacci at
 # m = 3000 peaks at 80 MB)
 MAX_DECIMATE_M = 1000
+# largest `eds gen --n * --stride` and `eds zsigmondy --n`: generating z_1..z_N
+# takes time that grows about 16x per doubling of N; on (-4,4), (1,1,1), 800
+# terms took 5.6 s (21 MB traced peak) and 1,000 took 14 s on a shared 2-core
+# machine under Python 3.11, and z_N passes the table's 4,300-digit int-to-str
+# limit at N = 175
+MAX_EDS_TERMS = 1000
 
 CONFIG_KEYS = {
     "format",
@@ -117,6 +121,8 @@ def _at_least_one(args, key: str, default: int) -> int:
 def _emit(fmt: str, headers: list[str], rows: list[list], json_payload=None, out=None):
     out = out or sys.stdout
     if fmt == "json":
+        import json  # here, not at the top, like csv below
+
         payload = json_payload if json_payload is not None else [
             dict(zip(headers, row)) for row in rows
         ]
@@ -154,6 +160,8 @@ def _fields(obj, *names: str) -> dict:
 
 
 def _curve_point(args) -> tuple[elliptic.CurveQ, elliptic.PointQ]:
+    from . import elliptic
+
     curve = point = None
     if getattr(args, "curve_file", None):
         with open(args.curve_file) as fh:
@@ -175,6 +183,8 @@ def _curve_point(args) -> tuple[elliptic.CurveQ, elliptic.PointQ]:
 
 
 def _lrs_spec(args) -> lrs.LrsSpec:
+    from . import lrs
+
     if getattr(args, "lrs", None):
         return lrs.parse_lrs_spec("lrs " + " ".join(str(v) for v in args.lrs))
     if getattr(args, "lrs_file", None):
@@ -188,8 +198,17 @@ def _lrs_spec(args) -> lrs.LrsSpec:
 
 
 def cmd_eds_gen(args) -> int:
+    from . import eds, elliptic
+
     stride = _at_least_one(args, "stride", 1)
     n = _at_least_one(args, "n", 20)
+    if n * stride > MAX_EDS_TERMS:
+        named = " times ".join(
+            _named(args, key, value)
+            for key, value in (("n", n), ("stride", stride))
+            if getattr(args, key) is not None or key in args._config
+        )
+        raise ValueError(f"{named} asks for {n * stride} terms, more than the bound {MAX_EDS_TERMS}")
     curve, point = _curve_point(args)
     cache = _resolve(args, "cache_dir", os.environ.get(CACHE_ENV))
     seq = None
@@ -210,6 +229,8 @@ def cmd_eds_gen(args) -> int:
 
 
 def cmd_eds_ward(args) -> int:
+    from . import eds
+
     seed = eds.WardSeed(*args.seed)
     n = _at_least_one(args, "n", 10)
     seq = eds.generate_ward(seed, n)
@@ -221,6 +242,8 @@ def cmd_eds_ward(args) -> int:
 
 
 def cmd_eds_period(args) -> int:
+    from . import eds
+
     curve, point = _curve_point(args)
     seq = eds.generate_geometric(curve, point, 8)
     result = eds.eds_period_mod_p(seq, args.p)
@@ -230,7 +253,11 @@ def cmd_eds_period(args) -> int:
 
 
 def cmd_eds_zsigmondy(args) -> int:
+    from . import eds
+
     n = _at_least_one(args, "n", 20)
+    if n > MAX_EDS_TERMS:
+        raise ValueError(f"{_named(args, 'n', n)} asks for {n} terms, more than the bound {MAX_EDS_TERMS}")
     curve, point = _curve_point(args)
     seq = eds.generate_geometric(curve, point, n)
     reports = eds.primitive_divisor_scan(seq)
@@ -253,6 +280,8 @@ def cmd_eds_zsigmondy(args) -> int:
 
 
 def cmd_lrs_fit(args) -> int:
+    from . import lrs
+
     if args.terms_file:
         with open(args.terms_file) as fh:
             terms = lrs.parse_terms(fh)
@@ -272,6 +301,8 @@ def cmd_lrs_fit(args) -> int:
 
 
 def cmd_lrs_eval(args) -> int:
+    from . import lrs
+
     spec = _lrs_spec(args)
     if args.mod is None:
         print(lrs.eval_exact(spec, args.n))
@@ -283,6 +314,8 @@ def cmd_lrs_eval(args) -> int:
 
 
 def cmd_lrs_decimate(args) -> int:
+    from . import lrs
+
     if args.m > MAX_DECIMATE_M:
         raise ValueError(f"--m {args.m} exceeds the decimation bound {MAX_DECIMATE_M}")
     spec = _lrs_spec(args)
@@ -291,6 +324,8 @@ def cmd_lrs_decimate(args) -> int:
 
 
 def cmd_lrs_degenerate(args) -> int:
+    from . import lrs
+
     spec = _lrs_spec(args)
     verdict, order = lrs.is_degenerate(spec)
     payload = {"degenerate": verdict, "witness_order": order}
@@ -303,6 +338,8 @@ def cmd_lrs_degenerate(args) -> int:
 
 
 def cmd_lrs_period(args) -> int:
+    from . import lrs
+
     spec = _lrs_spec(args)
     period = lrs.lrs_period_mod_p(spec, args.p, method=args.method)
     payload = {"p": args.p, "period": period}
@@ -317,21 +354,27 @@ def cmd_lrs_period(args) -> int:
 
 
 def cmd_density_gl2(args) -> int:
+    from . import galois_density
+
     report = galois_density.count_gl2(args.q, args.a, args.b)
     _emit_density(args.format, report)
     return EXIT_OK
 
 
 def cmd_density_affine(args) -> int:
+    from . import galois_density
+
     report = galois_density.count_affine(args.q, args.a, args.b)
     _emit_density(args.format, report)
     return EXIT_OK
 
 
 def cmd_density_empirical(args) -> int:
+    from . import elliptic, galois_density
+
     curve, point = _curve_point(args)
     x = _prime_bound(args, "x", 10_000)
-    a = _resolve(args, "a", refuter.DEFAULT_A_TARGET, int)
+    a = _resolve(args, "a", elliptic.DEFAULT_A_TARGET, int)
     jobs = _at_least_one(args, "jobs", 1)
     exclusions = _exclusions(args)
     report = galois_density.empirical_density(curve, point, args.q, a, x, exclusions, jobs=jobs)
@@ -343,8 +386,13 @@ def cmd_density_empirical(args) -> int:
 
 def _emit_density(fmt: str, report: galois_density.DensityReport) -> None:
     payload = report.to_json_dict()
-    if report.empirical is not None:
-        payload["frequency"] = f"{report.empirical.hits}/{report.empirical.scanned}"
+    scan = payload.pop("empirical", None)
+    if scan is not None:
+        if fmt == "json":
+            payload["empirical"] = scan
+        else:  # a table or CSV cell holds one value: flat x, hits, scanned
+            payload.update(scan)
+        payload["frequency"] = f"{scan['hits']}/{scan['scanned']}"
     payload["delta"] = f"{report.numerator}/{report.denominator}"
     _emit_record(fmt, payload)
 
@@ -354,6 +402,8 @@ def _emit_density(fmt: str, report: galois_density.DensityReport) -> None:
 
 
 def cmd_refute(args) -> int:
+    from . import refuter
+
     curve, point = _curve_point(args)
     spec = _lrs_spec(args)
     q = _resolve(args, "q", None, int)
@@ -384,6 +434,8 @@ def cmd_refute(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import refuter
+
     with open(args.certificate) as fh:
         cert = refuter.WitnessCertificate.from_json(fh.read())
     verdict = refuter.verify_certificate(cert)
@@ -398,6 +450,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_falsify(args) -> int:
+    from . import refuter
+
     start = _at_least_one(args, "start", 1)
     window = _at_least_one(args, "window", 50)
     curve, point = _curve_point(args)
@@ -415,6 +469,11 @@ def cmd_falsify(args) -> int:
 
 
 def cmd_prooflab_qlemma(args) -> int:
+    from fractions import Fraction
+
+    from . import prooflab
+    from .ntkernel import Poly
+
     poly = Poly(*[Fraction(c) for c in args.coeffs])
     alpha = Fraction(args.alpha)
     result = prooflab.expand_q(poly, alpha)
@@ -432,18 +491,25 @@ def cmd_prooflab_qlemma(args) -> int:
 
 
 def cmd_prooflab_det(args) -> int:
+    from . import prooflab
+
     result = prooflab.det_beta_identity(args.betas, args.q)
     _emit_record(args.format, _fields(result, "determinant", "product", "sign", "consistent"))
     return EXIT_OK if result.consistent else EXIT_VERIFY_FAILED
 
 
 def cmd_prooflab_resclass(args) -> int:
+    from . import prooflab
+
     report = prooflab.count_admissible_residues(args.r, args.t, args.c)
     _emit_record(args.format, _fields(report, "r", "t", "c", "count", "deviation"))
     return EXIT_OK
 
 
 def cmd_prooflab_ell(args) -> int:
+    from . import prooflab
+    from .ntkernel import NonResidueError
+
     try:
         ell = prooflab.construct_ell(args.r, args.e, args.n0, args.j, args.c)
     except NonResidueError as exc:
@@ -455,6 +521,10 @@ def cmd_prooflab_ell(args) -> int:
 
 
 def cmd_prooflab_fixedpoint(args) -> int:
+    from fractions import Fraction
+
+    from . import prooflab
+
     rows = [[Fraction(cell) for cell in row.split(",")] for row in args.matrix.split(";")]
     report = prooflab.fixed_point_collision(rows)
     payload = {
@@ -637,7 +707,7 @@ def main(argv=None) -> int:
         args.format = config.get("format", "table")
     try:
         return args.func(args)
-    except (ValueError, OSError, eds.InexactDivisionError) as exc:
+    except (ValueError, OSError) as exc:  # eds.InexactDivisionError is a ValueError
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_VALIDATION
 

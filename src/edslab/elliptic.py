@@ -15,6 +15,9 @@ from .ntkernel import invmod, is_prime, order_from_multiple, sqrt_mod_prime
 
 # uniform bound on the order of rational torsion points, with margin
 TORSION_SEARCH_BOUND = 16
+# the trace a_p = a (mod q) that the witness finder and the empirical scan
+# look for unless told otherwise
+DEFAULT_A_TARGET = 3
 # largest denominator, in bits, of the rational q*P `small_multiple` forms, as
 # estimated from 2P
 RATIONAL_BASE_MAX_BITS = 2048

@@ -30,6 +30,7 @@ from .eds import (
     ward_period,
 )
 from .elliptic import (
+    DEFAULT_A_TARGET,
     CurveFp,
     CurveQ,
     PointQ,
@@ -47,7 +48,6 @@ from .lrs import LrsSpec, eval_mod, square_sampled_period
 from .ntkernel import is_prime, iter_primes, next_prime
 
 SCHEMA_VERSION = "1"
-DEFAULT_A_TARGET = 3
 # the finder lists mismatches only among z_1..z_60 and certifies at least 10
 DEFAULT_MISMATCH_LIMIT = 60
 DEFAULT_MIN_MISMATCHES = 10

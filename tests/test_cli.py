@@ -59,20 +59,62 @@ def test_eds_gen_refuses_a_stride_below_one(capsys, stride):
 def test_term_count_below_one_exit2_before_any_work(capsys, monkeypatch, argv, n):
     # these failed with "need at least one term", which names no option
     for name in ("load_sequence", "generate_geometric", "generate_ward"):
-        monkeypatch.setattr(cli.eds, name, _refuse)
+        monkeypatch.setattr(eds, name, _refuse)
     assert run(capsys, *argv, "--n", n) == (2, "", f"error: --n {n} must be at least 1\n")
+
+
+def _modules_after(*argv):
+    """sys.modules of a fresh interpreter after importing the CLI, building its
+    parser and, if argv is given, running that command.  -S keeps
+    site-packages hooks from importing anything first."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    probe = (
+        "import contextlib, io, sys, edslab.cli\n"
+        "edslab.cli.build_parser()\n"
+        "if sys.argv[1:]:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert edslab.cli.main(sys.argv[1:]) == 0\n"
+        "print(*sorted(sys.modules))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", probe, *argv],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, check=True,
+    )
+    return set(proc.stdout.split())
+
+
+def _library(modules):
+    return {m for m in modules if m.split(".")[0] == "edslab"}
 
 
 def test_importing_the_cli_loads_no_cache_modules():
     # hashlib (OpenSSL) and tempfile are loaded by the cache functions only;
-    # -S keeps site-packages hooks from importing them first
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    probe = "import sys, edslab.cli; print(sorted({'hashlib', 'tempfile'} & set(sys.modules)))"
-    proc = subprocess.run(
-        [sys.executable, "-S", "-c", probe],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, check=True,
-    )
-    assert proc.stdout == "[]\n"
+    # each library module, and the dataclasses, fractions and json it needs,
+    # by the first command that runs it
+    loaded = _modules_after()
+    assert not {"hashlib", "tempfile", "dataclasses", "fractions", "decimal", "inspect", "json"} & loaded
+    assert _library(loaded) == {"edslab", "edslab.cli"}
+
+
+def test_lrs_eval_loads_only_the_recurrence_modules():
+    loaded = _modules_after("lrs", "eval", "--lrs", "2", "1", "1", "0", "1", "--n", "10")
+    assert _library(loaded) == {"edslab", "edslab.cli", "edslab.lrs", "edslab.ntkernel"}
+
+
+@pytest.mark.parametrize(
+    "argv, absent",
+    [
+        (("density", "gl2", "--q", "7", "--a", "1", "--b", "2"), {"refuter", "eds", "lrs"}),
+        (
+            ("density", "empirical", "--curve", "-4", "4", "--point", "1", "1", "1", "--q", "5", "--x", "200"),
+            {"refuter", "eds", "lrs"},
+        ),
+        (("prooflab", "det", "--q", "7", "--betas", "2", "3"), {"elliptic", "eds", "refuter"}),
+    ],
+    ids=["density-gl2", "density-empirical", "prooflab-det"],
+)
+def test_a_command_loads_none_of_the_modules_it_does_not_run(argv, absent):
+    assert not {f"edslab.{m}" for m in absent} & _modules_after(*argv)
 
 
 def test_eds_gen_uses_cache(tmp_path, capsys):
@@ -258,6 +300,19 @@ def test_density_empirical(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["empirical"]["scanned"] > 0
+    assert not {"x", "hits", "scanned"} & set(payload)  # flat only in a table or CSV
+
+
+@pytest.mark.parametrize("fmt", ["csv", "table"])
+def test_density_empirical_scan_columns_are_integers(capsys, fmt):
+    # the empirical cell was a dict repr, {'x': 1000, 'hits': ..., 'scanned': ...}
+    code, out, _ = run(capsys, *EMPIRICAL, "--x", "1000", "--format", fmt)
+    assert code == 0
+    header, row = csv.reader(out.splitlines()) if fmt == "csv" else (line.split() for line in out.splitlines())
+    cells = dict(zip(header, row, strict=True))
+    assert "empirical" not in cells
+    x, hits, scanned = (int(cells[key]) for key in ("x", "hits", "scanned"))
+    assert x == 1000 and cells["frequency"] == f"{hits}/{scanned}" and 0 < scanned < x
 
 
 def test_refute_verify_roundtrip(tmp_path, capsys):
@@ -425,6 +480,11 @@ def test_prime_bound_below_three_or_a_bad_exclusion_exit2(capsys, argv, message)
         (EMPIRICAL, "x = abc", "x = abc in {} must be an integer"),
         (REFUTE, "a = 1.5", "a = 1.5 in {} must be an integer"),
         (EMPIRICAL, "jobs = 0", "jobs = 0 in {} must be at least 1"),
+        (
+            ("eds", "gen", "--curve", "0", "3", "--point", "1", "2", "1"),
+            "n = 1001",
+            "n = 1001 in {} asks for 1001 terms, more than the bound 1000",
+        ),
     ],
 )
 def test_a_bad_config_value_is_named_by_its_key_and_file(tmp_path, capsys, argv, line, message):
@@ -594,6 +654,32 @@ def test_sizing_option_past_its_bound_exit2_before_any_work(capsys, monkeypatch,
     assert run(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
+CURVE_44 = ("--curve", "-4", "4", "--point", "1", "1", "1")
+EDS_GEN_44 = ("eds", "gen", *CURVE_44, "--cache-dir", ".")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ((*EDS_GEN_44, "--n", "3", "--stride", "100000000"), "--n 3 times --stride 100000000 asks for 300000000 terms"),
+        ((*EDS_GEN_44, "--n", "2000"), "--n 2000 asks for 2000 terms"),
+        ((*EDS_GEN_44, "--stride", "51"), "--stride 51 asks for 1020 terms"),
+        (("eds", "zsigmondy", *CURVE_44, "--n", "1001"), "--n 1001 asks for 1001 terms"),
+    ],
+)
+def test_eds_terms_past_the_bound_exit2_before_any_work(capsys, monkeypatch, argv, message):
+    # eds gen --n 3 --stride 10^8 and --n 2000 ran until killed
+    for name in ("load_sequence", "generate_geometric"):
+        monkeypatch.setattr(eds, name, _refuse)
+    assert run(capsys, *argv) == (2, "", f"error: {message}, more than the bound {cli.MAX_EDS_TERMS}\n")
+
+
+def test_eds_gen_at_the_term_bound_runs(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "MAX_EDS_TERMS", 6)
+    code, out, _ = run(capsys, "eds", "gen", *CURVE_44, "--n", "3", "--stride", "2", "--format", "csv")
+    assert code == 0 and [line.split(",")[0] for line in out.splitlines()] == ["n", "2", "4", "6"]
+
+
 @pytest.mark.parametrize("option", ["--start", "--window"])
 @pytest.mark.parametrize("value", ["0", "-4"])
 def test_falsify_start_or_window_below_one_names_the_option(capsys, monkeypatch, option, value):
@@ -755,14 +841,14 @@ def test_falsify_no_counterexample_exit3(capsys):
 
 
 def test_csv_rows_are_as_wide_as_their_header(tmp_path, capsys):
-    # the empirical cell (a dict) and the good_reduction detail hold commas
+    # the good_reduction detail holds commas
     code, out, _ = run(capsys, *EMPIRICAL, "--x", "500", "--format", "csv")
     assert code == 0
     cert = tmp_path / "cert.json"
     assert run(capsys, *REFUTE, "--p-max", "100", "--out", str(cert))[0] == 0
     code, verified, _ = run(capsys, "verify", str(cert), "--format", "csv")
     assert code == 0
-    for text, width in ((out, 10), (verified, 3)):
+    for text, width in ((out, 12), (verified, 3)):
         rows = list(csv.reader(text.splitlines()))
         assert len(rows) > 1 and {len(row) for row in rows} == {width}, rows
     assert any("," in row[2] for row in rows)  # a detail with a comma stays one cell
