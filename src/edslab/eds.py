@@ -156,7 +156,7 @@ def generate_geometric(curve: CurveQ, point: PointQ, n_terms: int) -> EdsSequenc
 
     The exact integers w_n of `generate_ward` on `division_poly_seeds` give
     each z_n by `_z_from_w`.  Chord-tangent `add` does none of this work; it
-    stays the independent oracle of the tests and the verifier.
+    stays the independent oracle of the tests.
     """
     if n_terms < 1:
         raise ValueError("need at least one term")
@@ -174,9 +174,12 @@ def generate_geometric(curve: CurveQ, point: PointQ, n_terms: int) -> EdsSequenc
 
 
 def geometric_term(curve: CurveQ, point: PointQ, n: int) -> int:
-    """z_n alone, from the exact `ladder_block` at n: O(log n) steps over Z."""
-    block = ladder_block(division_poly_seeds(curve, point), None, n)
-    return _z_from_w(point, _companion_gcd(curve, point) == 1, n, *block[2:5])
+    """z_n alone: the exact `ladder_block` at n // 2, then w_(n-1..n+1) of its last doubling."""
+    seeds = division_poly_seeds(curve, point)
+    j, b = divmod(n, 2)
+    block, den = ladder_block(seeds, None, j), _ward_denominators(*seeds[:2])
+    w = [_exact_div(_ward_step(block, m), den[m & 1], m + 2 * j - 6) for m in range(5 + b, 8 + b)]
+    return _z_from_w(point, _companion_gcd(curve, point) == 1, n, *w)
 
 
 def _ward_step(w: list[int], m: int) -> int:

@@ -8,13 +8,11 @@ denominator term of the associated divisibility sequence.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .ntkernel import invmod, is_prime, order_from_multiple, sqrt_mod_prime
 
-# uniform bound on the order of rational torsion points, with margin
-TORSION_SEARCH_BOUND = 16
+TORSION_SEARCH_BOUND = 12  # Mazur: no rational torsion point has a larger order
 # the trace a_p = a (mod q) that the witness finder and the empirical scan
 # look for unless told otherwise
 DEFAULT_A_TARGET = 3
@@ -131,27 +129,27 @@ def scalar_mul(n: int, p: PointQ, curve: CurveQ) -> PointQ:
     return result
 
 
-def multiples(point: PointQ, curve: CurveQ) -> Iterator[PointQ]:
-    """P, 2P, 3P, ... without end, one chord-tangent addition per step."""
-    current = point
-    while True:
-        yield current
-        current = add(current, point, curve)
-
-
 def is_torsion(p: PointQ, curve: CurveQ) -> tuple[bool, int | None]:
-    """Detect torsion by checking nP = O for n <= `TORSION_SEARCH_BOUND`.
+    """(True, n) when n = ord(P) is finite, else (False, None), by rules.
 
-    Rational torsion orders are at most 12; the bound 16 leaves margin.
-    On this integral model a rational torsion point has integer coordinates
-    (Nagell-Lutz; Silverman, AEC, Cor. VIII.7.2), so the walk stops at the
-    first multiple with z != 1.
+    Nagell-Lutz (Silverman, AEC, Cor. VIII.7.2): on this integral model a
+    torsion point P has z = 1, and y = 0 or y^2 | 4a^3 + 27b^2, and 2P,
+    with x(2P) = x - w_3/w_2^2, is integral too.  By Mazur the order is
+    then the first n <= 12 with w_n = psi_n(P) = 0 (`eds.generate_ward`).
     """
-    for n, current in enumerate(multiples(p, curve), start=1):
-        if current.is_infinity:
-            return True, n
-        if n >= TORSION_SEARCH_BOUND or current.z != 1:
-            return False, None
+    if p.is_infinity:
+        return True, 1
+    if p.z != 1 or (p.y != 0 and curve.disc % (p.y * p.y)):
+        return False, None
+    from .eds import WardSeed, division_poly_seeds, generate_ward  # eds imports this module
+
+    seeds = division_poly_seeds(curve, p)  # w_1..w_4
+    if p.y != 0 and seeds[2] % (seeds[1] * seeds[1]):
+        return False, None
+    order = next((n for n, w in enumerate(seeds, start=1) if w == 0), None)  # a WardSeed needs w_2*w_3 != 0
+    if order is None:
+        order = generate_ward(WardSeed(*seeds), TORSION_SEARCH_BOUND).degenerate_at
+    return order is not None, order
 
 
 # ---------------------------------------------------------------------------

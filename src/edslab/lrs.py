@@ -384,15 +384,15 @@ def square_sampled_period(spec: LrsSpec, p: int) -> SquarePeriodResult:
     One `_walk` of the state mod p gives the period L of u and the table
     u_1..u_L mod p that `u_mod` reads.  The square-sampled stream is
     purely periodic with period dividing L, and its periods are the multiples
-    of the least one; `order_from_multiple` strips primes from L while the
-    candidate still leaves one L-cycle of it unchanged by rotation.  When
-    L > `MAX_WALK`, ValueError is raised before the walk starts.
+    of the least one; `order_from_multiple` strips primes from L while a
+    rotation by the candidate, compared piece by piece, leaves one L-cycle
+    unchanged.  When L > `MAX_WALK`, ValueError is raised before the walk.
     """
     _require_purely_periodic(spec, p)
     table = list(_walk(spec, p))
     lam = len(table)
     values = [table[(n * n - 1) % lam] for n in range(1, lam + 1)]
-    period = order_from_multiple(lam, lambda d: values[d:] + values[:d] == values)
+    period = order_from_multiple(lam, lambda d: values[d:] == values[: lam - d] and values[:d] == values[-d:])
     return SquarePeriodResult(p, lam, period, (1, lam + period), table)
 
 

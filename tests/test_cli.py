@@ -380,7 +380,7 @@ def test_verify_unbounded_certificate_exit4(tmp_path, capsys, monkeypatch, field
 
     monkeypatch.setattr(refuter, "ladder_block", no_work)
     monkeypatch.setattr(refuter, "ward_period", no_work)
-    monkeypatch.setattr(refuter, "multiples", no_work)
+    monkeypatch.setattr(refuter, "generate_geometric", no_work)
     code, out, _ = run(capsys, "verify", str(cert_path), "--format", "json")
     assert code == 4
     assert _failing_checks(out) == [field]

@@ -208,27 +208,22 @@ def _addition_budget(monkeypatch, budget):
     return calls
 
 
-# the torsion check stops at the first multiple with z != 1, so it makes one
-# addition per leading integral multiple: P for (0,3), (1,2,1); P and
-# 2P = (8,-23,1) for (0,17), (-2,3,1)
-TORSION_CHECK_ADDITIONS = {E: 1, CurveQ(0, 17): 2}
-
-
 @pytest.mark.parametrize("curve,point", [(E, P), (CurveQ(0, 17), PointQ(-2, 3, 1))])
 def test_geometric_generation_does_no_point_addition(curve, point, monkeypatch):
-    additions = TORSION_CHECK_ADDITIONS[curve]
-    calls = _addition_budget(monkeypatch, additions)
+    # the torsion check, by Nagell-Lutz and the division-polynomial terms,
+    # adds no points either
+    calls = _addition_budget(monkeypatch, 0)
     seq = generate_geometric(curve, point, 100)
     assert len(seq) == 100 and all(t > 0 for t in seq.terms)
     assert seq.term(100) % seq.term(50) == 0
-    assert len(calls) == additions
+    assert calls == []
 
 
 def test_height_estimate_does_no_point_addition(monkeypatch):
-    calls = _addition_budget(monkeypatch, 1)
+    calls = _addition_budget(monkeypatch, 0)
     report = canonical_height_estimate(P, E, 48)
     assert [n for n, _ in report.estimates] == list(range(2, 49))
-    assert len(calls) == 1
+    assert calls == []
 
 
 def test_z_repeats_the_companion_period_only_up_to_sign():
@@ -625,6 +620,19 @@ def test_warm_load_adds_no_points_and_takes_logarithmically_many_steps(tmp_path,
     assert load_sequence(str(tmp_path), curve, point, n).terms == seq.terms
     # one ladder at 1 and one at n, 8 steps per bit
     assert 0 < len(steps) <= 8 * (math.log2(n) + 2)
+
+
+def test_geometric_term_computes_three_terms_in_its_last_doubling(monkeypatch):
+    # 8 terms per step of the ladder to n // 2, then only w_(n-1), w_n, w_(n+1)
+    curve, point = CurveQ(-4, 4), PointQ(1, 1, 1)
+    expected = generate_geometric(curve, point, 160).terms
+    steps = []
+    step = eds._ward_step
+    monkeypatch.setattr(eds, "_ward_step", lambda w, m: steps.append(m) or step(w, m))
+    for n in (1, 2, 3, 89, 160):
+        steps.clear()
+        assert geometric_term(curve, point, n) == expected[n - 1]
+        assert len(steps) == 8 * len(bin(n // 2)[2:]) + 3, n
 
 
 # Ayad points on (1, -9), (8, 3), (-4, 4) and (0, 3), and a gcd-path point

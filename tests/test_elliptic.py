@@ -21,7 +21,6 @@ from edslab.elliptic import (
     hasse_window,
     is_torsion,
     multiple_in_hasse,
-    multiples,
     parse_curve,
     parse_point,
     point_order_fp,
@@ -34,6 +33,16 @@ from test_galois_density import CM_CURVES
 
 E = CurveQ(0, 3)
 P = PointQ(1, 2, 1)
+
+
+def multiples(point, curve):
+    """P, 2P, 3P, ... without end, one chord-tangent addition per step: the
+    reference for the exact z_n that `eds.generate_geometric` gives the
+    finder and the verifier."""
+    current = point
+    while True:
+        yield current
+        current = elliptic.add(current, point, curve)
 
 
 def fp_add(p1, p2, curve):
@@ -188,19 +197,49 @@ def test_torsion_detection():
     # (x, 0) is 2-torsion: y^2 = x^3 - 1 at (1, 0)
     curve = CurveQ(0, -1)
     assert is_torsion(PointQ(1, 0, 1), curve) == (True, 2)
-    assert is_torsion(P, E) == (False, None)
+    assert is_torsion(P, E) == (False, None)  # y^2 = 4 does not divide 243
+    # y^2 = 1 divides 176, so the terms w_1..w_12 decide: none is 0
+    assert is_torsion(PointQ(1, 1, 1), CurveQ(-4, 4)) == (False, None)
 
 
 def _full_torsion_walk(point, curve):
-    """is_torsion without its early exit: all 16 multiples, by add."""
+    """The chord-tangent reference for is_torsion: the first n <= 16 with
+    nP = O, by add, walking past Mazur's bound."""
     if point.is_infinity:
         return True, 1
     current = point
-    for n in range(2, TORSION_SEARCH_BOUND + 1):
+    for n in range(2, 17):
         current = add(current, point, curve)
         if current.is_infinity:
             return True, n
     return False, None
+
+
+# integral points of every rational torsion order from 2 to 12 but 11 (none
+# exists, by Mazur): y^2 = x^3 + 1 for 2, 3 and 6, the others from Tate's
+# normal forms at t = 2, moved to an integral short Weierstrass model
+TORSION_FIXTURES = [
+    (0, 1, -1, 0, 2),
+    (0, 1, 0, 1, 3),
+    (-2619, 918, -21, -216, 4),
+    (-27, 55350, -21, -216, 5),
+    (0, 1, 2, 3, 6),
+    (-43, 166, -5, -16, 7),
+    (-44091, 3304854, -141, -2592, 8),
+    (-219, 1654, -13, -48, 9),
+    (-58347, 3954150, -213, -2592, 10),
+    (-33339627, 73697852646, 3027, -22680, 12),
+]
+
+
+@pytest.mark.parametrize("a,b,x,y,order", TORSION_FIXTURES)
+def test_torsion_rules_find_every_rational_order(a, b, x, y, order, monkeypatch):
+    # Nagell-Lutz and the first zero of w_n up to Mazur's bound, with no point added
+    curve, point = CurveQ(a, b), PointQ(x, y, 1)
+    assert curve.contains(point) and TORSION_SEARCH_BOUND == 12
+    assert _full_torsion_walk(point, curve) == (True, order)
+    monkeypatch.setattr(elliptic, "add", None)
+    assert is_torsion(point, curve) == (True, order)
 
 
 def test_torsion_early_exit_matches_the_full_walk():

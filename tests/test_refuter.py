@@ -1,8 +1,10 @@
 import hashlib
 import json
 import random
+import time
 import tracemalloc
 from dataclasses import replace
+from itertools import islice
 
 import pytest
 
@@ -27,6 +29,7 @@ from edslab.refuter import (
     validate_q,
     verify_certificate,
 )
+from test_elliptic import multiples
 
 # non-CM fixture with |w_n| = z_n: the certificate's stream is literally
 # the z-sequence up to sign
@@ -353,7 +356,7 @@ def test_verifier_bounds_work_before_starting(monkeypatch, field, edit):
     bad = edit(cert, cert.tz_window[1])
     monkeypatch.setattr(refuter, "ladder_block", _no_work)
     monkeypatch.setattr(refuter, "ward_period", _no_work)
-    monkeypatch.setattr(refuter, "multiples", _no_work)
+    monkeypatch.setattr(refuter, "generate_geometric", _no_work)
     verdict = verify_certificate(bad)
     assert not verdict.ok
     assert verdict.failures == [field]
@@ -361,9 +364,9 @@ def test_verifier_bounds_work_before_starting(monkeypatch, field, edit):
 
 def test_verifier_bounds_mismatch_indices_by_the_finders_limit(monkeypatch):
     # the finder lists mismatches only among z_1..z_60, so index 61 is
-    # refused before the chord-tangent walk to it starts
+    # refused before the exact prefix to it is generated
     cert = find_witness(E, P, FIBONACCI, 5, p_max=10_000).certificate
-    monkeypatch.setattr(refuter, "multiples", _no_work)
+    monkeypatch.setattr(refuter, "generate_geometric", _no_work)
     verdict = verify_certificate(replace(cert, mismatches=[*cert.mismatches[1:], (61, 0, 1)]))
     assert verdict.failures == ["mismatch_index"]
 
@@ -526,3 +529,81 @@ def test_finder_and_verifier_use_no_companion_matrix_power(monkeypatch):
     assert hashlib.sha256(cert.to_json().encode()).hexdigest() == CERTIFICATE_DIGESTS[0][-1]
     verdict = verify_certificate(WitnessCertificate.from_json(cert.to_json()))
     assert verdict.ok, verdict.failures
+
+
+def _record_prefix_lengths(monkeypatch):
+    """Patch the finder's and the verifier's `generate_geometric` to record each n_terms."""
+    calls = []
+
+    def recorded(curve, point, n_terms):
+        calls.append(n_terms)
+        return generate_geometric(curve, point, n_terms)
+
+    monkeypatch.setattr(refuter, "generate_geometric", recorded)
+    return calls
+
+
+# u = 1: at p = 5 only 7 of z_1..z_24 are not +-1 mod 5, so the finder
+# extends its prefix to z_1..z_60, where the 12th mismatch is z_36
+CONSTANT_CLAIM = (E, P, LrsSpec(1, (1,), (1,)), 3, 3_000)
+
+
+@pytest.mark.parametrize("curve,point,spec,p_max,digest", CERTIFICATE_DIGESTS)
+def test_finder_reads_only_the_short_prefix_when_it_holds_the_listed_mismatches(
+    monkeypatch, curve, point, spec, p_max, digest
+):
+    calls = _record_prefix_lengths(monkeypatch)
+    result = find_witness(curve, point, spec, p_max=p_max)
+    assert hashlib.sha256(result.certificate.to_json().encode()).hexdigest() == digest
+    assert calls == [refuter.SHORT_MISMATCH_LIMIT]
+    assert len(result.certificate.mismatches) == refuter.LISTED_MISMATCHES
+    assert result.certificate.mismatches[-1][0] <= refuter.SHORT_MISMATCH_LIMIT
+
+
+def test_finder_extends_to_the_full_prefix_when_the_short_one_holds_too_few(monkeypatch):
+    curve, point, spec, q, p_max = CONSTANT_CLAIM
+    calls = _record_prefix_lengths(monkeypatch)
+    cert = find_witness(curve, point, spec, q, p_max=p_max).certificate
+    assert calls == [refuter.SHORT_MISMATCH_LIMIT, refuter.DEFAULT_MISMATCH_LIMIT]
+    assert cert.p == 5 and [n for n, _, _ in cert.mismatches][-2:] == [34, 36]
+    assert verify_certificate(WitnessCertificate.from_json(cert.to_json())).ok
+
+
+@pytest.mark.parametrize(
+    "claim", [(E, P, FIBONACCI, 5, 10_000), CONSTANT_CLAIM, (CurveQ(-6, 6), P, PADOVAN, 5, 50_000)]
+)
+def test_short_prefix_changes_no_certificate_and_no_stat(monkeypatch, claim):
+    # the 60-term prefix alone, as the finder read it before, gives the same bytes and stats
+    curve, point, spec, q, p_max = claim
+    result = find_witness(curve, point, spec, q, p_max=p_max)
+    monkeypatch.setattr(refuter, "SHORT_MISMATCH_LIMIT", refuter.DEFAULT_MISMATCH_LIMIT)
+    full = find_witness(curve, point, spec, q, p_max=p_max)
+    assert result.certificate.to_json() == full.certificate.to_json()
+    assert result.stats == full.stats
+
+
+@pytest.mark.parametrize(
+    "curve,point",
+    list(dict.fromkeys((c, p) for c, p, *_ in CERTIFICATE_DIGESTS))
+    + [(CurveQ(0, 17), PointQ(-2, 3, 1)), (CurveQ(-2, 0), PointQ(2, 2, 1))],
+)
+def test_mismatch_oracle_matches_the_chord_tangent_walk(curve, point):
+    # the last two points take the gcd path of generate_geometric
+    walk = [m.z for m in islice(multiples(point, curve), MAX_MISMATCH_INDEX)]
+    assert generate_geometric(curve, point, MAX_MISMATCH_INDEX).terms == walk
+
+
+def test_verifier_checks_a_stated_index_60_in_bounded_time(monkeypatch):
+    # z_60 = 0 = u_3600 (mod 7): index 60 is no mismatch, and the verifier
+    # says so from one 60-term prefix
+    cert = find_witness(E, P, FIBONACCI, 5, p_max=10_000).certificate
+    z_mod = generate_geometric(E, P, 60).term(60) % cert.p
+    u_mod = eval_mod(FIBONACCI, 3600, cert.p)
+    assert z_mod == u_mod == 0
+    calls = _record_prefix_lengths(monkeypatch)
+    start = time.perf_counter()
+    verdict = verify_certificate(replace(cert, mismatches=[*cert.mismatches[:-1], (60, z_mod, u_mod)]))
+    assert time.perf_counter() - start < 2.0
+    assert verdict.failures == ["mismatches"]
+    assert verdict.checks[-1].detail == "index 60: sequences agree up to sign"
+    assert calls == [60]
