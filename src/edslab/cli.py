@@ -4,14 +4,17 @@ Exit codes: 0 success, 2 validation error, 3 exhaustion or inconclusive
 result, 4 verification failure.  Values come from flags, then from an
 optional key=value config file, then from built-in defaults; the cache
 root can also be set with the EDSLAB_CACHE environment variable.
+EDSLAB_TRACE=1 writes a trace of the run to stderr (see edslab.obs).
 
 Each command imports the library modules it calls when it runs, so that
-importing this module and building the parser loads none of them.
+importing this module and building the parser loads none of them; and it
+builds only its own subcommand's parser.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import os
 import sys
@@ -22,6 +25,10 @@ EXIT_INCONCLUSIVE = 3
 EXIT_VERIFY_FAILED = 4
 
 CACHE_ENV = "EDSLAB_CACHE"
+TRACE_ENV = "EDSLAB_TRACE"  # obs.ENV, named here so that a run without tracing never imports obs
+# read once, at import, as obs reads it: a span of a run without tracing costs one test of this flag
+_TRACING = os.environ.get(TRACE_ENV) == "1"
+_UNTRACED = contextlib.nullcontext()
 # largest `lrs decimate --m`: decimation generates m*(2k+8) exact terms whose
 # sizes grow linearly in the index, so memory grows as m^2 (Fibonacci at
 # m = 3000 peaks at 80 MB)
@@ -541,14 +548,82 @@ def cmd_prooflab_fixedpoint(args) -> int:
 # parser assembly
 
 
-def _leaf(sub, func, name: str, **kw) -> argparse.ArgumentParser:
-    """Subcommand `name` that runs `func`, with the --config and --format
-    options every subcommand takes."""
-    parser = sub.add_parser(name, **kw)
-    parser.add_argument("--config", help="key=value config file")
-    parser.add_argument("--format", choices=("table", "json", "csv"), default=None)
-    parser.set_defaults(func=func)
-    return parser
+class _HelpFormatter(argparse.HelpFormatter):
+    """argparse's formatter, asking the terminal for its width only when it
+    renders help or usage text: argparse makes a formatter for every option
+    it adds, and the width lookup imports shutil (with bz2, lzma and zlib)."""
+
+    def __init__(self, prog: str) -> None:
+        super().__init__(prog, width=80)  # a stand-in: both values below are read on first use
+        del self._width, self._max_help_position
+
+    @functools.cached_property
+    def _width(self) -> int:
+        import shutil
+
+        return shutil.get_terminal_size().columns - 2
+
+    @functools.cached_property
+    def _max_help_position(self) -> int:
+        return min(24, max(self._width - 20, self._indent_increment * 2))  # 24: argparse's default
+
+
+class _Parsers(dict):
+    """A subparsers action's name -> parser map that builds a subcommand's
+    parser on its first lookup; until then the value is the function that
+    builds it."""
+
+    def __getitem__(self, name: str) -> argparse.ArgumentParser:
+        parser = super().__getitem__(name)
+        if not isinstance(parser, argparse.ArgumentParser):
+            parser = self[name] = parser()
+        return parser
+
+    def values(self) -> list[argparse.ArgumentParser]:
+        return [self[name] for name in self]
+
+    def items(self) -> list[tuple[str, argparse.ArgumentParser]]:
+        return [(name, self[name]) for name in self]
+
+
+def _subcommands(parser: argparse.ArgumentParser, dest: str) -> argparse._SubParsersAction:
+    sub = parser.add_subparsers(dest=dest, required=True)
+    # argparse has no public hook for the parser map: a parse looks the
+    # subcommand up in _name_parser_map, and `choices` is the same dict
+    sub.choices = sub._name_parser_map = _Parsers()
+    return sub
+
+
+def _group(sub: argparse._SubParsersAction, name: str, help: str) -> argparse._SubParsersAction:
+    """Subcommand group `name`, built now; returns its subcommands."""
+    return _subcommands(sub.add_parser(name, help=help, formatter_class=_HelpFormatter), "subcommand")
+
+
+def _leaf(sub: argparse._SubParsersAction, name: str, func, help: str):
+    """Register subcommand `name`, with its help line, to run `func`.  The
+    decorated function adds the subcommand's own options to its parser,
+    after the --config and --format options every subcommand takes; the
+    parser is built when it is first looked up, by a parse, a --help or a
+    walk of `choices`."""
+    prog = f"{sub._prog_prefix} {name}"  # the prog add_parser would give it
+
+    def register(add_options):
+        def build() -> argparse.ArgumentParser:
+            with _span("cli.leaf", leaf=prog.split(" ", 1)[1]):
+                parser = argparse.ArgumentParser(prog=prog, formatter_class=_HelpFormatter)
+                parser.add_argument("--config", help="key=value config file")
+                parser.add_argument("--format", choices=("table", "json", "csv"), default=None)
+                add_options(parser)
+                parser.set_defaults(func=func)
+            return parser
+
+        # what add_parser does, but for the parser, whose build is deferred:
+        # argparse lists the help line from this pseudo-action
+        sub._choices_actions.append(sub._ChoicesPseudoAction(name, (), help))
+        sub.choices[name] = build
+        return add_options
+
+    return register
 
 
 def _add_curve_point(parser: argparse.ArgumentParser) -> None:
@@ -569,147 +644,181 @@ def _add_lrs_source(parser: argparse.ArgumentParser) -> None:
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argparse tree, built on the first call and shared after it:
-    parsing leaves no state on it, and building it costs far more than a parse."""
+    parsing leaves no state on it, and building it costs far more than a
+    parse.  Only the top-level and group parsers are built here; each
+    subcommand's parser is built the first time it is looked up."""
     parser = argparse.ArgumentParser(
         prog="edslab",
         description="elliptic divisibility sequences, linear recurrences, densities, witness certificates",
+        formatter_class=_HelpFormatter,
     )
-    top = parser.add_subparsers(dest="command", required=True)
+    top = _subcommands(parser, "command")
 
-    p_eds = top.add_parser("eds", help="divisibility sequence generation and analysis")
-    eds_sub = p_eds.add_subparsers(dest="subcommand", required=True)
-    sp = _leaf(eds_sub, cmd_eds_gen, "gen", help="generate z_n from a curve and point")
-    _add_curve_point(sp)
-    sp.add_argument("--n", type=int, default=None)
-    sp.add_argument("--stride", type=int, default=None, help="list z_(stride*n) instead of z_n")
-    sp.add_argument("--cache-dir", dest="cache_dir", default=None)
-    sp = _leaf(
-        eds_sub, cmd_eds_ward, "ward", help="extend four seed values by the bilinear recurrences"
-    )
-    sp.add_argument("--seed", nargs=4, type=int, required=True, metavar=("W1", "W2", "W3", "W4"))
-    sp.add_argument("--n", type=int, default=None)
-    sp = _leaf(
-        eds_sub, cmd_eds_period, "period",
-        help="minimal period of the companion w_n modulo p; z_n = z_1*|w_n| agrees with it up to sign",
-    )
-    _add_curve_point(sp)
-    sp.add_argument("--p", type=int, required=True)
-    sp = _leaf(eds_sub, cmd_eds_zsigmondy, "zsigmondy", help="primitive divisor scan")
-    _add_curve_point(sp)
-    sp.add_argument("--n", type=int, default=None)
+    eds_sub = _group(top, "eds", "divisibility sequence generation and analysis")
 
-    p_lrs = top.add_parser("lrs", help="linear recurrence engine")
-    lrs_sub = p_lrs.add_subparsers(dest="subcommand", required=True)
-    sp = _leaf(
-        lrs_sub, cmd_lrs_fit, "fit", help="minimal integer recurrence from terms (one per line)"
-    )
-    sp.add_argument("--terms-file", dest="terms_file")
-    sp.add_argument("--bound", type=int, default=None)
-    sp = _leaf(lrs_sub, cmd_lrs_eval, "eval", help="evaluate u_n exactly or modulo p")
-    _add_lrs_source(sp)
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--mod", type=int, default=None)
-    sp = _leaf(lrs_sub, cmd_lrs_decimate, "decimate", help="spec for the subsequence u_(m*n)")
-    _add_lrs_source(sp)
-    sp.add_argument("--m", type=int, required=True)
-    sp = _leaf(lrs_sub, cmd_lrs_degenerate, "degenerate", help="root-of-unity ratio detection")
-    _add_lrs_source(sp)
-    sp.add_argument("--reduce", action="store_true", help="also emit the decimated reduction")
-    sp = _leaf(lrs_sub, cmd_lrs_period, "period", help="minimal period modulo p")
-    _add_lrs_source(sp)
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--method", choices=("matrix", "iteration"), default="matrix")
-    sp.add_argument("--squares", action="store_true", help="also report the square-sampled period")
+    @_leaf(eds_sub, "gen", cmd_eds_gen, "generate z_n from a curve and point")
+    def _(sp):
+        _add_curve_point(sp)
+        sp.add_argument("--n", type=int, default=None)
+        sp.add_argument("--stride", type=int, default=None, help="list z_(stride*n) instead of z_n")
+        sp.add_argument("--cache-dir", dest="cache_dir", default=None)
 
-    p_density = top.add_parser("density", help="matrix and affine densities, empirical scans")
-    den_sub = p_density.add_subparsers(dest="subcommand", required=True)
-    sp = _leaf(den_sub, cmd_density_gl2, "gl2", help="exact trace/determinant density")
-    sp.add_argument("--q", type=int, required=True)
-    sp.add_argument("--a", type=int, required=True)
-    sp.add_argument("--b", type=int, required=True)
-    sp = _leaf(
-        den_sub, cmd_density_affine, "affine", help="exact affine density with translation part"
-    )
-    sp.add_argument("--q", type=int, required=True)
-    sp.add_argument("--a", type=int, required=True)
-    sp.add_argument("--b", type=int, required=True)
-    sp = _leaf(
-        den_sub, cmd_density_empirical, "empirical",
-        help="prime-scan frequency beside the exact density",
-    )
-    _add_curve_point(sp)
-    sp.add_argument("--q", type=int, required=True)
-    sp.add_argument("--a", type=int, default=None)
-    sp.add_argument("--x", type=int, default=None, help="prime bound")
-    sp.add_argument("--jobs", type=int, default=None, help="worker processes for the prime scan")
-    sp.add_argument("--exclude", default=None, help="comma-separated primes to skip in the scan")
+    @_leaf(eds_sub, "ward", cmd_eds_ward, "extend four seed values by the bilinear recurrences")
+    def _(sp):
+        sp.add_argument("--seed", nargs=4, type=int, required=True, metavar=("W1", "W2", "W3", "W4"))
+        sp.add_argument("--n", type=int, default=None)
 
-    sp = _leaf(top, cmd_refute, "refute", help="find a witness prime and write a certificate")
-    _add_curve_point(sp)
-    _add_lrs_source(sp)
-    sp.add_argument("--q", type=int, default=None)
-    sp.add_argument("--a", type=int, default=None, help="trace target (default 3)")
-    sp.add_argument("--p-max", dest="p_max", type=int, default=None)
-    sp.add_argument("--out", help="certificate output path (default: stdout)")
-    sp.add_argument("--exclude", default=None, help="comma-separated primes to skip in the scan")
-
-    sp = _leaf(top, cmd_verify, "verify", help="re-check a certificate file from scratch")
-    sp.add_argument("certificate")
-
-    sp = _leaf(top, cmd_falsify, "falsify", help="mismatch indices beyond a claimed threshold")
-    _add_curve_point(sp)
-    _add_lrs_source(sp)
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--start", type=int, default=1)
-    sp.add_argument("--window", type=int, default=50)
-
-    p_lab = top.add_parser("prooflab", help="executable lemma checks")
-    lab_sub = p_lab.add_subparsers(dest="subcommand", required=True)
-    sp = _leaf(
-        lab_sub, cmd_prooflab_qlemma, "qlemma", help="degree/leading-coefficient expansion check"
+    @_leaf(
+        eds_sub, "period", cmd_eds_period,
+        "minimal period of the companion w_n modulo p; z_n = z_1*|w_n| agrees with it up to sign",
     )
-    sp.add_argument("--coeffs", nargs="+", required=True, help="P ascending from the constant term")
-    sp.add_argument("--alpha", required=True)
-    sp = _leaf(lab_sub, cmd_prooflab_det, "det", help="determinant factorization check")
-    sp.add_argument("--q", type=int, required=True)
-    sp.add_argument("--betas", nargs="+", type=int, required=True)
-    sp = _leaf(lab_sub, cmd_prooflab_resclass, "resclass", help="admissible residue count")
-    sp.add_argument("--r", type=int, required=True)
-    sp.add_argument("--t", type=int, required=True)
-    sp.add_argument("--c", type=int, default=1)
-    sp = _leaf(lab_sub, cmd_prooflab_ell, "ell", help="quadratic congruence lift")
-    sp.add_argument("--r", type=int, required=True)
-    sp.add_argument("--e", type=int, default=1)
-    sp.add_argument("--n0", type=int, required=True)
-    sp.add_argument("--j", type=int, required=True)
-    sp.add_argument("--c", type=int, required=True)
-    sp = _leaf(
-        lab_sub, cmd_prooflab_fixedpoint, "fixedpoint",
-        help="stochastic fixed-point collision check",
-    )
-    sp.add_argument("--matrix", required=True, help="rows ';'-separated, entries ','-separated")
+    def _(sp):
+        _add_curve_point(sp)
+        sp.add_argument("--p", type=int, required=True)
+
+    @_leaf(eds_sub, "zsigmondy", cmd_eds_zsigmondy, "primitive divisor scan")
+    def _(sp):
+        _add_curve_point(sp)
+        sp.add_argument("--n", type=int, default=None)
+
+    lrs_sub = _group(top, "lrs", "linear recurrence engine")
+
+    @_leaf(lrs_sub, "fit", cmd_lrs_fit, "minimal integer recurrence from terms (one per line)")
+    def _(sp):
+        sp.add_argument("--terms-file", dest="terms_file")
+        sp.add_argument("--bound", type=int, default=None)
+
+    @_leaf(lrs_sub, "eval", cmd_lrs_eval, "evaluate u_n exactly or modulo p")
+    def _(sp):
+        _add_lrs_source(sp)
+        sp.add_argument("--n", type=int, required=True)
+        sp.add_argument("--mod", type=int, default=None)
+
+    @_leaf(lrs_sub, "decimate", cmd_lrs_decimate, "spec for the subsequence u_(m*n)")
+    def _(sp):
+        _add_lrs_source(sp)
+        sp.add_argument("--m", type=int, required=True)
+
+    @_leaf(lrs_sub, "degenerate", cmd_lrs_degenerate, "root-of-unity ratio detection")
+    def _(sp):
+        _add_lrs_source(sp)
+        sp.add_argument("--reduce", action="store_true", help="also emit the decimated reduction")
+
+    @_leaf(lrs_sub, "period", cmd_lrs_period, "minimal period modulo p")
+    def _(sp):
+        _add_lrs_source(sp)
+        sp.add_argument("--p", type=int, required=True)
+        sp.add_argument("--method", choices=("matrix", "iteration"), default="matrix")
+        sp.add_argument("--squares", action="store_true", help="also report the square-sampled period")
+
+    den_sub = _group(top, "density", "matrix and affine densities, empirical scans")
+
+    @_leaf(den_sub, "gl2", cmd_density_gl2, "exact trace/determinant density")
+    def _(sp):
+        sp.add_argument("--q", type=int, required=True)
+        sp.add_argument("--a", type=int, required=True)
+        sp.add_argument("--b", type=int, required=True)
+
+    @_leaf(den_sub, "affine", cmd_density_affine, "exact affine density with translation part")
+    def _(sp):
+        sp.add_argument("--q", type=int, required=True)
+        sp.add_argument("--a", type=int, required=True)
+        sp.add_argument("--b", type=int, required=True)
+
+    @_leaf(den_sub, "empirical", cmd_density_empirical, "prime-scan frequency beside the exact density")
+    def _(sp):
+        _add_curve_point(sp)
+        sp.add_argument("--q", type=int, required=True)
+        sp.add_argument("--a", type=int, default=None)
+        sp.add_argument("--x", type=int, default=None, help="prime bound")
+        sp.add_argument("--jobs", type=int, default=None, help="worker processes for the prime scan")
+        sp.add_argument("--exclude", default=None, help="comma-separated primes to skip in the scan")
+
+    @_leaf(top, "refute", cmd_refute, "find a witness prime and write a certificate")
+    def _(sp):
+        _add_curve_point(sp)
+        _add_lrs_source(sp)
+        sp.add_argument("--q", type=int, default=None)
+        sp.add_argument("--a", type=int, default=None, help="trace target (default 3)")
+        sp.add_argument("--p-max", dest="p_max", type=int, default=None)
+        sp.add_argument("--out", help="certificate output path (default: stdout)")
+        sp.add_argument("--exclude", default=None, help="comma-separated primes to skip in the scan")
+
+    @_leaf(top, "verify", cmd_verify, "re-check a certificate file from scratch")
+    def _(sp):
+        sp.add_argument("certificate")
+
+    @_leaf(top, "falsify", cmd_falsify, "mismatch indices beyond a claimed threshold")
+    def _(sp):
+        _add_curve_point(sp)
+        _add_lrs_source(sp)
+        sp.add_argument("--p", type=int, required=True)
+        sp.add_argument("--start", type=int, default=1)
+        sp.add_argument("--window", type=int, default=50)
+
+    lab_sub = _group(top, "prooflab", "executable lemma checks")
+
+    @_leaf(lab_sub, "qlemma", cmd_prooflab_qlemma, "degree/leading-coefficient expansion check")
+    def _(sp):
+        sp.add_argument("--coeffs", nargs="+", required=True, help="P ascending from the constant term")
+        sp.add_argument("--alpha", required=True)
+
+    @_leaf(lab_sub, "det", cmd_prooflab_det, "determinant factorization check")
+    def _(sp):
+        sp.add_argument("--q", type=int, required=True)
+        sp.add_argument("--betas", nargs="+", type=int, required=True)
+
+    @_leaf(lab_sub, "resclass", cmd_prooflab_resclass, "admissible residue count")
+    def _(sp):
+        sp.add_argument("--r", type=int, required=True)
+        sp.add_argument("--t", type=int, required=True)
+        sp.add_argument("--c", type=int, default=1)
+
+    @_leaf(lab_sub, "ell", cmd_prooflab_ell, "quadratic congruence lift")
+    def _(sp):
+        sp.add_argument("--r", type=int, required=True)
+        sp.add_argument("--e", type=int, default=1)
+        sp.add_argument("--n0", type=int, required=True)
+        sp.add_argument("--j", type=int, required=True)
+        sp.add_argument("--c", type=int, required=True)
+
+    @_leaf(lab_sub, "fixedpoint", cmd_prooflab_fixedpoint, "stochastic fixed-point collision check")
+    def _(sp):
+        sp.add_argument("--matrix", required=True, help="rows ';'-separated, entries ','-separated")
 
     return parser
 
 
+def _span(name: str, **fields):
+    """`obs.span(name, **fields)` when EDSLAB_TRACE=1.  Otherwise it costs
+    one flag test, and neither edslab.obs nor the json it writes is loaded."""
+    if not _TRACING:
+        return _UNTRACED
+    from . import obs
+
+    return obs.span(name, **fields)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    config: dict[str, str] = {}
-    if getattr(args, "config", None):
+    with _span("cli.parse"):
+        args = build_parser().parse_args(argv)
+    command = " ".join(filter(None, (args.command, getattr(args, "subcommand", None))))
+    with _span("cli.run", command=command):
+        config: dict[str, str] = {}
+        if getattr(args, "config", None):
+            try:
+                config = _read_config(args.config)
+            except (OSError, ValueError) as exc:
+                sys.stderr.write(f"config error: {exc}\n")
+                return EXIT_VALIDATION
+        args._config = config
+        if getattr(args, "format", None) is None:
+            args.format = config.get("format", "table")
         try:
-            config = _read_config(args.config)
-        except (OSError, ValueError) as exc:
-            sys.stderr.write(f"config error: {exc}\n")
+            return args.func(args)
+        except (ValueError, OSError) as exc:  # eds.InexactDivisionError is a ValueError
+            sys.stderr.write(f"error: {exc}\n")
             return EXIT_VALIDATION
-    args._config = config
-    if getattr(args, "format", None) is None:
-        args.format = config.get("format", "table")
-    try:
-        return args.func(args)
-    except (ValueError, OSError) as exc:  # eds.InexactDivisionError is a ValueError
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_VALIDATION
 
 
 if __name__ == "__main__":

@@ -192,6 +192,8 @@ def empirical_density(
     jobs equal ranges of [1, x] and sum their tallies, so reruns are
     deterministic.
     """
+    if not curve.contains(point):
+        raise ValueError("point is not on the curve")
     if not is_prime(q):
         raise ValueError("q must be prime")
     if jobs < 1:

@@ -23,6 +23,7 @@ from .ntkernel import (
     invmod,
     is_prime,
     kernel_basis,
+    legendre_symbol,
 )
 
 
@@ -165,7 +166,7 @@ def construct_ell(r: int, e: int, n0: int, j: int, c: int) -> Residue:
     residue mod r (a non-residue raises NonResidueError).  The returned
     value is substituted back and verified before returning.
     """
-    if c % r == 0:
+    if legendre_symbol(c, r) == 0:  # which first refuses an r that is not an odd prime
         raise ValueError("c must be coprime to r")
     disc = n0 * n0 + j * c
     s = hensel_lift_sqrt(disc, r, e)

@@ -241,6 +241,8 @@ def find_witness(
     every p the scan keeps, as each prime of gcd(2y, 3x^2 + a*z^4) divides
     2y.  Identical inputs always produce identical output.
     """
+    if not curve.contains(point):
+        raise ValueError("point is not on the curve")
     torsion, order = is_torsion(point, curve)
     if torsion:
         raise ValueError(f"point is torsion (order {order})")
@@ -461,6 +463,8 @@ def direct_falsify(
     An empty result only means no counterexample was seen in the window,
     never that the sequences agree.
     """
+    if not curve.contains(point):
+        raise ValueError("point is not on the curve")
     if n_claim < 1 or window < 1:
         raise ValueError("need n_claim >= 1 and window >= 1")
     if window > MAX_FALSIFY_WINDOW:

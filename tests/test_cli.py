@@ -63,11 +63,22 @@ def test_term_count_below_one_exit2_before_any_work(capsys, monkeypatch, argv, n
     assert run(capsys, *argv, "--n", n) == (2, "", f"error: --n {n} must be at least 1\n")
 
 
+LRS_EVAL = ("lrs", "eval", "--lrs", "2", "1", "1", "0", "1", "--n", "10")
+
+
+def _python(*args: str, **env: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter, run with these arguments, that imports edslab from src/."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src, **env},
+        check=True,
+    )
+
+
 def _modules_after(*argv):
     """sys.modules of a fresh interpreter after importing the CLI, building its
     parser and, if argv is given, running that command.  -S keeps
     site-packages hooks from importing anything first."""
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     probe = (
         "import contextlib, io, sys, edslab.cli\n"
         "edslab.cli.build_parser()\n"
@@ -76,11 +87,7 @@ def _modules_after(*argv):
         "        assert edslab.cli.main(sys.argv[1:]) == 0\n"
         "print(*sorted(sys.modules))\n"
     )
-    proc = subprocess.run(
-        [sys.executable, "-S", "-c", probe, *argv],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, check=True,
-    )
-    return set(proc.stdout.split())
+    return set(_python("-S", "-c", probe, *argv).stdout.split())
 
 
 def _library(modules):
@@ -91,14 +98,16 @@ def test_importing_the_cli_loads_no_cache_modules():
     # hashlib (OpenSSL) and tempfile are loaded by the cache functions only;
     # each library module, and the dataclasses, fractions and json it needs,
     # by the first command that runs it
+    # shutil (with bz2, lzma and zlib) by the first help or usage text rendered
     loaded = _modules_after()
-    assert not {"hashlib", "tempfile", "dataclasses", "fractions", "decimal", "inspect", "json"} & loaded
+    assert not {"hashlib", "tempfile", "dataclasses", "fractions", "decimal", "inspect", "json", "shutil"} & loaded
     assert _library(loaded) == {"edslab", "edslab.cli"}
 
 
 def test_lrs_eval_loads_only_the_recurrence_modules():
-    loaded = _modules_after("lrs", "eval", "--lrs", "2", "1", "1", "0", "1", "--n", "10")
+    loaded = _modules_after(*LRS_EVAL)
     assert _library(loaded) == {"edslab", "edslab.cli", "edslab.lrs", "edslab.ntkernel"}
+    assert not {"shutil", "json"} & loaded
 
 
 @pytest.mark.parametrize(
@@ -128,6 +137,29 @@ def test_eds_gen_uses_cache(tmp_path, capsys):
 
 
 def test_parser_is_built_once_and_keeps_no_state_between_calls(tmp_path, capsys):
+    # in a fresh interpreter: build_parser() builds the top-level and group
+    # parsers only, and a command builds its own parser once
+    probe = (
+        "import argparse, contextlib, io, sys, edslab.cli\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counted(self, *args, **kwargs):\n"
+        "    init(self, *args, **kwargs)\n"
+        "    built.append(self.prog)\n"
+        "argparse.ArgumentParser.__init__ = counted\n"
+        "edslab.cli.build_parser()\n"
+        "print(*built, sep=',')\n"
+        "for _ in range(2):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert edslab.cli.main(sys.argv[1:]) == 0\n"
+        "    print(*built[5:], sep=',')\n"
+    )
+    assert _python("-c", probe, *LRS_EVAL).stdout.splitlines() == [
+        "edslab,edslab eds,edslab lrs,edslab density,edslab prooflab",
+        "edslab lrs eval",
+        "edslab lrs eval",
+    ]
+
     assert build_parser() is build_parser()
     lrs_args = ("lrs", "period", "--lrs", "2", "1", "1", "1", "1", "--p", "5")
     code, out, _ = run(capsys, *lrs_args, "--squares", "--format", "json")
@@ -146,6 +178,20 @@ def test_parser_is_built_once_and_keeps_no_state_between_calls(tmp_path, capsys)
     assert len(list((tmp_path / "cache").iterdir())) == 1
     code, out, _ = run(capsys, *lrs_args)
     assert code == 0 and out.splitlines()[1].split() == ["5", "20"]
+
+
+def test_tracing_writes_json_lines_to_stderr_and_leaves_stdout_as_it_is():
+    command = ("-c", "import sys, edslab.cli; sys.exit(edslab.cli.main(sys.argv[1:]))", *LRS_EVAL)
+    untraced = _python(*command, EDSLAB_TRACE="0")
+    traced = _python(*command, EDSLAB_TRACE="1")
+    assert untraced.stdout == traced.stdout == "34\n" and untraced.stderr == ""
+    records = [json.loads(line) for line in traced.stderr.splitlines()]
+    assert [(r["span"], r["parent"], r.get("leaf"), r.get("command")) for r in records] == [
+        ("cli.leaf", "cli.parse", "lrs eval", None),
+        ("cli.parse", None, None, None),
+        ("cli.run", None, None, "lrs eval"),
+    ]
+    assert all(r["s"] >= 0 for r in records)
 
 
 def test_eds_ward_fixture(capsys):
@@ -794,6 +840,13 @@ def test_missing_sources_exit2(capsys):
     code, _, err = run(capsys, "eds", "gen", "--n", "4")
     assert code == 2
     assert "curve" in err
+
+
+@pytest.mark.parametrize("r", ["0", "4", "-5"])
+def test_prooflab_ell_refuses_a_modulus_that_is_not_an_odd_prime(capsys, r):
+    # --r 0 exited 1 with a ZeroDivisionError traceback
+    argv = ("prooflab", "ell", "--r", r, "--n0", "1", "--j", "1", "--c", "1")
+    assert run(capsys, *argv) == (2, "", f"error: modulus {r} is not an odd prime\n")
 
 
 def test_bad_point_exit2(capsys):

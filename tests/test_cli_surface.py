@@ -1,12 +1,16 @@
 """The whole option surface of every leaf subcommand, pinned: option strings
 in order with dest, default, required, nargs, choices, type, metavar and help,
-the leaf's help text and its handler; and the config-file keys, each the dest
-of a pinned option.  A change to how the parser is built must leave all of it
-as it is."""
+the leaf's help text and its handler; the config-file keys, each the dest
+of a pinned option; and the help and usage text of the top level, of each
+group and of `refute`, at two terminal widths.  A change to how the parser
+is built must leave all of it as it is."""
 
 import argparse
+from pathlib import Path
 
-from edslab.cli import CONFIG_KEYS, build_parser
+import pytest
+
+from edslab.cli import CONFIG_KEYS, build_parser, main
 
 COMMON = [
     ("-h --help", "help", argparse.SUPPRESS, False, 0, None, None, None, "show this help message and exit"),
@@ -252,8 +256,56 @@ def test_every_leaf_keeps_its_options_in_order():
         assert [_option(a) for a in sub._actions] == COMMON + options, name
 
 
+def test_each_way_of_reading_a_subcommand_map_gives_the_same_parsers():
+    # on a tree of its own, not the shared one, in which no subcommand's
+    # parser is built yet: the maps build each on its first lookup
+    top = next(a for a in build_parser.__wrapped__()._actions if isinstance(a, argparse._SubParsersAction))
+    parsers = list(top.choices.values())
+    assert all(isinstance(parser, argparse.ArgumentParser) for parser in parsers)
+    assert parsers == [top.choices[name] for name in top.choices] == [parser for _, parser in top.choices.items()]
+
+
 def test_every_config_key_is_a_pinned_option():
     # a retired flag takes its config key with it
     assert CONFIG_KEYS == {"format", "cache_dir", "p_max", "q", "a", "jobs", "exclude", "bound", "n", "x"}
     dests = {option[1] for _, _, options in LEAVES.values() for option in COMMON + options}
     assert CONFIG_KEYS <= dests
+
+
+HELP_TEXT = Path(__file__).with_name("cli_help.txt")
+PINNED_ARGV = [
+    ("--help",),
+    *((group, "--help") for group in GROUPS),
+    ("refute", "--help"),
+    ("bogus",),
+    ("eds", "bogus"),
+    ("eds", "gen", "--bogus", "3"),
+]
+
+
+def _pinned_text() -> dict[str, str]:
+    """heading -> text of each section of cli_help.txt"""
+    sections: dict[str, str] = {}
+    heading = None
+    for line in HELP_TEXT.read_text().splitlines(keepends=True):
+        if line.startswith("### "):
+            heading = line[4:].rstrip("\n")
+            sections[heading] = ""
+        elif heading is not None:
+            sections[heading] += line
+    return sections
+
+
+@pytest.mark.parametrize("columns", [60, 120])
+@pytest.mark.parametrize("argv", PINNED_ARGV, ids=" ".join)
+def test_help_and_usage_text_is_pinned(capsys, monkeypatch, argv, columns):
+    monkeypatch.setenv("COLUMNS", str(columns))
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    out, err = capsys.readouterr()
+    assert not (out and err)
+    stream = "stdout" if out else "stderr"
+    heading = f"edslab {' '.join(argv)} | COLUMNS={columns} | exit {exc.value.code} | {stream}"
+    pinned = _pinned_text()
+    assert heading in pinned
+    assert out + err == pinned[heading]

@@ -362,6 +362,13 @@ def test_empirical_scan_checks_the_sieve_limit_before_any_worker(monkeypatch):
         empirical_density(E, P, 5, 3, 1001, jobs=2)
 
 
+@pytest.mark.parametrize("point", [PointQ(1, 3, 1), PointQ(3, 2, 1)], ids=["1,3,1", "3,2,1"])
+def test_empirical_density_refuses_a_point_off_the_curve(point):
+    # these reported 9 and 14 hits of 300 primes, about no point on the curve
+    with pytest.raises(ValueError, match="^point is not on the curve$"):
+        empirical_density(CurveQ(-4, 4), point, 5, 2, 2000)
+
+
 def test_empirical_scan_fixture():
     report = empirical_density(E, P, 3, 3, 3000)
     assert report.b == 2

@@ -132,6 +132,13 @@ def test_construct_ell_lifted_consistency():
         built += 1
 
 
+@pytest.mark.parametrize("r", [0, 1, 2, 4, -5])
+def test_construct_ell_refuses_a_modulus_that_is_not_an_odd_prime(r):
+    # r = 0 raised ZeroDivisionError from c % r, before r was checked
+    with pytest.raises(ValueError, match=f"^modulus {r} is not an odd prime$"):
+        construct_ell(r, 1, 1, 1, 1)
+
+
 def test_construct_ell_nonresidue_error():
     # disc = 1 + 1*2 = 3: non-residue mod 5
     with pytest.raises(NonResidueError):

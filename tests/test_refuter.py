@@ -121,6 +121,17 @@ def test_find_witness_rejects_torsion_point():
         find_witness(CurveQ(0, -1), PointQ(1, 0, 1), FIBONACCI, 5, p_max=100)
 
 
+@pytest.mark.parametrize(
+    "point", [PointQ(2, 1, 1), PointQ(1, 3, 1), PointQ(1, 0, 2)], ids=["2,1,1", "1,3,1", "y=0,z=2"]
+)
+def test_find_witness_refuses_a_point_off_the_curve(point):
+    # the first two died on a bare assert at their first candidate, which
+    # python -O strips; the third, with y = 0 and z > 1, was called 2-torsion
+    assert not E.contains(point)
+    with pytest.raises(ValueError, match="^point is not on the curve$"):
+        find_witness(E, point, FIBONACCI, 5, p_max=2000)
+
+
 def test_find_witness_exhaustion_report():
     result = find_witness(E, P, FIBONACCI, 5, p_max=6)
     assert result.status == "exhausted"
@@ -247,6 +258,12 @@ def test_direct_falsify_matches_exact_terms_when_z1_is_not_one(p):
 def test_direct_falsify_rejects_bad_prime():
     with pytest.raises(ValueError):
         direct_falsify(E, P, FIBONACCI, 1, 11, 10)  # 11 divides disc = 176
+
+
+def test_direct_falsify_refuses_a_point_off_the_curve():
+    # it listed mismatch indices of a sequence that belongs to no point
+    with pytest.raises(ValueError, match="^point is not on the curve$"):
+        direct_falsify(E, PointQ(1, 3, 1), FIBONACCI, 1, 7, 10)
 
 
 def test_mismatch_residue_ignores_the_sign():
