@@ -39,6 +39,13 @@ MAX_DECIMATE_M = 1000
 # machine under Python 3.11, and z_N passes the table's 4,300-digit int-to-str
 # limit at N = 175
 MAX_EDS_TERMS = 1000
+# largest `lrs eval --n` without --mod: the exact u_n takes n - k steps on
+# terms that grow linearly in n; holding the last k terms, Fibonacci at
+# n = 10^5 took 1.1 s (0.05 MB traced peak) and u_n = n took 0.18 s on a
+# shared 2-core machine under Python 3.11, and Fibonacci's u_n passes the
+# 4,300-digit int-to-str limit near n = 20,600.  It bounds steps, not term
+# sizes: with a 300-digit coefficient n = 5,000 took 25 s
+MAX_EXACT_EVAL_N = 100_000
 
 CONFIG_KEYS = {
     "format",
@@ -310,6 +317,10 @@ def cmd_lrs_fit(args) -> int:
 def cmd_lrs_eval(args) -> int:
     from . import lrs
 
+    if args.mod is None and args.n > MAX_EXACT_EVAL_N:
+        raise ValueError(
+            f"--n {args.n} exceeds the exact evaluation bound {MAX_EXACT_EVAL_N}; --mod M evaluates it modulo M"
+        )
     spec = _lrs_spec(args)
     if args.mod is None:
         print(lrs.eval_exact(spec, args.n))
@@ -816,7 +827,7 @@ def main(argv=None) -> int:
             args.format = config.get("format", "table")
         try:
             return args.func(args)
-        except (ValueError, OSError) as exc:  # eds.InexactDivisionError is a ValueError
+        except (ValueError, OSError) as exc:  # elliptic.InexactDivisionError is a ValueError
             sys.stderr.write(f"error: {exc}\n")
             return EXIT_VALIDATION
 

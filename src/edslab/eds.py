@@ -10,6 +10,10 @@ irrelevant to every question asked here (zeros, divisibility, periods up to
 sign).  Periods of geometric and Ward-seeded streams come from Ward's symmetry
 (`ward_period`) on a few blocks of w_n, each read in O(log p) by `ladder_block`;
 the same ladder over Z gives one exact z_n (`geometric_term`) for the cache check.
+
+The division-value recurrence itself (the seeds, Ward's steps and the
+ladder) lives in `elliptic`, which also forms n*P over Q from it; this
+module builds the sequences on it and imports those names back.
 """
 
 from __future__ import annotations
@@ -22,24 +26,22 @@ from dataclasses import dataclass
 from .elliptic import (
     CurveFp,
     CurveQ,
+    InexactDivisionError,
     PointQ,
+    _companion_gcd,
+    _exact_div,
+    _ward_denominators,
+    _ward_step,
+    _z_from_w,
     count_points,
+    division_poly_seeds,
     is_torsion,
+    ladder_block,
     log_bigint,
     point_order_fp,
     reduce_point,
 )
 from .ntkernel import IncompleteFactorization, factorize, invmod, is_prime, multiplicative_order
-
-
-class InexactDivisionError(ValueError):
-    """A bilinear recurrence step did not divide exactly."""
-
-    def __init__(self, index: int, numerator: int, denominator: int):
-        # sizes, not values: str() raises on an int past 4,300 decimal digits
-        sizes = f"a {numerator.bit_length()}-bit numerator by a {denominator.bit_length()}-bit denominator"
-        super().__init__(f"inexact division at index {index}: {sizes}")
-        self.index = index
 
 
 @dataclass(frozen=True)
@@ -81,37 +83,6 @@ class EdsSequence:
         return len(self.terms)
 
 
-def division_poly_seeds(curve: CurveQ, point: PointQ) -> tuple[int, int, int, int]:
-    """Integer seed values of the division-polynomial sequence at the point.
-
-    These are the evaluations of the first four division polynomials at
-    (x/z^2, y/z^3), cleared of denominators by the weight z^(n^2-1); they
-    start the bilinear recurrences, whose terms satisfy z_n = z_1*|w_n| when
-    `require_exact_companion` passes.
-    """
-    a, b = curve.a, curve.b
-    x1, y1, z1 = point.x, point.y, point.z
-    if z1 == 0:
-        raise ValueError("need an affine point")
-    w2 = 2 * y1
-    w3 = 3 * x1**4 + 6 * a * x1**2 * z1**4 + 12 * b * x1 * z1**6 - a**2 * z1**8
-    w4 = 4 * y1 * (
-        x1**6
-        + 5 * a * x1**4 * z1**4
-        + 20 * b * x1**3 * z1**6
-        - 5 * a**2 * x1**2 * z1**8
-        - 4 * a * b * x1 * z1**10
-        - 8 * b**2 * z1**12
-        - a**3 * z1**12
-    )
-    return (1, w2, w3, w4)
-
-
-def _companion_gcd(curve: CurveQ, point: PointQ) -> int:
-    """gcd(2y, 3x^2 + a*z^4): 1 exactly when z_n = z_1*|w_n| for every n."""
-    return math.gcd(2 * point.y, 3 * point.x**2 + curve.a * point.z**4)
-
-
 def require_exact_companion(curve: CurveQ, point: PointQ) -> None:
     """Raise ValueError unless gcd(2y, 3x^2 + a*z^4) = 1, naming the bad primes.
 
@@ -133,30 +104,12 @@ def require_exact_companion(curve: CurveQ, point: PointQ) -> None:
         )
 
 
-def _z_from_w(point: PointQ, coprime: bool, n: int, w_prev: int, w_n: int, w_next: int) -> int:
-    """z_n from w_(n-1), w_n, w_(n+1) of `division_poly_seeds`.
-
-    x(nP) = (x*w_n^2 - w_(n-1)*w_(n+1)) / (z^2*w_n^2).  When the companion gcd
-    is 1 (`coprime`) that fraction is already in lowest terms, so z_n = z*|w_n|
-    (Ayad's criterion, see `require_exact_companion`); otherwise z_n^2 is its
-    denominator after one gcd.
-    """
-    if coprime:
-        return point.z * abs(w_n)
-    den = (point.z * w_n) ** 2
-    den //= math.gcd(point.x * w_n**2 - w_prev * w_next, den)
-    z_n = math.isqrt(den)
-    if z_n * z_n != den:
-        raise ValueError(f"the reduced denominator of x({n}P) is not a square")
-    return z_n
-
-
 def generate_geometric(curve: CurveQ, point: PointQ, n_terms: int) -> EdsSequence:
     """z_1..z_N, each positive, from the division-polynomial recurrence.
 
     The exact integers w_n of `generate_ward` on `division_poly_seeds` give
-    each z_n by `_z_from_w`.  Chord-tangent `add` does none of this work; it
-    stays the independent oracle of the tests.
+    each z_n by `_z_from_w`.  No point is added: the chord-tangent law is
+    kept only in the tests, as their independent oracle.
     """
     if n_terms < 1:
         raise ValueError("need at least one term")
@@ -180,30 +133,6 @@ def geometric_term(curve: CurveQ, point: PointQ, n: int) -> int:
     block, den = ladder_block(seeds, None, j), _ward_denominators(*seeds[:2])
     w = [_exact_div(_ward_step(block, m), den[m & 1], m + 2 * j - 6) for m in range(5 + b, 8 + b)]
     return _z_from_w(point, _companion_gcd(curve, point) == 1, n, *w)
-
-
-def _ward_step(w: list[int], m: int) -> int:
-    """Numerator of w_m from the terms below it, by Ward's odd or even step.
-
-    Odd step:  w(2n+1) * w1^3      = w(n+2)*w(n)^3 - w(n+1)^3*w(n-1)
-    Even step: w(2n)   * w2 * w1^2 = w(n+2)*w(n)*w(n-1)^2 - w(n)*w(n-2)*w(n+1)^2
-    """
-    n = m // 2
-    if m % 2:
-        return w[n + 2] * w[n] ** 3 - w[n + 1] ** 3 * w[n - 1]
-    return w[n + 2] * w[n] * w[n - 1] ** 2 - w[n] * w[n - 2] * w[n + 1] ** 2
-
-
-def _ward_denominators(w1: int, w2: int) -> tuple[int, int]:
-    """The divisors of the even and the odd `_ward_step`: w2*w1^2 and w1^3."""
-    return (w2 * w1 * w1, w1**3)
-
-
-def _exact_div(num: int, den: int, index: int) -> int:
-    q, r = divmod(num, den)
-    if r:
-        raise InexactDivisionError(index, num, den)
-    return q
 
 
 def generate_ward(seed: WardSeed, n_terms: int) -> EdsSequence:
@@ -267,36 +196,6 @@ def _period_horizon(rank: int, p: int) -> int:
     """Stream length that holds twice a period of w_n mod p, at most rank*(p-1);
     the verifier also bounds a stated window by it."""
     return 2 * rank * (p - 1) + 2 * rank + 16
-
-
-def ladder_block(seeds: tuple[int, int, int, int], p: int | None, n: int) -> list[int]:
-    """w_{n-3}..w_{n+4} modulo p, or over Z when p is None, in O(log n) steps.
-
-    Shipsey's double-and-add (R. Shipsey, thesis, Goldsmiths 2000): with w_{-m} = -w_m,
-    `_ward_step` maps the block at j (w_{j-3}..w_{j+4} at list positions 0..7) to the
-    one at 2j + b, at positions 3 + b..10 + b of indices shifted down by the even 2(j-3).
-    Modulo p the divisions are by inverses, so p must be coprime to w1*w2; over Z each
-    must be exact, or `InexactDivisionError` names the index.
-    """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    w1, w2, w3, w4 = seeds if p is None else (s % p for s in seeds)
-    if w1 == 0 or w2 == 0:
-        raise ValueError(
-            "w1 and w2 must be non-zero" if p is None else f"stream modulo {p} needs p coprime to w1*w2"
-        )
-    w = [-w3, -w2, -w1, 0, w1, w2, w3, w4]  # the block at j = 0
-    den = _ward_denominators(w1, w2)
-    if p is None:
-        j = 0
-        for b in map(int, bin(n)[2:]):
-            w = [_exact_div(_ward_step(w, m), den[m & 1], m + 2 * j - 6) for m in range(3 + b, 11 + b)]
-            j = 2 * j + b
-        return w
-    inv = [invmod(d % p, p) for d in den]
-    for b in map(int, bin(n)[2:]):
-        w = [_ward_step(w, m) * inv[m & 1] % p for m in range(3 + b, 11 + b)]
-    return w
 
 
 def ward_period(seeds: tuple[int, int, int, int], p: int, rank: int) -> int | None:

@@ -81,52 +81,157 @@ class PointQ:
         return "O" if self.is_infinity else f"({self.x}:{self.y}:{self.z})"
 
 
-def add(p: PointQ, q: PointQ, curve: CurveQ) -> PointQ:
-    """Chord-tangent sum of two points, in Jacobian coordinates over Z.
+# ---------------------------------------------------------------------------
+# division values: n*P over Q from Ward's recurrence
 
-    Clearing the slope's denominator z1*e1 = z2*e2 from the affine formulas
-    gives (x3/z3^2, y3/z3^3).  One renormalization follows: u^2 = gcd(x3,
-    z3^2) leaves x/z^2 in lowest terms, and y3/u^3 must be an integer; both
-    hold on an integral model, otherwise ValueError.
+
+class InexactDivisionError(ValueError):
+    """A bilinear recurrence step did not divide exactly."""
+
+    def __init__(self, index: int, numerator: int, denominator: int):
+        # sizes, not values: str() raises on an int past 4,300 decimal digits
+        sizes = f"a {numerator.bit_length()}-bit numerator by a {denominator.bit_length()}-bit denominator"
+        super().__init__(f"inexact division at index {index}: {sizes}")
+        self.index = index
+
+
+def division_poly_seeds(curve: CurveQ, point: PointQ) -> tuple[int, int, int, int]:
+    """Integer seed values of the division-polynomial sequence at the point.
+
+    These are the evaluations of the first four division polynomials at
+    (x/z^2, y/z^3), cleared of denominators by the weight z^(n^2-1); they
+    start the bilinear recurrences, whose terms satisfy z_n = z_1*|w_n| when
+    `eds.require_exact_companion` passes.
     """
-    if p.is_infinity or q.is_infinity:
-        return q if p.is_infinity else p
-    z1s, z2s = p.z * p.z, q.z * q.z
-    u1, u2 = p.x * z2s, q.x * z1s
-    s1, s2 = p.y * z2s * q.z, q.y * z1s * p.z
-    if u1 == u2:
-        if s1 == -s2 or p.y == 0:  # p.y = 0 != q.y only off the curve: a vertical tangent
-            return PointQ.infinity()
-        q, num, e1, e2 = p, 3 * p.x * p.x + curve.a * z1s * z1s, 2 * p.y, 2 * p.y  # tangent, x2 = x1
-    else:
-        num, e1, e2 = s2 - s1, q.z * (u2 - u1), p.z * (u2 - u1)
-    x1e = p.x * e1 * e1
-    x3 = num * num - x1e - q.x * e2 * e2
-    y3 = num * (x1e - x3) - p.y * e1**3
-    z3 = p.z * e1
-    g = math.gcd(x3, z3 * z3)
-    u = math.isqrt(g) if z3 > 0 else -math.isqrt(g)
-    if u * u != g:
-        raise ValueError(f"denominator {z3 * z3 // g} is not a perfect square")
-    y, rem = divmod(y3, u * g)
-    if rem:
-        raise ValueError("y denominator is not the cube of z")
-    return PointQ(x3 // g, y, z3 // u)
+    a, b = curve.a, curve.b
+    x1, y1, z1 = point.x, point.y, point.z
+    if z1 == 0:
+        raise ValueError("need an affine point")
+    w2 = 2 * y1
+    w3 = 3 * x1**4 + 6 * a * x1**2 * z1**4 + 12 * b * x1 * z1**6 - a**2 * z1**8
+    w4 = 4 * y1 * (
+        x1**6
+        + 5 * a * x1**4 * z1**4
+        + 20 * b * x1**3 * z1**6
+        - 5 * a**2 * x1**2 * z1**8
+        - 4 * a * b * x1 * z1**10
+        - 8 * b**2 * z1**12
+        - a**3 * z1**12
+    )
+    return (1, w2, w3, w4)
+
+
+def _companion_gcd(curve: CurveQ, point: PointQ) -> int:
+    """gcd(2y, 3x^2 + a*z^4): 1 exactly when z_n = z_1*|w_n| for every n."""
+    return math.gcd(2 * point.y, 3 * point.x**2 + curve.a * point.z**4)
+
+
+def _z_from_w(point: PointQ, coprime: bool, n: int, w_prev: int, w_n: int, w_next: int) -> int:
+    """z_n from w_(n-1), w_n, w_(n+1) of `division_poly_seeds`.
+
+    x(nP) = (x*w_n^2 - w_(n-1)*w_(n+1)) / (z^2*w_n^2).  When the companion gcd
+    is 1 (`coprime`) that fraction is already in lowest terms, so z_n = z*|w_n|
+    (Ayad's criterion, see `eds.require_exact_companion`); otherwise z_n^2 is
+    its denominator after one gcd.
+    """
+    if coprime:
+        return point.z * abs(w_n)
+    den = (point.z * w_n) ** 2
+    den //= math.gcd(point.x * w_n**2 - w_prev * w_next, den)
+    z_n = math.isqrt(den)
+    if z_n * z_n != den:
+        raise ValueError(f"the reduced denominator of x({n}P) is not a square")
+    return z_n
+
+
+def _ward_step(w: list[int], m: int) -> int:
+    """Numerator of w_m from the terms below it, by Ward's odd or even step.
+
+    Odd step:  w(2n+1) * w1^3      = w(n+2)*w(n)^3 - w(n+1)^3*w(n-1)
+    Even step: w(2n)   * w2 * w1^2 = w(n+2)*w(n)*w(n-1)^2 - w(n)*w(n-2)*w(n+1)^2
+    """
+    n = m // 2
+    if m % 2:
+        return w[n + 2] * w[n] ** 3 - w[n + 1] ** 3 * w[n - 1]
+    return w[n + 2] * w[n] * w[n - 1] ** 2 - w[n] * w[n - 2] * w[n + 1] ** 2
+
+
+def _ward_denominators(w1: int, w2: int) -> tuple[int, int]:
+    """The divisors of the even and the odd `_ward_step`: w2*w1^2 and w1^3."""
+    return (w2 * w1 * w1, w1**3)
+
+
+def _exact_div(num: int, den: int, index: int) -> int:
+    q, r = divmod(num, den)
+    if r:
+        raise InexactDivisionError(index, num, den)
+    return q
+
+
+def ladder_block(seeds: tuple[int, int, int, int], p: int | None, n: int) -> list[int]:
+    """w_{n-3}..w_{n+4} modulo p, or over Z when p is None, in O(log n) steps.
+
+    Shipsey's double-and-add (R. Shipsey, thesis, Goldsmiths 2000): with w_{-m} = -w_m,
+    `_ward_step` maps the block at j (w_{j-3}..w_{j+4} at list positions 0..7) to the
+    one at 2j + b, at positions 3 + b..10 + b of indices shifted down by the even 2(j-3).
+    Modulo p the divisions are by inverses, so p must be coprime to w1*w2; over Z each
+    must be exact, or `InexactDivisionError` names the index.
+    """
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    w1, w2, w3, w4 = seeds if p is None else (s % p for s in seeds)
+    if w1 == 0 or w2 == 0:
+        raise ValueError(
+            "w1 and w2 must be non-zero" if p is None else f"stream modulo {p} needs p coprime to w1*w2"
+        )
+    w = [-w3, -w2, -w1, 0, w1, w2, w3, w4]  # the block at j = 0
+    den = _ward_denominators(w1, w2)
+    if p is None:
+        j = 0
+        for b in map(int, bin(n)[2:]):
+            w = [_exact_div(_ward_step(w, m), den[m & 1], m + 2 * j - 6) for m in range(3 + b, 11 + b)]
+            j = 2 * j + b
+        return w
+    inv = [invmod(d % p, p) for d in den]
+    for b in map(int, bin(n)[2:]):
+        w = [_ward_step(w, m) * inv[m & 1] % p for m in range(3 + b, 11 + b)]
+    return w
 
 
 def scalar_mul(n: int, p: PointQ, curve: CurveQ) -> PointQ:
-    """n*P by double-and-add; n may be any integer."""
+    """n*P for any integer n, from the division values at P (Silverman, AEC,
+    Ex. 3.7): x(nP) = x - psi_(n-1)*psi_(n+1)/psi_n^2 and y(nP) =
+    psi_(2n)/(2*psi_n^4).
+
+    The exact `ladder_block` at n gives w_(n-1), w_n and w_(n+1), one even
+    `_ward_step` on it gives w_(2n), and z_n comes from `_z_from_w`.  Then
+    x(nP) = (x*w_n^2 - w_(n-1)*w_(n+1)) / (z^2*w_n^2) and y(nP) =
+    w_(2n) / (2*w_n^4*z^3), and the coordinates over z_n^2 and z_n^3 are two
+    exact divisions.  w_n = 0 exactly when nP = O.  A reduced denominator
+    of x(nP) that is not a square, or a y(nP) whose denominator is not
+    z_n^3, raises ValueError; neither happens on an integral model.  A
+    point with y = 0 (w_2 = 0, which the ladder cannot divide by) is its
+    own odd multiples.
+    """
     if n < 0:
-        return scalar_mul(-n, -p, curve)
-    result = PointQ.infinity()
-    base = p
-    while n:
-        if n & 1:
-            result = add(result, base, curve)
-        n >>= 1
-        if n:
-            base = add(base, base, curve)
-    return result
+        return -scalar_mul(-n, p, curve)
+    if p.is_infinity or (n % 2 == 0 and p.y == 0):
+        return PointQ.infinity()
+    if p.y == 0:
+        return p
+    seeds = division_poly_seeds(curve, p)
+    w = ladder_block(seeds, None, n)
+    w_prev, w_n, w_next = w[2:5]
+    if w_n == 0:
+        return PointQ.infinity()
+    z_n = _z_from_w(p, _companion_gcd(curve, p) == 1, n, w_prev, w_n, w_next)
+    w_2n = _exact_div(_ward_step(w, 6), _ward_denominators(*seeds[:2])[0], 2 * n)
+    # z_n^2 is the reduced denominator of x(nP), so this division is exact
+    x = (p.x * w_n**2 - w_prev * w_next) * z_n**2 // (p.z * w_n) ** 2
+    y, rem = divmod(w_2n * z_n**3, 2 * w_n**4 * p.z**3)
+    if rem:
+        raise ValueError(f"the denominator of y({n}P) is not the cube of z_{n}")
+    return PointQ(x, y, z_n)
 
 
 def is_torsion(p: PointQ, curve: CurveQ) -> tuple[bool, int | None]:
@@ -135,20 +240,20 @@ def is_torsion(p: PointQ, curve: CurveQ) -> tuple[bool, int | None]:
     Nagell-Lutz (Silverman, AEC, Cor. VIII.7.2): on this integral model a
     torsion point P has z = 1, and y = 0 or y^2 | 4a^3 + 27b^2, and 2P,
     with x(2P) = x - w_3/w_2^2, is integral too.  By Mazur the order is
-    then the first n <= 12 with w_n = psi_n(P) = 0 (`eds.generate_ward`).
+    then the first n <= 12 with w_n = psi_n(P) = 0: the seeds w_1..w_4,
+    then w_5..w_12 from the exact `ladder_block` at 8.
     """
     if p.is_infinity:
         return True, 1
     if p.z != 1 or (p.y != 0 and curve.disc % (p.y * p.y)):
         return False, None
-    from .eds import WardSeed, division_poly_seeds, generate_ward  # eds imports this module
-
     seeds = division_poly_seeds(curve, p)  # w_1..w_4
     if p.y != 0 and seeds[2] % (seeds[1] * seeds[1]):
         return False, None
-    order = next((n for n, w in enumerate(seeds, start=1) if w == 0), None)  # a WardSeed needs w_2*w_3 != 0
+    order = next((n for n, w in enumerate(seeds, start=1) if w == 0), None)  # the ladder needs w_2 != 0
     if order is None:
-        order = generate_ward(WardSeed(*seeds), TORSION_SEARCH_BOUND).degenerate_at
+        block = ladder_block(seeds, None, TORSION_SEARCH_BOUND - 4)  # w_5..w_12
+        order = next((n for n, w in enumerate(block, start=5) if w == 0), None)
     return order is not None, order
 
 
@@ -350,15 +455,18 @@ def small_multiple(q: int, point: PointQ, curve: CurveQ) -> PointQ | None:
     when its denominator would pass RATIONAL_BASE_MAX_BITS bits.
 
     Heights grow quadratically, so that size is about q^2/4 times the bits
-    of z(2P).  Reducing q*P mod p costs what multiplying P mod p by q does
+    of z(2P), which `_z_from_w` reads from w_1, w_2 and w_3 without forming
+    2P.  Reducing q*P mod p costs what multiplying P mod p by q does
     when z(q*P) has 2,500-3,500 bits, a third of that at the 100-300 bits
     of q <= 13 on small points, and 11 times as much at q = 307, where
     forming q*P also takes about a second.  The estimate from 2P is low by
     up to half on small points, so the bound sits below that crossover.
     """
-    double = add(point, point, curve)
-    if q * q * double.z.bit_length() > 4 * RATIONAL_BASE_MAX_BITS:
-        return None
+    if not (point.is_infinity or point.y == 0):  # else 2P = O
+        w1, w2, w3, _ = division_poly_seeds(curve, point)
+        double_z = _z_from_w(point, _companion_gcd(curve, point) == 1, 2, w1, w2, w3)
+        if q * q * double_z.bit_length() > 4 * RATIONAL_BASE_MAX_BITS:
+            return None
     return scalar_mul(q, point, curve)
 
 

@@ -67,9 +67,15 @@ def generate(spec: LrsSpec, n_terms: int) -> list[int]:
 
 
 def eval_exact(spec: LrsSpec, n: int) -> int:
+    """u_n exactly, holding only the last k terms."""
     if n < 1:
         raise ValueError("indices start at 1")
-    return generate(spec, n)[-1]
+    if n <= spec.order:
+        return spec.initial[n - 1]
+    terms = list(spec.initial)
+    for _ in range(n - spec.order):
+        terms = [*terms[1:], sum(c * terms[-i] for i, c in enumerate(spec.coeffs, start=1))]
+    return terms[-1]
 
 
 def char_poly(spec: LrsSpec) -> Poly:

@@ -2,23 +2,19 @@
 
 Covers the leading-term expansion of the composite polynomial Q, the
 (beta^u - 1) determinant factorization, admissible residue counting,
-the quadratic-congruence lift construction, the row-stochastic
-fixed-point collision argument, and multiplicative independence of
-rationals.  Everything is exact.
+the quadratic-congruence lift construction, and the row-stochastic
+fixed-point collision argument.  Everything is exact.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .ntkernel import (
-    IncompleteFactorization,
     Poly,
     Residue,
     det_fraction,
-    factorize,
     hensel_lift_sqrt,
     invmod,
     is_prime,
@@ -234,69 +230,3 @@ def fixed_point_collision(matrix: list[list]) -> CollisionReport:
     ]
     return CollisionReport(n, len(basis), basis, pairs)
 
-
-# ---------------------------------------------------------------------------
-# multiplicative independence
-
-
-@dataclass
-class IndependenceResult:
-    status: str  # "ok" | "inconclusive"
-    independent: bool | None
-    relation: tuple[int, ...] | None  # exponents with prod v_i^e_i = 1
-
-    @property
-    def dependent(self) -> bool:
-        return self.independent is False
-
-
-def multiplicative_independence_check(values: list) -> IndependenceResult:
-    """Decide whether non-zero rationals satisfy a non-trivial power relation.
-
-    Exponent vectors over the primes of all numerators and denominators are
-    collected and an exact integer kernel is computed; any non-zero kernel
-    vector yields a relation (doubled when needed to absorb signs).
-    """
-    vals = [Fraction(v) for v in values]
-    if not vals:
-        raise ValueError("need at least one value")
-    if any(v == 0 for v in vals):
-        raise ValueError("values must be non-zero")
-    exponents: list[dict[int, int]] = []
-    try:
-        for v in vals:
-            vec: dict[int, int] = {}
-            for p, e in factorize(v.numerator).items():
-                vec[p] = vec.get(p, 0) + e
-            for p, e in factorize(v.denominator).items():
-                vec[p] = vec.get(p, 0) - e
-            exponents.append(vec)
-    except IncompleteFactorization:
-        return IndependenceResult("inconclusive", None, None)
-    primes = sorted({p for vec in exponents for p in vec})
-    # rows indexed by prime, columns by value: kernel vectors are relations
-    rows = [[Fraction(vec.get(p, 0)) for vec in exponents] for p in primes]
-    if not rows:
-        rows = [[Fraction(0)] * len(vals)]  # all values are +-1
-    basis = kernel_basis(rows)
-    if not basis:
-        return IndependenceResult("ok", True, None)
-    raw = basis[0]
-    scale = math.lcm(*(f.denominator for f in raw))
-    ints = [int(f * scale) for f in raw]
-    g = math.gcd(*ints)
-    ints = [x // g for x in ints]
-    first = next(x for x in ints if x)
-    if first < 0:
-        ints = [-x for x in ints]
-    sign = 1
-    for v, e in zip(vals, ints):
-        if v < 0 and e % 2:
-            sign = -sign
-    if sign < 0:
-        ints = [2 * x for x in ints]
-    check = Fraction(1)
-    for v, e in zip(vals, ints):
-        check *= v**e
-    assert check == 1, "kernel vector must verify as an exact relation"
-    return IndependenceResult("ok", False, tuple(ints))

@@ -165,12 +165,23 @@ class WitnessCertificate:
 # q selection
 
 
-def validate_q(q: int, spec: LrsSpec, curve: CurveQ, exclusions: tuple[int, ...] = ()) -> None:
-    """q must be an odd prime avoiding the last coefficient, the discriminant,
-    the exclusion list, and every 2^j - 1 for j up to the order (this keeps q
-    coprime to the multiplicative orders available modulo any p = 2 mod q)."""
+def validate_q(
+    q: int, spec: LrsSpec, curve: CurveQ, exclusions: tuple[int, ...] = (), a_target: int = DEFAULT_A_TARGET
+) -> None:
+    """a_target must be at least 2, and q an odd prime with a_target != 1
+    (mod q), avoiding the last coefficient, the discriminant, the exclusion
+    list, and every (a_target - 1)^j - 1 for j up to the order k.
+
+    The finder scans p = a_target - 1 (mod q), where p^j - 1 = (a_target -
+    1)^j - 1 (mod q), so the last rule, ord_q(a_target - 1) > k, keeps q
+    coprime to the multiplicative orders available modulo any such p.
+    """
+    if a_target < 2:
+        raise ValueError("the trace target must be at least 2")
     if q < 3 or not is_prime(q):
         raise ValueError("q must be an odd prime")
+    if (a_target - 1) % q == 0:
+        raise ValueError("a_target = 1 (mod q) makes the determinant class vanish")
     if q in exclusions:
         raise ValueError(f"q={q} is excluded")
     if spec.coeffs[-1] % q == 0:
@@ -178,16 +189,27 @@ def validate_q(q: int, spec: LrsSpec, curve: CurveQ, exclusions: tuple[int, ...]
     if curve.disc % q == 0:
         raise ValueError(f"q={q} divides the curve discriminant")
     for j in range(1, spec.order + 1):
-        if (2**j - 1) % q == 0:
-            raise ValueError(f"q={q} divides 2^{j} - 1")
+        if ((a_target - 1) ** j - 1) % q == 0:
+            raise ValueError(f"q={q} divides {a_target - 1}^{j} - 1")
 
 
-def choose_q(spec: LrsSpec, curve: CurveQ, exclusions: tuple[int, ...] = ()) -> int:
-    """Smallest admissible prime larger than the recurrence order."""
+def choose_q(
+    spec: LrsSpec, curve: CurveQ, exclusions: tuple[int, ...] = (), a_target: int = DEFAULT_A_TARGET
+) -> int:
+    """Smallest admissible prime larger than the recurrence order.
+
+    From a_target = 3 on, every prime above (a_target - 1)^k that avoids the
+    discriminant, the last coefficient and the exclusions is admissible, so
+    the search ends; at a_target = 2 no q is, as q divides 1^1 - 1 = 0.
+    """
+    if a_target < 3:
+        raise ValueError(
+            "the trace target must be at least 2" if a_target < 2 else "at a_target = 2 every q divides 1^1 - 1"
+        )
     q = next_prime(spec.order)
     while True:
         try:
-            validate_q(q, spec, curve, exclusions)
+            validate_q(q, spec, curve, exclusions, a_target)
             return q
         except ValueError:
             q = next_prime(q)
@@ -250,14 +272,10 @@ def find_witness(
         raise ValueError("a point with y = 0 is 2-torsion")
     seeds = division_poly_seeds(curve, point)
     if q is None:
-        q = choose_q(spec, curve, exclusions)
+        q = choose_q(spec, curve, exclusions, a_target)
     else:
-        validate_q(q, spec, curve, exclusions)
-    if a_target < 2:
-        raise ValueError("the trace target must be at least 2")
+        validate_q(q, spec, curve, exclusions, a_target)
     b_target = (a_target - 1) % q
-    if b_target == 0:
-        raise ValueError("a_target = 1 (mod q) makes the determinant class vanish")
 
     stats = {
         "scanned": 0,

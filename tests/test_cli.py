@@ -692,11 +692,15 @@ def _refuse(*args, **kwargs):
             (*FALSIFY_FIB, "--start", "999990", "--window", "12"),
             "last index 1000001 exceeds the falsify index bound 1000000",
         ),
+        (
+            ("lrs", "eval", *FIB_ARGS, "--n", "100001"),
+            "--n 100001 exceeds the exact evaluation bound 100000; --mod M evaluates it modulo M",
+        ),
     ],
 )
 def test_sizing_option_past_its_bound_exit2_before_any_work(capsys, monkeypatch, argv, message):
-    monkeypatch.setattr(lrs, "generate", _refuse)
-    monkeypatch.setattr(refuter, "ladder_block", _refuse)
+    for module, name in ((lrs, "generate"), (lrs, "eval_exact"), (refuter, "ladder_block")):
+        monkeypatch.setattr(module, name, _refuse)
     assert run(capsys, *argv) == (2, "", f"error: {message}\n")
 
 

@@ -3,6 +3,7 @@ import math
 import os
 import random
 import shutil
+from itertools import islice
 
 import pytest
 
@@ -28,14 +29,13 @@ from edslab.elliptic import (
     CurveFp,
     CurveQ,
     PointQ,
-    add,
     count_points,
     is_torsion,
     point_order_fp,
     reduce_point,
-    scalar_mul,
 )
 from edslab.ntkernel import factorize, sieve_primes
+from test_elliptic import ORACLE_FIXTURES, add, multiples
 
 E = CurveQ(0, 3)
 P = PointQ(1, 2, 1)
@@ -140,26 +140,6 @@ def _chord_tangent_terms(curve, point, n):
     return terms
 
 
-# (curve, point, gcd(2y, 3x^2 + a*z^4)); the 2P and 3P rows are multiples of
-# (0, 2, 1) on (-5, 4), (1, 2, 1) on (0, 3), (1, 1, 1) on (-4, 4),
-# (0, 1, 1) on (1, 1), and (-2, 3, 1) and (2, 5, 1) on (0, 17)
-ORACLE_FIXTURES = [
-    (CurveQ(0, 3), PointQ(1, 2, 1), 1),
-    (CurveQ(-4, 4), PointQ(1, 1, 1), 1),
-    (CurveQ(1, 1), PointQ(0, 1, 1), 1),
-    (CurveQ(1, 1), PointQ(72, 611, 1), 1),  # 3P
-    (CurveQ(-5, 4), PointQ(25, -3, 4), 1),  # 2P
-    (CurveQ(0, 3), PointQ(-23, -11, 4), 1),  # 2P
-    (CurveQ(-4, 4), PointQ(-7, -19, 2), 1),  # 2P
-    (CurveQ(1, 1), PointQ(1, -9, 2), 1),  # 2P
-    (CurveQ(0, 17), PointQ(-2, 3, 1), 6),
-    (CurveQ(0, 17), PointQ(8, -23, 1), 2),  # 2P
-    (CurveQ(0, 17), PointQ(19, 522, 5), 3),  # 3P
-    (CurveQ(0, 17), PointQ(2, 5, 1), 2),
-    (CurveQ(0, 17), PointQ(-64, 59, 5), 2),  # 2P
-]
-
-
 def _companion_gcd(curve, point):
     """gcd(2y, 3x^2 + a*z^4): 1 exactly when z_n = z_1*|w_n| for every n (Ayad)."""
     return math.gcd(2 * point.y, 3 * point.x**2 + curve.a * point.z**4)
@@ -186,44 +166,36 @@ def test_geometric_matches_chord_tangent_walk_on_small_curves():
                 y = math.isqrt(max(x**3 + a * x + b, 0))
                 if y == 0 or y * y != x**3 + a * x + b or is_torsion(PointQ(x, y, 1), curve)[0]:
                     continue
-                for k in (1, 2, 3):
-                    point = scalar_mul(k, PointQ(x, y, 1), curve)
+                for point in islice(multiples(PointQ(x, y, 1), curve), 3):
                     terms = generate_geometric(curve, point, 12).terms
                     assert terms == _chord_tangent_terms(curve, point, 12), (a, b, point)
                     classes[_companion_gcd(curve, point) == 1] += 1
     assert classes[True] > 50 and classes[False] > 50, classes
 
 
-def _addition_budget(monkeypatch, budget):
-    """Patch `elliptic.add` to raise after `budget` calls; returns the call list."""
-    calls = []
+def _forbid_multiples(monkeypatch):
+    """Make `elliptic.scalar_mul`, the library's one n*P over Q, raise."""
 
-    def budgeted_add(p, q, c):
-        calls.append(1)
-        if len(calls) > budget:
-            raise AssertionError(f"more than {budget} point additions")
-        return add(p, q, c)
+    def forbidden(*args):
+        raise AssertionError("a multiple of the point was formed")
 
-    monkeypatch.setattr(elliptic, "add", budgeted_add)
-    return calls
+    monkeypatch.setattr(elliptic, "scalar_mul", forbidden)
 
 
 @pytest.mark.parametrize("curve,point", [(E, P), (CurveQ(0, 17), PointQ(-2, 3, 1))])
 def test_geometric_generation_does_no_point_addition(curve, point, monkeypatch):
     # the torsion check, by Nagell-Lutz and the division-polynomial terms,
-    # adds no points either
-    calls = _addition_budget(monkeypatch, 0)
+    # forms no multiple either
+    _forbid_multiples(monkeypatch)
     seq = generate_geometric(curve, point, 100)
     assert len(seq) == 100 and all(t > 0 for t in seq.terms)
     assert seq.term(100) % seq.term(50) == 0
-    assert calls == []
 
 
 def test_height_estimate_does_no_point_addition(monkeypatch):
-    calls = _addition_budget(monkeypatch, 0)
+    _forbid_multiples(monkeypatch)
     report = canonical_height_estimate(P, E, 48)
     assert [n for n, _ in report.estimates] == list(range(2, 49))
-    assert calls == []
 
 
 def test_z_repeats_the_companion_period_only_up_to_sign():
@@ -604,6 +576,16 @@ def test_cache_round_trips_terms_past_the_decimal_limit(tmp_path):
     assert load_sequence(str(tmp_path), curve, point, 87).terms == seq.terms
 
 
+def _count_ward_steps(monkeypatch):
+    """Record each `_ward_step` where its callers look it up: `ladder_block`
+    in elliptic, `geometric_term` in eds.  Returns the list of steps."""
+    steps = []
+    step = elliptic._ward_step
+    for module in (elliptic, eds):
+        monkeypatch.setattr(module, "_ward_step", lambda w, m: steps.append(m) or step(w, m))
+    return steps
+
+
 def test_warm_load_adds_no_points_and_takes_logarithmically_many_steps(tmp_path, monkeypatch):
     curve, point, n = CurveQ(1, -9), PointQ(2, 1, 1), 105
     seq = generate_geometric(curve, point, n)
@@ -612,11 +594,9 @@ def test_warm_load_adds_no_points_and_takes_logarithmically_many_steps(tmp_path,
     def forbidden(*args):
         raise AssertionError("a warm load regenerated or added points")
 
-    for module, name in ((elliptic, "scalar_mul"), (elliptic, "add"), (eds, "generate_ward")):
+    for module, name in ((elliptic, "scalar_mul"), (eds, "generate_ward")):
         monkeypatch.setattr(module, name, forbidden)
-    steps = []
-    step = eds._ward_step
-    monkeypatch.setattr(eds, "_ward_step", lambda w, m: steps.append(m) or step(w, m))
+    steps = _count_ward_steps(monkeypatch)
     assert load_sequence(str(tmp_path), curve, point, n).terms == seq.terms
     # one ladder at 1 and one at n, 8 steps per bit
     assert 0 < len(steps) <= 8 * (math.log2(n) + 2)
@@ -626,9 +606,7 @@ def test_geometric_term_computes_three_terms_in_its_last_doubling(monkeypatch):
     # 8 terms per step of the ladder to n // 2, then only w_(n-1), w_n, w_(n+1)
     curve, point = CurveQ(-4, 4), PointQ(1, 1, 1)
     expected = generate_geometric(curve, point, 160).terms
-    steps = []
-    step = eds._ward_step
-    monkeypatch.setattr(eds, "_ward_step", lambda w, m: steps.append(m) or step(w, m))
+    steps = _count_ward_steps(monkeypatch)
     for n in (1, 2, 3, 89, 160):
         steps.clear()
         assert geometric_term(curve, point, n) == expected[n - 1]
@@ -656,8 +634,9 @@ def test_exact_ladder_matches_the_recurrence_and_the_geometric_terms(curve, poin
         assert ladder_block(seeds, None, n) == block, n
         if n:
             assert geometric_term(curve, point, n) == geo[n - 1], n
+    chord_tangent = _chord_tangent_terms(curve, point, 30)
     for n in (1, 2, 7, 30):
-        assert geometric_term(curve, point, n) == scalar_mul(n, point, curve).z
+        assert geometric_term(curve, point, n) == chord_tangent[n - 1]
 
 
 def test_exact_ladder_reports_an_inexact_division():

@@ -1,5 +1,8 @@
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import islice
 
@@ -9,12 +12,12 @@ from edslab import elliptic
 from edslab.eds import canonical_height_estimate
 from edslab.elliptic import (
     NAIVE_COUNT_BELOW,
+    RATIONAL_BASE_MAX_BITS,
     TORSION_SEARCH_BOUND,
     BadReductionError,
     CurveFp,
     CurveQ,
     PointQ,
-    add,
     count_points,
     count_points_naive,
     fp_scalar_mul,
@@ -28,11 +31,46 @@ from edslab.elliptic import (
     scalar_mul,
     small_multiple,
 )
-from edslab.ntkernel import order_from_multiple, sieve_primes, sqrt_mod_prime
+from edslab.ntkernel import is_prime, order_from_multiple, sieve_primes, sqrt_mod_prime
 from test_galois_density import CM_CURVES
 
 E = CurveQ(0, 3)
 P = PointQ(1, 2, 1)
+
+
+def add(p, q, curve):
+    """Chord-tangent sum of two points, in Jacobian coordinates over Z: the
+    independent reference for every n*P and z_n the library reads from the
+    division-value recurrence.
+
+    Clearing the slope's denominator z1*e1 = z2*e2 from the affine formulas
+    gives (x3/z3^2, y3/z3^3).  One renormalization follows: u^2 = gcd(x3,
+    z3^2) leaves x/z^2 in lowest terms, and y3/u^3 must be an integer; both
+    hold on an integral model, otherwise ValueError.
+    """
+    if p.is_infinity or q.is_infinity:
+        return q if p.is_infinity else p
+    z1s, z2s = p.z * p.z, q.z * q.z
+    u1, u2 = p.x * z2s, q.x * z1s
+    s1, s2 = p.y * z2s * q.z, q.y * z1s * p.z
+    if u1 == u2:
+        if s1 == -s2 or p.y == 0:  # p.y = 0 != q.y only off the curve: a vertical tangent
+            return PointQ.infinity()
+        q, num, e1, e2 = p, 3 * p.x * p.x + curve.a * z1s * z1s, 2 * p.y, 2 * p.y  # tangent, x2 = x1
+    else:
+        num, e1, e2 = s2 - s1, q.z * (u2 - u1), p.z * (u2 - u1)
+    x1e = p.x * e1 * e1
+    x3 = num * num - x1e - q.x * e2 * e2
+    y3 = num * (x1e - x3) - p.y * e1**3
+    z3 = p.z * e1
+    g = math.gcd(x3, z3 * z3)
+    u = math.isqrt(g) if z3 > 0 else -math.isqrt(g)
+    if u * u != g:
+        raise ValueError(f"denominator {z3 * z3 // g} is not a perfect square")
+    y, rem = divmod(y3, u * g)
+    if rem:
+        raise ValueError("y denominator is not the cube of z")
+    return PointQ(x3 // g, y, z3 // u)
 
 
 def multiples(point, curve):
@@ -42,7 +80,7 @@ def multiples(point, curve):
     current = point
     while True:
         yield current
-        current = elliptic.add(current, point, curve)
+        current = add(current, point, curve)
 
 
 def fp_add(p1, p2, curve):
@@ -65,6 +103,26 @@ def fp_add(p1, p2, curve):
     x3 = (lam * lam - x1 - x2) % p
     y3 = (lam * (x1 - x3) - y1) % p
     return (x3, y3)
+
+
+# (curve, point, gcd(2y, 3x^2 + a*z^4)); the 2P and 3P rows are multiples of
+# (0, 2, 1) on (-5, 4), (1, 2, 1) on (0, 3), (1, 1, 1) on (-4, 4),
+# (0, 1, 1) on (1, 1), and (-2, 3, 1) and (2, 5, 1) on (0, 17)
+ORACLE_FIXTURES = [
+    (CurveQ(0, 3), PointQ(1, 2, 1), 1),
+    (CurveQ(-4, 4), PointQ(1, 1, 1), 1),
+    (CurveQ(1, 1), PointQ(0, 1, 1), 1),
+    (CurveQ(1, 1), PointQ(72, 611, 1), 1),  # 3P
+    (CurveQ(-5, 4), PointQ(25, -3, 4), 1),  # 2P
+    (CurveQ(0, 3), PointQ(-23, -11, 4), 1),  # 2P
+    (CurveQ(-4, 4), PointQ(-7, -19, 2), 1),  # 2P
+    (CurveQ(1, 1), PointQ(1, -9, 2), 1),  # 2P
+    (CurveQ(0, 17), PointQ(-2, 3, 1), 6),
+    (CurveQ(0, 17), PointQ(8, -23, 1), 2),  # 2P
+    (CurveQ(0, 17), PointQ(19, 522, 5), 3),  # 3P
+    (CurveQ(0, 17), PointQ(2, 5, 1), 2),
+    (CurveQ(0, 17), PointQ(-64, 59, 5), 2),  # 2P
+]
 
 
 def test_curve_rejects_singular():
@@ -104,8 +162,8 @@ def test_scalar_mul_matches_repeated_add():
 def test_multiples_walk_the_multiples_lazily(monkeypatch):
     expected = [scalar_mul(n, P, E) for n in range(1, 13)]
     # one addition per step after P, and none before a step is asked for
-    calls = []
-    monkeypatch.setattr(elliptic, "add", lambda a, b, c: calls.append(1) or add(a, b, c))
+    calls, chord_tangent = [], add
+    monkeypatch.setitem(globals(), "add", lambda a, b, c: calls.append(1) or chord_tangent(a, b, c))
     walk = multiples(P, E)
     assert next(walk) == P and not calls
     assert list(islice(walk, 11)) == expected[1:]
@@ -190,6 +248,9 @@ def test_integer_add_refuses_a_point_off_the_integral_model(point, message):
         _fraction_add(point, point, E)
     with pytest.raises(ValueError, match=message):
         add(point, point, E)
+    for n in (2, 3):
+        with pytest.raises(ValueError):
+            scalar_mul(n, point, E)
 
 
 def test_torsion_detection():
@@ -234,11 +295,11 @@ TORSION_FIXTURES = [
 
 @pytest.mark.parametrize("a,b,x,y,order", TORSION_FIXTURES)
 def test_torsion_rules_find_every_rational_order(a, b, x, y, order, monkeypatch):
-    # Nagell-Lutz and the first zero of w_n up to Mazur's bound, with no point added
+    # Nagell-Lutz and the first zero of w_n up to Mazur's bound, with no multiple of P formed
     curve, point = CurveQ(a, b), PointQ(x, y, 1)
     assert curve.contains(point) and TORSION_SEARCH_BOUND == 12
     assert _full_torsion_walk(point, curve) == (True, order)
-    monkeypatch.setattr(elliptic, "add", None)
+    monkeypatch.setattr(elliptic, "scalar_mul", None)
     assert is_torsion(point, curve) == (True, order)
 
 
@@ -256,8 +317,7 @@ def test_torsion_early_exit_matches_the_full_walk():
                 y = math.isqrt(max(f, 0))
                 if f < 0 or y * y != f:
                     continue
-                for k in (1, 2, 3):
-                    point = scalar_mul(k, PointQ(x, y, 1), curve)
+                for k, point in enumerate(islice(multiples(PointQ(x, y, 1), curve), 3), start=1):
                     verdict = is_torsion(point, curve)
                     assert verdict == _full_torsion_walk(point, curve), (a, b, x, k)
                     if verdict[0]:
@@ -442,6 +502,60 @@ def test_small_multiple_refuses_a_large_rational_base(monkeypatch):
     assert small_multiple(13, point, curve) == scalar_mul(13, point, curve)
     monkeypatch.setattr(elliptic, "scalar_mul", _no_multiple)
     assert small_multiple(1009, point, curve) is None
+
+
+# (-2, 3, 1) on (0, 17), whose companion gcd is 6; 2P of (1, 2, 1) on (0, 3),
+# with z = 4; and torsion points of orders 2, 3, 6 and 7
+SCALAR_MUL_FIXTURES = [
+    (CurveQ(0, 17), PointQ(-2, 3, 1)),
+    (E, PointQ(-23, -11, 4)),
+    (CurveQ(0, 1), PointQ(-1, 0, 1)),
+    (CurveQ(0, 1), PointQ(0, 1, 1)),
+    (CurveQ(0, 1), PointQ(2, 3, 1)),
+    (CurveQ(-43, 166), PointQ(3, 8, 1)),
+]
+
+
+@pytest.mark.parametrize("curve,point", SCALAR_MUL_FIXTURES)
+def test_scalar_mul_matches_the_chord_tangent_multiples(curve, point):
+    # every n from -20 to 40, n = 0 included
+    ref = [PointQ.infinity(), *islice(multiples(point, curve), 40)]
+    for n in range(-20, 41):
+        assert scalar_mul(n, point, curve) == (ref[n] if n >= 0 else -ref[-n]), n
+
+
+def test_small_multiple_matches_the_chord_tangent_walk():
+    # q*P for every prime q <= 67, or None where the size predicted from the
+    # chord-tangent 2P passes the bound; the torsion points, the one with
+    # y = 0 among them, are never refused
+    kept = refused = 0
+    for curve, point in [*(fixture[:2] for fixture in ORACLE_FIXTURES), *SCALAR_MUL_FIXTURES]:
+        ref = [PointQ.infinity(), *islice(multiples(point, curve), 67)]
+        for q in filter(is_prime, range(68)):
+            if q * q * ref[2].z.bit_length() > 4 * RATIONAL_BASE_MAX_BITS:
+                assert small_multiple(q, point, curve) is None, (point, q)
+                refused += 1
+            else:
+                assert small_multiple(q, point, curve) == ref[q], (point, q)
+                kept += 1
+    assert kept > 0 and refused > 0, (kept, refused)
+
+
+def test_point_arithmetic_loads_no_sequence_module():
+    # the division-value recurrence lives in elliptic: the torsion rules and
+    # q*P over Q run without edslab.eds
+    probe = (
+        "import sys\n"
+        "from edslab.elliptic import CurveQ, PointQ, is_torsion, scalar_mul, small_multiple\n"
+        "curve, point = CurveQ(0, 1), PointQ(2, 3, 1)\n"
+        "assert is_torsion(point, curve) == (True, 6)\n"
+        "assert small_multiple(5, point, curve) == scalar_mul(5, point, curve) == -point\n"
+        "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'edslab'))\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.split() == ["edslab", "edslab.elliptic", "edslab.ntkernel"]
 
 
 def _no_multiple(*args):

@@ -51,6 +51,25 @@ def test_eval_exact_fixed_values():
     assert generate(FIBONACCI, 8) == [1, 1, 2, 3, 5, 8, 13, 21]
 
 
+
+def test_eval_exact_memory_follows_one_term_not_n():
+    import tracemalloc
+
+    # the peak is a few terms' worth at every n; u_1..u_n, which it held
+    # before, peaked at 466.6 MB for Fibonacci at n = 10^5
+    for spec in (FIBONACCI, LrsSpec(3, (1, 1, 1), (1, 1, 2))):
+        terms = generate(spec, 60)
+        assert [eval_exact(spec, n) for n in range(1, 61)] == terms
+        for n in (5_000, 20_000):
+            tracemalloc.start()
+            try:
+                u = eval_exact(spec, n)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert u % 1_000_003 == eval_mod(spec, n, 1_000_003)
+            assert peak < 8 * (u.bit_length() // 8) + 4096, (spec, n, peak)
+
 def test_eval_exact_matches_matrix_power():
     rng = random.Random(23)
     for _ in range(10):

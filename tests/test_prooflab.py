@@ -12,7 +12,6 @@ from edslab.prooflab import (
     det_beta_identity,
     expand_q,
     fixed_point_collision,
-    multiplicative_independence_check,
     q_lemma_prediction,
 )
 
@@ -217,26 +216,3 @@ def test_fixed_point_random_property():
         n = rng.randint(3, 6)
         report = fixed_point_collision(_random_admissible(rng, n))
         assert report.has_collision, report
-
-
-def test_multiplicative_independence_fixed_cases():
-    assert multiplicative_independence_check([2, 3]).independent
-    dep = multiplicative_independence_check([2, 4])
-    assert dep.dependent and dep.relation == (2, -1)
-    assert multiplicative_independence_check([6, 10, 15]).independent
-
-
-def test_multiplicative_independence_with_rationals_and_signs():
-    dep = multiplicative_independence_check([Fraction(2, 3), Fraction(9, 4)])
-    assert dep.dependent
-    e1, e2 = dep.relation
-    assert Fraction(2, 3) ** e1 * Fraction(9, 4) ** e2 == 1
-    dep = multiplicative_independence_check([-2, 4])
-    assert dep.dependent
-    e1, e2 = dep.relation
-    assert Fraction(-2) ** e1 * Fraction(4) ** e2 == 1
-
-
-def test_multiplicative_independence_validation():
-    with pytest.raises(ValueError):
-        multiplicative_independence_check([1, 0])

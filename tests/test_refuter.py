@@ -55,6 +55,47 @@ def test_choose_q_skips_mersenne_divisors():
         validate_q(7, FIBONACCI, CurveQ(0, 7))  # divides the discriminant 27*49
 
 
+TRIBONACCI = LrsSpec(3, (1, 1, 1), (1, 1, 2))
+
+
+def test_validate_q_takes_the_order_of_a_minus_one_modulo_q():
+    # the finder scans p = a - 1 (mod q), so q must not divide (a - 1)^j - 1
+    # for j <= k: ord_q(a - 1) > k, which is the rule on 2^j - 1 only at a = 3
+    for a in range(2, 12):
+        for q in (3, 5, 7, 13, 17, 19, 23):  # 11 divides the discriminant 176
+            orders = [j for j in range(1, q) if pow(a - 1, j, q) == 1]
+            admissible = (a - 1) % q != 0 and orders[0] > TRIBONACCI.order
+            try:
+                validate_q(q, TRIBONACCI, E, a_target=a)
+                refused = False
+            except ValueError:
+                refused = True
+            assert refused != admissible, (q, a)
+    with pytest.raises(ValueError, match=r"^q=7 divides 2\^3 - 1$"):
+        validate_q(7, TRIBONACCI, E)
+    with pytest.raises(ValueError, match="at least 2"):
+        validate_q(5, TRIBONACCI, E, a_target=1)
+    with pytest.raises(ValueError, match="determinant class vanish"):
+        validate_q(5, TRIBONACCI, E, a_target=6)
+    assert choose_q(TRIBONACCI, E, a_target=5) == 13  # 4^2 = 1 (mod 5), 4^3 = 1 (mod 7), 11 | 176
+    for a in (1, 2):  # no q is admissible: the search must not run forever
+        with pytest.raises(ValueError):
+            choose_q(TRIBONACCI, E, a_target=a)
+
+
+def test_find_witness_certifies_a_q_the_rule_on_two_refused():
+    # ord_7(3) = 6 > 3, though 7 divides 2^3 - 1
+    result = find_witness(E, P, TRIBONACCI, 7, a_target=4, p_max=20_000)
+    assert result.found and verify_certificate(result.certificate).ok
+    assert result.certificate.trace % 7 == 4
+
+
+def test_find_witness_refuses_a_q_the_rule_on_two_admitted():
+    # ord_13(3) = 3: every p = 3 (mod 13) has 13 | p^3 - 1
+    with pytest.raises(ValueError, match=r"^q=13 divides 3\^3 - 1$"):
+        find_witness(E, P, TRIBONACCI, 13, a_target=4, p_max=20_000)
+
+
 def test_find_witness_fixture():
     result = find_witness(E, P, FIBONACCI, 5, p_max=10_000)
     assert result.found

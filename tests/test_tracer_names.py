@@ -1,7 +1,9 @@
 """Every function `bench/tracer.py` wraps must exist where it looks for it,
-and every call of it in the library must pass positionally each argument
-its counter reads as `args[i]`: otherwise only a traced benchmark run
-notices that a name left the library or that a call moved to a keyword."""
+be called somewhere in the library outside its own definition, and every
+call of it in the library must pass positionally each argument its counter
+reads as `args[i]`: otherwise only a traced benchmark run notices that a
+name left the library, that its metrics now read 0, or that a call moved to
+a keyword."""
 
 import ast
 import importlib
@@ -12,18 +14,55 @@ ROOT = Path(__file__).resolve().parent.parent
 TRACER = ROOT / "bench" / "tracer.py"
 
 
-def test_every_traced_function_exists_in_its_module():
+def _traced() -> dict[str, dict]:
     spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
-    assert {"eds", "lrs", "elliptic"} <= set(tracer.TRACED)
+    return tracer.TRACED
+
+
+def _library_calls():
+    """(module name, enclosing top-level function or None, call node, called
+    name) for each call in src/edslab whose callee is a plain or dotted name."""
+    for path in sorted((ROOT / "src" / "edslab").glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            owner = top.name if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)) else None
+            for node in ast.walk(top):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else func.attr if isinstance(func, ast.Attribute) else None
+                if name is not None:
+                    yield path.stem, owner, node, name
+
+
+def test_every_traced_function_exists_in_its_module():
+    traced = _traced()
+    assert {"eds", "lrs", "elliptic"} <= set(traced)
     missing = [
         f"{layer}.{name}"
-        for layer, names in tracer.TRACED.items()
+        for layer, names in traced.items()
         for name in names
         if not callable(getattr(importlib.import_module(f"edslab.{layer}"), name, None))
     ]
     assert not missing, missing
+
+
+def test_every_traced_function_is_called_in_the_library():
+    # a traced function no library code calls would read 0 in every run;
+    # a call inside its own definition (recursion) does not count
+    traced = _traced()
+    called = {name: set() for names in traced.values() for name in names}
+    for module, owner, _, name in _library_calls():
+        if name in called:
+            called[name].add((module, owner))
+    uncalled = [
+        f"{layer}.{name}"
+        for layer, names in traced.items()
+        for name in names
+        if not called[name] - {(layer, name)}
+    ]
+    assert not uncalled, uncalled
 
 
 def _positional_reads(tree: ast.Module) -> dict[str, int]:
@@ -59,17 +98,12 @@ def test_traced_arguments_are_passed_positionally():
     assert {"eds.generate_geometric": 3, "eds.stream_mod_p": 3, "elliptic.count_points": 1}.items() <= needed.items()
     by_name = {qualified.split(".")[1]: count for qualified, count in needed.items()}
     checked, short = set(), []
-    for path in sorted((ROOT / "src" / "edslab").glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            name = func.id if isinstance(func, ast.Name) else func.attr if isinstance(func, ast.Attribute) else None
-            if name not in by_name:
-                continue
-            checked.add(name)
-            positional = [arg for arg in node.args if not isinstance(arg, ast.Starred)]
-            if len(positional) < by_name[name] and len(positional) == len(node.args):
-                short.append(f"{path.name}:{node.lineno}: {name} with {len(positional)} positional arguments")
+    for module, _, node, name in _library_calls():
+        if name not in by_name:
+            continue
+        checked.add(name)
+        positional = [arg for arg in node.args if not isinstance(arg, ast.Starred)]
+        if len(positional) < by_name[name] and len(positional) == len(node.args):
+            short.append(f"{module}.py:{node.lineno}: {name} with {len(positional)} positional arguments")
     assert not short, short
     assert checked == set(by_name)
