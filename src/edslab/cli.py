@@ -323,7 +323,10 @@ def cmd_lrs_eval(args) -> int:
         )
     spec = _lrs_spec(args)
     if args.mod is None:
-        print(lrs.eval_exact(spec, args.n))
+        try:
+            print(lrs.eval_exact(spec, args.n))
+        except ValueError as exc:  # a term past lrs.MAX_TERM_BITS, or one too long to print
+            raise ValueError(f"--n {args.n}: {exc}; --mod M evaluates it modulo M") from None
     elif args.mod < 2:
         raise ValueError(f"--mod {args.mod} must be at least 2")
     else:

@@ -30,6 +30,7 @@ from .elliptic import (
     PointQ,
     _companion_gcd,
     _exact_div,
+    _last_doubling,
     _ward_denominators,
     _ward_step,
     _z_from_w,
@@ -127,11 +128,8 @@ def generate_geometric(curve: CurveQ, point: PointQ, n_terms: int) -> EdsSequenc
 
 
 def geometric_term(curve: CurveQ, point: PointQ, n: int) -> int:
-    """z_n alone: the exact `ladder_block` at n // 2, then w_(n-1..n+1) of its last doubling."""
-    seeds = division_poly_seeds(curve, point)
-    j, b = divmod(n, 2)
-    block, den = ladder_block(seeds, None, j), _ward_denominators(*seeds[:2])
-    w = [_exact_div(_ward_step(block, m), den[m & 1], m + 2 * j - 6) for m in range(5 + b, 8 + b)]
+    """z_n alone, from w_(n-1), w_n, w_(n+1) of `_last_doubling`."""
+    w = _last_doubling(division_poly_seeds(curve, point), n, -1, 1)
     return _z_from_w(point, _companion_gcd(curve, point) == 1, n, *w)
 
 

@@ -198,20 +198,28 @@ def ladder_block(seeds: tuple[int, int, int, int], p: int | None, n: int) -> lis
     return w
 
 
+def _last_doubling(seeds: tuple[int, int, int, int], n: int, lo: int, hi: int) -> list[int]:
+    """w_(n+lo)..w_(n+hi) over Z, -3 <= lo <= hi <= 4: the exact `ladder_block` at
+    n // 2, then only those terms of the doubling that reaches n."""
+    j, b = divmod(n, 2)
+    block, den = ladder_block(seeds, None, j), _ward_denominators(*seeds[:2])
+    steps = range(lo + 6 + b, hi + 7 + b)  # step m gives w_(2j + m - 6)
+    return [_exact_div(_ward_step(block, m), den[m & 1], m + 2 * j - 6) for m in steps]
+
+
 def scalar_mul(n: int, p: PointQ, curve: CurveQ) -> PointQ:
     """n*P for any integer n, from the division values at P (Silverman, AEC,
     Ex. 3.7): x(nP) = x - psi_(n-1)*psi_(n+1)/psi_n^2 and y(nP) =
     psi_(2n)/(2*psi_n^4).
 
-    The exact `ladder_block` at n gives w_(n-1), w_n and w_(n+1), one even
-    `_ward_step` on it gives w_(2n), and z_n comes from `_z_from_w`.  Then
-    x(nP) = (x*w_n^2 - w_(n-1)*w_(n+1)) / (z^2*w_n^2) and y(nP) =
-    w_(2n) / (2*w_n^4*z^3), and the coordinates over z_n^2 and z_n^3 are two
-    exact divisions.  w_n = 0 exactly when nP = O.  A reduced denominator
-    of x(nP) that is not a square, or a y(nP) whose denominator is not
-    z_n^3, raises ValueError; neither happens on an integral model.  A
-    point with y = 0 (w_2 = 0, which the ladder cannot divide by) is its
-    own odd multiples.
+    `_last_doubling` gives w_(n-2)..w_(n+2), one even `_ward_step` on them
+    gives w_(2n), and z_n comes from `_z_from_w`.  Then x(nP) = (x*w_n^2 -
+    w_(n-1)*w_(n+1)) / (z^2*w_n^2) and y(nP) = w_(2n) / (2*w_n^4*z^3), and
+    the coordinates over z_n^2 and z_n^3 are two exact divisions.  w_n = 0
+    exactly when nP = O.  A reduced denominator of x(nP) that is not a
+    square, or a y(nP) whose denominator is not z_n^3, raises ValueError;
+    neither happens on an integral model.  A point with y = 0 (w_2 = 0,
+    which the ladder cannot divide by) is its own odd multiples.
     """
     if n < 0:
         return -scalar_mul(-n, p, curve)
@@ -220,12 +228,12 @@ def scalar_mul(n: int, p: PointQ, curve: CurveQ) -> PointQ:
     if p.y == 0:
         return p
     seeds = division_poly_seeds(curve, p)
-    w = ladder_block(seeds, None, n)
-    w_prev, w_n, w_next = w[2:5]
+    w = _last_doubling(seeds, n, -2, 2)
+    w_prev, w_n, w_next = w[1:4]
     if w_n == 0:
         return PointQ.infinity()
     z_n = _z_from_w(p, _companion_gcd(curve, p) == 1, n, w_prev, w_n, w_next)
-    w_2n = _exact_div(_ward_step(w, 6), _ward_denominators(*seeds[:2])[0], 2 * n)
+    w_2n = _exact_div(_ward_step(w, 4), _ward_denominators(*seeds[:2])[0], 2 * n)
     # z_n^2 is the reduced denominator of x(nP), so this division is exact
     x = (p.x * w_n**2 - w_prev * w_next) * z_n**2 // (p.z * w_n) ** 2
     y, rem = divmod(w_2n * z_n**3, 2 * w_n**4 * p.z**3)

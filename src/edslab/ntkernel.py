@@ -304,7 +304,7 @@ def lcm_tower(p: int, k: int) -> int:
 
 @dataclass(frozen=True)
 class Residue:
-    """A value in canonical range [0, modulus)."""
+    """A value in canonical range [0, modulus): the result of a congruence."""
 
     value: int
     modulus: int
@@ -314,49 +314,29 @@ class Residue:
             raise ValueError("modulus must be positive")
         object.__setattr__(self, "value", self.value % self.modulus)
 
-    def _coerce(self, other) -> int:
-        if isinstance(other, Residue):
-            if other.modulus != self.modulus:
-                raise ValueError("modulus mismatch")
-            return other.value
-        return int(other)
-
-    def __add__(self, other):
-        return Residue(self.value + self._coerce(other), self.modulus)
-
-    def __sub__(self, other):
-        return Residue(self.value - self._coerce(other), self.modulus)
-
-    def __mul__(self, other):
-        return Residue(self.value * self._coerce(other), self.modulus)
-
-    def __pow__(self, n: int):
-        return Residue(pow(self.value, n, self.modulus), self.modulus)
-
-    def inverse(self) -> "Residue":
-        return Residue(invmod(self.value, self.modulus), self.modulus)
-
-    def __int__(self) -> int:
-        return self.value
-
 
 # ---------------------------------------------------------------------------
 # exact rational linear algebra (small systems)
 
 
-def rref_fraction(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form over Q; returns (rref, pivot columns)."""
+def rref_fraction(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int], Fraction]:
+    """Reduced row echelon form over Q: (rref, pivot columns, det), det the product of the
+    pivots, negated per row swap, and 0 below full row rank: a square input's determinant."""
     mat = [list(map(Fraction, row)) for row in rows]
     if not mat:
-        return [], []
+        return [], [], Fraction(1)
     ncols = len(mat[0])
     pivots: list[int] = []
+    det = Fraction(1)
     r = 0
     for c in range(ncols):
         pivot = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
         if pivot is None:
             continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
+        if pivot != r:
+            mat[r], mat[pivot] = mat[pivot], mat[r]
+            det = -det
+        det *= mat[r][c]
         inv = 1 / mat[r][c]
         mat[r] = [x * inv for x in mat[r]]
         for i in range(len(mat)):
@@ -367,7 +347,7 @@ def rref_fraction(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], lis
         r += 1
         if r == len(mat):
             break
-    return mat, pivots
+    return mat, pivots, det if r == len(mat) else Fraction(0)
 
 
 def kernel_basis(rows: list[list[Fraction]]) -> list[list[Fraction]]:
@@ -375,7 +355,7 @@ def kernel_basis(rows: list[list[Fraction]]) -> list[list[Fraction]]:
     if not rows:
         return []
     ncols = len(rows[0])
-    rref, pivots = rref_fraction(rows)
+    rref, pivots, _ = rref_fraction(rows)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for fc in free:
@@ -388,24 +368,8 @@ def kernel_basis(rows: list[list[Fraction]]) -> list[list[Fraction]]:
 
 
 def det_fraction(rows: list[list[Fraction]]) -> Fraction:
-    """Determinant over Q by fraction Gaussian elimination."""
-    n = len(rows)
-    mat = [list(map(Fraction, row)) for row in rows]
-    det = Fraction(1)
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if mat[i][c] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != c:
-            mat[c], mat[pivot] = mat[pivot], mat[c]
-            det = -det
-        det *= mat[c][c]
-        inv = 1 / mat[c][c]
-        for i in range(c + 1, n):
-            if mat[i][c] != 0:
-                f = mat[i][c] * inv
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[c])]
-    return det
+    """Determinant over Q of a square matrix, as `rref_fraction` reads it."""
+    return rref_fraction(rows)[2]
 
 
 # ---------------------------------------------------------------------------
@@ -488,12 +452,6 @@ class Poly:
             acc = acc * x + (Poly(c) if isinstance(x, Poly) else c)
         return acc
 
-    def compose(self, inner: "Poly") -> "Poly":
-        acc = Poly()
-        for c in reversed(self.coeffs):
-            acc = acc * inner + Poly(c)
-        return acc
-
     def divmod_exact(self, divisor: "Poly") -> tuple["Poly", "Poly"]:
         if divisor.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
@@ -555,11 +513,3 @@ def cyclotomic_factor_orders(f: Poly, bound: int):
         if not any(h):
             yield m
 
-
-def cyclotomic_root_of_unity_test(f: Poly, bound: int) -> tuple[bool, int | None]:
-    """Does f share a factor with some cyclotomic polynomial Phi_m, phi(m) <= bound?
-
-    Returns (True, m) for the smallest such m, else (False, None).
-    """
-    m = next(cyclotomic_factor_orders(f, bound), None)
-    return m is not None, m

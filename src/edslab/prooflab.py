@@ -54,9 +54,8 @@ def expand_q(poly: Poly, alpha) -> QExpansion:
     if poly.is_zero():
         raise ValueError("P must be non-zero")
     alpha = Fraction(alpha)
-    q = poly.compose(_SQ_2X1) - alpha**3 * (
-        poly.compose(_SQ_XP2) * poly.compose(_SQ_X) ** 3
-        - poly.compose(_SQ_XM1) * poly.compose(_SQ_XP1) ** 3
+    q = poly(_SQ_2X1) - alpha**3 * (
+        poly(_SQ_XP2) * poly(_SQ_X) ** 3 - poly(_SQ_XM1) * poly(_SQ_XP1) ** 3
     )
     leading = None if q.is_zero() else q.leading
     return QExpansion(poly, alpha, q, q.degree, leading)

@@ -4,6 +4,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -702,6 +703,17 @@ def test_sizing_option_past_its_bound_exit2_before_any_work(capsys, monkeypatch,
     for module, name in ((lrs, "generate"), (lrs, "eval_exact"), (refuter, "ladder_block")):
         monkeypatch.setattr(module, name, _refuse)
     assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+def test_exact_lrs_eval_bounds_the_size_of_its_terms(capsys):
+    start = time.monotonic()
+    code, out, err = run(capsys, "lrs", "eval", "--lrs", "1", str(10**300 + 7), "1", "--n", "5000")
+    assert time.monotonic() - start < 1
+    assert (code, out) == (2, "")
+    assert err.startswith("error: --n 5000: u_34 has ") and err.endswith("; --mod M evaluates it modulo M\n")
+    code, out, _ = run(capsys, "lrs", "eval", *FIB_ARGS, "--n", "20000")
+    assert code == 0 and len(out.strip()) == 4180
+    assert run(capsys, "lrs", "eval", *FIB_ARGS, "--n", "21000")[:2] == (2, "")
 
 
 CURVE_44 = ("--curve", "-4", "4", "--point", "1", "1", "1")

@@ -159,6 +159,18 @@ def test_scalar_mul_matches_repeated_add():
         assert E.contains(acc)
 
 
+def test_scalar_mul_computes_five_terms_in_its_last_doubling(monkeypatch):
+    # 8 terms per step of the ladder to n // 2, then w_(n-2)..w_(n+2) and w_(2n)
+    curve, point = CurveQ(-4, 4), PointQ(1, 1, 1)
+    expected = list(islice(multiples(point, curve), 160))
+    steps, step = [], elliptic._ward_step
+    monkeypatch.setattr(elliptic, "_ward_step", lambda w, m: steps.append(m) or step(w, m))
+    for n in (1, 2, 3, 89, 160):
+        steps.clear()
+        assert scalar_mul(n, point, curve) == expected[n - 1]
+        assert len(steps) == 8 * len(bin(n // 2)[2:]) + 6, n
+
+
 def test_multiples_walk_the_multiples_lazily(monkeypatch):
     expected = [scalar_mul(n, P, E) for n in range(1, 13)]
     # one addition per step after P, and none before a step is asked for

@@ -8,6 +8,7 @@ from edslab.eds import generate_geometric
 from edslab.elliptic import CurveQ, PointQ
 from edslab.lrs import (
     FIBONACCI,
+    MAX_TERM_BITS,
     LrsSpec,
     _ratio_polynomial,
     char_poly,
@@ -50,6 +51,13 @@ def test_eval_exact_fixed_values():
     assert eval_exact(geometric, 5) == 48
     assert generate(FIBONACCI, 8) == [1, 1, 2, 3, 5, 8, 13, 21]
 
+
+
+def test_eval_exact_stops_as_soon_as_a_term_passes_the_bound():
+    doubling = LrsSpec(1, (2,), (1,))  # u_n = 2^(n-1) has n bits
+    assert eval_exact(doubling, MAX_TERM_BITS) == 1 << (MAX_TERM_BITS - 1)
+    with pytest.raises(ValueError, match=f"u_{MAX_TERM_BITS + 1} has {MAX_TERM_BITS + 1} bits"):
+        eval_exact(doubling, MAX_TERM_BITS + 1)
 
 
 def test_eval_exact_memory_follows_one_term_not_n():
@@ -172,7 +180,6 @@ def test_fit_fibonacci():
     assert fit.spec.order == 2
     assert fit.spec.coeffs == (1, 1)
     assert fit.spec.initial == (1, 1)
-    assert fit.spec.minimal
 
 
 def test_fit_constant():
@@ -201,7 +208,7 @@ def _reference_fit_order(terms: list[int], k: int) -> tuple[Fraction, ...] | Non
     """Order-k coefficients reproducing every window, by one Fraction RREF, or None."""
     rows = [[Fraction(terms[i + k - j]) for j in range(1, k + 1)] for i in range(len(terms) - k)]
     augmented = [row + [Fraction(terms[i + k])] for i, row in enumerate(rows)]
-    rref, pivots = rref_fraction(augmented)
+    rref, pivots, _ = rref_fraction(augmented)
     if k in pivots:
         return None  # inconsistent
     coeffs = [Fraction(0)] * k
@@ -231,7 +238,7 @@ def _reference_fit(terms: list[int], bound: int):
         if any(c.denominator != 1 for c in coeffs):
             violations.append((k, coeffs))
             continue
-        spec = LrsSpec(k, tuple(int(c) for c in coeffs), tuple(terms[:k]), minimal=True)
+        spec = LrsSpec(k, tuple(int(c) for c in coeffs), tuple(terms[:k]))
         if generate(spec, len(terms)) == terms:
             return spec, violations
     return None, violations
@@ -608,7 +615,8 @@ def test_growth_diagnostic_dominant_root():
 
 def test_parsers():
     spec = parse_lrs_spec("lrs 2 1 1 1 1")
-    assert spec == LrsSpec(2, (1, 1), (1, 1))
+    assert spec == LrsSpec(2, (1, 1), (1, 1)) == FIBONACCI
+    assert fit_minimal_recurrence(generate(FIBONACCI, 24)).spec == spec
     with pytest.raises(ValueError):
         parse_lrs_spec("lrs 2 1 1 1")
     assert parse_terms(["1", "", "# comment", "2"]) == [1, 2]

@@ -1,4 +1,6 @@
 import functools
+import itertools
+import math
 import random
 import tracemalloc
 from fractions import Fraction
@@ -13,7 +15,6 @@ from edslab.ntkernel import (
     Residue,
     cyclotomic_factor_orders,
     cyclotomic_orders,
-    cyclotomic_root_of_unity_test,
     det_fraction,
     factorize,
     hensel_lift_sqrt,
@@ -229,7 +230,7 @@ def test_poly_ring_axioms_randomized():
 def test_poly_compose_evaluate_divmod():
     f = Poly(1, 2, 1)  # (x+1)^2
     g = Poly(0, 0, 1)  # x^2
-    assert f.compose(g) == Poly(1, 0, 2, 0, 1)
+    assert f(g) == Poly(1, 0, 2, 0, 1)
     assert f(3) == 16
     q, r = Poly(-1, 0, 0, 1).divmod_exact(Poly(-1, 1))
     assert q == Poly(1, 1, 1) and r.is_zero()
@@ -262,14 +263,18 @@ def test_cyclotomic_polynomials():
         assert cyclotomic_polynomial(m).degree == euler_phi(m)
 
 
+def _least_order(f: Poly, bound: int) -> int | None:
+    return next(cyclotomic_factor_orders(f, bound), None)
+
+
 def test_root_of_unity_detection():
-    assert cyclotomic_root_of_unity_test(Poly(1, 1), 4) == (True, 2)
-    assert cyclotomic_root_of_unity_test(Poly(-2, 1), 20) == (False, None)
-    assert cyclotomic_root_of_unity_test(Poly(1, 1, 1), 6) == (True, 3)
+    assert _least_order(Poly(1, 1), 4) == 2
+    assert _least_order(Poly(-2, 1), 20) is None
+    assert _least_order(Poly(1, 1, 1), 6) == 3
     # x - 1 is the order-1 root of unity
-    assert cyclotomic_root_of_unity_test(Poly(-1, 1), 4) == (True, 1)
+    assert _least_order(Poly(-1, 1), 4) == 1
     with pytest.raises(ValueError):
-        cyclotomic_root_of_unity_test(Poly(), 4)
+        _least_order(Poly(), 4)
 
 
 def _reference_cyclotomic_orders(f: Poly, bound: int) -> list[int]:
@@ -291,7 +296,6 @@ def test_integer_cyclotomic_search_matches_poly_division():
         bound = rng.randint(1, 20)
         expected = _reference_cyclotomic_orders(f, bound)
         assert list(cyclotomic_factor_orders(f, bound)) == expected, (f, bound)
-        assert cyclotomic_root_of_unity_test(f, bound) == (bool(expected), expected[0] if expected else None)
         hits += bool(expected)
     assert hits > 30
 
@@ -307,7 +311,7 @@ def test_cyclotomic_search_makes_no_poly_division(monkeypatch):
         raise AssertionError("Poly.divmod_exact called")
 
     monkeypatch.setattr(Poly, "divmod_exact", refuse)
-    assert [cyclotomic_root_of_unity_test(f, 20) for f in cases] == [(True, 2), (True, 7), (False, None)]
+    assert [_least_order(f, 20) for f in cases] == [2, 7, None]
     assert list(cyclotomic_factor_orders(cases[1], 20)) == [7, 15]
 
 
@@ -317,11 +321,73 @@ def test_exact_linear_algebra():
     assert det_fraction([[Fraction(1), Fraction(2)], [Fraction(3), Fraction(4)]]) == -2
 
 
+def _leibniz(rows: list[list[int]]) -> int:
+    """The determinant as a sum of signed products over permutations: the
+    reference for the elimination's determinant."""
+    n = len(rows)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        total += (-1) ** inversions * math.prod(rows[i][perm[i]] for i in range(n))
+    return total
+
+
+def _rank_by_minors(rows: list[list[int]], n_cols: int) -> int:
+    """The largest r with a non-zero r x r minor in the first n_cols columns."""
+    for r in range(min(len(rows), n_cols), 0, -1):
+        for ri in itertools.combinations(range(len(rows)), r):
+            for ci in itertools.combinations(range(n_cols), r):
+                if _leibniz([[rows[i][j] for j in ci] for i in ri]):
+                    return r
+    return 0
+
+
+def _elimination_cases():
+    """(matrix, Hankel terms or None): seeded integer matrices 1x1..5x5."""
+    rng = random.Random(2718)
+    for n in range(1, 6):
+        for _ in range(8):
+            yield [[rng.choice((0, 0, 0, -3, -1, 1, 2, 5)) for _ in range(n)] for _ in range(n)], None
+        full = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+        # the first pivot needs a row swap
+        swap = [row[:] for row in full]
+        swap[0][0], swap[-1][0] = 0, 1
+        yield swap, None
+        # a zero first column, and a repeated row: both singular
+        yield [[0, *row[1:]] for row in full], None
+        yield [*full[: n - 1], full[0]] if n > 1 else [[0]], None
+        terms = [rng.randint(-3, 3) for _ in range(2 * n - 1)]
+        yield [[terms[i + j] for j in range(n)] for i in range(n)], terms
+
+
+def test_one_elimination_gives_the_determinant_rank_and_kernel():
+    from edslab.lrs import hankel_rank
+
+    seen = {"swap": 0, "singular": 0, "regular": 0}
+    for rows, terms in _elimination_cases():
+        n = len(rows)
+        det = _leibniz(rows)
+        assert det_fraction([[Fraction(x) for x in row] for row in rows]) == det, rows
+        seen["singular" if det == 0 else "regular"] += 1
+        seen["swap"] += det != 0 and rows[0][0] == 0
+        rank = _rank_by_minors(rows, n)
+        if terms is not None:
+            assert hankel_rank(terms) == rank, terms
+        # the kernel basis is the reduced-echelon one: a unit at one free
+        # column (a column in the span of those before it), 0 at the others
+        free = [c for c in range(n) if _rank_by_minors(rows, c + 1) == _rank_by_minors(rows, c)]
+        basis = kernel_basis([[Fraction(x) for x in row] for row in rows])
+        assert len(basis) == len(free) == n - rank, rows
+        for fc, vec in zip(free, basis):
+            assert [vec[c] for c in free] == [int(c == fc) for c in free], rows
+            assert all(sum(a * v for a, v in zip(row, vec)) == 0 for row in rows), rows
+    assert min(seen.values()) >= 5, seen
+
+
 def test_residue_arithmetic():
     r = Residue(8, 5)
-    assert r.value == 3
-    assert (r + 4).value == 2
-    assert (r * r).value == 4
-    assert r.inverse().value == 2
+    assert (r.value, r.modulus) == (3, 5)
+    assert Residue(-1, 7).value == 6
+    assert Residue(5, 1).value == 0
     with pytest.raises(ValueError):
-        Residue(2, 6).inverse()
+        Residue(2, 0)

@@ -189,6 +189,7 @@ def test_certificate_roundtrip_and_verify():
     text = cert.to_json()
     parsed = WitnessCertificate.from_json(text)
     assert parsed.to_json() == text
+    assert parsed == cert
     verdict = verify_certificate(parsed)
     assert verdict.ok, verdict.failures
 
@@ -360,7 +361,7 @@ def test_second_fixture_roundtrip():
     # a second curve/spec pair exercises the pipeline off the main fixture
     curve = CurveQ(-6, 6)
     point = PointQ(1, 1, 1)
-    spec = LrsSpec(3, (1, 1, 1), (1, 1, 2), minimal=True)  # tribonacci
+    spec = LrsSpec(3, (1, 1, 1), (1, 1, 2))  # tribonacci
     q = choose_q(spec, curve)
     assert q == 5
     result = find_witness(curve, point, spec, q, p_max=20_000)
@@ -373,8 +374,8 @@ def test_second_fixture_roundtrip():
     "curve,point,spec",
     [
         (CurveQ(-5, 2), PointQ(-2, 2, 1), FIBONACCI),
-        (CurveQ(-3, -1), PointQ(2, 1, 1), LrsSpec(2, (1, 1), (1, 3), minimal=True)),  # Lucas
-        (CurveQ(-6, 6), PointQ(1, 1, 1), LrsSpec(3, (0, 1, 1), (1, 1, 1), minimal=True)),  # Padovan
+        (CurveQ(-3, -1), PointQ(2, 1, 1), LrsSpec(2, (1, 1), (1, 3))),  # Lucas
+        (CurveQ(-6, 6), PointQ(1, 1, 1), LrsSpec(3, (0, 1, 1), (1, 1, 1))),  # Padovan
     ],
 )
 def test_soundness_across_fixtures(curve, point, spec):
@@ -517,9 +518,9 @@ def test_finder_rejects_a_long_walk_of_u_before_it_starts():
     assert verdict.ok, verdict.failures
 
 
-TRIBONACCI = LrsSpec(3, (1, 1, 1), (1, 1, 2), minimal=True)
-LUCAS = LrsSpec(2, (1, 1), (1, 3), minimal=True)
-PADOVAN = LrsSpec(3, (0, 1, 1), (1, 1, 1), minimal=True)
+TRIBONACCI = LrsSpec(3, (1, 1, 1), (1, 1, 2))
+LUCAS = LrsSpec(2, (1, 1), (1, 3))
+PADOVAN = LrsSpec(3, (0, 1, 1), (1, 1, 1))
 
 
 @pytest.mark.parametrize("spec", [FIBONACCI, LUCAS])
