@@ -132,8 +132,8 @@ def _at_least_one(args, key: str, default: int) -> int:
 # output rendering
 
 
-def _emit(fmt: str, headers: list[str], rows: list[list], json_payload=None, out=None):
-    out = out or sys.stdout
+def _emit(fmt: str, headers: list[str], rows: list[list], json_payload=None):
+    out = sys.stdout
     if fmt == "json":
         import json  # here, not at the top, like csv below
 
@@ -212,7 +212,7 @@ def _lrs_spec(args) -> lrs.LrsSpec:
 
 
 def cmd_eds_gen(args) -> int:
-    from . import eds, elliptic
+    from . import eds
 
     stride = _at_least_one(args, "stride", 1)
     n = _at_least_one(args, "n", 20)
@@ -236,8 +236,7 @@ def cmd_eds_gen(args) -> int:
     for i in range(1, n + 1):
         idx = i * stride
         z = seq.term(idx)
-        c = elliptic.log_bigint(z) / idx**2 if z > 1 else 0.0
-        rows.append([idx, z, f"{c:.6f}"])
+        rows.append([idx, z, f"{eds.height_ratio(idx, z):.6f}"])
     _emit(args.format, ["n", "z_n", "log(z_n)/n^2"], rows)
     return EXIT_OK
 
@@ -325,7 +324,7 @@ def cmd_lrs_eval(args) -> int:
     if args.mod is None:
         try:
             print(lrs.eval_exact(spec, args.n))
-        except ValueError as exc:  # a term past lrs.MAX_TERM_BITS, or one too long to print
+        except ValueError as exc:  # a term past lrs.MAX_TERM_BITS
             raise ValueError(f"--n {args.n}: {exc}; --mod M evaluates it modulo M") from None
     elif args.mod < 2:
         raise ValueError(f"--mod {args.mod} must be at least 2")
@@ -406,14 +405,20 @@ def cmd_density_empirical(args) -> int:
 
 
 def _emit_density(fmt: str, report: galois_density.DensityReport) -> None:
-    payload = report.to_json_dict()
-    scan = payload.pop("empirical", None)
+    delta = report.delta
+    payload = {
+        **_fields(report, "q", "a", "b", "numerator", "denominator"),
+        "delta_num": delta.numerator,
+        "delta_den": delta.denominator,
+    }
+    scan = report.empirical
     if scan is not None:
+        counts = _fields(scan, "x", "hits", "scanned")
         if fmt == "json":
-            payload["empirical"] = scan
+            payload["empirical"] = counts
         else:  # a table or CSV cell holds one value: flat x, hits, scanned
-            payload.update(scan)
-        payload["frequency"] = f"{scan['hits']}/{scan['scanned']}"
+            payload.update(counts)
+        payload["frequency"] = f"{scan.hits}/{scan.scanned}"
     payload["delta"] = f"{report.numerator}/{report.denominator}"
     _emit_record(fmt, payload)
 

@@ -114,11 +114,11 @@ def generate_geometric(curve: CurveQ, point: PointQ, n_terms: int) -> EdsSequenc
     """
     if n_terms < 1:
         raise ValueError("need at least one term")
+    if not curve.contains(point):
+        raise ValueError("point is not on the curve")
     torsion, order = is_torsion(point, curve)
     if torsion:
         raise ValueError(f"point is torsion (order {order}); the sequence degenerates")
-    if not curve.contains(point):
-        raise ValueError("point is not on the curve")
     seed = WardSeed(*division_poly_seeds(curve, point))
     coprime = _companion_gcd(curve, point) == 1
     # the coprime path reads no w_(n+1): its last term is never generated
@@ -148,6 +148,12 @@ def generate_ward(seed: WardSeed, n_terms: int) -> EdsSequence:
     return EdsSequence("ward", w[1 : n_terms + 1], seed=seed, degenerate_at=degenerate_at)
 
 
+def height_ratio(n: int, z_n: int) -> float:
+    """log(z_n)/n^2, whose limit is the canonical height of the point; 0.0
+    for z_n <= 1."""
+    return log_bigint(z_n) / n**2 if z_n > 1 else 0.0
+
+
 @dataclass
 class HeightReport:
     estimates: list[tuple[int, float]]  # (n, log z_n / n^2)
@@ -163,7 +169,7 @@ def canonical_height_estimate(p: PointQ, curve: CurveQ, n_max: int) -> HeightRep
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
     terms = generate_geometric(curve, p, n_max).terms
-    estimates = [(n, log_bigint(z) / n**2) for n, z in enumerate(terms, start=1) if z > 1]
+    estimates = [(n, height_ratio(n, z)) for n, z in enumerate(terms, start=1) if z > 1]
     if not estimates:
         raise ValueError("sequence did not grow within the range")
     limit = estimates[-1][1]
@@ -265,8 +271,8 @@ def eds_period_mod_p(seq: EdsSequence, p: int) -> EdsPeriodResult:
         raise ValueError("p must be an odd prime")
     if seq.source == "geometric":
         curve, point = seq.curve, seq.point
-        if curve.disc % p == 0 or point.z % p == 0:
-            raise ValueError(f"need p coprime to the discriminant and to z1 (p={p})")
+        if (curve.disc * point.z * 2 * point.y) % p == 0:
+            raise ValueError(f"need p coprime to the discriminant, z1 and 2*y1 (p={p})")
         require_exact_companion(curve, point)
         cfp = CurveFp.from_curve(curve, p)
         n_points, trace = count_points(cfp)

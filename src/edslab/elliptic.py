@@ -46,9 +46,6 @@ class CurveQ:
         x, y, z = point.x, point.y, point.z
         return y * y == x**3 + self.a * x * z**4 + self.b * z**6
 
-    def __str__(self):
-        return f"y^2 = x^3 + {self.a}*x + {self.b}"
-
 
 @dataclass(frozen=True)
 class PointQ:
@@ -76,9 +73,6 @@ class PointQ:
         if self.is_infinity:
             return self
         return PointQ(self.x, -self.y, self.z)
-
-    def __str__(self):
-        return "O" if self.is_infinity else f"({self.x}:{self.y}:{self.z})"
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +202,7 @@ def _last_doubling(seeds: tuple[int, int, int, int], n: int, lo: int, hi: int) -
 
 
 def scalar_mul(n: int, p: PointQ, curve: CurveQ) -> PointQ:
-    """n*P for any integer n, from the division values at P (Silverman, AEC,
+    """n*P for n >= 0, from the division values at P (Silverman, AEC,
     Ex. 3.7): x(nP) = x - psi_(n-1)*psi_(n+1)/psi_n^2 and y(nP) =
     psi_(2n)/(2*psi_n^4).
 
@@ -221,8 +215,6 @@ def scalar_mul(n: int, p: PointQ, curve: CurveQ) -> PointQ:
     neither happens on an integral model.  A point with y = 0 (w_2 = 0,
     which the ladder cannot divide by) is its own odd multiples.
     """
-    if n < 0:
-        return -scalar_mul(-n, p, curve)
     if p.is_infinity or (n % 2 == 0 and p.y == 0):
         return PointQ.infinity()
     if p.y == 0:
@@ -285,12 +277,6 @@ class CurveFp:
         if p == 2 or not is_prime(p):
             raise ValueError("p must be an odd prime")
         return cls(p, curve.a % p, curve.b % p, curve.disc % p != 0)
-
-    def contains(self, pt: PointFp) -> bool:
-        if pt is None:
-            return True
-        x, y = pt
-        return (y * y - (x * x * x + self.a * x + self.b)) % self.p == 0
 
 
 def reduce_point(p: PointQ, curve: CurveQ, prime: int) -> PointFp:

@@ -46,25 +46,6 @@ class DensityReport:
     def delta(self) -> Fraction:
         return Fraction(self.numerator, self.denominator)
 
-    def to_json_dict(self) -> dict:
-        delta = self.delta
-        payload = {
-            "q": self.q,
-            "a": self.a,
-            "b": self.b,
-            "numerator": self.numerator,
-            "denominator": self.denominator,
-            "delta_num": delta.numerator,
-            "delta_den": delta.denominator,
-        }
-        if self.empirical is not None:
-            payload["empirical"] = {
-                "x": self.empirical.x,
-                "hits": self.empirical.hits,
-                "scanned": self.empirical.scanned,
-            }
-        return payload
-
 
 def gl2_order(q: int) -> int:
     return (q * q - 1) * (q * q - q)

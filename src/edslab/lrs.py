@@ -27,10 +27,11 @@ from .ntkernel import (
 DEFAULT_FIT_BOUND = 12
 # longest walk of the state mod p: the period of u mod p can reach p^k - 1
 MAX_WALK = 10_000_000
-# largest term `eval_exact` holds, in bits, above the 14,285 of a 4,300-digit integer
-# (CPython's default print limit): Fibonacci passes it at n = 47,207 in 0.24 s, and
-# 10^5 order-2 steps on terms of this size took 0.52 s (Python 3.11, 2-core machine)
-MAX_TERM_BITS = 1 << 15
+# largest term `eval_exact` holds, in bits: 2^14284 < 10^4300, so every term it
+# returns prints within CPython's default limit of 4,300 digits (the largest
+# 4,300-digit integer has 14,285 bits).  Fibonacci passes it at n = 20,577, and
+# 10^5 order-2 steps on terms of 2^15 bits took 0.52 s (Python 3.11, 2-core machine)
+MAX_TERM_BITS = 14_284
 
 
 @dataclass(frozen=True)

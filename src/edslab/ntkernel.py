@@ -452,23 +452,6 @@ class Poly:
             acc = acc * x + (Poly(c) if isinstance(x, Poly) else c)
         return acc
 
-    def divmod_exact(self, divisor: "Poly") -> tuple["Poly", "Poly"]:
-        if divisor.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dn, dl = divisor.degree, divisor.leading
-        quo = [Fraction(0)] * max(len(rem) - dn, 0)
-        for i in range(len(rem) - dn - 1, -1, -1):
-            f = rem[i + dn] / dl
-            if f:
-                quo[i] = f
-                for j, c in enumerate(divisor.coeffs):
-                    rem[i + j] -= f * c
-        return Poly(*quo), Poly(*rem[:dn])
-
-    def __mod__(self, other: "Poly") -> "Poly":
-        return self.divmod_exact(other)[1]
-
     def __repr__(self):
         return f"Poly({', '.join(repr(c) for c in self.coeffs)})"
 

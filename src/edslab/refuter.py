@@ -268,8 +268,6 @@ def find_witness(
     torsion, order = is_torsion(point, curve)
     if torsion:
         raise ValueError(f"point is torsion (order {order})")
-    if point.y == 0:
-        raise ValueError("a point with y = 0 is 2-torsion")
     seeds = division_poly_seeds(curve, point)
     if q is None:
         q = choose_q(spec, curve, exclusions, a_target)

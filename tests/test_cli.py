@@ -220,6 +220,13 @@ def test_eds_period_json(capsys):
     assert payload["divides_bound"] is True
 
 
+def test_eds_period_refuses_a_prime_dividing_2y1(capsys):
+    # 2*y1 = 52 = 4*13: modulo 13 the point has order 2 and w_2 = 0, and the
+    # refusal named a stream that the command never walks
+    argv = ("eds", "period", "--curve", "-6", "1", "--point", "9", "26", "1", "--p", "13")
+    assert run(capsys, *argv) == (2, "", "error: need p coprime to the discriminant, z1 and 2*y1 (p=13)\n")
+
+
 def test_eds_period_unconfirmed_exit3(capsys, monkeypatch):
     monkeypatch.setattr(eds, "ward_period", lambda seeds, p, rank: None)
     code, out, _ = run(
@@ -710,10 +717,16 @@ def test_exact_lrs_eval_bounds_the_size_of_its_terms(capsys):
     code, out, err = run(capsys, "lrs", "eval", "--lrs", "1", str(10**300 + 7), "1", "--n", "5000")
     assert time.monotonic() - start < 1
     assert (code, out) == (2, "")
-    assert err.startswith("error: --n 5000: u_34 has ") and err.endswith("; --mod M evaluates it modulo M\n")
+    assert err.startswith("error: --n 5000: u_16 has ") and err.endswith("; --mod M evaluates it modulo M\n")
     code, out, _ = run(capsys, "lrs", "eval", *FIB_ARGS, "--n", "20000")
     assert code == 0 and len(out.strip()) == 4180
-    assert run(capsys, "lrs", "eval", *FIB_ARGS, "--n", "21000")[:2] == (2, "")
+    # past 14,284 bits a term may pass the 4,300 digits CPython prints: the
+    # term bound refuses it, and CPython's int-to-str advice never shows
+    assert run(capsys, "lrs", "eval", *FIB_ARGS, "--n", "21000") == (
+        2,
+        "",
+        "error: --n 21000: u_20577 has 14285 bits, past the term bound 14284; --mod M evaluates it modulo M\n",
+    )
 
 
 CURVE_44 = ("--curve", "-4", "4", "--point", "1", "1", "1")

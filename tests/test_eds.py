@@ -53,8 +53,18 @@ def test_geometric_first_terms():
 
 
 def test_geometric_rejects_torsion():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^point is torsion \(order 2\)"):
         generate_geometric(CurveQ(0, -1), PointQ(1, 0, 1), 5)
+
+
+def test_geometric_checks_the_curve_before_torsion():
+    # (0, 0) is off y^2 = x^3 + x + 1, but with z = 1 and y = 0 the torsion
+    # rules give it order 2: it was refused as a torsion point
+    curve, point = CurveQ(1, 1), PointQ(0, 0, 1)
+    with pytest.raises(ValueError, match="^point is not on the curve$"):
+        generate_geometric(curve, point, 5)
+    with pytest.raises(ValueError, match="^point is not on the curve$"):
+        canonical_height_estimate(point, curve, 5)
 
 
 def test_divisibility_property():

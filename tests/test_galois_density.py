@@ -427,10 +427,11 @@ def test_empirical_rejects_a_equal_one():
         empirical_density(E, P, 5, 1, 100)
 
 
-def test_report_json_shape():
-    report = count_gl2(3, 0, 2)
-    payload = report.to_json_dict()
-    assert payload == {
+def test_report_json_shape(capsys):
+    # the density record the CLI builds from a report: the exact cell, the scan
+    # nested under "empirical" in JSON and flat in CSV, the frequency and delta
+    assert main(["density", "gl2", "--q", "3", "--a", "0", "--b", "2", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {
         "q": 3,
         "a": 0,
         "b": 2,
@@ -438,7 +439,24 @@ def test_report_json_shape():
         "denominator": 48,
         "delta_num": 1,
         "delta_den": 4,
+        "delta": "12/48",
     }
-    emp = empirical_density(E, P, 3, 3, 500).to_json_dict()
-    assert set(emp["empirical"]) == {"x", "hits", "scanned"}
-    json.dumps(emp)  # serializable
+    empirical = ["density", "empirical", "--curve", "0", "3", "--point", "1", "2", "1", "--q", "3", "--x", "500"]
+    assert main([*empirical, "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "q": 3,
+        "a": 0,
+        "b": 2,
+        "numerator": 72,
+        "denominator": 432,
+        "delta_num": 1,
+        "delta_den": 6,
+        "empirical": {"x": 500, "hits": 36, "scanned": 93},
+        "frequency": "36/93",
+        "delta": "72/432",
+    }
+    assert main([*empirical, "--format", "csv"]) == 0
+    assert capsys.readouterr().out == (
+        "q,a,b,numerator,denominator,delta_num,delta_den,x,hits,scanned,frequency,delta\n"
+        "3,0,2,72,432,1,6,500,36,93,36/93,72/432\n"
+    )

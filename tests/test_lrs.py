@@ -35,7 +35,7 @@ from edslab.ntkernel import (
     rref_fraction,
     sieve_primes,
 )
-from test_ntkernel import _reference_cyclotomic_orders, cyclotomic_polynomial
+from test_ntkernel import _reference_cyclotomic_orders, cyclotomic_polynomial, poly_divmod
 
 
 def test_spec_validation():
@@ -64,11 +64,12 @@ def test_eval_exact_memory_follows_one_term_not_n():
     import tracemalloc
 
     # the peak is a few terms' worth at every n; u_1..u_n, which it held
-    # before, peaked at 466.6 MB for Fibonacci at n = 10^5
-    for spec in (FIBONACCI, LrsSpec(3, (1, 1, 1), (1, 1, 2))):
+    # before, peaked at 466.6 MB for Fibonacci at n = 10^5; the largest n of
+    # each spec keeps its term within MAX_TERM_BITS
+    for spec, largest in ((FIBONACCI, 20_000), (LrsSpec(3, (1, 1, 1), (1, 1, 2)), 16_000)):
         terms = generate(spec, 60)
         assert [eval_exact(spec, n) for n in range(1, 61)] == terms
-        for n in (5_000, 20_000):
+        for n in (5_000, largest):
             tracemalloc.start()
             try:
                 u = eval_exact(spec, n)
@@ -462,7 +463,7 @@ def _reference_reduction(spec: LrsSpec) -> tuple[int, LrsSpec]:
         if not found:
             break
         orders.append(found[0])
-        probe = probe.divmod_exact(cyclotomic_polynomial(found[0]))[0]
+        probe = poly_divmod(probe, cyclotomic_polynomial(found[0]))[0]
     m = math.lcm(*orders)
     return m, decimate(spec, m * m)
 
@@ -626,8 +627,8 @@ def _squarefree_part(f: Poly) -> Poly:
     """f / gcd(f, f'), made monic: the distinct roots of f, each once."""
     a, b = f, Poly(*[i * c for i, c in enumerate(f.coeffs)][1:])
     while not b.is_zero():
-        a, b = b, a % b
-    q = f.divmod_exact(a)[0]
+        a, b = b, poly_divmod(a, b)[1]
+    q = poly_divmod(f, a)[0]
     return q * (1 / q.leading)
 
 
