@@ -2,9 +2,19 @@
 densities, and machine-checkable witness-prime certificates.
 
 `import edslab` loads no submodule: each public name imports its home
-module when it is first used (PEP 562)."""
+module when it is first used (PEP 562).  Nor does tracing: `_span` loads
+`edslab.obs` only when EDSLAB_TRACE=1."""
+
+import os
+from contextlib import nullcontext
 
 __version__ = "0.1.0"
+
+# EDSLAB_TRACE=1, read once, at import; edslab.obs takes its flag from here.
+# A span of a run without tracing costs one test of it, and loads neither
+# obs nor the json it writes
+_TRACING = os.environ.get("EDSLAB_TRACE") == "1"
+_UNTRACED = nullcontext()
 
 # public name -> the submodule that defines it
 _HOMES = {
@@ -22,6 +32,16 @@ _HOMES = {
 }
 
 __all__ = [*_HOMES, "__version__"]
+
+
+def _span(name: str, **fields):
+    """`obs.span(name, **fields)` when tracing; otherwise a context that does
+    nothing and, as it is entered, gives None where a span gives its fields."""
+    if not _TRACING:
+        return _UNTRACED
+    from . import obs
+
+    return obs.span(name, **fields)
 
 
 def __getattr__(name: str):

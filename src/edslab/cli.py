@@ -14,10 +14,11 @@ builds only its own subcommand's parser.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
 import os
 import sys
+
+from . import _span
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -25,10 +26,6 @@ EXIT_INCONCLUSIVE = 3
 EXIT_VERIFY_FAILED = 4
 
 CACHE_ENV = "EDSLAB_CACHE"
-TRACE_ENV = "EDSLAB_TRACE"  # obs.ENV, named here so that a run without tracing never imports obs
-# read once, at import, as obs reads it: a span of a run without tracing costs one test of this flag
-_TRACING = os.environ.get(TRACE_ENV) == "1"
-_UNTRACED = contextlib.nullcontext()
 # largest `lrs decimate --m`: decimation generates m*(2k+8) exact terms whose
 # sizes grow linearly in the index, so memory grows as m^2 (Fibonacci at
 # m = 3000 peaks at 80 MB)
@@ -232,6 +229,13 @@ def cmd_eds_gen(args) -> int:
         seq = eds.generate_geometric(curve, point, n * stride)
         if cache:
             eds.save_sequence(cache, seq)
+    # from 3.10.7 on, CPython prints no int of more than `limit` digits (0: no limit)
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if limit:
+        bound = 10**limit
+        big = next((i * stride for i in range(1, n + 1) if seq.term(i * stride) >= bound), None)
+        if big is not None:
+            raise ValueError(f"z_{big} has more than {limit} digits, the int-to-str limit (PYTHONINTMAXSTRDIGITS)")
     rows = []
     for i in range(1, n + 1):
         idx = i * stride
@@ -806,16 +810,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--matrix", required=True, help="rows ';'-separated, entries ','-separated")
 
     return parser
-
-
-def _span(name: str, **fields):
-    """`obs.span(name, **fields)` when EDSLAB_TRACE=1.  Otherwise it costs
-    one flag test, and neither edslab.obs nor the json it writes is loaded."""
-    if not _TRACING:
-        return _UNTRACED
-    from . import obs
-
-    return obs.span(name, **fields)
 
 
 def main(argv=None) -> int:

@@ -23,6 +23,7 @@ import math
 import os
 from dataclasses import dataclass
 
+from . import _span
 from .elliptic import (
     CurveFp,
     CurveQ,
@@ -344,28 +345,32 @@ def primitive_divisor_scan(seq: EdsSequence, *, rho_iters: int = 200_000) -> lis
 
 
 def cache_key(curve: CurveQ, point: PointQ) -> str:
-    import hashlib  # in the cache functions only: other commands do not load OpenSSL
+    # in the cache functions only, from CPython's built-in module: hashlib
+    # would load OpenSSL, whatever hash it is asked for
+    from _blake2 import blake2b
 
     payload = f"curve {curve.a} {curve.b} point {point.x} {point.y} {point.z}"
-    return hashlib.sha256(payload.encode()).hexdigest()
+    return blake2b(payload.encode(), digest_size=32).hexdigest()
 
 
 def cache_path(cache_dir: str, curve: CurveQ, point: PointQ) -> str:
     return os.path.join(cache_dir, cache_key(curve, point) + ".eds")
 
 
-CACHE_HEADER = "edslab-eds 3\n"
+CACHE_HEADER = "edslab-eds 4\n"
 
 
 def save_sequence(cache_dir: str, seq: EdsSequence) -> str:
-    """Write the terms in hex and a SHA-256 of the file above it, replacing
-    the file atomically; a write that fails leaves the previous file as it was.
+    """Write the terms in hex and a BLAKE2b-256 of the file above it,
+    replacing the file atomically; a write that fails leaves the previous
+    file as it was.
 
     Hex, unlike decimal, converts in time linear in the size of a term and
     has no length limit.
     """
-    import hashlib
     import tempfile
+
+    from _blake2 import blake2b
 
     if seq.source != "geometric":
         raise ValueError("only geometric sequences are cached")
@@ -374,12 +379,12 @@ def save_sequence(cache_dir: str, seq: EdsSequence) -> str:
     fd, tmp = tempfile.mkstemp(dir=cache_dir, prefix=".eds-", suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            digest = hashlib.sha256()
+            digest = blake2b(digest_size=32)
             lines = (f"{n} {z:x}\n" for n, z in enumerate(seq.terms, start=1))
             for line in itertools.chain([CACHE_HEADER], lines):
                 digest.update(line.encode())
                 fh.write(line)
-            fh.write(f"sha256 {digest.hexdigest()}\n")
+            fh.write(f"blake2b {digest.hexdigest()}\n")
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
@@ -390,36 +395,52 @@ def save_sequence(cache_dir: str, seq: EdsSequence) -> str:
 def load_sequence(cache_dir: str, curve: CurveQ, point: PointQ, n_terms: int) -> EdsSequence | None:
     """Load a cached prefix, or None on a miss.
 
-    A file without the current header (a decimal file of format 2 too),
-    without a matching SHA-256 line, with other than the lines 1..M, or with
-    M < n_terms is a miss.  The hash only finds corruption; it does not tie
-    the file to its (curve, point), so the first and last requested terms
-    must also equal the exact z_1 and z_n of `geometric_term`, O(log n)
-    ladder steps over Z.  The caller regenerates.
+    A file with fewer than n_terms + 2 lines is a miss before it is hashed
+    or split.  So is a file without the current header (formats 2 and 3
+    too), without a matching BLAKE2b-256 line, or with other than the lines
+    1..M.  The hash only finds corruption; it does not tie the file to its
+    (curve, point), so the first and last requested terms must also equal
+    the exact z_1 and z_n of `geometric_term`, O(log n) ladder steps over Z.
+    The caller regenerates.  Under EDSLAB_TRACE=1 each call writes one span
+    that tells a hit from a miss and names the miss.
     """
-    import hashlib
+    with _span("eds.load_sequence", n_terms=n_terms) as record:
+        seq, miss = _read_cached(cache_path(cache_dir, curve, point), curve, point, n_terms)
+        if record is not None:
+            record.update(hit=seq is not None, miss=miss)
+    return seq
+
+
+def _read_cached(path: str, curve: CurveQ, point: PointQ, n_terms: int) -> tuple[EdsSequence | None, str | None]:
+    """`load_sequence`'s answer, with the reason for a miss: absent, short,
+    header, hash, malformed or terms."""
+    from _blake2 import blake2b
 
     try:
-        with open(cache_path(cache_dir, curve, point), "rb") as fh:
+        with open(path, "rb") as fh:
             data = fh.read()
     except OSError:
-        return None
+        return None, "absent"
+    if data.count(b"\n") < n_terms + 2:  # the header, the terms 1..n_terms and the hash line
+        return None, "short"
+    if not data.startswith(CACHE_HEADER.encode()):
+        return None, "header"
     end = data.rfind(b"\n", 0, -1) + 1  # where the hash line starts
-    digest = hashlib.sha256(memoryview(data)[:end]).hexdigest()
-    if not data.startswith(CACHE_HEADER.encode()) or data[end:] != f"sha256 {digest}\n".encode():
-        return None
-    lines = data[len(CACHE_HEADER) : end].splitlines()
-    if len(lines) < n_terms:
-        return None
+    digest = blake2b(memoryview(data)[:end], digest_size=32).hexdigest()
+    if data[end:] != f"blake2b {digest}\n".encode():
+        return None, "hash"
     terms = []
     try:
-        for n, line in enumerate(lines, start=1):
+        for n, line in enumerate(data[len(CACHE_HEADER) : end].splitlines(), start=1):
             n_str, z_str = line.split()
             if int(n_str) != n:
-                return None
+                return None, "malformed"
             terms.append(int(z_str, 16))
+    except ValueError:
+        return None, "malformed"
+    try:
         if any(geometric_term(curve, point, n) != terms[n - 1] for n in (1, n_terms)):
-            return None
-    except ValueError:  # a malformed line, or a point whose sequence the ladder refuses
-        return None
-    return EdsSequence("geometric", terms[:n_terms], curve=curve, point=point)
+            return None, "terms"
+    except ValueError:  # a point whose sequence the ladder refuses
+        return None, "terms"
+    return EdsSequence("geometric", terms[:n_terms], curve=curve, point=point), None

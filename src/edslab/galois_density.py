@@ -27,10 +27,6 @@ class EmpiricalScan:
     scanned: int
     small_sample: bool
 
-    @property
-    def frequency(self) -> Fraction:
-        return Fraction(self.hits, self.scanned) if self.scanned else Fraction(0)
-
 
 @dataclass
 class DensityReport:
@@ -39,7 +35,6 @@ class DensityReport:
     b: int
     numerator: int
     denominator: int
-    kind: str  # "gl2" | "affine"
     empirical: EmpiricalScan | None = None
 
     @property
@@ -60,7 +55,7 @@ def count_gl2(q: int, a: int, b: int) -> DensityReport:
     b %= q
     if b == 0:
         raise ValueError("the determinant class must be non-zero")
-    return DensityReport(q, a, b, conjugacy_type_count(q, a, b), gl2_order(q), "gl2")
+    return DensityReport(q, a, b, conjugacy_type_count(q, a, b), gl2_order(q))
 
 
 def gl2_histogram(q: int, cap: int = DEFAULT_LINEAR_CAP) -> dict[tuple[int, int], int]:
@@ -117,7 +112,7 @@ def count_affine(q: int, a: int, b: int) -> DensityReport:
     else:
         identity = int(a == 2 % q)  # then b = 1
         count = (cell.numerator - identity) * (q * q - q) + identity * (q * q - 1)
-    return DensityReport(q, a, b, count, cell.denominator * q * q, "affine")
+    return DensityReport(q, a, b, count, cell.denominator * q * q)
 
 
 def affine_witness(q: int, a: int) -> tuple[tuple[int, int, int, int], tuple[int, int], bool]:
@@ -195,4 +190,4 @@ def empirical_density(
         tallies = [_empirical_chunk(chunks[0])]
     hits, scanned = map(sum, zip(*tallies))
     scan = EmpiricalScan(x, hits, scanned, small_sample=hits < 30)
-    return DensityReport(q, a % q, b, exact.numerator, exact.denominator, "affine", scan)
+    return DensityReport(q, a % q, b, exact.numerator, exact.denominator, scan)

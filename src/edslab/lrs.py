@@ -123,7 +123,6 @@ def eval_mod(spec: LrsSpec, n: int, p: int) -> int:
 class FitResult:
     status: str  # "ok" | "no_fit"
     spec: LrsSpec | None
-    bound: int
     fatou_violations: list[tuple[int, tuple[Fraction, ...]]]  # (order, rational coeffs)
 
     @property
@@ -187,14 +186,14 @@ def fit_minimal_recurrence(terms: list[int], bound: int = DEFAULT_FIT_BOUND) -> 
     if length == 0:  # all zeros: the first order tried is u_(n+1) = u_n
         length, conn = 1, [1, -1]
     if 2 * length > len(terms) or length > bound or conn[-1] == 0:
-        return FitResult("no_fit", None, bound, [])
+        return FitResult("no_fit", None, [])
     lead = conn[0]
     if any(c % lead for c in conn):
-        return FitResult("no_fit", None, bound, [(length, tuple(Fraction(-c, lead) for c in conn[1:]))])
+        return FitResult("no_fit", None, [(length, tuple(Fraction(-c, lead) for c in conn[1:]))])
     spec = LrsSpec(length, tuple(-c // lead for c in conn[1:]), tuple(terms[:length]))
     if generate(spec, len(terms)) == terms:
-        return FitResult("ok", spec, bound, [])
-    return FitResult("no_fit", None, bound, [])
+        return FitResult("ok", spec, [])
+    return FitResult("no_fit", None, [])
 
 
 # ---------------------------------------------------------------------------

@@ -1,27 +1,26 @@
 """Opt-in tracing: JSON lines on stderr.
 
-Tracing is on when EDSLAB_TRACE=1 is set as this module is imported;
+Tracing is on when EDSLAB_TRACE=1 is set as the package is imported;
 otherwise `span` and `count` write nothing.  Each line is one JSON object:
 
 - a span, written when its block ends, normally or not:
   {"span": name, "parent": enclosing span or null, "start": s, "s": seconds, ...fields},
-  with `start` on the process's `time.perf_counter` clock;
+  with `start` on the process's `time.perf_counter` clock, and with the
+  fields the block added to the dict the span gives as it is entered;
 - a count: {"count": name, "n": n}.
 
 json is imported when the first line is written, not with this module.
-The command line goes further: it tests EDSLAB_TRACE itself and imports
-this module only when it is set (see `cli._span`).
+The library goes further: it spans through `edslab._span`, which tests the
+flag itself and imports this module only when it is set.
 """
 
 from __future__ import annotations
 
-import os
 import sys
 import time
 from contextlib import contextmanager
 
-ENV = "EDSLAB_TRACE"
-ENABLED = os.environ.get(ENV) == "1"
+from . import _TRACING as ENABLED
 
 _open: list[str] = []  # names of the spans open in this process, innermost last
 
@@ -34,15 +33,16 @@ def _write(record: dict) -> None:
 
 @contextmanager
 def span(name: str, **fields):
-    """Time the block and, when tracing is on, write one line as it ends."""
+    """Time the block and, when tracing is on, write one line as it ends.
+    Gives the block the span's fields, to which it can add."""
     if not ENABLED:
-        yield
+        yield fields
         return
     parent = _open[-1] if _open else None
     _open.append(name)
     start = time.perf_counter()
     try:
-        yield
+        yield fields
     finally:
         seconds = time.perf_counter() - start
         _open.pop()

@@ -188,7 +188,6 @@ class AdmissibilityError(ValueError):
 class CollisionReport:
     size: int
     eigenspace_dim: int
-    basis: list[list[Fraction]]
     colliding_pairs: list[tuple[int, int]]  # coordinates equal on the whole eigenspace
 
     @property
@@ -227,5 +226,5 @@ def fixed_point_collision(matrix: list[list]) -> CollisionReport:
         for j in range(i + 1, n)
         if all(vec[i] == vec[j] for vec in basis)
     ]
-    return CollisionReport(n, len(basis), basis, pairs)
+    return CollisionReport(n, len(basis), pairs)
 

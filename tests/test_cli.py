@@ -96,12 +96,13 @@ def _library(modules):
 
 
 def test_importing_the_cli_loads_no_cache_modules():
-    # hashlib (OpenSSL) and tempfile are loaded by the cache functions only;
-    # each library module, and the dataclasses, fractions and json it needs,
-    # by the first command that runs it
+    # _blake2 and tempfile are loaded by the cache functions only, and hashlib
+    # (which loads OpenSSL) by none; each library module, and the dataclasses,
+    # fractions and json it needs, by the first command that runs it;
     # shutil (with bz2, lzma and zlib) by the first help or usage text rendered
     loaded = _modules_after()
-    assert not {"hashlib", "tempfile", "dataclasses", "fractions", "decimal", "inspect", "json", "shutil"} & loaded
+    modules = {"hashlib", "_blake2", "tempfile", "dataclasses", "fractions", "decimal", "inspect", "json", "shutil"}
+    assert not modules & loaded
     assert _library(loaded) == {"edslab", "edslab.cli"}
 
 
@@ -135,6 +136,52 @@ def test_eds_gen_uses_cache(tmp_path, capsys):
     assert list(tmp_path.glob("*.eds"))
     code, out2, _ = run(capsys, *args)
     assert code == 0 and out1 == out2
+
+
+def test_the_sequence_cache_loads_no_openssl(tmp_path):
+    loaded = _modules_after("eds", "gen", "--curve", "0", "3", "--point", "1", "2", "1", "--cache-dir", str(tmp_path))
+    assert list(tmp_path.glob("*.eds")) and "_blake2" in loaded
+    assert not {"hashlib", "_hashlib"} & loaded
+
+
+def test_traced_eds_gen_names_each_cache_miss(tmp_path):
+    command = ("-c", "import sys, edslab.cli; sys.exit(edslab.cli.main(sys.argv[1:]))")
+    gen = ("eds", "gen", "--curve", "0", "3", "--point", "1", "2", "1", "--cache-dir", str(tmp_path))
+    records = []
+    for n in ("6", "4", "9"):
+        stderr = _python(*command, *gen, "--n", n, EDSLAB_TRACE="1").stderr
+        [record] = [r for r in map(json.loads, stderr.splitlines()) if r.get("span") == "eds.load_sequence"]
+        assert record["parent"] == "cli.run" and record["n_terms"] == int(n)
+        records.append((record["hit"], record["miss"]))
+    assert records == [(False, "absent"), (True, None), (False, "short")]
+
+
+Z87 = ("eds", "gen", "--curve", "8", "3", "--point", "13", "48", "1", "--n", "87")  # z_87 has 4,398 digits
+PRINT_LIMIT = pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-str limit")
+
+
+@PRINT_LIMIT
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+def test_eds_gen_names_the_term_past_the_print_limit(tmp_path, capsys, monkeypatch, fmt):
+    # the check runs before any row is built: no z_i is converted to a string
+    monkeypatch.setattr(eds, "height_ratio", _refuse)
+    code, out, err = run(capsys, *Z87, "--format", fmt, "--cache-dir", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert err == "error: z_87 has more than 4300 digits, the int-to-str limit (PYTHONINTMAXSTRDIGITS)\n"
+    assert eds.load_sequence(str(tmp_path), CurveQ(8, 3), PointQ(13, 48, 1), 87) is not None
+
+
+@PRINT_LIMIT
+def test_eds_gen_prints_a_term_past_the_default_limit_when_it_is_raised(capsys):
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(5000)
+    try:
+        code, out, _ = run(capsys, *Z87, "--format", "csv")
+    finally:
+        sys.set_int_max_str_digits(limit)
+    rows = list(csv.reader(out.splitlines()))[1:]
+    assert code == 0 and [int(r[0]) for r in rows] == list(range(1, 88))
+    assert len(rows[-1][1]) == 4398
 
 
 def test_parser_is_built_once_and_keeps_no_state_between_calls(tmp_path, capsys):

@@ -533,7 +533,7 @@ def test_cache_rejects_edited_middle_line(tmp_path):
     seq = fixture_sequence(12)
     path = save_sequence(str(tmp_path), seq)
     text = open(path).read()
-    assert text.startswith("edslab-eds 3\n") and text.splitlines()[-1].startswith("sha256 ")
+    assert text.startswith("edslab-eds 4\n") and text.splitlines()[-1].startswith("blake2b ")
     # z_6 changes while z_1 and z_12, the terms re-derived exactly, do not
     edited = text.replace(f"\n6 {seq.term(6):x}\n", f"\n6 {seq.term(6) + 1:x}\n")
     assert edited != text
@@ -564,8 +564,34 @@ def test_cache_stores_hex_terms_and_misses_a_decimal_file(tmp_path):
     open(path, "w").write(decimal + f"sha256 {hashlib.sha256(decimal.encode()).hexdigest()}\n")
     assert load_sequence(str(tmp_path), E, P, 12) is None
     save_sequence(str(tmp_path), seq)
-    assert open(path).read().startswith("edslab-eds 3\n")
+    assert open(path).read().startswith("edslab-eds 4\n")
     assert load_sequence(str(tmp_path), E, P, 12).terms == seq.terms
+
+
+def test_cache_misses_a_sha256_file_of_format_3_and_overwrites_it(tmp_path):
+    seq = fixture_sequence(12)
+    path = eds.cache_path(str(tmp_path), E, P)
+    old = "edslab-eds 3\n" + "".join(f"{n} {z:x}\n" for n, z in enumerate(seq.terms, start=1))
+    open(path, "w").write(old + f"sha256 {hashlib.sha256(old.encode()).hexdigest()}\n")
+    assert load_sequence(str(tmp_path), E, P, 12) is None
+    assert save_sequence(str(tmp_path), seq) == path
+    text = open(path).read()
+    assert text.startswith("edslab-eds 4\n") and text.splitlines()[-1].startswith("blake2b ")
+    assert load_sequence(str(tmp_path), E, P, 12).terms == seq.terms
+
+
+def test_cache_refuses_a_short_file_before_hashing_it(tmp_path, monkeypatch):
+    # the file's name takes one hash; a file with too few lines takes no other
+    import _blake2
+
+    hashed = []
+    blake2b = _blake2.blake2b
+    monkeypatch.setattr(_blake2, "blake2b", lambda *args, **kw: hashed.append(args) or blake2b(*args, **kw))
+    save_sequence(str(tmp_path), fixture_sequence(12))
+    for n_terms, calls in ((13, 1), (40, 1), (12, 2)):
+        hashed.clear()
+        loaded = load_sequence(str(tmp_path), E, P, n_terms)
+        assert (loaded is None, len(hashed)) == (n_terms > 12, calls)
 
 
 def test_cache_misses_a_valid_file_of_another_point(tmp_path):

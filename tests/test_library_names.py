@@ -1,7 +1,9 @@
 """Every top-level function and class in src/edslab must be named somewhere
 else in the library, be imported by the acceptance criteria, or be a
-public name of the package: otherwise only the tests run it, or nothing
-does, and it belongs in the tests or nowhere."""
+public name of the package; and every member a class in src/edslab
+defines (a method, property or field) must be read somewhere in the
+library or by the acceptance criteria.  Otherwise only the tests run it,
+or nothing does, and it belongs in the tests or nowhere."""
 
 import ast
 from collections import Counter
@@ -10,10 +12,15 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "edslab"
 
-# "module.name" -> why it stays with no library caller
+# "module.name" or "module.Class.member" -> why it stays with no library caller
 KEPT = {
     "eds.canonical_height_estimate": "a tested API: the height estimate the paper's growth argument reads",
+    **{
+        f"eds.HeightReport.{field}": "the report of eds.canonical_height_estimate, a kept API"
+        for field in ("estimates", "limit", "convergence_gap")
+    },
     "obs.count": "the counter half of the tracing module, kept for the library's counters",
+    "cli._HelpFormatter._max_help_position": "read by argparse.HelpFormatter, which it overrides",
 }
 
 
@@ -31,8 +38,8 @@ def _references(module: str, node: ast.AST, modules) -> set[tuple[str, str]]:
             refs.add((module, sub.id))
         elif isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name) and sub.value.id in modules:
             refs.add((sub.value.id, sub.attr))
-        elif isinstance(sub, ast.ImportFrom) and sub.module:
-            home = sub.module.rsplit(".", 1)[-1]
+        elif isinstance(sub, ast.ImportFrom):
+            home = sub.module.rsplit(".", 1)[-1] if sub.module else "__init__"  # from . import name
             refs.update((home, alias.name) for alias in sub.names)
     return refs
 
@@ -78,11 +85,70 @@ def _orphans() -> list[str]:
     return orphans
 
 
+def _fields_reads(func: ast.FunctionDef) -> set[str]:
+    """The names `cli._fields(obj, "name", ...)` reads with getattr in the
+    function, given one by one or as a tuple starred from a name assigned in it."""
+    tuples = {
+        node.targets[0].id: node.value.elts
+        for node in ast.walk(func)
+        if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name) and isinstance(node.value, ast.Tuple)
+    }
+    read = set()
+    for call in ast.walk(func):
+        if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "_fields":
+            for arg in call.args[1:]:
+                names = tuples.get(arg.value.id, []) if isinstance(arg, ast.Starred) else [arg]
+                read.update(name.value for name in names if isinstance(name, ast.Constant))
+    return read
+
+
+def _read_members(trees) -> set[str]:
+    """Attribute names read (`obj.name`) in the trees, and those `_fields` reads."""
+    read = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                read |= _fields_reads(node)
+    return read
+
+
+def _members(cls: ast.ClassDef) -> list[str]:
+    names = []
+    for item in cls.body:
+        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            names.append(item.name)
+        elif isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+            names.append(item.target.id)
+        elif isinstance(item, ast.Assign):
+            names.extend(t.id for t in item.targets if isinstance(t, ast.Name))
+    return [name for name in names if not (name.startswith("__") and name.endswith("__"))]
+
+
+def _unread_members() -> list[str]:
+    modules = _modules()
+    read = _read_members([*modules.values(), ast.parse((ROOT / "tests" / "test_acceptance.py").read_text())])
+    return [
+        f"{module}.{top.name}.{name}"
+        for module, tree in modules.items()
+        for top in tree.body
+        if isinstance(top, ast.ClassDef)
+        for name in _members(top)
+        if name not in read
+    ]
+
+
 def test_every_library_name_has_a_caller_outside_the_tests():
     orphans = set(_orphans())
     assert orphans - set(KEPT) == set(), sorted(orphans - set(KEPT))
 
 
+def test_every_class_member_is_read_outside_the_tests():
+    unread = set(_unread_members())
+    assert unread - set(KEPT) == set(), sorted(unread - set(KEPT))
+
+
 def test_every_kept_name_still_exists_and_still_lacks_a_caller():
     # an exception that gains a caller, or leaves the library, is dropped here
-    assert set(KEPT) <= set(_orphans())
+    assert set(KEPT) <= {*_orphans(), *_unread_members()}
