@@ -8,7 +8,7 @@ EDSLAB_TRACE=1 writes a trace of the run to stderr (see edslab.obs).
 
 Each command imports the library modules it calls when it runs, so that
 importing this module and building the parser loads none of them; and it
-builds only its own subcommand's parser.
+builds only its own group's and subcommand's parsers.
 """
 
 from __future__ import annotations
@@ -109,19 +109,11 @@ def _exclusions(args) -> tuple[int, ...]:
         raise ValueError(f"{named} must list integers, separated by commas") from None
 
 
-def _prime_bound(args, key: str, default: int) -> int:
-    """A prime bound of at least 3, the least that can hold an odd prime."""
-    bound = _resolve(args, key, default, int)
-    if bound < 3:
-        raise ValueError(f"{_named(args, key, bound)} must be at least 3")
-    return bound
-
-
-def _at_least_one(args, key: str, default: int) -> int:
-    """A count or size option of at least 1."""
+def _at_least(args, key: str, default: int, least: int = 1) -> int:
+    """An integer option of at least `least`; 3 for a prime bound, the least odd prime."""
     value = _resolve(args, key, default, int)
-    if value < 1:
-        raise ValueError(f"{_named(args, key, value)} must be at least 1")
+    if value < least:
+        raise ValueError(f"{_named(args, key, value)} must be at least {least}")
     return value
 
 
@@ -211,8 +203,8 @@ def _lrs_spec(args) -> lrs.LrsSpec:
 def cmd_eds_gen(args) -> int:
     from . import eds
 
-    stride = _at_least_one(args, "stride", 1)
-    n = _at_least_one(args, "n", 20)
+    stride = _at_least(args, "stride", 1)
+    n = _at_least(args, "n", 20)
     if n * stride > MAX_EDS_TERMS:
         named = " times ".join(
             _named(args, key, value)
@@ -229,18 +221,15 @@ def cmd_eds_gen(args) -> int:
         seq = eds.generate_geometric(curve, point, n * stride)
         if cache:
             eds.save_sequence(cache, seq)
+    indices = range(stride, n * stride + 1, stride)
     # from 3.10.7 on, CPython prints no int of more than `limit` digits (0: no limit)
     limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
     if limit:
         bound = 10**limit
-        big = next((i * stride for i in range(1, n + 1) if seq.term(i * stride) >= bound), None)
+        big = next((i for i in indices if seq.term(i) >= bound), None)
         if big is not None:
             raise ValueError(f"z_{big} has more than {limit} digits, the int-to-str limit (PYTHONINTMAXSTRDIGITS)")
-    rows = []
-    for i in range(1, n + 1):
-        idx = i * stride
-        z = seq.term(idx)
-        rows.append([idx, z, f"{eds.height_ratio(idx, z):.6f}"])
+    rows = [[i, seq.term(i), f"{eds.height_ratio(i, seq.term(i)):.6f}"] for i in indices]
     _emit(args.format, ["n", "z_n", "log(z_n)/n^2"], rows)
     return EXIT_OK
 
@@ -249,7 +238,7 @@ def cmd_eds_ward(args) -> int:
     from . import eds
 
     seed = eds.WardSeed(*args.seed)
-    n = _at_least_one(args, "n", 10)
+    n = _at_least(args, "n", 10)
     seq = eds.generate_ward(seed, n)
     rows = [[i, seq.term(i)] for i in range(1, n + 1)]
     _emit(args.format, ["n", "w_n"], rows)
@@ -272,7 +261,7 @@ def cmd_eds_period(args) -> int:
 def cmd_eds_zsigmondy(args) -> int:
     from . import eds
 
-    n = _at_least_one(args, "n", 20)
+    n = _at_least(args, "n", 20)
     if n > MAX_EDS_TERMS:
         raise ValueError(f"{_named(args, 'n', n)} asks for {n} terms, more than the bound {MAX_EDS_TERMS}")
     curve, point = _curve_point(args)
@@ -380,16 +369,14 @@ def cmd_lrs_period(args) -> int:
 def cmd_density_gl2(args) -> int:
     from . import galois_density
 
-    report = galois_density.count_gl2(args.q, args.a, args.b)
-    _emit_density(args.format, report)
+    _emit_density(args.format, galois_density.count_gl2(args.q, args.a, args.b))
     return EXIT_OK
 
 
 def cmd_density_affine(args) -> int:
     from . import galois_density
 
-    report = galois_density.count_affine(args.q, args.a, args.b)
-    _emit_density(args.format, report)
+    _emit_density(args.format, galois_density.count_affine(args.q, args.a, args.b))
     return EXIT_OK
 
 
@@ -397,9 +384,9 @@ def cmd_density_empirical(args) -> int:
     from . import elliptic, galois_density
 
     curve, point = _curve_point(args)
-    x = _prime_bound(args, "x", 10_000)
+    x = _at_least(args, "x", 10_000, 3)
     a = _resolve(args, "a", elliptic.DEFAULT_A_TARGET, int)
-    jobs = _at_least_one(args, "jobs", 1)
+    jobs = _at_least(args, "jobs", 1)
     exclusions = _exclusions(args)
     report = galois_density.empirical_density(curve, point, args.q, a, x, exclusions, jobs=jobs)
     _emit_density(args.format, report)
@@ -438,7 +425,7 @@ def cmd_refute(args) -> int:
     spec = _lrs_spec(args)
     q = _resolve(args, "q", None, int)
     a = _resolve(args, "a", refuter.DEFAULT_A_TARGET, int)
-    p_max = _prime_bound(args, "p_max", 1_000_000)
+    p_max = _at_least(args, "p_max", 1_000_000, 3)
     exclusions = _exclusions(args)
     result = refuter.find_witness(
         curve, point, spec, q, a_target=a, p_max=p_max, exclusions=exclusions
@@ -482,8 +469,8 @@ def cmd_verify(args) -> int:
 def cmd_falsify(args) -> int:
     from . import refuter
 
-    start = _at_least_one(args, "start", 1)
-    window = _at_least_one(args, "window", 50)
+    start = _at_least(args, "start", 1)
+    window = _at_least(args, "window", 50)
     curve, point = _curve_point(args)
     spec = _lrs_spec(args)
     indices = refuter.direct_falsify(curve, point, spec, start, args.p, window)
@@ -592,9 +579,9 @@ class _HelpFormatter(argparse.HelpFormatter):
 
 
 class _Parsers(dict):
-    """A subparsers action's name -> parser map that builds a subcommand's
-    parser on its first lookup; until then the value is the function that
-    builds it."""
+    """A subparsers action's name -> parser map that builds a group's or a
+    subcommand's parser on its first lookup; until then the value is the
+    function that builds it."""
 
     def __getitem__(self, name: str) -> argparse.ArgumentParser:
         parser = super().__getitem__(name)
@@ -617,23 +604,22 @@ def _subcommands(parser: argparse.ArgumentParser, dest: str) -> argparse._SubPar
     return sub
 
 
-def _group(sub: argparse._SubParsersAction, name: str, help: str) -> argparse._SubParsersAction:
-    """Subcommand group `name`, built now; returns its subcommands."""
-    return _subcommands(sub.add_parser(name, help=help, formatter_class=_HelpFormatter), "subcommand")
-
-
 def _leaf(sub: argparse._SubParsersAction, name: str, func, help: str):
-    """Register subcommand `name`, with its help line, to run `func`.  The
-    decorated function adds the subcommand's own options to its parser,
-    after the --config and --format options every subcommand takes; the
-    parser is built when it is first looked up, by a parse, a --help or a
-    walk of `choices`."""
+    """Register subcommand `name`, with its help line, to run `func`, or group
+    `name` when func is None.  The decorated function adds the subcommand's
+    own options to its parser, after the --config and --format options every
+    subcommand takes, or registers the group's subcommands on the subparsers
+    action it is given.  Either parser is built when it is first looked up,
+    by a parse, a --help or a walk of `choices`."""
     prog = f"{sub._prog_prefix} {name}"  # the prog add_parser would give it
 
     def register(add_options):
         def build() -> argparse.ArgumentParser:
+            parser = argparse.ArgumentParser(prog=prog, formatter_class=_HelpFormatter)
+            if func is None:  # a group, whose options are its subcommands, has no span
+                add_options(_subcommands(parser, "subcommand"))
+                return parser
             with _span("cli.leaf", leaf=prog.split(" ", 1)[1]):
-                parser = argparse.ArgumentParser(prog=prog, formatter_class=_HelpFormatter)
                 parser.add_argument("--config", help="key=value config file")
                 parser.add_argument("--format", choices=("table", "json", "csv"), default=None)
                 add_options(parser)
@@ -668,7 +654,7 @@ def _add_lrs_source(parser: argparse.ArgumentParser) -> None:
 def build_parser() -> argparse.ArgumentParser:
     """The argparse tree, built on the first call and shared after it:
     parsing leaves no state on it, and building it costs far more than a
-    parse.  Only the top-level and group parsers are built here; each
+    parse.  Only the top-level parser is built here; each group's and
     subcommand's parser is built the first time it is looked up."""
     parser = argparse.ArgumentParser(
         prog="edslab",
@@ -677,85 +663,85 @@ def build_parser() -> argparse.ArgumentParser:
     )
     top = _subcommands(parser, "command")
 
-    eds_sub = _group(top, "eds", "divisibility sequence generation and analysis")
+    @_leaf(top, "eds", None, "divisibility sequence generation and analysis")
+    def _(eds_sub):
+        @_leaf(eds_sub, "gen", cmd_eds_gen, "generate z_n from a curve and point")
+        def _(sp):
+            _add_curve_point(sp)
+            sp.add_argument("--n", type=int, default=None)
+            sp.add_argument("--stride", type=int, default=None, help="list z_(stride*n) instead of z_n")
+            sp.add_argument("--cache-dir", dest="cache_dir", default=None)
 
-    @_leaf(eds_sub, "gen", cmd_eds_gen, "generate z_n from a curve and point")
-    def _(sp):
-        _add_curve_point(sp)
-        sp.add_argument("--n", type=int, default=None)
-        sp.add_argument("--stride", type=int, default=None, help="list z_(stride*n) instead of z_n")
-        sp.add_argument("--cache-dir", dest="cache_dir", default=None)
+        @_leaf(eds_sub, "ward", cmd_eds_ward, "extend four seed values by the bilinear recurrences")
+        def _(sp):
+            sp.add_argument("--seed", nargs=4, type=int, required=True, metavar=("W1", "W2", "W3", "W4"))
+            sp.add_argument("--n", type=int, default=None)
 
-    @_leaf(eds_sub, "ward", cmd_eds_ward, "extend four seed values by the bilinear recurrences")
-    def _(sp):
-        sp.add_argument("--seed", nargs=4, type=int, required=True, metavar=("W1", "W2", "W3", "W4"))
-        sp.add_argument("--n", type=int, default=None)
+        @_leaf(
+            eds_sub, "period", cmd_eds_period,
+            "minimal period of the companion w_n modulo p; z_n = z_1*|w_n| agrees with it up to sign",
+        )
+        def _(sp):
+            _add_curve_point(sp)
+            sp.add_argument("--p", type=int, required=True)
 
-    @_leaf(
-        eds_sub, "period", cmd_eds_period,
-        "minimal period of the companion w_n modulo p; z_n = z_1*|w_n| agrees with it up to sign",
-    )
-    def _(sp):
-        _add_curve_point(sp)
-        sp.add_argument("--p", type=int, required=True)
+        @_leaf(eds_sub, "zsigmondy", cmd_eds_zsigmondy, "primitive divisor scan")
+        def _(sp):
+            _add_curve_point(sp)
+            sp.add_argument("--n", type=int, default=None)
 
-    @_leaf(eds_sub, "zsigmondy", cmd_eds_zsigmondy, "primitive divisor scan")
-    def _(sp):
-        _add_curve_point(sp)
-        sp.add_argument("--n", type=int, default=None)
+    @_leaf(top, "lrs", None, "linear recurrence engine")
+    def _(lrs_sub):
+        @_leaf(lrs_sub, "fit", cmd_lrs_fit, "minimal integer recurrence from terms (one per line)")
+        def _(sp):
+            sp.add_argument("--terms-file", dest="terms_file")
+            sp.add_argument("--bound", type=int, default=None)
 
-    lrs_sub = _group(top, "lrs", "linear recurrence engine")
+        @_leaf(lrs_sub, "eval", cmd_lrs_eval, "evaluate u_n exactly or modulo p")
+        def _(sp):
+            _add_lrs_source(sp)
+            sp.add_argument("--n", type=int, required=True)
+            sp.add_argument("--mod", type=int, default=None)
 
-    @_leaf(lrs_sub, "fit", cmd_lrs_fit, "minimal integer recurrence from terms (one per line)")
-    def _(sp):
-        sp.add_argument("--terms-file", dest="terms_file")
-        sp.add_argument("--bound", type=int, default=None)
+        @_leaf(lrs_sub, "decimate", cmd_lrs_decimate, "spec for the subsequence u_(m*n)")
+        def _(sp):
+            _add_lrs_source(sp)
+            sp.add_argument("--m", type=int, required=True)
 
-    @_leaf(lrs_sub, "eval", cmd_lrs_eval, "evaluate u_n exactly or modulo p")
-    def _(sp):
-        _add_lrs_source(sp)
-        sp.add_argument("--n", type=int, required=True)
-        sp.add_argument("--mod", type=int, default=None)
+        @_leaf(lrs_sub, "degenerate", cmd_lrs_degenerate, "root-of-unity ratio detection")
+        def _(sp):
+            _add_lrs_source(sp)
+            sp.add_argument("--reduce", action="store_true", help="also emit the decimated reduction")
 
-    @_leaf(lrs_sub, "decimate", cmd_lrs_decimate, "spec for the subsequence u_(m*n)")
-    def _(sp):
-        _add_lrs_source(sp)
-        sp.add_argument("--m", type=int, required=True)
+        @_leaf(lrs_sub, "period", cmd_lrs_period, "minimal period modulo p")
+        def _(sp):
+            _add_lrs_source(sp)
+            sp.add_argument("--p", type=int, required=True)
+            sp.add_argument("--method", choices=("matrix", "iteration"), default="matrix")
+            sp.add_argument("--squares", action="store_true", help="also report the square-sampled period")
 
-    @_leaf(lrs_sub, "degenerate", cmd_lrs_degenerate, "root-of-unity ratio detection")
-    def _(sp):
-        _add_lrs_source(sp)
-        sp.add_argument("--reduce", action="store_true", help="also emit the decimated reduction")
+    @_leaf(top, "density", None, "matrix and affine densities, empirical scans")
+    def _(den_sub):
+        @_leaf(den_sub, "gl2", cmd_density_gl2, "exact trace/determinant density")
+        def _(sp):
+            sp.add_argument("--q", type=int, required=True)
+            sp.add_argument("--a", type=int, required=True)
+            sp.add_argument("--b", type=int, required=True)
 
-    @_leaf(lrs_sub, "period", cmd_lrs_period, "minimal period modulo p")
-    def _(sp):
-        _add_lrs_source(sp)
-        sp.add_argument("--p", type=int, required=True)
-        sp.add_argument("--method", choices=("matrix", "iteration"), default="matrix")
-        sp.add_argument("--squares", action="store_true", help="also report the square-sampled period")
+        @_leaf(den_sub, "affine", cmd_density_affine, "exact affine density with translation part")
+        def _(sp):
+            sp.add_argument("--q", type=int, required=True)
+            sp.add_argument("--a", type=int, required=True)
+            sp.add_argument("--b", type=int, required=True)
 
-    den_sub = _group(top, "density", "matrix and affine densities, empirical scans")
-
-    @_leaf(den_sub, "gl2", cmd_density_gl2, "exact trace/determinant density")
-    def _(sp):
-        sp.add_argument("--q", type=int, required=True)
-        sp.add_argument("--a", type=int, required=True)
-        sp.add_argument("--b", type=int, required=True)
-
-    @_leaf(den_sub, "affine", cmd_density_affine, "exact affine density with translation part")
-    def _(sp):
-        sp.add_argument("--q", type=int, required=True)
-        sp.add_argument("--a", type=int, required=True)
-        sp.add_argument("--b", type=int, required=True)
-
-    @_leaf(den_sub, "empirical", cmd_density_empirical, "prime-scan frequency beside the exact density")
-    def _(sp):
-        _add_curve_point(sp)
-        sp.add_argument("--q", type=int, required=True)
-        sp.add_argument("--a", type=int, default=None)
-        sp.add_argument("--x", type=int, default=None, help="prime bound")
-        sp.add_argument("--jobs", type=int, default=None, help="worker processes for the prime scan")
-        sp.add_argument("--exclude", default=None, help="comma-separated primes to skip in the scan")
+        @_leaf(den_sub, "empirical", cmd_density_empirical, "prime-scan frequency beside the exact density")
+        def _(sp):
+            _add_curve_point(sp)
+            sp.add_argument("--q", type=int, required=True)
+            sp.add_argument("--a", type=int, default=None)
+            sp.add_argument("--x", type=int, default=None, help="prime bound")
+            sp.add_argument("--jobs", type=int, default=None, help="worker processes for the prime scan")
+            sp.add_argument("--exclude", default=None, help="comma-separated primes to skip in the scan")
 
     @_leaf(top, "refute", cmd_refute, "find a witness prime and write a certificate")
     def _(sp):
@@ -779,35 +765,35 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--start", type=int, default=1)
         sp.add_argument("--window", type=int, default=50)
 
-    lab_sub = _group(top, "prooflab", "executable lemma checks")
+    @_leaf(top, "prooflab", None, "executable lemma checks")
+    def _(lab_sub):
+        @_leaf(lab_sub, "qlemma", cmd_prooflab_qlemma, "degree/leading-coefficient expansion check")
+        def _(sp):
+            sp.add_argument("--coeffs", nargs="+", required=True, help="P ascending from the constant term")
+            sp.add_argument("--alpha", required=True)
 
-    @_leaf(lab_sub, "qlemma", cmd_prooflab_qlemma, "degree/leading-coefficient expansion check")
-    def _(sp):
-        sp.add_argument("--coeffs", nargs="+", required=True, help="P ascending from the constant term")
-        sp.add_argument("--alpha", required=True)
+        @_leaf(lab_sub, "det", cmd_prooflab_det, "determinant factorization check")
+        def _(sp):
+            sp.add_argument("--q", type=int, required=True)
+            sp.add_argument("--betas", nargs="+", type=int, required=True)
 
-    @_leaf(lab_sub, "det", cmd_prooflab_det, "determinant factorization check")
-    def _(sp):
-        sp.add_argument("--q", type=int, required=True)
-        sp.add_argument("--betas", nargs="+", type=int, required=True)
+        @_leaf(lab_sub, "resclass", cmd_prooflab_resclass, "admissible residue count")
+        def _(sp):
+            sp.add_argument("--r", type=int, required=True)
+            sp.add_argument("--t", type=int, required=True)
+            sp.add_argument("--c", type=int, default=1)
 
-    @_leaf(lab_sub, "resclass", cmd_prooflab_resclass, "admissible residue count")
-    def _(sp):
-        sp.add_argument("--r", type=int, required=True)
-        sp.add_argument("--t", type=int, required=True)
-        sp.add_argument("--c", type=int, default=1)
+        @_leaf(lab_sub, "ell", cmd_prooflab_ell, "quadratic congruence lift")
+        def _(sp):
+            sp.add_argument("--r", type=int, required=True)
+            sp.add_argument("--e", type=int, default=1)
+            sp.add_argument("--n0", type=int, required=True)
+            sp.add_argument("--j", type=int, required=True)
+            sp.add_argument("--c", type=int, required=True)
 
-    @_leaf(lab_sub, "ell", cmd_prooflab_ell, "quadratic congruence lift")
-    def _(sp):
-        sp.add_argument("--r", type=int, required=True)
-        sp.add_argument("--e", type=int, default=1)
-        sp.add_argument("--n0", type=int, required=True)
-        sp.add_argument("--j", type=int, required=True)
-        sp.add_argument("--c", type=int, required=True)
-
-    @_leaf(lab_sub, "fixedpoint", cmd_prooflab_fixedpoint, "stochastic fixed-point collision check")
-    def _(sp):
-        sp.add_argument("--matrix", required=True, help="rows ';'-separated, entries ','-separated")
+        @_leaf(lab_sub, "fixedpoint", cmd_prooflab_fixedpoint, "stochastic fixed-point collision check")
+        def _(sp):
+            sp.add_argument("--matrix", required=True, help="rows ';'-separated, entries ','-separated")
 
     return parser
 

@@ -272,7 +272,7 @@ def eds_period_mod_p(seq: EdsSequence, p: int) -> EdsPeriodResult:
         raise ValueError("p must be an odd prime")
     if seq.source == "geometric":
         curve, point = seq.curve, seq.point
-        if (curve.disc * point.z * 2 * point.y) % p == 0:
+        if curve.bad_prime_product(point) % p == 0:
             raise ValueError(f"need p coprime to the discriminant, z1 and 2*y1 (p={p})")
         require_exact_companion(curve, point)
         cfp = CurveFp.from_curve(curve, p)
@@ -429,18 +429,16 @@ def _read_cached(path: str, curve: CurveQ, point: PointQ, n_terms: int) -> tuple
     digest = blake2b(memoryview(data)[:end], digest_size=32).hexdigest()
     if data[end:] != f"blake2b {digest}\n".encode():
         return None, "hash"
-    terms = []
-    try:
-        for n, line in enumerate(data[len(CACHE_HEADER) : end].splitlines(), start=1):
-            n_str, z_str = line.split()
-            if int(n_str) != n:
-                return None, "malformed"
-            terms.append(int(z_str, 16))
-    except ValueError:
+    body = data[len(CACHE_HEADER) : end]
+    lines = [line.split(b" ") for line in body.splitlines()]  # each "n z", z in lowercase hex
+    if body.translate(None, b"0123456789abcdef \n") or any(
+        len(line) != 2 or line[0] != b"%d" % n or not line[1] for n, line in enumerate(lines, start=1)
+    ):
         return None, "malformed"
+    terms = [int(z_str, 16) for _, z_str in lines[:n_terms]]  # only the terms asked for are converted
     try:
         if any(geometric_term(curve, point, n) != terms[n - 1] for n in (1, n_terms)):
             return None, "terms"
     except ValueError:  # a point whose sequence the ladder refuses
         return None, "terms"
-    return EdsSequence("geometric", terms[:n_terms], curve=curve, point=point), None
+    return EdsSequence("geometric", terms, curve=curve, point=point), None

@@ -46,6 +46,10 @@ class CurveQ:
         x, y, z = point.x, point.y, point.z
         return y * y == x**3 + self.a * x * z**4 + self.b * z**6
 
+    def bad_prime_product(self, point: "PointQ") -> int:
+        """disc*z1*2*y1: p is a good prime for the point iff p does not divide it."""
+        return self.disc * point.z * 2 * point.y
+
 
 @dataclass(frozen=True)
 class PointQ:

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 
+from . import _span
 from .elliptic import CurveQ, PointQ, q_divides_order, small_multiple
 from .ntkernel import check_sieve_limit, is_prime, iter_primes
 
@@ -127,20 +128,24 @@ def affine_witness(q: int, a: int) -> tuple[tuple[int, int, int, int], tuple[int
     return j, u, _rank((m[0] + u[:1], m[1] + u[1:]), q) > _rank(m, q)
 
 
-def _empirical_chunk(args) -> tuple[int, int]:
-    """(hits, primes scanned) over the primes in (start, stop], with q*P over
-    Q formed once."""
-    curve, point, q, b, start, stop, exclusions = args
-    q_point = small_multiple(q, point, curve)
+def _empirical_chunk(args) -> tuple[int, int, int, int, int]:
+    """(excluded, bad, residue_class, order, hits) over the primes in (start,
+    stop]: each prime is counted under the first test it fails, or as a hit."""
+    curve, point, q_point, q, b, start, stop, exclusions = args
     disc, z = curve.disc, point.z
-    hits = scanned = 0
+    excluded = bad = residue_class = order = hits = 0
     for p in iter_primes(stop, start + 1):
-        if p == 2 or p == q or p in exclusions or disc % p == 0 or z % p == 0:
-            continue
-        scanned += 1
-        if p % q == b and q_divides_order(curve, point, q_point, p, q):
+        if p == 2 or p == q or p in exclusions:
+            excluded += 1
+        elif disc % p == 0 or z % p == 0:
+            bad += 1
+        elif p % q != b:
+            residue_class += 1
+        elif q_divides_order(curve, point, q_point, p, q):
             hits += 1
-    return hits, scanned
+        else:
+            order += 1
+    return excluded, bad, residue_class, order, hits
 
 
 def empirical_density(
@@ -166,7 +171,7 @@ def empirical_density(
     segmented sieve, so memory grows with sqrt(x), not x.  jobs (at least 1,
     clamped to the CPU count) worker processes each sieve and scan one of
     jobs equal ranges of [1, x] and sum their tallies, so reruns are
-    deterministic.
+    deterministic.  A traced run counts each test's rejections in one span.
     """
     if not curve.contains(point):
         raise ValueError("point is not on the curve")
@@ -178,16 +183,21 @@ def empirical_density(
     b = (a - 1) % q
     if b == 0:
         raise ValueError("need a != 1 (mod q) so that the determinant class b = a-1 is non-zero")
-    exact = count_affine(q, a % q, b)
+    report = count_affine(q, a % q, b)
     check_sieve_limit(x)
-    chunks = [(curve, point, q, b, x * i // jobs, x * (i + 1) // jobs, exclusions) for i in range(jobs)]
-    if jobs > 1:
-        import multiprocessing
+    q_point = small_multiple(q, point, curve)
+    chunks = [(curve, point, q_point, q, b, x * i // jobs, x * (i + 1) // jobs, exclusions) for i in range(jobs)]
+    with _span("galois_density.scan", x=x, q=q, jobs=jobs, base="rational" if q_point else "per-prime") as record:
+        if jobs > 1:
+            import multiprocessing
 
-        with multiprocessing.Pool(jobs) as pool:
-            tallies = pool.map(_empirical_chunk, chunks)
-    else:
-        tallies = [_empirical_chunk(chunks[0])]
-    hits, scanned = map(sum, zip(*tallies))
-    scan = EmpiricalScan(x, hits, scanned, small_sample=hits < 30)
-    return DensityReport(q, a % q, b, exact.numerator, exact.denominator, scan)
+            with multiprocessing.Pool(jobs) as pool:
+                tallies = pool.map(_empirical_chunk, chunks)
+        else:
+            tallies = [_empirical_chunk(chunks[0])]
+        counts = dict(zip(("excluded", "bad", "residue_class", "order", "hits"), map(sum, zip(*tallies))))
+        if record is not None:
+            record.update(primes=sum(counts.values()), **counts)
+    hits = counts["hits"]
+    report.empirical = EmpiricalScan(x, hits, counts["residue_class"] + counts["order"] + hits, small_sample=hits < 30)
+    return report

@@ -377,7 +377,7 @@ class SquarePeriodResult:
     lrs_period: int  # minimal period of u_n mod p
     period: int  # minimal period of n -> u_{n^2} mod p
     window: tuple[int, int]
-    table: list[int] = field(repr=False, compare=False)  # u_1..u_lrs_period mod p
+    table: array | list[int] = field(repr=False, compare=False)  # u_1..u_lrs_period mod p
 
     def u_mod(self, n: int) -> int:
         """u_n mod p for any n >= 1, read from the table of one period."""
@@ -388,17 +388,25 @@ def square_sampled_period(spec: LrsSpec, p: int) -> SquarePeriodResult:
     """Minimal T with u_{(n+T)^2} = u_{n^2} (mod p) for all n, fully verified.
 
     One `_walk` of the state mod p gives the period L of u and the table
-    u_1..u_L mod p that `u_mod` reads.  The square-sampled stream is
+    u_1..u_L mod p that `u_mod` reads.  It and one L-cycle of v_n = u_{n^2}
+    are held as machine integers (in lists when p > 2^64), and as (L - n)^2
+    = n^2 (mod L), half of v is read from the table and half mirrored.  v is
     purely periodic with period dividing L, and its periods are the multiples
     of the least one; `order_from_multiple` strips primes from L while a
-    rotation by the candidate, compared piece by piece, leaves one L-cycle
+    rotation by the candidate, compared without a copy, leaves the cycle
     unchanged.  When L > `MAX_WALK`, ValueError is raised before the walk.
     """
+    from array import array  # here, not at the top: a C extension that only this function needs
+
     _require_purely_periodic(spec, p)
-    table = list(_walk(spec, p))
+    code = next((c for c in "IQ" if p <= 256 ** array(c).itemsize), None)  # "B" and "H" store more slowly
+    table = array(code, _walk(spec, p)) if code else list(_walk(spec, p))
     lam = len(table)
-    values = [table[(n * n - 1) % lam] for n in range(1, lam + 1)]
-    period = order_from_multiple(lam, lambda d: values[d:] == values[: lam - d] and values[:d] == values[-d:])
+    values = array(code) if code else []
+    values.extend(table[(n * n - 1) % lam] for n in range(lam // 2 + 1))  # v_0..v_(L/2); v_0 = u_L
+    values.extend(reversed(values[1 : (lam + 1) // 2]))  # v_(L/2+1)..v_(L-1), as v_(L-n) = v_n
+    v = memoryview(values) if code else values  # a memoryview's slices copy nothing
+    period = order_from_multiple(lam, lambda d: v[d:] == v[: lam - d] and v[:d] == v[lam - d :])
     return SquarePeriodResult(p, lam, period, (1, lam + period), table)
 
 

@@ -475,12 +475,11 @@ def cyclotomic_orders(bound: int) -> list[int]:
 def cyclotomic_factor_orders(f: Poly, bound: int):
     """Yield, ascending, every m with phi(m) <= bound for which Phi_m divides f.
 
-    Exact over Z, and no Phi_m is formed.  g = c*f is integral for c the lcm
-    of the denominators.  Fold g modulo x^m - 1 to h, and multiply h, modulo
-    x^m - 1, by x^d - 1 for each d | m, d < m.  The product vanishes at every
-    non-primitive m-th root of unity, and at a primitive one iff h does.  As
-    x^m - 1 is squarefree, the product is 0 iff h, so f, vanishes at the
-    primitive m-th roots, that is, iff the irreducible Phi_m divides f.
+    Exact over Z; no Phi_m is formed.  Fold g = c*f, integral for c the lcm
+    of the denominators, modulo x^m - 1 to h.  Times x^(m/l) - 1 for each
+    prime l | m, h vanishes at every non-primitive m-th root of unity, whose
+    order divides some m/l, and at a primitive one iff f does; as x^m - 1 is
+    squarefree, the product is 0 (mod x^m - 1) iff Phi_m divides f.
     """
     if f.is_zero():
         raise ValueError("f must be non-zero")
@@ -490,9 +489,8 @@ def cyclotomic_factor_orders(f: Poly, bound: int):
         h = [0] * m
         for i, c in enumerate(g):
             h[i % m] += c
-        for d in range(1, m):
-            if m % d == 0:
-                h = [h[i - d] - h[i] for i in range(m)]  # h * (x^d - 1), cyclically
+        for d in (m // ell for ell in factorize(m)):
+            h = [h[i - d] - h[i] for i in range(m)]  # h * (x^d - 1), cyclically
         if not any(h):
             yield m
 

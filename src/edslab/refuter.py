@@ -282,11 +282,11 @@ def find_witness(
         "residue_class": 0,
         "order": 0,
         "period_unconfirmed": 0,
-        "tu_divisible": 0,
+        "tu_divisible": 0,  # stays 0: see the assertion on sq.period below
         "too_few_mismatches": 0,
         "candidates": 0,
     }
-    invariants = curve.disc * point.z * spec.coeffs[-1] * 2 * point.y
+    invariants = curve.bad_prime_product(point) * spec.coeffs[-1]
     q_point = small_multiple(q, point, curve)
     exact_prefix: list[int] = []
 
@@ -318,10 +318,7 @@ def find_witness(
         if sq is None:
             stats["period_unconfirmed"] += 1
             continue
-        if sq.period % q == 0:
-            # cannot happen when q passes validate_q; counted, never certified
-            stats["tu_divisible"] += 1
-            continue
+        assert sq.period % q, "q passes validate_q, so it divides no period of u mod p"
         for limit in (SHORT_MISMATCH_LIMIT, DEFAULT_MISMATCH_LIMIT):
             if len(exact_prefix) < limit:
                 exact_prefix = generate_geometric(curve, point, limit).terms
@@ -401,8 +398,7 @@ def verify_certificate(cert: WitnessCertificate) -> VerifyResult:
     curve, point, spec, p, q = cert.curve, cert.point, cert.spec, cert.p, cert.q
     check("point_on_curve", curve.contains(point))
     check("point_nontorsion", not is_torsion(point, curve)[0])
-    good = (curve.disc * point.z * 2 * point.y) % p != 0
-    check("good_reduction", good, "p must avoid disc, z1 and 2*y1")
+    check("good_reduction", curve.bad_prime_product(point) % p != 0, "p must avoid disc, z1 and 2*y1")
     check("lrs_reduction", spec.coeffs[-1] % p != 0, "p must not divide the last coefficient")
     if not all(c.ok for c in checks):
         return VerifyResult(False, checks)
@@ -490,7 +486,7 @@ def direct_falsify(
         raise ValueError(f"last index {hi} exceeds the falsify index bound {MAX_FALSIFY_INDEX}")
     if p == 2 or not is_prime(p):
         raise ValueError("p must be an odd prime")
-    if (curve.disc * point.z * 2 * point.y) % p == 0:
+    if curve.bad_prime_product(point) % p == 0:
         raise ValueError("need good reduction and p coprime to z1, 2*y1")
     require_exact_companion(curve, point)
     seeds = division_poly_seeds(curve, point)

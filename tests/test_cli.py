@@ -109,7 +109,7 @@ def test_importing_the_cli_loads_no_cache_modules():
 def test_lrs_eval_loads_only_the_recurrence_modules():
     loaded = _modules_after(*LRS_EVAL)
     assert _library(loaded) == {"edslab", "edslab.cli", "edslab.lrs", "edslab.ntkernel"}
-    assert not {"shutil", "json"} & loaded
+    assert not {"shutil", "json", "array"} & loaded  # array, a C extension, only for square-sampled periods
 
 
 @pytest.mark.parametrize(
@@ -156,6 +156,25 @@ def test_traced_eds_gen_names_each_cache_miss(tmp_path):
     assert records == [(False, "absent"), (True, None), (False, "short")]
 
 
+def test_traced_density_scan_counts_every_prime_once():
+    # x = 3000 holds 430 primes; --jobs 2 scans two ranges, and the parent writes the one span
+    command = ("-c", "import sys, edslab.cli; sys.exit(edslab.cli.main(sys.argv[1:]))")
+    for jobs in ("1", "2"):
+        run = _python(*command, *EMPIRICAL, "--x", "3000", "--exclude", "7", "--jobs", jobs, "--format", "json",
+                      EDSLAB_TRACE="1")
+        [span] = [r for r in map(json.loads, run.stderr.splitlines()) if r.get("span") == "galois_density.scan"]
+        assert span["parent"] == "cli.run" and (span["x"], span["q"], span["base"]) == (3000, 3, "rational")
+        counts = [span[key] for key in ("excluded", "bad", "residue_class", "order", "hits")]
+        assert sum(counts) == span["primes"] == 430 and span["excluded"] == 3  # 2, 3 and 7
+        scan = json.loads(run.stdout)["empirical"]
+        assert span["primes"] - span["excluded"] - span["bad"] == scan["scanned"] and span["hits"] == scan["hits"]
+
+
+def test_untraced_density_scan_loads_no_tracing():
+    loaded = _modules_after(*EMPIRICAL, "--x", "300", "--format", "table")
+    assert "edslab.galois_density" in loaded and not {"edslab.obs", "json"} & loaded
+
+
 Z87 = ("eds", "gen", "--curve", "8", "3", "--point", "13", "48", "1", "--n", "87")  # z_87 has 4,398 digits
 PRINT_LIMIT = pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-str limit")
 
@@ -184,9 +203,10 @@ def test_eds_gen_prints_a_term_past_the_default_limit_when_it_is_raised(capsys):
     assert len(rows[-1][1]) == 4398
 
 
-def test_parser_is_built_once_and_keeps_no_state_between_calls(tmp_path, capsys):
-    # in a fresh interpreter: build_parser() builds the top-level and group
-    # parsers only, and a command builds its own parser once
+def _parsers_built(*argvs) -> list[str]:
+    """In a fresh interpreter: the progs of the parsers that build_parser()
+    builds, then of those that each command in argvs builds, in turn; one
+    comma-separated line for each."""
     probe = (
         "import argparse, contextlib, io, sys, edslab.cli\n"
         "built = []\n"
@@ -197,16 +217,19 @@ def test_parser_is_built_once_and_keeps_no_state_between_calls(tmp_path, capsys)
         "argparse.ArgumentParser.__init__ = counted\n"
         "edslab.cli.build_parser()\n"
         "print(*built, sep=',')\n"
-        "for _ in range(2):\n"
-        "    with contextlib.redirect_stdout(io.StringIO()):\n"
-        "        assert edslab.cli.main(sys.argv[1:]) == 0\n"
-        "    print(*built[5:], sep=',')\n"
+        "for argv in sys.argv[1:]:\n"
+        "    before = len(built)\n"
+        "    with contextlib.redirect_stdout(io.StringIO()), contextlib.suppress(SystemExit):\n"
+        "        assert edslab.cli.main(argv.split()) == 0\n"
+        "    print(*built[before:], sep=',')\n"
     )
-    assert _python("-c", probe, *LRS_EVAL).stdout.splitlines() == [
-        "edslab,edslab eds,edslab lrs,edslab density,edslab prooflab",
-        "edslab lrs eval",
-        "edslab lrs eval",
-    ]
+    return _python("-c", probe, *map(" ".join, argvs)).stdout.splitlines()
+
+
+def test_parser_is_built_once_and_keeps_no_state_between_calls(tmp_path, capsys):
+    # build_parser() builds the top-level parser alone; a command builds its
+    # group's parser and its own, once
+    assert _parsers_built(LRS_EVAL, LRS_EVAL) == ["edslab", "edslab lrs,edslab lrs eval", ""]
 
     assert build_parser() is build_parser()
     lrs_args = ("lrs", "period", "--lrs", "2", "1", "1", "1", "1", "--p", "5")
@@ -226,6 +249,16 @@ def test_parser_is_built_once_and_keeps_no_state_between_calls(tmp_path, capsys)
     assert len(list((tmp_path / "cache").iterdir())) == 1
     code, out, _ = run(capsys, *lrs_args)
     assert code == 0 and out.splitlines()[1].split() == ["5", "20"]
+
+
+def test_a_command_outside_the_groups_builds_no_group_parser(tmp_path):
+    cert = tmp_path / "cert.json"
+    assert main([*REFUTE, "--out", str(cert)]) == 0
+    assert _parsers_built(("verify", str(cert))) == ["edslab", "edslab verify"]
+
+
+def test_group_help_builds_the_group_parser_and_no_subcommand_parser():
+    assert _parsers_built(("lrs", "--help")) == ["edslab", "edslab lrs"]
 
 
 def test_tracing_writes_json_lines_to_stderr_and_leaves_stdout_as_it_is():

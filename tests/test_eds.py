@@ -612,6 +612,28 @@ def test_cache_round_trips_terms_past_the_decimal_limit(tmp_path):
     assert load_sequence(str(tmp_path), curve, point, 87).terms == seq.terms
 
 
+def test_a_cache_hit_converts_only_the_terms_it_returns(tmp_path, monkeypatch):
+    seq = fixture_sequence(30)
+    save_sequence(str(tmp_path), seq)
+    bases = []
+    monkeypatch.setattr(eds, "int", lambda text, *base: bases.append(base) or int(text, *base), raising=False)
+    assert load_sequence(str(tmp_path), E, P, 12).terms == seq.terms[:12]
+    assert bases.count((16,)) == 12
+
+
+@pytest.mark.parametrize("z11", ["g", "-1f", "1F", ""])
+def test_a_bad_term_past_the_requested_ones_is_a_malformed_miss(tmp_path, z11):
+    # the file is hashed correctly, and z_1..z_7 are right
+    from _blake2 import blake2b
+
+    path = save_sequence(str(tmp_path), fixture_sequence(12))
+    lines = open(path).read().splitlines(keepends=True)[:-1]
+    lines[11] = f"11 {z11}\n"
+    text = "".join(lines)
+    open(path, "w").write(text + f"blake2b {blake2b(text.encode(), digest_size=32).hexdigest()}\n")
+    assert eds._read_cached(path, E, P, 7) == (None, "malformed")
+
+
 def _count_ward_steps(monkeypatch):
     """Record each `_ward_step` where its callers look it up: `ladder_block`
     in elliptic, `geometric_term` in eds.  Returns the list of steps."""

@@ -314,6 +314,38 @@ def test_integer_cyclotomic_search_matches_poly_division():
     assert hits > 30
 
 
+def _divisor_product_orders(f: Poly, bound: int) -> list[int]:
+    """The search with the product over every proper divisor d of m of
+    x^d - 1, where the library takes one x^(m/l) - 1 per prime l | m."""
+    scale = math.lcm(*(c.denominator for c in f.coeffs))
+    g = [int(c * scale) for c in f.coeffs]
+    orders = []
+    for m in cyclotomic_orders(min(bound, f.degree)):
+        h = [0] * m
+        for i, c in enumerate(g):
+            h[i % m] += c
+        for d in range(1, m):
+            if m % d == 0:
+                h = [h[i - d] - h[i] for i in range(m)]
+        if not any(h):
+            orders.append(m)
+    return orders
+
+
+def test_one_factor_per_prime_finds_what_every_divisor_finds():
+    rng = random.Random(4241)
+    orders = cyclotomic_orders(36)
+    for m in orders:
+        for _ in range(2):
+            f = cyclotomic_polynomial(m) * Poly(*[rng.randint(-4, 4) for _ in range(rng.randint(1, 4))])
+            if rng.random() < 0.5:
+                f = f * cyclotomic_polynomial(rng.choice(orders))
+            if f.is_zero():
+                continue
+            found = list(cyclotomic_factor_orders(f, 36))
+            assert m in found and found == _divisor_product_orders(f, 36), (m, f)
+
+
 def test_cyclotomic_search_makes_no_poly_division():
     # the search folds modulo x^m - 1 over Z, and Poly has no division to call
     division = ("divmod_exact", "__mod__", "__divmod__", "__floordiv__", "__truediv__")
