@@ -354,10 +354,11 @@ def cmd_lrs_period(args) -> int:
     from . import lrs
 
     spec = _lrs_spec(args)
-    period = lrs.lrs_period_mod_p(spec, args.p, method=args.method)
-    payload = {"p": args.p, "period": period}
-    if args.squares:
-        payload["square_sampled_period"] = lrs.square_sampled_period(spec, args.p).period
+    if args.squares:  # its walk of u mod p gives the period of u too
+        sq = lrs.square_sampled_period(spec, args.p)
+        payload = {"p": args.p, "period": sq.lrs_period, "square_sampled_period": sq.period}
+    else:
+        payload = {"p": args.p, "period": lrs.lrs_period_mod_p(spec, args.p, method=args.method)}
     _emit_record(args.format, payload)
     return EXIT_OK
 

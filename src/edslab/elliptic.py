@@ -8,9 +8,10 @@ denominator term of the associated divisibility sequence.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .ntkernel import invmod, is_prime, order_from_multiple, sqrt_mod_prime
+from .ntkernel import invmod, is_prime, iter_primes, order_from_multiple, sqrt_mod_prime
 
 TORSION_SEARCH_BOUND = 12  # Mazur: no rational torsion point has a larger order
 # the trace a_p = a (mod q) that the witness finder and the empirical scan
@@ -495,6 +496,35 @@ def q_divides_order(curve: CurveQ, point: PointQ, q_point: PointQ | None, p: int
     while m % q == 0:
         m //= q
     return fp_scalar_mul(m, pt or reduce_point(point, curve, p), p, a) is not None
+
+
+def order_class_primes(
+    curve: CurveQ, point: PointQ, q_point: PointQ | None, q: int, b: int, bad: int,
+    exclusions: tuple[int, ...], stop: int, start: int, tally: dict[str, int],
+) -> Iterator[int]:
+    """The primes p in (start, stop] with p = b (mod q) and q | ord(P mod p),
+    ascending, from `iter_primes`; q_point is `small_multiple(q, point,
+    curve)`, and bad a multiple of disc*z1, as `q_divides_order` requires.
+
+    Every other prime is counted in tally under the first test it fails:
+    `excluded` (2, q and the exclusions), `bad` (p | bad), `residue_class`
+    and `order`.  The counts are kept in locals and written into tally as a
+    prime is yielded and as the scan ends: no call is made per prime.
+    """
+    excluded = bad_primes = residue_class = order = 0
+    for p in iter_primes(stop, start + 1):
+        if p == 2 or p == q or p in exclusions:
+            excluded += 1
+        elif bad % p == 0:
+            bad_primes += 1
+        elif p % q != b:
+            residue_class += 1
+        elif q_divides_order(curve, point, q_point, p, q):
+            tally.update(excluded=excluded, bad=bad_primes, residue_class=residue_class, order=order)
+            yield p
+        else:
+            order += 1
+    tally.update(excluded=excluded, bad=bad_primes, residue_class=residue_class, order=order)
 
 
 def _unique_hasse_candidate(m_e: int, m_twist: int, p: int) -> int | None:

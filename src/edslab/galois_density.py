@@ -15,8 +15,8 @@ from fractions import Fraction
 from itertools import combinations, product
 
 from . import _span
-from .elliptic import CurveQ, PointQ, q_divides_order, small_multiple
-from .ntkernel import check_sieve_limit, is_prime, iter_primes
+from .elliptic import CurveQ, PointQ, order_class_primes, small_multiple
+from .ntkernel import check_sieve_limit, is_prime
 
 DEFAULT_LINEAR_CAP = 31
 
@@ -128,24 +128,12 @@ def affine_witness(q: int, a: int) -> tuple[tuple[int, int, int, int], tuple[int
     return j, u, _rank((m[0] + u[:1], m[1] + u[1:]), q) > _rank(m, q)
 
 
-def _empirical_chunk(args) -> tuple[int, int, int, int, int]:
-    """(excluded, bad, residue_class, order, hits) over the primes in (start,
-    stop]: each prime is counted under the first test it fails, or as a hit."""
-    curve, point, q_point, q, b, start, stop, exclusions = args
-    disc, z = curve.disc, point.z
-    excluded = bad = residue_class = order = hits = 0
-    for p in iter_primes(stop, start + 1):
-        if p == 2 or p == q or p in exclusions:
-            excluded += 1
-        elif disc % p == 0 or z % p == 0:
-            bad += 1
-        elif p % q != b:
-            residue_class += 1
-        elif q_divides_order(curve, point, q_point, p, q):
-            hits += 1
-        else:
-            order += 1
-    return excluded, bad, residue_class, order, hits
+def _empirical_chunk(args) -> dict[str, int]:
+    """The tallies of `order_class_primes` over the primes in (start, stop],
+    args its arguments but the tally, and the primes it yields as `hits`."""
+    tally: dict[str, int] = {}
+    hits = sum(1 for _ in order_class_primes(*args, tally))
+    return {**tally, "hits": hits}
 
 
 def empirical_density(
@@ -159,19 +147,16 @@ def empirical_density(
 ) -> DensityReport:
     """Frequency of primes p <= x with a_p = a, p = a-1 (mod q), q | ord(P mod p).
 
-    A prime is a hit iff p = a-1 (mod q) and q | ord(P mod p), so no point
-    is counted: #E(F_p) = p + 1 - a_p = a - a_p (mod q) and ord(P) | #E,
-    so q | ord(P) forces a_p = a (mod q).  `elliptic.q_divides_order`
-    decides q | ord(P mod p) from q*P over Q, formed once, by a search over
-    the multiples of q in the Hasse interval and one scalar multiple.
-    Reported beside the exact affine density for (q, a, b = a-1).  Only odd
-    primes of good reduction coprime to z1 are scanned; a configurable
-    exclusion list stands in for the finitely many primes where the
-    group-theoretic model is not available.  The primes are streamed from a
-    segmented sieve, so memory grows with sqrt(x), not x.  jobs (at least 1,
-    clamped to the CPU count) worker processes each sieve and scan one of
-    jobs equal ranges of [1, x] and sum their tallies, so reruns are
-    deterministic.  A traced run counts each test's rejections in one span.
+    The hits are the primes `elliptic.order_class_primes` yields with bad =
+    disc*z1, the scan `find_witness` runs too.  No point is counted, as
+    #E(F_p) = p + 1 - a_p = a - a_p (mod q) and ord(P) | #E, so q | ord(P)
+    forces a_p = a (mod q).  Reported beside the exact affine density for
+    (q, a, b = a-1).  A configurable exclusion list stands in for the
+    finitely many primes where the group-theoretic model is not available.
+    jobs (at least 1, clamped to the CPU count) worker processes each sieve
+    and scan one of jobs equal ranges of [1, x] and sum their tallies, so
+    reruns are deterministic.  A traced run writes the summed tallies and
+    the hits in one `galois_density.scan` span.
     """
     if not curve.contains(point):
         raise ValueError("point is not on the curve")
@@ -186,7 +171,8 @@ def empirical_density(
     report = count_affine(q, a % q, b)
     check_sieve_limit(x)
     q_point = small_multiple(q, point, curve)
-    chunks = [(curve, point, q_point, q, b, x * i // jobs, x * (i + 1) // jobs, exclusions) for i in range(jobs)]
+    bad = curve.disc * point.z
+    chunks = [(curve, point, q_point, q, b, bad, exclusions, x * (i + 1) // jobs, x * i // jobs) for i in range(jobs)]
     with _span("galois_density.scan", x=x, q=q, jobs=jobs, base="rational" if q_point else "per-prime") as record:
         if jobs > 1:
             import multiprocessing
@@ -195,7 +181,7 @@ def empirical_density(
                 tallies = pool.map(_empirical_chunk, chunks)
         else:
             tallies = [_empirical_chunk(chunks[0])]
-        counts = dict(zip(("excluded", "bad", "residue_class", "order", "hits"), map(sum, zip(*tallies))))
+        counts = {key: sum(tally[key] for tally in tallies) for key in tallies[0]}
         if record is not None:
             record.update(primes=sum(counts.values()), **counts)
     hits = counts["hits"]

@@ -1,13 +1,12 @@
 """Opt-in tracing: JSON lines on stderr.
 
 Tracing is on when EDSLAB_TRACE=1 is set as the package is imported;
-otherwise `span` and `count` write nothing.  Each line is one JSON object:
-
-- a span, written when its block ends, normally or not:
-  {"span": name, "parent": enclosing span or null, "start": s, "s": seconds, ...fields},
-  with `start` on the process's `time.perf_counter` clock, and with the
-  fields the block added to the dict the span gives as it is entered;
-- a count: {"count": name, "n": n}.
+otherwise `span` writes nothing.  Each line is one JSON object, a span,
+written when its block ends, normally or not:
+{"span": name, "parent": enclosing span or null, "start": s, "s": seconds, ...fields},
+with `start` on the process's `time.perf_counter` clock, and with the
+fields the block added to the dict the span gives as it is entered.  A
+block counts in locals and adds the counts as fields of its span.
 
 json is imported when the first line is written, not with this module.
 The library goes further: it spans through `edslab._span`, which tests the
@@ -25,12 +24,6 @@ from . import _TRACING as ENABLED
 _open: list[str] = []  # names of the spans open in this process, innermost last
 
 
-def _write(record: dict) -> None:
-    import json
-
-    sys.stderr.write(json.dumps(record, default=str) + "\n")
-
-
 @contextmanager
 def span(name: str, **fields):
     """Time the block and, when tracing is on, write one line as it ends.
@@ -44,12 +37,8 @@ def span(name: str, **fields):
     try:
         yield fields
     finally:
-        seconds = time.perf_counter() - start
+        record = {"span": name, "parent": parent, "start": start, "s": time.perf_counter() - start, **fields}
         _open.pop()
-        _write({"span": name, "parent": parent, "start": start, "s": seconds, **fields})
+        import json
 
-
-def count(name: str, n: int = 1) -> None:
-    """Record n more of `name` when tracing is on."""
-    if ENABLED:
-        _write({"count": name, "n": n})
+        sys.stderr.write(json.dumps(record, default=str) + "\n")

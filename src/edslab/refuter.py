@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+from . import _span
 from .eds import (
     _period_horizon,
     division_poly_seeds,
@@ -38,13 +39,13 @@ from .elliptic import (
     count_points_naive,
     hasse_window,
     is_torsion,
+    order_class_primes,
     point_order_fp,
-    q_divides_order,
     reduce_point,
     small_multiple,
 )
 from .lrs import LrsSpec, eval_mod, square_sampled_period
-from .ntkernel import is_prime, iter_primes, next_prime
+from .ntkernel import is_prime, next_prime
 
 SCHEMA_VERSION = "1"
 # the finder lists the first 12 mismatches among z_1..z_60 and certifies at least 10
@@ -246,22 +247,22 @@ def find_witness(
 ) -> FindResult:
     """Scan primes in ascending order for a witness and certify the first hit.
 
-    Wanted: p = a_target - 1 (mod q), good reduction, a_p = a_target (mod q),
-    and q dividing the order r of P modulo p (then q divides #E(F_p) too).
-    A prime in the residue class is kept iff `q_divides_order` holds, which
-    counts no points and reduces q*P over Q, formed once by `small_multiple`;
-    a_p = a_target (mod q) follows, as #E(F_p) = a_target - a_p (mod q).  Only
-    at such a candidate are #E(F_p) and r computed; the certificate states them.
-    For the first candidate the minimal periods of both sequences are computed,
-    w_n's by `ward_period` and u's by `square_sampled_period`; a p where
-    `ward_period` returns None or the walk of u passes `lrs.MAX_WALK` is
-    counted as `period_unconfirmed`, never certified.  Mismatches come from
-    z_1..z_24, or z_1..z_60 when those hold fewer than 12, with the same
-    result either way.  The scan stops at min(p_max, `MAX_WITNESS_P`), as
-    the verifier refuses a larger p.  Any non-torsion point and any
-    recurrence is accepted: the zeros of z_n mod p are the multiples of r at
-    every p the scan keeps, as each prime of gcd(2y, 3x^2 + a*z^4) divides
-    2y.  Identical inputs always produce identical output.
+    Wanted: p = a_target - 1 (mod q), good reduction, and q | r = ord(P mod
+    p); then q | #E(F_p) = a_target - a_p (mod q), so a_p = a_target (mod
+    q).  The candidates are the primes `elliptic.order_class_primes` yields;
+    only at one are #E(F_p) and r computed, and the certificate states them.
+    Its periods come from `ward_period` (w_n) and `square_sampled_period`
+    (u); a p where the first returns None or the walk of u passes
+    `lrs.MAX_WALK` counts as `period_unconfirmed`, never certified.
+    Mismatches come from z_1..z_24, or z_1..z_60 when those hold fewer than
+    12, with the same result either way.  The scan stops at min(p_max,
+    `MAX_WITNESS_P`), as the verifier refuses a larger p.  Any non-torsion
+    point and any recurrence is accepted: the zeros of z_n mod p are the
+    multiples of r at every p the scan keeps, as each prime of gcd(2y, 3x^2
+    + a*z^4) divides 2y.  Identical inputs always produce identical output.
+    The stats add the candidates' counts to the scan's tallies, its `bad`
+    as `divides_invariants`; a traced run writes them, and the witness p,
+    in one `refuter.scan` span.
     """
     if not curve.contains(point):
         raise ValueError("point is not on the curve")
@@ -274,81 +275,65 @@ def find_witness(
     else:
         validate_q(q, spec, curve, exclusions, a_target)
     b_target = (a_target - 1) % q
-
-    stats = {
-        "scanned": 0,
-        "excluded": 0,
-        "divides_invariants": 0,
-        "residue_class": 0,
-        "order": 0,
-        "period_unconfirmed": 0,
-        "tu_divisible": 0,  # stays 0: see the assertion on sq.period below
-        "too_few_mismatches": 0,
-        "candidates": 0,
-    }
     invariants = curve.bad_prime_product(point) * spec.coeffs[-1]
+    bound = min(p_max, MAX_WITNESS_P)
     q_point = small_multiple(q, point, curve)
+    counts = {"period_unconfirmed": 0, "too_few_mismatches": 0, "candidates": 0}
+    tally: dict[str, int] = {}
     exact_prefix: list[int] = []
+    cert = None
 
-    for p in iter_primes(min(p_max, MAX_WITNESS_P)):
-        stats["scanned"] += 1
-        if p == 2 or p == q or p in exclusions:
-            stats["excluded"] += 1
-            continue
-        if invariants % p == 0:
-            stats["divides_invariants"] += 1
-            continue
-        if p % q != b_target:
-            stats["residue_class"] += 1
-            continue
-        if not q_divides_order(curve, point, q_point, p, q):
-            stats["order"] += 1
-            continue
-        stats["candidates"] += 1
-        cfp = CurveFp(p, curve.a % p, curve.b % p, True)
-        n_points, trace = count_points(cfp)
-        assert trace % q == a_target % q  # #E = a_target - trace (mod q), and q | #E
-        order_p = point_order_fp(reduce_point(point, curve, p), cfp, n_points)
+    with _span("refuter.scan", q=q, p_max=bound, base="rational" if q_point else "per-prime") as record:
+        for p in order_class_primes(curve, point, q_point, q, b_target, invariants, exclusions, bound, 0, tally):
+            counts["candidates"] += 1
+            cfp = CurveFp(p, curve.a % p, curve.b % p, True)
+            n_points, trace = count_points(cfp)
+            assert trace % q == a_target % q  # #E = a_target - trace (mod q), and q | #E
+            order_p = point_order_fp(reduce_point(point, curve, p), cfp, n_points)
 
-        tz = ward_period(seeds, p, order_p)
-        try:
-            sq = square_sampled_period(spec, p) if tz is not None else None
-        except ValueError:  # the walk of u mod p passed lrs.MAX_WALK
-            sq = None
-        if sq is None:
-            stats["period_unconfirmed"] += 1
-            continue
-        assert sq.period % q, "q passes validate_q, so it divides no period of u mod p"
-        for limit in (SHORT_MISMATCH_LIMIT, DEFAULT_MISMATCH_LIMIT):
-            if len(exact_prefix) < limit:
-                exact_prefix = generate_geometric(curve, point, limit).terms
-            residues = [(n, z % p, sq.u_mod(n * n)) for n, z in enumerate(exact_prefix, start=1)]
-            mismatches = [(n, z, u) for n, z, u in residues if _mismatch_residue(z, u, p)]
-            if len(mismatches) >= LISTED_MISMATCHES:
-                break
-        if len(mismatches) < DEFAULT_MIN_MISMATCHES:
-            stats["too_few_mismatches"] += 1
-            continue
-        cert = WitnessCertificate(
-            curve=curve,
-            point=point,
-            spec=spec,
-            q=q,
-            p=p,
-            trace=trace,
-            n_points=n_points,
-            point_order=order_p,
-            tz_period=tz,
-            tz_window=(1, _period_horizon(order_p, p)),
-            tu_period=sq.period,
-            tu_window=sq.window,
-            lrs_period=sq.lrs_period,
-            q_divides_tz=tz % q == 0,
-            q_divides_tu=False,
-            mismatches=mismatches[:LISTED_MISMATCHES],
-        )
-        return FindResult("found", cert, stats)
-    return FindResult("exhausted", None, stats)
+            tz = ward_period(seeds, p, order_p)
+            try:
+                sq = square_sampled_period(spec, p) if tz is not None else None
+            except ValueError:  # the walk of u mod p passed lrs.MAX_WALK
+                sq = None
+            if sq is None:
+                counts["period_unconfirmed"] += 1
+                continue
+            assert sq.period % q, "q passes validate_q, so it divides no period of u mod p"
+            for limit in (SHORT_MISMATCH_LIMIT, DEFAULT_MISMATCH_LIMIT):
+                if len(exact_prefix) < limit:
+                    exact_prefix = generate_geometric(curve, point, limit).terms
+                residues = [(n, z % p, sq.u_mod(n * n)) for n, z in enumerate(exact_prefix, start=1)]
+                mismatches = [(n, z, u) for n, z, u in residues if _mismatch_residue(z, u, p)]
+                if len(mismatches) >= LISTED_MISMATCHES:
+                    break
+            if len(mismatches) < DEFAULT_MIN_MISMATCHES:
+                counts["too_few_mismatches"] += 1
+                continue
+            cert = WitnessCertificate(
+                curve=curve,
+                point=point,
+                spec=spec,
+                q=q,
+                p=p,
+                trace=trace,
+                n_points=n_points,
+                point_order=order_p,
+                tz_period=tz,
+                tz_window=(1, _period_horizon(order_p, p)),
+                tu_period=sq.period,
+                tu_window=sq.window,
+                lrs_period=sq.lrs_period,
+                q_divides_tz=tz % q == 0,
+                q_divides_tu=False,
+                mismatches=mismatches[:LISTED_MISMATCHES],
+            )
+            break
+        stats = {"scanned": sum(tally.values()) + counts["candidates"], **tally, **counts}
+        stats["divides_invariants"] = stats.pop("bad")
+        if record is not None:
+            record.update(stats, **({"p": cert.p} if cert else {}))
+    return FindResult("found" if cert else "exhausted", cert, stats)
 
 
 # ---------------------------------------------------------------------------

@@ -175,6 +175,11 @@ def test_untraced_density_scan_loads_no_tracing():
     assert "edslab.galois_density" in loaded and not {"edslab.obs", "json"} & loaded
 
 
+def test_untraced_refute_loads_no_tracing():
+    loaded = _modules_after(*REFUTE)
+    assert "edslab.refuter" in loaded and "edslab.obs" not in loaded
+
+
 Z87 = ("eds", "gen", "--curve", "8", "3", "--point", "13", "48", "1", "--n", "87")  # z_87 has 4,398 digits
 PRINT_LIMIT = pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-str limit")
 
@@ -761,6 +766,17 @@ def test_lrs_period_iteration_refuses_before_walking(capsys, monkeypatch):
     )
     assert (code, out) == (2, "")
     assert err == f"error: the recurrence mod 317 does not return within {lrs.MAX_WALK} steps\n"
+
+
+def test_lrs_period_with_squares_walks_u_once(capsys, monkeypatch):
+    # the walk that samples the squares gives the period of u as well, so no
+    # other period finder runs; past the walk bound the refusal is unchanged
+    monkeypatch.setattr(lrs, "lrs_period_mod_p", _refuse)
+    code, out, _ = run(capsys, "lrs", "period", "--lrs", "2", "1", "1", "1", "1", "--p", "5", "--squares")
+    assert code == 0 and out.splitlines()[1].split() == ["5", "20", "10"]
+    monkeypatch.setattr(lrs, "MAX_WALK", 1_000)
+    code, out, err = run(capsys, "lrs", "period", "--lrs", "2", "1", "7", "1", "1", "--p", "3169", "--squares")
+    assert (code, out, err) == (2, "", "error: the recurrence mod 3169 does not return within 1000 steps\n")
 
 
 FIB_ARGS = ("--lrs", "2", "1", "1", "1", "1")

@@ -336,11 +336,11 @@ def test_empirical_scan_workers_sieve_disjoint_ranges(monkeypatch):
 
     expected = empirical_density(E, P, 5, 3, 3000, exclusions=(11,)).empirical
     ranges = []
-    stream = galois_density.iter_primes
+    stream = elliptic.iter_primes
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
     monkeypatch.setattr(multiprocessing, "Pool", _InlinePool)
     monkeypatch.setattr(
-        galois_density, "iter_primes", lambda stop, start: ranges.append((start, stop)) or stream(stop, start)
+        elliptic, "iter_primes", lambda stop, start: ranges.append((start, stop)) or stream(stop, start)
     )
     for jobs in (2, 3, 4):
         ranges.clear()
@@ -416,7 +416,7 @@ def test_empirical_scan_streams_the_primes(monkeypatch):
     # time: the scan's peak is far below the size of the list of the 78,498
     # primes below 10^6.  The order test is stubbed out: it holds no primes,
     # and traced it takes 30 s
-    monkeypatch.setattr(galois_density, "q_divides_order", lambda *args: False)
+    monkeypatch.setattr(elliptic, "q_divides_order", lambda *args: False)
     tracemalloc.start()
     try:
         scan = empirical_density(E, P, 13, 3, 10**6).empirical

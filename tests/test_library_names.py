@@ -19,7 +19,6 @@ KEPT = {
         f"eds.HeightReport.{field}": "the report of eds.canonical_height_estimate, a kept API"
         for field in ("estimates", "limit", "convergence_gap")
     },
-    "obs.count": "the counter half of the tracing module, kept for the library's counters",
     "cli._HelpFormatter._max_help_position": "read by argparse.HelpFormatter, which it overrides",
 }
 
@@ -152,3 +151,18 @@ def test_every_class_member_is_read_outside_the_tests():
 def test_every_kept_name_still_exists_and_still_lacks_a_caller():
     # an exception that gains a caller, or leaves the library, is dropped here
     assert set(KEPT) <= {*_orphans(), *_unread_members()}
+
+
+def test_the_order_test_has_one_caller_the_scan_of_the_witness_class():
+    # find_witness and empirical_density both scan through
+    # elliptic.order_class_primes, and neither imports the order test
+    users = {
+        (module, getattr(top, "name", type(top).__name__))
+        for module, tree in _modules().items()
+        for top in tree.body
+        for node in ast.walk(top)
+        if (isinstance(node, ast.Name) and node.id == "q_divides_order")
+        or (isinstance(node, ast.Attribute) and node.attr == "q_divides_order")
+        or (isinstance(node, ast.ImportFrom) and any(alias.name == "q_divides_order" for alias in node.names))
+    }
+    assert users == {("elliptic", "order_class_primes")}

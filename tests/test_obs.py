@@ -21,18 +21,16 @@ def test_only_edslab_trace_1_turns_tracing_on():
 def test_nothing_is_written_unless_tracing_is_on(monkeypatch, capsys):
     monkeypatch.setattr(obs, "ENABLED", False)
     with obs.span("outer", k=1):
-        obs.count("things", 3)
+        pass
     assert _lines(capsys) == []
 
 
-def test_spans_and_counts_are_json_lines_on_stderr(monkeypatch, capsys):
+def test_spans_are_json_lines_on_stderr(monkeypatch, capsys):
     monkeypatch.setattr(obs, "ENABLED", True)
     with obs.span("outer", k=1):
         with obs.span("inner"):
-            obs.count("things", 3)
-        obs.count("steps")
-    count, inner, steps, outer = _lines(capsys)
-    assert count == {"count": "things", "n": 3} and steps == {"count": "steps", "n": 1}
+            pass
+    inner, outer = _lines(capsys)
     assert (inner["span"], inner["parent"], outer["span"], outer["parent"], outer["k"]) == ("inner", "outer", "outer", None, 1)
     assert outer["start"] <= inner["start"] and 0 <= inner["s"] <= outer["s"]
 

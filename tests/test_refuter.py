@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import random
 import time
 import tracemalloc
@@ -8,7 +9,8 @@ from itertools import islice
 
 import pytest
 
-from edslab import eds, lrs, refuter
+import edslab
+from edslab import eds, elliptic, lrs, obs, refuter
 from edslab.eds import (
     WardSeed,
     division_poly_seeds,
@@ -17,6 +19,7 @@ from edslab.eds import (
     stream_mod_p,
 )
 from edslab.elliptic import CurveQ, PointQ
+from edslab.galois_density import empirical_density
 from edslab.lrs import FIBONACCI, LrsSpec, eval_mod
 from edslab.ntkernel import next_prime
 from edslab.refuter import (
@@ -481,12 +484,57 @@ def test_finder_certifies_no_p_above_the_verifiers_bound(monkeypatch):
     # p = 7 is the witness unbounded; the scan stops at the bound, and of
     # the primes 2, 3, 5 below it all but p = 3 are excluded before their
     # order is looked at
-    monkeypatch.setattr(refuter, "q_divides_order", _no_work)
+    monkeypatch.setattr(elliptic, "q_divides_order", _no_work)
     monkeypatch.setattr(refuter, "MAX_WITNESS_P", 6)
     result = find_witness(E, P, FIBONACCI, 5, p_max=200)
     assert not result.found and result.stats["candidates"] == 0
     assert result.stats["scanned"] == 3
     assert result.stats["excluded"] == result.stats["scanned"] - 1  # all but p = 3
+
+
+def _trace(monkeypatch):
+    """Turn tracing on in this process, as EDSLAB_TRACE=1 at import would."""
+    monkeypatch.setattr(edslab, "_TRACING", True)
+    monkeypatch.setattr(obs, "ENABLED", True)
+
+
+def _spans(capsys, name: str) -> list[dict]:
+    """The records of the span name written to stderr since the last read."""
+    return [r for r in map(json.loads, capsys.readouterr().err.splitlines()) if r["span"] == name]
+
+
+def test_exhausted_finder_counts_what_the_density_scan_counts(monkeypatch, capsys):
+    # one scan of the witness class: with no candidate confirmed, the finder
+    # rejects each prime under the test the density scan does, and its
+    # candidates are the scan's hits, with one worker or two
+    monkeypatch.setattr(refuter, "ward_period", lambda *args: None)
+    result = find_witness(E, P, FIBONACCI, 5, p_max=3000, exclusions=(7,))
+    assert not result.found
+    assert result.stats == {
+        "scanned": 430, "excluded": 3, "divides_invariants": 1, "residue_class": 316, "order": 91,
+        "period_unconfirmed": 19, "too_few_mismatches": 0, "candidates": 19,
+    }
+    finder = [result.stats[k] for k in ("excluded", "divides_invariants", "residue_class", "order", "candidates")]
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    _trace(monkeypatch)
+    for jobs in (1, 2):
+        report = empirical_density(E, P, 5, 3, 3000, exclusions=(7,), jobs=jobs)
+        [span] = _spans(capsys, "galois_density.scan")
+        assert [span[k] for k in ("excluded", "bad", "residue_class", "order", "hits")] == finder
+        assert (span["jobs"], report.empirical.hits) == (jobs, result.stats["candidates"])
+
+
+def test_a_traced_finder_writes_its_stats_in_one_span(monkeypatch, capsys):
+    _trace(monkeypatch)
+    fields = {"span", "parent", "start", "s", "q", "p_max", "base"}
+    for p_max, found in ((6, False), (2_000_000, True)):
+        result = find_witness(E, P, FIBONACCI, 5, p_max=p_max)
+        [span] = _spans(capsys, "refuter.scan")
+        assert result.found == found
+        assert (span["q"], span["p_max"], span["base"]) == (5, min(p_max, MAX_WITNESS_P), "rational")
+        assert {k: span[k] for k in result.stats} == result.stats
+        assert set(span) == fields | set(result.stats) | ({"p"} if found else set())
+        assert span.get("p") == (result.certificate.p if found else None)
 
 
 def test_finder_certifies_a_witness_whose_window_passes_the_former_cap():
