@@ -11,6 +11,7 @@ import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 
+from . import _span
 from .ntkernel import invmod, is_prime, iter_primes, order_from_multiple, sqrt_mod_prime
 
 TORSION_SEARCH_BOUND = 12  # Mazur: no rational torsion point has a larger order
@@ -558,11 +559,32 @@ def count_points(curve: CurveFp) -> tuple[int, int]:
     with M | N and M' | 2p+2-N (as #E + #E' = 2p+2); Hasse's bound makes that
     N exact, not probable.  Small primes, bad reduction and the (for p > 229
     impossible) case of MESTRE_MAX_POINTS points without a unique candidate
-    go to `count_points_naive`.
+    go to `count_points_naive`.  Under EDSLAB_TRACE=1 each call writes one
+    `elliptic.count_points` span with the path, `mestre` or `naive`, the
+    reason for a naive count (`small_p`, `bad_reduction`, `points_exhausted`)
+    and the points whose order was found.
     """
+    p = curve.p
+    with _span("elliptic.count_points", p=p) as record:
+        n_points, points = None, 0
+        if p < NAIVE_COUNT_BELOW:
+            reason = "small_p"
+        elif not curve.good:
+            reason = "bad_reduction"
+        else:
+            n_points, points = _mestre_count(curve)
+            reason = "points_exhausted" if n_points is None else None
+        if reason is not None:
+            n_points = count_points_naive(curve)[0]
+        if record is not None:
+            record.update(path="mestre" if reason is None else "naive", reason=reason, points=points)
+    return n_points, p + 1 - n_points
+
+
+def _mestre_count(curve: CurveFp) -> tuple[int | None, int]:
+    """`count_points`'s search: #E, or None if the points ran out, and the
+    number of points whose order it found."""
     p, a, b = curve.p, curve.a, curve.b
-    if p < NAIVE_COUNT_BELOW or not curve.good:
-        return count_points_naive(curve)
     half = (p - 1) // 2
     d = 2
     while pow(d, half, p) == 1:
@@ -581,6 +603,7 @@ def count_points(curve: CurveFp) -> tuple[int, int]:
         multiple = multiple_in_hasse(pt, p, on.a)
         if multiple is None:
             break
+        points += 1
         order = order_from_multiple(multiple, lambda k: fp_scalar_mul(k, pt, p, on.a) is None)
         if on is curve:
             m_e = math.lcm(m_e, order)
@@ -588,11 +611,10 @@ def count_points(curve: CurveFp) -> tuple[int, int]:
             m_twist = math.lcm(m_twist, order)
         n_points = _unique_hasse_candidate(m_e, m_twist, p)
         if n_points is not None:
-            return n_points, p + 1 - n_points
-        points += 1
+            return n_points, points
         if points == MESTRE_MAX_POINTS:
             break
-    return count_points_naive(curve)
+    return None, points
 
 
 def hasse_window(n_points: int, p: int) -> bool:

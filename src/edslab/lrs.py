@@ -9,12 +9,12 @@ numerical root finding only ever appears in tests as a cross-check.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate
-from operator import mul
+from itertools import accumulate, islice, repeat
+from operator import add, mod, mul
 
+from . import _span
 from .ntkernel import (
     Poly,
     cyclotomic_factor_orders,
@@ -27,6 +27,8 @@ from .ntkernel import (
 DEFAULT_FIT_BOUND = 12
 # longest walk of the state mod p: the period of u mod p can reach p^k - 1
 MAX_WALK = 10_000_000
+# most terms one chunk of the walk holds: 256 KB as 4-byte machine integers
+WALK_CHUNK = 1 << 16
 # largest term `eval_exact` holds, in bits: 2^14284 < 10^4300, so every term it
 # returns prints within CPython's default limit of 4,300 digits (the largest
 # 4,300-digit integer has 14,285 bits).  Fibonacci passes it at n = 20,577, and
@@ -308,22 +310,69 @@ def nondegenerate_reduction(spec: LrsSpec) -> tuple[int, LrsSpec]:
 
 
 def _walk(spec: LrsSpec, p: int):
-    """u_1, u_2, ... mod p until the initial state returns: L terms, L the period
-    of u mod p (p does not divide c_k, so the state map is a bijection).
-    When L > `MAX_WALK`, ValueError is raised before the first term."""
+    """u_1, u_2, ... mod p until the initial state returns: L terms in all, L
+    the period of u mod p (p does not divide c_k, so the state map is a
+    bijection), in consecutive chunks.  When L > `MAX_WALK`, ValueError is
+    raised before the first term.
+
+    A chunk is an array of machine integers, or a list when p > 2^64.  It is
+    built over a buffer that starts with the last k terms: iterators at
+    offsets 0..k-1 of the buffer feed maps that multiply, add and reduce mod
+    p, and the buffer is extended from that pipeline, term by term, so each
+    term is in place before an iterator reaches it (list and array iterators
+    read the length at every step).  A buffer's index 0 was
+    searched in the buffer before, so the state returns at the first index
+    past 0 that starts u_1..u_k.  Chunks grow by a quarter from 64 terms up to
+    `WALK_CHUNK`, so the walk computes at most L/4 + 64 terms past L, and
+    holds one chunk at a time.  Under EDSLAB_TRACE=1 it writes one `lrs.walk`
+    span with p, the order, the period, the terms computed and the chunks.
+    """
     k = spec.order
     # L <= p^k - 1: only when p^k > MAX_WALK is L read first, from x^t mod chi
     if p**k > MAX_WALK and _state_seq_period_matrix(spec, p) > MAX_WALK:
         raise ValueError(f"the recurrence mod {p} does not return within {MAX_WALK} steps")
-    coeffs = [c % p for c in reversed(spec.coeffs)]
-    start = [u % p for u in spec.initial]
-    window = deque(start, maxlen=k)
-    while True:  # iterated mod p: the exact terms would need O(L^2) bits
-        yield window[0]
-        u = sum(map(mul, coeffs, window)) % p
-        window.append(u)
-        if u == start[-1] and list(window) == start:
-            return
+    with _span("lrs.walk", p=p, order=k) as record:
+        from array import array  # here, not at the top: a C extension that only the walk needs
+
+        code = next((c for c in "IQ" if p <= 256 ** array(c).itemsize), None)  # "B" and "H" store more slowly
+        start = [u % p for u in spec.initial]
+        if code:
+            start = array(code, start)
+        buffer, size, offset, generated, chunks = start[:], 64, 0, 0, 0
+        while True:  # iterated mod p: the exact terms would need O(L^2) bits
+            # u_(n+k) = c_k*u_n + ... + c_1*u_(n+k-1): the iterator at offset i reads u_(n+i)
+            terms = None
+            for i, c in enumerate(reversed(spec.coeffs)):
+                product = map(mul, repeat(c % p), islice(buffer, i, None))
+                terms = product if terms is None else map(add, terms, product)
+            buffer.extend(islice(map(mod, terms, repeat(p)), size))
+            generated += size
+            at = _first_return(buffer, start)
+            chunks += 1
+            if at is not None:
+                del buffer[at:]
+                if record is not None:
+                    record.update(period=offset + at, terms=generated, chunks=chunks)
+                yield buffer
+                return
+            tail = buffer[-k:]
+            del buffer[-k:]
+            offset += len(buffer)
+            yield buffer
+            buffer, size = tail, min(size + size // 4, WALK_CHUNK)
+
+
+def _first_return(buffer, start) -> int | None:
+    """The least index j > 0 with buffer[j : j + k] == start, k = len(start),
+    or None: C-level `index` finds each u_1, a slice compares the rest."""
+    k, at = len(start), 0
+    while True:
+        try:
+            at = buffer.index(start[0], at + 1, len(buffer) - k + 1)
+        except ValueError:
+            return None
+        if buffer[at : at + k] == start:
+            return at
 
 
 def _state_seq_period_matrix(spec: LrsSpec, p: int) -> int:
@@ -358,14 +407,15 @@ def _require_purely_periodic(spec: LrsSpec, p: int) -> None:
 def lrs_period_mod_p(spec: LrsSpec, p: int, method: str = "matrix") -> int:
     """Minimal period of (u_n mod p); requires p not dividing the last coefficient.
 
-    Two implementations: "iteration" counts the terms of one `_walk` of the
-    state, which refuses a period above `MAX_WALK` before it starts;
+    Two implementations: "iteration" sums the chunk lengths of one `_walk`
+    of the state, holding one chunk at a time, and refuses a period above
+    `MAX_WALK` before it starts;
     "matrix" refines a divisor bound on the companion-matrix order.  They
     agree and can cross-check each other.
     """
     _require_purely_periodic(spec, p)
     if method == "iteration":
-        return sum(1 for _ in _walk(spec, p))
+        return sum(map(len, _walk(spec, p)))
     if method == "matrix":
         return _state_seq_period_matrix(spec, p)
     raise ValueError(f"unknown method {method!r}")
@@ -387,25 +437,27 @@ class SquarePeriodResult:
 def square_sampled_period(spec: LrsSpec, p: int) -> SquarePeriodResult:
     """Minimal T with u_{(n+T)^2} = u_{n^2} (mod p) for all n, fully verified.
 
-    One `_walk` of the state mod p gives the period L of u and the table
-    u_1..u_L mod p that `u_mod` reads.  It and one L-cycle of v_n = u_{n^2}
-    are held as machine integers (in lists when p > 2^64), and as (L - n)^2
-    = n^2 (mod L), half of v is read from the table and half mirrored.  v is
-    purely periodic with period dividing L, and its periods are the multiples
-    of the least one; `order_from_multiple` strips primes from L while a
-    rotation by the candidate, compared without a copy, leaves the cycle
-    unchanged.  When L > `MAX_WALK`, ValueError is raised before the walk.
+    One `_walk` of the state mod p gives the period L of u, and its chunks
+    extend the table u_1..u_L mod p that `u_mod` reads.  It and one L-cycle
+    of v_n = u_{n^2} are held as machine integers (in lists when p > 2^64),
+    and as (L - n)^2 = n^2 (mod L), half of v is read from the table and half
+    mirrored.  v is purely periodic with period dividing L, and its periods
+    are the multiples of the least one; `order_from_multiple` strips primes
+    from L while a rotation by the candidate, compared without a copy, leaves
+    the cycle unchanged.  When L > `MAX_WALK`, ValueError is raised before
+    the walk.
     """
-    from array import array  # here, not at the top: a C extension that only this function needs
-
     _require_purely_periodic(spec, p)
-    code = next((c for c in "IQ" if p <= 256 ** array(c).itemsize), None)  # "B" and "H" store more slowly
-    table = array(code, _walk(spec, p)) if code else list(_walk(spec, p))
+    chunks = _walk(spec, p)
+    table = next(chunks)
+    for chunk in chunks:
+        table.extend(chunk)
+    chunk = None  # held in the table now: not held twice while v is built
     lam = len(table)
-    values = array(code) if code else []
+    values = table[:0]  # empty, and of the table's type
     values.extend(table[(n * n - 1) % lam] for n in range(lam // 2 + 1))  # v_0..v_(L/2); v_0 = u_L
     values.extend(reversed(values[1 : (lam + 1) // 2]))  # v_(L/2+1)..v_(L-1), as v_(L-n) = v_n
-    v = memoryview(values) if code else values  # a memoryview's slices copy nothing
+    v = values if isinstance(values, list) else memoryview(values)  # a memoryview's slices copy nothing
     period = order_from_multiple(lam, lambda d: v[d:] == v[: lam - d] and v[:d] == v[lam - d :])
     return SquarePeriodResult(p, lam, period, (1, lam + period), table)
 

@@ -65,6 +65,7 @@ def test_term_count_below_one_exit2_before_any_work(capsys, monkeypatch, argv, n
 
 
 LRS_EVAL = ("lrs", "eval", "--lrs", "2", "1", "1", "0", "1", "--n", "10")
+LRS_SQUARES = ("lrs", "period", "--lrs", "2", "3", "1", "1", "2", "--p", "10067", "--squares")  # lambda = 20,136
 
 
 def _python(*args: str, **env: str) -> subprocess.CompletedProcess:
@@ -178,6 +179,29 @@ def test_untraced_density_scan_loads_no_tracing():
 def test_untraced_refute_loads_no_tracing():
     loaded = _modules_after(*REFUTE)
     assert "edslab.refuter" in loaded and "edslab.obs" not in loaded
+
+
+def test_untraced_square_period_loads_no_tracing():
+    loaded = _modules_after(*LRS_SQUARES)
+    assert "edslab.lrs" in loaded and not {"edslab.obs", "json"} & loaded
+
+
+def test_traced_square_period_writes_one_walk_span():
+    command = ("-c", "import sys, edslab.cli; sys.exit(edslab.cli.main(sys.argv[1:]))")
+    run = _python(*command, *LRS_SQUARES, "--format", "json", EDSLAB_TRACE="1")
+    [walk] = [r for r in map(json.loads, run.stderr.splitlines()) if r.get("span") == "lrs.walk"]
+    assert walk["parent"] == "cli.run" and (walk["p"], walk["order"]) == (10067, 2)
+    assert walk["period"] == json.loads(run.stdout)["period"] == 20136
+    # chunks of 64, 80, 100, ..., 4,385 terms: the 20th ends 1,560 terms past the period
+    assert (walk["chunks"], walk["terms"]) == (20, 21696)
+
+
+def test_traced_refute_names_the_path_of_each_point_count():
+    command = ("-c", "import sys, edslab.cli; sys.exit(edslab.cli.main(sys.argv[1:]))")
+    records = list(map(json.loads, _python(*command, *REFUTE, EDSLAB_TRACE="1").stderr.splitlines()))
+    counts = [r for r in records if r.get("span") == "elliptic.count_points"]
+    assert counts and all(r["parent"] == "refuter.scan" for r in counts)
+    assert all((r["path"], r["reason"]) == (("naive", "small_p") if r["p"] < 400 else ("mestre", None)) for r in counts)
 
 
 Z87 = ("eds", "gen", "--curve", "8", "3", "--point", "13", "48", "1", "--n", "87")  # z_87 has 4,398 digits
@@ -757,9 +781,9 @@ def test_lrs_period_past_the_walk_bound_exit2(capsys, monkeypatch):
 
 
 def test_lrs_period_iteration_refuses_before_walking(capsys, monkeypatch):
-    # the period mod 317 exceeds lrs.MAX_WALK: x^t mod chi reads it, and no
-    # state window is built
-    monkeypatch.setattr(lrs, "deque", _refuse)
+    # the period mod 317 exceeds lrs.MAX_WALK: x^t mod chi reads it, and the
+    # walk, whose first call opens its span, never starts
+    monkeypatch.setattr(lrs, "_span", _refuse)
     code, out, err = run(
         capsys, "lrs", "period", "--lrs", "4", "5", "1", "-1", "-3", "-3", "5", "-5", "0", "--p", "317",
         "--method", "iteration",

@@ -1,6 +1,7 @@
 """Shanks-Mestre `count_points` against the character-sum oracle."""
 
 import random
+from contextlib import contextmanager
 
 from edslab import elliptic
 from edslab.elliptic import CurveFp, CurveQ, count_points, count_points_naive
@@ -63,3 +64,27 @@ def test_baby_giant_counts_small_primes_exactly(monkeypatch):
     for curve in CURVES:
         for cfp in _good_reductions(curve, primes):
             assert count_points(cfp) == count_points_naive(cfp), (curve, cfp.p)
+
+
+def test_each_count_writes_one_span_with_its_path(monkeypatch):
+    spans = []
+
+    @contextmanager
+    def span(name, **fields):
+        spans.append((name, fields))
+        yield fields
+
+    monkeypatch.setattr(elliptic, "_span", span)
+    bad = CurveFp.from_curve(CurveQ(-3, 403), 401)  # disc = -16*27*401*405
+    large = CurveFp.from_curve(CURVES[0], 99991)
+    assert not bad.good
+    for cfp in (CurveFp.from_curve(CURVES[0], 97), bad, large):
+        assert count_points(cfp) == count_points_naive(cfp)
+    # no point pins #E down: MESTRE_MAX_POINTS orders are found, then the sum runs
+    monkeypatch.setattr(elliptic, "_unique_hasse_candidate", lambda *args: None)
+    assert count_points(large) == count_points_naive(large)
+    assert {name for name, _ in spans} == {"elliptic.count_points"}
+    records = [(f["p"], f["path"], f["reason"], f["points"]) for _, f in spans]
+    assert records[:2] == [(97, "naive", "small_p", 0), (401, "naive", "bad_reduction", 0)]
+    assert records[2][:3] == (99991, "mestre", None) and records[2][3] >= 1
+    assert records[3] == (99991, "naive", "points_exhausted", elliptic.MESTRE_MAX_POINTS)

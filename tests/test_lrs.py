@@ -1,9 +1,13 @@
 import math
 import random
+from collections import deque
+from contextlib import contextmanager
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
+from edslab import lrs
 from edslab.eds import generate_geometric
 from edslab.elliptic import CurveQ, PointQ
 from edslab.lrs import (
@@ -603,6 +607,108 @@ def test_square_sampled_period_refuses_a_long_walk_before_it_starts():
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000
+
+
+def _reference_walk(spec, p):
+    """u_1, u_2, ... mod p until the initial state returns, one term at a time
+    through a window of the last k terms: the reference for `lrs._walk`."""
+    k = spec.order
+    coeffs = [c % p for c in reversed(spec.coeffs)]
+    start = [u % p for u in spec.initial]
+    window = deque(start, maxlen=k)
+    while True:
+        yield window[0]
+        u = sum(map(mul, coeffs, window)) % p
+        window.append(u)
+        if u == start[-1] and list(window) == start:
+            return
+
+
+@pytest.fixture
+def recorded_walk(monkeypatch):
+    """`lrs._walk` as a list of its chunks, with the fields of its span."""
+    spans = []
+
+    @contextmanager
+    def span(name, **fields):
+        spans.append((name, fields))
+        yield fields
+
+    monkeypatch.setattr(lrs, "_span", span)
+
+    def walk(spec, p):
+        spans.clear()
+        chunks = list(lrs._walk(spec, p))
+        [(name, fields)] = spans
+        assert name == "lrs.walk" and (fields["p"], fields["order"]) == (p, spec.order)
+        return chunks, fields
+
+    return walk
+
+
+@pytest.mark.parametrize("cap", [lrs.WALK_CHUNK, 300], ids=["default-cap", "cap-300"])
+def test_walk_matches_the_reference_walk(recorded_walk, monkeypatch, cap):
+    # a seeded spec per order 1..5 against every prime p < 300 with p not
+    # dividing c_k and lambda <= 20,000; one p in (2^32, 2^64], stored as "Q",
+    # and one p > 2^64, as a list; lambda at a chunk's end; and lambda = 1,
+    # from u = 0 and a constant u
+    monkeypatch.setattr(lrs, "WALK_CHUNK", cap)
+    rng = random.Random(29)
+    cases = []
+    for k in range(1, 6):
+        spec = LrsSpec(
+            k,
+            tuple(rng.randint(-3, 3) for _ in range(k - 1)) + (rng.choice([-3, -2, -1, 1, 2, 3]),),
+            tuple(rng.randint(-5, 5) for _ in range(k)),
+        )
+        cases += [(spec, p) for p in sieve_primes(300) if spec.coeffs[-1] % p and lrs_period_mod_p(spec, p) <= 20_000]
+    # characteristic roots of orders d1 and d2 mod p, d1 and d2 dividing p - 1: lambda = lcm(d1, d2)
+    for p, g, d1, d2 in ((4_294_967_371, 2, 1319, 15), (18_446_744_073_709_551_653, 3, 997, 13)):
+        a, b = pow(g, (p - 1) // d1, p), pow(g, (p - 1) // d2, p)
+        cases.append((LrsSpec(2, (a + b, -a * b), (1, 5)), p))
+    # lambda = 64 and 144, where the first and second chunks end: the state returns at a buffer's last index
+    cases += [(LrsSpec(1, (125,), (1,)), 193), (LrsSpec(2, (125 + 238, -125 * 238), (1, 5)), 433)]
+    cases += [(LrsSpec(3, (1, -2, 3), (0, 0, 0)), 7), (LrsSpec(2, (2, -1), (4, 4)), 11), (LrsSpec(1, (1,), (9,)), 5)]
+    lams, widest = [], 0
+    for spec, p in cases:
+        chunks, span = recorded_walk(spec, p)
+        terms = list(_reference_walk(spec, p))
+        lam = len(terms)
+        assert [u for chunk in chunks for u in chunk] == terms, (spec, p)
+        assert sum(map(len, chunks)) == span["period"] == lam == lrs_period_mod_p(spec, p)
+        assert span["chunks"] == len(chunks) and max(map(len, chunks)) <= cap
+        assert lam <= span["terms"] <= lam + lam / 4 + 64
+        assert all(isinstance(chunk, list) if p > 2**64 else chunk.typecode == ("I" if p < 2**32 else "Q")
+                   for chunk in chunks)
+        lams.append(lam)
+        widest = max(widest, *map(len, chunks))
+    assert len(lams) == 219 and lams[-5:] == [64, 144, 1, 1, 1]
+    assert (widest == cap) == (cap == 300)  # every lambda here is far below the default cap
+
+
+def test_square_period_of_an_odd_lambda_longer_than_its_square_period():
+    # v_n = u_{n^2} mod L mirrors about L/2; at odd L the cycle has no middle term
+    for spec, p, lam, period in ((LrsSpec(2, (6, -3), (4, 4)), 11, 15, 5), (LrsSpec(2, (-1, -1), (2, -4)), 19, 3, 1)):
+        result = square_sampled_period(spec, p)
+        assert (result.lrs_period, result.period, result.window) == (lam, period, (1, lam + period))
+        assert result.period == _two_cycle_square_period(result.table)
+        assert list(result.table) == [u % p for u in generate(spec, lam)]
+
+
+def test_iteration_period_holds_one_chunk_not_the_table():
+    import tracemalloc
+
+    # lambda = 100,018: the table would take 400 KB as 4-byte machine integers,
+    # and the walk holds one chunk, below WALK_CHUNK terms
+    spec = LrsSpec(2, (3, 1), (1, 2))
+    tracemalloc.start()
+    try:
+        lam = lrs_period_mod_p(spec, 100_019, "iteration")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert lam == lrs_period_mod_p(spec, 100_019) == 100_018
+    assert peak < 4 * lrs.WALK_CHUNK
 
 
 def test_growth_diagnostic_dominant_root():
