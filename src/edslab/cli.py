@@ -32,7 +32,7 @@ CACHE_ENV = "EDSLAB_CACHE"
 MAX_DECIMATE_M = 1000
 # largest `eds gen --n * --stride` and `eds zsigmondy --n`: generating z_1..z_N
 # takes time that grows about 16x per doubling of N; on (-4,4), (1,1,1), 800
-# terms took 5.6 s (21 MB traced peak) and 1,000 took 14 s on a shared 2-core
+# terms took 4.1 s (21 MB traced peak) and 1,000 took 11 s on a shared 2-core
 # machine under Python 3.11, and z_N passes the table's 4,300-digit int-to-str
 # limit at N = 175
 MAX_EDS_TERMS = 1000

@@ -30,6 +30,7 @@ from .elliptic import (
     InexactDivisionError,
     PointQ,
     _companion_gcd,
+    _double_block,
     _exact_div,
     _last_doubling,
     _ward_denominators,
@@ -111,20 +112,22 @@ def generate_geometric(curve: CurveQ, point: PointQ, n_terms: int) -> EdsSequenc
 
     The exact integers w_n of `generate_ward` on `division_poly_seeds` give
     each z_n by `_z_from_w`.  No point is added: the chord-tangent law is
-    kept only in the tests, as their independent oracle.
+    kept only in the tests, as their independent oracle.  Under EDSLAB_TRACE=1
+    each call writes one span with its `path` (`ayad` or `gcd`) and `terms`.
     """
     if n_terms < 1:
         raise ValueError("need at least one term")
     if not curve.contains(point):
         raise ValueError("point is not on the curve")
-    torsion, order = is_torsion(point, curve)
-    if torsion:
-        raise ValueError(f"point is torsion (order {order}); the sequence degenerates")
-    seed = WardSeed(*division_poly_seeds(curve, point))
     coprime = _companion_gcd(curve, point) == 1
-    # the coprime path reads no w_(n+1): its last term is never generated
-    w = [0, *generate_ward(seed, n_terms + (not coprime)).terms, None]
-    terms = [_z_from_w(point, coprime, n, w[n - 1], w[n], w[n + 1]) for n in range(1, n_terms + 1)]
+    with _span("eds.generate_geometric", path="ayad" if coprime else "gcd", terms=n_terms):
+        torsion, order = is_torsion(point, curve)
+        if torsion:
+            raise ValueError(f"point is torsion (order {order}); the sequence degenerates")
+        seed = WardSeed(*division_poly_seeds(curve, point))
+        # the coprime path reads no w_(n+1): its last term is never generated
+        w = [0, *generate_ward(seed, n_terms + (not coprime)).terms, None]
+        terms = [_z_from_w(point, coprime, n, w[n - 1], w[n], w[n + 1]) for n in range(1, n_terms + 1)]
     return EdsSequence("geometric", terms, curve=curve, point=point)
 
 
@@ -135,17 +138,23 @@ def geometric_term(curve: CurveQ, point: PointQ, n: int) -> int:
 
 
 def generate_ward(seed: WardSeed, n_terms: int) -> EdsSequence:
-    """Extend four seed values by the bilinear recurrences (`_ward_step`),
-    checking that each division is exact."""
+    """Extend four seed values by the bilinear recurrences of `_ward_step`,
+    checking that each division is exact.  Each w_i^2 and w_i^3 is formed once,
+    as the even step 2i - 2 or the odd step 2i - 1 first reads it."""
     if n_terms < 1:
         raise ValueError("need at least one term")
     w = [0, *seed.as_tuple()]
-    degenerate_at = next((i for i in range(1, min(4, n_terms) + 1) if w[i] == 0), None)
     den = _ward_denominators(seed.w1, seed.w2)
+    sq, cu = [x * x for x in w[:4]], [x**3 for x in w[:3]]  # w_i^2 for i <= 3, w_i^3 for i <= 2
     for m in range(5, n_terms + 1):
-        w.append(_exact_div(_ward_step(w, m), den[m & 1], m))
-        if w[m] == 0 and degenerate_at is None:
-            degenerate_at = m
+        n = m >> 1
+        if m & 1:
+            cu.append(sq[n + 1] * w[n + 1])
+            w.append(_exact_div(w[n + 2] * cu[n] - cu[n + 1] * w[n - 1], den[1], m))
+        else:
+            sq.append(w[n + 1] * w[n + 1])
+            w.append(_exact_div(w[n] * (w[n + 2] * sq[n - 1] - w[n - 2] * sq[n + 1]), den[0], m))
+    degenerate_at = next((i for i in range(1, n_terms + 1) if w[i] == 0), None)
     return EdsSequence("ward", w[1 : n_terms + 1], seed=seed, degenerate_at=degenerate_at)
 
 
@@ -212,23 +221,42 @@ def ward_period(seeds: tuple[int, int, int, int], p: int, rank: int) -> int | No
     block's n = -3..4, a and b read off w_{r+1} and w_{r+2} (M. Ward, Amer.
     J. Math. 70, 1948).  A period maps the zero set onto itself, so it is
     some k*r, and k*r is one exactly when a^k = 1 and b^(k^2) = 1: k a
-    multiple of ord(a) and of l^ceil(e/2) for every l^e || ord(b).  Costs
-    1 + omega(r) ladders, not an O(r*p) window of the stream.  None too when
-    w_{r+1} or w_{r+2} vanishes, as it can when p | w_3: r is then no proper rank.
+    multiple of ord(a) and of l^ceil(e/2) for every l^e || ord(b).  The block
+    at r is one `_double_block` step above the ladder to r >> 1, whose w_{r/2}
+    is the l = 2 test: omega(r) ladders for even r, 1 + omega(r) for odd r, not
+    an O(r*p) window of the stream.  None too when w_{r+1} or w_{r+2}
+    vanishes, as it can when p | w_3: r is then no proper rank.  Under
+    EDSLAB_TRACE=1 each call writes one span: `rank`, `ladders`, `steps`, `period`.
     """
-    block, w = ladder_block(seeds, p, rank), ladder_block(seeds, p, 0)  # w: w_n for n = -3..4
-    if block[3] != 0 or 0 in block[4:6]:
-        return None
-    if any(ladder_block(seeds, p, rank // ell)[3] == 0 for ell in factorize(rank)):
-        return None
+    with _span("eds.ward_period", rank=rank) as record:
+        period, ladders, steps = _ward_period(seeds, p, rank)
+        if record is not None:
+            record.update(ladders=ladders, steps=steps, period=period)
+    return period
+
+
+def _ward_period(seeds: tuple[int, int, int, int], p: int, rank: int) -> tuple[int | None, int, int]:
+    """`ward_period`'s answer, with the ladders it ran and their doubling steps."""
+    half = ladder_block(seeds, p, rank >> 1)
+    w = [s % p for s in (-seeds[2], -seeds[1], -seeds[0], 0, *seeds)]  # w_n for n = -3..4
+    inv, bit = [invmod(d % p, p) for d in _ward_denominators(w[4], w[5])], rank & 1
+    block = [num * inv[m & 1] % p for m, num in zip(range(3 + bit, 11 + bit), _double_block(half, bit))]  # at r
+    ladders, steps = 1, max(rank.bit_length(), 2)  # the steps to r >> 1 (one at least) and the last
+    if block[3] != 0 or 0 in block[4:6] or (bit == 0 and half[3] == 0):
+        return None, ladders, steps
+    for ell in factorize(rank):
+        if ell != 2:
+            ladders, steps = ladders + 1, steps + max((rank // ell).bit_length(), 1)
+            if ladder_block(seeds, p, rank // ell)[3] == 0:
+                return None, ladders, steps
     a = block[5] * w[4] * invmod(w[5] * block[4], p) % p
     b = block[4] * invmod(w[4] * a, p) % p
     if any(block[n + 3] != w[n + 3] * pow(a, n, p) * b % p for n in range(-3, 5)):
-        return None
+        return None, ladders, steps
     t = multiplicative_order(a, p)
     for ell, e in factorize(multiplicative_order(b, p)).items():
         t = math.lcm(t, ell ** ((e + 1) // 2))
-    return rank * t
+    return rank * t, ladders, steps
 
 
 @dataclass
@@ -366,7 +394,9 @@ def save_sequence(cache_dir: str, seq: EdsSequence) -> str:
     file as it was.
 
     Hex, unlike decimal, converts in time linear in the size of a term and
-    has no length limit.
+    has no length limit.  A term's hex is that of its bytes, less the one 0
+    their top byte can start with: the text of f"{z:x}", which CPython 3.11
+    formats about 3 times more slowly.
     """
     import tempfile
 
@@ -380,7 +410,8 @@ def save_sequence(cache_dir: str, seq: EdsSequence) -> str:
     try:
         with os.fdopen(fd, "w") as fh:
             digest = blake2b(digest_size=32)
-            lines = (f"{n} {z:x}\n" for n, z in enumerate(seq.terms, start=1))
+            hexes = (z.to_bytes((z.bit_length() + 7) // 8, "big").hex().lstrip("0") or "0" for z in seq.terms)
+            lines = (f"{n} {digits}\n" for n, digits in enumerate(hexes, start=1))
             for line in itertools.chain([CACHE_HEADER], lines):
                 digest.update(line.encode())
                 fh.write(line)

@@ -168,14 +168,29 @@ def _exact_div(num: int, den: int, index: int) -> int:
     return q
 
 
+def _double_block(w: list[int], b: int) -> tuple[int, ...]:
+    """The numerators of the block at 2j + b from the block w at j: `_ward_step`
+    at m = 3 + b..10 + b, unrolled so that each square and cube is formed once."""
+    w0, w1, w2, w3, w4, w5, w6, w7 = w
+    s1, s2, s3, s4, s5, s6 = w1 * w1, w2 * w2, w3 * w3, w4 * w4, w5 * w5, w6 * w6
+    c2, c3, c4, c5 = s2 * w2, s3 * w3, s4 * w4, s5 * w5
+    m4, m5 = w2 * (w4 * s1 - w0 * s3), w4 * c2 - c3 * w1
+    m6, m7 = w3 * (w5 * s2 - w1 * s4), w5 * c3 - c4 * w2
+    m8, m9 = w4 * (w6 * s3 - w2 * s5), w6 * c4 - c5 * w3
+    m10 = w5 * (w7 * s4 - w3 * s6)
+    if b:
+        return m4, m5, m6, m7, m8, m9, m10, w7 * c5 - s6 * w6 * w4
+    return w3 * s1 * w1 - c2 * w0, m4, m5, m6, m7, m8, m9, m10
+
+
 def ladder_block(seeds: tuple[int, int, int, int], p: int | None, n: int) -> list[int]:
     """w_{n-3}..w_{n+4} modulo p, or over Z when p is None, in O(log n) steps.
 
     Shipsey's double-and-add (R. Shipsey, thesis, Goldsmiths 2000): with w_{-m} = -w_m,
-    `_ward_step` maps the block at j (w_{j-3}..w_{j+4} at list positions 0..7) to the
-    one at 2j + b, at positions 3 + b..10 + b of indices shifted down by the even 2(j-3).
-    Modulo p the divisions are by inverses, so p must be coprime to w1*w2; over Z each
-    must be exact, or `InexactDivisionError` names the index.
+    one `_double_block` per bit b of n maps the block at j (w_{j-3}..w_{j+4}) to the one
+    at 2j + b.  Modulo p its numerators are multiplied by the inverses of w2*w1^2 (even
+    steps) and w1^3 (odd), so p must be coprime to w1*w2; over Z each division must be
+    exact, or `InexactDivisionError` names the index.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -186,15 +201,20 @@ def ladder_block(seeds: tuple[int, int, int, int], p: int | None, n: int) -> lis
         )
     w = [-w3, -w2, -w1, 0, w1, w2, w3, w4]  # the block at j = 0
     den = _ward_denominators(w1, w2)
-    if p is None:
-        j = 0
-        for b in map(int, bin(n)[2:]):
-            w = [_exact_div(_ward_step(w, m), den[m & 1], m + 2 * j - 6) for m in range(3 + b, 11 + b)]
-            j = 2 * j + b
+    bits = map(int, bin(n)[2:])
+    if p is not None:
+        inv = [invmod(d % p, p) for d in den]
+        pairs = (inv[::-1], inv)  # the inverses of the steps 3 + b and 4 + b
+        for b in bits:
+            n0, n1, n2, n3, n4, n5, n6, n7 = _double_block(w, b)
+            x, y = pairs[b]
+            w = [n0 * x % p, n1 * y % p, n2 * x % p, n3 * y % p, n4 * x % p, n5 * y % p, n6 * x % p, n7 * y % p]
         return w
-    inv = [invmod(d % p, p) for d in den]
-    for b in map(int, bin(n)[2:]):
-        w = [_ward_step(w, m) * inv[m & 1] % p for m in range(3 + b, 11 + b)]
+    j = 0
+    for b in bits:
+        steps = range(3 + b, 11 + b)  # step m gives w_(2j + m - 6)
+        w = [_exact_div(num, den[m & 1], m + 2 * j - 6) for m, num in zip(steps, _double_block(w, b))]
+        j = 2 * j + b
     return w
 
 

@@ -274,16 +274,16 @@ def test_ward_period_refuses_a_rank_that_is_not_the_rank_of_apparition(monkeypat
     assert (r, ward_period(seeds, p, r)) == (13, 39)
     assert ward_period(seeds, p, 2 * r) is None
     assert ward_period(seeds, p, r + 1) is None
-    # r is the rank of apparition, but w_(r+3) != w_3 * a^3 * b in the block at r
-    ladder = eds.ladder_block
+    # r is the rank of apparition, but w_(r+3) != w_3 * a^3 * b in the block at r,
+    # which ward_period doubles from the block at r >> 1 itself
+    double = eds._double_block
 
-    def tampered(seeds, p, n):
-        block = ladder(seeds, p, n)
-        if n == r:
-            block[6] = 2 * block[6] % p
-        return block
+    def tampered(w, b):
+        numerators = list(double(w, b))
+        numerators[6] *= 2
+        return numerators
 
-    monkeypatch.setattr(eds, "ladder_block", tampered)
+    monkeypatch.setattr(eds, "_double_block", tampered)
     assert ward_period(seeds, p, r) is None
 
 
@@ -332,6 +332,130 @@ def test_ward_period_takes_logarithmically_many_ladder_steps(monkeypatch):
     monkeypatch.setattr(eds, "ladder_block", lambda s, p, n: steps.append(max(n.bit_length(), 1)) or ladder(s, p, n))
     assert ward_period(seeds, p, r) == 5_741_689_772
     assert 0 < sum(steps) <= 4 * (1 + len(factorize(r))) * math.log2(r)
+
+
+# ---------------------------------------------------------------------------
+# the unrolled kernel against one `_ward_step` per term
+
+# the seeds of the six companion points, of a gcd-path point and of (8,3), (13,48,1), and Ward seeds
+KERNEL_SEEDS = [division_poly_seeds(curve, point) for curve, point in COMPANION_FIXTURES] + [
+    division_poly_seeds(CurveQ(0, 17), PointQ(-2, 3, 1)),
+    division_poly_seeds(CurveQ(8, 3), PointQ(13, 48, 1)),
+    (1, -7, 22, -119),
+    (1, 1, -1, 1),
+    (1, 3, 2, 9),
+]
+
+
+def _reference_block(seeds, p, n):
+    """The ladder with each term of each doubling from its own `_ward_step`."""
+    w1, w2, w3, w4 = seeds if p is None else (s % p for s in seeds)
+    if w1 == 0 or w2 == 0:
+        raise ValueError("w1 and w2 must be non-zero" if p is None else f"stream modulo {p} needs p coprime to w1*w2")
+    w, j = [-w3, -w2, -w1, 0, w1, w2, w3, w4], 0
+    den = (w2 * w1 * w1, w1**3)
+    for b in map(int, bin(n)[2:]):
+        steps = range(3 + b, 11 + b)
+        if p is None:
+            w = [elliptic._exact_div(elliptic._ward_step(w, m), den[m & 1], m + 2 * j - 6) for m in steps]
+        else:
+            w = [elliptic._ward_step(w, m) * pow(den[m & 1], -1, p) % p for m in steps]
+        j = 2 * j + b
+    return w
+
+
+def _outcome(f, *args):
+    """f(*args), or the error it raises with its index or message."""
+    try:
+        return f(*args)
+    except InexactDivisionError as exc:
+        return ("inexact", exc.index)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+def _kernel_primes(seeds, rng):
+    """Primes from 3 to 2^61 - 1, and the small primes dividing w1..w4."""
+    small = [p for p in sieve_primes(60)[1:] if any(s % p == 0 for s in seeds)]
+    return sorted({3, 5, 7, 11, *small, *rng.sample(sieve_primes(20_000)[5:], 6), 1_000_003, 10**9 + 7, 2**61 - 1})
+
+
+def test_ladder_block_matches_its_reference():
+    rng = random.Random(30)
+    divides = {3: 0, 4: 0, 12: 0}  # primes dividing w3, w4, w1*w2 met in the sweep
+    for seeds in KERNEL_SEEDS:
+        for n in [*range(0, 13), *rng.sample(range(13, 201), 6), 200]:
+            assert _outcome(ladder_block, seeds, None, n) == _outcome(_reference_block, seeds, None, n), (seeds, n)
+        for p in _kernel_primes(seeds, rng):
+            for i, key in ((2, 3), (3, 4)):
+                divides[key] += seeds[i] % p == 0
+            divides[12] += seeds[0] * seeds[1] % p == 0
+            for n in [*range(0, 9), *(rng.randint(9, 10**6) for _ in range(4)), 10**6]:
+                assert _outcome(ladder_block, seeds, p, n) == _outcome(_reference_block, seeds, p, n), (seeds, p, n)
+    assert all(divides.values()), divides
+    with pytest.raises(ValueError, match="coprime to w1\\*w2"):
+        ladder_block((1, 7, 1, 7), 7, 5)
+
+
+def test_generate_ward_matches_its_reference():
+    # (1, 1, -1, 0) and (1, 1, 1, 1) have zero terms from 4 and 5 on; (3, 1, 1, 1) an inexact w_5
+    for seeds in KERNEL_SEEDS + [(1, 1, -1, 0), (1, 1, 1, 1), (3, 1, 1, 1)]:
+        w = [0, *seeds]
+        den = (seeds[1] * seeds[0] ** 2, seeds[0] ** 3)
+        for m in range(5, 121):
+            w.append(_outcome(elliptic._exact_div, elliptic._ward_step(w, m), den[m & 1], m))
+            if isinstance(w[-1], tuple):  # an inexact division
+                assert _outcome(lambda: generate_ward(WardSeed(*seeds), 120).terms) == w[-1]
+                break
+        else:
+            seq = generate_ward(WardSeed(*seeds), 120)
+            assert (seq.terms, seq.degenerate_at) == (w[1:], next((n for n in range(1, 121) if w[n] == 0), None))
+            assert [generate_ward(WardSeed(*seeds), n).terms for n in range(1, 9)] == [w[1 : n + 1] for n in range(1, 9)]
+
+
+def _reference_ward_period(seeds, p, rank):
+    """ward_period as one full ladder per block: at r, at 0 and at r/l for every prime l | r."""
+    block, w = _reference_block(seeds, p, rank), _reference_block(seeds, p, 0)
+    if block[3] != 0 or 0 in block[4:6]:
+        return None
+    if any(_reference_block(seeds, p, rank // ell)[3] == 0 for ell in factorize(rank)):
+        return None
+    a = block[5] * w[4] * pow(w[5] * block[4], -1, p) % p
+    b = block[4] * pow(w[4] * a, -1, p) % p
+    if any(block[n + 3] != w[n + 3] * pow(a, n, p) * b % p for n in range(-3, 5)):
+        return None
+    t = eds.multiplicative_order(a, p)
+    for ell, e in factorize(eds.multiplicative_order(b, p)).items():
+        t = math.lcm(t, ell ** ((e + 1) // 2))
+    return rank * t
+
+
+def test_ward_period_matches_its_reference():
+    # at each (seed, p): the rank r, r + 1 (w_r != 0), 2r and 3r (w_{r/l} = 0)
+    # and the powers of 2 up to 256; seen: confirmed at an odd r, at an even r
+    # and at r = 2^k, and refused for each reason, p | w_3 among them
+    rng = random.Random(31)
+    seen = dict.fromkeys(("odd", "even", "power_of_2", "w_r", "w_r/l", "p|w3"), 0)
+    for seeds in KERNEL_SEEDS:
+        for p in sorted({*rng.sample(sieve_primes(2000)[1:], 25), *(p for p in (3, 5, 7, 11, 13) if seeds[2] % p == 0)}):
+            if seeds[0] * seeds[1] % p == 0:
+                continue
+            top = p + 1 + math.isqrt(4 * p)
+            stream = stream_mod_p(seeds, p, top)
+            r = next((n for n in range(1, top + 1) if stream[n] == 0), None)
+            if r is None:
+                continue
+            for rank in sorted({r, r + 1, 2 * r, 3 * r, *(2**k for k in range(1, 9))}):
+                period = ward_period(seeds, p, rank)
+                assert period == _reference_ward_period(seeds, p, rank), (seeds, p, rank)
+                if rank == r:
+                    seen["p|w3"] += seeds[2] % p == 0 and period is None
+                    if period is not None:
+                        seen["odd" if r % 2 else "even"] += 1
+                        seen["power_of_2"] += r & (r - 1) == 0
+                else:
+                    seen["w_r" if rank % r else "w_r/l"] += period is None
+    assert all(seen.values()), seen
 
 
 @pytest.mark.parametrize("p,rank,period", [(1009, 237, 17064), (3001, 1554, 2331000)])
@@ -635,12 +759,14 @@ def test_a_bad_term_past_the_requested_ones_is_a_malformed_miss(tmp_path, z11):
 
 
 def _count_ward_steps(monkeypatch):
-    """Record each `_ward_step` where its callers look it up: `ladder_block`
-    in elliptic, `geometric_term` in eds.  Returns the list of steps."""
+    """Record each term the ladder computes: the eight of each `_double_block`
+    and each `_ward_step` where its callers look it up (`_last_doubling` in
+    elliptic, `stream_mod_p` in eds).  Returns the list of steps."""
     steps = []
-    step = elliptic._ward_step
+    step, block = elliptic._ward_step, elliptic._double_block
     for module in (elliptic, eds):
         monkeypatch.setattr(module, "_ward_step", lambda w, m: steps.append(m) or step(w, m))
+    monkeypatch.setattr(elliptic, "_double_block", lambda w, b: steps.extend(range(3 + b, 11 + b)) or block(w, b))
     return steps
 
 
@@ -705,9 +831,20 @@ def test_exact_ladder_reports_an_inexact_division():
 
 
 class _Unprintable(int):
-    # raises for every format spec, the hex one of save_sequence too
-    def __format__(self, spec):
+    # raises as its bytes are taken, which save_sequence writes in hex
+    def to_bytes(self, *args, **kwargs):
         raise ValueError("Exceeds the limit for integer string conversion")
+
+
+def test_saved_terms_are_the_hex_text_of_each_term(tmp_path):
+    # z_1..z_100 of a pool curve, and terms at the byte edges: 0, and top bytes 0x01, 0x0f, 0x10 and 0xff
+    seq = generate_geometric(CurveQ(-4, 4), PointQ(1, 1, 1), 100)
+    seq.terms += [0, 1, 15, 16, 255, 256, 4095, 4096, 2**64 - 1, 2**64, 0x0F << 800, 0x10 << 800]
+    path = save_sequence(str(tmp_path), seq)
+    lines = open(path).read().splitlines()[1:-1]
+    assert lines == [f"{n} {z:x}" for n, z in enumerate(seq.terms, start=1)]
+    odd = sum(len(line.split()[1]) % 2 for line in lines)  # a top byte below 0x10 gives one hex digit
+    assert 10 < odd < len(lines) - 10
 
 
 def test_failed_save_keeps_previous_file_and_leaves_no_temp(tmp_path):

@@ -171,8 +171,9 @@ def test_scalar_mul_computes_five_terms_in_its_last_doubling(monkeypatch):
     # 8 terms per step of the ladder to n // 2, then w_(n-2)..w_(n+2) and w_(2n)
     curve, point = CurveQ(-4, 4), PointQ(1, 1, 1)
     expected = list(islice(multiples(point, curve), 160))
-    steps, step = [], elliptic._ward_step
+    steps, step, block = [], elliptic._ward_step, elliptic._double_block
     monkeypatch.setattr(elliptic, "_ward_step", lambda w, m: steps.append(m) or step(w, m))
+    monkeypatch.setattr(elliptic, "_double_block", lambda w, b: steps.extend(range(3 + b, 11 + b)) or block(w, b))
     for n in (1, 2, 3, 89, 160):
         steps.clear()
         assert scalar_mul(n, point, curve) == expected[n - 1]

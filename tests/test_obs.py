@@ -45,3 +45,45 @@ def test_a_span_is_written_when_its_block_raises(monkeypatch, capsys):
     with obs.span("next"):
         pass
     assert _lines(capsys)[0]["parent"] is None  # the failed span was closed
+
+
+def _trace(monkeypatch):
+    """Turn tracing on in this process, as EDSLAB_TRACE=1 at import would."""
+    import edslab
+
+    monkeypatch.setattr(edslab, "_TRACING", True)
+    monkeypatch.setattr(obs, "ENABLED", True)
+
+
+def test_generate_geometric_writes_one_span_with_its_path(monkeypatch, capsys):
+    from edslab.eds import generate_geometric
+    from edslab.elliptic import CurveQ, PointQ
+
+    _trace(monkeypatch)
+    generate_geometric(CurveQ(-4, 4), PointQ(1, 1, 1), 30)  # gcd(2y, 3x^2 + a*z^4) = 1
+    generate_geometric(CurveQ(0, 17), PointQ(-2, 3, 1), 12)  # gcd 3
+    records = [(r["span"], r["parent"], r["path"], r["terms"]) for r in _lines(capsys)]
+    assert records == [("eds.generate_geometric", None, "ayad", 30), ("eds.generate_geometric", None, "gcd", 12)]
+
+
+def test_ward_period_writes_one_span_with_its_ladders(monkeypatch, capsys):
+    from edslab.eds import division_poly_seeds, ward_period
+    from edslab.elliptic import CurveQ, PointQ
+
+    _trace(monkeypatch)
+    seeds = division_poly_seeds(CurveQ(0, 3), PointQ(1, 2, 1))
+    # (p, r): the ranks 237 = 3*79 and 499,538 = 2*13*19,213; w_238 != 0; w_(711/3) = 0; w_1 != 0
+    cases = [(1009, 237), (999_979, 499_538), (1009, 238), (1009, 711), (1009, 1)]
+    periods = [ward_period(seeds, p, r) for p, r in cases]
+    records = [(r["span"], r["rank"], r["ladders"], r["steps"], r["period"]) for r in _lines(capsys)]
+    # steps: 8 + 7 + 2 bits for 237, 79 and 3; 19 + 16 + 5 for 499,538, 38,426 and 26
+    # (the ladder to r >> 1 is also the l = 2 test); 8 for 238; 10 + 8 for 711 and 237;
+    # one step of the ladder to 0 and the last for 1
+    assert records == [
+        ("eds.ward_period", 237, 3, 17, 17_064),
+        ("eds.ward_period", 499_538, 3, 40, 5_741_689_772),
+        ("eds.ward_period", 238, 1, 8, None),
+        ("eds.ward_period", 711, 2, 18, None),
+        ("eds.ward_period", 1, 1, 2, None),
+    ]
+    assert periods == [17_064, 5_741_689_772, None, None, None]
