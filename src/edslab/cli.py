@@ -30,11 +30,11 @@ CACHE_ENV = "EDSLAB_CACHE"
 # sizes grow linearly in the index, so memory grows as m^2 (Fibonacci at
 # m = 3000 peaks at 80 MB)
 MAX_DECIMATE_M = 1000
-# largest `eds gen --n * --stride` and `eds zsigmondy --n`: generating z_1..z_N
-# takes time that grows about 16x per doubling of N; on (-4,4), (1,1,1), 800
-# terms took 4.1 s (21 MB traced peak) and 1,000 took 11 s on a shared 2-core
-# machine under Python 3.11, and z_N passes the table's 4,300-digit int-to-str
-# limit at N = 175
+# largest `eds gen --n * --stride`, `eds ward --n` and `eds zsigmondy --n`:
+# generating z_1..z_N takes time that grows about 16x per doubling of N; on
+# (-4,4), (1,1,1), 800 terms took 4.1 s (21 MB traced peak) and 1,000 took 11 s
+# on a shared 2-core machine under Python 3.11.  Like MAX_EXACT_EVAL_N, it
+# bounds steps, not term sizes: z_175 already has 4,300 digits
 MAX_EDS_TERMS = 1000
 # largest `lrs eval --n` without --mod: the exact u_n takes n - k steps on
 # terms that grow linearly in n; holding the last k terms, Fibonacci at
@@ -43,6 +43,16 @@ MAX_EDS_TERMS = 1000
 # 4,300-digit int-to-str limit near n = 20,600.  It bounds steps, not term
 # sizes: with a 300-digit coefficient n = 5,000 took 25 s
 MAX_EXACT_EVAL_N = 100_000
+# largest `eds period --p`: the baby-step table of count_points grows as
+# p^(1/4); on (-4,4), (1,1,1), p = 10^18 + 3 took 0.6 s (29 MB max RSS) and
+# p = 10^20 - 11 took 2.1 s (64 MB) on a shared 2-core machine under Python 3.11
+MAX_PERIOD_P = 10**20
+# largest `prooflab resclass --r`: a bytearray(r) of squares and up to r*t
+# lookups; r = 10^6 + 3 took 1.7 s (18 MB max RSS) and 10^7 - 9 took 16 s (26 MB)
+MAX_RESCLASS_R = 10**7
+# largest `prooflab ell --e`: e - 1 Hensel lifts modulo r^e, in time about e^2.6;
+# at r = 7, e = 1,000 took 0.55 s.  It bounds lifts, not the size of r^e
+MAX_ELL_E = 1000
 
 CONFIG_KEYS = {
     "format",
@@ -200,18 +210,34 @@ def _lrs_spec(args) -> lrs.LrsSpec:
 # eds commands
 
 
+def _at_most_terms(args, n: int, stride: int = 1) -> None:
+    """Refuse more than MAX_EDS_TERMS terms, naming each option that asked for them."""
+    if n * stride > MAX_EDS_TERMS:
+        named = " times ".join(
+            _named(args, key, value)
+            for key, value in (("n", n), ("stride", stride))
+            if getattr(args, key, None) is not None or key in args._config
+        )
+        raise ValueError(f"{named} asks for {n * stride} terms, more than the bound {MAX_EDS_TERMS}")
+
+
+def _printable(name: str, indices, term) -> None:
+    """Refuse the first term(i) with more digits than CPython prints, before any is converted."""
+    # from 3.10.7 on, CPython prints no int of more than `limit` digits (0: no limit)
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if limit:
+        bound = 10**limit
+        n = next((i for i in indices if abs(term(i)) >= bound), None)
+        if n is not None:
+            raise ValueError(f"{name}_{n} has more than {limit} digits, the int-to-str limit (PYTHONINTMAXSTRDIGITS)")
+
+
 def cmd_eds_gen(args) -> int:
     from . import eds
 
     stride = _at_least(args, "stride", 1)
     n = _at_least(args, "n", 20)
-    if n * stride > MAX_EDS_TERMS:
-        named = " times ".join(
-            _named(args, key, value)
-            for key, value in (("n", n), ("stride", stride))
-            if getattr(args, key) is not None or key in args._config
-        )
-        raise ValueError(f"{named} asks for {n * stride} terms, more than the bound {MAX_EDS_TERMS}")
+    _at_most_terms(args, n, stride)
     curve, point = _curve_point(args)
     cache = _resolve(args, "cache_dir", os.environ.get(CACHE_ENV))
     seq = None
@@ -222,13 +248,7 @@ def cmd_eds_gen(args) -> int:
         if cache:
             eds.save_sequence(cache, seq)
     indices = range(stride, n * stride + 1, stride)
-    # from 3.10.7 on, CPython prints no int of more than `limit` digits (0: no limit)
-    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
-    if limit:
-        bound = 10**limit
-        big = next((i for i in indices if seq.term(i) >= bound), None)
-        if big is not None:
-            raise ValueError(f"z_{big} has more than {limit} digits, the int-to-str limit (PYTHONINTMAXSTRDIGITS)")
+    _printable("z", indices, seq.term)
     rows = [[i, seq.term(i), f"{eds.height_ratio(i, seq.term(i)):.6f}"] for i in indices]
     _emit(args.format, ["n", "z_n", "log(z_n)/n^2"], rows)
     return EXIT_OK
@@ -239,7 +259,9 @@ def cmd_eds_ward(args) -> int:
 
     seed = eds.WardSeed(*args.seed)
     n = _at_least(args, "n", 10)
+    _at_most_terms(args, n)
     seq = eds.generate_ward(seed, n)
+    _printable("w", range(1, n + 1), seq.term)
     rows = [[i, seq.term(i)] for i in range(1, n + 1)]
     _emit(args.format, ["n", "w_n"], rows)
     if seq.degenerate_at is not None:
@@ -250,6 +272,8 @@ def cmd_eds_ward(args) -> int:
 def cmd_eds_period(args) -> int:
     from . import eds
 
+    if args.p > MAX_PERIOD_P:
+        raise ValueError(f"--p {args.p} exceeds the point-count bound {MAX_PERIOD_P}")
     curve, point = _curve_point(args)
     seq = eds.generate_geometric(curve, point, 8)
     result = eds.eds_period_mod_p(seq, args.p)
@@ -262,8 +286,7 @@ def cmd_eds_zsigmondy(args) -> int:
     from . import eds
 
     n = _at_least(args, "n", 20)
-    if n > MAX_EDS_TERMS:
-        raise ValueError(f"{_named(args, 'n', n)} asks for {n} terms, more than the bound {MAX_EDS_TERMS}")
+    _at_most_terms(args, n)
     curve, point = _curve_point(args)
     seq = eds.generate_geometric(curve, point, n)
     reports = eds.primitive_divisor_scan(seq)
@@ -519,6 +542,8 @@ def cmd_prooflab_det(args) -> int:
 def cmd_prooflab_resclass(args) -> int:
     from . import prooflab
 
+    if args.r > MAX_RESCLASS_R:
+        raise ValueError(f"--r {args.r} exceeds the residue-count bound {MAX_RESCLASS_R}")
     report = prooflab.count_admissible_residues(args.r, args.t, args.c)
     _emit_record(args.format, _fields(report, "r", "t", "c", "count", "deviation"))
     return EXIT_OK
@@ -528,6 +553,8 @@ def cmd_prooflab_ell(args) -> int:
     from . import prooflab
     from .ntkernel import NonResidueError
 
+    if args.e > MAX_ELL_E:
+        raise ValueError(f"--e {args.e} exceeds the lift bound {MAX_ELL_E}")
     try:
         ell = prooflab.construct_ell(args.r, args.e, args.n0, args.j, args.c)
     except NonResidueError as exc:
@@ -559,6 +586,88 @@ def cmd_prooflab_fixedpoint(args) -> int:
 # parser assembly
 
 
+_CURVE_POINT = (
+    ("--curve", dict(nargs=2, type=int, metavar=("A", "B"))),
+    ("--point", dict(nargs=3, type=int, metavar=("X", "Y", "Z"))),
+    ("--curve-file", dict(help="file with 'curve A B' and 'point x y z' lines")),
+)
+_LRS_SOURCE = (("--lrs", dict(nargs="+", type=int, metavar="N", help="k c1..ck u1..uk")), ("--lrs-file", {}))
+_INT = dict(type=int)
+_REQUIRED = dict(type=int, required=True)
+_EXCLUDE = ("--exclude", dict(help="comma-separated primes to skip in the scan"))
+_QAB = (("--q", _REQUIRED), ("--a", _REQUIRED), ("--b", _REQUIRED))
+
+# path -> (handler, or None for a group; help line; options as (flag,
+# add_argument keywords) pairs).  A group's subcommands are listed in the
+# order of their paths here.
+COMMANDS = {
+    "eds": (None, "divisibility sequence generation and analysis", ()),
+    "eds gen": (cmd_eds_gen, "generate z_n from a curve and point", (
+        *_CURVE_POINT, ("--n", _INT), ("--stride", dict(type=int, help="list z_(stride*n) instead of z_n")),
+        ("--cache-dir", {}),
+    )),
+    "eds ward": (cmd_eds_ward, "extend four seed values by the bilinear recurrences", (
+        ("--seed", dict(nargs=4, type=int, required=True, metavar=("W1", "W2", "W3", "W4"))),
+        ("--n", _INT),
+    )),
+    "eds period": (
+        cmd_eds_period,
+        "minimal period of the companion w_n modulo p; z_n = z_1*|w_n| agrees with it up to sign",
+        (*_CURVE_POINT, ("--p", _REQUIRED)),
+    ),
+    "eds zsigmondy": (cmd_eds_zsigmondy, "primitive divisor scan", (*_CURVE_POINT, ("--n", _INT))),
+    "lrs": (None, "linear recurrence engine", ()),
+    "lrs fit": (
+        cmd_lrs_fit, "minimal integer recurrence from terms (one per line)", (("--terms-file", {}), ("--bound", _INT)),
+    ),
+    "lrs eval": (
+        cmd_lrs_eval, "evaluate u_n exactly or modulo p", (*_LRS_SOURCE, ("--n", _REQUIRED), ("--mod", _INT)),
+    ),
+    "lrs decimate": (cmd_lrs_decimate, "spec for the subsequence u_(m*n)", (*_LRS_SOURCE, ("--m", _REQUIRED))),
+    "lrs degenerate": (cmd_lrs_degenerate, "root-of-unity ratio detection", (
+        *_LRS_SOURCE, ("--reduce", dict(action="store_true", help="also emit the decimated reduction")),
+    )),
+    "lrs period": (cmd_lrs_period, "minimal period modulo p", (
+        *_LRS_SOURCE, ("--p", _REQUIRED), ("--method", dict(choices=("matrix", "iteration"), default="matrix")),
+        ("--squares", dict(action="store_true", help="also report the square-sampled period")),
+    )),
+    "density": (None, "matrix and affine densities, empirical scans", ()),
+    "density gl2": (cmd_density_gl2, "exact trace/determinant density", _QAB),
+    "density affine": (cmd_density_affine, "exact affine density with translation part", _QAB),
+    "density empirical": (cmd_density_empirical, "prime-scan frequency beside the exact density", (
+        *_CURVE_POINT, ("--q", _REQUIRED), ("--a", _INT), ("--x", dict(type=int, help="prime bound")),
+        ("--jobs", dict(type=int, help="worker processes for the prime scan")), _EXCLUDE,
+    )),
+    "refute": (cmd_refute, "find a witness prime and write a certificate", (
+        *_CURVE_POINT, *_LRS_SOURCE, ("--q", _INT), ("--a", dict(type=int, help="trace target (default 3)")),
+        ("--p-max", _INT), ("--out", dict(help="certificate output path (default: stdout)")), _EXCLUDE,
+    )),
+    "verify": (cmd_verify, "re-check a certificate file from scratch", (("certificate", {}),)),
+    "falsify": (cmd_falsify, "mismatch indices beyond a claimed threshold", (
+        *_CURVE_POINT, *_LRS_SOURCE, ("--p", _REQUIRED), ("--start", dict(type=int, default=1)),
+        ("--window", dict(type=int, default=50)),
+    )),
+    "prooflab": (None, "executable lemma checks", ()),
+    "prooflab qlemma": (cmd_prooflab_qlemma, "degree/leading-coefficient expansion check", (
+        ("--coeffs", dict(nargs="+", required=True, help="P ascending from the constant term")),
+        ("--alpha", dict(required=True)),
+    )),
+    "prooflab det": (cmd_prooflab_det, "determinant factorization check", (
+        ("--q", _REQUIRED), ("--betas", dict(nargs="+", type=int, required=True)),
+    )),
+    "prooflab resclass": (cmd_prooflab_resclass, "admissible residue count", (
+        ("--r", _REQUIRED), ("--t", _REQUIRED), ("--c", dict(type=int, default=1)),
+    )),
+    "prooflab ell": (cmd_prooflab_ell, "quadratic congruence lift", (
+        ("--r", _REQUIRED), ("--e", dict(type=int, default=1)), ("--n0", _REQUIRED), ("--j", _REQUIRED),
+        ("--c", _REQUIRED),
+    )),
+    "prooflab fixedpoint": (cmd_prooflab_fixedpoint, "stochastic fixed-point collision check", (
+        ("--matrix", dict(required=True, help="rows ';'-separated, entries ','-separated")),
+    )),
+}
+
+
 class _HelpFormatter(argparse.HelpFormatter):
     """argparse's formatter, asking the terminal for its width only when it
     renders help or usage text: argparse makes a formatter for every option
@@ -581,13 +690,13 @@ class _HelpFormatter(argparse.HelpFormatter):
 
 class _Parsers(dict):
     """A subparsers action's name -> parser map that builds a group's or a
-    subcommand's parser on its first lookup; until then the value is the
-    function that builds it."""
+    subcommand's parser on its first lookup, by a parse, a --help or a walk
+    of `choices`; until then the value is its path in COMMANDS."""
 
     def __getitem__(self, name: str) -> argparse.ArgumentParser:
         parser = super().__getitem__(name)
-        if not isinstance(parser, argparse.ArgumentParser):
-            parser = self[name] = parser()
+        if isinstance(parser, str):
+            parser = self[name] = _build(parser)
         return parser
 
     def values(self) -> list[argparse.ArgumentParser]:
@@ -597,58 +706,37 @@ class _Parsers(dict):
         return [(name, self[name]) for name in self]
 
 
-def _subcommands(parser: argparse.ArgumentParser, dest: str) -> argparse._SubParsersAction:
-    sub = parser.add_subparsers(dest=dest, required=True)
+def _subcommands(parser: argparse.ArgumentParser, group: str) -> None:
+    """List the subcommands of `group` ("" for the top level) on the parser,
+    each with its help line, and leave their parsers to be built."""
+    sub = parser.add_subparsers(dest="subcommand" if group else "command", required=True)
     # argparse has no public hook for the parser map: a parse looks the
     # subcommand up in _name_parser_map, and `choices` is the same dict
     sub.choices = sub._name_parser_map = _Parsers()
-    return sub
+    for path, (_, help_line, _) in COMMANDS.items():
+        parent, _, name = path.rpartition(" ")
+        if parent == group:
+            # what add_parser does, but for the parser, whose build is
+            # deferred: argparse lists the help line from this pseudo-action
+            sub._choices_actions.append(sub._ChoicesPseudoAction(name, (), help_line))
+            sub.choices[name] = path
 
 
-def _leaf(sub: argparse._SubParsersAction, name: str, func, help: str):
-    """Register subcommand `name`, with its help line, to run `func`, or group
-    `name` when func is None.  The decorated function adds the subcommand's
-    own options to its parser, after the --config and --format options every
-    subcommand takes, or registers the group's subcommands on the subparsers
-    action it is given.  Either parser is built when it is first looked up,
-    by a parse, a --help or a walk of `choices`."""
-    prog = f"{sub._prog_prefix} {name}"  # the prog add_parser would give it
-
-    def register(add_options):
-        def build() -> argparse.ArgumentParser:
-            parser = argparse.ArgumentParser(prog=prog, formatter_class=_HelpFormatter)
-            if func is None:  # a group, whose options are its subcommands, has no span
-                add_options(_subcommands(parser, "subcommand"))
-                return parser
-            with _span("cli.leaf", leaf=prog.split(" ", 1)[1]):
-                parser.add_argument("--config", help="key=value config file")
-                parser.add_argument("--format", choices=("table", "json", "csv"), default=None)
-                add_options(parser)
-                parser.set_defaults(func=func)
-            return parser
-
-        # what add_parser does, but for the parser, whose build is deferred:
-        # argparse lists the help line from this pseudo-action
-        sub._choices_actions.append(sub._ChoicesPseudoAction(name, (), help))
-        sub.choices[name] = build
-        return add_options
-
-    return register
-
-
-def _add_curve_point(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--curve", nargs=2, type=int, metavar=("A", "B"))
-    parser.add_argument("--point", nargs=3, type=int, metavar=("X", "Y", "Z"))
-    parser.add_argument(
-        "--curve-file",
-        dest="curve_file",
-        help="file with 'curve A B' and 'point x y z' lines",
-    )
-
-
-def _add_lrs_source(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--lrs", nargs="+", type=int, metavar="N", help="k c1..ck u1..uk")
-    parser.add_argument("--lrs-file", dest="lrs_file")
+def _build(path: str) -> argparse.ArgumentParser:
+    """The parser of a group, which lists its subcommands, or of a
+    subcommand, which takes --config, --format and its own options."""
+    func, _, options = COMMANDS[path]
+    parser = argparse.ArgumentParser(prog=f"edslab {path}", formatter_class=_HelpFormatter)
+    if func is None:  # a group, whose options are its subcommands, has no span
+        _subcommands(parser, path)
+        return parser
+    with _span("cli.leaf", leaf=path):
+        parser.add_argument("--config", help="key=value config file")
+        parser.add_argument("--format", choices=("table", "json", "csv"))
+        for flag, kwargs in options:
+            parser.add_argument(flag, **kwargs)
+        parser.set_defaults(func=func)
+    return parser
 
 
 @functools.cache
@@ -662,140 +750,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="elliptic divisibility sequences, linear recurrences, densities, witness certificates",
         formatter_class=_HelpFormatter,
     )
-    top = _subcommands(parser, "command")
-
-    @_leaf(top, "eds", None, "divisibility sequence generation and analysis")
-    def _(eds_sub):
-        @_leaf(eds_sub, "gen", cmd_eds_gen, "generate z_n from a curve and point")
-        def _(sp):
-            _add_curve_point(sp)
-            sp.add_argument("--n", type=int, default=None)
-            sp.add_argument("--stride", type=int, default=None, help="list z_(stride*n) instead of z_n")
-            sp.add_argument("--cache-dir", dest="cache_dir", default=None)
-
-        @_leaf(eds_sub, "ward", cmd_eds_ward, "extend four seed values by the bilinear recurrences")
-        def _(sp):
-            sp.add_argument("--seed", nargs=4, type=int, required=True, metavar=("W1", "W2", "W3", "W4"))
-            sp.add_argument("--n", type=int, default=None)
-
-        @_leaf(
-            eds_sub, "period", cmd_eds_period,
-            "minimal period of the companion w_n modulo p; z_n = z_1*|w_n| agrees with it up to sign",
-        )
-        def _(sp):
-            _add_curve_point(sp)
-            sp.add_argument("--p", type=int, required=True)
-
-        @_leaf(eds_sub, "zsigmondy", cmd_eds_zsigmondy, "primitive divisor scan")
-        def _(sp):
-            _add_curve_point(sp)
-            sp.add_argument("--n", type=int, default=None)
-
-    @_leaf(top, "lrs", None, "linear recurrence engine")
-    def _(lrs_sub):
-        @_leaf(lrs_sub, "fit", cmd_lrs_fit, "minimal integer recurrence from terms (one per line)")
-        def _(sp):
-            sp.add_argument("--terms-file", dest="terms_file")
-            sp.add_argument("--bound", type=int, default=None)
-
-        @_leaf(lrs_sub, "eval", cmd_lrs_eval, "evaluate u_n exactly or modulo p")
-        def _(sp):
-            _add_lrs_source(sp)
-            sp.add_argument("--n", type=int, required=True)
-            sp.add_argument("--mod", type=int, default=None)
-
-        @_leaf(lrs_sub, "decimate", cmd_lrs_decimate, "spec for the subsequence u_(m*n)")
-        def _(sp):
-            _add_lrs_source(sp)
-            sp.add_argument("--m", type=int, required=True)
-
-        @_leaf(lrs_sub, "degenerate", cmd_lrs_degenerate, "root-of-unity ratio detection")
-        def _(sp):
-            _add_lrs_source(sp)
-            sp.add_argument("--reduce", action="store_true", help="also emit the decimated reduction")
-
-        @_leaf(lrs_sub, "period", cmd_lrs_period, "minimal period modulo p")
-        def _(sp):
-            _add_lrs_source(sp)
-            sp.add_argument("--p", type=int, required=True)
-            sp.add_argument("--method", choices=("matrix", "iteration"), default="matrix")
-            sp.add_argument("--squares", action="store_true", help="also report the square-sampled period")
-
-    @_leaf(top, "density", None, "matrix and affine densities, empirical scans")
-    def _(den_sub):
-        @_leaf(den_sub, "gl2", cmd_density_gl2, "exact trace/determinant density")
-        def _(sp):
-            sp.add_argument("--q", type=int, required=True)
-            sp.add_argument("--a", type=int, required=True)
-            sp.add_argument("--b", type=int, required=True)
-
-        @_leaf(den_sub, "affine", cmd_density_affine, "exact affine density with translation part")
-        def _(sp):
-            sp.add_argument("--q", type=int, required=True)
-            sp.add_argument("--a", type=int, required=True)
-            sp.add_argument("--b", type=int, required=True)
-
-        @_leaf(den_sub, "empirical", cmd_density_empirical, "prime-scan frequency beside the exact density")
-        def _(sp):
-            _add_curve_point(sp)
-            sp.add_argument("--q", type=int, required=True)
-            sp.add_argument("--a", type=int, default=None)
-            sp.add_argument("--x", type=int, default=None, help="prime bound")
-            sp.add_argument("--jobs", type=int, default=None, help="worker processes for the prime scan")
-            sp.add_argument("--exclude", default=None, help="comma-separated primes to skip in the scan")
-
-    @_leaf(top, "refute", cmd_refute, "find a witness prime and write a certificate")
-    def _(sp):
-        _add_curve_point(sp)
-        _add_lrs_source(sp)
-        sp.add_argument("--q", type=int, default=None)
-        sp.add_argument("--a", type=int, default=None, help="trace target (default 3)")
-        sp.add_argument("--p-max", dest="p_max", type=int, default=None)
-        sp.add_argument("--out", help="certificate output path (default: stdout)")
-        sp.add_argument("--exclude", default=None, help="comma-separated primes to skip in the scan")
-
-    @_leaf(top, "verify", cmd_verify, "re-check a certificate file from scratch")
-    def _(sp):
-        sp.add_argument("certificate")
-
-    @_leaf(top, "falsify", cmd_falsify, "mismatch indices beyond a claimed threshold")
-    def _(sp):
-        _add_curve_point(sp)
-        _add_lrs_source(sp)
-        sp.add_argument("--p", type=int, required=True)
-        sp.add_argument("--start", type=int, default=1)
-        sp.add_argument("--window", type=int, default=50)
-
-    @_leaf(top, "prooflab", None, "executable lemma checks")
-    def _(lab_sub):
-        @_leaf(lab_sub, "qlemma", cmd_prooflab_qlemma, "degree/leading-coefficient expansion check")
-        def _(sp):
-            sp.add_argument("--coeffs", nargs="+", required=True, help="P ascending from the constant term")
-            sp.add_argument("--alpha", required=True)
-
-        @_leaf(lab_sub, "det", cmd_prooflab_det, "determinant factorization check")
-        def _(sp):
-            sp.add_argument("--q", type=int, required=True)
-            sp.add_argument("--betas", nargs="+", type=int, required=True)
-
-        @_leaf(lab_sub, "resclass", cmd_prooflab_resclass, "admissible residue count")
-        def _(sp):
-            sp.add_argument("--r", type=int, required=True)
-            sp.add_argument("--t", type=int, required=True)
-            sp.add_argument("--c", type=int, default=1)
-
-        @_leaf(lab_sub, "ell", cmd_prooflab_ell, "quadratic congruence lift")
-        def _(sp):
-            sp.add_argument("--r", type=int, required=True)
-            sp.add_argument("--e", type=int, default=1)
-            sp.add_argument("--n0", type=int, required=True)
-            sp.add_argument("--j", type=int, required=True)
-            sp.add_argument("--c", type=int, required=True)
-
-        @_leaf(lab_sub, "fixedpoint", cmd_prooflab_fixedpoint, "stochastic fixed-point collision check")
-        def _(sp):
-            sp.add_argument("--matrix", required=True, help="rows ';'-separated, entries ','-separated")
-
+    _subcommands(parser, "")
     return parser
 
 

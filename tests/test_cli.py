@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from edslab import cli, eds, lrs, ntkernel, refuter
+from edslab import cli, eds, lrs, ntkernel, prooflab, refuter
 from edslab.cli import build_parser, main
 from edslab.elliptic import CurveQ, PointQ
 from edslab.lrs import FIBONACCI
@@ -867,6 +867,45 @@ def test_eds_terms_past_the_bound_exit2_before_any_work(capsys, monkeypatch, arg
     for name in ("load_sequence", "generate_geometric"):
         monkeypatch.setattr(eds, name, _refuse)
     assert run(capsys, *argv) == (2, "", f"error: {message}, more than the bound {cli.MAX_EDS_TERMS}\n")
+
+
+def test_eds_ward_terms_past_the_bound_exit2_before_any_work(capsys, monkeypatch):
+    # --n had no bound: --n 1600 ran 1.5 s, then failed in the int-to-str conversion
+    monkeypatch.setattr(eds, "generate_ward", _refuse)
+    message = f"--n 1001 asks for 1001 terms, more than the bound {cli.MAX_EDS_TERMS}"
+    assert run(capsys, "eds", "ward", "--seed", "1", "1", "-1", "1", "--n", "1001") == (2, "", f"error: {message}\n")
+
+
+@PRINT_LIMIT
+def test_eds_ward_names_the_term_past_the_print_limit(capsys):
+    # this exited 2 with CPython's own "Exceeds the limit (4300 digits)", naming no term
+    code, out, err = run(capsys, "eds", "ward", "--seed", "1", "1", "-1", "1", "--n", "800", "--format", "csv")
+    assert (code, out) == (2, "")
+    assert err == "error: w_623 has more than 4300 digits, the int-to-str limit (PYTHONINTMAXSTRDIGITS)\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ("eds", "period", *CURVE_44, "--p", "100000000000000000039"),
+            "--p 100000000000000000039 exceeds the point-count bound 100000000000000000000",
+        ),
+        (("prooflab", "resclass", "--r", "10000019", "--t", "1"), "--r 10000019 exceeds the residue-count bound 10000000"),
+        (
+            ("prooflab", "ell", "--r", "7", "--e", "1001", "--n0", "1", "--j", "3", "--c", "1"),
+            "--e 1001 exceeds the lift bound 1000",
+        ),
+    ],
+    ids=["eds-period", "prooflab-resclass", "prooflab-ell"],
+)
+def test_memory_sizing_option_past_its_bound_exit2_before_any_work(capsys, monkeypatch, argv, message):
+    # none was bounded: the point count's table grows as p^(1/4), the residue
+    # table as r, and the lifted modulus as e
+    refused = (eds, "generate_geometric"), (prooflab, "count_admissible_residues"), (prooflab, "construct_ell")
+    for module, name in refused:
+        monkeypatch.setattr(module, name, _refuse)
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
 def test_eds_gen_at_the_term_bound_runs(capsys, monkeypatch):
