@@ -221,15 +221,23 @@ def _at_most_terms(args, n: int, stride: int = 1) -> None:
         raise ValueError(f"{named} asks for {n * stride} terms, more than the bound {MAX_EDS_TERMS}")
 
 
+def _print_limit() -> int:
+    # from 3.10.7 on, CPython prints no int of more than this many digits (0: no limit)
+    return sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+
+
+def _unprintable(what: str, limit: int) -> ValueError:
+    return ValueError(f"{what} has more than {limit} digits, the int-to-str limit (PYTHONINTMAXSTRDIGITS)")
+
+
 def _printable(name: str, indices, term) -> None:
     """Refuse the first term(i) with more digits than CPython prints, before any is converted."""
-    # from 3.10.7 on, CPython prints no int of more than `limit` digits (0: no limit)
-    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    limit = _print_limit()
     if limit:
         bound = 10**limit
         n = next((i for i in indices if abs(term(i)) >= bound), None)
         if n is not None:
-            raise ValueError(f"{name}_{n} has more than {limit} digits, the int-to-str limit (PYTHONINTMAXSTRDIGITS)")
+            raise _unprintable(f"{name}_{n}", limit)
 
 
 def cmd_eds_gen(args) -> int:
@@ -555,6 +563,11 @@ def cmd_prooflab_ell(args) -> int:
 
     if args.e > MAX_ELL_E:
         raise ValueError(f"--e {args.e} exceeds the lift bound {MAX_ELL_E}")
+    r, e, limit = abs(args.r), args.e, _print_limit()
+    # ell < r^e, so a printable modulus makes both values printable; past
+    # 4*limit bits r^e passes 16^limit > 10^limit without being formed
+    if limit and ((r.bit_length() - 1) * e >= 4 * limit or r**e >= 10**limit):
+        raise _unprintable(f"--r {args.r} --e {e}: the modulus r^e", limit)
     try:
         ell = prooflab.construct_ell(args.r, args.e, args.n0, args.j, args.c)
     except NonResidueError as exc:

@@ -40,7 +40,6 @@ from .elliptic import (
     division_poly_seeds,
     is_torsion,
     ladder_block,
-    log_bigint,
     point_order_fp,
     reduce_point,
 )
@@ -159,32 +158,9 @@ def generate_ward(seed: WardSeed, n_terms: int) -> EdsSequence:
 
 
 def height_ratio(n: int, z_n: int) -> float:
-    """log(z_n)/n^2, whose limit is the canonical height of the point; 0.0
-    for z_n <= 1."""
-    return log_bigint(z_n) / n**2 if z_n > 1 else 0.0
-
-
-@dataclass
-class HeightReport:
-    estimates: list[tuple[int, float]]  # (n, log z_n / n^2)
-    limit: float
-    convergence_gap: float  # |c_{n_max} - c_{n_max/2}|
-
-
-def canonical_height_estimate(p: PointQ, curve: CurveQ, n_max: int) -> HeightReport:
-    """Estimates c_n = log z_n / n^2 over the z_n of `generate_geometric`; the
-    limit is the height of the point.  Torsion input is rejected there, because
-    its z-sequence does not grow.
-    """
-    if n_max < 2:
-        raise ValueError("n_max must be >= 2")
-    terms = generate_geometric(curve, p, n_max).terms
-    estimates = [(n, height_ratio(n, z)) for n, z in enumerate(terms, start=1) if z > 1]
-    if not estimates:
-        raise ValueError("sequence did not grow within the range")
-    limit = estimates[-1][1]
-    half = next((c for n, c in reversed(estimates) if n <= n_max // 2), estimates[0][1])
-    return HeightReport(estimates, limit, abs(limit - half))
+    """log(z_n)/n^2, whose limit is the canonical height of the point; math.log
+    takes an int of any size, and z_n >= 1."""
+    return math.log(z_n) / n**2
 
 
 # ---------------------------------------------------------------------------
@@ -329,8 +305,7 @@ def eds_period_mod_p(seq: EdsSequence, p: int) -> EdsPeriodResult:
 @dataclass
 class PrimitiveReport:
     n: int
-    term: int
-    primitive_part: int  # product of the primitive prime powers of |term|
+    primitive_part: int  # product of the primitive prime powers of |z_n|
     primes: list[int]
     complete: bool  # False when factoring the primitive part timed out
     has_primitive: bool
@@ -348,7 +323,7 @@ def primitive_divisor_scan(seq: EdsSequence, *, rho_iters: int = 200_000) -> lis
     for n in range(1, len(seq) + 1):
         t = abs(seq.term(n))
         if t == 0:
-            reports.append(PrimitiveReport(n, 0, 0, [], True, False))
+            reports.append(PrimitiveReport(n, 0, [], True, False))
             continue
         prim = t
         g = math.gcd(prim, running)
@@ -363,7 +338,7 @@ def primitive_divisor_scan(seq: EdsSequence, *, rho_iters: int = 200_000) -> lis
             except IncompleteFactorization as exc:
                 primes = sorted(exc.factors)
                 complete = False
-        reports.append(PrimitiveReport(n, seq.term(n), prim, primes, complete, prim > 1))
+        reports.append(PrimitiveReport(n, prim, primes, complete, prim > 1))
         running *= t
     return reports
 

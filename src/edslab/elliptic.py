@@ -657,21 +657,6 @@ def point_order_fp(pt: PointFp, curve: CurveFp, n_points: int | None = None) -> 
 
 
 # ---------------------------------------------------------------------------
-# big-integer logarithms
-
-
-def log_bigint(n: int) -> float:
-    """Natural log of a positive big integer without float overflow."""
-    if n <= 0:
-        raise ValueError("need a positive integer")
-    bl = n.bit_length()
-    if bl <= 512:
-        return math.log(n)
-    shift = bl - 64
-    return math.log(n >> shift) + shift * math.log(2)
-
-
-# ---------------------------------------------------------------------------
 # text ingestion
 
 

@@ -29,8 +29,6 @@ from .ntkernel import (
 
 @dataclass
 class QExpansion:
-    source: Poly
-    alpha: Fraction
     expanded: Poly
     degree: int
     leading: Fraction | None  # None for the zero polynomial
@@ -58,7 +56,7 @@ def expand_q(poly: Poly, alpha) -> QExpansion:
         poly(_SQ_XP2) * poly(_SQ_X) ** 3 - poly(_SQ_XM1) * poly(_SQ_XP1) ** 3
     )
     leading = None if q.is_zero() else q.leading
-    return QExpansion(poly, alpha, q, q.degree, leading)
+    return QExpansion(q, q.degree, leading)
 
 
 def q_lemma_prediction(poly: Poly, alpha) -> tuple[int, Fraction]:
@@ -76,8 +74,6 @@ def q_lemma_prediction(poly: Poly, alpha) -> tuple[int, Fraction]:
 
 @dataclass
 class DetBetaResult:
-    betas: tuple[int, ...]
-    modulus: int
     determinant: int
     product: int
     sign: int | None  # determinant = sign * product mod q; None when both vanish
@@ -105,13 +101,13 @@ def det_beta_identity(betas: list[int], q: int) -> DetBetaResult:
         for j in range(i + 1, t):
             product = product * (betas[i] - betas[j]) % q
     if product == 0:
-        return DetBetaResult(tuple(betas), q, det, product, None, det == 0)
+        return DetBetaResult(det, product, None, det == 0)
     ratio = det * invmod(product, q) % q
     if ratio == 1:
-        return DetBetaResult(tuple(betas), q, det, product, 1, True)
+        return DetBetaResult(det, product, 1, True)
     if ratio == q - 1:
-        return DetBetaResult(tuple(betas), q, det, product, -1, True)
-    return DetBetaResult(tuple(betas), q, det, product, None, False)
+        return DetBetaResult(det, product, -1, True)
+    return DetBetaResult(det, product, None, False)
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,25 @@ def test_eds_gen_stride(capsys):
     assert [r[0] for r in rows] == ["2", "4", "6"]
 
 
+def test_eds_gen_ratio_column_is_pinned_past_512_and_1024_bits(capsys):
+    # n: (bits of z_n, log(z_n)/n^2 as printed), across 512 and 1,024 bits
+    pinned = {
+        1: (1, "0.000000"),
+        2: (2, "0.173287"),
+        33: (506, "0.321629"),
+        34: (537, "0.321610"),
+        47: (1025, "0.321376"),
+        48: (1071, "0.321957"),
+    }
+    tail = {60: "0.322005", 100: "0.322082", 120: "0.322091"}
+    argv = ("eds", "gen", "--curve", "-4", "4", "--point", "1", "1", "1", "--n", "120", "--format", "csv")
+    code, out, _ = run(capsys, *argv)
+    rows = {int(n): (int(z).bit_length(), ratio) for n, z, ratio in list(csv.reader(out.splitlines()))[1:]}
+    assert code == 0 and len(rows) == 120
+    assert {n: rows[n] for n in pinned} == pinned
+    assert {n: rows[n][1] for n in tail} == tail
+
+
 @pytest.mark.parametrize("stride", ["0", "-2"])
 def test_eds_gen_refuses_a_stride_below_one(capsys, stride):
     # stride 0 listed stride 1; -2 failed with "need at least one term"
@@ -882,6 +901,15 @@ def test_eds_ward_names_the_term_past_the_print_limit(capsys):
     code, out, err = run(capsys, "eds", "ward", "--seed", "1", "1", "-1", "1", "--n", "800", "--format", "csv")
     assert (code, out) == (2, "")
     assert err == "error: w_623 has more than 4300 digits, the int-to-str limit (PYTHONINTMAXSTRDIGITS)\n"
+
+
+@PRINT_LIMIT
+def test_prooflab_ell_names_the_modulus_past_the_print_limit(capsys, monkeypatch):
+    # this ran the whole lift, then exited 2 with CPython's own "Exceeds the limit (4300 digits)"
+    monkeypatch.setattr(prooflab, "construct_ell", _refuse)
+    argv = ("prooflab", "ell", "--r", "1000000000039", "--e", "1000", "--n0", "1", "--j", "3", "--c", "1")
+    message = "--r 1000000000039 --e 1000: the modulus r^e has more than 4300 digits"
+    assert run(capsys, *argv) == (2, "", f"error: {message}, the int-to-str limit (PYTHONINTMAXSTRDIGITS)\n")
 
 
 @pytest.mark.parametrize(

@@ -11,7 +11,6 @@ from edslab import eds, elliptic
 
 from edslab.eds import (
     InexactDivisionError,
-    canonical_height_estimate,
     WardSeed,
     division_poly_seeds,
     eds_period_mod_p,
@@ -63,8 +62,6 @@ def test_geometric_checks_the_curve_before_torsion():
     curve, point = CurveQ(1, 1), PointQ(0, 0, 1)
     with pytest.raises(ValueError, match="^point is not on the curve$"):
         generate_geometric(curve, point, 5)
-    with pytest.raises(ValueError, match="^point is not on the curve$"):
-        canonical_height_estimate(point, curve, 5)
 
 
 def test_divisibility_property():
@@ -200,12 +197,6 @@ def test_geometric_generation_does_no_point_addition(curve, point, monkeypatch):
     seq = generate_geometric(curve, point, 100)
     assert len(seq) == 100 and all(t > 0 for t in seq.terms)
     assert seq.term(100) % seq.term(50) == 0
-
-
-def test_height_estimate_does_no_point_addition(monkeypatch):
-    _forbid_multiples(monkeypatch)
-    report = canonical_height_estimate(P, E, 48)
-    assert [n for n, _ in report.estimates] == list(range(2, 49))
 
 
 def test_z_repeats_the_companion_period_only_up_to_sign():

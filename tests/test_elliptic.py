@@ -9,7 +9,7 @@ from itertools import islice
 import pytest
 
 from edslab import elliptic
-from edslab.eds import canonical_height_estimate
+from edslab.eds import generate_geometric, height_ratio
 from edslab.elliptic import (
     NAIVE_COUNT_BELOW,
     RATIONAL_BASE_MAX_BITS,
@@ -595,18 +595,17 @@ def test_point_order_rejects_bad_reduction():
 
 
 def test_height_estimate_positive_and_converging():
-    report = canonical_height_estimate(P, E, 40)
-    assert report.limit > 0
-    assert report.convergence_gap < 0.05
-    with pytest.raises(ValueError):
-        canonical_height_estimate(PointQ(1, 0, 1), CurveQ(0, -1), 10)
+    seq = generate_geometric(E, P, 40)
+    c20, c40 = (height_ratio(n, seq.term(n)) for n in (20, 40))
+    assert c40 > 0
+    assert abs(c40 - c20) < 0.05
 
 
 def test_digit_growth_roughly_quadratic():
     # slope of log(log z_n) against log n approaches 2
-    report = canonical_height_estimate(P, E, 48)
-    zlogs = {n: c * n * n for n, c in report.estimates}
+    seq = generate_geometric(E, P, 48)
     n1, n2 = 24, 48
+    zlogs = {n: height_ratio(n, seq.term(n)) * n * n for n in (n1, n2)}
     slope = (math.log(zlogs[n2]) - math.log(zlogs[n1])) / (math.log(n2) - math.log(n1))
     assert 1.8 < slope < 2.2
 
