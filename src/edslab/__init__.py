@@ -3,16 +3,16 @@ densities, and machine-checkable witness-prime certificates.
 
 `import edslab` loads no submodule: each public name imports its home
 module when it is first used (PEP 562).  Nor does tracing: `_span` loads
-`edslab.obs` only when EDSLAB_TRACE=1."""
+`edslab.obs` only while `_TRACING` is on."""
 
 import os
 from contextlib import nullcontext
 
 __version__ = "0.1.0"
 
-# EDSLAB_TRACE=1, read once, at import; edslab.obs takes its flag from here.
-# A span of a run without tracing costs one test of it, and loads neither
-# obs nor the json it writes
+# The one tracing switch, set by EDSLAB_TRACE=1 at import and read by `_span`
+# as each span opens.  A span of a run without tracing costs one test of it,
+# and loads neither obs nor the json it writes
 _TRACING = os.environ.get("EDSLAB_TRACE") == "1"
 _UNTRACED = nullcontext()
 

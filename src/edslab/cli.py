@@ -54,6 +54,7 @@ MAX_RESCLASS_R = 10**7
 # at r = 7, e = 1,000 took 0.55 s.  It bounds lifts, not the size of r^e
 MAX_ELL_E = 1000
 
+FORMATS = ("table", "json", "csv")  # the first is the default
 CONFIG_KEYS = {
     "format",
     "cache_dir",
@@ -745,7 +746,7 @@ def _build(path: str) -> argparse.ArgumentParser:
         return parser
     with _span("cli.leaf", leaf=path):
         parser.add_argument("--config", help="key=value config file")
-        parser.add_argument("--format", choices=("table", "json", "csv"))
+        parser.add_argument("--format", choices=FORMATS)
         for flag, kwargs in options:
             parser.add_argument(flag, **kwargs)
         parser.set_defaults(func=func)
@@ -780,9 +781,10 @@ def main(argv=None) -> int:
                 sys.stderr.write(f"config error: {exc}\n")
                 return EXIT_VALIDATION
         args._config = config
-        if getattr(args, "format", None) is None:
-            args.format = config.get("format", "table")
         try:
+            args.format = _resolve(args, "format", FORMATS[0])
+            if args.format not in FORMATS:  # only a config value can be another
+                raise ValueError(f"format = {args.format} in {args.config} must be one of {', '.join(FORMATS)}")
             return args.func(args)
         except (ValueError, OSError) as exc:  # elliptic.InexactDivisionError is a ValueError
             sys.stderr.write(f"error: {exc}\n")

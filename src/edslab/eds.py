@@ -301,6 +301,8 @@ def eds_period_mod_p(seq: EdsSequence, p: int) -> EdsPeriodResult:
 # ---------------------------------------------------------------------------
 # primitive (Zsigmondy) divisors
 
+PRIMITIVE_RHO_ITERS = 200_000  # Brent-rho steps per factoring attempt on a primitive part
+
 
 @dataclass
 class PrimitiveReport:
@@ -311,7 +313,7 @@ class PrimitiveReport:
     has_primitive: bool
 
 
-def primitive_divisor_scan(seq: EdsSequence, *, rho_iters: int = 200_000) -> list[PrimitiveReport]:
+def primitive_divisor_scan(seq: EdsSequence) -> list[PrimitiveReport]:
     """Per-index primitive primes: divisors of z_n dividing no earlier term.
 
     The primitive part is isolated exactly with gcds against the running
@@ -334,7 +336,7 @@ def primitive_divisor_scan(seq: EdsSequence, *, rho_iters: int = 200_000) -> lis
         complete = True
         if prim > 1:
             try:
-                primes = sorted(factorize(prim, rho_iters=rho_iters))
+                primes = sorted(factorize(prim, rho_iters=PRIMITIVE_RHO_ITERS))
             except IncompleteFactorization as exc:
                 primes = sorted(exc.factors)
                 complete = False

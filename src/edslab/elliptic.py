@@ -642,14 +642,12 @@ def hasse_window(n_points: int, p: int) -> bool:
     return a_p * a_p < 4 * p
 
 
-def point_order_fp(pt: PointFp, curve: CurveFp, n_points: int | None = None) -> int:
-    """Exact order of a point in E(F_p), by stripping primes from #E."""
+def point_order_fp(pt: PointFp, curve: CurveFp, n_points: int) -> int:
+    """Exact order of a point in E(F_p), by stripping primes from n_points = #E."""
     if not curve.good:
         raise BadReductionError(f"bad reduction at {curve.p}")
     if pt is None:
         return 1
-    if n_points is None:
-        n_points, _ = count_points(curve)
     p, a = curve.p, curve.a
     order = order_from_multiple(n_points, lambda k: fp_scalar_mul(k, pt, p, a) is None)
     assert fp_scalar_mul(order, pt, p, a) is None

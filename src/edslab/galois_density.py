@@ -18,7 +18,7 @@ from . import _span
 from .elliptic import CurveQ, PointQ, order_class_primes, small_multiple
 from .ntkernel import check_sieve_limit, is_prime
 
-DEFAULT_LINEAR_CAP = 31
+LINEAR_CAP = 31  # largest q `gl2_histogram` enumerates: q^4 matrices
 
 
 @dataclass
@@ -59,12 +59,12 @@ def count_gl2(q: int, a: int, b: int) -> DensityReport:
     return DensityReport(q, a, b, conjugacy_type_count(q, a, b), gl2_order(q))
 
 
-def gl2_histogram(q: int, cap: int = DEFAULT_LINEAR_CAP) -> dict[tuple[int, int], int]:
+def gl2_histogram(q: int) -> dict[tuple[int, int], int]:
     """Counts of invertible matrices by (trace, determinant) in one pass."""
     if not is_prime(q):
         raise ValueError(f"q={q} must be prime")
-    if q > cap:
-        raise ValueError(f"q={q} exceeds the enumeration cap {cap}")
+    if q > LINEAR_CAP:
+        raise ValueError(f"q={q} exceeds the enumeration cap {LINEAR_CAP}")
     hist: dict[tuple[int, int], int] = {}
     for m11, m12, m21, m22 in product(range(q), repeat=4):
         det = (m11 * m22 - m12 * m21) % q

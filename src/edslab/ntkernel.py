@@ -17,15 +17,17 @@ class NonResidueError(ValueError):
     """Raised when a modular square root is requested for a non-residue."""
 
 
-class IncompleteFactorization(RuntimeError):
-    """Raised when the factoring effort budget runs out.
-
-    Carries the factors found so far (``factors``) and the remaining
-    unfactored cofactor (``cofactor``).
+class IncompleteFactorization(ValueError):
+    """Raised when the factoring effort budget runs out: a ValueError, an
+    input past what the caller can answer.  Carries the factors found so far
+    (``factors``) and the unfactored cofactor (``cofactor``); the message
+    sizes them in bits, as past the int-to-str limit no digits can be shown.
     """
 
     def __init__(self, n: int, factors: dict[int, int], cofactor: int):
-        super().__init__(f"could not fully factor {n}; stuck at cofactor {cofactor}")
+        super().__init__(
+            f"could not fully factor a {n.bit_length()}-bit integer; stuck at a {cofactor.bit_length()}-bit cofactor"
+        )
         self.n = n
         self.factors = factors
         self.cofactor = cofactor
@@ -164,17 +166,17 @@ def factorize(n: int, *, rho_iters: int = 2_000_000) -> dict[int, int]:
     Raises IncompleteFactorization when the effort budget is exhausted,
     carrying the partial result.
     """
-    n = abs(n)
+    rest = n = abs(n)
     if n == 0:
         raise ValueError("cannot factor 0")
     factors: dict[int, int] = {}
     for p in _TRIAL_PRIMES:
-        if p * p > n:
+        if p * p > rest:
             break
-        while n % p == 0:
+        while rest % p == 0:
             factors[p] = factors.get(p, 0) + 1
-            n //= p
-    stack = [n] if n > 1 else []
+            rest //= p
+    stack = [rest] if rest > 1 else []
     while stack:
         m = stack.pop()
         if m == 1:

@@ -1,7 +1,8 @@
 """Opt-in tracing: JSON lines on stderr.
 
-Tracing is on when EDSLAB_TRACE=1 is set as the package is imported;
-otherwise `span` writes nothing.  Each line is one JSON object, a span,
+The library reaches `span` only through `edslab._span`, which reads the one
+switch, `edslab._TRACING`, as each span opens; EDSLAB_TRACE=1 sets the
+switch as the package is imported.  Each line is one JSON object, a span,
 written when its block ends, normally or not:
 {"span": name, "parent": enclosing span or null, "start": s, "s": seconds, ...fields},
 with `start` on the process's `time.perf_counter` clock, and with the
@@ -9,8 +10,6 @@ fields the block added to the dict the span gives as it is entered.  A
 block counts in locals and adds the counts as fields of its span.
 
 json is imported when the first line is written, not with this module.
-The library goes further: it spans through `edslab._span`, which tests the
-flag itself and imports this module only when it is set.
 """
 
 from __future__ import annotations
@@ -19,18 +18,13 @@ import sys
 import time
 from contextlib import contextmanager
 
-from . import _TRACING as ENABLED
-
 _open: list[str] = []  # names of the spans open in this process, innermost last
 
 
 @contextmanager
 def span(name: str, **fields):
-    """Time the block and, when tracing is on, write one line as it ends.
-    Gives the block the span's fields, to which it can add."""
-    if not ENABLED:
-        yield fields
-        return
+    """Time the block and write one line as it ends.  Gives the block the
+    span's fields, to which it can add."""
     parent = _open[-1] if _open else None
     _open.append(name)
     start = time.perf_counter()

@@ -252,8 +252,8 @@ def find_witness(
     q).  The candidates are the primes `elliptic.order_class_primes` yields;
     only at one are #E(F_p) and r computed, and the certificate states them.
     Its periods come from `ward_period` (w_n) and `square_sampled_period`
-    (u); a p where the first returns None or the walk of u passes
-    `lrs.MAX_WALK` counts as `period_unconfirmed`, never certified.
+    (u); a p where the first returns None or the second refuses (past
+    `lrs.MAX_WALK`, or factoring gave up) counts as `period_unconfirmed`.
     Mismatches come from z_1..z_24, or z_1..z_60 when those hold fewer than
     12, with the same result either way.  The scan stops at min(p_max,
     `MAX_WITNESS_P`), as the verifier refuses a larger p.  Any non-torsion
@@ -294,7 +294,7 @@ def find_witness(
             tz = ward_period(seeds, p, order_p)
             try:
                 sq = square_sampled_period(spec, p) if tz is not None else None
-            except ValueError:  # the walk of u mod p passed lrs.MAX_WALK
+            except ValueError:  # the period of u mod p passed lrs.MAX_WALK, or factoring gave up
                 sq = None
             if sq is None:
                 counts["period_unconfirmed"] += 1
@@ -419,7 +419,7 @@ def verify_certificate(cert: WitnessCertificate) -> VerifyResult:
 
     try:
         sq = square_sampled_period(spec, p)
-    except ValueError as exc:  # the walk of u mod p passed lrs.MAX_WALK
+    except ValueError as exc:  # the period of u mod p passed lrs.MAX_WALK, or factoring gave up
         check("lrs_period", False, str(exc))
         return VerifyResult(False, checks)
     check("lrs_period", sq.lrs_period == cert.lrs_period, f"recomputed {sq.lrs_period}")

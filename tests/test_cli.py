@@ -2,6 +2,7 @@ import csv
 import json
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 import time
@@ -632,6 +633,7 @@ def test_density_empirical_jobs_below_one_exit2(capsys, jobs):
     assert err == f"error: --jobs {jobs} must be at least 1\n"
 
 
+FIB_PERIOD = ("lrs", "period", "--lrs", "2", "1", "1", "1", "1", "--p", "7")
 REFUTE = (
     "refute", "--curve", "-4", "4", "--point", "1", "1", "1", "--lrs", "2", "1", "1", "1", "1", "--q", "5",
 )
@@ -667,6 +669,7 @@ def test_prime_bound_below_three_or_a_bad_exclusion_exit2(capsys, argv, message)
             "n = 1001",
             "n = 1001 in {} asks for 1001 terms, more than the bound 1000",
         ),
+        (FIB_PERIOD, "format = xml", "format = xml in {} must be one of table, json, csv"),
     ],
 )
 def test_a_bad_config_value_is_named_by_its_key_and_file(tmp_path, capsys, argv, line, message):
@@ -820,6 +823,44 @@ def test_lrs_period_with_squares_walks_u_once(capsys, monkeypatch):
     monkeypatch.setattr(lrs, "MAX_WALK", 1_000)
     code, out, err = run(capsys, "lrs", "period", "--lrs", "2", "1", "7", "1", "1", "--p", "3169", "--squares")
     assert (code, out, err) == (2, "", "error: the recurrence mod 3169 does not return within 1000 steps\n")
+
+
+def factoring_gives_up_past(bound: int):
+    """A stand-in for ntkernel.factorize that gives up at once on any n above bound."""
+    factorize = ntkernel.factorize
+
+    def stand_in(n: int, **kwargs) -> dict[int, int]:
+        if n > bound:
+            raise ntkernel.IncompleteFactorization(n, {}, n)
+        return factorize(n, **kwargs)
+
+    return stand_in
+
+
+GIVES_UP = r"could not fully factor a \d+-bit integer; stuck at a \d+-bit cofactor"
+# u_(n+16) = u_(n+15) + u_n: at p = 1009 the bound on its period did not
+# factor within rho's effort budget, after minutes of trying
+SLOW_TO_FACTOR = ("lrs", "period", "--lrs", "16", "1", *"0" * 14, "1", *"1" * 16, "--p", "1009")
+
+
+@pytest.mark.parametrize("argv", [SLOW_TO_FACTOR, (*SLOW_TO_FACTOR, "--squares"), REFUTE])
+def test_factoring_that_gives_up_exit2(capsys, monkeypatch, argv):
+    monkeypatch.setattr(ntkernel, "factorize", factoring_gives_up_past(0))
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "") and re.fullmatch(f"error: {GIVES_UP}\n", err)
+
+
+def test_verify_fails_lrs_period_when_factoring_gives_up(tmp_path, capsys, monkeypatch):
+    # at the witness p = 353, p^5 > lrs.MAX_WALK: the period of u mod p is
+    # read from x^t mod chi, stripping primes from a bound above MAX_WALK
+    cert = tmp_path / "cert.json"
+    order_5 = ("--lrs", "5", "1", "1", "0", "0", "1", *"11111", "--q", "13", "--out", str(cert))
+    assert run(capsys, "refute", "--curve", "-4", "4", "--point", "1", "1", "1", *order_5)[0] == 0
+    monkeypatch.setattr(ntkernel, "factorize", factoring_gives_up_past(lrs.MAX_WALK))
+    code, out, err = run(capsys, "verify", str(cert), "--format", "json")
+    assert (code, err) == (4, "")
+    [failed] = [check for check in json.loads(out)["checks"] if not check["ok"]]
+    assert failed["name"] == "lrs_period" and re.fullmatch(GIVES_UP, failed["detail"])
 
 
 FIB_ARGS = ("--lrs", "2", "1", "1", "1", "1")

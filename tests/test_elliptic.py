@@ -590,8 +590,9 @@ def _no_multiple(*args):
 def test_point_order_rejects_bad_reduction():
     curve = CurveFp.from_curve(E, 3)  # disc = 243
     assert not curve.good
+    n_points = count_points(curve)[0]
     with pytest.raises(BadReductionError):
-        point_order_fp((1, 2), curve)
+        point_order_fp((1, 2), curve, n_points)
 
 
 def test_height_estimate_positive_and_converging():

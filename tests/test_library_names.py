@@ -3,7 +3,9 @@ else in the library, be imported by the acceptance criteria, or be a
 public name of the package; and every member a class in src/edslab
 defines (a method, property or field) must be read somewhere in the
 library or by the acceptance criteria.  Otherwise only the tests run it,
-or nothing does, and it belongs in the tests or nowhere."""
+or nothing does, and it belongs in the tests or nowhere.  Likewise every
+parameter with a default must be passed by some call in the library: a
+default no caller overrides is a constant, not an option."""
 
 import ast
 from collections import Counter
@@ -12,9 +14,11 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "edslab"
 
-# "module.name" or "module.Class.member" -> why it stays with no library caller
+# "module.name", "module.Class.member" or "module.function(parameter)" -> why
+# it stays with no library caller
 KEPT = {
     "cli._HelpFormatter._max_help_position": "read by argparse.HelpFormatter, which it overrides",
+    "cli.main(argv)": "the console-script entry point, called with no argv; the tests pass it",
 }
 
 
@@ -139,6 +143,54 @@ def _unread_members() -> list[str]:
     ]
 
 
+def _defaulted(func: ast.FunctionDef, offset: int) -> list[tuple[str, int | None]]:
+    """(name, position in a call, or None for keyword-only) of each parameter
+    of func with a default; offset skips the self or cls a method call binds."""
+    args = func.args
+    positional = [*args.posonlyargs, *args.args]
+    first = len(positional) - len(args.defaults)
+    named = [(a.arg, i - offset) for i, a in enumerate(positional) if i >= first]
+    return named + [(a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+
+
+def _passes(call: ast.Call, name: str, position: int | None) -> bool:
+    """Whether the call gives the parameter a value: by keyword, at its
+    position, or through *args, which counts as every positional one."""
+    if any(k.arg == name for k in call.keywords):
+        return True
+    if position is None:
+        return False
+    return len(call.args) > position or any(isinstance(a, ast.Starred) for a in call.args)
+
+
+def _unpassed_defaults() -> list[str]:
+    """module.function(parameter) for each defaulted parameter that no call
+    in the library passes.  A call is matched to a function by name alone, so
+    a call to any same-named function or method counts, and `C(...)` counts
+    as a call of `C.__init__`."""
+    modules = _modules()
+    calls: dict[str, list[ast.Call]] = {}
+    for tree in modules.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    unpassed = []
+    for module, tree in modules.items():
+        # a method's class (src/edslab has no staticmethod, so each binds self or cls)
+        methods = {id(item): cls.name for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef) for item in cls.body}
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            cls = methods.get(id(func))
+            callers = calls.get(cls if func.name == "__init__" else func.name, [])
+            for name, position in _defaulted(func, 1 if cls else 0):
+                if not any(_passes(call, name, position) for call in callers):
+                    unpassed.append(f"{module}.{func.name}({name})")
+    return unpassed
+
+
 def test_every_library_name_has_a_caller_outside_the_tests():
     orphans = set(_orphans())
     assert orphans - set(KEPT) == set(), sorted(orphans - set(KEPT))
@@ -149,9 +201,14 @@ def test_every_class_member_is_read_outside_the_tests():
     assert unread - set(KEPT) == set(), sorted(unread - set(KEPT))
 
 
+def test_every_default_is_passed_by_a_library_call():
+    unpassed = set(_unpassed_defaults())
+    assert unpassed - set(KEPT) == set(), sorted(unpassed - set(KEPT))
+
+
 def test_every_kept_name_still_exists_and_still_lacks_a_caller():
     # an exception that gains a caller, or leaves the library, is dropped here
-    assert set(KEPT) <= {*_orphans(), *_unread_members()}
+    assert set(KEPT) <= {*_orphans(), *_unread_members(), *_unpassed_defaults()}
 
 
 def test_the_order_test_has_one_caller_the_scan_of_the_witness_class():

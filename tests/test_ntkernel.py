@@ -181,6 +181,10 @@ def test_factorize_effort_cap():
     with pytest.raises(IncompleteFactorization) as exc:
         factorize(p * q, rho_iters=10)
     assert exc.value.cofactor > 1
+    # a ValueError, whose message sizes the input and the cofactor in bits
+    with pytest.raises(ValueError, match=f"^could not fully factor a {(4 * p * q).bit_length()}-bit integer; "
+                       f"stuck at a {(p * q).bit_length()}-bit cofactor$"):
+        factorize(4 * p * q, rho_iters=10)
 
 
 def test_multiplicative_order_matches_exhaustive_powers():

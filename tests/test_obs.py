@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import edslab
 from edslab import obs
 from test_cli import _python
 
@@ -13,20 +14,19 @@ def _lines(capsys) -> list[dict]:
 
 
 def test_only_edslab_trace_1_turns_tracing_on():
-    probe = ("-c", "import edslab.obs; print(edslab.obs.ENABLED)")
+    probe = ("-c", "import edslab; print(edslab._TRACING)")
     enabled = [_python(*probe, EDSLAB_TRACE=value).stdout for value in ("", "0", "yes", "1")]
     assert enabled == ["False\n", "False\n", "False\n", "True\n"]
 
 
 def test_nothing_is_written_unless_tracing_is_on(monkeypatch, capsys):
-    monkeypatch.setattr(obs, "ENABLED", False)
-    with obs.span("outer", k=1):
-        pass
+    monkeypatch.setattr(edslab, "_TRACING", False)
+    with edslab._span("outer", k=1) as record:
+        assert record is None
     assert _lines(capsys) == []
 
 
-def test_spans_are_json_lines_on_stderr(monkeypatch, capsys):
-    monkeypatch.setattr(obs, "ENABLED", True)
+def test_spans_are_json_lines_on_stderr(capsys):
     with obs.span("outer", k=1):
         with obs.span("inner"):
             pass
@@ -35,8 +35,7 @@ def test_spans_are_json_lines_on_stderr(monkeypatch, capsys):
     assert outer["start"] <= inner["start"] and 0 <= inner["s"] <= outer["s"]
 
 
-def test_a_span_is_written_when_its_block_raises(monkeypatch, capsys):
-    monkeypatch.setattr(obs, "ENABLED", True)
+def test_a_span_is_written_when_its_block_raises(capsys):
     with pytest.raises(KeyError):
         with obs.span("failing"):
             raise KeyError("x")
@@ -49,10 +48,19 @@ def test_a_span_is_written_when_its_block_raises(monkeypatch, capsys):
 
 def _trace(monkeypatch):
     """Turn tracing on in this process, as EDSLAB_TRACE=1 at import would."""
-    import edslab
-
     monkeypatch.setattr(edslab, "_TRACING", True)
-    monkeypatch.setattr(obs, "ENABLED", True)
+
+
+def test_the_switch_is_read_as_each_span_opens(monkeypatch, capsys):
+    # edslab.obs is imported above, with tracing off; the switch alone then
+    # turns the library's spans on and off
+    from edslab.eds import generate_geometric
+    from edslab.elliptic import CurveQ, PointQ
+
+    for tracing, spans in ((True, ["eds.generate_geometric"]), (False, [])):
+        monkeypatch.setattr(edslab, "_TRACING", tracing)
+        generate_geometric(CurveQ(-4, 4), PointQ(1, 1, 1), 5)
+        assert [r["span"] for r in _lines(capsys)] == spans
 
 
 def test_generate_geometric_writes_one_span_with_its_path(monkeypatch, capsys):

@@ -10,7 +10,7 @@ from itertools import islice
 import pytest
 
 import edslab
-from edslab import eds, elliptic, lrs, obs, refuter
+from edslab import eds, elliptic, lrs, ntkernel, refuter
 from edslab.eds import (
     WardSeed,
     division_poly_seeds,
@@ -32,6 +32,7 @@ from edslab.refuter import (
     validate_q,
     verify_certificate,
 )
+from test_cli import factoring_gives_up_past
 from test_elliptic import multiples
 
 # non-CM fixture with |w_n| = z_n: the certificate's stream is literally
@@ -452,6 +453,15 @@ def test_finder_skips_a_prime_past_the_walk_bound(monkeypatch):
     assert result.stats["period_unconfirmed"] == result.stats["candidates"] > 0
 
 
+def test_finder_skips_a_prime_whose_factoring_gives_up(monkeypatch):
+    # every candidate p has p^5 > lrs.MAX_WALK, so the period of u mod p is
+    # read from x^t mod chi, stripping primes from a bound above MAX_WALK
+    monkeypatch.setattr(ntkernel, "factorize", factoring_gives_up_past(lrs.MAX_WALK))
+    result = find_witness(E, P, LrsSpec(5, (1, 1, 0, 0, 1), (1, 1, 1, 1, 1)), 13, p_max=2_000)
+    assert not result.found
+    assert result.stats["period_unconfirmed"] == result.stats["candidates"] > 1
+
+
 def test_finder_counts_points_only_at_candidates(monkeypatch):
     # q | ord(P mod p) is decided without #E(F_p); the finder counts points
     # only at a candidate, whose certificate states #E
@@ -495,7 +505,6 @@ def test_finder_certifies_no_p_above_the_verifiers_bound(monkeypatch):
 def _trace(monkeypatch):
     """Turn tracing on in this process, as EDSLAB_TRACE=1 at import would."""
     monkeypatch.setattr(edslab, "_TRACING", True)
-    monkeypatch.setattr(obs, "ENABLED", True)
 
 
 def _spans(capsys, name: str) -> list[dict]:
