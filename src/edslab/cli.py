@@ -231,14 +231,23 @@ def _unprintable(what: str, limit: int) -> ValueError:
     return ValueError(f"{what} has more than {limit} digits, the int-to-str limit (PYTHONINTMAXSTRDIGITS)")
 
 
-def _printable(name: str, indices, term) -> None:
-    """Refuse the first term(i) with more digits than CPython prints, before any is converted."""
+def _printable(name: str, values) -> None:
+    """Refuse the first (i, v) of values whose v has more digits than CPython
+    prints, named by name.format(i), before any v is converted.  A v of at
+    most 3*limit bits is below 8^limit and prints, so 10^limit, some 14,000
+    bits at the default limit, is formed only for a longer one."""
     limit = _print_limit()
     if limit:
-        bound = 10**limit
-        n = next((i for i in indices if abs(term(i)) >= bound), None)
+        n = next((i for i, v in values if abs(v).bit_length() > 3 * limit and abs(v) >= 10**limit), None)
         if n is not None:
-            raise _unprintable(f"{name}_{n}", limit)
+            raise _unprintable(name.format(n), limit)
+
+
+def _printable_spec(spec: lrs.LrsSpec, what: str) -> str:
+    """The spec's `lrs k c1..ck u1..uk` line, once each entry passes `_printable`."""
+    _printable(f"c{{}} of {what}", enumerate(spec.coeffs, 1))
+    _printable(f"u{{}} of {what}", enumerate(spec.initial, 1))
+    return str(spec)
 
 
 def cmd_eds_gen(args) -> int:
@@ -257,7 +266,7 @@ def cmd_eds_gen(args) -> int:
         if cache:
             eds.save_sequence(cache, seq)
     indices = range(stride, n * stride + 1, stride)
-    _printable("z", indices, seq.term)
+    _printable("z_{}", ((i, seq.term(i)) for i in indices))
     rows = [[i, seq.term(i), f"{eds.height_ratio(i, seq.term(i)):.6f}"] for i in indices]
     _emit(args.format, ["n", "z_n", "log(z_n)/n^2"], rows)
     return EXIT_OK
@@ -270,7 +279,7 @@ def cmd_eds_ward(args) -> int:
     n = _at_least(args, "n", 10)
     _at_most_terms(args, n)
     seq = eds.generate_ward(seed, n)
-    _printable("w", range(1, n + 1), seq.term)
+    _printable("w_{}", ((i, seq.term(i)) for i in range(1, n + 1)))
     rows = [[i, seq.term(i)] for i in range(1, n + 1)]
     _emit(args.format, ["n", "w_n"], rows)
     if seq.degenerate_at is not None:
@@ -304,7 +313,7 @@ def cmd_eds_zsigmondy(args) -> int:
             r.n,
             r.primitive_part,
             " ".join(map(str, r.primes)) or "-",
-            "yes" if r.has_primitive else "no",
+            "yes" if r.primitive_part > 1 else "no",
             "ok" if r.complete else "incomplete",
         ]
         for r in reports
@@ -328,13 +337,15 @@ def cmd_lrs_fit(args) -> int:
     bound = _resolve(args, "bound", lrs.DEFAULT_FIT_BOUND, int)
     fit = lrs.fit_minimal_recurrence(terms, bound)
     for order, coeffs in fit.fatou_violations:
+        parts = ((i, max(abs(c.numerator), c.denominator)) for i, c in enumerate(coeffs, 1))
+        _printable(f"c{{}} of the order-{order} fit", parts)
         sys.stderr.write(
             f"note: order {order} fits with non-integer coefficients {[str(c) for c in coeffs]}\n"
         )
     if not fit.ok:
         sys.stderr.write(f"no integer recurrence of order <= {bound} fits the {len(terms)} terms\n")
         return EXIT_INCONCLUSIVE
-    print(fit.spec)
+    print(_printable_spec(fit.spec, "the fitted recurrence"))
     return EXIT_OK
 
 
@@ -348,9 +359,11 @@ def cmd_lrs_eval(args) -> int:
     spec = _lrs_spec(args)
     if args.mod is None:
         try:
-            print(lrs.eval_exact(spec, args.n))
+            value = lrs.eval_exact(spec, args.n)
         except ValueError as exc:  # a term past lrs.MAX_TERM_BITS
             raise ValueError(f"--n {args.n}: {exc}; --mod M evaluates it modulo M") from None
+        _printable("u_{}", [(args.n, value)])
+        print(value)
     elif args.mod < 2:
         raise ValueError(f"--mod {args.mod} must be at least 2")
     else:
@@ -364,7 +377,7 @@ def cmd_lrs_decimate(args) -> int:
     if args.m > MAX_DECIMATE_M:
         raise ValueError(f"--m {args.m} exceeds the decimation bound {MAX_DECIMATE_M}")
     spec = _lrs_spec(args)
-    print(lrs.decimate(spec, args.m))
+    print(_printable_spec(lrs.decimate(spec, args.m), "the decimated recurrence"))
     return EXIT_OK
 
 
@@ -377,7 +390,7 @@ def cmd_lrs_degenerate(args) -> int:
     if args.reduce and verdict:
         m, reduced = lrs.nondegenerate_reduction(spec)
         payload["reduction_m"] = m
-        payload["reduced"] = str(reduced)
+        payload["reduced"] = _printable_spec(reduced, "the reduced recurrence")
     _emit_record(args.format, payload)
     return EXIT_OK
 
@@ -423,7 +436,7 @@ def cmd_density_empirical(args) -> int:
     exclusions = _exclusions(args)
     report = galois_density.empirical_density(curve, point, args.q, a, x, exclusions, jobs=jobs)
     _emit_density(args.format, report)
-    if report.empirical.small_sample:
+    if report.empirical.hits < 30:
         sys.stderr.write("warning: fewer than 30 matching primes; the frequency is noisy\n")
     return EXIT_OK
 
@@ -458,7 +471,7 @@ def cmd_refute(args) -> int:
     spec = _lrs_spec(args)
     q = _resolve(args, "q", None, int)
     a = _resolve(args, "a", refuter.DEFAULT_A_TARGET, int)
-    p_max = _at_least(args, "p_max", 1_000_000, 3)
+    p_max = _at_least(args, "p_max", refuter.DEFAULT_P_MAX, 3)
     exclusions = _exclusions(args)
     result = refuter.find_witness(
         curve, point, spec, q, a_target=a, p_max=p_max, exclusions=exclusions

@@ -38,6 +38,7 @@ from .elliptic import (
     _z_from_w,
     count_points,
     division_poly_seeds,
+    hasse_interval,
     is_torsion,
     ladder_block,
     point_order_fp,
@@ -287,7 +288,7 @@ def eds_period_mod_p(seq: EdsSequence, p: int) -> EdsPeriodResult:
     else:
         n_points = trace = bound = None
         seeds = seq.seed.as_tuple()
-        top = p + 1 + math.isqrt(4 * p)
+        top = hasse_interval(p)[1]
         stream = stream_mod_p(seeds, p, top)
         rank = next((n for n in range(1, top + 1) if stream[n] == 0), None)
         if rank is None:
@@ -310,14 +311,13 @@ class PrimitiveReport:
     primitive_part: int  # product of the primitive prime powers of |z_n|
     primes: list[int]
     complete: bool  # False when factoring the primitive part timed out
-    has_primitive: bool
 
 
 def primitive_divisor_scan(seq: EdsSequence) -> list[PrimitiveReport]:
     """Per-index primitive primes: divisors of z_n dividing no earlier term.
 
     The primitive part is isolated exactly with gcds against the running
-    product of earlier terms, so `has_primitive` never depends on factoring;
+    product of earlier terms, so whether it is > 1 never depends on factoring;
     only the listed primes can be incomplete under the effort cap.
     """
     reports = []
@@ -325,7 +325,7 @@ def primitive_divisor_scan(seq: EdsSequence) -> list[PrimitiveReport]:
     for n in range(1, len(seq) + 1):
         t = abs(seq.term(n))
         if t == 0:
-            reports.append(PrimitiveReport(n, 0, [], True, False))
+            reports.append(PrimitiveReport(n, 0, [], True))
             continue
         prim = t
         g = math.gcd(prim, running)
@@ -340,7 +340,7 @@ def primitive_divisor_scan(seq: EdsSequence) -> list[PrimitiveReport]:
             except IncompleteFactorization as exc:
                 primes = sorted(exc.factors)
                 complete = False
-        reports.append(PrimitiveReport(n, prim, primes, complete, prim > 1))
+        reports.append(PrimitiveReport(n, prim, primes, complete))
         running *= t
     return reports
 

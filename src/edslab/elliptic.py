@@ -384,10 +384,16 @@ NAIVE_COUNT_BELOW = 400
 MESTRE_MAX_POINTS = 16
 
 
+def hasse_interval(p: int) -> tuple[int, int]:
+    """[p+1-w, p+1+w], w = isqrt(4p), which holds #E(F_p) at a good prime p (Hasse)."""
+    w = math.isqrt(4 * p)
+    return p + 1 - w, p + 1 + w
+
+
 def multiple_in_hasse(base: PointFp, p: int, a: int, d: int = 1) -> int | None:
     """Some m > 0 with d | m and (m/d)*base = O, found by baby-step giant-step
-    over the multiples of d in the Hasse interval [p+1-w, p+1+w], w =
-    isqrt(4p), on y^2 = x^3 + a*x + b over F_p; None exactly when no
+    over the multiples of d in the Hasse interval [p+1-w, p+1+w] of
+    `hasse_interval`, on y^2 = x^3 + a*x + b over F_p; None exactly when no
     multiple of d there has that property.  With base = d*P, m*P = O.
 
     It looks for k*base = O with k in [lo, hi] = [ceil((p+1-w)/d),
@@ -408,8 +414,8 @@ def multiple_in_hasse(base: PointFp, p: int, a: int, d: int = 1) -> int | None:
     x(base) would have matched the baby table first.  The stride is a chord,
     as o > 2s+1.  A giant step may meet O, the stride itself or its negative.
     """
-    w = math.isqrt(4 * p)
-    lo, hi = -(-(p + 1 - w) // d), (p + 1 + w) // d
+    lo, hi = hasse_interval(p)
+    lo, hi = -(-lo // d), hi // d
     if lo > hi:
         return None
     s = math.isqrt(hi - lo) + 1
@@ -551,8 +557,7 @@ def order_class_primes(
 def _unique_hasse_candidate(m_e: int, m_twist: int, p: int) -> int | None:
     """The one N in the Hasse interval with m_e | N and m_twist | 2p+2-N, if
     there is exactly one."""
-    w = math.isqrt(4 * p)
-    lo, hi = p + 1 - w, p + 1 + w
+    lo, hi = hasse_interval(p)
     g = math.gcd(m_e, m_twist)
     if (2 * p + 2) % g:
         return None
@@ -635,11 +640,6 @@ def _mestre_count(curve: CurveFp) -> tuple[int | None, int]:
         if points == MESTRE_MAX_POINTS:
             break
     return None, points
-
-
-def hasse_window(n_points: int, p: int) -> bool:
-    a_p = p + 1 - n_points
-    return a_p * a_p < 4 * p
 
 
 def point_order_fp(pt: PointFp, curve: CurveFp, n_points: int) -> int:

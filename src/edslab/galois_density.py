@@ -26,7 +26,6 @@ class EmpiricalScan:
     x: int  # prime bound
     hits: int
     scanned: int
-    small_sample: bool
 
 
 @dataclass
@@ -185,5 +184,5 @@ def empirical_density(
         if record is not None:
             record.update(primes=sum(counts.values()), **counts)
     hits = counts["hits"]
-    report.empirical = EmpiricalScan(x, hits, counts["residue_class"] + counts["order"] + hits, small_sample=hits < 30)
+    report.empirical = EmpiricalScan(x, hits, counts["residue_class"] + counts["order"] + hits)
     return report

@@ -16,7 +16,6 @@ from operator import add, mod, mul
 
 from . import _span
 from .ntkernel import (
-    Poly,
     cyclotomic_factor_orders,
     is_prime,
     lcm_tower,
@@ -29,10 +28,10 @@ DEFAULT_FIT_BOUND = 12
 MAX_WALK = 10_000_000
 # most terms one chunk of the walk holds: 256 KB as 4-byte machine integers
 WALK_CHUNK = 1 << 16
-# largest term `eval_exact` holds, in bits: 2^14284 < 10^4300, so every term it
-# returns prints within CPython's default limit of 4,300 digits (the largest
-# 4,300-digit integer has 14,285 bits).  Fibonacci passes it at n = 20,577, and
-# 10^5 order-2 steps on terms of 2^15 bits took 0.52 s (Python 3.11, 2-core machine)
+# largest term `eval_exact` holds, in bits: a bound on its work, as each step
+# costs O(k) products of terms this long.  Fibonacci passes it at n = 20,577,
+# and 10^5 order-2 steps on terms of 2^15 bits took 0.52 s (Python 3.11, 2-core
+# machine).  It is no print bound: the CLI checks each term against the int-to-str limit
 MAX_TERM_BITS = 14_284
 
 
@@ -80,12 +79,6 @@ def eval_exact(spec: LrsSpec, n: int) -> int:
     return terms[min(n, spec.order) - 1]
 
 
-def char_poly(spec: LrsSpec) -> Poly:
-    """x^k - c1*x^(k-1) - ... - ck; never has a zero root since ck != 0."""
-    coeffs = [-c for c in reversed(spec.coeffs)] + [1]
-    return Poly(*coeffs)
-
-
 def _x_pow_mod(coeffs: tuple[int, ...], t: int, m: int) -> list[int]:
     """[r_0, ..., r_(k-1)] with x^t = r_0 + r_1*x + ... + r_(k-1)*x^(k-1) mod (chi, m).
 
@@ -123,13 +116,12 @@ def eval_mod(spec: LrsSpec, n: int, p: int) -> int:
 
 @dataclass
 class FitResult:
-    status: str  # "ok" | "no_fit"
-    spec: LrsSpec | None
+    spec: LrsSpec | None  # None: no integer recurrence within the bound fits
     fatou_violations: list[tuple[int, tuple[Fraction, ...]]]  # (order, rational coeffs)
 
     @property
     def ok(self) -> bool:
-        return self.status == "ok"
+        return self.spec is not None
 
 
 def hankel_rank(terms: list[int]) -> int:
@@ -188,14 +180,14 @@ def fit_minimal_recurrence(terms: list[int], bound: int = DEFAULT_FIT_BOUND) -> 
     if length == 0:  # all zeros: the first order tried is u_(n+1) = u_n
         length, conn = 1, [1, -1]
     if 2 * length > len(terms) or length > bound or conn[-1] == 0:
-        return FitResult("no_fit", None, [])
+        return FitResult(None, [])
     lead = conn[0]
     if any(c % lead for c in conn):
-        return FitResult("no_fit", None, [(length, tuple(Fraction(-c, lead) for c in conn[1:]))])
+        return FitResult(None, [(length, tuple(Fraction(-c, lead) for c in conn[1:]))])
     spec = LrsSpec(length, tuple(-c // lead for c in conn[1:]), tuple(terms[:length]))
     if generate(spec, len(terms)) == terms:
-        return FitResult("ok", spec, [])
-    return FitResult("no_fit", None, [])
+        return FitResult(spec, [])
+    return FitResult(None, [])
 
 
 # ---------------------------------------------------------------------------
@@ -229,42 +221,34 @@ def _poly_from_power_sums(p: list[int]) -> list[int]:
 
 
 def decimate(spec: LrsSpec, m: int) -> LrsSpec:
-    """A spec whose terms are u_{m*n}, re-minimized on generated terms.
-
-    The decimated sequence satisfies chi(C^m) of degree k, built from the
-    power sums p_m, p_2m, ..., p_km of the roots of chi(C), so a fit with
-    bound k on 2k + 8 terms always succeeds.
-    """
+    """A spec whose terms are u_{m*n}: the minimal fit of 2k + 8 of them, which
+    satisfy chi(C^m) of degree k (C the companion matrix), so the fit with
+    bound k succeeds; it checks its spec against all 2k + 8 terms."""
     if m < 1:
         raise ValueError("m must be >= 1")
     if m == 1:
         return spec
     k = spec.order
-    sums = _power_sums([1, *(-c for c in spec.coeffs)], k * m)
-    coeffs = tuple(-b for b in _poly_from_power_sums(sums[::m])[1:])
-    need = 2 * k + 8
-    sample = generate(spec, m * need)
-    terms = [sample[m * n - 1] for n in range(1, need + 1)]
-    assert coeffs[-1] != 0  # det(C^m) = (+-ck)^m never vanishes
-    assert generate(LrsSpec(k, coeffs, tuple(terms[:k])), need) == terms
+    terms = generate(spec, m * (2 * k + 8))[m - 1 :: m]
     fit = fit_minimal_recurrence(terms, bound=k)
     assert fit.ok, "decimated sequence must fit within the original order"
     return fit.spec
 
 
-def _ratio_polynomial(chi: Poly) -> Poly:
-    """Monic polynomial R of the ratios r_i/r_j, r_i != r_j, of the roots of chi.
+def _ratio_polynomial(spec: LrsSpec) -> list[int]:
+    """c^(k^2)*R, ascending, R the monic polynomial of the ratios r_i/r_j != 1 of chi's roots.
 
-    chi = x^k + a_1*x^(k-1) + ... + a_k is monic and integral, with
+    chi = x^k + a_1*x^(k-1) + ... + a_k = x^k - c1*x^(k-1) - ... - ck, with
     c = a_k != 0.  The y_j = c/r_j are algebraic integers, the roots of
     y^k + a_(k-1)*y^(k-1) + a_(k-2)*c*y^(k-2) + ... + c^(k-1), so the k^2
     products r_i*y_j = c*r_i/r_j have the integer power sums p_t(r)*p_t(y)
     and a monic integer polynomial S.  S(c*x) = c^(k^2) * (x-1)^e * R(x),
     where e counts the pairs with r_i = r_j: every factor x - 1 is stripped
-    by exact division.
+    by exact division.  The scale c^(k^2) stays: Phi_m is primitive, so it
+    divides c^(k^2)*R exactly when it divides R (Gauss's lemma).
     """
-    k = chi.degree
-    a = [int(chi[k - i]) for i in range(k + 1)]
+    k = spec.order
+    a = [1, *(-c for c in spec.coeffs)]
     c = a[k]
     y = [1] + [a[k - i] * c ** (i - 1) for i in range(1, k + 1)]
     sums = zip(_power_sums(a, k * k), _power_sums(y, k * k))
@@ -272,7 +256,7 @@ def _ratio_polynomial(chi: Poly) -> Poly:
     while True:
         *quotient, rem = accumulate(ratio)  # synthetic division by x - 1
         if rem:
-            return Poly(*(Fraction(b, c ** (k * k)) for b in reversed(ratio)))
+            return ratio[::-1]
         ratio = quotient
 
 
@@ -285,7 +269,7 @@ def is_degenerate(spec: LrsSpec) -> tuple[bool, int | None]:
     order m with phi(m) <= k^2).  Returns the smallest witness order when
     degenerate.
     """
-    m = next(cyclotomic_factor_orders(_ratio_polynomial(char_poly(spec)), spec.order**2), None)
+    m = next(cyclotomic_factor_orders(_ratio_polynomial(spec), spec.order**2), None)
     return m is not None, m
 
 
@@ -296,7 +280,7 @@ def nondegenerate_reduction(spec: LrsSpec) -> tuple[int, LrsSpec]:
     found in one ascending scan; after decimating by M^2 those ratios become
     1 and the corresponding roots merge, so the result is non-degenerate.
     """
-    m = math.lcm(*cyclotomic_factor_orders(_ratio_polynomial(char_poly(spec)), spec.order**2))
+    m = math.lcm(*cyclotomic_factor_orders(_ratio_polynomial(spec), spec.order**2))
     if m == 1:
         return 1, spec
     reduced = decimate(spec, m * m)

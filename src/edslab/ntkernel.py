@@ -478,22 +478,19 @@ def cyclotomic_orders(bound: int) -> list[int]:
     return [m for m in range(1, len(phi)) if phi[m] <= bound]
 
 
-def cyclotomic_factor_orders(f: Poly, bound: int):
-    """Yield, ascending, every m with phi(m) <= bound for which Phi_m divides f.
+def cyclotomic_factor_orders(f: list[int], bound: int):
+    """Yield, ascending, each m with phi(m) <= bound and Phi_m | f, for f = [f_0, f_1, ...] over Z.
 
-    Exact over Z; no Phi_m is formed.  Fold g = c*f, integral for c the lcm
-    of the denominators, modulo x^m - 1 to h.  Times x^(m/l) - 1 for each
-    prime l | m, h vanishes at every non-primitive m-th root of unity, whose
-    order divides some m/l, and at a primitive one iff f does; as x^m - 1 is
-    squarefree, the product is 0 (mod x^m - 1) iff Phi_m divides f.
+    No Phi_m is formed.  Fold f modulo x^m - 1 to h.  Times x^(m/l) - 1 for
+    each prime l | m, h vanishes at every non-primitive m-th root of unity,
+    whose order divides some m/l, and at a primitive one iff f does; as
+    x^m - 1 is squarefree, the product is 0 (mod x^m - 1) iff Phi_m divides f.
     """
-    if f.is_zero():
+    if not any(f):
         raise ValueError("f must be non-zero")
-    scale = math.lcm(*(c.denominator for c in f.coeffs))
-    g = [int(c * scale) for c in f.coeffs]
-    for m in cyclotomic_orders(min(bound, f.degree)):
+    for m in cyclotomic_orders(min(bound, len(f) - 1)):
         h = [0] * m
-        for i, c in enumerate(g):
+        for i, c in enumerate(f):
             h[i % m] += c
         for d in (m // ell for ell in factorize(m)):
             h = [h[i - d] - h[i] for i in range(m)]  # h * (x^d - 1), cyclically

@@ -37,7 +37,7 @@ from .elliptic import (
     PointQ,
     count_points,
     count_points_naive,
-    hasse_window,
+    hasse_interval,
     is_torsion,
     order_class_primes,
     point_order_fp,
@@ -60,6 +60,7 @@ MAX_MISMATCH_INDEX = DEFAULT_MISMATCH_LIMIT
 # `count_points_naive`, takes O(p) time and memory, so it bounds p by this
 # before the recount, and the finder certifies no larger p
 MAX_WITNESS_P = 999_997
+DEFAULT_P_MAX = 1_000_000  # the finder's prime bound when none is given
 # direct_falsify's window and last index bound its time only: each index
 # takes one `eval_mod` of u_(n^2) and one `ladder_block` for w_n, O(log n)
 # steps each, and no term outlives its index
@@ -222,13 +223,12 @@ def choose_q(
 
 @dataclass
 class FindResult:
-    status: str  # "found" | "exhausted"
-    certificate: WitnessCertificate | None
+    certificate: WitnessCertificate | None  # None: the scan was exhausted
     stats: dict[str, int] = field(default_factory=dict)
 
     @property
     def found(self) -> bool:
-        return self.status == "found"
+        return self.certificate is not None
 
 
 def _mismatch_residue(z_mod: int, u_mod: int, p: int) -> bool:
@@ -242,7 +242,7 @@ def find_witness(
     q: int | None = None,
     *,
     a_target: int = DEFAULT_A_TARGET,
-    p_max: int = 1_000_000,
+    p_max: int = DEFAULT_P_MAX,
     exclusions: tuple[int, ...] = (),
 ) -> FindResult:
     """Scan primes in ascending order for a witness and certify the first hit.
@@ -333,7 +333,7 @@ def find_witness(
         stats["divides_invariants"] = stats.pop("bad")
         if record is not None:
             record.update(stats, **({"p": cert.p} if cert else {}))
-    return FindResult("found" if cert else "exhausted", cert, stats)
+    return FindResult(cert, stats)
 
 
 # ---------------------------------------------------------------------------
@@ -349,8 +349,11 @@ class CheckResult:
 
 @dataclass
 class VerifyResult:
-    ok: bool
     checks: list[CheckResult]
+
+    @property
+    def ok(self) -> bool:
+        return all(c.ok for c in self.checks)
 
     @property
     def failures(self) -> list[str]:
@@ -370,10 +373,10 @@ def verify_certificate(cert: WitnessCertificate) -> VerifyResult:
     bounded by the finder's limits before any count, ladder or exact term,
     and the walk of u mod p by `lrs.MAX_WALK`: no edit makes it run away.
     """
-    checks: list[CheckResult] = []
+    verdict = VerifyResult([])
 
     def check(name: str, ok: bool, detail: str = ""):
-        checks.append(CheckResult(name, bool(ok), detail))
+        verdict.checks.append(CheckResult(name, bool(ok), detail))
         return ok
 
     check("q_prime", is_prime(cert.q) and cert.q % 2 == 1, f"q={cert.q}")
@@ -385,14 +388,15 @@ def verify_certificate(cert: WitnessCertificate) -> VerifyResult:
     check("point_nontorsion", not is_torsion(point, curve)[0])
     check("good_reduction", curve.bad_prime_product(point) % p != 0, "p must avoid disc, z1 and 2*y1")
     check("lrs_reduction", spec.coeffs[-1] % p != 0, "p must not divide the last coefficient")
-    if not all(c.ok for c in checks):
-        return VerifyResult(False, checks)
+    if not verdict.ok:
+        return verdict
 
     cfp = CurveFp.from_curve(curve, p)
     n_points, trace = count_points_naive(cfp)
     check("n_points", n_points == cert.n_points, f"recounted {n_points}")
     check("trace", trace == cert.trace, f"recomputed {trace}")
-    check("hasse", hasse_window(n_points, p))
+    low, high = hasse_interval(p)
+    check("hasse", low <= n_points <= high)
     order_p = point_order_fp(reduce_point(point, curve, p), cfp, n_points)
     check("point_order", order_p == cert.point_order, f"recomputed {order_p}")
     check("q_divides_order", order_p % q == 0)
@@ -407,7 +411,7 @@ def verify_certificate(cert: WitnessCertificate) -> VerifyResult:
         f"mismatches indices must be distinct and lie in 1..{MAX_MISMATCH_INDEX}",
     )
     if not (window_ok and indices_ok):
-        return VerifyResult(False, checks)
+        return verdict
 
     tz = cert.tz_period
     least = ward_period(division_poly_seeds(curve, point), p, order_p)
@@ -421,7 +425,7 @@ def verify_certificate(cert: WitnessCertificate) -> VerifyResult:
         sq = square_sampled_period(spec, p)
     except ValueError as exc:  # the period of u mod p passed lrs.MAX_WALK, or factoring gave up
         check("lrs_period", False, str(exc))
-        return VerifyResult(False, checks)
+        return verdict
     check("lrs_period", sq.lrs_period == cert.lrs_period, f"recomputed {sq.lrs_period}")
     check("tu_period", sq.period == cert.tu_period, f"recomputed {sq.period}")
     check("tu_window", cert.tu_window == sq.window, f"recomputed {sq.window}")
@@ -440,7 +444,7 @@ def verify_certificate(cert: WitnessCertificate) -> VerifyResult:
             break
     check("mismatches", mism_ok, detail)
 
-    return VerifyResult(all(c.ok for c in checks), checks)
+    return verdict
 
 
 # ---------------------------------------------------------------------------

@@ -953,6 +953,61 @@ def test_prooflab_ell_names_the_modulus_past_the_print_limit(capsys, monkeypatch
     assert run(capsys, *argv) == (2, "", f"error: {message}, the int-to-str limit (PYTHONINTMAXSTRDIGITS)\n")
 
 
+@pytest.fixture
+def least_print_limit():
+    """CPython's least int-to-str limit, 640 digits, for the test; the limit before it afterwards."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    yield
+    sys.set_int_max_str_digits(limit)
+
+
+N250 = 10**250
+
+
+# every command that prints an integer whose size the caller controls, except
+# eds zsigmondy: it factors each term for minutes before it prints one this long
+@PRINT_LIMIT
+@pytest.mark.parametrize(
+    "argv, terms, named",
+    [
+        (("eds", "gen", "--curve", "8", "3", "--point", "13", "48", "1", "--n", "40"), None, "z_34"),
+        (("eds", "ward", "--seed", "1", "1", "-1", "1", "--n", "300"), None, "w_241"),
+        (
+            ("prooflab", "ell", "--r", "7", "--e", "800", "--n0", "1", "--j", "3", "--c", "1"),
+            None,
+            "--r 7 --e 800: the modulus r^e",
+        ),
+        (("lrs", "eval", *FIB_ARGS, "--n", "5000"), None, "u_5000"),
+        (
+            ("lrs", "decimate", "--lrs", "3", "30", "30", "30", "1", "1", "1", "--m", "200"),
+            None,
+            "u3 of the decimated recurrence",
+        ),
+        (
+            ("lrs", "degenerate", "--lrs", "2", "0", str(-(10**400)), "1", "1", "--reduce"),
+            None,
+            "c1 of the reduced recurrence",
+        ),
+        # c1 = N^3 - N: three times the digits of any term
+        (("lrs", "fit"), (1, N250, N250**2 - 1, 0), "c1 of the fitted recurrence"),
+        # order 2 fits only with c1 = (N^3 - 2N - 1)/2, printed in the note on a non-integral fit
+        (("lrs", "fit"), (1, N250, N250**2 - 2, 1), "c1 of the order-2 fit"),
+    ],
+    ids=["eds-gen", "eds-ward", "prooflab-ell", "lrs-eval", "lrs-decimate", "lrs-degenerate", "lrs-fit", "lrs-fatou"],
+)
+def test_an_integer_past_a_lowered_print_limit_is_named(tmp_path, capsys, least_print_limit, argv, terms, named):
+    # the lrs commands exited 2 with CPython's own "Exceeds the limit (640 digits) ...;
+    # use sys.set_int_max_str_digits() to increase the limit", naming nothing
+    if terms:
+        (tmp_path / "terms.txt").write_text("".join(f"{t}\n" for t in terms))
+        argv = (*argv, "--terms-file", str(tmp_path / "terms.txt"))
+    code, out, err = run(capsys, *argv)
+    # the error names the entry and PYTHONINTMAXSTRDIGITS, and not CPython's set_int_max_str_digits()
+    assert (code, out) == (2, "")
+    assert err == f"error: {named} has more than 640 digits, the int-to-str limit (PYTHONINTMAXSTRDIGITS)\n"
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [

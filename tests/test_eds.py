@@ -592,10 +592,10 @@ def test_primitive_divisors_fixture():
     assert reports[0].primes == [1] or reports[0].primitive_part == 1  # z_1 = 1
     # all prime factors of z_2 = 4 are primitive
     assert reports[1].primes == [2]
-    missing = [r.n for r in reports if not r.has_primitive]
+    missing = [r.n for r in reports if r.primitive_part <= 1]
     # Zsigmondy behaviour: only finitely many early terms lack one
     assert all(n <= 10 for n in missing)
-    assert sum(1 for r in reports if r.has_primitive) >= 15
+    assert sum(1 for r in reports if r.primitive_part > 1) >= 15
     for r in reports:
         if r.complete and r.primitive_part > 1:
             prod = 1

@@ -21,7 +21,7 @@ from edslab.elliptic import (
     count_points,
     count_points_naive,
     fp_scalar_mul,
-    hasse_window,
+    hasse_interval,
     is_torsion,
     multiple_in_hasse,
     parse_curve,
@@ -358,7 +358,8 @@ def test_hasse_window_all_good_primes():
             continue
         curve = CurveFp.from_curve(E, p)
         n, a_p = count_points(curve)
-        assert hasse_window(n, p), (p, n, a_p)
+        lo, hi = hasse_interval(p)
+        assert lo <= n <= hi and a_p * a_p < 4 * p, (p, n, a_p)
 
 
 def test_lagrange_and_order_minimality():

@@ -15,7 +15,6 @@ from edslab.lrs import (
     MAX_TERM_BITS,
     LrsSpec,
     _ratio_polynomial,
-    char_poly,
     decimate,
     eval_exact,
     eval_mod,
@@ -335,11 +334,6 @@ def test_fit_roundtrip_random_specs():
         done += 1
 
 
-def test_char_poly():
-    assert char_poly(FIBONACCI) == Poly(-1, -1, 1)
-    assert char_poly(FIBONACCI)(0) != 0
-
-
 def test_decimate_fibonacci():
     dec = decimate(FIBONACCI, 2)
     assert dec.coeffs == (3, -1)
@@ -360,6 +354,18 @@ def test_decimate_agrees_with_direct_eval():
         full = generate(spec, m * 100)
         decimated = generate(dec, 100)
         assert decimated == [full[m * n - 1] for n in range(1, 101)]
+
+
+def _char_poly(spec: LrsSpec) -> Poly:
+    """x^k - c1*x^(k-1) - ... - ck."""
+    return Poly(*(-c for c in reversed(spec.coeffs)), 1)
+
+
+def _monic_ratio_polynomial(spec: LrsSpec) -> Poly:
+    """R itself: `_ratio_polynomial` divided by its leading coefficient c^(k^2)."""
+    scaled = _ratio_polynomial(spec)
+    assert scaled[-1] == (-spec.coeffs[-1]) ** (spec.order**2)  # c = -ck: R is monic
+    return Poly(*(Fraction(b, scaled[-1]) for b in scaled))
 
 
 def _resultant(f: Poly, g: Poly) -> Fraction:
@@ -397,9 +403,9 @@ def test_ratio_polynomial_matches_sylvester_resultant():
         coeffs = tuple(rng.randint(-4, 4) for _ in range(k - 1)) + (rng.choice([-3, -2, -1, 1, 2, 3]),)
         specs.append(LrsSpec(k, coeffs, (1,) * k))
     for spec in specs:
-        chi = char_poly(spec)
+        chi = _char_poly(spec)
         k = chi.degree
-        ratio = _ratio_polynomial(chi)
+        ratio = _monic_ratio_polynomial(spec)
         e = k * k - ratio.degree  # the pairs (i, j) with r_i = r_j
         assert ratio.leading == 1 and ratio(1) != 0
         assert e == (6 if spec.coeffs == (4, -5, 4, -4) else k)
@@ -460,7 +466,7 @@ def test_nondegenerate_reduction_random_property():
 def _reference_reduction(spec: LrsSpec) -> tuple[int, LrsSpec]:
     """The divide-and-rescan loop: take the least cyclotomic order of the ratio
     polynomial, divide its Phi_m out, and scan again from m = 1."""
-    probe = _ratio_polynomial(char_poly(spec))
+    probe = Poly(*_ratio_polynomial(spec))
     orders = []
     while probe.degree >= 1:
         found = _reference_cyclotomic_orders(probe, spec.order**2)
@@ -748,7 +754,7 @@ def _numeric_degeneracy_oracle(spec, bits=120):
     """Root-of-unity ratio detection with high-precision numerics (mpmath)."""
     import mpmath
 
-    psi = _squarefree_part(char_poly(spec))
+    psi = _squarefree_part(_char_poly(spec))
     with mpmath.workprec(bits):
         coeffs = [mpmath.mpf(c.numerator) / mpmath.mpf(c.denominator) for c in reversed(psi.coeffs)]
         roots = mpmath.polyroots(coeffs, maxsteps=200, extraprec=120)

@@ -181,7 +181,7 @@ def test_find_witness_refuses_a_point_off_the_curve(point):
 
 def test_find_witness_exhaustion_report():
     result = find_witness(E, P, FIBONACCI, 5, p_max=6)
-    assert result.status == "exhausted"
+    assert not result.found
     assert result.certificate is None
     stats = result.stats
     assert stats["scanned"] == 3  # 2, 3, 5
