@@ -6,6 +6,7 @@ module when it is first used (PEP 562).  Nor does tracing: `_span` loads
 `edslab.obs` only while `_TRACING` is on."""
 
 import os
+import sys
 from contextlib import nullcontext
 
 __version__ = "0.1.0"
@@ -42,6 +43,16 @@ def _span(name: str, **fields):
     from . import obs
 
     return obs.span(name, **fields)
+
+
+def _print_limit() -> int:
+    # from 3.10.7 on, CPython converts no int of more digits to or from str (0: no limit)
+    return sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+
+
+def _unprintable(what: str, limit: int) -> ValueError:
+    """The one wording, for the CLI and the certificate reader, of a value past the limit."""
+    return ValueError(f"{what} has more than {limit} digits, the int-to-str limit (PYTHONINTMAXSTRDIGITS)")
 
 
 def __getattr__(name: str):

@@ -14,11 +14,12 @@ builds only its own group's and subcommand's parsers.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import os
 import sys
 
-from . import _span
+from . import _print_limit, _span, _unprintable
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -53,76 +54,91 @@ MAX_RESCLASS_R = 10**7
 # largest `prooflab ell --e`: e - 1 Hensel lifts modulo r^e, in time about e^2.6;
 # at r = 7, e = 1,000 took 0.55 s.  It bounds lifts, not the size of r^e
 MAX_ELL_E = 1000
+# largest order k of a recurrence, from --lrs or a file: lrs.is_degenerate grows
+# as about k^4, mostly in the totients up to 2*(k^2)^2 of cyclotomic_orders; on
+# u_(n+k) = u_(n+k-1) + u_n, k = 24 took 0.92 s (39 MB max RSS), 32 took 3.2 s
+# (91 MB) and 40 took 8.4 s (202 MB) on a shared 2-core machine under Python 3.11
+MAX_LRS_ORDER = 32
 
 FORMATS = ("table", "json", "csv")  # the first is the default
-CONFIG_KEYS = {
-    "format",
-    "cache_dir",
-    "p_max",
-    "q",
-    "a",
-    "jobs",
-    "exclude",
-    "bound",
-    "n",
-    "x",
-}
+CONFIG_KEYS = {"format", "cache_dir", "p_max", "q", "a", "jobs", "exclude", "bound", "n", "x"}
+
+
+def _lines(path: str):
+    """(FILE:LINE, text) for each line of the file ('-': stdin) that holds
+    more than a comment, with what follows '#' dropped."""
+    name = "stdin" if path == "-" else path
+    with contextlib.nullcontext(sys.stdin) if path == "-" else open(path) as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            text = raw.split("#", 1)[0].strip()
+            if text:
+                yield f"{name}:{lineno}", text
+
+
+def _clip(value) -> str:
+    """The value as an error echoes it: its start, if it is long."""
+    text = str(value)
+    return text if len(text) <= 24 else text[:21] + "..."
+
+
+def _int(text: str, named: str, must: str = "be an integer") -> int:
+    """int(text), else a ValueError that names the value by `named`, its
+    source with the value's start: `--flag v`, `key = v in FILE` or `FILE:LINE: v`."""
+    try:
+        return int(text)
+    except ValueError as exc:
+        if "integer string conversion" in str(exc):  # CPython's refusal past its int-to-str limit
+            raise _unprintable(named, _print_limit()) from None
+        raise ValueError(f"{named} must {must}") from None
+
+
+def _ints(where: str, words) -> list[int]:
+    """The words of the FILE:LINE `where`, each an integer."""
+    return [_int(word, f"{where}: {_clip(word)}") for word in words]
 
 
 def _read_config(path: str) -> dict[str, str]:
     values: dict[str, str] = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key=value")
-            key, value = (part.strip() for part in line.split("=", 1))
-            if key not in CONFIG_KEYS:
-                raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            values[key] = value
+    for where, line in _lines(path):
+        key, eq, value = (part.strip() for part in line.partition("="))
+        if not eq:
+            raise ValueError(f"{where}: expected key=value")
+        if key not in CONFIG_KEYS:
+            raise ValueError(f"{where}: unknown key {_clip(key)!r}")
+        values[key] = value
     return values
 
 
-def _resolve(args, key: str, default=None, cast=None):
-    """Flag value if given, else config value, else default."""
+def _resolve(args, key: str, default=None, integer: bool = False):
+    """Flag value if given, else config value (an int if `integer`), else default."""
     flag = getattr(args, key, None)
     if flag is not None:
         return flag
     config = getattr(args, "_config", {})
     if key not in config:
         return default
-    if cast is None:
-        return config[key]
-    try:
-        return cast(config[key])
-    except ValueError:
-        raise ValueError(f"{key} = {config[key]} in {args.config} must be an integer") from None
+    return _int(config[key], _named(args, key, config[key])) if integer else config[key]
 
 
 def _named(args, key: str, value) -> str:
     """The value as an error names it: by its flag if one was given, else by
     its key in the config file."""
     if getattr(args, key, None) is not None:
-        return f"--{key.replace('_', '-')} {value}"
-    return f"{key} = {value} in {args.config}"
+        return f"--{key.replace('_', '-')} {_clip(value)}"
+    return f"{key} = {_clip(value)} in {args.config}"
 
 
 def _exclusions(args) -> tuple[int, ...]:
     text = _resolve(args, "exclude")
     if not text:
         return ()
-    try:
-        return tuple(int(part) for part in text.replace(",", " ").split())
-    except ValueError:
-        named = _named(args, "exclude", repr(text))
-        raise ValueError(f"{named} must list integers, separated by commas") from None
+    named = _named(args, "exclude", repr(text))
+    return tuple(_int(part, named, "list integers, separated by commas") for part in text.replace(",", " ").split())
 
 
 def _at_least(args, key: str, default: int, least: int = 1) -> int:
     """An integer option of at least `least`; 3 for a prime bound, the least odd prime."""
-    value = _resolve(args, key, default, int)
+    value = _resolve(args, key, default, integer=True)
     if value < least:
         raise ValueError(f"{_named(args, key, value)} must be at least {least}")
     return value
@@ -176,21 +192,17 @@ def _fields(obj, *names: str) -> dict:
 def _curve_point(args) -> tuple[elliptic.CurveQ, elliptic.PointQ]:
     from . import elliptic
 
-    curve = point = None
+    read = {}  # "curve" or "point" -> its integers, from the file's last such line
     if getattr(args, "curve_file", None):
-        with open(args.curve_file) as fh:
-            for line in fh:
-                stripped = line.split("#", 1)[0].strip()
-                if stripped.startswith("curve"):
-                    curve = elliptic.parse_curve(stripped)
-                elif stripped.startswith("point"):
-                    point = elliptic.parse_point(stripped)
-    if args.curve is not None:
-        curve = elliptic.CurveQ(args.curve[0], args.curve[1])
-    if args.point is not None:
-        point = elliptic.PointQ(args.point[0], args.point[1], args.point[2])
+        for where, line in _lines(args.curve_file):
+            word, *words = line.split()
+            if len(words) != {"curve": 2, "point": 3}.get(word):
+                raise ValueError(f"{where}: expected 'curve A B' or 'point x y z'")
+            read[word] = _ints(where, words)
+    curve, point = args.curve or read.get("curve"), args.point or read.get("point")
     if curve is None or point is None:
         raise ValueError("this command needs --curve A B and --point x y z (or --curve-file)")
+    curve, point = elliptic.CurveQ(*curve), elliptic.PointQ(*point)
     if not curve.contains(point):
         raise ValueError("the point is not on the curve")
     return curve, point
@@ -200,11 +212,21 @@ def _lrs_spec(args) -> lrs.LrsSpec:
     from . import lrs
 
     if getattr(args, "lrs", None):
-        return lrs.parse_lrs_spec("lrs " + " ".join(str(v) for v in args.lrs))
-    if getattr(args, "lrs_file", None):
-        with open(args.lrs_file) as fh:
-            return lrs.parse_lrs_spec(fh.read())
-    raise ValueError("this command needs --lrs k c1..ck u1..uk or --lrs-file")
+        named, numbers = "--lrs", args.lrs
+    elif getattr(args, "lrs_file", None):
+        lines = [(where, line.split()) for where, line in _lines(args.lrs_file)]
+        named, words = lines[-1] if lines else (args.lrs_file, [])
+        if len(lines) != 1 or words[0] != "lrs" or len(words) == 1:
+            raise ValueError(f"{named}: expected one line 'lrs k c1..ck u1..uk'")
+        numbers = _ints(named, words[1:])
+    else:
+        raise ValueError("this command needs --lrs k c1..ck u1..uk or --lrs-file")
+    k = numbers[0]
+    if not 1 <= k <= MAX_LRS_ORDER:
+        raise ValueError(f"{named}: the order {_clip(k)} must be at least 1 and at most {MAX_LRS_ORDER}")
+    if len(numbers) != 2 * k + 1:
+        raise ValueError(f"{named}: expected {2 * k} integers after the order, got {len(numbers) - 1}")
+    return lrs.LrsSpec(k, tuple(numbers[1 : k + 1]), tuple(numbers[k + 1 :]))
 
 
 # ---------------------------------------------------------------------------
@@ -220,15 +242,6 @@ def _at_most_terms(args, n: int, stride: int = 1) -> None:
             if getattr(args, key, None) is not None or key in args._config
         )
         raise ValueError(f"{named} asks for {n * stride} terms, more than the bound {MAX_EDS_TERMS}")
-
-
-def _print_limit() -> int:
-    # from 3.10.7 on, CPython prints no int of more than this many digits (0: no limit)
-    return sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
-
-
-def _unprintable(what: str, limit: int) -> ValueError:
-    return ValueError(f"{what} has more than {limit} digits, the int-to-str limit (PYTHONINTMAXSTRDIGITS)")
 
 
 def _printable(name: str, values) -> None:
@@ -329,12 +342,8 @@ def cmd_eds_zsigmondy(args) -> int:
 def cmd_lrs_fit(args) -> int:
     from . import lrs
 
-    if args.terms_file:
-        with open(args.terms_file) as fh:
-            terms = lrs.parse_terms(fh)
-    else:
-        terms = lrs.parse_terms(sys.stdin)
-    bound = _resolve(args, "bound", lrs.DEFAULT_FIT_BOUND, int)
+    terms = [_int(line, f"{where}: {_clip(line)}") for where, line in _lines(args.terms_file or "-")]
+    bound = _resolve(args, "bound", lrs.DEFAULT_FIT_BOUND, integer=True)
     fit = lrs.fit_minimal_recurrence(terms, bound)
     for order, coeffs in fit.fatou_violations:
         parts = ((i, max(abs(c.numerator), c.denominator)) for i, c in enumerate(coeffs, 1))
@@ -431,7 +440,7 @@ def cmd_density_empirical(args) -> int:
 
     curve, point = _curve_point(args)
     x = _at_least(args, "x", 10_000, 3)
-    a = _resolve(args, "a", elliptic.DEFAULT_A_TARGET, int)
+    a = _resolve(args, "a", elliptic.DEFAULT_A_TARGET, integer=True)
     jobs = _at_least(args, "jobs", 1)
     exclusions = _exclusions(args)
     report = galois_density.empirical_density(curve, point, args.q, a, x, exclusions, jobs=jobs)
@@ -469,8 +478,8 @@ def cmd_refute(args) -> int:
 
     curve, point = _curve_point(args)
     spec = _lrs_spec(args)
-    q = _resolve(args, "q", None, int)
-    a = _resolve(args, "a", refuter.DEFAULT_A_TARGET, int)
+    q = _resolve(args, "q", integer=True)
+    a = _resolve(args, "a", refuter.DEFAULT_A_TARGET, integer=True)
     p_max = _at_least(args, "p_max", refuter.DEFAULT_P_MAX, 3)
     exclusions = _exclusions(args)
     result = refuter.find_witness(

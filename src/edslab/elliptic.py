@@ -653,22 +653,3 @@ def point_order_fp(pt: PointFp, curve: CurveFp, n_points: int) -> int:
     assert fp_scalar_mul(order, pt, p, a) is None
     return order
 
-
-# ---------------------------------------------------------------------------
-# text ingestion
-
-
-def parse_curve(text: str) -> CurveQ:
-    """Parse `curve A B` with arbitrary-precision decimal integers."""
-    parts = text.split()
-    if len(parts) != 3 or parts[0] != "curve":
-        raise ValueError(f"expected 'curve A B', got {text!r}")
-    return CurveQ(int(parts[1]), int(parts[2]))
-
-
-def parse_point(text: str) -> PointQ:
-    """Parse `point x y z` with arbitrary-precision decimal integers."""
-    parts = text.split()
-    if len(parts) != 4 or parts[0] != "point":
-        raise ValueError(f"expected 'point x y z', got {text!r}")
-    return PointQ(int(parts[1]), int(parts[2]), int(parts[3]))

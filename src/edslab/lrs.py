@@ -445,32 +445,3 @@ def square_sampled_period(spec: LrsSpec, p: int) -> SquarePeriodResult:
     period = order_from_multiple(lam, lambda d: v[d:] == v[: lam - d] and v[:d] == v[lam - d :])
     return SquarePeriodResult(p, lam, period, (1, lam + period), table)
 
-
-# ---------------------------------------------------------------------------
-# ingestion
-
-
-def parse_lrs_spec(text: str) -> LrsSpec:
-    """Parse `lrs k c1..ck u1..uk` with decimal integers."""
-    parts = text.split()
-    if not parts or parts[0] != "lrs":
-        raise ValueError(f"expected 'lrs k c1..ck u1..uk', got {text!r}")
-    try:
-        k = int(parts[1])
-        numbers = [int(x) for x in parts[2:]]
-    except (IndexError, ValueError) as exc:
-        raise ValueError(f"malformed lrs line {text!r}") from exc
-    if len(numbers) != 2 * k:
-        raise ValueError(f"expected {2 * k} integers after the order, got {len(numbers)}")
-    return LrsSpec(k, tuple(numbers[:k]), tuple(numbers[k:]))
-
-
-def parse_terms(lines) -> list[int]:
-    """One integer per line; blank lines and '#' comments are skipped."""
-    terms = []
-    for line in lines:
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        terms.append(int(stripped))
-    return terms

@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from . import _span
+from . import _print_limit, _span, _unprintable
 from .eds import (
     _period_horizon,
     division_poly_seeds,
@@ -159,6 +159,8 @@ class WitnessCertificate:
             try:
                 fields[name] = parse(payload[name])
             except (KeyError, TypeError, ValueError) as exc:
+                if "integer string conversion" in str(exc):  # CPython's refusal past its int-to-str limit
+                    raise _unprintable(f"certificate field {name!r}", _print_limit()) from None
                 raise ValueError(f"certificate field {name!r} is malformed: {exc!r}") from None
         return cls(spec=fields.pop("lrs"), **fields)
 

@@ -1182,6 +1182,97 @@ def test_curve_file_ingestion(tmp_path, capsys):
     assert out.strip().splitlines()[2].startswith("2,4")
 
 
+LONG = "7" * 5000  # past CPython's default int-to-str limit of 4,300 digits
+PAST_LIMIT = "has more than 4300 digits, the int-to-str limit (PYTHONINTMAXSTRDIGITS)"
+FIT = ("lrs", "fit", "--terms-file", "terms.txt")
+
+
+def _certificate_with_p(p: str) -> str:
+    cert = refuter.find_witness(CurveQ(-4, 4), PointQ(1, 1, 1), FIBONACCI, 5, p_max=100).certificate
+    return json.dumps({**json.loads(cert.to_json()), "p": p})
+
+
+# every text input is read by one line loop and one integer conversion: a
+# '#' comment may follow a value, an integer past the int-to-str limit is
+# named by its source in a short message, and a non-integer by FILE:LINE
+@PRINT_LIMIT
+@pytest.mark.parametrize(
+    "name, text, argv, expected",
+    [
+        # a comment after a value was a "malformed lrs line" and an invalid literal for int()
+        ("claim.lrs", "lrs 2 1 1 1 1  # Fibonacci\n", ("lrs", "eval", "--lrs-file", "claim.lrs", "--n", "10"),
+         (0, "55\n", "")),
+        ("terms.txt", "# Fibonacci\n1\n1\n\n2\n3\n5\n8 # F6\n13\n21\n34\n55\n", FIT, (0, "lrs 2 1 1 1 1\n", "")),
+        # the limit: echoed in 5,000 characters, or CPython's advice with no source
+        ("edslab.conf", f"x = {LONG}\n", (*EMPIRICAL, "--config", "edslab.conf"),
+         (2, "", f"error: x = 777777777777777777777... in edslab.conf {PAST_LIMIT}\n")),
+        ("e.curve", f"curve {LONG} 4\npoint 1 1 1\n", ("eds", "gen", "--curve-file", "e.curve"),
+         (2, "", f"error: e.curve:1: 777777777777777777777... {PAST_LIMIT}\n")),
+        ("claim.lrs", f"lrs 1 2 {LONG}\n", ("lrs", "eval", "--lrs-file", "claim.lrs", "--n", "3"),
+         (2, "", f"error: claim.lrs:1: 777777777777777777777... {PAST_LIMIT}\n")),
+        ("terms.txt", f"1\n{LONG}\n", FIT, (2, "", f"error: terms.txt:2: 777777777777777777777... {PAST_LIMIT}\n")),
+        ("cert.json", _certificate_with_p, ("verify", "cert.json"),
+         (2, "", f"error: certificate field 'p' {PAST_LIMIT}\n")),
+        # a non-integer: CPython's "invalid literal for int()", or "malformed lrs line", with no line
+        ("e.curve", "curve 0 3\npoint 1 x 1\n", ("eds", "gen", "--curve-file", "e.curve"),
+         (2, "", "error: e.curve:2: x must be an integer\n")),
+        ("claim.lrs", "\nlrs 2 1 1 1 1.5\n", ("lrs", "eval", "--lrs-file", "claim.lrs", "--n", "3"),
+         (2, "", "error: claim.lrs:2: 1.5 must be an integer\n")),
+        ("terms.txt", "1\n2\nthree\n", FIT, (2, "", "error: terms.txt:3: three must be an integer\n")),
+    ],
+    ids=[
+        "lrs-file-comment", "terms-file-comment", "config-long", "curve-file-long", "lrs-file-long",
+        "terms-file-long", "verify-long", "curve-file-bad", "lrs-file-bad", "terms-file-bad",
+    ],
+)
+def test_one_reader_for_text_from_outside(tmp_path, capsys, monkeypatch, name, text, argv, expected):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / name).write_text(text(LONG) if callable(text) else text)
+    result = run(capsys, *argv)
+    assert result == expected and len(result[2]) < 200
+
+
+@pytest.mark.parametrize(
+    "name, text, argv, message",
+    [
+        ("e.curve", "curve 1\n", ("eds", "gen", "--curve-file", "e.curve"),
+         "e.curve:1: expected 'curve A B' or 'point x y z'"),
+        ("e.curve", "curve 0 3\npoint 1 2\n", ("eds", "gen", "--curve-file", "e.curve"),
+         "e.curve:2: expected 'curve A B' or 'point x y z'"),
+        ("claim.lrs", "lrs 2 1 1 1\n", ("lrs", "eval", "--lrs-file", "claim.lrs", "--n", "3"),
+         "claim.lrs:1: expected 4 integers after the order, got 3"),
+        ("claim.lrs", "# Fibonacci\nlrs 2 1 1 1 1\nlrs 1 1 1\n", ("lrs", "eval", "--lrs-file", "claim.lrs", "--n", "3"),
+         "claim.lrs:3: expected one line 'lrs k c1..ck u1..uk'"),
+        ("claim.lrs", "# no recurrence\n", ("lrs", "eval", "--lrs-file", "claim.lrs", "--n", "3"),
+         "claim.lrs: expected one line 'lrs k c1..ck u1..uk'"),
+    ],
+    ids=["curve-1", "point-1-2", "short-lrs", "second-lrs", "no-lrs"],
+)
+def test_a_line_of_the_wrong_shape_is_named_by_file_and_line(tmp_path, capsys, monkeypatch, name, text, argv, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / name).write_text(text)
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "argv, text, message",
+    [
+        (("--lrs", "33", *"1" * 66), None, f"--lrs: the order 33 must be at least 1 and at most {cli.MAX_LRS_ORDER}"),
+        # a negative order said "expected -4 integers after the order"
+        (("--lrs", "-2", "1", "1"), None, f"--lrs: the order -2 must be at least 1 and at most {cli.MAX_LRS_ORDER}"),
+        (("--lrs-file", "claim.lrs"), f"lrs 40 {' 1' * 80}\n",
+         f"claim.lrs:1: the order 40 must be at least 1 and at most {cli.MAX_LRS_ORDER}"),
+    ],
+    ids=["flag", "negative", "file"],
+)
+def test_a_recurrence_past_the_order_bound_exit2_before_any_work(tmp_path, capsys, monkeypatch, argv, text, message):
+    monkeypatch.chdir(tmp_path)
+    if text:
+        (tmp_path / "claim.lrs").write_text(text)
+    monkeypatch.setattr(lrs, "is_degenerate", _refuse)
+    assert run(capsys, "lrs", "degenerate", *argv) == (2, "", f"error: {message}\n")
+
+
 def test_falsify_no_counterexample_exit3(capsys):
     # find an index where the sequences agree up to sign, then scan only it
     from edslab.eds import generate_geometric

@@ -24,8 +24,6 @@ from edslab.elliptic import (
     hasse_interval,
     is_torsion,
     multiple_in_hasse,
-    parse_curve,
-    parse_point,
     point_order_fp,
     reduce_point,
     scalar_mul,
@@ -610,15 +608,6 @@ def test_digit_growth_roughly_quadratic():
     zlogs = {n: height_ratio(n, seq.term(n)) * n * n for n in (n1, n2)}
     slope = (math.log(zlogs[n2]) - math.log(zlogs[n1])) / (math.log(n2) - math.log(n1))
     assert 1.8 < slope < 2.2
-
-
-def test_parsers():
-    assert parse_curve("curve 0 3") == E
-    assert parse_point("point 1 2 1") == P
-    with pytest.raises(ValueError):
-        parse_curve("curve 1")
-    with pytest.raises(ValueError):
-        parse_point("point 1 2")
 
 
 def test_fp_add_matches_table():

@@ -224,3 +224,26 @@ def test_the_order_test_has_one_caller_the_scan_of_the_witness_class():
         or (isinstance(node, ast.ImportFrom) and any(alias.name == "q_divides_order" for alias in node.names))
     }
     assert users == {("elliptic", "order_class_primes")}
+
+
+# "module.function" -> why it may open a file: user text is read in cli alone
+OPENERS = {
+    "eds.save_sequence": "writes the sequence cache, the program's own format",
+    "eds._read_cached": "reads the sequence cache back",
+}
+
+
+def test_only_the_cli_opens_a_file():
+    # every text a user gives goes through one line reader and one integer
+    # conversion in cli; a library module that opened a file would read it
+    # past them
+    openers = {
+        f"{module}.{top.name}"
+        for module, tree in _modules().items()
+        if module != "cli"
+        for top in tree.body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call)
+        and (getattr(node.func, "id", None) == "open" or getattr(node.func, "attr", None) in ("open", "fdopen"))
+    }
+    assert openers == set(OPENERS), sorted(openers)

@@ -24,8 +24,6 @@ from edslab.lrs import (
     is_degenerate,
     lrs_period_mod_p,
     nondegenerate_reduction,
-    parse_lrs_spec,
-    parse_terms,
     SquarePeriodResult,
     square_sampled_period,
 )
@@ -724,15 +722,6 @@ def test_growth_diagnostic_dominant_root():
     terms = generate(FIBONACCI, 400)
     rate = math.log(terms[-1]) / 400
     assert abs(rate - math.log((1 + math.sqrt(5)) / 2)) < 0.01
-
-
-def test_parsers():
-    spec = parse_lrs_spec("lrs 2 1 1 1 1")
-    assert spec == LrsSpec(2, (1, 1), (1, 1)) == FIBONACCI
-    assert fit_minimal_recurrence(generate(FIBONACCI, 24)).spec == spec
-    with pytest.raises(ValueError):
-        parse_lrs_spec("lrs 2 1 1 1")
-    assert parse_terms(["1", "", "# comment", "2"]) == [1, 2]
 
 
 def _squarefree_part(f: Poly) -> Poly:
