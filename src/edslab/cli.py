@@ -361,32 +361,34 @@ def cmd_lrs_fit(args) -> int:
 def cmd_lrs_eval(args) -> int:
     from . import lrs
 
-    if args.mod is None and args.n > MAX_EXACT_EVAL_N:
+    n = _at_least(args, "n", None)
+    if args.mod is None and n > MAX_EXACT_EVAL_N:
         raise ValueError(
-            f"--n {args.n} exceeds the exact evaluation bound {MAX_EXACT_EVAL_N}; --mod M evaluates it modulo M"
+            f"--n {n} exceeds the exact evaluation bound {MAX_EXACT_EVAL_N}; --mod M evaluates it modulo M"
         )
     spec = _lrs_spec(args)
     if args.mod is None:
         try:
-            value = lrs.eval_exact(spec, args.n)
+            value = lrs.eval_exact(spec, n)
         except ValueError as exc:  # a term past lrs.MAX_TERM_BITS
-            raise ValueError(f"--n {args.n}: {exc}; --mod M evaluates it modulo M") from None
-        _printable("u_{}", [(args.n, value)])
+            raise ValueError(f"--n {n}: {exc}; --mod M evaluates it modulo M") from None
+        _printable("u_{}", [(n, value)])
         print(value)
     elif args.mod < 2:
         raise ValueError(f"--mod {args.mod} must be at least 2")
     else:
-        print(lrs.eval_mod(spec, args.n, args.mod))
+        print(lrs.eval_mod(spec, n, args.mod))
     return EXIT_OK
 
 
 def cmd_lrs_decimate(args) -> int:
     from . import lrs
 
-    if args.m > MAX_DECIMATE_M:
-        raise ValueError(f"--m {args.m} exceeds the decimation bound {MAX_DECIMATE_M}")
+    m = _at_least(args, "m", None)
+    if m > MAX_DECIMATE_M:
+        raise ValueError(f"--m {m} exceeds the decimation bound {MAX_DECIMATE_M}")
     spec = _lrs_spec(args)
-    print(_printable_spec(lrs.decimate(spec, args.m), "the decimated recurrence"))
+    print(_printable_spec(lrs.decimate(spec, m), "the decimated recurrence"))
     return EXIT_OK
 
 
@@ -506,10 +508,15 @@ def cmd_refute(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    import json
+
     from . import refuter
 
     with open(args.certificate) as fh:
-        cert = refuter.WitnessCertificate.from_json(fh.read())
+        try:
+            cert = refuter.WitnessCertificate.from_json(fh.read())
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{args.certificate}:{exc.lineno}: not a JSON certificate: {exc.msg}") from None
     verdict = refuter.verify_certificate(cert)
     rows = [[c.name, "pass" if c.ok else "FAIL", c.detail] for c in verdict.checks]
     _emit(
@@ -584,15 +591,16 @@ def cmd_prooflab_ell(args) -> int:
     from . import prooflab
     from .ntkernel import NonResidueError
 
-    if args.e > MAX_ELL_E:
-        raise ValueError(f"--e {args.e} exceeds the lift bound {MAX_ELL_E}")
-    r, e, limit = abs(args.r), args.e, _print_limit()
+    e = _at_least(args, "e", 1)
+    if e > MAX_ELL_E:
+        raise ValueError(f"--e {e} exceeds the lift bound {MAX_ELL_E}")
+    r, limit = abs(args.r), _print_limit()
     # ell < r^e, so a printable modulus makes both values printable; past
     # 4*limit bits r^e passes 16^limit > 10^limit without being formed
     if limit and ((r.bit_length() - 1) * e >= 4 * limit or r**e >= 10**limit):
         raise _unprintable(f"--r {args.r} --e {e}: the modulus r^e", limit)
     try:
-        ell = prooflab.construct_ell(args.r, args.e, args.n0, args.j, args.c)
+        ell = prooflab.construct_ell(args.r, e, args.n0, args.j, args.c)
     except NonResidueError as exc:
         sys.stderr.write(f"{exc}\n")
         return EXIT_INCONCLUSIVE

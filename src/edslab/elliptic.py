@@ -12,7 +12,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 from . import _span
-from .ntkernel import invmod, is_prime, iter_primes, order_from_multiple, sqrt_mod_prime
+from .ntkernel import invmod, is_prime, iter_primes, order_from_multiple
 
 TORSION_SEARCH_BOUND = 12  # Mazur: no rational torsion point has a larger order
 # the trace a_p = a (mod q) that the witness finder and the empirical scan
@@ -575,14 +575,14 @@ def _unique_hasse_candidate(m_e: int, m_twist: int, p: int) -> int | None:
 def count_points(curve: CurveFp) -> tuple[int, int]:
     """(#E(F_p), a_p), exactly, by Shanks-Mestre in O(p^(1/4)) group operations.
 
-    Points are drawn at x = 0, 1, 2, ...: a square f(x) gives a point on E,
-    a non-square one gives the point (d*x, d*sqrt(d*f(x))) on the quadratic
-    twist E': Y^2 = X^3 + a*d^2*X + b*d^3, d the least non-residue.  Each
-    point's exact order comes from a multiple found by baby-step giant-step
-    over the Hasse interval.  With M and M' the lcm of the orders on E and
-    E', #E is returned once it is the only N in [p+1-2*sqrt(p), p+1+2*sqrt(p)]
-    with M | N and M' | 2p+2-N (as #E + #E' = 2p+2); Hasse's bound makes that
-    N exact, not probable.  Small primes, bad reduction and the (for p > 229
+    Each x with f = x^3 + a*x + b != 0 gives the point (x*f, f^2) on
+    Y^2 = X^3 + a*f^2*X + b*f^3, as (x*f)^3 + a*f^2*(x*f) + b*f^3 = f^4: that
+    curve is E for a square f and its twist E' otherwise.  The point's exact
+    order comes from a multiple found by baby-step giant-step over the Hasse
+    interval.  With M and M' the lcm of the orders on E and E', #E is
+    returned once it is the only N in [p+1-2*sqrt(p), p+1+2*sqrt(p)] with
+    M | N and M' | 2p+2-N (as #E + #E' = 2p+2); Hasse's bound makes that N
+    exact, not probable.  Small primes, bad reduction and the (for p > 229
     impossible) case of MESTRE_MAX_POINTS points without a unique candidate
     go to `count_points_naive`.  Under EDSLAB_TRACE=1 each call writes one
     `elliptic.count_points` span with the path, `mestre` or `naive`, the
@@ -610,27 +610,19 @@ def _mestre_count(curve: CurveFp) -> tuple[int | None, int]:
     """`count_points`'s search: #E, or None if the points ran out, and the
     number of points whose order it found."""
     p, a, b = curve.p, curve.a, curve.b
-    half = (p - 1) // 2
-    d = 2
-    while pow(d, half, p) == 1:
-        d += 1
-    twist = CurveFp(p, a * d * d % p, b * d * d * d % p, True)
     m_e = m_twist = 1
     points = 0
     for x in range(p):
-        fx = (x * x * x + a * x + b) % p
-        if fx == 0:
+        f = (x * x * x + a * x + b) % p
+        if f == 0:
             continue
-        if pow(fx, half, p) == 1:
-            pt, on = (x, sqrt_mod_prime(fx, p)), curve
-        else:
-            pt, on = (d * x % p, d * sqrt_mod_prime(d * fx, p) % p), twist
-        multiple = multiple_in_hasse(pt, p, on.a)
+        pt, a_f = (x * f % p, f * f % p), a * f * f % p
+        multiple = multiple_in_hasse(pt, p, a_f)
         if multiple is None:
             break
         points += 1
-        order = order_from_multiple(multiple, lambda k: fp_scalar_mul(k, pt, p, on.a) is None)
-        if on is curve:
+        order = order_from_multiple(multiple, lambda k: fp_scalar_mul(k, pt, p, a_f) is None)
+        if pow(f, (p - 1) // 2, p) == 1:  # Euler's criterion: f is a square
             m_e = math.lcm(m_e, order)
         else:
             m_twist = math.lcm(m_twist, order)

@@ -251,9 +251,6 @@ def sqrt_mod_prime(a: int, r: int) -> int:
     a %= r
     if ls == 0:
         return 0
-    if r % 4 == 3:
-        s = pow(a, (r + 1) // 4, r)
-        return min(s, r - s)
     # Tonelli-Shanks: write r-1 = q * 2^e with q odd.
     q, e = r - 1, 0
     while q % 2 == 0:

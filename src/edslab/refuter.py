@@ -134,7 +134,9 @@ class WitnessCertificate:
     def from_json(cls, text: str) -> "WitnessCertificate":
         """Parse `to_json` output; a missing or malformed field raises
         ValueError naming it, never another exception."""
-        payload = json.loads(text)
+        # a bare JSON integer past the int-to-str limit stays digits, for its field's parser to refuse by name
+        limit = _print_limit()
+        payload = json.loads(text, parse_int=lambda d: d if 0 < limit < len(d.lstrip("-")) else int(d))
         if not isinstance(payload, dict):
             raise ValueError("a certificate must be a JSON object")
         if payload.get("schema_version") != SCHEMA_VERSION:

@@ -622,6 +622,40 @@ def test_verify_malformed_certificate_exit2(tmp_path, edit, named):
     assert proc.stderr.startswith("error: ")
 
 
+@PRINT_LIMIT
+def test_verify_names_the_field_of_a_bare_number_past_the_print_limit(tmp_path, capsys):
+    # this printed CPython's "Exceeds the limit (4300 digits) for integer string
+    # conversion ...", from inside the JSON decoder, naming neither field nor file
+    cert = refuter.find_witness(CurveQ(-4, 4), PointQ(1, 1, 1), FIBONACCI, 5, p_max=100).certificate
+    payload = json.loads(cert.to_json())
+    cert_path = tmp_path / "cert.json"
+
+    def verify(edit, number):
+        cert_path.write_text(json.dumps(edit(payload)).replace('"NUMBER"', number))
+        return run(capsys, "verify", str(cert_path))
+
+    limit = sys.get_int_max_str_digits()
+    assert verify(lambda pl: {**pl, "p": "NUMBER"}, "7" * (limit + 1)) == (
+        2, "", f"error: certificate field 'p' has more than {limit} digits, the int-to-str limit (PYTHONINTMAXSTRDIGITS)\n"
+    )
+    # a bare number within the limit still parses as the integer it is
+    code, out, _ = verify(lambda pl: {**pl, "p": "NUMBER"}, payload["p"])
+    assert code == 0 and "FAIL" not in out
+    # and a bare-number schema version is still not the string "1"
+    assert verify(lambda pl: {**pl, "schema_version": "NUMBER"}, "1") == (
+        2, "", "error: unsupported schema version 1\n"
+    )
+
+
+def test_verify_names_a_file_that_is_not_json(tmp_path, capsys):
+    # this printed the decoder's "Expecting value: line 1 column 1 (char 0)" alone
+    curve_path = tmp_path / "c.curve"
+    curve_path.write_text("curve -4 4\npoint 1 1 1\n")
+    assert run(capsys, "verify", str(curve_path)) == (
+        2, "", f"error: {curve_path}:1: not a JSON certificate: Expecting value\n"
+    )
+
+
 EMPIRICAL = ("density", "empirical", "--curve", "0", "3", "--point", "1", "2", "1", "--q", "3")
 
 
@@ -1044,6 +1078,26 @@ def test_falsify_start_or_window_below_one_names_the_option(capsys, monkeypatch,
     # these said "need n_claim >= 1 and window >= 1", which names no option
     monkeypatch.setattr(refuter, "direct_falsify", _refuse)
     assert run(capsys, *FALSIFY_FIB, option, value) == (2, "", f"error: {option} {value} must be at least 1\n")
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (("lrs", "eval", *FIB_ARGS), "--n"),
+        (("lrs", "eval", *FIB_ARGS, "--mod", "7"), "--n"),
+        (("lrs", "decimate", *FIB_ARGS), "--m"),
+        (("prooflab", "ell", "--r", "7", "--n0", "1", "--j", "3", "--c", "1"), "--e"),
+    ],
+    ids=["lrs-eval", "lrs-eval-mod", "lrs-decimate", "prooflab-ell"],
+)
+@pytest.mark.parametrize("value", ["0", "-2"])
+def test_a_value_below_its_least_names_the_option_before_any_work(capsys, monkeypatch, argv, option, value):
+    # these said "indices start at 1" (with --n 0 and no --mod: "--mod M
+    # evaluates it modulo M"), "m must be >= 1" and "exponent must be >= 1"
+    refused = (lrs, "eval_exact"), (lrs, "eval_mod"), (lrs, "decimate"), (prooflab, "construct_ell")
+    for module, name in refused:
+        monkeypatch.setattr(module, name, _refuse)
+    assert run(capsys, *argv, option, value) == (2, "", f"error: {option} {value} must be at least 1\n")
 
 
 def test_reduction_decimates_past_the_decimate_bound(capsys, monkeypatch):

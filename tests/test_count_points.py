@@ -3,7 +3,7 @@
 import random
 from contextlib import contextmanager
 
-from edslab import elliptic
+from edslab import elliptic, ntkernel
 from edslab.elliptic import CurveFp, CurveQ, count_points, count_points_naive
 from edslab.ntkernel import is_prime, sieve_primes
 
@@ -34,6 +34,20 @@ def test_matches_naive_on_seeded_large_primes():
         n_points, trace = count_points(cfp)
         assert (n_points, trace) == count_points_naive(cfp), (cfp, p)
         assert trace * trace <= 4 * p
+
+
+def test_counts_take_no_square_root(monkeypatch):
+    # each x gives the point (x*f, f^2) on E twisted by f = f(x): no root of f is taken
+    def refuse(*args):
+        raise AssertionError("count_points took a square root")
+
+    monkeypatch.setattr(ntkernel, "sqrt_mod_prime", refuse)
+    monkeypatch.setattr(elliptic, "sqrt_mod_prime", refuse, raising=False)
+    primes = [p for p in sieve_primes(3000) if p >= 400]
+    for curve in CURVES:
+        for cfp in _good_reductions(curve, primes):
+            n_points, trace = count_points(cfp)
+            assert n_points == cfp.p + 1 - trace and trace * trace <= 4 * cfp.p, (curve, cfp.p)
 
 
 def test_repeated_calls_agree():

@@ -62,9 +62,9 @@ def test_sqrt_mod_prime_fixed_values():
 def test_sqrt_mod_prime_canonical_and_correct():
     rng = random.Random(7)
     primes = [p for p in sieve_primes(500) if p > 2]
-    for _ in range(300):
-        r = rng.choice(primes)
-        a = rng.randrange(r)
+    drawn = [(r, rng.randrange(r)) for r in (rng.choice(primes) for _ in range(300))]
+    # and every a at r = 3, 7 and 11, where r - 1 = 2 * odd: Tonelli-Shanks with e = 1
+    for r, a in [*drawn, *((r, a) for r in (3, 7, 11) for a in range(r))]:
         if legendre_symbol(a, r) == -1:
             with pytest.raises(NonResidueError):
                 sqrt_mod_prime(a, r)
