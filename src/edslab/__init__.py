@@ -55,6 +55,22 @@ def _unprintable(what: str, limit: int) -> ValueError:
     return ValueError(f"{what} has more than {limit} digits, the int-to-str limit (PYTHONINTMAXSTRDIGITS)")
 
 
+def _clip(value) -> str:
+    """The value as an error echoes it: its start, if it is long."""
+    text = str(value)
+    return text if len(text) <= 24 else text[:21] + "..."
+
+
+def _int(text: str, named: str, must: str = "be an integer") -> int:
+    """int(text), else a ValueError naming the value by its source: `--flag v`, `FILE:LINE: v`, ..."""
+    try:
+        return int(text)
+    except ValueError as exc:
+        if "integer string conversion" in str(exc):  # CPython's refusal past its int-to-str limit
+            raise _unprintable(named, _print_limit()) from None
+        raise ValueError(f"{named} must {must}") from None
+
+
 def __getattr__(name: str):
     if name not in _HOMES:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

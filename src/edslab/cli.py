@@ -19,7 +19,7 @@ import functools
 import os
 import sys
 
-from . import _print_limit, _span, _unprintable
+from . import _clip, _int, _print_limit, _span, _unprintable
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -73,23 +73,6 @@ def _lines(path: str):
             text = raw.split("#", 1)[0].strip()
             if text:
                 yield f"{name}:{lineno}", text
-
-
-def _clip(value) -> str:
-    """The value as an error echoes it: its start, if it is long."""
-    text = str(value)
-    return text if len(text) <= 24 else text[:21] + "..."
-
-
-def _int(text: str, named: str, must: str = "be an integer") -> int:
-    """int(text), else a ValueError that names the value by `named`, its
-    source with the value's start: `--flag v`, `key = v in FILE` or `FILE:LINE: v`."""
-    try:
-        return int(text)
-    except ValueError as exc:
-        if "integer string conversion" in str(exc):  # CPython's refusal past its int-to-str limit
-            raise _unprintable(named, _print_limit()) from None
-        raise ValueError(f"{named} must {must}") from None
 
 
 def _ints(where: str, words) -> list[int]:
@@ -482,7 +465,7 @@ def cmd_refute(args) -> int:
     spec = _lrs_spec(args)
     q = _resolve(args, "q", integer=True)
     a = _resolve(args, "a", refuter.DEFAULT_A_TARGET, integer=True)
-    p_max = _at_least(args, "p_max", refuter.DEFAULT_P_MAX, 3)
+    p_max = _at_least(args, "p_max", refuter.MAX_WITNESS_P, 3)
     exclusions = _exclusions(args)
     result = refuter.find_witness(
         curve, point, spec, q, a_target=a, p_max=p_max, exclusions=exclusions
@@ -547,14 +530,23 @@ def cmd_falsify(args) -> int:
 # prooflab commands
 
 
-def cmd_prooflab_qlemma(args) -> int:
+def _rational(text: str, named: str) -> Fraction:
+    """p or p/q, each an integer by `_int`, with q not 0."""
     from fractions import Fraction
 
+    must = "be a rational p or p/q, with q not 0"
+    p, q = (_int(part, named, must) for part in (*text.split("/", 1), "1")[:2])
+    if q == 0:
+        raise ValueError(f"{named} must {must}")
+    return Fraction(p, q)
+
+
+def cmd_prooflab_qlemma(args) -> int:
     from . import prooflab
     from .ntkernel import Poly
 
-    poly = Poly(*[Fraction(c) for c in args.coeffs])
-    alpha = Fraction(args.alpha)
+    poly = Poly(*[_rational(c, f"--coeffs {_clip(c)}") for c in args.coeffs])
+    alpha = _rational(args.alpha, f"--alpha {_clip(args.alpha)}")
     result = prooflab.expand_q(poly, alpha)
     degree, leading = prooflab.q_lemma_prediction(poly, alpha)
     ok = result.degree == degree and result.leading == leading
@@ -610,11 +602,9 @@ def cmd_prooflab_ell(args) -> int:
 
 
 def cmd_prooflab_fixedpoint(args) -> int:
-    from fractions import Fraction
-
     from . import prooflab
 
-    rows = [[Fraction(cell) for cell in row.split(",")] for row in args.matrix.split(";")]
+    rows = [[_rational(cell, f"--matrix {_clip(cell)}") for cell in row.split(",")] for row in args.matrix.split(";")]
     report = prooflab.fixed_point_collision(rows)
     payload = {
         "size": report.size,

@@ -21,6 +21,13 @@ DEFAULT_A_TARGET = 3
 # largest denominator, in bits, of the rational q*P `small_multiple` forms, as
 # estimated from 2P
 RATIONAL_BASE_MAX_BITS = 2048
+# the 13 j-invariants of the curves over Q with complex multiplication, each
+# with the discriminant D of its endomorphism ring (Silverman, GTM 151, App. A
+# §3); the CM field is Q(sqrt(D))
+CM_DISCRIMINANTS = {
+    0: -3, 1728: -4, -3375: -7, 8000: -8, -32768: -11, 54000: -12, 287496: -16, -884736: -19,
+    -12288000: -27, 16581375: -28, -884736000: -43, -147197952000: -67, -262537412640768000: -163,
+}
 
 
 class BadReductionError(ValueError):
@@ -41,6 +48,12 @@ class CurveQ:
     @property
     def disc(self) -> int:
         return 4 * self.a**3 + 27 * self.b**2
+
+    @property
+    def cm_discriminant(self) -> int | None:
+        """D of `CM_DISCRIMINANTS` if the curve has complex multiplication, else None."""
+        # j = 6912 a^3 / disc
+        return next((d for j, d in CM_DISCRIMINANTS.items() if 6912 * self.a**3 == j * self.disc), None)
 
     def contains(self, point: "PointQ") -> bool:
         if point.is_infinity:

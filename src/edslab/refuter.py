@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from . import _print_limit, _span, _unprintable
+from . import _clip, _int, _print_limit, _span
 from .eds import (
     _period_horizon,
     division_poly_seeds,
@@ -45,7 +45,7 @@ from .elliptic import (
     small_multiple,
 )
 from .lrs import LrsSpec, eval_mod, square_sampled_period
-from .ntkernel import is_prime, next_prime
+from .ntkernel import is_prime, legendre_symbol, next_prime
 
 SCHEMA_VERSION = "1"
 # the finder lists the first 12 mismatches among z_1..z_60 and certifies at least 10
@@ -60,7 +60,6 @@ MAX_MISMATCH_INDEX = DEFAULT_MISMATCH_LIMIT
 # `count_points_naive`, takes O(p) time and memory, so it bounds p by this
 # before the recount, and the finder certifies no larger p
 MAX_WITNESS_P = 999_997
-DEFAULT_P_MAX = 1_000_000  # the finder's prime bound when none is given
 # direct_falsify's window and last index bound its time only: each index
 # takes one `eval_mod` of u_(n^2) and one `ladder_block` for w_n, O(log n)
 # steps each, and no term outlives its index
@@ -79,15 +78,15 @@ _WINDOW_FIELDS = ("tz_window", "tu_window")
 _FLAG_FIELDS = ("q_divides_tz", "q_divides_tu")
 
 
-def _int_pair(value) -> tuple[int, int]:
+def _int_pair(value, num) -> tuple[int, int]:
     if not isinstance(value, list) or len(value) != 2:
-        raise ValueError(f"expected a pair of integers, got {value!r}")
-    return int(value[0]), int(value[1])
+        raise TypeError(f"expected a pair of integers, got {_clip(repr(value))}")
+    return num(value[0]), num(value[1])
 
 
 def _json_bool(value) -> bool:
     if not isinstance(value, bool):
-        raise ValueError(f"expected a JSON boolean, got {value!r}")
+        raise TypeError(f"expected a JSON boolean, got {_clip(repr(value))}")
     return value
 
 
@@ -132,38 +131,32 @@ class WitnessCertificate:
 
     @classmethod
     def from_json(cls, text: str) -> "WitnessCertificate":
-        """Parse `to_json` output; a missing or malformed field raises
-        ValueError naming it, never another exception."""
-        # a bare JSON integer past the int-to-str limit stays digits, for its field's parser to refuse by name
-        limit = _print_limit()
-        payload = json.loads(text, parse_int=lambda d: d if 0 < limit < len(d.lstrip("-")) else int(d))
+        """Parse `to_json` output.  Every error is a ValueError: one that names
+        the field, or the reason a curve, point or recurrence is refused."""
+        # a bare JSON integer past the int-to-str limit stays digits, for `_int` to refuse by name
+        payload = json.loads(text, parse_int=lambda d: d if 0 < _print_limit() < len(d.lstrip("-")) else int(d))
         if not isinstance(payload, dict):
             raise ValueError("a certificate must be a JSON object")
         if payload.get("schema_version") != SCHEMA_VERSION:
-            raise ValueError(f"unsupported schema version {payload.get('schema_version')!r}")
-        parsers = {
-            "curve": lambda c: CurveQ(int(c["a"]), int(c["b"])),
-            "point": lambda c: PointQ(int(c["x"]), int(c["y"]), int(c["z"])),
-            "lrs": lambda s: LrsSpec(
-                int(s["order"]),
-                tuple(int(c) for c in s["coeffs"]),
-                tuple(int(u) for u in s["initial"]),
-            ),
-            "mismatches": lambda ms: [(int(m["n"]), int(m["z_mod"]), int(m["u_mod"])) for m in ms],
-            **dict.fromkeys(_INT_FIELDS, int),
+            raise ValueError(f"unsupported schema version {_clip(repr(payload.get('schema_version')))}")
+        parsers = {  # each field's value; `num` reads an integer from its text, so no JSON float or boolean is one
+            "curve": lambda c, num: CurveQ(num(c["a"]), num(c["b"])),
+            "point": lambda c, num: PointQ(num(c["x"]), num(c["y"]), num(c["z"])),
+            "lrs": lambda s, num: LrsSpec(num(s["order"]), tuple(map(num, s["coeffs"])), tuple(map(num, s["initial"]))),
+            "mismatches": lambda ms, num: [(num(m["n"]), num(m["z_mod"]), num(m["u_mod"])) for m in ms],
+            **dict.fromkeys(_INT_FIELDS, lambda v, num: num(v)),
             **dict.fromkeys(_WINDOW_FIELDS, _int_pair),
-            **dict.fromkeys(_FLAG_FIELDS, _json_bool),
+            **dict.fromkeys(_FLAG_FIELDS, lambda v, num: _json_bool(v)),
         }
         fields = {}
         for name, parse in parsers.items():
+            named = f"certificate field {name!r}"
             if name not in payload:
-                raise ValueError(f"certificate field {name!r} is missing")
-            try:
-                fields[name] = parse(payload[name])
-            except (KeyError, TypeError, ValueError) as exc:
-                if "integer string conversion" in str(exc):  # CPython's refusal past its int-to-str limit
-                    raise _unprintable(f"certificate field {name!r}", _print_limit()) from None
-                raise ValueError(f"certificate field {name!r} is malformed: {exc!r}") from None
+                raise ValueError(f"{named} is missing")
+            try:  # a ValueError passes: `_int` names the field, and a class gives its reason
+                fields[name] = parse(payload[name], lambda value: _int(str(value), named))
+            except (KeyError, TypeError) as exc:
+                raise ValueError(f"{named} is malformed: {exc!r}") from None
         return cls(spec=fields.pop("lrs"), **fields)
 
 
@@ -176,11 +169,17 @@ def validate_q(
 ) -> None:
     """a_target must be at least 2, and q an odd prime with a_target != 1
     (mod q), avoiding the last coefficient, the discriminant, the exclusion
-    list, and every (a_target - 1)^j - 1 for j up to the order k.
+    list, and every (a_target - 1)^j - 1 for j up to the order k; on a curve
+    with complex multiplication, q must not be inert in its CM field unless
+    a_target - 1 = -1 or 3 (mod q).
 
     The finder scans p = a_target - 1 (mod q), where p^j - 1 = (a_target -
-    1)^j - 1 (mod q), so the last rule, ord_q(a_target - 1) > k, keeps q
-    coprime to the multiplicative orders available modulo any such p.
+    1)^j - 1 (mod q), so the rule ord_q(a_target - 1) > k keeps q coprime
+    to the multiplicative orders available modulo any such p.  An inert q
+    divides #E(F_p) at a good p >= 5 only if p = +-1 (mod q): an ordinary p
+    splits in the CM field (Deuring), so q | #E = N(pi - 1) gives pi = 1
+    (mod q) and p = pi*conj(pi) = 1; a supersingular p has a_p = 0, so #E =
+    p + 1.  At p = 3, a_p = +-3 can give #E = 7, hence the exception for 3.
     """
     if a_target < 2:
         raise ValueError("the trace target must be at least 2")
@@ -197,6 +196,9 @@ def validate_q(
     for j in range(1, spec.order + 1):
         if ((a_target - 1) ** j - 1) % q == 0:
             raise ValueError(f"q={q} divides {a_target - 1}^{j} - 1")
+    d = curve.cm_discriminant
+    if d is not None and legendre_symbol(d, q) == -1 and (a_target - 1) % q not in (q - 1, 3 % q):
+        raise ValueError(f"q={q} is inert in the CM field Q(sqrt({d})), so q | #E(F_p) needs p = +-1 (mod q)")
 
 
 def choose_q(
@@ -246,7 +248,7 @@ def find_witness(
     q: int | None = None,
     *,
     a_target: int = DEFAULT_A_TARGET,
-    p_max: int = DEFAULT_P_MAX,
+    p_max: int = MAX_WITNESS_P,
     exclusions: tuple[int, ...] = (),
 ) -> FindResult:
     """Scan primes in ascending order for a witness and certify the first hit.

@@ -602,10 +602,14 @@ def test_verify_point_outside_companion_model_exit4(tmp_path, capsys):
         (lambda pl: [], "JSON object"),
         (lambda pl: {**pl, "q_divides_tu": "false"}, "q_divides_tu"),
         (lambda pl: {**pl, "q_divides_tz": 1}, "q_divides_tz"),
+        # read as int(7.9) = 7, verified; as 1; and an OverflowError traceback
+        (lambda pl: {**pl, "p": float(pl["p"]) + 0.9}, "'p' must be an integer"),
+        (lambda pl: {**pl, "n_points": True}, "'n_points' must be an integer"),
+        (lambda pl: {**pl, "trace": float("inf")}, "'trace' must be an integer"),
     ],
     ids=[
         "missing_key", "short_window", "mismatch_without_z_mod", "top_level_list",
-        "flag_as_string", "flag_as_integer",
+        "flag_as_string", "flag_as_integer", "integer_as_float", "integer_as_boolean", "integer_as_infinity",
     ],
 )
 def test_verify_malformed_certificate_exit2(tmp_path, edit, named):
@@ -766,17 +770,42 @@ def test_refute_exhaustion_exit3(capsys):
 
 
 def test_refute_scans_no_prime_above_the_witness_bound(capsys, monkeypatch):
-    # (0,3), (1,2,1), Fibonacci, q = 5 has no witness: the scan stops at
-    # MAX_WITNESS_P, not at --p-max, and the message names the bound it used
+    # (0,3), (1,2,1), Fibonacci, q = 5, a = 4 has no witness (5 is inert in
+    # its CM field, and 3 is bad): the scan stops at MAX_WITNESS_P, not at
+    # --p-max, and the message names the bound it used
     monkeypatch.setattr(refuter, "MAX_WITNESS_P", 1_000)
     code, _, err = run(
         capsys,
         "refute", "--curve", "0", "3", "--point", "1", "2", "1",
-        "--lrs", "2", "1", "1", "1", "1", "--q", "5", "--p-max", "100000",
+        "--lrs", "2", "1", "1", "1", "1", "--q", "5", "--a", "4", "--p-max", "100000",
     )
     assert code == 3
     assert err.startswith("no witness prime <= 1000; per-condition counts:\n")
     assert "  scanned: 168\n" in err
+
+
+@pytest.mark.parametrize(
+    "curve, point, p, q",
+    [(("0", "17"), ("-2", "3", "1"), 37, 7), (("0", "3"), ("1", "2", "1"), 499, 7), (("-2", "0"), ("2", "2", "1"), 17, 5)],
+)
+def test_refute_takes_a_q_split_in_the_cm_field(tmp_path, capsys, curve, point, p, q):
+    # (0,17) and (0,3) have j = 0, so CM by Q(sqrt(-3)), where 5 is inert:
+    # no p = 2 (mod 5) has 5 | #E(F_p).  Refute took q = 5 on both, scanned
+    # all 78,498 primes below 10^6 and exited 3; it now takes the split
+    # q = 7.  (-2,0) has j = 1728, so CM by Q(i), where 5 splits
+    cert = tmp_path / "cert.json"
+    code, out, _ = run(capsys, "refute", "--curve", *curve, "--point", *point, "--lrs", "2", "1", "1", "1", "1",
+                       "--out", str(cert))
+    assert (code, out) == (0, f"witness p={p} (q={q}); certificate: {cert}\n")
+    assert run(capsys, "verify", str(cert))[0] == 0
+
+
+def test_refute_refuses_an_inert_q_naming_the_cm_field(capsys, monkeypatch):
+    monkeypatch.setattr(refuter, "order_class_primes", _refuse)
+    argv = ("refute", "--curve", "0", "17", "--point", "-2", "3", "1", "--lrs", "2", "1", "1", "1", "1", "--q", "5")
+    assert run(capsys, *argv) == (
+        2, "", "error: q=5 is inert in the CM field Q(sqrt(-3)), so q | #E(F_p) needs p = +-1 (mod q)\n"
+    )
 
 
 def test_falsify(capsys):
@@ -1241,14 +1270,25 @@ PAST_LIMIT = "has more than 4300 digits, the int-to-str limit (PYTHONINTMAXSTRDI
 FIT = ("lrs", "fit", "--terms-file", "terms.txt")
 
 
-def _certificate_with_p(p: str) -> str:
-    cert = refuter.find_witness(CurveQ(-4, 4), PointQ(1, 1, 1), FIBONACCI, 5, p_max=100).certificate
-    return json.dumps({**json.loads(cert.to_json()), "p": p})
+def _certificate_with(name: str):
+    """The text of a valid certificate with its field `name` set to the value given."""
+
+    def text(value: str) -> str:
+        cert = refuter.find_witness(CurveQ(-4, 4), PointQ(1, 1, 1), FIBONACCI, 5, p_max=100).certificate
+        return json.dumps({**json.loads(cert.to_json()), name: value})
+
+    return text
+
+
+QLEMMA = ("prooflab", "qlemma", "--coeffs", "1", "2")
+RATIONAL = "must be a rational p or p/q, with q not 0"
 
 
 # every text input is read by one line loop and one integer conversion: a
 # '#' comment may follow a value, an integer past the int-to-str limit is
-# named by its source in a short message, and a non-integer by FILE:LINE
+# named by its source in a short message, and a non-integer by FILE:LINE.
+# A certificate's integers and prooflab's rationals go through the same
+# conversion, and every refusal echoes at most the start of a value
 @PRINT_LIMIT
 @pytest.mark.parametrize(
     "name, text, argv, expected",
@@ -1265,8 +1305,31 @@ def _certificate_with_p(p: str) -> str:
         ("claim.lrs", f"lrs 1 2 {LONG}\n", ("lrs", "eval", "--lrs-file", "claim.lrs", "--n", "3"),
          (2, "", f"error: claim.lrs:1: 777777777777777777777... {PAST_LIMIT}\n")),
         ("terms.txt", f"1\n{LONG}\n", FIT, (2, "", f"error: terms.txt:2: 777777777777777777777... {PAST_LIMIT}\n")),
-        ("cert.json", _certificate_with_p, ("verify", "cert.json"),
+        ("cert.json", _certificate_with("p"), ("verify", "cert.json"),
          (2, "", f"error: certificate field 'p' {PAST_LIMIT}\n")),
+        # a whole 5,000-character value echoed in the refusal
+        ("cert.json", _certificate_with("schema_version"), ("verify", "cert.json"),
+         (2, "", "error: unsupported schema version '77777777777777777777...\n")),
+        ("cert.json", _certificate_with("q_divides_tz"), ("verify", "cert.json"),
+         (2, "", "error: certificate field 'q_divides_tz' is malformed: "
+                 "TypeError(\"expected a JSON boolean, got '77777777777777777777...\")\n")),
+        ("cert.json", _certificate_with("tz_window"), ("verify", "cert.json"),
+         (2, "", "error: certificate field 'tz_window' is malformed: "
+                 "TypeError(\"expected a pair of integers, got '77777777777777777777...\")\n")),
+        # prooflab's rationals: Fraction(text) ran 17.7 s on 1e3000000, then
+        # gave CPython's advice; 1/0 was a ZeroDivisionError traceback, and x
+        # an "Invalid literal for Fraction" naming no option
+        (None, None, (*QLEMMA, "--alpha", "1e3000000"), (2, "", f"error: --alpha 1e3000000 {RATIONAL}\n")),
+        (None, None, (*QLEMMA, "--alpha", "1/0"), (2, "", f"error: --alpha 1/0 {RATIONAL}\n")),
+        (None, None, (*QLEMMA, "--alpha", "x"), (2, "", f"error: --alpha x {RATIONAL}\n")),
+        (None, None, ("prooflab", "qlemma", "--coeffs", LONG, "1", "--alpha", "1"),
+         (2, "", f"error: --coeffs 777777777777777777777... {PAST_LIMIT}\n")),
+        (None, None, ("prooflab", "fixedpoint", "--matrix", "0,1;1/0,0"), (2, "", f"error: --matrix 1/0 {RATIONAL}\n")),
+        (None, None, ("prooflab", "fixedpoint", "--matrix", "0,1;1e3000000,0"),
+         (2, "", f"error: --matrix 1e3000000 {RATIONAL}\n")),
+        (None, None, (*QLEMMA, "--alpha", "3/2"),
+         (0, "degree  predicted_degree  leading  predicted_leading  pass\n"
+             "5       5                 -216     -216               True\n", "")),
         # a non-integer: CPython's "invalid literal for int()", or "malformed lrs line", with no line
         ("e.curve", "curve 0 3\npoint 1 x 1\n", ("eds", "gen", "--curve-file", "e.curve"),
          (2, "", "error: e.curve:2: x must be an integer\n")),
@@ -1276,12 +1339,15 @@ def _certificate_with_p(p: str) -> str:
     ],
     ids=[
         "lrs-file-comment", "terms-file-comment", "config-long", "curve-file-long", "lrs-file-long",
-        "terms-file-long", "verify-long", "curve-file-bad", "lrs-file-bad", "terms-file-bad",
+        "terms-file-long", "verify-long", "verify-long-version", "verify-long-flag", "verify-long-window",
+        "alpha-exponent", "alpha-zero-denominator", "alpha-word", "coeffs-long", "matrix-zero-denominator",
+        "matrix-exponent", "alpha-ratio", "curve-file-bad", "lrs-file-bad", "terms-file-bad",
     ],
 )
 def test_one_reader_for_text_from_outside(tmp_path, capsys, monkeypatch, name, text, argv, expected):
     monkeypatch.chdir(tmp_path)
-    (tmp_path / name).write_text(text(LONG) if callable(text) else text)
+    if name:
+        (tmp_path / name).write_text(text(LONG) if callable(text) else text)
     result = run(capsys, *argv)
     assert result == expected and len(result[2]) < 200
 

@@ -247,3 +247,11 @@ def test_only_the_cli_opens_a_file():
         and (getattr(node.func, "id", None) == "open" or getattr(node.func, "attr", None) in ("open", "fdopen"))
     }
     assert openers == set(OPENERS), sorted(openers)
+
+
+def test_one_module_reads_cpythons_refusal_of_a_long_number():
+    # `edslab._int` is the one integer conversion of text from outside: a
+    # second module that matched CPython's int-to-str refusal would be a
+    # second reader, with its own wording of the limit
+    holders = [path.name for path in sorted(SRC.glob("*.py")) if "integer string conversion" in path.read_text()]
+    assert holders == ["__init__.py"]

@@ -62,6 +62,47 @@ def test_choose_q_skips_mersenne_divisors():
 TRIBONACCI = LrsSpec(3, (1, 1, 1), (1, 1, 2))
 
 
+def _curve_with_j(j: int) -> CurveQ:
+    """A curve of j-invariant j: y^2 = x^3 + 3j(1728 - j)x + 2j(1728 - j)^2 off 0 and 1728."""
+    return {0: CurveQ(0, 1), 1728: CurveQ(1, 0)}.get(j) or CurveQ(3 * j * (1728 - j), 2 * j * (1728 - j) ** 2)
+
+
+def test_the_cm_table_names_the_discriminant_of_each_rational_cm_curve():
+    for j, d in elliptic.CM_DISCRIMINANTS.items():
+        assert _curve_with_j(j).cm_discriminant == d
+    assert CurveQ(0, 17).cm_discriminant == -3 and CurveQ(-2, 0).cm_discriminant == -4
+    assert E.cm_discriminant is None and CurveQ(1, 1).cm_discriminant is None
+
+
+def test_a_q_inert_in_the_cm_field_divides_point_counts_only_at_plus_minus_one():
+    # the fact behind validate_q's CM rule, at every good 5 <= p < 400 on a
+    # curve of each CM j-invariant, with every inert q below 20
+    hits = 0
+    for j, d in elliptic.CM_DISCRIMINANTS.items():
+        curve = _curve_with_j(j)
+        inert = [q for q in (3, 5, 7, 11, 13, 17, 19) if ntkernel.legendre_symbol(d, q) == -1]
+        for p in ntkernel.iter_primes(400, 5):
+            if curve.disc % p:
+                n_points = elliptic.count_points_naive(elliptic.CurveFp.from_curve(curve, p))[0]
+                for q in inert:
+                    if n_points % q == 0:
+                        hits += 1
+                        assert p % q in (1, q - 1), (j, p, q)
+    assert hits > 100
+
+
+def test_validate_q_refuses_a_q_inert_in_the_cm_field():
+    # (0,17) has CM by Q(sqrt(-3)): 5 and 11 are inert, 7 and 13 split
+    curve = CurveQ(0, 17)
+    with pytest.raises(ValueError, match=r"q=5 is inert in the CM field Q\(sqrt\(-3\)\)"):
+        validate_q(5, FIBONACCI, curve)
+    assert choose_q(FIBONACCI, curve) == 7
+    assert choose_q(LrsSpec(3, (1, 1, 1), (0, 0, 1)), curve) == 13  # 7 | 2^3 - 1, 11 inert
+    # the class p = -1 or 3 (mod q) keeps an inert q: a supersingular p has #E = p + 1, and #E(F_3) = 7 can occur
+    validate_q(5, LrsSpec(1, (2,), (1,)), curve, a_target=5)
+    validate_q(5, FIBONACCI, curve, a_target=4)
+
+
 def test_validate_q_takes_the_order_of_a_minus_one_modulo_q():
     # the finder scans p = a - 1 (mod q), so q must not divide (a - 1)^j - 1
     # for j <= k: ord_q(a - 1) > k, which is the rule on 2^j - 1 only at a = 3
@@ -464,11 +505,13 @@ def test_finder_skips_a_prime_whose_factoring_gives_up(monkeypatch):
 
 def test_finder_counts_points_only_at_candidates(monkeypatch):
     # q | ord(P mod p) is decided without #E(F_p); the finder counts points
-    # only at a candidate, whose certificate states #E
+    # only at a candidate, whose certificate states #E.  (0,3) has CM by
+    # Q(sqrt(-3)), where 5 is inert, so its class p = 3 (mod 5) holds no
+    # witness: 3 is bad, and q | #E(F_p) needs p = +-1 (mod 5) above it
     calls = []
     count = refuter.count_points
     monkeypatch.setattr(refuter, "count_points", lambda cfp: calls.append(cfp.p) or count(cfp))
-    exhausted = find_witness(CurveQ(0, 3), PointQ(1, 2, 1), FIBONACCI, 5, p_max=10_000)
+    exhausted = find_witness(CurveQ(0, 3), PointQ(1, 2, 1), FIBONACCI, 5, a_target=4, p_max=10_000)
     assert not exhausted.found and exhausted.stats["order"] > 0
     assert exhausted.stats["candidates"] == 0 and calls == []
     found = find_witness(E, P, FIBONACCI, 5, p_max=10_000)
