@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import math
 import os
 import sys
 
@@ -54,6 +55,13 @@ MAX_RESCLASS_R = 10**7
 # largest `prooflab ell --e`: e - 1 Hensel lifts modulo r^e, in time about e^2.6;
 # at r = 7, e = 1,000 took 0.55 s.  It bounds lifts, not the size of r^e
 MAX_ELL_E = 1000
+# most `prooflab det --betas`: the t x t determinant is eliminated over Q; betas
+# 2..t+1 with q = 1,000,003 took 0.64 s at t = 40, 1.25 s at 50 and 2.0 s at 60
+# (1.6 s at 50 with q = 2^127 - 1) on a shared 2-core machine under Python 3.11
+MAX_DET_BETAS = 50
+# most `prooflab qlemma --coeffs`: 50, 75 and 100 coefficients of 1 with --alpha 2
+# took 1.3, 2.1 and 3.4 s.  It bounds the degree, not the coefficients' size
+MAX_QLEMMA_COEFFS = 100
 # largest order k of a recurrence, from --lrs or a file: lrs.is_degenerate grows
 # as about k^4, mostly in the totients up to 2*(k^2)^2 of cyclotomic_orders; on
 # u_(n+k) = u_(n+k-1) + u_n, k = 24 took 0.92 s (39 MB max RSS), 32 took 3.2 s
@@ -92,39 +100,41 @@ def _read_config(path: str) -> dict[str, str]:
     return values
 
 
-def _resolve(args, key: str, default=None, integer: bool = False):
-    """Flag value if given, else config value (an int if `integer`), else default."""
-    flag = getattr(args, key, None)
-    if flag is not None:
-        return flag
-    config = getattr(args, "_config", {})
-    if key not in config:
-        return default
-    return _int(config[key], _named(args, key, config[key])) if integer else config[key]
-
-
 def _named(args, key: str, value) -> str:
-    """The value as an error names it: by its flag if one was given, else by
-    its key in the config file."""
-    if getattr(args, key, None) is not None:
-        return f"--{key.replace('_', '-')} {_clip(value)}"
-    return f"{key} = {_clip(value)} in {args.config}"
+    """The value as an error names it: by its config key if it came from the config file, else by its flag."""
+    if key in args._config:
+        return f"{key} = {_clip(value)} in {args.config}"
+    return f"--{key.replace('_', '-')} {_clip(value)}"
 
 
 def _exclusions(args) -> tuple[int, ...]:
-    text = _resolve(args, "exclude")
-    if not text:
-        return ()
+    text = args.exclude or ""
     named = _named(args, "exclude", repr(text))
     return tuple(_int(part, named, "list integers, separated by commas") for part in text.replace(",", " ").split())
 
 
-def _at_least(args, key: str, default: int, least: int = 1) -> int:
-    """An integer option of at least `least`; 3 for a prime bound, the least odd prime."""
-    value = _resolve(args, key, default, integer=True)
-    if value < least:
-        raise ValueError(f"{_named(args, key, value)} must be at least {least}")
-    return value
+def _read_numbers(args, options) -> None:
+    """Set each option with a `_Number` to its flag's value, else its config value, else its
+    default, read and checked as the `_Number` says; `args._given` holds the first two kinds."""
+    args._given = set()
+    for flag, _, rule in (option for option in options if len(option) == 3):
+        key = flag[2:].replace("-", "_")
+        value = getattr(args, key)
+        if value is None:
+            setattr(args, key, rule.default)
+            continue
+        args._given.add(key)
+        if isinstance(value, list):
+            if len(value) > rule.count:
+                raise ValueError(f"{flag} has {len(value)} values, more than the bound {rule.count}")
+            value = [rule.read(word, _named(args, key, word)) for word in value]
+        else:
+            value = rule.read(value, _named(args, key, value))
+            if value < rule.least:
+                raise ValueError(f"{_named(args, key, value)} must be at least {rule.least}")
+            if value > rule.most:
+                raise ValueError(f"{_named(args, key, value)} exceeds the {rule.bound} {rule.most}")
+        setattr(args, key, value)
 
 
 # ---------------------------------------------------------------------------
@@ -216,15 +226,14 @@ def _lrs_spec(args) -> lrs.LrsSpec:
 # eds commands
 
 
-def _at_most_terms(args, n: int, stride: int = 1) -> None:
-    """Refuse more than MAX_EDS_TERMS terms, naming each option that asked for them."""
-    if n * stride > MAX_EDS_TERMS:
-        named = " times ".join(
-            _named(args, key, value)
-            for key, value in (("n", n), ("stride", stride))
-            if getattr(args, key, None) is not None or key in args._config
-        )
-        raise ValueError(f"{named} asks for {n * stride} terms, more than the bound {MAX_EDS_TERMS}")
+def _at_most_terms(args, *keys: str) -> int:
+    """The product of the options `keys`, a number of terms; more than
+    MAX_EDS_TERMS is refused, naming each of them that a flag or the config gave."""
+    terms = math.prod(getattr(args, key) for key in keys)
+    if terms > MAX_EDS_TERMS:
+        named = " times ".join(_named(args, key, getattr(args, key)) for key in keys if key in args._given)
+        raise ValueError(f"{named} asks for {terms} terms, more than the bound {MAX_EDS_TERMS}")
+    return terms
 
 
 def _printable(name: str, values) -> None:
@@ -249,19 +258,15 @@ def _printable_spec(spec: lrs.LrsSpec, what: str) -> str:
 def cmd_eds_gen(args) -> int:
     from . import eds
 
-    stride = _at_least(args, "stride", 1)
-    n = _at_least(args, "n", 20)
-    _at_most_terms(args, n, stride)
+    terms = _at_most_terms(args, "n", "stride")
     curve, point = _curve_point(args)
-    cache = _resolve(args, "cache_dir", os.environ.get(CACHE_ENV))
-    seq = None
-    if cache:
-        seq = eds.load_sequence(cache, curve, point, n * stride)
+    cache = os.environ.get(CACHE_ENV) if args.cache_dir is None else args.cache_dir
+    seq = eds.load_sequence(cache, curve, point, terms) if cache else None
     if seq is None:
-        seq = eds.generate_geometric(curve, point, n * stride)
+        seq = eds.generate_geometric(curve, point, terms)
         if cache:
             eds.save_sequence(cache, seq)
-    indices = range(stride, n * stride + 1, stride)
+    indices = range(args.stride, terms + 1, args.stride)
     _printable("z_{}", ((i, seq.term(i)) for i in indices))
     rows = [[i, seq.term(i), f"{eds.height_ratio(i, seq.term(i)):.6f}"] for i in indices]
     _emit(args.format, ["n", "z_n", "log(z_n)/n^2"], rows)
@@ -271,10 +276,8 @@ def cmd_eds_gen(args) -> int:
 def cmd_eds_ward(args) -> int:
     from . import eds
 
-    seed = eds.WardSeed(*args.seed)
-    n = _at_least(args, "n", 10)
-    _at_most_terms(args, n)
-    seq = eds.generate_ward(seed, n)
+    n = _at_most_terms(args, "n")
+    seq = eds.generate_ward(eds.WardSeed(*args.seed), n)
     _printable("w_{}", ((i, seq.term(i)) for i in range(1, n + 1)))
     rows = [[i, seq.term(i)] for i in range(1, n + 1)]
     _emit(args.format, ["n", "w_n"], rows)
@@ -286,8 +289,6 @@ def cmd_eds_ward(args) -> int:
 def cmd_eds_period(args) -> int:
     from . import eds
 
-    if args.p > MAX_PERIOD_P:
-        raise ValueError(f"--p {args.p} exceeds the point-count bound {MAX_PERIOD_P}")
     curve, point = _curve_point(args)
     seq = eds.generate_geometric(curve, point, 8)
     result = eds.eds_period_mod_p(seq, args.p)
@@ -299,8 +300,7 @@ def cmd_eds_period(args) -> int:
 def cmd_eds_zsigmondy(args) -> int:
     from . import eds
 
-    n = _at_least(args, "n", 20)
-    _at_most_terms(args, n)
+    n = _at_most_terms(args, "n")
     curve, point = _curve_point(args)
     seq = eds.generate_geometric(curve, point, n)
     reports = eds.primitive_divisor_scan(seq)
@@ -326,7 +326,7 @@ def cmd_lrs_fit(args) -> int:
     from . import lrs
 
     terms = [_int(line, f"{where}: {_clip(line)}") for where, line in _lines(args.terms_file or "-")]
-    bound = _resolve(args, "bound", lrs.DEFAULT_FIT_BOUND, integer=True)
+    bound = lrs.DEFAULT_FIT_BOUND if args.bound is None else args.bound
     fit = lrs.fit_minimal_recurrence(terms, bound)
     for order, coeffs in fit.fatou_violations:
         parts = ((i, max(abs(c.numerator), c.denominator)) for i, c in enumerate(coeffs, 1))
@@ -344,11 +344,10 @@ def cmd_lrs_fit(args) -> int:
 def cmd_lrs_eval(args) -> int:
     from . import lrs
 
-    n = _at_least(args, "n", None)
+    n = args.n
     if args.mod is None and n > MAX_EXACT_EVAL_N:
-        raise ValueError(
-            f"--n {n} exceeds the exact evaluation bound {MAX_EXACT_EVAL_N}; --mod M evaluates it modulo M"
-        )
+        raise ValueError(f"{_named(args, 'n', n)} exceeds the exact evaluation bound {MAX_EXACT_EVAL_N};"
+                         " --mod M evaluates it modulo M")
     spec = _lrs_spec(args)
     if args.mod is None:
         try:
@@ -357,8 +356,6 @@ def cmd_lrs_eval(args) -> int:
             raise ValueError(f"--n {n}: {exc}; --mod M evaluates it modulo M") from None
         _printable("u_{}", [(n, value)])
         print(value)
-    elif args.mod < 2:
-        raise ValueError(f"--mod {args.mod} must be at least 2")
     else:
         print(lrs.eval_mod(spec, n, args.mod))
     return EXIT_OK
@@ -367,11 +364,7 @@ def cmd_lrs_eval(args) -> int:
 def cmd_lrs_decimate(args) -> int:
     from . import lrs
 
-    m = _at_least(args, "m", None)
-    if m > MAX_DECIMATE_M:
-        raise ValueError(f"--m {m} exceeds the decimation bound {MAX_DECIMATE_M}")
-    spec = _lrs_spec(args)
-    print(_printable_spec(lrs.decimate(spec, m), "the decimated recurrence"))
+    print(_printable_spec(lrs.decimate(_lrs_spec(args), args.m), "the decimated recurrence"))
     return EXIT_OK
 
 
@@ -424,11 +417,8 @@ def cmd_density_empirical(args) -> int:
     from . import elliptic, galois_density
 
     curve, point = _curve_point(args)
-    x = _at_least(args, "x", 10_000, 3)
-    a = _resolve(args, "a", elliptic.DEFAULT_A_TARGET, integer=True)
-    jobs = _at_least(args, "jobs", 1)
-    exclusions = _exclusions(args)
-    report = galois_density.empirical_density(curve, point, args.q, a, x, exclusions, jobs=jobs)
+    a = elliptic.DEFAULT_A_TARGET if args.a is None else args.a
+    report = galois_density.empirical_density(curve, point, args.q, a, args.x, _exclusions(args), jobs=args.jobs)
     _emit_density(args.format, report)
     if report.empirical.hits < 30:
         sys.stderr.write("warning: fewer than 30 matching primes; the frequency is noisy\n")
@@ -463,18 +453,16 @@ def cmd_refute(args) -> int:
 
     curve, point = _curve_point(args)
     spec = _lrs_spec(args)
-    q = _resolve(args, "q", integer=True)
-    a = _resolve(args, "a", refuter.DEFAULT_A_TARGET, integer=True)
-    p_max = _at_least(args, "p_max", refuter.MAX_WITNESS_P, 3)
-    exclusions = _exclusions(args)
-    result = refuter.find_witness(
-        curve, point, spec, q, a_target=a, p_max=p_max, exclusions=exclusions
-    )
+    a = refuter.DEFAULT_A_TARGET if args.a is None else args.a
+    p_max = refuter.MAX_WITNESS_P if args.p_max is None else args.p_max
+    result = refuter.find_witness(curve, point, spec, args.q, a_target=a, p_max=p_max, exclusions=_exclusions(args))
     if not result.found:
-        bound = min(p_max, refuter.MAX_WITNESS_P)
-        sys.stderr.write(f"no witness prime <= {bound}; per-condition counts:\n")
+        sys.stderr.write(f"no witness prime <= {min(p_max, refuter.MAX_WITNESS_P)}; per-condition counts:\n")
         for key, value in sorted(result.stats.items()):
             sys.stderr.write(f"  {key}: {value}\n")
+        if not result.stats["candidates"]:
+            sys.stderr.write("note: an empty class up to this bound does not prove that no witness exists beyond"
+                             " it, and the mod-q Galois image may be smaller than GL2 (Zywina, arXiv:1508.07660)\n")
         return EXIT_INCONCLUSIVE
     verdict = refuter.verify_certificate(result.certificate)
     if not verdict.ok:
@@ -514,13 +502,10 @@ def cmd_verify(args) -> int:
 def cmd_falsify(args) -> int:
     from . import refuter
 
-    start = _at_least(args, "start", 1)
-    window = _at_least(args, "window", 50)
     curve, point = _curve_point(args)
-    spec = _lrs_spec(args)
-    indices = refuter.direct_falsify(curve, point, spec, start, args.p, window)
+    indices = refuter.direct_falsify(curve, point, _lrs_spec(args), args.start, args.p, args.window)
     if not indices:
-        print(f"no counterexample in window [{start}, {start + window})")
+        print(f"no counterexample in window [{args.start}, {args.start + args.window})")
         return EXIT_INCONCLUSIVE
     print(" ".join(map(str, indices)))
     return EXIT_OK
@@ -545,10 +530,9 @@ def cmd_prooflab_qlemma(args) -> int:
     from . import prooflab
     from .ntkernel import Poly
 
-    poly = Poly(*[_rational(c, f"--coeffs {_clip(c)}") for c in args.coeffs])
-    alpha = _rational(args.alpha, f"--alpha {_clip(args.alpha)}")
-    result = prooflab.expand_q(poly, alpha)
-    degree, leading = prooflab.q_lemma_prediction(poly, alpha)
+    poly = Poly(*args.coeffs)
+    result = prooflab.expand_q(poly, args.alpha)
+    degree, leading = prooflab.q_lemma_prediction(poly, args.alpha)
     ok = result.degree == degree and result.leading == leading
     payload = {
         "degree": result.degree,
@@ -572,8 +556,6 @@ def cmd_prooflab_det(args) -> int:
 def cmd_prooflab_resclass(args) -> int:
     from . import prooflab
 
-    if args.r > MAX_RESCLASS_R:
-        raise ValueError(f"--r {args.r} exceeds the residue-count bound {MAX_RESCLASS_R}")
     report = prooflab.count_admissible_residues(args.r, args.t, args.c)
     _emit_record(args.format, _fields(report, "r", "t", "c", "count", "deviation"))
     return EXIT_OK
@@ -583,14 +565,11 @@ def cmd_prooflab_ell(args) -> int:
     from . import prooflab
     from .ntkernel import NonResidueError
 
-    e = _at_least(args, "e", 1)
-    if e > MAX_ELL_E:
-        raise ValueError(f"--e {e} exceeds the lift bound {MAX_ELL_E}")
-    r, limit = abs(args.r), _print_limit()
+    e, r, limit = args.e, abs(args.r), _print_limit()
     # ell < r^e, so a printable modulus makes both values printable; past
     # 4*limit bits r^e passes 16^limit > 10^limit without being formed
     if limit and ((r.bit_length() - 1) * e >= 4 * limit or r**e >= 10**limit):
-        raise _unprintable(f"--r {args.r} --e {e}: the modulus r^e", limit)
+        raise _unprintable(f"{_named(args, 'r', args.r)} {_named(args, 'e', e)}: the modulus r^e", limit)
     try:
         ell = prooflab.construct_ell(args.r, e, args.n0, args.j, args.c)
     except NonResidueError as exc:
@@ -620,81 +599,98 @@ def cmd_prooflab_fixedpoint(args) -> int:
 # parser assembly
 
 
+class _Number:
+    """A numeric option: each value read by `read`, a list of at most `count`
+    values, a single value of at least `least` and at most `most` (errors
+    call it the `bound`), and `default` with neither flag nor config value."""
+
+    def __init__(self, least=-math.inf, most=math.inf, bound="", default=None, count=math.inf, read=_int) -> None:
+        self.least, self.most, self.bound = least, most, bound
+        self.default, self.count, self.read = default, count, read
+
+
+_ANY = _Number()  # an integer of any value, with no default
+_REQUIRED = dict(required=True)
 _CURVE_POINT = (
-    ("--curve", dict(nargs=2, type=int, metavar=("A", "B"))),
-    ("--point", dict(nargs=3, type=int, metavar=("X", "Y", "Z"))),
+    ("--curve", dict(nargs=2, metavar=("A", "B")), _ANY),
+    ("--point", dict(nargs=3, metavar=("X", "Y", "Z")), _ANY),
     ("--curve-file", dict(help="file with 'curve A B' and 'point x y z' lines")),
 )
-_LRS_SOURCE = (("--lrs", dict(nargs="+", type=int, metavar="N", help="k c1..ck u1..uk")), ("--lrs-file", {}))
-_INT = dict(type=int)
-_REQUIRED = dict(type=int, required=True)
+_LRS_SOURCE = (("--lrs", dict(nargs="+", metavar="N", help="k c1..ck u1..uk"), _ANY), ("--lrs-file", {}))
 _EXCLUDE = ("--exclude", dict(help="comma-separated primes to skip in the scan"))
-_QAB = (("--q", _REQUIRED), ("--a", _REQUIRED), ("--b", _REQUIRED))
+_QAB = (("--q", _REQUIRED, _ANY), ("--a", _REQUIRED, _ANY), ("--b", _REQUIRED, _ANY))
 
-# path -> (handler, or None for a group; help line; options as (flag,
-# add_argument keywords) pairs).  A group's subcommands are listed in the
-# order of their paths here.
+# path -> (handler, or None for a group; help line; options as (flag, add_argument
+# keywords) pairs, with a `_Number` third for an option that `_read_numbers` reads).
+# A group's subcommands are listed in the order of their paths here.
 COMMANDS = {
     "eds": (None, "divisibility sequence generation and analysis", ()),
     "eds gen": (cmd_eds_gen, "generate z_n from a curve and point", (
-        *_CURVE_POINT, ("--n", _INT), ("--stride", dict(type=int, help="list z_(stride*n) instead of z_n")),
-        ("--cache-dir", {}),
+        *_CURVE_POINT, ("--n", {}, _Number(1, default=20)),
+        ("--stride", dict(help="list z_(stride*n) instead of z_n"), _Number(1, default=1)), ("--cache-dir", {}),
     )),
     "eds ward": (cmd_eds_ward, "extend four seed values by the bilinear recurrences", (
-        ("--seed", dict(nargs=4, type=int, required=True, metavar=("W1", "W2", "W3", "W4"))),
-        ("--n", _INT),
+        ("--seed", dict(nargs=4, required=True, metavar=("W1", "W2", "W3", "W4")), _ANY),
+        ("--n", {}, _Number(1, default=10)),
     )),
     "eds period": (
         cmd_eds_period,
         "minimal period of the companion w_n modulo p; z_n = z_1*|w_n| agrees with it up to sign",
-        (*_CURVE_POINT, ("--p", _REQUIRED)),
+        (*_CURVE_POINT, ("--p", _REQUIRED, _Number(most=MAX_PERIOD_P, bound="point-count bound"))),
     ),
-    "eds zsigmondy": (cmd_eds_zsigmondy, "primitive divisor scan", (*_CURVE_POINT, ("--n", _INT))),
+    "eds zsigmondy": (cmd_eds_zsigmondy, "primitive divisor scan", (
+        *_CURVE_POINT, ("--n", {}, _Number(1, default=20)),
+    )),
     "lrs": (None, "linear recurrence engine", ()),
-    "lrs fit": (
-        cmd_lrs_fit, "minimal integer recurrence from terms (one per line)", (("--terms-file", {}), ("--bound", _INT)),
-    ),
-    "lrs eval": (
-        cmd_lrs_eval, "evaluate u_n exactly or modulo p", (*_LRS_SOURCE, ("--n", _REQUIRED), ("--mod", _INT)),
-    ),
-    "lrs decimate": (cmd_lrs_decimate, "spec for the subsequence u_(m*n)", (*_LRS_SOURCE, ("--m", _REQUIRED))),
+    "lrs fit": (cmd_lrs_fit, "minimal integer recurrence from terms (one per line)", (
+        ("--terms-file", {}), ("--bound", {}, _Number(1)),
+    )),
+    "lrs eval": (cmd_lrs_eval, "evaluate u_n exactly or modulo p", (
+        *_LRS_SOURCE, ("--n", _REQUIRED, _Number(1)), ("--mod", {}, _Number(2)),
+    )),
+    "lrs decimate": (cmd_lrs_decimate, "spec for the subsequence u_(m*n)", (
+        *_LRS_SOURCE, ("--m", _REQUIRED, _Number(1, MAX_DECIMATE_M, "decimation bound")),
+    )),
     "lrs degenerate": (cmd_lrs_degenerate, "root-of-unity ratio detection", (
         *_LRS_SOURCE, ("--reduce", dict(action="store_true", help="also emit the decimated reduction")),
     )),
     "lrs period": (cmd_lrs_period, "minimal period modulo p", (
-        *_LRS_SOURCE, ("--p", _REQUIRED), ("--method", dict(choices=("matrix", "iteration"), default="matrix")),
+        *_LRS_SOURCE, ("--p", _REQUIRED, _ANY), ("--method", dict(choices=("matrix", "iteration"), default="matrix")),
         ("--squares", dict(action="store_true", help="also report the square-sampled period")),
     )),
     "density": (None, "matrix and affine densities, empirical scans", ()),
     "density gl2": (cmd_density_gl2, "exact trace/determinant density", _QAB),
     "density affine": (cmd_density_affine, "exact affine density with translation part", _QAB),
     "density empirical": (cmd_density_empirical, "prime-scan frequency beside the exact density", (
-        *_CURVE_POINT, ("--q", _REQUIRED), ("--a", _INT), ("--x", dict(type=int, help="prime bound")),
-        ("--jobs", dict(type=int, help="worker processes for the prime scan")), _EXCLUDE,
+        *_CURVE_POINT, ("--q", _REQUIRED, _ANY), ("--a", {}, _ANY),
+        ("--x", dict(help="prime bound"), _Number(3, default=10_000)),  # 3: the least odd prime
+        ("--jobs", dict(help="worker processes for the prime scan"), _Number(1, default=1)), _EXCLUDE,
     )),
     "refute": (cmd_refute, "find a witness prime and write a certificate", (
-        *_CURVE_POINT, *_LRS_SOURCE, ("--q", _INT), ("--a", dict(type=int, help="trace target (default 3)")),
-        ("--p-max", _INT), ("--out", dict(help="certificate output path (default: stdout)")), _EXCLUDE,
+        *_CURVE_POINT, *_LRS_SOURCE, ("--q", {}, _ANY), ("--a", dict(help="trace target (default 3)"), _ANY),
+        ("--p-max", {}, _Number(3)), ("--out", dict(help="certificate output path (default: stdout)")), _EXCLUDE,
     )),
     "verify": (cmd_verify, "re-check a certificate file from scratch", (("certificate", {}),)),
     "falsify": (cmd_falsify, "mismatch indices beyond a claimed threshold", (
-        *_CURVE_POINT, *_LRS_SOURCE, ("--p", _REQUIRED), ("--start", dict(type=int, default=1)),
-        ("--window", dict(type=int, default=50)),
+        *_CURVE_POINT, *_LRS_SOURCE, ("--p", _REQUIRED, _ANY), ("--start", {}, _Number(1, default=1)),
+        ("--window", {}, _Number(1, default=50)),
     )),
     "prooflab": (None, "executable lemma checks", ()),
     "prooflab qlemma": (cmd_prooflab_qlemma, "degree/leading-coefficient expansion check", (
-        ("--coeffs", dict(nargs="+", required=True, help="P ascending from the constant term")),
-        ("--alpha", dict(required=True)),
+        ("--coeffs", dict(nargs="+", required=True, help="P ascending from the constant term"),
+         _Number(count=MAX_QLEMMA_COEFFS, read=_rational)),
+        ("--alpha", _REQUIRED, _Number(read=_rational)),
     )),
     "prooflab det": (cmd_prooflab_det, "determinant factorization check", (
-        ("--q", _REQUIRED), ("--betas", dict(nargs="+", type=int, required=True)),
+        ("--q", _REQUIRED, _ANY), ("--betas", dict(nargs="+", required=True), _Number(count=MAX_DET_BETAS)),
     )),
     "prooflab resclass": (cmd_prooflab_resclass, "admissible residue count", (
-        ("--r", _REQUIRED), ("--t", _REQUIRED), ("--c", dict(type=int, default=1)),
+        ("--r", _REQUIRED, _Number(most=MAX_RESCLASS_R, bound="residue-count bound")), ("--t", _REQUIRED, _ANY),
+        ("--c", {}, _Number(default=1)),
     )),
     "prooflab ell": (cmd_prooflab_ell, "quadratic congruence lift", (
-        ("--r", _REQUIRED), ("--e", dict(type=int, default=1)), ("--n0", _REQUIRED), ("--j", _REQUIRED),
-        ("--c", _REQUIRED),
+        ("--r", _REQUIRED, _ANY), ("--e", {}, _Number(1, MAX_ELL_E, "lift bound", default=1)),
+        ("--n0", _REQUIRED, _ANY), ("--j", _REQUIRED, _ANY), ("--c", _REQUIRED, _ANY),
     )),
     "prooflab fixedpoint": (cmd_prooflab_fixedpoint, "stochastic fixed-point collision check", (
         ("--matrix", dict(required=True, help="rows ';'-separated, entries ','-separated")),
@@ -767,7 +763,7 @@ def _build(path: str) -> argparse.ArgumentParser:
     with _span("cli.leaf", leaf=path):
         parser.add_argument("--config", help="key=value config file")
         parser.add_argument("--format", choices=FORMATS)
-        for flag, kwargs in options:
+        for flag, kwargs, *_ in options:
             parser.add_argument(flag, **kwargs)
         parser.set_defaults(func=func)
     return parser
@@ -793,18 +789,19 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
     command = " ".join(filter(None, (args.command, getattr(args, "subcommand", None))))
     with _span("cli.run", command=command):
-        config: dict[str, str] = {}
-        if getattr(args, "config", None):
-            try:
-                config = _read_config(args.config)
-            except (OSError, ValueError) as exc:
-                sys.stderr.write(f"config error: {exc}\n")
-                return EXIT_VALIDATION
-        args._config = config
         try:
-            args.format = _resolve(args, "format", FORMATS[0])
+            config = _read_config(args.config) if args.config else {}
+        except (OSError, ValueError) as exc:
+            sys.stderr.write(f"config error: {exc}\n")
+            return EXIT_VALIDATION
+        # a flag wins over its config value; the rest are set as if given by flags
+        args._config = {key: value for key, value in config.items() if getattr(args, key, None) is None}
+        vars(args).update(args._config)
+        try:
+            args.format = FORMATS[0] if args.format is None else args.format
             if args.format not in FORMATS:  # only a config value can be another
                 raise ValueError(f"format = {args.format} in {args.config} must be one of {', '.join(FORMATS)}")
+            _read_numbers(args, COMMANDS[command][2])
             return args.func(args)
         except (ValueError, OSError) as exc:  # elliptic.InexactDivisionError is a ValueError
             sys.stderr.write(f"error: {exc}\n")

@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import multiprocessing
 import os
@@ -784,6 +785,32 @@ def test_refute_scans_no_prime_above_the_witness_bound(capsys, monkeypatch):
     assert "  scanned: 168\n" in err
 
 
+EMPTY_CLASS_NOTE = (
+    "note: an empty class up to this bound does not prove that no witness exists beyond it, and the mod-q"
+    " Galois image may be smaller than GL2 (Zywina, arXiv:1508.07660)\n"
+)
+
+
+def test_refute_with_an_empty_class_says_that_it_proves_nothing(capsys, monkeypatch):
+    # the class of (0,3), (1,2,1) at q = 5, a = 4 is empty (5 is inert in its
+    # CM field); the counts keep their lines and one note follows them
+    monkeypatch.setattr(refuter, "MAX_WITNESS_P", 1_000)
+    stats = refuter.find_witness(CurveQ(0, 3), PointQ(1, 2, 1), FIBONACCI, 5, a_target=4, p_max=1_000).stats
+    counts = "".join(f"  {key}: {value}\n" for key, value in sorted(stats.items()))
+    argv = ("refute", "--curve", "0", "3", "--point", "1", "2", "1", *FIB_ARGS, "--q", "5", "--a", "4")
+    head = "no witness prime <= 1000; per-condition counts:\n"
+    assert stats["candidates"] == 0
+    assert run(capsys, *argv) == (3, "", head + counts + EMPTY_CLASS_NOTE)
+
+
+def test_refute_exhausted_past_its_candidates_adds_no_note(capsys, monkeypatch):
+    # every candidate below 2,000 is skipped, as no Fibonacci period there is <= 10
+    monkeypatch.setattr(lrs, "MAX_WALK", 10)
+    code, out, err = run(capsys, "refute", *CURVE_44, *FIB_ARGS, "--q", "5", "--p-max", "2000")
+    assert (code, out) == (3, "")
+    assert "  candidates: 0\n" not in err and "note:" not in err
+
+
 @pytest.mark.parametrize(
     "curve, point, p, q",
     [(("0", "17"), ("-2", "3", "1"), 37, 7), (("0", "3"), ("1", "2", "1"), 499, 7), (("-2", "0"), ("2", "2", "1"), 17, 5)],
@@ -1428,3 +1455,104 @@ def test_csv_rows_are_as_wide_as_their_header(tmp_path, capsys):
         rows = list(csv.reader(text.splitlines()))
         assert len(rows) > 1 and {len(row) for row in rows} == {width}, rows
     assert any("," in row[2] for row in rows)  # a detail with a comma stays one cell
+
+
+def _numbers():
+    """(leaf, flag, keywords) for every option of every leaf that takes
+    numbers: each with a `_Number`, or with an argparse type=int."""
+    return [(path, flag, kwargs) for path, (func, _, options) in cli.COMMANDS.items() if func
+            for flag, kwargs, *number in options if number or kwargs.get("type") is int]
+
+
+def _argv_giving(path: str, flag: str, value: str) -> list[str]:
+    """The leaf's argv with `value` in each slot of `flag`, and 1 in each slot
+    of every other required option."""
+    argv = path.split()
+    for option, kwargs, *_ in cli.COMMANDS[path][2]:
+        if option == flag or kwargs.get("required"):
+            slots = kwargs.get("nargs", 1)
+            argv += [option, *[value if option == flag else "1"] * (1 if slots == "+" else slots)]
+    return argv
+
+
+def test_no_option_is_converted_by_argparse():
+    # argparse's type=int echoed a refused value whole, and a range of a
+    # number option belongs beside it in COMMANDS, read by one pass
+    for path, (_, _, options) in cli.COMMANDS.items():
+        for flag, kwargs, *_ in options:
+            assert "type" not in kwargs, (path, flag)
+    assert len(_numbers()) == 57  # 55 integer options and the two rationals of prooflab qlemma
+
+
+@pytest.mark.parametrize("path, flag, kwargs", _numbers(), ids=[f"{p} {f}" for p, f, _ in _numbers()])
+def test_every_number_flag_past_the_print_limit_is_named_in_one_short_line(capsys, path, flag, kwargs):
+    # argparse's "invalid int value" echoed all 5,000 digits (5,238 bytes for lrs eval --n)
+    try:
+        code = main(_argv_giving(path, flag, "7" * 5000))
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert len(err.encode()) < 200 and err.startswith(f"error: {flag} 777"), err[:300]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("lrs", "eval", *FIB_ARGS, "--n", "x"), "--n x must be an integer"),
+        (("prooflab", "det", "--q", "7", "--betas", "2", "3.5"), "--betas 3.5 must be an integer"),
+        (("eds", "period", "--curve", "0", "x", "--point", "1", "2", "1", "--p", "5"), "--curve x must be an integer"),
+    ],
+)
+def test_a_number_flag_that_is_not_an_integer_is_read_by_the_one_reader(capsys, argv, message):
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+FIT_TERMS = "1\n1\n2\n3\n5\n8\n"
+
+
+@pytest.mark.parametrize("bound", ["0", "-5"])
+def test_lrs_fit_bound_below_one_names_the_option(capsys, monkeypatch, bound):
+    # --bound -5 printed "no integer recurrence of order <= -5 fits the 6 terms" and exited 3
+    monkeypatch.setattr(sys, "stdin", io.StringIO(FIT_TERMS))
+    monkeypatch.setattr(lrs, "fit_minimal_recurrence", _refuse)
+    assert run(capsys, "lrs", "fit", "--bound", bound) == (2, "", f"error: --bound {bound} must be at least 1\n")
+
+
+def test_lrs_fit_bound_below_one_in_the_config_names_the_key(tmp_path, capsys, monkeypatch):
+    config = tmp_path / "edslab.conf"
+    config.write_text("bound = -5\n")
+    monkeypatch.setattr(sys, "stdin", io.StringIO(FIT_TERMS))
+    monkeypatch.setattr(lrs, "fit_minimal_recurrence", _refuse)
+    assert run(capsys, "lrs", "fit", "--config", str(config)) == (
+        2, "", f"error: bound = -5 in {config} must be at least 1\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, name, bound",
+    [
+        (("prooflab", "det", "--q", "7", "--betas"), "det_beta_identity", cli.MAX_DET_BETAS),
+        (("prooflab", "qlemma", "--alpha", "2", "--coeffs"), "expand_q", cli.MAX_QLEMMA_COEFFS),
+    ],
+    ids=["det", "qlemma"],
+)
+def test_a_list_past_its_count_bound_exit2_before_any_work(capsys, monkeypatch, argv, name, bound):
+    # neither list had a bound, and the work of each grows fast with its count
+    monkeypatch.setattr(prooflab, name, _refuse)
+    flag = argv[-1]
+    message = f"error: {flag} has {bound + 1} values, more than the bound {bound}\n"
+    assert run(capsys, *argv, *["2"] * (bound + 1)) == (2, "", message)
+
+
+def test_prooflab_det_at_its_count_bound_runs(capsys, monkeypatch):
+    seen = []
+
+    def stand_in(betas, q):
+        seen.append(betas)
+        return prooflab.DetBetaResult(0, 0, None, True)
+
+    monkeypatch.setattr(prooflab, "det_beta_identity", stand_in)
+    betas = [str(b) for b in range(2, cli.MAX_DET_BETAS + 2)]
+    assert run(capsys, "prooflab", "det", "--q", "7", "--betas", *betas)[0] == 0
+    assert seen == [list(range(2, cli.MAX_DET_BETAS + 2))]

@@ -18,12 +18,12 @@ COMMON = [
     ("--format", "format", None, False, None, ("table", "json", "csv"), None, None, None),
 ]
 CURVE_POINT = [
-    ("--curve", "curve", None, False, 2, None, int, ("A", "B"), None),
-    ("--point", "point", None, False, 3, None, int, ("X", "Y", "Z"), None),
+    ("--curve", "curve", None, False, 2, None, None, ("A", "B"), None),
+    ("--point", "point", None, False, 3, None, None, ("X", "Y", "Z"), None),
     ("--curve-file", "curve_file", None, False, None, None, None, None, "file with 'curve A B' and 'point x y z' lines"),
 ]
 LRS_SOURCE = [
-    ("--lrs", "lrs", None, False, "+", None, int, "N", "k c1..ck u1..uk"),
+    ("--lrs", "lrs", None, False, "+", None, None, "N", "k c1..ck u1..uk"),
     ("--lrs-file", "lrs_file", None, False, None, None, None, None, None),
 ]
 GROUPS = {
@@ -39,8 +39,8 @@ LEAVES = {
         "cmd_eds_gen",
         [
             *CURVE_POINT,
-            ("--n", "n", None, False, None, None, int, None, None),
-            ("--stride", "stride", None, False, None, None, int, None, "list z_(stride*n) instead of z_n"),
+            ("--n", "n", None, False, None, None, None, None, None),
+            ("--stride", "stride", None, False, None, None, None, None, "list z_(stride*n) instead of z_n"),
             ("--cache-dir", "cache_dir", None, False, None, None, None, None, None),
         ],
     ),
@@ -48,8 +48,8 @@ LEAVES = {
         "extend four seed values by the bilinear recurrences",
         "cmd_eds_ward",
         [
-            ("--seed", "seed", None, True, 4, None, int, ("W1", "W2", "W3", "W4"), None),
-            ("--n", "n", None, False, None, None, int, None, None),
+            ("--seed", "seed", None, True, 4, None, None, ("W1", "W2", "W3", "W4"), None),
+            ("--n", "n", None, False, None, None, None, None, None),
         ],
     ),
     "eds period": (
@@ -57,7 +57,7 @@ LEAVES = {
         "cmd_eds_period",
         [
             *CURVE_POINT,
-            ("--p", "p", None, True, None, None, int, None, None),
+            ("--p", "p", None, True, None, None, None, None, None),
         ],
     ),
     "eds zsigmondy": (
@@ -65,7 +65,7 @@ LEAVES = {
         "cmd_eds_zsigmondy",
         [
             *CURVE_POINT,
-            ("--n", "n", None, False, None, None, int, None, None),
+            ("--n", "n", None, False, None, None, None, None, None),
         ],
     ),
     "lrs fit": (
@@ -73,7 +73,7 @@ LEAVES = {
         "cmd_lrs_fit",
         [
             ("--terms-file", "terms_file", None, False, None, None, None, None, None),
-            ("--bound", "bound", None, False, None, None, int, None, None),
+            ("--bound", "bound", None, False, None, None, None, None, None),
         ],
     ),
     "lrs eval": (
@@ -81,8 +81,8 @@ LEAVES = {
         "cmd_lrs_eval",
         [
             *LRS_SOURCE,
-            ("--n", "n", None, True, None, None, int, None, None),
-            ("--mod", "mod", None, False, None, None, int, None, None),
+            ("--n", "n", None, True, None, None, None, None, None),
+            ("--mod", "mod", None, False, None, None, None, None, None),
         ],
     ),
     "lrs decimate": (
@@ -90,7 +90,7 @@ LEAVES = {
         "cmd_lrs_decimate",
         [
             *LRS_SOURCE,
-            ("--m", "m", None, True, None, None, int, None, None),
+            ("--m", "m", None, True, None, None, None, None, None),
         ],
     ),
     "lrs degenerate": (
@@ -106,7 +106,7 @@ LEAVES = {
         "cmd_lrs_period",
         [
             *LRS_SOURCE,
-            ("--p", "p", None, True, None, None, int, None, None),
+            ("--p", "p", None, True, None, None, None, None, None),
             ("--method", "method", "matrix", False, None, ("matrix", "iteration"), None, None, None),
             ("--squares", "squares", False, False, 0, None, None, None, "also report the square-sampled period"),
         ],
@@ -115,18 +115,18 @@ LEAVES = {
         "exact trace/determinant density",
         "cmd_density_gl2",
         [
-            ("--q", "q", None, True, None, None, int, None, None),
-            ("--a", "a", None, True, None, None, int, None, None),
-            ("--b", "b", None, True, None, None, int, None, None),
+            ("--q", "q", None, True, None, None, None, None, None),
+            ("--a", "a", None, True, None, None, None, None, None),
+            ("--b", "b", None, True, None, None, None, None, None),
         ],
     ),
     "density affine": (
         "exact affine density with translation part",
         "cmd_density_affine",
         [
-            ("--q", "q", None, True, None, None, int, None, None),
-            ("--a", "a", None, True, None, None, int, None, None),
-            ("--b", "b", None, True, None, None, int, None, None),
+            ("--q", "q", None, True, None, None, None, None, None),
+            ("--a", "a", None, True, None, None, None, None, None),
+            ("--b", "b", None, True, None, None, None, None, None),
         ],
     ),
     "density empirical": (
@@ -134,10 +134,10 @@ LEAVES = {
         "cmd_density_empirical",
         [
             *CURVE_POINT,
-            ("--q", "q", None, True, None, None, int, None, None),
-            ("--a", "a", None, False, None, None, int, None, None),
-            ("--x", "x", None, False, None, None, int, None, "prime bound"),
-            ("--jobs", "jobs", None, False, None, None, int, None, "worker processes for the prime scan"),
+            ("--q", "q", None, True, None, None, None, None, None),
+            ("--a", "a", None, False, None, None, None, None, None),
+            ("--x", "x", None, False, None, None, None, None, "prime bound"),
+            ("--jobs", "jobs", None, False, None, None, None, None, "worker processes for the prime scan"),
             ("--exclude", "exclude", None, False, None, None, None, None, "comma-separated primes to skip in the scan"),
         ],
     ),
@@ -147,9 +147,9 @@ LEAVES = {
         [
             *CURVE_POINT,
             *LRS_SOURCE,
-            ("--q", "q", None, False, None, None, int, None, None),
-            ("--a", "a", None, False, None, None, int, None, "trace target (default 3)"),
-            ("--p-max", "p_max", None, False, None, None, int, None, None),
+            ("--q", "q", None, False, None, None, None, None, None),
+            ("--a", "a", None, False, None, None, None, None, "trace target (default 3)"),
+            ("--p-max", "p_max", None, False, None, None, None, None, None),
             ("--out", "out", None, False, None, None, None, None, "certificate output path (default: stdout)"),
             ("--exclude", "exclude", None, False, None, None, None, None, "comma-separated primes to skip in the scan"),
         ],
@@ -167,9 +167,9 @@ LEAVES = {
         [
             *CURVE_POINT,
             *LRS_SOURCE,
-            ("--p", "p", None, True, None, None, int, None, None),
-            ("--start", "start", 1, False, None, None, int, None, None),
-            ("--window", "window", 50, False, None, None, int, None, None),
+            ("--p", "p", None, True, None, None, None, None, None),
+            ("--start", "start", None, False, None, None, None, None, None),
+            ("--window", "window", None, False, None, None, None, None, None),
         ],
     ),
     "prooflab qlemma": (
@@ -184,28 +184,28 @@ LEAVES = {
         "determinant factorization check",
         "cmd_prooflab_det",
         [
-            ("--q", "q", None, True, None, None, int, None, None),
-            ("--betas", "betas", None, True, "+", None, int, None, None),
+            ("--q", "q", None, True, None, None, None, None, None),
+            ("--betas", "betas", None, True, "+", None, None, None, None),
         ],
     ),
     "prooflab resclass": (
         "admissible residue count",
         "cmd_prooflab_resclass",
         [
-            ("--r", "r", None, True, None, None, int, None, None),
-            ("--t", "t", None, True, None, None, int, None, None),
-            ("--c", "c", 1, False, None, None, int, None, None),
+            ("--r", "r", None, True, None, None, None, None, None),
+            ("--t", "t", None, True, None, None, None, None, None),
+            ("--c", "c", None, False, None, None, None, None, None),
         ],
     ),
     "prooflab ell": (
         "quadratic congruence lift",
         "cmd_prooflab_ell",
         [
-            ("--r", "r", None, True, None, None, int, None, None),
-            ("--e", "e", 1, False, None, None, int, None, None),
-            ("--n0", "n0", None, True, None, None, int, None, None),
-            ("--j", "j", None, True, None, None, int, None, None),
-            ("--c", "c", None, True, None, None, int, None, None),
+            ("--r", "r", None, True, None, None, None, None, None),
+            ("--e", "e", None, False, None, None, None, None, None),
+            ("--n0", "n0", None, True, None, None, None, None, None),
+            ("--j", "j", None, True, None, None, None, None, None),
+            ("--c", "c", None, True, None, None, None, None, None),
         ],
     ),
     "prooflab fixedpoint": (

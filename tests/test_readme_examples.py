@@ -1,11 +1,14 @@
-"""Every example of the README's "Command line" block runs and exits 0."""
+"""Every example of the README's "Command line" block runs and exits 0,
+and its table of option ranges is the one `cli.COMMANDS` declares."""
 
 import codecs
 import io
+import math
 import pathlib
 import shlex
 import sys
 
+from edslab import cli
 from edslab.cli import main
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
@@ -40,3 +43,34 @@ def test_every_readme_example_exits_0(tmp_path, monkeypatch, capsys):
         code = main(argv)
         err = capsys.readouterr().err
         assert code == 0, (argv, err)
+
+
+def _cell(text: str) -> int | None:
+    """A range cell as an integer: '' (none), '3', '1,000', '10^20' or '50 values'."""
+    base, _, exponent = text.removesuffix(" values").replace(",", "").partition("^")
+    return int(base) ** int(exponent or 1) if base else None
+
+
+def test_the_readme_states_each_declared_range_once():
+    rows = {}  # option -> (least, largest, whether it counts values), from the README's table
+    table = README.read_text().split("| option | least | largest | constant |\n|---|---|---|---|\n", 1)[1]
+    for line in table.split("\n\n", 1)[0].splitlines():
+        option, least, largest, constant = (cell.strip() for cell in line.strip("|").split("|"))
+        assert option not in rows, option
+        if constant:
+            assert getattr(cli, constant.strip("`").removeprefix("cli.")) == _cell(largest), option
+        rows[option] = (_cell(least), _cell(largest), largest.endswith(" values"))
+    declared = {}
+    for path, (_, _, options) in cli.COMMANDS.items():
+        for flag, _, *number in options:
+            if not number:
+                continue
+            (number,) = number
+            least, largest = number.least, min(number.most, number.count)
+            if least > -math.inf or largest < math.inf:
+                declared[f"`{path} {flag}`"] = (
+                    least if least > -math.inf else None,
+                    largest if largest < math.inf else None,
+                    number.count < math.inf,
+                )
+    assert rows == declared
