@@ -18,6 +18,7 @@ import contextlib
 import functools
 import math
 import os
+import re
 import sys
 
 from . import _clip, _int, _print_limit, _span, _unprintable
@@ -55,9 +56,9 @@ MAX_RESCLASS_R = 10**7
 # largest `prooflab ell --e`: e - 1 Hensel lifts modulo r^e, in time about e^2.6;
 # at r = 7, e = 1,000 took 0.55 s.  It bounds lifts, not the size of r^e
 MAX_ELL_E = 1000
-# most `prooflab det --betas`: the t x t determinant is eliminated over Q; betas
-# 2..t+1 with q = 1,000,003 took 0.64 s at t = 40, 1.25 s at 50 and 2.0 s at 60
-# (1.6 s at 50 with q = 2^127 - 1) on a shared 2-core machine under Python 3.11
+# most `prooflab det --betas`: the t x t determinant is eliminated modulo q; betas
+# 2..t+1 took 7 ms in-process at t = 50 and 0.36 s at t = 200 with q = 1,000,003
+# (12 ms and 0.90 s with q = 2^127 - 1) on a shared 2-core machine under Python 3.11
 MAX_DET_BETAS = 50
 # most `prooflab qlemma --coeffs`: 50, 75 and 100 coefficients of 1 with --alpha 2
 # took 1.3, 2.1 and 3.4 s.  It bounds the degree, not the coefficients' size
@@ -575,7 +576,7 @@ def cmd_prooflab_ell(args) -> int:
     except NonResidueError as exc:
         sys.stderr.write(f"{exc}\n")
         return EXIT_INCONCLUSIVE
-    payload = {"ell": ell.value, "modulus": ell.modulus, "verified": True}
+    payload = {"ell": ell, "modulus": r**e, "verified": True}
     _emit_record(args.format, payload)
     return EXIT_OK
 
@@ -635,7 +636,7 @@ COMMANDS = {
     )),
     "eds period": (
         cmd_eds_period,
-        "minimal period of the companion w_n modulo p; z_n = z_1*|w_n| agrees with it up to sign",
+        "minimal period of the companion w_n modulo p; z_n = z_1*|w_n| agrees up to sign if gcd(2y, 3x^2 + a*z^4) = 1",
         (*_CURVE_POINT, ("--p", _REQUIRED, _Number(most=MAX_PERIOD_P, bound="point-count bound"))),
     ),
     "eds zsigmondy": (cmd_eds_zsigmondy, "primitive divisor scan", (
@@ -761,6 +762,7 @@ def _build(path: str) -> argparse.ArgumentParser:
         _subcommands(parser, path)
         return parser
     with _span("cli.leaf", leaf=path):
+        parser._negative_number_matcher = re.compile(r"^-\d")  # -1/2 is a value, as -3 is in argparse
         parser.add_argument("--config", help="key=value config file")
         parser.add_argument("--format", choices=FORMATS)
         for flag, kwargs, *_ in options:

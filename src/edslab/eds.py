@@ -265,13 +265,15 @@ class EdsPeriodResult:
 def eds_period_mod_p(seq: EdsSequence, p: int) -> EdsPeriodResult:
     """Exact minimal period of the sequence modulo p, from `ward_period`.
 
-    The period is that of the canonical signed stream.  A geometric source's
-    rank is the order of the reduced point, and its period divides
-    2*(p-1)*#E(F_p).  A Ward seed's rank is the first zero of `stream_mod_p`
-    within p + 1 + isqrt(4p) terms: for p not dividing w1*w2*w3 the sequence
-    mod p is that of a point on a cubic over F_p (Ward 1948), whose order is
-    at most the top of the Hasse interval.  With no such zero, or with a rank
-    `ward_period` refuses, the status is "unconfirmed" and no period is given.
+    The period is that of the canonical signed stream w_n; z_n = z_1*|w_n|
+    agrees with it up to sign only when gcd(2y, 3x^2 + a*z^4) = 1.  A
+    geometric source's rank is the order of the reduced point, and its period
+    divides 2*(p-1)*#E(F_p).  A Ward seed's rank is the first zero of
+    `stream_mod_p` within p + 1 + isqrt(4p) terms: for p not dividing
+    w1*w2*w3 the sequence mod p is that of a point on a cubic over F_p (Ward
+    1948), whose order is at most the top of the Hasse interval.  With no
+    such zero, or with a rank `ward_period` refuses, the status is
+    "unconfirmed" and no period is given.
     """
     if p == 2 or not is_prime(p):
         raise ValueError("p must be an odd prime")
@@ -279,7 +281,6 @@ def eds_period_mod_p(seq: EdsSequence, p: int) -> EdsPeriodResult:
         curve, point = seq.curve, seq.point
         if curve.bad_prime_product(point) % p == 0:
             raise ValueError(f"need p coprime to the discriminant, z1 and 2*y1 (p={p})")
-        require_exact_companion(curve, point)
         cfp = CurveFp.from_curve(curve, p)
         n_points, trace = count_points(cfp)
         rank = point_order_fp(reduce_point(point, curve, p), cfp, n_points)

@@ -131,7 +131,7 @@ def hankel_rank(terms: list[int]) -> int:
         return 0
     rows = (n + 1) // 2
     mat = [[Fraction(terms[i + j]) for j in range(n - rows + 1)] for i in range(rows)]
-    _, pivots, _ = rref_fraction(mat)
+    _, pivots = rref_fraction(mat)
     return len(pivots)
 
 

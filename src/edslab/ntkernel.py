@@ -305,32 +305,36 @@ def lcm_tower(p: int, k: int) -> int:
     return math.lcm(*(p**j - 1 for j in range(1, k + 1)))
 
 
-@dataclass(frozen=True)
-class Residue:
-    """A value in canonical range [0, modulus): the result of a congruence."""
-
-    value: int
-    modulus: int
-
-    def __post_init__(self):
-        if self.modulus < 1:
-            raise ValueError("modulus must be positive")
-        object.__setattr__(self, "value", self.value % self.modulus)
-
-
 # ---------------------------------------------------------------------------
-# exact rational linear algebra (small systems)
+# exact linear algebra (small systems)
 
 
-def rref_fraction(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int], Fraction]:
-    """Reduced row echelon form over Q: (rref, pivot columns, det), det the product of the
-    pivots, negated per row swap, and 0 below full row rank: a square input's determinant."""
+def det_mod_prime(rows: list[list[int]], q: int) -> int:
+    """Determinant modulo a prime q of a square integer matrix, by elimination
+    over F_q: the product of the pivots, negated per row swap."""
+    mat = [[x % q for x in row] for row in rows]
+    det = 1
+    for c in range(len(mat)):
+        pivot = next((i for i in range(c, len(mat)) if mat[i][c]), None)
+        if pivot is None:
+            return 0
+        mat[c], mat[pivot] = mat[pivot], mat[c]
+        det = det * (1 if pivot == c else -1) * mat[c][c] % q
+        inv = invmod(mat[c][c], q)
+        for i in range(c + 1, len(mat)):
+            if mat[i][c]:
+                f = mat[i][c] * inv % q
+                mat[i] = [(x - f * y) % q for x, y in zip(mat[i], mat[c])]
+    return det
+
+
+def rref_fraction(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form over Q: (rref, pivot columns)."""
     mat = [list(map(Fraction, row)) for row in rows]
     if not mat:
-        return [], [], Fraction(1)
+        return [], []
     ncols = len(mat[0])
     pivots: list[int] = []
-    det = Fraction(1)
     r = 0
     for c in range(ncols):
         pivot = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
@@ -338,8 +342,6 @@ def rref_fraction(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], lis
             continue
         if pivot != r:
             mat[r], mat[pivot] = mat[pivot], mat[r]
-            det = -det
-        det *= mat[r][c]
         inv = 1 / mat[r][c]
         mat[r] = [x * inv for x in mat[r]]
         for i in range(len(mat)):
@@ -350,7 +352,7 @@ def rref_fraction(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], lis
         r += 1
         if r == len(mat):
             break
-    return mat, pivots, det if r == len(mat) else Fraction(0)
+    return mat, pivots
 
 
 def kernel_basis(rows: list[list[Fraction]]) -> list[list[Fraction]]:
@@ -358,7 +360,7 @@ def kernel_basis(rows: list[list[Fraction]]) -> list[list[Fraction]]:
     if not rows:
         return []
     ncols = len(rows[0])
-    rref, pivots, _ = rref_fraction(rows)
+    rref, pivots = rref_fraction(rows)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for fc in free:
@@ -368,11 +370,6 @@ def kernel_basis(rows: list[list[Fraction]]) -> list[list[Fraction]]:
             vec[pc] = -rref[r][fc]
         basis.append(vec)
     return basis
-
-
-def det_fraction(rows: list[list[Fraction]]) -> Fraction:
-    """Determinant over Q of a square matrix, as `rref_fraction` reads it."""
-    return rref_fraction(rows)[2]
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,7 @@ from fractions import Fraction
 
 from .ntkernel import (
     Poly,
-    Residue,
-    det_fraction,
+    det_mod_prime,
     hensel_lift_sqrt,
     invmod,
     is_prime,
@@ -83,8 +82,8 @@ class DetBetaResult:
 def det_beta_identity(betas: list[int], q: int) -> DetBetaResult:
     """det[(beta_j^u - 1)]_{u,j=1..t} vs +-prod(beta_i - 1) prod_{i<j}(beta_i - beta_j) mod q.
 
-    Both sides are computed independently (exact integer determinant vs
-    direct product); repeated or unit betas make both sides vanish.
+    Both sides are computed independently (elimination over F_q vs direct
+    product); repeated or unit betas make both sides vanish.
     """
     if not is_prime(q):
         raise ValueError("q must be prime")
@@ -92,8 +91,7 @@ def det_beta_identity(betas: list[int], q: int) -> DetBetaResult:
     if t < 1:
         raise ValueError("need at least one beta")
     betas = [b % q for b in betas]
-    mat = [[Fraction(pow(b, u, q) - 1) for b in betas] for u in range(1, t + 1)]
-    det = int(det_fraction(mat)) % q
+    det = det_mod_prime([[pow(b, u, q) - 1 for b in betas] for u in range(1, t + 1)], q)
     product = 1
     for b in betas:
         product = product * (b - 1) % q
@@ -103,11 +101,8 @@ def det_beta_identity(betas: list[int], q: int) -> DetBetaResult:
     if product == 0:
         return DetBetaResult(det, product, None, det == 0)
     ratio = det * invmod(product, q) % q
-    if ratio == 1:
-        return DetBetaResult(det, product, 1, True)
-    if ratio == q - 1:
-        return DetBetaResult(det, product, -1, True)
-    return DetBetaResult(det, product, None, False)
+    sign = 1 if ratio == 1 else -1 if ratio == q - 1 else None
+    return DetBetaResult(det, product, sign, sign is not None)
 
 
 # ---------------------------------------------------------------------------
@@ -150,12 +145,12 @@ def count_admissible_residues(r: int, t: int, c: int = 1) -> ResidueCountReport:
     return ResidueCountReport(r, t, c, count, abs(2**t * count - r))
 
 
-def construct_ell(r: int, e: int, n0: int, j: int, c: int) -> Residue:
+def construct_ell(r: int, e: int, n0: int, j: int, c: int) -> int:
     """Solve 2*l*n0 + c*l^2 = j (mod r^e) via a lifted modular square root.
 
     l = (-n0 + sqrt(n0^2 + j*c)) / c; the discriminant must be a quadratic
     residue mod r (a non-residue raises NonResidueError).  The returned
-    value is substituted back and verified before returning.
+    l in [0, r^e) is substituted back and verified before returning.
     """
     if legendre_symbol(c, r) == 0:  # which first refuses an r that is not an odd prime
         raise ValueError("c must be coprime to r")
@@ -167,7 +162,7 @@ def construct_ell(r: int, e: int, n0: int, j: int, c: int) -> Residue:
         raise RuntimeError(
             f"internal error: candidate {ell} fails the defining congruence mod {r}^{e}"
         )
-    return Residue(ell, modulus)
+    return ell
 
 
 # ---------------------------------------------------------------------------

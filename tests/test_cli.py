@@ -848,22 +848,20 @@ def test_falsify(capsys):
 OUTSIDE_COMPANION_MODEL = ("--curve", "0", "17", "--point", "-2", "3", "1")  # gcd(2y, 3x^2 + a) = 6
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        pytest.param(("eds", "period", *OUTSIDE_COMPANION_MODEL, "--p", "7"), id="argv0"),
-        pytest.param(
-            ("falsify", *OUTSIDE_COMPANION_MODEL, "--lrs", "2", "1", "1", "1", "1", "--p", "7"),
-            id="argv2",
-        ),
-    ],
-)
-def test_point_outside_companion_model_exit2(capsys, argv):
-    # both answer about z_n mod p itself, which here is not z_1*|w_n| mod p
-    code, out, err = run(capsys, *argv)
+def test_falsify_point_outside_companion_model_exit2(capsys):
+    # it reads the residues of z_n mod p from w_n, which here is not z_1*|w_n| mod p
+    code, out, err = run(capsys, "falsify", *OUTSIDE_COMPANION_MODEL, "--lrs", "2", "1", "1", "1", "1", "--p", "7")
     assert code == 2
     assert not out
     assert "singular modulo [2, 3]" in err
+
+
+def test_eds_period_point_outside_companion_model(capsys):
+    # the rank, #E, the trace and the period of w_n hold at every good prime
+    code, out, err = run(capsys, "eds", "period", *OUTSIDE_COMPANION_MODEL, "--p", "101", "--format", "json")
+    assert (code, err) == (0, "")
+    result = json.loads(out)
+    assert (result["status"], result["period"], result["rank"], result["n_points"]) == ("confirmed", 10200, 102, 102)
 
 
 def test_refute_certifies_point_outside_companion_model(tmp_path, capsys):
@@ -1208,7 +1206,7 @@ def test_prooflab_ell(capsys):
         "--format", "json",
     )
     assert code == 0
-    assert json.loads(out)["ell"] == 1
+    assert json.loads(out) == {"ell": 1, "modulus": 7, "verified": True}
 
 
 def test_prooflab_fixedpoint(capsys):
@@ -1220,6 +1218,22 @@ def test_prooflab_fixedpoint(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["pass"] is True and payload["eigenspace_dim"] == 1
+
+
+@pytest.mark.parametrize(
+    "argv,code,stream",
+    [
+        (("qlemma", "--coeffs", "1/2", "-3", "4/7", "--alpha", "-2/3"), 0, "13      13                16384/64827"),
+        (("qlemma", "--coeffs", "-1/2", "3", "--alpha", "1"), 0, "5       5                 -324"),
+        (("fixedpoint", "--matrix", "-1/2,1/2;1/3,2/3"), 2, "error: row 0: negative entry\n"),
+    ],
+    ids=["qlemma", "coeffs", "fixedpoint"],
+)
+def test_prooflab_reads_a_negative_rational_after_a_space(capsys, argv, code, stream):
+    # argparse's own pattern takes -3 as a value but -2/3 as an unknown option
+    got, out, err = run(capsys, "prooflab", *argv)
+    assert got == code
+    assert stream in (out if code == 0 else err)
 
 
 def test_config_file_and_flag_precedence(tmp_path, capsys):

@@ -53,7 +53,7 @@ LEAVES = {
         ],
     ),
     "eds period": (
-        "minimal period of the companion w_n modulo p; z_n = z_1*|w_n| agrees with it up to sign",
+        "minimal period of the companion w_n modulo p; z_n = z_1*|w_n| agrees up to sign if gcd(2y, 3x^2 + a*z^4) = 1",
         "cmd_eds_period",
         [
             *CURVE_POINT,

@@ -574,16 +574,40 @@ def test_period_rejects_bad_primes():
         eds_period_mod_p(fixture_sequence(5), 4)
 
 
-def test_period_rejects_point_outside_companion_model():
+def test_period_answers_for_point_outside_companion_model():
     # gcd(2y, 3x^2 + a*z^4) = gcd(6, 12) = 6: |w_n| / z_n grows by factors of 2
-    # and 3, and the period 39 of the stream mod 7 is not a period of z_n
+    # and 3, so the period 39 of the stream mod 7 is not a period of z_n; the
+    # reported period is that of w_n, and the rank is still the order of P
     curve, point = CurveQ(0, 17), PointQ(-2, 3, 1)
     geo = generate_geometric(curve, point, 40)
     ward = generate_ward(WardSeed(*division_poly_seeds(curve, point)), 40)
     assert any(abs(ward.term(n)) != geo.term(n) for n in range(1, 41))
     assert (geo.term(40) % 7, geo.term(1) % 7) == (3, 1)
-    with pytest.raises(ValueError, match=r"singular modulo \[2, 3\]"):
-        eds_period_mod_p(geo, 7)
+    result = eds_period_mod_p(geo, 7)
+    assert (result.status, result.period, result.rank) == ("confirmed", 39, 13)
+
+
+def test_period_outside_companion_model_matches_the_stream():
+    # g = 6, 2 and 2: at every good prime below 300 the order of P mod p is
+    # the first zero of w_n mod p, and Ward's period is the windowed one
+    cases = 0
+    for curve, point, g in (ORACLE_FIXTURES[8], ORACLE_FIXTURES[11], (CurveQ(-2, 0), PointQ(2, 2, 1), 2)):
+        assert _companion_gcd(curve, point) == g
+        seq = generate_geometric(curve, point, 4)
+        seeds = division_poly_seeds(curve, point)
+        for p in sieve_primes(300)[1:]:
+            if curve.bad_prime_product(point) % p == 0:
+                continue
+            result = eds_period_mod_p(seq, p)
+            rank = point_order_fp(reduce_point(point, curve, p), CurveFp.from_curve(curve, p), result.n_points)
+            assert result.confirmed and result.rank == rank
+            assert ward_period(seeds, p, rank) == result.period
+            horizon = 2 * result.period + 2 * rank + 16
+            stream = stream_mod_p(seeds, p, horizon)
+            assert next(n for n in range(1, horizon + 1) if stream[n] == 0) == rank, (curve, point, p)
+            assert _minimal_stream_period(stream, rank, horizon) == result.period, (curve, point, p)
+            cases += 1
+    assert cases == 178
 
 
 def test_primitive_divisors_fixture():

@@ -29,7 +29,6 @@ from edslab.lrs import (
 )
 from edslab.ntkernel import (
     Poly,
-    det_fraction,
     kernel_basis,
     lcm_tower,
     order_from_multiple,
@@ -210,7 +209,7 @@ def _reference_fit_order(terms: list[int], k: int) -> tuple[Fraction, ...] | Non
     """Order-k coefficients reproducing every window, by one Fraction RREF, or None."""
     rows = [[Fraction(terms[i + k - j]) for j in range(1, k + 1)] for i in range(len(terms) - k)]
     augmented = [row + [Fraction(terms[i + k])] for i, row in enumerate(rows)]
-    rref, pivots, _ = rref_fraction(augmented)
+    rref, pivots = rref_fraction(augmented)
     if k in pivots:
         return None  # inconsistent
     coeffs = [Fraction(0)] * k
@@ -381,7 +380,19 @@ def _resultant(f: Poly, g: Poly) -> Fraction:
     gc = list(reversed(g.coeffs))
     rows = [[Fraction(0)] * i + fc + [Fraction(0)] * (size - n - 1 - i) for i in range(m)]
     rows += [[Fraction(0)] * i + gc + [Fraction(0)] * (size - m - 1 - i) for i in range(n)]
-    return det_fraction(rows)
+    det = Fraction(1)
+    for c in range(size):  # elimination over Q: the product of the pivots, negated per row swap
+        pivot = next((i for i in range(c, size) if rows[i][c]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != c:
+            rows[c], rows[pivot] = rows[pivot], rows[c]
+            det = -det
+        det *= rows[c][c]
+        for i in range(c + 1, size):
+            f = rows[i][c] / rows[c][c]
+            rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
+    return det
 
 
 def test_poly_resultant_known():

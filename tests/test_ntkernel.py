@@ -12,10 +12,9 @@ from edslab.ntkernel import (
     IncompleteFactorization,
     NonResidueError,
     Poly,
-    Residue,
     cyclotomic_factor_orders,
     cyclotomic_orders,
-    det_fraction,
+    det_mod_prime,
     factorize,
     hensel_lift_sqrt,
     iter_primes,
@@ -371,12 +370,11 @@ def test_cyclotomic_search_makes_no_poly_division():
 def test_exact_linear_algebra():
     rows = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]
     assert kernel_basis(rows) == [[Fraction(-2), Fraction(1)]]
-    assert det_fraction([[Fraction(1), Fraction(2)], [Fraction(3), Fraction(4)]]) == -2
 
 
 def _leibniz(rows: list[list[int]]) -> int:
     """The determinant as a sum of signed products over permutations: the
-    reference for the elimination's determinant."""
+    reference for the determinant modulo q and for the rank by minors."""
     n = len(rows)
     total = 0
     for perm in itertools.permutations(range(n)):
@@ -413,14 +411,13 @@ def _elimination_cases():
         yield [[terms[i + j] for j in range(n)] for i in range(n)], terms
 
 
-def test_one_elimination_gives_the_determinant_rank_and_kernel():
+def test_one_elimination_gives_the_rank_and_kernel():
     from edslab.lrs import hankel_rank
 
     seen = {"swap": 0, "singular": 0, "regular": 0}
     for rows, terms in _elimination_cases():
         n = len(rows)
         det = _leibniz(rows)
-        assert det_fraction([[Fraction(x) for x in row] for row in rows]) == det, rows
         seen["singular" if det == 0 else "regular"] += 1
         seen["swap"] += det != 0 and rows[0][0] == 0
         rank = _rank_by_minors(rows, n)
@@ -437,10 +434,20 @@ def test_one_elimination_gives_the_determinant_rank_and_kernel():
     assert min(seen.values()) >= 5, seen
 
 
-def test_residue_arithmetic():
-    r = Residue(8, 5)
-    assert (r.value, r.modulus) == (3, 5)
-    assert Residue(-1, 7).value == 6
-    assert Residue(5, 1).value == 0
-    with pytest.raises(ValueError):
-        Residue(2, 0)
+@pytest.mark.parametrize("q", [2, 3, 7, 1_000_003, 2**127 - 1])
+def test_det_mod_prime_matches_the_leibniz_formula(q):
+    rng = random.Random(q)
+    seen = {"swap": 0, "singular": 0, "regular": 0}
+    for t in range(1, 7):
+        for _ in range(6):
+            full = [[rng.choice((0, 1, -1, rng.randrange(-3 * q, 3 * q))) for _ in range(t)] for _ in range(t)]
+            # the first pivot needs a row swap
+            swap = [row[:] for row in full]
+            swap[0][0], swap[-1][0] = q, 1
+            zero_column = [[*row[:-1], 0] for row in full]
+            for rows in (full, swap, zero_column):
+                det = _leibniz(rows) % q
+                assert det_mod_prime(rows, q) == det, (rows, q)
+                seen["singular" if det == 0 else "regular"] += 1
+                seen["swap"] += rows is swap and det != 0
+    assert min(seen.values()) >= 5, seen

@@ -4,6 +4,7 @@ from itertools import permutations
 
 import pytest
 
+from edslab import ntkernel
 from edslab.ntkernel import NonResidueError, Poly, sieve_primes
 from edslab.prooflab import (
     AdmissibilityError,
@@ -67,6 +68,16 @@ def test_det_beta_degenerate_cases():
     assert result.determinant == 0 and result.product == 0 and result.consistent
 
 
+def test_det_beta_fifty_betas_eliminate_modulo_q(monkeypatch):
+    # the determinant is taken over F_q, so no elimination over Q runs
+    def refuse(*_):
+        raise AssertionError("eliminated over Q")
+
+    monkeypatch.setattr(ntkernel, "rref_fraction", refuse)
+    result = det_beta_identity(list(range(2, 52)), 1_000_003)
+    assert (result.determinant, result.product, result.sign, result.consistent) == (256200, 743803, -1, True)
+
+
 def test_count_admissible_t0():
     assert count_admissible_residues(11, 0).count == 11
 
@@ -104,8 +115,8 @@ def test_count_admissible_validation():
 
 def test_construct_ell_hand_checkable():
     ell = construct_ell(7, 1, 1, 3, 1)
-    assert ell.value == 1
-    assert (2 * ell.value * 1 + 1 * ell.value**2) % 7 == 3
+    assert ell == 1
+    assert (2 * ell * 1 + 1 * ell**2) % 7 == 3
 
 
 def test_construct_ell_lifted_consistency():
@@ -125,9 +136,10 @@ def test_construct_ell_lifted_consistency():
         except NonResidueError:
             continue
         modulus = r**e
-        assert (2 * ell.value * n0 + c * ell.value**2 - j) % modulus == 0
+        assert 0 <= ell < modulus
+        assert (2 * ell * n0 + c * ell**2 - j) % modulus == 0
         base = construct_ell(r, 1, n0, j, c)
-        assert ell.value % r == base.value
+        assert ell % r == base
         built += 1
 
 
