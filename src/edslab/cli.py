@@ -36,16 +36,9 @@ MAX_DECIMATE_M = 1000
 # largest `eds gen --n * --stride`, `eds ward --n` and `eds zsigmondy --n`:
 # generating z_1..z_N takes time that grows about 16x per doubling of N; on
 # (-4,4), (1,1,1), 800 terms took 4.1 s (21 MB traced peak) and 1,000 took 11 s
-# on a shared 2-core machine under Python 3.11.  Like MAX_EXACT_EVAL_N, it
-# bounds steps, not term sizes: z_175 already has 4,300 digits
+# on a shared 2-core machine under Python 3.11.  It bounds steps, not term
+# sizes: z_175 already has 4,300 digits
 MAX_EDS_TERMS = 1000
-# largest `lrs eval --n` without --mod: the exact u_n takes n - k steps on
-# terms that grow linearly in n; holding the last k terms, Fibonacci at
-# n = 10^5 took 1.1 s (0.05 MB traced peak) and u_n = n took 0.18 s on a
-# shared 2-core machine under Python 3.11, and Fibonacci's u_n passes the
-# 4,300-digit int-to-str limit near n = 20,600.  It bounds steps, not term
-# sizes: with a 300-digit coefficient n = 5,000 took 25 s
-MAX_EXACT_EVAL_N = 100_000
 # largest `eds period --p`: the baby-step table of count_points grows as
 # p^(1/4); on (-4,4), (1,1,1), p = 10^18 + 3 took 0.6 s (29 MB max RSS) and
 # p = 10^20 - 11 took 2.1 s (64 MB) on a shared 2-core machine under Python 3.11
@@ -346,14 +339,11 @@ def cmd_lrs_eval(args) -> int:
     from . import lrs
 
     n = args.n
-    if args.mod is None and n > MAX_EXACT_EVAL_N:
-        raise ValueError(f"{_named(args, 'n', n)} exceeds the exact evaluation bound {MAX_EXACT_EVAL_N};"
-                         " --mod M evaluates it modulo M")
     spec = _lrs_spec(args)
     if args.mod is None:
         try:
             value = lrs.eval_exact(spec, n)
-        except ValueError as exc:  # a term past lrs.MAX_TERM_BITS
+        except ValueError as exc:  # a power of x, or u_n, past lrs.MAX_TERM_BITS
             raise ValueError(f"--n {n}: {exc}; --mod M evaluates it modulo M") from None
         _printable("u_{}", [(n, value)])
         print(value)

@@ -28,10 +28,10 @@ DEFAULT_FIT_BOUND = 12
 MAX_WALK = 10_000_000
 # most terms one chunk of the walk holds: 256 KB as 4-byte machine integers
 WALK_CHUNK = 1 << 16
-# largest term `eval_exact` holds, in bits: a bound on its work, as each step
-# costs O(k) products of terms this long.  Fibonacci passes it at n = 20,577,
-# and 10^5 order-2 steps on terms of 2^15 bits took 0.52 s (Python 3.11, 2-core
-# machine).  It is no print bound: the CLI checks each term against the int-to-str limit
+# largest coefficient of a power of x that `eval_exact` squares, and largest u_n it returns,
+# in bits: a bound on its work, as each bit of n costs O(k^2) products of such coefficients.
+# Fibonacci's u_n passes it at n = 20,577; at order 32, u_n = C(n-2, 31) took 23 s at n = 2^464,
+# 0.1 s a squaring (Python 3.11, 2-core machine).  No print bound: the CLI checks u_n for that
 MAX_TERM_BITS = 14_284
 
 
@@ -67,39 +67,48 @@ def generate(spec: LrsSpec, n_terms: int) -> list[int]:
 
 
 def eval_exact(spec: LrsSpec, n: int) -> int:
-    """u_n exactly, holding only the last k terms; ValueError once one passes `MAX_TERM_BITS` bits."""
+    """u_n = sum of r_i*r_j*u_(i+j+b+1), as x^(n-1) = r^2 * x^b with r = x^s mod mu
+    and n - 1 = 2s + b; ValueError once a power of x on the way, or u_n, passes
+    `MAX_TERM_BITS` bits.  mu, the minimal recurrence of u_1..u_2k, divides chi
+    and is integral (Fatou, Gauss), so r grows as u does, not as a root of chi
+    that the initial terms cancel."""
     if n < 1:
         raise ValueError("indices start at 1")
-    terms = list(spec.initial)
-    for index in range(spec.order + 1, n + 1):
-        u = sum(c * terms[-i] for i, c in enumerate(spec.coeffs, start=1))
-        if u.bit_length() > MAX_TERM_BITS:
-            raise ValueError(f"u_{index} has {u.bit_length()} bits, past the term bound {MAX_TERM_BITS}")
-        terms = [*terms[1:], u]
-    return terms[min(n, spec.order) - 1]
+    if n <= spec.order:
+        return spec.initial[n - 1]
+    terms = generate(spec, 2 * spec.order)
+    mu = fit_minimal_recurrence(terms, spec.order).spec
+    r = _x_pow_mod(mu.coeffs, (n - 1) // 2, None)
+    u = sum(a * sum(map(mul, r, terms[i + (n - 1) % 2 :])) for i, a in enumerate(r))
+    if u.bit_length() > MAX_TERM_BITS:
+        raise ValueError(f"u_{n} has {u.bit_length()} bits, past the term bound {MAX_TERM_BITS}")
+    return u
 
 
-def _x_pow_mod(coeffs: tuple[int, ...], t: int, m: int) -> list[int]:
-    """[r_0, ..., r_(k-1)] with x^t = r_0 + r_1*x + ... + r_(k-1)*x^(k-1) mod (chi, m).
-
-    chi = x^k - c1*x^(k-1) - ... - ck.  Each bit of t costs one square and
-    one reduction, O(k^2), where a companion-matrix product costs O(k^3).
-    """
+def _x_pow_mod(coeffs: tuple[int, ...], t: int, m: int | None) -> list[int]:
+    """[r_0, ..., r_(k-1)] with x^t = r_0 + r_1*x + ... + r_(k-1)*x^(k-1) mod (chi, m), or
+    mod chi over Z when m is None: then ValueError once a power of x on the way
+    has a coefficient past `MAX_TERM_BITS` bits.  chi = x^k - c1*x^(k-1) - ... - ck.
+    Each bit of t costs one square and one reduction, O(k^2), where a
+    companion-matrix product costs O(k^3)."""
     k = len(coeffs)
-    low = [c % m for c in reversed(coeffs)]  # x^k = ck + c(k-1)*x + ... + c1*x^(k-1)
-    r = [1 % m] + [0] * (k - 1)
-    for bit in bin(t)[2:]:
+    low = [c if m is None else c % m for c in reversed(coeffs)]  # x^k = ck + c(k-1)*x + ... + c1*x^(k-1)
+    r = [1 if m is None else 1 % m] + [0] * (k - 1)
+    for s, bit in enumerate(bin(t)[2:], 1):
         prod = [0] * (2 * k)  # r^2, times x when the bit is set
         for i, a in enumerate(r, int(bit)):
             if a:
                 for j, b in enumerate(r, i):
                     prod[j] += a * b
-        for d in range(2 * k - 1, k - 1, -1):  # x^d = x^(d-k) * x^k
-            top = prod[d] % m
+        for d in range(2 * k - 1, k - 1, -1):  # x^d = x^(d-k) * x^k; popped, so freed once folded
+            top = prod.pop() if m is None else prod.pop() % m
             if top:
                 for i, c in enumerate(low, d - k):
                     prod[i] += top * c
-        r = [a % m for a in prod[:k]]
+        r = prod if m is None else [a % m for a in prod]
+        if m is None and (size := max(map(int.bit_length, r))) > MAX_TERM_BITS:
+            raise ValueError(f"x^{t >> (t.bit_length() - s)} mod the characteristic polynomial has a {size}-bit"
+                             f" coefficient, past the term bound {MAX_TERM_BITS}")
     return r
 
 

@@ -968,10 +968,6 @@ def _refuse(*args, **kwargs):
             (*FALSIFY_FIB, "--start", "999990", "--window", "12"),
             "last index 1000001 exceeds the falsify index bound 1000000",
         ),
-        (
-            ("lrs", "eval", *FIB_ARGS, "--n", "100001"),
-            "--n 100001 exceeds the exact evaluation bound 100000; --mod M evaluates it modulo M",
-        ),
     ],
 )
 def test_sizing_option_past_its_bound_exit2_before_any_work(capsys, monkeypatch, argv, message):
@@ -985,7 +981,8 @@ def test_exact_lrs_eval_bounds_the_size_of_its_terms(capsys):
     code, out, err = run(capsys, "lrs", "eval", "--lrs", "1", str(10**300 + 7), "1", "--n", "5000")
     assert time.monotonic() - start < 1
     assert (code, out) == (2, "")
-    assert err.startswith("error: --n 5000: u_16 has ") and err.endswith("; --mod M evaluates it modulo M\n")
+    assert err.startswith("error: --n 5000: x^19 mod the characteristic polynomial has a ")
+    assert err.endswith("; --mod M evaluates it modulo M\n")
     code, out, _ = run(capsys, "lrs", "eval", *FIB_ARGS, "--n", "20000")
     assert code == 0 and len(out.strip()) == 4180
     # past 14,284 bits a term may pass the 4,300 digits CPython prints: the
@@ -993,8 +990,18 @@ def test_exact_lrs_eval_bounds_the_size_of_its_terms(capsys):
     assert run(capsys, "lrs", "eval", *FIB_ARGS, "--n", "21000") == (
         2,
         "",
-        "error: --n 21000: u_20577 has 14285 bits, past the term bound 14284; --mod M evaluates it modulo M\n",
+        "error: --n 21000: u_21000 has 14578 bits, past the term bound 14284; --mod M evaluates it modulo M\n",
     )
+
+
+def test_exact_lrs_eval_takes_any_n_whose_term_fits(capsys):
+    # --n above 10^5 exited 2 before any step: u_n = n at 10^30 reads x^(5*10^29)
+    n = str(10**30)
+    assert run(capsys, "lrs", "eval", "--lrs", "2", "2", "-1", "1", "2", "--n", n) == (0, n + "\n", "")
+    # u = 0 on a 300-digit coefficient: its minimal recurrence is u_(n+1) = u_n
+    start = time.monotonic()
+    assert run(capsys, "lrs", "eval", "--lrs", "2", "0", str(10**300), "0", "0", "--n", "100000") == (0, "0\n", "")
+    assert time.monotonic() - start < 1
 
 
 CURVE_44 = ("--curve", "-4", "4", "--point", "1", "1", "1")

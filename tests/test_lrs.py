@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from collections import deque
 from contextlib import contextmanager
 from fractions import Fraction
@@ -58,6 +59,13 @@ def test_eval_exact_stops_as_soon_as_a_term_passes_the_bound():
     assert eval_exact(doubling, MAX_TERM_BITS) == 1 << (MAX_TERM_BITS - 1)
     with pytest.raises(ValueError, match=f"u_{MAX_TERM_BITS + 1} has {MAX_TERM_BITS + 1} bits"):
         eval_exact(doubling, MAX_TERM_BITS + 1)
+    # Fibonacci's u_n first passes the bound at n = 20,577, as under iteration
+    assert eval_exact(FIBONACCI, 20_576).bit_length() == MAX_TERM_BITS
+    with pytest.raises(ValueError, match=f"^u_20577 has {MAX_TERM_BITS + 1} bits, past the term bound"):
+        eval_exact(FIBONACCI, 20_577)
+    # a coefficient of 300 digits: x^19 is refused before it is squared
+    with pytest.raises(ValueError, match=r"^x\^19 mod the characteristic polynomial has a 18935-bit coefficient"):
+        eval_exact(LrsSpec(1, (10**300 + 7,), (1,)), 5_000)
 
 
 def test_eval_exact_memory_follows_one_term_not_n():
@@ -78,6 +86,70 @@ def test_eval_exact_memory_follows_one_term_not_n():
                 tracemalloc.stop()
             assert u % 1_000_003 == eval_mod(spec, n, 1_000_003)
             assert peak < 8 * (u.bit_length() // 8) + 4096, (spec, n, peak)
+
+
+def _eval_by_iteration(spec: LrsSpec, n: int) -> int:
+    """u_n by n - k steps of the recurrence, holding the last k terms;
+    ValueError once a term passes `MAX_TERM_BITS`: the reference for `eval_exact`."""
+    terms = list(spec.initial)
+    for index in range(spec.order + 1, n + 1):
+        u = sum(c * terms[-i] for i, c in enumerate(spec.coeffs, start=1))
+        if u.bit_length() > MAX_TERM_BITS:
+            raise ValueError(f"u_{index} has {u.bit_length()} bits, past the term bound {MAX_TERM_BITS}")
+        terms = [*terms[1:], u]
+    return terms[min(n, spec.order) - 1]
+
+
+def _answer(evaluate, spec: LrsSpec, n: int) -> int | None:
+    try:
+        return evaluate(spec, n)
+    except ValueError:
+        return None
+
+
+def test_eval_exact_answers_as_iteration_does_on_a_seeded_sweep():
+    # the zero spec and u = 1 on (x - 1)(x - 100) have roots that the initial
+    # terms cancel: taken modulo chi instead of the minimal recurrence, x^s
+    # passes the bound at s = 30 and s = 2,151, so u_n, read from x^((n-1)/2),
+    # is refused from n = 61 and n = 4,303 on
+    rng = random.Random(40)
+    answered = refused = 0
+    specs = [(spec, {8_000, 100_000}) for spec in (LrsSpec(2, (0, 10**300), (0, 0)), LrsSpec(2, (101, -100), (1, 1)))]
+    specs += [(_random_spec(rng, k, size), set()) for k in range(1, 7) for size in (5, 5, 5, 1_000, 1_000)]
+    for spec, indices in specs:
+        indices |= {1, spec.order + 1, 2 * spec.order + 1, 50, 100, rng.randint(1, 8_000), rng.randint(1, 8_000)}
+        try:
+            _eval_by_iteration(spec, 8_000)
+        except ValueError as exc:  # the first term past the bound: the boundary is compared too
+            first = int(re.match(r"u_(\d+) has", str(exc))[1])
+            indices |= {first - 1, first}
+        for n in sorted(indices):
+            expected = _answer(_eval_by_iteration, spec, n)
+            assert _answer(eval_exact, spec, n) == expected, (spec, n)
+            answered += expected is not None
+            refused += expected is None
+    assert answered > 200 and refused > 30, (answered, refused)
+
+
+def test_eval_exact_answers_a_term_within_the_bound_after_a_larger_one():
+    # u_(2j+1) = 0 and u_(2j) = 4^(j-1) * 2^14283: iteration stops at u_4,
+    # while u_5 = r_0^2 * u_1 with r = x^2 mod x^2 - 4, and the work stays small
+    spec = LrsSpec(2, (0, 4), (0, 1 << (MAX_TERM_BITS - 1)))
+    assert _answer(_eval_by_iteration, spec, 5) is None
+    assert [_answer(eval_exact, spec, n) for n in (3, 4, 5, 1_001)] == [0, None, 0, 0]
+
+
+def test_eval_exact_takes_log_n_squarings():
+    import time
+
+    # iteration took 35 ms a call for Fibonacci at n = 20,000, and the CLI
+    # refused an exact --n past 10^5 before any step
+    start = time.monotonic()
+    for _ in range(100):
+        eval_exact(FIBONACCI, 20_000)
+    assert time.monotonic() - start < 1
+    assert eval_exact(LrsSpec(2, (2, -1), (1, 2)), 10**30) == 10**30
+
 
 def test_eval_exact_matches_matrix_power():
     rng = random.Random(23)
