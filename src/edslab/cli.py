@@ -50,8 +50,8 @@ MAX_RESCLASS_R = 10**7
 # at r = 7, e = 1,000 took 0.55 s.  It bounds lifts, not the size of r^e
 MAX_ELL_E = 1000
 # most `prooflab det --betas`: the t x t determinant is eliminated modulo q; betas
-# 2..t+1 took 7 ms in-process at t = 50 and 0.36 s at t = 200 with q = 1,000,003
-# (12 ms and 0.90 s with q = 2^127 - 1) on a shared 2-core machine under Python 3.11
+# 2..t+1 took 6 ms in-process at t = 50 and 0.29 s at t = 200 with q = 1,000,003
+# (10 ms and 0.51 s with q = 2^127 - 1), best runs on a shared 2-core machine, Python 3.11
 MAX_DET_BETAS = 50
 # most `prooflab qlemma --coeffs`: 50, 75 and 100 coefficients of 1 with --alpha 2
 # took 1.3, 2.1 and 3.4 s.  It bounds the degree, not the coefficients' size
@@ -574,7 +574,8 @@ def cmd_prooflab_ell(args) -> int:
 def cmd_prooflab_fixedpoint(args) -> int:
     from . import prooflab
 
-    rows = [[_rational(cell, f"--matrix {_clip(cell)}") for cell in row.split(",")] for row in args.matrix.split(";")]
+    cells = [row.split(",") for row in args.matrix.split(";")]
+    rows = [[_rational(cell, f"--matrix {_clip(repr(cell))}") for cell in row] for row in cells]
     report = prooflab.fixed_point_collision(rows)
     payload = {
         "size": report.size,

@@ -12,11 +12,11 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import product
 
 from . import _span
 from .elliptic import CurveQ, PointQ, order_class_primes, small_multiple
-from .ntkernel import check_sieve_limit, is_prime
+from .ntkernel import check_sieve_limit, echelon, is_prime
 
 LINEAR_CAP = 31  # largest q `gl2_histogram` enumerates: q^4 matrices
 
@@ -89,13 +89,6 @@ def conjugacy_type_count(q: int, a: int, b: int) -> int:
     return q * q - q
 
 
-def _rank(rows: tuple[tuple[int, ...], tuple[int, ...]], q: int) -> int:
-    """Rank over F_q of a matrix with two rows: 2 if some 2x2 minor is non-zero."""
-    if any((x0 * y1 - y0 * x1) % q for (x0, x1), (y0, y1) in combinations(zip(*rows), 2)):
-        return 2
-    return 1 if any(v % q for row in rows for v in row) else 0
-
-
 def count_affine(q: int, a: int, b: int) -> DensityReport:
     """Pairs (J, u) with tr(J) = a, det(J) = b, and u outside Im(J - I).
 
@@ -123,8 +116,10 @@ def affine_witness(q: int, a: int) -> tuple[tuple[int, int, int, int], tuple[int
     """
     j = ((a - 1) % q, (-1) % q, 0, 1)
     u = (1, 1)
-    m = ((j[0] - 1, j[1]), (j[2], j[3] - 1))  # J - I
-    return j, u, _rank((m[0] + u[:1], m[1] + u[1:]), q) > _rank(m, q)
+    field = (lambda x: pow(x, -1, q), q.__rmod__)  # F_q
+    m = [[j[0] - 1, j[1]], [j[2], j[3] - 1]]  # J - I
+    augmented = [m[0] + [u[0]], m[1] + [u[1]]]
+    return j, u, len(echelon(augmented, *field)[1]) > len(echelon(m, *field)[1])
 
 
 def _empirical_chunk(args) -> dict[str, int]:

@@ -17,10 +17,10 @@ from operator import add, mod, mul
 from . import _span
 from .ntkernel import (
     cyclotomic_factor_orders,
+    echelon,
     is_prime,
     lcm_tower,
     order_from_multiple,
-    rref_fraction,
 )
 
 DEFAULT_FIT_BOUND = 12
@@ -140,8 +140,7 @@ def hankel_rank(terms: list[int]) -> int:
         return 0
     rows = (n + 1) // 2
     mat = [[Fraction(terms[i + j]) for j in range(n - rows + 1)] for i in range(rows)]
-    _, pivots = rref_fraction(mat)
-    return len(pivots)
+    return len(echelon(mat)[1])
 
 
 def _berlekamp_massey(terms: list[int]) -> tuple[int, list[int]]:

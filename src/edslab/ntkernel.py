@@ -309,65 +309,60 @@ def lcm_tower(p: int, k: int) -> int:
 # exact linear algebra (small systems)
 
 
-def det_mod_prime(rows: list[list[int]], q: int) -> int:
-    """Determinant modulo a prime q of a square integer matrix, by elimination
-    over F_q: the product of the pivots, negated per row swap."""
-    mat = [[x % q for x in row] for row in rows]
-    det = 1
-    for c in range(len(mat)):
-        pivot = next((i for i in range(c, len(mat)) if mat[i][c]), None)
-        if pivot is None:
-            return 0
-        mat[c], mat[pivot] = mat[pivot], mat[c]
-        det = det * (1 if pivot == c else -1) * mat[c][c] % q
-        inv = invmod(mat[c][c], q)
-        for i in range(c + 1, len(mat)):
-            if mat[i][c]:
-                f = mat[i][c] * inv % q
-                mat[i] = [(x - f * y) % q for x, y in zip(mat[i], mat[c])]
-    return det
+def echelon(rows: list[list], inverse=lambda x: 1 / x, normal=lambda x: x) -> tuple[list[list], list[int], object]:
+    """Forward (Gaussian) elimination over a field: (echelon rows, pivot
+    columns, determinant), the determinant None unless the matrix is square.
 
-
-def rref_fraction(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form over Q: (rref, pivot columns)."""
-    mat = [list(map(Fraction, row)) for row in rows]
-    if not mat:
-        return [], []
-    ncols = len(mat[0])
+    The field is given by its pivot inverse and entry normalization: by
+    default Q, `1 / x` and the identity on Fraction entries; F_q is
+    `lambda x: pow(x, -1, q)` and `q.__rmod__` on int entries.  An update
+    x - f*y below the pivot row is not normalized; an entry is normalized
+    where it is tested, where its row becomes the pivot row, and as it is
+    returned.  Over F_q, with f and y below q, an update moves it by less
+    than q^2, so no entry passes (len(rows) + 1) * q^2.  The determinant is
+    the product of the pivots, negated per row swap, and 0 once a column has
+    no pivot.
+    """
+    mat = [list(map(normal, row)) for row in rows]
+    ncols = len(mat[0]) if mat else 0
     pivots: list[int] = []
-    r = 0
+    det = 1
     for c in range(ncols):
-        pivot = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(mat)) if normal(mat[i][c])), None)
         if pivot is None:
+            det = 0
             continue
         if pivot != r:
             mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = 1 / mat[r][c]
-        mat[r] = [x * inv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
+            det = -det
+        head = mat[r] = list(map(normal, mat[r]))
+        det = normal(det * head[c])
+        inv = inverse(head[c])
+        tail = head[c:]
+        for row in mat[r + 1 :]:
+            f = normal(row[c] * inv)
+            if f:
+                row[c:] = [x - f * y for x, y in zip(row[c:], tail)]
         pivots.append(c)
-        r += 1
-        if r == len(mat):
+        if len(pivots) == len(mat):
             break
-    return mat, pivots
+    return [list(map(normal, row)) for row in mat], pivots, det if len(mat) == ncols else None
 
 
 def kernel_basis(rows: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Basis of the right kernel of a matrix over Q."""
+    """Basis of the right kernel of a matrix over Q: for each free column, the
+    solution with a 1 there and 0 at the other free columns, by back-substitution."""
     if not rows:
         return []
     ncols = len(rows[0])
-    rref, pivots = rref_fraction(rows)
-    free = [c for c in range(ncols) if c not in pivots]
+    mat, pivots, _ = echelon(rows)
     basis = []
-    for fc in free:
+    for fc in (c for c in range(ncols) if c not in pivots):
         vec = [Fraction(0)] * ncols
         vec[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -rref[r][fc]
+        for row, pc in reversed(list(zip(mat, pivots))):
+            vec[pc] = -sum(x * v for x, v in zip(row[pc + 1 :], vec[pc + 1 :])) / row[pc]
         basis.append(vec)
     return basis
 

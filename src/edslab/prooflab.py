@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .ntkernel import (
     Poly,
-    det_mod_prime,
+    echelon,
     hensel_lift_sqrt,
     invmod,
     is_prime,
@@ -91,7 +91,8 @@ def det_beta_identity(betas: list[int], q: int) -> DetBetaResult:
     if t < 1:
         raise ValueError("need at least one beta")
     betas = [b % q for b in betas]
-    det = det_mod_prime([[pow(b, u, q) - 1 for b in betas] for u in range(1, t + 1)], q)
+    rows = [[pow(b, u, q) - 1 for b in betas] for u in range(1, t + 1)]
+    det = echelon(rows, lambda x: pow(x, -1, q), q.__rmod__)[2]
     product = 1
     for b in betas:
         product = product * (b - 1) % q

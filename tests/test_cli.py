@@ -12,7 +12,7 @@ import pytest
 
 from edslab import cli, eds, lrs, ntkernel, prooflab, refuter
 from edslab.cli import build_parser, main
-from edslab.elliptic import CurveQ, PointQ
+from edslab.elliptic import NAIVE_COUNT_BELOW, CurveQ, PointQ
 from edslab.lrs import FIBONACCI
 
 
@@ -222,7 +222,8 @@ def test_traced_refute_names_the_path_of_each_point_count():
     records = list(map(json.loads, _python(*command, *REFUTE, EDSLAB_TRACE="1").stderr.splitlines()))
     counts = [r for r in records if r.get("span") == "elliptic.count_points"]
     assert counts and all(r["parent"] == "refuter.scan" for r in counts)
-    assert all((r["path"], r["reason"]) == (("naive", "small_p") if r["p"] < 400 else ("mestre", None)) for r in counts)
+    small = ("naive", "small_p")
+    assert all((r["path"], r["reason"]) == (small if r["p"] < NAIVE_COUNT_BELOW else ("mestre", None)) for r in counts)
 
 
 Z87 = ("eds", "gen", "--curve", "8", "3", "--point", "13", "48", "1", "--n", "87")  # z_87 has 4,398 digits
@@ -1372,9 +1373,12 @@ RATIONAL = "must be a rational p or p/q, with q not 0"
         (None, None, (*QLEMMA, "--alpha", "x"), (2, "", f"error: --alpha x {RATIONAL}\n")),
         (None, None, ("prooflab", "qlemma", "--coeffs", LONG, "1", "--alpha", "1"),
          (2, "", f"error: --coeffs 777777777777777777777... {PAST_LIMIT}\n")),
-        (None, None, ("prooflab", "fixedpoint", "--matrix", "0,1;1/0,0"), (2, "", f"error: --matrix 1/0 {RATIONAL}\n")),
+        # a matrix cell is echoed by repr, so an empty one shows as ''
+        (None, None, ("prooflab", "fixedpoint", "--matrix", "0,1;1/0,0"),
+         (2, "", f"error: --matrix '1/0' {RATIONAL}\n")),
         (None, None, ("prooflab", "fixedpoint", "--matrix", "0,1;1e3000000,0"),
-         (2, "", f"error: --matrix 1e3000000 {RATIONAL}\n")),
+         (2, "", f"error: --matrix '1e3000000' {RATIONAL}\n")),
+        (None, None, ("prooflab", "fixedpoint", "--matrix", ",;,"), (2, "", f"error: --matrix '' {RATIONAL}\n")),
         (None, None, (*QLEMMA, "--alpha", "3/2"),
          (0, "degree  predicted_degree  leading  predicted_leading  pass\n"
              "5       5                 -216     -216               True\n", "")),
@@ -1389,7 +1393,7 @@ RATIONAL = "must be a rational p or p/q, with q not 0"
         "lrs-file-comment", "terms-file-comment", "config-long", "curve-file-long", "lrs-file-long",
         "terms-file-long", "verify-long", "verify-long-version", "verify-long-flag", "verify-long-window",
         "alpha-exponent", "alpha-zero-denominator", "alpha-word", "coeffs-long", "matrix-zero-denominator",
-        "matrix-exponent", "alpha-ratio", "curve-file-bad", "lrs-file-bad", "terms-file-bad",
+        "matrix-exponent", "matrix-empty-cell", "alpha-ratio", "curve-file-bad", "lrs-file-bad", "terms-file-bad",
     ],
 )
 def test_one_reader_for_text_from_outside(tmp_path, capsys, monkeypatch, name, text, argv, expected):

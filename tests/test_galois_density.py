@@ -6,7 +6,7 @@ import random
 import sys
 import tracemalloc
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -27,7 +27,6 @@ from edslab.elliptic import (
     small_multiple,
 )
 from edslab.galois_density import (
-    _rank,
     affine_witness,
     conjugacy_type_count,
     count_affine,
@@ -50,6 +49,13 @@ def _trace_det_cell(q: int, a: int, b: int) -> list[tuple[int, int, int, int]]:
         for m11, m12, m21 in product(range(q), repeat=3)
         if (m11 * (a - m11) - m12 * m21 - b) % q == 0
     ]
+
+
+def _rank(rows: tuple[tuple[int, ...], tuple[int, ...]], q: int) -> int:
+    """Rank over F_q of a matrix with two rows: 2 if some 2x2 minor is non-zero."""
+    if any((x0 * y1 - y0 * x1) % q for (x0, x1), (y0, y1) in combinations(zip(*rows), 2)):
+        return 2
+    return 1 if any(v % q for row in rows for v in row) else 0
 
 
 def _affine_rank_sum(q: int, a: int, b: int) -> int:

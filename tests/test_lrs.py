@@ -33,7 +33,6 @@ from edslab.ntkernel import (
     kernel_basis,
     lcm_tower,
     order_from_multiple,
-    rref_fraction,
     sieve_primes,
 )
 from test_ntkernel import _reference_cyclotomic_orders, cyclotomic_polynomial, poly_divmod
@@ -278,19 +277,19 @@ def test_fit_fatou_violation_diagnostic():
 
 
 def _reference_fit_order(terms: list[int], k: int) -> tuple[Fraction, ...] | None:
-    """Order-k coefficients reproducing every window, by one Fraction RREF, or None."""
-    rows = [[Fraction(terms[i + k - j]) for j in range(1, k + 1)] for i in range(len(terms) - k)]
-    augmented = [row + [Fraction(terms[i + k])] for i, row in enumerate(rows)]
-    rref, pivots = rref_fraction(augmented)
-    if k in pivots:
-        return None  # inconsistent
-    coeffs = [Fraction(0)] * k
-    for r, pc in enumerate(pivots):
-        coeffs[pc] = rref[r][k]
+    """Order-k coefficients reproducing every window, or None, from the kernel
+    over Q of [A | b], A x = b being the windows: the basis vector with a 1 in
+    the b column is (-x, 1) with x 0 at A's free columns."""
+    augmented = [[Fraction(terms[i + k - j]) for j in (*range(1, k + 1), 0)] for i in range(len(terms) - k)]
+    basis = kernel_basis(augmented)
+    if not basis or basis[-1][k] == 0:
+        return None  # b is a pivot column: inconsistent
+    *homogeneous, last = basis
+    coeffs = [-v for v in last[:k]]
     if coeffs[-1] == 0:
         # prefer a representative with a non-zero trailing coefficient
-        for vec in kernel_basis(rows):
-            if vec[-1] != 0:
+        for vec in homogeneous:
+            if vec[k - 1] != 0:
                 coeffs = [c + v for c, v in zip(coeffs, vec)]
                 break
         else:
@@ -299,7 +298,7 @@ def _reference_fit_order(terms: list[int], k: int) -> tuple[Fraction, ...] | Non
 
 
 def _reference_fit(terms: list[int], bound: int):
-    """The per-order search: one RREF for each order 1..bound, a Fatou
+    """The per-order search: one kernel for each order 1..bound, a Fatou
     violation recorded for each order with only rational coefficients."""
     violations = []
     for k in range(1, bound + 1):

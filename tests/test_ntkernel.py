@@ -14,7 +14,7 @@ from edslab.ntkernel import (
     Poly,
     cyclotomic_factor_orders,
     cyclotomic_orders,
-    det_mod_prime,
+    echelon,
     factorize,
     hensel_lift_sqrt,
     iter_primes,
@@ -374,7 +374,7 @@ def test_exact_linear_algebra():
 
 def _leibniz(rows: list[list[int]]) -> int:
     """The determinant as a sum of signed products over permutations: the
-    reference for the determinant modulo q and for the rank by minors."""
+    reference for the determinant and for the rank by minors."""
     n = len(rows)
     total = 0
     for perm in itertools.permutations(range(n)):
@@ -383,71 +383,73 @@ def _leibniz(rows: list[list[int]]) -> int:
     return total
 
 
-def _rank_by_minors(rows: list[list[int]], n_cols: int) -> int:
-    """The largest r with a non-zero r x r minor in the first n_cols columns."""
+def _rank_by_minors(rows: list[list[int]], n_cols: int, into=Fraction) -> int:
+    """The largest r with an r x r minor in the first n_cols columns that is
+    non-zero in the field `into` maps the integers onto."""
     for r in range(min(len(rows), n_cols), 0, -1):
         for ri in itertools.combinations(range(len(rows)), r):
             for ci in itertools.combinations(range(n_cols), r):
-                if _leibniz([[rows[i][j] for j in ci] for i in ri]):
+                if into(_leibniz([[rows[i][j] for j in ci] for i in ri])):
                     return r
     return 0
 
 
-def _elimination_cases():
-    """(matrix, Hankel terms or None): seeded integer matrices 1x1..5x5."""
-    rng = random.Random(2718)
-    for n in range(1, 6):
-        for _ in range(8):
-            yield [[rng.choice((0, 0, 0, -3, -1, 1, 2, 5)) for _ in range(n)] for _ in range(n)], None
-        full = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
-        # the first pivot needs a row swap
+def _elimination_cases(q: int | None):
+    """(integer matrix, Hankel terms or None), n x n and n x (n + 1) for n up
+    to 6, seeded by q, with entries below 3q in size (15 over Q, q None)."""
+    rng, size = random.Random(q or 2718), q or 5
+    for n in range(1, 7):
+        for _ in range(6):
+            entries = (0, 0, 1, -1, 2, rng.randrange(-3 * size, 3 * size))
+            yield [[rng.choice(entries) for _ in range(n)] for _ in range(n)], None
+        full = [[rng.randrange(-3 * size, 3 * size) for _ in range(n)] for _ in range(n)]
+        # the first pivot needs a row swap: its entry is 0 in the field
         swap = [row[:] for row in full]
-        swap[0][0], swap[-1][0] = 0, 1
+        swap[0][0], swap[-1][0] = q or 0, 1
         yield swap, None
-        # a zero first column, and a repeated row: both singular
-        yield [[0, *row[1:]] for row in full], None
+        # a zero column, and a repeated row: both singular
+        yield [[*row[:-1], 0] for row in full], None
         yield [*full[: n - 1], full[0]] if n > 1 else [[0]], None
-        terms = [rng.randint(-3, 3) for _ in range(2 * n - 1)]
-        yield [[terms[i + j] for j in range(n)] for i in range(n)], terms
+        # square and one column wider
+        for width in (n, n + 1):
+            terms = [rng.randint(-3, 3) for _ in range(n + width - 1)]
+            yield [[terms[i + j] for j in range(width)] for i in range(n)], terms
 
 
-def test_one_elimination_gives_the_rank_and_kernel():
+@pytest.mark.parametrize("q", [2, 3, 7, 1_000_003, 2**127 - 1, None])
+def test_one_elimination_gives_the_determinant_rank_and_kernel(q):
+    # over F_q (`pow(x, -1, q)` and `q.__rmod__` on ints) and over Q (q None:
+    # `1 / x` and the identity on Fractions), checked against the Leibniz
+    # determinant and the rank by minors
     from edslab.lrs import hankel_rank
 
+    field, into = ((lambda x: pow(x, -1, q), q.__rmod__), q.__rmod__) if q else ((), Fraction)
     seen = {"swap": 0, "singular": 0, "regular": 0}
-    for rows, terms in _elimination_cases():
-        n = len(rows)
-        det = _leibniz(rows)
-        seen["singular" if det == 0 else "regular"] += 1
-        seen["swap"] += det != 0 and rows[0][0] == 0
-        rank = _rank_by_minors(rows, n)
-        if terms is not None:
-            assert hankel_rank(terms) == rank, terms
-        # the kernel basis is the reduced-echelon one: a unit at one free
-        # column (a column in the span of those before it), 0 at the others
-        free = [c for c in range(n) if _rank_by_minors(rows, c + 1) == _rank_by_minors(rows, c)]
-        basis = kernel_basis([[Fraction(x) for x in row] for row in rows])
-        assert len(basis) == len(free) == n - rank, rows
-        for fc, vec in zip(free, basis):
-            assert [vec[c] for c in free] == [int(c == fc) for c in free], rows
-            assert all(sum(a * v for a, v in zip(row, vec)) == 0 for row in rows), rows
-    assert min(seen.values()) >= 5, seen
-
-
-@pytest.mark.parametrize("q", [2, 3, 7, 1_000_003, 2**127 - 1])
-def test_det_mod_prime_matches_the_leibniz_formula(q):
-    rng = random.Random(q)
-    seen = {"swap": 0, "singular": 0, "regular": 0}
-    for t in range(1, 7):
-        for _ in range(6):
-            full = [[rng.choice((0, 1, -1, rng.randrange(-3 * q, 3 * q))) for _ in range(t)] for _ in range(t)]
-            # the first pivot needs a row swap
-            swap = [row[:] for row in full]
-            swap[0][0], swap[-1][0] = q, 1
-            zero_column = [[*row[:-1], 0] for row in full]
-            for rows in (full, swap, zero_column):
-                det = _leibniz(rows) % q
-                assert det_mod_prime(rows, q) == det, (rows, q)
-                seen["singular" if det == 0 else "regular"] += 1
-                seen["swap"] += rows is swap and det != 0
+    for rows, terms in _elimination_cases(q):
+        n, width = len(rows), len(rows[0])
+        mat, pivots, det = echelon(rows if q else [list(map(Fraction, row)) for row in rows], *field)
+        # a pivot at each column outside the span of the columns before it
+        ranks = [_rank_by_minors(rows, c, into) for c in range(width + 1)]
+        assert pivots == [c for c in range(width) if ranks[c + 1] > ranks[c]], (rows, q)
+        rank = len(pivots)
+        for r, row in enumerate(mat):
+            lead = pivots[r] if r < rank else width
+            assert not any(row[:lead]) and (r >= rank or row[lead]), (rows, q)
+            assert all(type(x) is int and 0 <= x < q for x in row) if q else all(type(x) is Fraction for x in row)
+        if width > n:
+            assert det is None
+        else:
+            assert det == into(_leibniz(rows)), (rows, q)
+            seen["singular" if det == 0 else "regular"] += 1
+            seen["swap"] += det != 0 and into(rows[0][0]) == 0
+        if q is None:
+            if terms is not None:
+                assert hankel_rank(terms) == rank, terms
+            # the kernel basis: a unit at one free column, 0 at the others
+            free = [c for c in range(width) if c not in pivots]
+            basis = kernel_basis([[Fraction(x) for x in row] for row in rows])
+            assert len(basis) == len(free) == width - rank, rows
+            for fc, vec in zip(free, basis):
+                assert [vec[c] for c in free] == [int(c == fc) for c in free], rows
+                assert all(sum(a * v for a, v in zip(row, vec)) == 0 for row in rows), rows
     assert min(seen.values()) >= 5, seen

@@ -4,7 +4,7 @@ from itertools import permutations
 
 import pytest
 
-from edslab import ntkernel
+from edslab import ntkernel, prooflab
 from edslab.ntkernel import NonResidueError, Poly, sieve_primes
 from edslab.prooflab import (
     AdmissibilityError,
@@ -69,13 +69,25 @@ def test_det_beta_degenerate_cases():
 
 
 def test_det_beta_fifty_betas_eliminate_modulo_q(monkeypatch):
-    # the determinant is taken over F_q, so no elimination over Q runs
-    def refuse(*_):
-        raise AssertionError("eliminated over Q")
+    # the determinant is taken over F_q: each value the elimination normalizes,
+    # each pivot it inverts, each entry it returns and the determinant is an
+    # int in [0, q); over Q they would be Fractions
+    q, seen = 1_000_003, []
 
-    monkeypatch.setattr(ntkernel, "rref_fraction", refuse)
-    result = det_beta_identity(list(range(2, 52)), 1_000_003)
+    def in_f_q(x):
+        assert type(x) is int and 0 <= x < q, x
+        seen.append(x)
+        return x
+
+    def over_f_q(rows, inverse, normal):
+        mat, pivots, det = ntkernel.echelon(rows, lambda x: inverse(in_f_q(x)), lambda x: in_f_q(normal(x)))
+        assert all(in_f_q(x) is x for row in mat for x in row)
+        return mat, pivots, in_f_q(det)
+
+    monkeypatch.setattr(prooflab, "echelon", over_f_q)
+    result = det_beta_identity(list(range(2, 52)), q)
     assert (result.determinant, result.product, result.sign, result.consistent) == (256200, 743803, -1, True)
+    assert len(seen) > 50 * 50
 
 
 def test_count_admissible_t0():
