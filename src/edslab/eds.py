@@ -27,7 +27,6 @@ from . import _span
 from .elliptic import (
     CurveFp,
     CurveQ,
-    InexactDivisionError,
     PointQ,
     _companion_gcd,
     _double_block,
@@ -44,7 +43,7 @@ from .elliptic import (
     point_order_fp,
     reduce_point,
 )
-from .ntkernel import IncompleteFactorization, factorize, invmod, is_prime, multiplicative_order
+from .ntkernel import IncompleteFactorization, factorize, is_prime, multiplicative_order
 
 
 @dataclass(frozen=True)
@@ -177,7 +176,7 @@ def stream_mod_p(seeds: tuple[int, int, int, int], p: int, n_terms: int) -> list
         raise ValueError(f"stream modulo {p} needs p coprime to w1*w2")
     w = [0] * (max(n_terms, 4) + 1)
     w[1], w[2], w[3], w[4] = (s % p for s in seeds)
-    inv = [invmod(d % p, p) for d in _ward_denominators(w1, w2)]
+    inv = [pow(d % p, -1, p) for d in _ward_denominators(w1, w2)]
     for m in range(5, n_terms + 1):
         w[m] = _ward_step(w, m) * inv[m & 1] % p
     return w[: n_terms + 1]
@@ -216,7 +215,7 @@ def _ward_period(seeds: tuple[int, int, int, int], p: int, rank: int) -> tuple[i
     """`ward_period`'s answer, with the ladders it ran and their doubling steps."""
     half = ladder_block(seeds, p, rank >> 1)
     w = [s % p for s in (-seeds[2], -seeds[1], -seeds[0], 0, *seeds)]  # w_n for n = -3..4
-    inv, bit = [invmod(d % p, p) for d in _ward_denominators(w[4], w[5])], rank & 1
+    inv, bit = [pow(d % p, -1, p) for d in _ward_denominators(w[4], w[5])], rank & 1
     block = [num * inv[m & 1] % p for m, num in zip(range(3 + bit, 11 + bit), _double_block(half, bit))]  # at r
     ladders, steps = 1, max(rank.bit_length(), 2)  # the steps to r >> 1 (one at least) and the last
     if block[3] != 0 or 0 in block[4:6] or (bit == 0 and half[3] == 0):
@@ -226,8 +225,8 @@ def _ward_period(seeds: tuple[int, int, int, int], p: int, rank: int) -> tuple[i
             ladders, steps = ladders + 1, steps + max((rank // ell).bit_length(), 1)
             if ladder_block(seeds, p, rank // ell)[3] == 0:
                 return None, ladders, steps
-    a = block[5] * w[4] * invmod(w[5] * block[4], p) % p
-    b = block[4] * invmod(w[4] * a, p) % p
+    a = block[5] * w[4] * pow(w[5] * block[4], -1, p) % p
+    b = block[4] * pow(w[4] * a, -1, p) % p
     if any(block[n + 3] != w[n + 3] * pow(a, n, p) * b % p for n in range(-3, 5)):
         return None, ladders, steps
     t = multiplicative_order(a, p)
@@ -350,17 +349,13 @@ def primitive_divisor_scan(seq: EdsSequence) -> list[PrimitiveReport]:
 # sequence cache
 
 
-def cache_key(curve: CurveQ, point: PointQ) -> str:
+def cache_path(cache_dir: str, curve: CurveQ, point: PointQ) -> str:
     # in the cache functions only, from CPython's built-in module: hashlib
     # would load OpenSSL, whatever hash it is asked for
     from _blake2 import blake2b
 
     payload = f"curve {curve.a} {curve.b} point {point.x} {point.y} {point.z}"
-    return blake2b(payload.encode(), digest_size=32).hexdigest()
-
-
-def cache_path(cache_dir: str, curve: CurveQ, point: PointQ) -> str:
-    return os.path.join(cache_dir, cache_key(curve, point) + ".eds")
+    return os.path.join(cache_dir, blake2b(payload.encode(), digest_size=32).hexdigest() + ".eds")
 
 
 CACHE_HEADER = "edslab-eds 4\n"
@@ -410,8 +405,12 @@ def load_sequence(cache_dir: str, curve: CurveQ, point: PointQ, n_terms: int) ->
     1..M.  The hash only finds corruption; it does not tie the file to its
     (curve, point), so the first and last requested terms must also equal
     the exact z_1 and z_n of `geometric_term`, O(log n) ladder steps over Z.
-    The caller regenerates.  Under EDSLAB_TRACE=1 each call writes one span
-    that tells a hit from a miss and names the miss.
+    The caller regenerates.  Neither check finds a deliberate edit: a term
+    other than z_1 and z_n changed, with the hash line recomputed, loads, so
+    the cache is as trustworthy as whoever can write its directory.  Checking
+    every term exactly would cost the products that generating them costs.
+    Under EDSLAB_TRACE=1 each call writes one span that tells a hit from a
+    miss and names the miss.
     """
     with _span("eds.load_sequence", n_terms=n_terms) as record:
         seq, miss = _read_cached(cache_path(cache_dir, curve, point), curve, point, n_terms)

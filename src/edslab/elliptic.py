@@ -12,7 +12,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 from . import _span
-from .ntkernel import invmod, is_prime, iter_primes, order_from_multiple
+from .ntkernel import is_prime, iter_primes, order_from_multiple
 
 TORSION_SEARCH_BOUND = 12  # Mazur: no rational torsion point has a larger order
 # the trace a_p = a (mod q) that the witness finder and the empirical scan
@@ -28,10 +28,6 @@ CM_DISCRIMINANTS = {
     0: -3, 1728: -4, -3375: -7, 8000: -8, -32768: -11, 54000: -12, 287496: -16, -884736: -19,
     -12288000: -27, 16581375: -28, -884736000: -43, -147197952000: -67, -262537412640768000: -163,
 }
-
-
-class BadReductionError(ValueError):
-    """Raised when an operation requires good reduction at p and lacks it."""
 
 
 @dataclass(frozen=True)
@@ -87,11 +83,6 @@ class PointQ:
     @property
     def is_infinity(self) -> bool:
         return self.z == 0
-
-    def __neg__(self) -> "PointQ":
-        if self.is_infinity:
-            return self
-        return PointQ(self.x, -self.y, self.z)
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +207,7 @@ def ladder_block(seeds: tuple[int, int, int, int], p: int | None, n: int) -> lis
     den = _ward_denominators(w1, w2)
     bits = map(int, bin(n)[2:])
     if p is not None:
-        inv = [invmod(d % p, p) for d in den]
+        inv = [pow(d % p, -1, p) for d in den]
         pairs = (inv[::-1], inv)  # the inverses of the steps 3 + b and 4 + b
         for b in bits:
             n0, n1, n2, n3, n4, n5, n6, n7 = _double_block(w, b)
@@ -324,7 +315,7 @@ def reduce_point(p: PointQ, curve: CurveQ, prime: int) -> PointFp:
         return None
     if p.z % prime == 0:
         return None  # reduces into the identity
-    zi = invmod(p.z, prime)
+    zi = pow(p.z, -1, prime)
     z2 = zi * zi % prime
     return (p.x * z2 % prime, p.y * z2 * zi % prime)
 
@@ -578,7 +569,7 @@ def _unique_hasse_candidate(m_e: int, m_twist: int, p: int) -> int | None:
         return None
     # N = m_e * t with m_e * t = 2p + 2 (mod m_twist)
     mod = m_twist // g
-    t = (2 * p + 2) // g * invmod(m_e // g, mod) % mod
+    t = (2 * p + 2) // g * pow(m_e // g, -1, mod) % mod
     period = m_e * mod
     n = m_e * t
     n += -(-(lo - n) // period) * period  # least candidate >= lo
@@ -652,7 +643,7 @@ def _mestre_count(curve: CurveFp) -> tuple[int | None, int]:
 def point_order_fp(pt: PointFp, curve: CurveFp, n_points: int) -> int:
     """Exact order of a point in E(F_p), by stripping primes from n_points = #E."""
     if not curve.good:
-        raise BadReductionError(f"bad reduction at {curve.p}")
+        raise ValueError(f"bad reduction at {curve.p}")
     if pt is None:
         return 1
     p, a = curve.p, curve.a

@@ -216,14 +216,6 @@ def multiplicative_order(a: int, p: int) -> int:
     return order_from_multiple(p - 1, lambda k: pow(a, k, p) == 1)
 
 
-def invmod(a: int, m: int) -> int:
-    """Inverse of a modulo m; raises ValueError when gcd(a, m) != 1."""
-    try:
-        return pow(a, -1, m)
-    except ValueError:
-        raise ValueError(f"{a} is not invertible modulo {m}") from None
-
-
 # ---------------------------------------------------------------------------
 # modular square roots, lcm towers
 
@@ -292,7 +284,7 @@ def hensel_lift_sqrt(a: int, r: int, e: int) -> int:
     mod = r
     for _ in range(e - 1):
         mod *= r
-        s = (s - (s * s - a) * invmod(2 * s, mod)) % mod
+        s = (s - (s * s - a) * pow(2 * s, -1, mod)) % mod
     return s
 
 

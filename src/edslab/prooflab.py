@@ -15,7 +15,6 @@ from .ntkernel import (
     Poly,
     echelon,
     hensel_lift_sqrt,
-    invmod,
     is_prime,
     kernel_basis,
     legendre_symbol,
@@ -101,7 +100,7 @@ def det_beta_identity(betas: list[int], q: int) -> DetBetaResult:
             product = product * (betas[i] - betas[j]) % q
     if product == 0:
         return DetBetaResult(det, product, None, det == 0)
-    ratio = det * invmod(product, q) % q
+    ratio = det * pow(product, -1, q) % q
     sign = 1 if ratio == 1 else -1 if ratio == q - 1 else None
     return DetBetaResult(det, product, sign, sign is not None)
 
@@ -158,7 +157,7 @@ def construct_ell(r: int, e: int, n0: int, j: int, c: int) -> int:
     disc = n0 * n0 + j * c
     s = hensel_lift_sqrt(disc, r, e)
     modulus = r**e
-    ell = (-n0 + s) * invmod(c, modulus) % modulus
+    ell = (-n0 + s) * pow(c, -1, modulus) % modulus
     if (2 * ell * n0 + c * ell * ell - j) % modulus != 0:
         raise RuntimeError(
             f"internal error: candidate {ell} fails the defining congruence mod {r}^{e}"

@@ -22,14 +22,7 @@ import json
 from dataclasses import dataclass, field
 
 from . import _clip, _int, _print_limit, _span
-from .eds import (
-    _period_horizon,
-    division_poly_seeds,
-    generate_geometric,
-    ladder_block,
-    require_exact_companion,
-    ward_period,
-)
+from .eds import _period_horizon, generate_geometric, require_exact_companion, ward_period
 from .elliptic import (
     DEFAULT_A_TARGET,
     CurveFp,
@@ -37,8 +30,10 @@ from .elliptic import (
     PointQ,
     count_points,
     count_points_naive,
+    division_poly_seeds,
     hasse_interval,
     is_torsion,
+    ladder_block,
     order_class_primes,
     point_order_fp,
     reduce_point,

@@ -914,6 +914,19 @@ def test_lrs_period_with_squares_walks_u_once(capsys, monkeypatch):
     assert (code, out, err) == (2, "", "error: the recurrence mod 3169 does not return within 1000 steps\n")
 
 
+def test_lrs_period_with_squares_walks_u_whatever_the_method(capsys):
+    # the square-sampled period needs the walk of u mod p, so past
+    # lrs.MAX_WALK `--squares` exits 2 where `lrs period` alone reads the
+    # period from x^t mod chi
+    args = ("lrs", "period", "--lrs", "5", "1", "1", "0", "0", "1", "1", "1", "1", "1", "1", "--p", "223")
+    code, out, _ = run(capsys, *args, "--format", "json")
+    assert (code, json.loads(out)) == (0, {"p": 223, "period": 2_484_112_961})
+    assert 2_484_112_961 > lrs.MAX_WALK
+    refusal = f"error: the recurrence mod 223 does not return within {lrs.MAX_WALK} steps\n"
+    for method in ((), ("--method", "matrix"), ("--method", "iteration")):
+        assert run(capsys, *args, *method, "--squares") == (2, "", refusal)
+
+
 def factoring_gives_up_past(bound: int):
     """A stand-in for ntkernel.factorize that gives up at once on any n above bound."""
     factorize = ntkernel.factorize

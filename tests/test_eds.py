@@ -10,7 +10,6 @@ import pytest
 from edslab import eds, elliptic
 
 from edslab.eds import (
-    InexactDivisionError,
     WardSeed,
     division_poly_seeds,
     eds_period_mod_p,
@@ -27,6 +26,7 @@ from edslab.eds import (
 from edslab.elliptic import (
     CurveFp,
     CurveQ,
+    InexactDivisionError,
     PointQ,
     count_points,
     is_torsion,

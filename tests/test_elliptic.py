@@ -14,7 +14,6 @@ from edslab.elliptic import (
     NAIVE_COUNT_BELOW,
     RATIONAL_BASE_MAX_BITS,
     TORSION_SEARCH_BOUND,
-    BadReductionError,
     CurveFp,
     CurveQ,
     PointQ,
@@ -148,7 +147,7 @@ def test_point_normalization_rules():
 
 def test_identity_and_inverse():
     assert add(P, PointQ.infinity(), E) == P
-    assert add(P, -P, E) == PointQ.infinity()
+    assert add(P, PointQ(P.x, -P.y, P.z), E) == PointQ.infinity()
 
 
 def test_doubling_fixed_value():
@@ -247,13 +246,14 @@ def test_integer_add_matches_the_fraction_chord_tangent_law(curve, point):
     ref = [PointQ.infinity(), point]
     for _ in range(2, 41):
         ref.append(_fraction_add(ref[-1], point, curve))
+    neg = [PointQ(r.x, -r.y, r.z) for r in ref]
     for n in range(1, 41):
         assert scalar_mul(n, point, curve) == ref[n]
-        assert add(ref[n], -ref[n], curve) == PointQ.infinity()
+        assert add(ref[n], neg[n], curve) == PointQ.infinity()
         assert add(ref[n], ref[n], curve) == _fraction_add(ref[n], ref[n], curve) == scalar_mul(2 * n, point, curve)
     for m, n in ((1, 2), (3, 5), (7, 20), (20, 7), (13, 27)):
         assert add(ref[m], ref[n], curve) == _fraction_add(ref[m], ref[n], curve) == ref[m + n]
-        assert add(ref[n], -ref[m], curve) == _fraction_add(ref[n], -ref[m], curve)
+        assert add(ref[n], neg[m], curve) == _fraction_add(ref[n], neg[m], curve)
     assert list(islice(multiples(point, curve), 40)) == ref[1:]
 
 
@@ -573,7 +573,7 @@ def test_point_arithmetic_loads_no_sequence_module():
         "from edslab.elliptic import CurveQ, PointQ, is_torsion, scalar_mul, small_multiple\n"
         "curve, point = CurveQ(0, 1), PointQ(2, 3, 1)\n"
         "assert is_torsion(point, curve) == (True, 6)\n"
-        "assert small_multiple(5, point, curve) == scalar_mul(5, point, curve) == -point\n"
+        "assert small_multiple(5, point, curve) == scalar_mul(5, point, curve) == PointQ(2, -3, 1)\n"
         "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'edslab'))\n"
     )
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
@@ -590,7 +590,7 @@ def test_point_order_rejects_bad_reduction():
     curve = CurveFp.from_curve(E, 3)  # disc = 243
     assert not curve.good
     n_points = count_points(curve)[0]
-    with pytest.raises(BadReductionError):
+    with pytest.raises(ValueError, match="^bad reduction at 3$"):
         point_order_fp((1, 2), curve, n_points)
 
 

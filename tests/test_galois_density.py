@@ -271,28 +271,33 @@ def test_scan_searches_only_the_multiples_of_q(monkeypatch):
     # multiples of q 271.  Each is one inversion pow(., -1, p), except one
     # base of order 2, whose double is O.  Besides them, each prime takes at
     # most 2 scalar multiples mod p: the first giant point and the q-free
-    # part of the multiple.
+    # part of the multiple.  The inversions of those multiples and of the
+    # reductions of P and q*P mod p are not the search's, and are not counted.
     searches, muls, rational, inversions = [], [], [], []
-    search, mul, rational_mul = elliptic.multiple_in_hasse, elliptic.fp_scalar_mul, elliptic.scalar_mul
-    in_mul = []
+    search, rational_mul = elliptic.multiple_in_hasse, elliptic.scalar_mul
+    outside = []
 
-    def counting_mul(*args):
-        muls.append(1)
-        in_mul.append(1)
-        try:
-            return mul(*args)
-        finally:
-            in_mul.pop()
+    def uncounted(fn, calls):
+        def wrapper(*args):
+            calls.append(1)
+            outside.append(1)
+            try:
+                return fn(*args)
+            finally:
+                outside.pop()
+
+        return wrapper
 
     def counting_pow(base, exp, mod=None):
-        if exp == -1 and not in_mul:
+        if exp == -1 and not outside:
             inversions.append(1)
         return builtins.pow(base, exp, mod)
 
     monkeypatch.setattr(
         elliptic, "multiple_in_hasse", lambda *args: searches.append(args[3]) or search(*args)
     )
-    monkeypatch.setattr(elliptic, "fp_scalar_mul", counting_mul)
+    monkeypatch.setattr(elliptic, "fp_scalar_mul", uncounted(elliptic.fp_scalar_mul, muls))
+    monkeypatch.setattr(elliptic, "reduce_point", uncounted(elliptic.reduce_point, []))
     monkeypatch.setattr(elliptic, "scalar_mul", lambda *args: rational.append(args[0]) or rational_mul(*args))
     monkeypatch.setattr(elliptic, "pow", counting_pow, raising=False)
     scan = empirical_density(E, P, 13, 3, 4000).empirical

@@ -5,7 +5,8 @@ defines (a method, property or field) must be read somewhere in the
 library or by the acceptance criteria.  Otherwise only the tests run it,
 or nothing does, and it belongs in the tests or nowhere.  Likewise every
 parameter with a default must be passed by some call in the library: a
-default no caller overrides is a constant, not an option."""
+default no caller overrides is a constant, not an option; and every name a
+module imports from another must be defined there and used where imported."""
 
 import ast
 from collections import Counter
@@ -204,6 +205,47 @@ def test_every_class_member_is_read_outside_the_tests():
 def test_every_default_is_passed_by_a_library_call():
     unpassed = set(_unpassed_defaults())
     assert unpassed - set(KEPT) == set(), sorted(unpassed - set(KEPT))
+
+
+def _top_level_names(tree: ast.Module) -> set[str]:
+    """The names a module defines at its top level: functions, classes and
+    assigned names, not the names it imports."""
+    names = set()
+    for top in tree.body:
+        if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(top.name)
+        elif isinstance(top, (ast.Assign, ast.AnnAssign)):
+            targets = top.targets if isinstance(top, ast.Assign) else [top.target]
+            names.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return names
+
+
+def _misplaced_imports() -> list[str]:
+    """module: from .home import name, for each relative import of a name
+    that home does not define at its top level (it passes on an import) or
+    that the importing module never uses.  `from . import eds`, an import of
+    a submodule, is exempt."""
+    modules = _modules()
+    defined = {module: _top_level_names(tree) for module, tree in modules.items()}
+    misplaced = []
+    for module, tree in modules.items():
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.ImportFrom) and node.level == 1):
+                continue
+            home = node.module or "__init__"
+            for alias in node.names:
+                if node.module is None and alias.name in modules:
+                    continue
+                if alias.name not in defined[home] or (alias.asname or alias.name) not in used:
+                    misplaced.append(f"{module}: from .{node.module or ''} import {alias.name}")
+    return misplaced
+
+
+def test_every_import_names_its_home_module_and_is_used():
+    # a name imported through a module that only imports it itself hides
+    # where it lives, and an unused import keeps a dependency nothing needs
+    assert _misplaced_imports() == []
 
 
 def test_every_kept_name_still_exists_and_still_lacks_a_caller():

@@ -18,7 +18,6 @@ from edslab.ntkernel import (
     factorize,
     hensel_lift_sqrt,
     iter_primes,
-    invmod,
     is_prime,
     kernel_basis,
     lcm_tower,
@@ -156,9 +155,6 @@ def test_prime_helpers():
     assert is_prime(2**61 - 1)
     assert not is_prime(2**67 - 1)
     assert next_prime(13) == 17
-    assert invmod(3, 7) == 5
-    with pytest.raises(ValueError):
-        invmod(6, 9)
 
 
 def test_factorize_roundtrip():
