@@ -29,9 +29,9 @@ EXIT_INCONCLUSIVE = 3
 EXIT_VERIFY_FAILED = 4
 
 CACHE_ENV = "EDSLAB_CACHE"
-# largest `lrs decimate --m`: decimation generates m*(2k+8) exact terms whose
-# sizes grow linearly in the index, so memory grows as m^2 (Fibonacci at
-# m = 3000 peaks at 80 MB)
+# largest `lrs decimate --m`, and M^2 of `lrs degenerate --reduce`: decimation
+# generates m*(2k+8) exact terms whose sizes grow linearly in the index, so
+# memory grows as m^2 (Fibonacci at m = 3000 peaks at 80 MB)
 MAX_DECIMATE_M = 1000
 # largest `eds gen --n * --stride`, `eds ward --n` and `eds zsigmondy --n`:
 # generating z_1..z_N takes time that grows about 16x per doubling of N; on
@@ -56,10 +56,10 @@ MAX_DET_BETAS = 50
 # most `prooflab qlemma --coeffs`: 50, 75 and 100 coefficients of 1 with --alpha 2
 # took 1.3, 2.1 and 3.4 s.  It bounds the degree, not the coefficients' size
 MAX_QLEMMA_COEFFS = 100
-# largest order k of a recurrence, from --lrs or a file: lrs.is_degenerate grows
-# as about k^4, mostly in the totients up to 2*(k^2)^2 of cyclotomic_orders; on
-# u_(n+k) = u_(n+k-1) + u_n, k = 24 took 0.92 s (39 MB max RSS), 32 took 3.2 s
-# (91 MB) and 40 took 8.4 s (202 MB) on a shared 2-core machine under Python 3.11
+# largest order k of a recurrence, from --lrs or a file: lrs.is_degenerate grows as
+# about k^4, mostly folding its ratio polynomial modulo x^m - 1 per order m; on
+# u_(n+k) = u_(n+k-1) + u_n, `lrs degenerate` took 0.4-0.5 s (17 MB max RSS) at k = 24,
+# 1.0-1.1 s (18 MB) at 32 and 2.3-2.8 s (18 MB) at 40 (shared 2-core machine, Python 3.11)
 MAX_LRS_ORDER = 32
 
 FORMATS = ("table", "json", "csv")  # the first is the default
@@ -366,7 +366,7 @@ def cmd_lrs_degenerate(args) -> int:
     verdict, order = lrs.is_degenerate(spec)
     payload = {"degenerate": verdict, "witness_order": order}
     if args.reduce and verdict:
-        m, reduced = lrs.nondegenerate_reduction(spec)
+        m, reduced = lrs.nondegenerate_reduction(spec, MAX_DECIMATE_M)
         payload["reduction_m"] = m
         payload["reduced"] = _printable_spec(reduced, "the reduced recurrence")
     _emit_record(args.format, payload)

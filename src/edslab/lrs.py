@@ -281,16 +281,19 @@ def is_degenerate(spec: LrsSpec) -> tuple[bool, int | None]:
     return m is not None, m
 
 
-def nondegenerate_reduction(spec: LrsSpec) -> tuple[int, LrsSpec]:
+def nondegenerate_reduction(spec: LrsSpec, max_decimation: float = math.inf) -> tuple[int, LrsSpec]:
     """(M, decimation by M^2) with every root-of-unity ratio collapsed.
 
     M is the lcm of all cyclotomic orders dividing the ratio polynomial,
     found in one ascending scan; after decimating by M^2 those ratios become
     1 and the corresponding roots merge, so the result is non-degenerate.
+    An M^2 above max_decimation is refused before any term is generated.
     """
     m = math.lcm(*cyclotomic_factor_orders(_ratio_polynomial(spec), spec.order**2))
     if m == 1:
         return 1, spec
+    if m * m > max_decimation:
+        raise ValueError(f"the reduction decimates by M^2 = {m * m}, more than the decimation bound {max_decimation}")
     reduced = decimate(spec, m * m)
     still_degenerate, _ = is_degenerate(reduced)
     assert not still_degenerate, "reduction must produce a non-degenerate sequence"

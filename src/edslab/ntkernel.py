@@ -443,20 +443,19 @@ class Poly:
         return f"Poly({', '.join(repr(c) for c in self.coeffs)})"
 
 
-def totients(n: int) -> list[int]:
-    """phi(0..n) by a totient sieve (phi(0) = 0 stands in)."""
-    phi = list(range(n + 1))
-    for p in range(2, n + 1):
-        if phi[p] == p:  # no smaller prime divides p
-            for j in range(p, n + 1, p):
-                phi[j] -= phi[j] // p
-    return phi
-
-
 def cyclotomic_orders(bound: int) -> list[int]:
-    """Every m with phi(m) <= bound, ascending; phi(m) >= sqrt(m/2) keeps m <= 2*bound^2."""
-    phi = totients(2 * max(bound, 0) ** 2 + 1)
-    return [m for m in range(1, len(phi)) if phi[m] <= bound]
+    """Every m with phi(m) <= bound, ascending.  As phi(l^e) = l^(e-1)*(l - 1) and phi
+    is multiplicative, each prime l of such an m has l <= bound + 1, and m = m'*l^e,
+    l its largest prime, has phi(m') <= bound; so extending each order found so far by
+    the powers of each prime l <= bound + 1, ascending, finds every m once."""
+    found = [(1, 1)] if bound >= 1 else []  # (m, phi(m))
+    for ell in iter_primes(bound + 1):
+        for m, phi in found[:]:
+            power, phi = ell, phi * (ell - 1)
+            while phi <= bound:
+                found.append((m * power, phi))
+                power, phi = power * ell, phi * ell
+    return sorted(m for m, _ in found)
 
 
 def cyclotomic_factor_orders(f: list[int], bound: int):

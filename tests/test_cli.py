@@ -1175,14 +1175,34 @@ def test_a_value_below_its_least_names_the_option_before_any_work(capsys, monkey
     assert run(capsys, *argv, option, value) == (2, "", f"error: {option} {value} must be at least 1\n")
 
 
-def test_reduction_decimates_past_the_decimate_bound(capsys, monkeypatch):
-    # the bound is on the --m option; the reduction's own decimation by M^2 = 4 passes it
-    monkeypatch.setattr(cli, "MAX_DECIMATE_M", 1)
-    code, out, _ = run(
-        capsys, "lrs", "degenerate", "--lrs", "2", "0", "1", "0", "2", "--reduce", "--format", "json",
-    )
+def test_reduction_is_held_to_the_decimate_bound(capsys, monkeypatch):
+    # u_(n+2) = u_n decimates by M^2 = 4: allowed at the bound 4, refused below it
+    argv = ("lrs", "degenerate", "--lrs", "2", "0", "1", "0", "2", "--reduce", "--format", "json")
+    monkeypatch.setattr(cli, "MAX_DECIMATE_M", 4)
+    code, out, _ = run(capsys, *argv)
     assert code == 0
     assert json.loads(out)["reduction_m"] == 2
+    monkeypatch.setattr(cli, "MAX_DECIMATE_M", 3)
+    monkeypatch.setattr(lrs, "decimate", _refuse)
+    error = "error: the reduction decimates by M^2 = 4, more than the decimation bound 3\n"
+    assert run(capsys, *argv) == (2, "", error)
+
+
+def test_reduction_past_the_decimate_bound_generates_no_term(capsys, monkeypatch):
+    # chi = (x^4 - 2)(x^5 - 3)(x^7 - 5): its ratio orders have lcm M = 140, and
+    # decimating by M^2 would ask for 19,600 * 40 = 784,000 exact terms
+    generate = lrs.generate
+
+    def bounded(spec, n):
+        if n > 10**5:
+            raise AssertionError(f"asked for {n} terms")
+        return generate(spec, n)
+
+    monkeypatch.setattr(lrs, "generate", bounded)
+    coeffs = ("0", "0", "0", "2", "3", "0", "5", "0", "-6", "0", "-10", "-15", "0", "0", "0", "30")
+    code, out, err = run(capsys, "lrs", "degenerate", "--lrs", "16", *coeffs, *"1" * 16, "--reduce")
+    assert (code, out) == (2, "")
+    assert err == "error: the reduction decimates by M^2 = 19600, more than the decimation bound 1000\n"
 
 
 @pytest.mark.parametrize(

@@ -26,7 +26,6 @@ from edslab.ntkernel import (
     next_prime,
     sieve_primes,
     sqrt_mod_prime,
-    totients,
 )
 
 
@@ -198,6 +197,17 @@ def euler_phi(n: int) -> int:
     return result
 
 
+def totients(n: int) -> list[int]:
+    """phi(0..n) by a totient sieve (phi(0) = 0 stands in): the reference for
+    cyclotomic_orders, whose m are at most 2*bound^2 as phi(m) >= sqrt(m/2)."""
+    phi = list(range(n + 1))
+    for p in range(2, n + 1):
+        if phi[p] == p:  # no smaller prime divides p
+            for j in range(p, n + 1, p):
+                phi[j] -= phi[j] // p
+    return phi
+
+
 def test_euler_phi():
     expected = [1, 1, 2, 2, 4, 2, 6, 4, 6, 4, 10, 4]
     assert [euler_phi(n) for n in range(1, 13)] == expected
@@ -206,10 +216,25 @@ def test_euler_phi():
 
 
 def test_cyclotomic_orders_match_brute_force():
-    # search well past the 2*B^2 + 1 the order list stops at
+    # search well past 2*B^2 + 1, which phi(m) >= sqrt(m/2) bounds every order by
     phi = {m: euler_phi(m) for m in range(1, 4 * 40 * 40 + 5)}
     for bound in range(1, 41):
         assert cyclotomic_orders(bound) == [m for m in range(1, 4 * bound * bound + 5) if phi[m] <= bound]
+    phi = totients(2 * 1024**2 + 1)
+    for bound in (*range(61), 256, 1024):
+        assert cyclotomic_orders(bound) == [m for m in range(1, 2 * bound**2 + 2) if phi[m] <= bound]
+
+
+def test_cyclotomic_orders_build_no_table_past_their_answer():
+    # a totient table up to 2*B^2 + 1 holds 2,097,153 ints (84 MB) for these 2,003 orders
+    tracemalloc.start()
+    try:
+        orders = cyclotomic_orders(1024)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(orders) == 2003
+    assert peak < 10**6
 
 
 def test_poly_ring_axioms_randomized():
