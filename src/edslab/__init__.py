@@ -2,20 +2,22 @@
 densities, and machine-checkable witness-prime certificates.
 
 `import edslab` loads no submodule: each public name imports its home
-module when it is first used (PEP 562).  Nor does tracing: `_span` loads
-`edslab.obs` only while `_TRACING` is on."""
+module when it is first used (PEP 562).  Nor does tracing: `_span` writes
+its JSON lines, and imports `json`, only while `_TRACING` is on."""
 
 import os
 import sys
-from contextlib import nullcontext
+import time
+from contextlib import contextmanager, nullcontext
 
 __version__ = "0.1.0"
 
 # The one tracing switch, set by EDSLAB_TRACE=1 at import and read by `_span`
 # as each span opens.  A span of a run without tracing costs one test of it,
-# and loads neither obs nor the json it writes
+# and loads no json
 _TRACING = os.environ.get("EDSLAB_TRACE") == "1"
 _UNTRACED = nullcontext()
+_open: list[str] = []  # names of the spans open in this process, innermost last
 
 # public name -> the submodule that defines it
 _HOMES = {
@@ -36,13 +38,26 @@ __all__ = [*_HOMES, "__version__"]
 
 
 def _span(name: str, **fields):
-    """`obs.span(name, **fields)` when tracing; otherwise a context that does
-    nothing and, as it is entered, gives None where a span gives its fields."""
-    if not _TRACING:
-        return _UNTRACED
-    from . import obs
+    """When tracing, a span: it gives its block the fields dict, to which the block
+    can add, and as the block ends, normally or not, writes one JSON line on stderr,
+    {"span": name, "parent": enclosing span or null, "start": s, "s": seconds, ...fields},
+    on the `time.perf_counter` clock.  Otherwise a context that does nothing and gives None."""
+    return _write_span(name, fields) if _TRACING else _UNTRACED
 
-    return obs.span(name, **fields)
+
+@contextmanager
+def _write_span(name: str, fields: dict):
+    parent = _open[-1] if _open else None
+    _open.append(name)
+    start = time.perf_counter()
+    try:
+        yield fields
+    finally:
+        record = {"span": name, "parent": parent, "start": start, "s": time.perf_counter() - start, **fields}
+        _open.pop()
+        import json
+
+        sys.stderr.write(json.dumps(record, default=str) + "\n")
 
 
 def _print_limit() -> int:

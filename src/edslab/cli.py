@@ -4,7 +4,7 @@ Exit codes: 0 success, 2 validation error, 3 exhaustion or inconclusive
 result, 4 verification failure.  Values come from flags, then from an
 optional key=value config file, then from built-in defaults; the cache
 root can also be set with the EDSLAB_CACHE environment variable.
-EDSLAB_TRACE=1 writes a trace of the run to stderr (see edslab.obs).
+EDSLAB_TRACE=1 writes a trace of the run to stderr (see edslab._span).
 
 Each command imports the library modules it calls when it runs, so that
 importing this module and building the parser loads none of them; and it
@@ -284,7 +284,7 @@ def cmd_eds_period(args) -> int:
     from . import eds
 
     curve, point = _curve_point(args)
-    seq = eds.generate_geometric(curve, point, 8)
+    seq = eds.generate_geometric(curve, point, 1)  # checks the point; the period reads no term
     result = eds.eds_period_mod_p(seq, args.p)
     keys = ("p", "status", "period", "rank", "n_points", "trace", "period_bound", "divides_bound")
     _emit_record(args.format, {**_fields(result, *keys), "window": list(result.window)})

@@ -10,6 +10,7 @@ import time
 
 import pytest
 
+import edslab
 from edslab import cli, eds, lrs, ntkernel, prooflab, refuter
 from edslab.cli import build_parser, main
 from edslab.elliptic import NAIVE_COUNT_BELOW, CurveQ, PointQ
@@ -194,17 +195,40 @@ def test_traced_density_scan_counts_every_prime_once():
 
 def test_untraced_density_scan_loads_no_tracing():
     loaded = _modules_after(*EMPIRICAL, "--x", "300", "--format", "table")
-    assert "edslab.galois_density" in loaded and not {"edslab.obs", "json"} & loaded
-
-
-def test_untraced_refute_loads_no_tracing():
-    loaded = _modules_after(*REFUTE)
-    assert "edslab.refuter" in loaded and "edslab.obs" not in loaded
+    assert "edslab.galois_density" in loaded and "json" not in loaded
 
 
 def test_untraced_square_period_loads_no_tracing():
     loaded = _modules_after(*LRS_SQUARES)
-    assert "edslab.lrs" in loaded and not {"edslab.obs", "json"} & loaded
+    assert "edslab.lrs" in loaded and "json" not in loaded
+
+
+def _no_writer(name, fields):
+    raise AssertionError(f"span {name} written with tracing off")
+
+
+def test_untraced_commands_never_reach_the_span_writer(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(edslab, "_TRACING", False)
+    monkeypatch.setattr(edslab, "_write_span", _no_writer)
+    cert = tmp_path / "cert.json"
+    commands = [
+        (*REFUTE, "--out", str(cert)),
+        ("verify", str(cert)),
+        ("eds", "gen", "--curve", "0", "3", "--point", "1", "2", "1", "--cache-dir", str(tmp_path)),
+        LRS_SQUARES,
+        (*EMPIRICAL, "--x", "300"),
+    ]
+    assert [run(capsys, *argv)[0] for argv in commands] == [0] * len(commands)
+
+
+def test_traced_eds_period_generates_one_term(monkeypatch, capsys):
+    # the period reads the curve and the point, not the terms: one term checks the point
+    monkeypatch.setattr(edslab, "_TRACING", True)
+    argv = ("eds", "period", "--curve", "0", "3", "--point", "1", "2", "1", "--p", "1009", "--format", "json")
+    code, out, err = run(capsys, *argv)
+    [gen] = [r for r in map(json.loads, err.splitlines()) if r["span"] == "eds.generate_geometric"]
+    assert code == 0 and json.loads(out)["period"] == 17_064
+    assert (gen["parent"], gen["path"], gen["terms"]) == ("cli.run", "ayad", 1)
 
 
 def test_traced_square_period_writes_one_walk_span():

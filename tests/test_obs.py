@@ -3,7 +3,6 @@ import json
 import pytest
 
 import edslab
-from edslab import obs
 from test_cli import _python
 
 
@@ -11,6 +10,11 @@ def _lines(capsys) -> list[dict]:
     captured = capsys.readouterr()
     assert captured.out == ""
     return [json.loads(line) for line in captured.err.splitlines()]
+
+
+def _trace(monkeypatch):
+    """Turn tracing on in this process, as EDSLAB_TRACE=1 at import would."""
+    monkeypatch.setattr(edslab, "_TRACING", True)
 
 
 def test_only_edslab_trace_1_turns_tracing_on():
@@ -26,34 +30,30 @@ def test_nothing_is_written_unless_tracing_is_on(monkeypatch, capsys):
     assert _lines(capsys) == []
 
 
-def test_spans_are_json_lines_on_stderr(capsys):
-    with obs.span("outer", k=1):
-        with obs.span("inner"):
+def test_spans_are_json_lines_on_stderr(monkeypatch, capsys):
+    _trace(monkeypatch)
+    with edslab._span("outer", k=1):
+        with edslab._span("inner"):
             pass
     inner, outer = _lines(capsys)
     assert (inner["span"], inner["parent"], outer["span"], outer["parent"], outer["k"]) == ("inner", "outer", "outer", None, 1)
     assert outer["start"] <= inner["start"] and 0 <= inner["s"] <= outer["s"]
 
 
-def test_a_span_is_written_when_its_block_raises(capsys):
+def test_a_span_is_written_when_its_block_raises(monkeypatch, capsys):
+    _trace(monkeypatch)
     with pytest.raises(KeyError):
-        with obs.span("failing"):
+        with edslab._span("failing"):
             raise KeyError("x")
     [record] = _lines(capsys)
     assert record["span"] == "failing" and record["parent"] is None
-    with obs.span("next"):
+    with edslab._span("next"):
         pass
     assert _lines(capsys)[0]["parent"] is None  # the failed span was closed
 
 
-def _trace(monkeypatch):
-    """Turn tracing on in this process, as EDSLAB_TRACE=1 at import would."""
-    monkeypatch.setattr(edslab, "_TRACING", True)
-
-
 def test_the_switch_is_read_as_each_span_opens(monkeypatch, capsys):
-    # edslab.obs is imported above, with tracing off; the switch alone then
-    # turns the library's spans on and off
+    # in one process, the switch alone turns the library's spans on and off
     from edslab.eds import generate_geometric
     from edslab.elliptic import CurveQ, PointQ
 

@@ -1,10 +1,12 @@
 """Every example of the README's "Command line" block runs and exits 0,
-and its table of option ranges is the one `cli.COMMANDS` declares."""
+its table of option ranges is the one `cli.COMMANDS` declares, and its
+module table names every module of the package."""
 
 import codecs
 import io
 import math
 import pathlib
+import re
 import shlex
 import sys
 
@@ -12,6 +14,13 @@ from edslab import cli
 from edslab.cli import main
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_the_module_table_names_every_module():
+    section = README.read_text().split("\n## What is inside\n", 1)[1].split("\n## ", 1)[0]
+    named = set(re.findall(r"^\| `edslab\.(\w+)` \|", section, re.MULTILINE))
+    modules = {path.stem for path in (README.parent / "src" / "edslab").glob("*.py")} - {"__init__"}
+    assert named == modules
 
 
 def readme_examples() -> list[tuple[list[str], str | None]]:
