@@ -12,8 +12,8 @@ sign).  Periods of geometric and Ward-seeded streams come from Ward's symmetry
 the same ladder over Z gives one exact z_n (`geometric_term`) for the cache check.
 
 The division-value recurrence itself (the seeds, Ward's steps and the
-ladder) lives in `elliptic`, which also forms n*P over Q from it; this
-module builds the sequences on it and imports those names back.
+ladder, the one code that doubles it mod p) lives in `elliptic`, which forms
+n*P over Q from it too; this module builds the sequences on it and imports them.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from .elliptic import (
     CurveQ,
     PointQ,
     _companion_gcd,
-    _double_block,
     _exact_div,
     _last_doubling,
     _ward_denominators,
@@ -168,15 +167,13 @@ def height_ratio(n: int, z_n: int) -> float:
 
 
 def stream_mod_p(seeds: tuple[int, int, int, int], p: int, n_terms: int) -> list[int]:
-    """w_1..w_(n_terms) modulo p (index 0 unused); needs p coprime to w1*w2."""
+    """w_1..w_(n_terms) modulo p (index 0 unused), one `_ward_step` a term from
+    the seeds that `ladder_block(seeds, p, 0)` reduces; needs p coprime to w1*w2."""
     if n_terms < 1:
         raise ValueError("need at least one term")
-    w1, w2 = seeds[0] % p, seeds[1] % p
-    if w1 == 0 or w2 == 0:
-        raise ValueError(f"stream modulo {p} needs p coprime to w1*w2")
     w = [0] * (max(n_terms, 4) + 1)
-    w[1], w[2], w[3], w[4] = (s % p for s in seeds)
-    inv = [pow(d % p, -1, p) for d in _ward_denominators(w1, w2)]
+    w[1:5] = ladder_block(seeds, p, 0)[4:]  # the seeds mod p, refused unless p is coprime to w1*w2
+    inv = [pow(d, -1, p) for d in _ward_denominators(w[1], w[2])]
     for m in range(5, n_terms + 1):
         w[m] = _ward_step(w, m) * inv[m & 1] % p
     return w[: n_terms + 1]
@@ -197,12 +194,12 @@ def ward_period(seeds: tuple[int, int, int, int], p: int, rank: int) -> int | No
     block's n = -3..4, a and b read off w_{r+1} and w_{r+2} (M. Ward, Amer.
     J. Math. 70, 1948).  A period maps the zero set onto itself, so it is
     some k*r, and k*r is one exactly when a^k = 1 and b^(k^2) = 1: k a
-    multiple of ord(a) and of l^ceil(e/2) for every l^e || ord(b).  The block
-    at r is one `_double_block` step above the ladder to r >> 1, whose w_{r/2}
-    is the l = 2 test: omega(r) ladders for even r, 1 + omega(r) for odd r, not
-    an O(r*p) window of the stream.  None too when w_{r+1} or w_{r+2}
-    vanishes, as it can when p | w_3: r is then no proper rank.  Under
-    EDSLAB_TRACE=1 each call writes one span: `rank`, `ladders`, `steps`, `period`.
+    multiple of ord(a) and of l^ceil(e/2) for every l^e || ord(b).  The blocks
+    at r and each r/l are `ladder_block`s, the one at 0 the seeds: 1 + omega(r)
+    ladders, not an O(r*p) window of the stream.  None too when w_{r+1} or
+    w_{r+2} vanishes, as it can when p | w_3: r is then no proper rank.  Under
+    EDSLAB_TRACE=1 each call writes one span: `rank`, `ladders` (those run),
+    `steps` (max(n.bit_length(), 1) for the ladder to n, summed) and `period`.
     """
     with _span("eds.ward_period", rank=rank) as record:
         period, ladders, steps = _ward_period(seeds, p, rank)
@@ -213,18 +210,15 @@ def ward_period(seeds: tuple[int, int, int, int], p: int, rank: int) -> int | No
 
 def _ward_period(seeds: tuple[int, int, int, int], p: int, rank: int) -> tuple[int | None, int, int]:
     """`ward_period`'s answer, with the ladders it ran and their doubling steps."""
-    half = ladder_block(seeds, p, rank >> 1)
-    w = [s % p for s in (-seeds[2], -seeds[1], -seeds[0], 0, *seeds)]  # w_n for n = -3..4
-    inv, bit = [pow(d % p, -1, p) for d in _ward_denominators(w[4], w[5])], rank & 1
-    block = [num * inv[m & 1] % p for m, num in zip(range(3 + bit, 11 + bit), _double_block(half, bit))]  # at r
-    ladders, steps = 1, max(rank.bit_length(), 2)  # the steps to r >> 1 (one at least) and the last
-    if block[3] != 0 or 0 in block[4:6] or (bit == 0 and half[3] == 0):
+    block = ladder_block(seeds, p, rank)
+    w = [s % p for s in (-seeds[2], -seeds[1], -seeds[0], 0, *seeds)]  # the block at 0: w_n for n = -3..4
+    ladders, steps = 1, max(rank.bit_length(), 1)
+    if block[3] != 0 or 0 in block[4:6]:
         return None, ladders, steps
     for ell in factorize(rank):
-        if ell != 2:
-            ladders, steps = ladders + 1, steps + max((rank // ell).bit_length(), 1)
-            if ladder_block(seeds, p, rank // ell)[3] == 0:
-                return None, ladders, steps
+        ladders, steps = ladders + 1, steps + max((rank // ell).bit_length(), 1)
+        if ladder_block(seeds, p, rank // ell)[3] == 0:
+            return None, ladders, steps
     a = block[5] * w[4] * pow(w[5] * block[4], -1, p) % p
     b = block[4] * pow(w[4] * a, -1, p) % p
     if any(block[n + 3] != w[n + 3] * pow(a, n, p) * b % p for n in range(-3, 5)):

@@ -370,9 +370,10 @@ def verify_certificate(cert: WitnessCertificate) -> VerifyResult:
     w_n mod p is re-derived by `ward_period` from the recomputed order r, in
     O(log p) ladder steps; the periods are its multiples, so tz must be one
     and, to be minimal, equal it.  z_n comes from one `generate_geometric`
-    prefix to the largest stated index.  p, the window and the indices are
-    bounded by the finder's limits before any count, ladder or exact term,
-    and the walk of u mod p by `lrs.MAX_WALK`: no edit makes it run away.
+    prefix to the largest stated index.  p, q, the window and the indices are
+    bounded by the finder's limits before any primality test, count, ladder
+    or exact term, and the walk of u mod p by `lrs.MAX_WALK`: no edit makes
+    it run away.
     """
     verdict = VerifyResult([])
 
@@ -380,8 +381,14 @@ def verify_certificate(cert: WitnessCertificate) -> VerifyResult:
         verdict.checks.append(CheckResult(name, bool(ok), detail))
         return ok
 
-    check("q_prime", is_prime(cert.q) and cert.q % 2 == 1, f"q={cert.q}")
-    check("p_prime", is_prime(cert.p) and cert.p % 2 == 1, f"p={cert.p}")
+    # a number past the bounds fails untested: a q above the top of the Hasse interval
+    # at the finder's limit divides no point order that p_bound lets through
+    for name, n, top, what in (
+        ("q", cert.q, hasse_interval(MAX_WITNESS_P)[1], "largest point order at the finder's limit"),
+        ("p", cert.p, MAX_WITNESS_P, "finder's limit"),
+    ):
+        untested = f", untested: above {top}, the {what}" if n > top else ""
+        check(f"{name}_prime", not untested and is_prime(n) and n % 2 == 1, f"{name}={n}{untested}")
     check("p_bound", cert.p <= MAX_WITNESS_P, f"p={cert.p}, finder's limit {MAX_WITNESS_P}")
     check("p_distinct_from_q", cert.p != cert.q)
     curve, point, spec, p, q = cert.curve, cert.point, cert.spec, cert.p, cert.q

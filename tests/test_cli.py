@@ -595,6 +595,37 @@ def test_verify_unbounded_certificate_exit4(tmp_path, capsys, monkeypatch, field
     assert _failing_checks(out) == [field]
 
 
+def test_verify_tests_no_primality_past_its_bounds(tmp_path, capsys, monkeypatch):
+    # each is_prime of these 4,291-digit p and q took about 7.5 s (Python 3.11.7, one core of
+    # a shared 2-core machine), both before p_bound failed
+    cert_path = tmp_path / "cert.json"
+    code, _, _ = run(
+        capsys,
+        "refute", "--curve", "-4", "4", "--point", "1", "1", "1",
+        "--lrs", "2", "1", "1", "1", "1", "--q", "13", "--out", str(cert_path),
+    )
+    assert code == 0
+    payload = json.loads(cert_path.read_text())
+    payload.update(p=str(10**4290 + 1), q=str(10**4290 + 3))
+    cert_path.write_text(json.dumps(payload))
+    is_prime = refuter.is_prime
+
+    def bounded(n):
+        assert n <= 2**64, "the verifier tested a number past its bounds for primality"
+        return is_prime(n)
+
+    monkeypatch.setattr(refuter, "is_prime", bounded)
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "verify", str(cert_path), "--format", "json")
+    assert time.perf_counter() - start < 1
+    assert code == 4
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert list(checks)[:3] == ["q_prime", "p_prime", "p_bound"]
+    assert not any(checks[name]["ok"] for name in ("q_prime", "p_prime", "p_bound"))
+    assert "untested: above 1001997, the largest point order" in checks["q_prime"]["detail"]
+    assert checks["p_prime"]["detail"].endswith("untested: above 999997, the finder's limit")
+
+
 def _assert_verifies_until_edited(capsys, cert_path):
     """verify accepts the file, and fails only `mismatches` once one residue is edited."""
     code, _, _ = run(capsys, "verify", str(cert_path))

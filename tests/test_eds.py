@@ -265,16 +265,17 @@ def test_ward_period_refuses_a_rank_that_is_not_the_rank_of_apparition(monkeypat
     assert (r, ward_period(seeds, p, r)) == (13, 39)
     assert ward_period(seeds, p, 2 * r) is None
     assert ward_period(seeds, p, r + 1) is None
-    # r is the rank of apparition, but w_(r+3) != w_3 * a^3 * b in the block at r,
-    # which ward_period doubles from the block at r >> 1 itself
-    double = eds._double_block
+    # r is the rank of apparition, but w_(r+3) != w_3 * a^3 * b in the block at r
+    # that ward_period reads from the ladder
+    ladder = eds.ladder_block
 
-    def tampered(w, b):
-        numerators = list(double(w, b))
-        numerators[6] *= 2
-        return numerators
+    def tampered(s, q, n):
+        block = ladder(s, q, n)
+        if n == r:
+            block[6] = 2 * block[6] % q
+        return block
 
-    monkeypatch.setattr(eds, "_double_block", tampered)
+    monkeypatch.setattr(eds, "ladder_block", tampered)
     assert ward_period(seeds, p, r) is None
 
 

@@ -84,14 +84,14 @@ def test_ward_period_writes_one_span_with_its_ladders(monkeypatch, capsys):
     cases = [(1009, 237), (999_979, 499_538), (1009, 238), (1009, 711), (1009, 1)]
     periods = [ward_period(seeds, p, r) for p, r in cases]
     records = [(r["span"], r["rank"], r["ladders"], r["steps"], r["period"]) for r in _lines(capsys)]
-    # steps: 8 + 7 + 2 bits for 237, 79 and 3; 19 + 16 + 5 for 499,538, 38,426 and 26
-    # (the ladder to r >> 1 is also the l = 2 test); 8 for 238; 10 + 8 for 711 and 237;
-    # one step of the ladder to 0 and the last for 1
+    # steps: 8 + 7 + 2 bits for 237, 79 and 3; 19 + 18 + 16 + 5 for 499,538, 249,769,
+    # 38,426 and 26 (the ladder to r/2 is the l = 2 test); 8 for 238; 10 + 8 for 711
+    # and 237; one step of the ladder to 1
     assert records == [
         ("eds.ward_period", 237, 3, 17, 17_064),
-        ("eds.ward_period", 499_538, 3, 40, 5_741_689_772),
+        ("eds.ward_period", 499_538, 4, 58, 5_741_689_772),
         ("eds.ward_period", 238, 1, 8, None),
         ("eds.ward_period", 711, 2, 18, None),
-        ("eds.ward_period", 1, 1, 2, None),
+        ("eds.ward_period", 1, 1, 1, None),
     ]
     assert periods == [17_064, 5_741_689_772, None, None, None]

@@ -524,13 +524,14 @@ def test_finder_counts_points_only_at_candidates(monkeypatch):
 
 def test_verifier_bounds_p_before_the_recount(monkeypatch):
     # the finder never certifies a p above MAX_WITNESS_P, and 1,000,003 is
-    # the least prime above it; a larger p is refused before any O(p) work
+    # the least prime above it; a larger p is refused before any O(p) work,
+    # and p_prime fails it without a primality test
     assert MAX_WITNESS_P == 999_997
     assert next_prime(MAX_WITNESS_P) == 1_000_003
     cert = find_witness(E, P, FIBONACCI, 5, p_max=10_000).certificate
     monkeypatch.setattr(refuter, "count_points_naive", _no_work)
     verdict = verify_certificate(replace(cert, p=1_000_003))
-    assert verdict.failures == ["p_bound"]
+    assert verdict.failures == ["p_prime", "p_bound"]
 
 
 def test_finder_certifies_no_p_above_the_verifiers_bound(monkeypatch):
