@@ -7,8 +7,9 @@ root can also be set with the EDSLAB_CACHE environment variable.
 EDSLAB_TRACE=1 writes a trace of the run to stderr (see edslab._span).
 
 Each command imports the library modules it calls when it runs, so that
-importing this module and building the parser loads none of them; and it
-builds only its own group's and subcommand's parsers.
+importing this module and building the parser loads none of them; and a
+subcommand builds and runs only its own parser.  The argparse tree is
+built only to print help, usage and errors.
 """
 
 from __future__ import annotations
@@ -363,12 +364,16 @@ def cmd_lrs_degenerate(args) -> int:
     from . import lrs
 
     spec = _lrs_spec(args)
-    verdict, order = lrs.is_degenerate(spec)
-    payload = {"degenerate": verdict, "witness_order": order}
-    if args.reduce and verdict:
-        m, reduced = lrs.nondegenerate_reduction(spec, MAX_DECIMATE_M)
-        payload["reduction_m"] = m
-        payload["reduced"] = _printable_spec(reduced, "the reduced recurrence")
+    if not args.reduce:
+        verdict, order = lrs.is_degenerate(spec)
+        payload = {"degenerate": verdict, "witness_order": order}
+    else:  # one scan of every order gives the verdict, the witness and M
+        orders = list(lrs.ratio_orders(spec))
+        payload = {"degenerate": bool(orders), "witness_order": min(orders, default=None)}
+        if orders:
+            m, reduced = lrs.nondegenerate_reduction(spec, orders, MAX_DECIMATE_M)
+            payload["reduction_m"] = m
+            payload["reduced"] = _printable_spec(reduced, "the reduced recurrence")
     _emit_record(args.format, payload)
     return EXIT_OK
 
@@ -711,15 +716,13 @@ class _HelpFormatter(argparse.HelpFormatter):
 
 
 class _Parsers(dict):
-    """A subparsers action's name -> parser map that builds a group's or a
-    subcommand's parser on its first lookup, by a parse, a --help or a walk
-    of `choices`; until then the value is its path in COMMANDS."""
+    """A subparsers action's name -> parser map that holds each name's path
+    in COMMANDS and looks its parser up with `_build`, so that a group's or
+    a subcommand's parser is built on its first lookup, by a parse, a
+    --help or a walk of `choices`, and by no one else."""
 
     def __getitem__(self, name: str) -> argparse.ArgumentParser:
-        parser = super().__getitem__(name)
-        if isinstance(parser, str):
-            parser = self[name] = _build(parser)
-        return parser
+        return _build(super().__getitem__(name))
 
     def values(self) -> list[argparse.ArgumentParser]:
         return [self[name] for name in self]
@@ -744,9 +747,11 @@ def _subcommands(parser: argparse.ArgumentParser, group: str) -> None:
             sub.choices[name] = path
 
 
+@functools.cache
 def _build(path: str) -> argparse.ArgumentParser:
     """The parser of a group, which lists its subcommands, or of a
-    subcommand, which takes --config, --format and its own options."""
+    subcommand, which takes --config, --format and its own options; built
+    on the first call for its path and shared after it, as the tree is."""
     func, _, options = COMMANDS[path]
     parser = argparse.ArgumentParser(prog=f"edslab {path}", formatter_class=_HelpFormatter)
     if func is None:  # a group, whose options are its subcommands, has no span
@@ -767,7 +772,8 @@ def build_parser() -> argparse.ArgumentParser:
     """The argparse tree, built on the first call and shared after it:
     parsing leaves no state on it, and building it costs far more than a
     parse.  Only the top-level parser is built here; each group's and
-    subcommand's parser is built the first time it is looked up."""
+    subcommand's parser is built the first time it is looked up.  `main`
+    runs it only for help, usage and errors (see `_parse`)."""
     parser = argparse.ArgumentParser(
         prog="edslab",
         description="elliptic divisibility sequences, linear recurrences, densities, witness certificates",
@@ -777,10 +783,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parse(argv: list[str]) -> tuple[str, argparse.Namespace]:
+    """The command path of argv and its namespace.  When the first one or two
+    words are exactly a subcommand's path, that subcommand's parser alone
+    parses the rest: the tree would pass it the same words, and the levels
+    above it add nothing but the command's name.  What it does not take
+    whole, and argv that names no subcommand, goes to the tree, which
+    prints help, usage or an error."""
+    for n in (1, 2):
+        path = " ".join(argv[:n])
+        if argv[:n] == path.split(" ") and path in COMMANDS and COMMANDS[path][0]:
+            args, rest = _build(path).parse_known_args(argv[n:])
+            if not rest:
+                return path, args
+            break
+    args = build_parser().parse_args(argv)
+    return " ".join(filter(None, (args.command, getattr(args, "subcommand", None)))), args
+
+
 def main(argv=None) -> int:
     with _span("cli.parse"):
-        args = build_parser().parse_args(argv)
-    command = " ".join(filter(None, (args.command, getattr(args, "subcommand", None))))
+        command, args = _parse(sys.argv[1:] if argv is None else list(argv))
     with _span("cli.run", command=command):
         try:
             config = _read_config(args.config) if args.config else {}

@@ -363,7 +363,8 @@ def save_sequence(cache_dir: str, seq: EdsSequence) -> str:
     Hex, unlike decimal, converts in time linear in the size of a term and
     has no length limit.  A term's hex is that of its bytes, less the one 0
     their top byte can start with: the text of f"{z:x}", which CPython 3.11
-    formats about 3 times more slowly.
+    formats about 3 times more slowly.  Under EDSLAB_TRACE=1 each call
+    writes one span with `terms` and the `bytes` of the file it wrote.
     """
     import tempfile
 
@@ -371,22 +372,25 @@ def save_sequence(cache_dir: str, seq: EdsSequence) -> str:
 
     if seq.source != "geometric":
         raise ValueError("only geometric sequences are cached")
-    os.makedirs(cache_dir, exist_ok=True)
-    path = cache_path(cache_dir, seq.curve, seq.point)
-    fd, tmp = tempfile.mkstemp(dir=cache_dir, prefix=".eds-", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            digest = blake2b(digest_size=32)
-            hexes = (z.to_bytes((z.bit_length() + 7) // 8, "big").hex().lstrip("0") or "0" for z in seq.terms)
-            lines = (f"{n} {digits}\n" for n, digits in enumerate(hexes, start=1))
-            for line in itertools.chain([CACHE_HEADER], lines):
-                digest.update(line.encode())
-                fh.write(line)
-            fh.write(f"blake2b {digest.hexdigest()}\n")
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+    with _span("eds.save_sequence", terms=len(seq.terms)) as record:
+        os.makedirs(cache_dir, exist_ok=True)
+        path = cache_path(cache_dir, seq.curve, seq.point)
+        fd, tmp = tempfile.mkstemp(dir=cache_dir, prefix=".eds-", suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w") as fh:
+                digest = blake2b(digest_size=32)
+                hexes = (z.to_bytes((z.bit_length() + 7) // 8, "big").hex().lstrip("0") or "0" for z in seq.terms)
+                lines = (f"{n} {digits}\n" for n, digits in enumerate(hexes, start=1))
+                for line in itertools.chain([CACHE_HEADER], lines):
+                    digest.update(line.encode())
+                    fh.write(line)
+                fh.write(f"blake2b {digest.hexdigest()}\n")
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+        if record is not None:
+            record["bytes"] = os.path.getsize(path)
     return path
 
 

@@ -268,28 +268,37 @@ def _ratio_polynomial(spec: LrsSpec) -> list[int]:
         ratio = quotient
 
 
-def is_degenerate(spec: LrsSpec) -> tuple[bool, int | None]:
-    """Is some ratio of distinct characteristic roots a root of unity?
+def ratio_orders(spec: LrsSpec):
+    """Yield, ascending, the orders m of the roots of unity among the ratios of
+    distinct characteristic roots.
 
     Exact: the ratio polynomial is built from power sums by Newton's
     identities and tested for cyclotomic factors Phi_m with phi(m) <= k^2 (a
     ratio of two degree-<=k algebraic numbers that is a root of unity has
-    order m with phi(m) <= k^2).  Returns the smallest witness order when
-    degenerate.
+    order m with phi(m) <= k^2).  The polynomial is built once, before the
+    first order is asked for.
     """
-    m = next(cyclotomic_factor_orders(_ratio_polynomial(spec), spec.order**2), None)
+    return cyclotomic_factor_orders(_ratio_polynomial(spec), spec.order**2)
+
+
+def is_degenerate(spec: LrsSpec) -> tuple[bool, int | None]:
+    """Is some ratio of distinct characteristic roots a root of unity?
+    Returns the smallest witness order when degenerate: the first of
+    `ratio_orders`, whose scan stops there."""
+    m = next(ratio_orders(spec), None)
     return m is not None, m
 
 
-def nondegenerate_reduction(spec: LrsSpec, max_decimation: float = math.inf) -> tuple[int, LrsSpec]:
+def nondegenerate_reduction(spec: LrsSpec, orders: list[int], max_decimation: float = math.inf) -> tuple[int, LrsSpec]:
     """(M, decimation by M^2) with every root-of-unity ratio collapsed.
 
-    M is the lcm of all cyclotomic orders dividing the ratio polynomial,
-    found in one ascending scan; after decimating by M^2 those ratios become
-    1 and the corresponding roots merge, so the result is non-degenerate.
-    An M^2 above max_decimation is refused before any term is generated.
+    M is the lcm of the orders, all of `ratio_orders(spec)`, which the caller
+    gives so that one scan also gives it the verdict and the witness; after
+    decimating by M^2 those ratios become 1 and the corresponding roots
+    merge, so the result is non-degenerate.  An M^2 above max_decimation is
+    refused before any term is generated.
     """
-    m = math.lcm(*cyclotomic_factor_orders(_ratio_polynomial(spec), spec.order**2))
+    m = math.lcm(*orders)
     if m == 1:
         return 1, spec
     if m * m > max_decimation:

@@ -373,8 +373,20 @@ def verify_certificate(cert: WitnessCertificate) -> VerifyResult:
     prefix to the largest stated index.  p, q, the window and the indices are
     bounded by the finder's limits before any primality test, count, ladder
     or exact term, and the walk of u mod p by `lrs.MAX_WALK`: no edit makes
-    it run away.
+    it run away.  Under EDSLAB_TRACE=1 each call writes one span with `p`,
+    the recount's `n_points` (absent when a bound check ends it first) and
+    `failed`, the names of the checks that failed.
     """
+    with _span("refuter.verify_certificate", p=cert.p) as record:
+        verdict = _verify(cert, record)
+        if record is not None:
+            record["failed"] = verdict.failures
+    return verdict
+
+
+def _verify(cert: WitnessCertificate, record: dict | None) -> VerifyResult:
+    """`verify_certificate`'s checks, with the recount's n_points put in the
+    span record, when there is one."""
     verdict = VerifyResult([])
 
     def check(name: str, ok: bool, detail: str = ""):
@@ -401,6 +413,8 @@ def verify_certificate(cert: WitnessCertificate) -> VerifyResult:
 
     cfp = CurveFp.from_curve(curve, p)
     n_points, trace = count_points_naive(cfp)
+    if record is not None:
+        record["n_points"] = n_points
     check("n_points", n_points == cert.n_points, f"recounted {n_points}")
     check("trace", trace == cert.trace, f"recomputed {trace}")
     low, high = hasse_interval(p)

@@ -179,6 +179,35 @@ def test_traced_eds_gen_names_each_cache_miss(tmp_path):
     assert records == [(False, "absent"), (True, None), (False, "short")]
 
 
+def test_traced_eds_gen_writes_one_span_for_the_file_it_saves(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(edslab, "_TRACING", True)
+    gen = ("eds", "gen", "--curve", "0", "3", "--point", "1", "2", "1", "--n", "6", "--cache-dir", str(tmp_path))
+    saves = []
+    for _ in range(2):  # a miss, which saves the terms, then a hit, which does not
+        code, _, err = run(capsys, *gen)
+        assert code == 0
+        saves.append([r for r in map(json.loads, err.splitlines()) if r["span"] == "eds.save_sequence"])
+    [cached] = tmp_path.glob("*.eds")
+    [[saved], again] = saves
+    assert (saved["parent"], saved["terms"], saved["bytes"], again) == ("cli.run", 6, cached.stat().st_size, [])
+
+
+def test_traced_verify_names_the_failed_checks(tmp_path, monkeypatch, capsys):
+    cert = tmp_path / "cert.json"
+    assert run(capsys, *REFUTE, "--p-max", "100", "--out", str(cert))[0] == 0
+    payload = json.loads(cert.read_text())
+    p, n_points = int(payload["p"]), int(payload["n_points"])
+    monkeypatch.setattr(edslab, "_TRACING", True)
+    # a wrong trace fails after the recount; p = q fails a bound check, before it
+    edits = [("trace", str(int(payload["trace"]) + 1), ["trace"], n_points), ("q", str(p), ["p_distinct_from_q"], None)]
+    for field, value, failed, counted in edits:
+        cert.write_text(json.dumps({**payload, field: value}))
+        code, out, err = run(capsys, "verify", str(cert), "--format", "json")
+        [span] = [r for r in map(json.loads, err.splitlines()) if r["span"] == "refuter.verify_certificate"]
+        assert code == 4 and span["failed"] == _failing_checks(out) == failed
+        assert (span["parent"], span["p"], span.get("n_points")) == ("cli.run", p, counted)
+
+
 def test_traced_density_scan_counts_every_prime_once():
     # x = 3000 holds 430 primes; --jobs 2 scans two ranges, and the parent writes the one span
     command = ("-c", "import sys, edslab.cli; sys.exit(edslab.cli.main(sys.argv[1:]))")
@@ -278,10 +307,10 @@ def test_eds_gen_prints_a_term_past_the_default_limit_when_it_is_raised(capsys):
     assert len(rows[-1][1]) == 4398
 
 
-def _parsers_built(*argvs) -> list[str]:
+def _parsers_built(*argvs, tree=True) -> list[str]:
     """In a fresh interpreter: the progs of the parsers that build_parser()
-    builds, then of those that each command in argvs builds, in turn; one
-    comma-separated line for each."""
+    builds (with tree=False it is not called: nothing), then of those that
+    each command in argvs builds, in turn; one comma-separated line for each."""
     probe = (
         "import argparse, contextlib, io, sys, edslab.cli\n"
         "built = []\n"
@@ -290,21 +319,22 @@ def _parsers_built(*argvs) -> list[str]:
         "    init(self, *args, **kwargs)\n"
         "    built.append(self.prog)\n"
         "argparse.ArgumentParser.__init__ = counted\n"
-        "edslab.cli.build_parser()\n"
+        "if sys.argv[1] == 'tree':\n"
+        "    edslab.cli.build_parser()\n"
         "print(*built, sep=',')\n"
-        "for argv in sys.argv[1:]:\n"
+        "for argv in sys.argv[2:]:\n"
         "    before = len(built)\n"
         "    with contextlib.redirect_stdout(io.StringIO()), contextlib.suppress(SystemExit):\n"
         "        assert edslab.cli.main(argv.split()) == 0\n"
         "    print(*built[before:], sep=',')\n"
     )
-    return _python("-c", probe, *map(" ".join, argvs)).stdout.splitlines()
+    return _python("-c", probe, "tree" if tree else "-", *map(" ".join, argvs)).stdout.splitlines()
 
 
 def test_parser_is_built_once_and_keeps_no_state_between_calls(tmp_path, capsys):
     # build_parser() builds the top-level parser alone; a command builds its
-    # group's parser and its own, once
-    assert _parsers_built(LRS_EVAL, LRS_EVAL) == ["edslab", "edslab lrs,edslab lrs eval", ""]
+    # own parser, once
+    assert _parsers_built(LRS_EVAL, LRS_EVAL) == ["edslab", "edslab lrs eval", ""]
 
     assert build_parser() is build_parser()
     lrs_args = ("lrs", "period", "--lrs", "2", "1", "1", "1", "1", "--p", "5")
@@ -334,6 +364,14 @@ def test_a_command_outside_the_groups_builds_no_group_parser(tmp_path):
 
 def test_group_help_builds_the_group_parser_and_no_subcommand_parser():
     assert _parsers_built(("lrs", "--help")) == ["edslab", "edslab lrs"]
+
+
+def test_a_subcommand_builds_its_own_parser_and_not_the_tree(tmp_path):
+    # the tree is built only for help, usage and errors
+    cert = tmp_path / "cert.json"
+    assert main([*REFUTE, "--out", str(cert)]) == 0
+    built = _parsers_built(LRS_EVAL, ("verify", str(cert)), ("lrs", "--help"), tree=False)
+    assert built == ["", "edslab lrs eval", "edslab verify", "edslab,edslab lrs"]
 
 
 def test_tracing_writes_json_lines_to_stderr_and_leaves_stdout_as_it_is():
@@ -473,6 +511,18 @@ def test_lrs_degenerate_with_reduction(capsys):
     assert payload["degenerate"] is True
     assert payload["witness_order"] == 2
     assert payload["reduced"] == "lrs 1 1 2"
+
+
+def test_lrs_degenerate_reduction_builds_the_ratio_polynomial_once_per_spec(capsys, monkeypatch):
+    # once for the recurrence, whose one scan gives the verdict, the witness and M,
+    # and once for the closing check that its reduction is non-degenerate
+    built = []
+    build = lrs._ratio_polynomial
+    monkeypatch.setattr(lrs, "_ratio_polynomial", lambda spec: built.append(spec) or build(spec))
+    argv = ("lrs", "degenerate", "--lrs", "4", "0", "3", "0", "-2", "1", "1", "2", "3", "--reduce", "--format", "json")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and len(built) == 2
+    assert json.loads(out) == {"degenerate": True, "reduced": "lrs 2 5 -4 3 15", "reduction_m": 2, "witness_order": 2}
 
 
 def test_lrs_period_with_squares(capsys):

@@ -10,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from edslab.cli import CONFIG_KEYS, build_parser, main
+from edslab import cli
+from edslab.cli import COMMANDS, CONFIG_KEYS, build_parser, main
 
 COMMON = [
     ("-h --help", "help", argparse.SUPPRESS, False, 0, None, None, None, "show this help message and exit"),
@@ -257,8 +258,8 @@ def test_every_leaf_keeps_its_options_in_order():
 
 
 def test_each_way_of_reading_a_subcommand_map_gives_the_same_parsers():
-    # on a tree of its own, not the shared one, in which no subcommand's
-    # parser is built yet: the maps build each on its first lookup
+    # on a tree of its own, not the shared one: its maps hold paths, and
+    # give each parser from the one builder on its lookup
     top = next(a for a in build_parser.__wrapped__()._actions if isinstance(a, argparse._SubParsersAction))
     parsers = list(top.choices.values())
     assert all(isinstance(parser, argparse.ArgumentParser) for parser in parsers)
@@ -309,3 +310,75 @@ def test_help_and_usage_text_is_pinned(capsys, monkeypatch, argv, columns):
     pinned = _pinned_text()
     assert heading in pinned
     assert out + err == pinned[heading]
+
+
+# subcommand -> the rest of one valid argv for it, as the README runs it
+VALID_ARGV = {
+    "eds gen": "--curve 0 3 --point 1 2 1 --n 20",
+    "eds ward": "--seed 1 1 -1 1 --n 10",
+    "eds period": "--curve 0 3 --point 1 2 1 --p 5 --format json",
+    "eds zsigmondy": "--curve 0 3 --point 1 2 1 --n 20",
+    "lrs fit": "",
+    "lrs eval": "--lrs 2 1 1 1 1 --n 1000000 --mod 5",
+    "lrs decimate": "--lrs 2 1 1 1 1 --m 2",
+    "lrs degenerate": "--lrs 2 0 1 0 2 --reduce --format json",
+    "lrs period": "--lrs 2 1 1 1 1 --p 5 --squares",
+    "density gl2": "--q 3 --a 0 --b 2",
+    "density affine": "--q 5 --a 3 --b 2",
+    "density empirical": "--curve -4 4 --point 1 1 1 --q 5 --x 20000 --jobs 4",
+    "refute": "--curve -4 4 --point 1 1 1 --lrs 2 1 1 1 1 --q 5 --out cert.json",
+    "verify": "cert.json",
+    "falsify": "--curve -4 4 --point 1 1 1 --lrs 2 1 1 1 1 --p 7 --window 50",
+    "prooflab qlemma": "--coeffs 0 -1/2 --alpha -3",
+    "prooflab det": "--q 7 --betas 2 3",
+    "prooflab resclass": "--r 11 --t 1",
+    "prooflab ell": "--r 7 --n0 1 --j 3 --c 1",
+    "prooflab fixedpoint": "--matrix 1/3,1/3,1/3;1/3,1/3,1/3;1/3,1/3,1/3",
+}
+# what a subcommand's parser refuses, or takes in a form other than the plain one
+EDGE_ARGV = [
+    "lrs eval --lrs 2 1 1 1 1 --n 5 --bogus",  # an unknown option
+    "lrs eval --lrs 2 1 1 1 1 --n 5 extra",  # a word no option takes
+    "lrs eval --lrs 2 1 1 1 1 --n=5",
+    "lrs eval --lrs 2 1 1 1 1 --n 5 --form json",  # abbreviated options
+    "lrs period --lrs 2 1 1 1 1 --p 5 --m iteration",
+    "lrs eval --lr 2 1 1 1 1 --n 5",  # an ambiguous one: --lrs or --lrs-file
+    "lrs eval --lrs 2 1 1 1 1 --n 5 --format xml",
+    "lrs eval --lrs 2 1 1 1 1 --mod 7",  # no --n
+    "lrs eval --lrs 2 1 1 1 1 -- --n 5",
+    "lrs eval -- --lrs 2 1 1 1 1 --n 5",
+    "lrs eval --n",
+    "lrs eval --help",
+    "verify",
+    "verify a b",
+]
+
+
+def _outcome(parse, argv, capsys):
+    """The namespace argv parses to, less the command's name, or what the parse exits with."""
+    try:
+        args = parse(argv)
+    except SystemExit as exc:
+        return exc.code, *capsys.readouterr()
+    return {key: value for key, value in vars(args).items() if key not in ("command", "subcommand")}
+
+
+@pytest.mark.parametrize("columns", [60, 120])
+@pytest.mark.parametrize(
+    "argv", [f"{path} {rest}".split() for path, rest in VALID_ARGV.items()] + [line.split() for line in EDGE_ARGV],
+    ids=" ".join,
+)
+def test_a_subcommand_parses_alone_as_it_does_in_the_tree(capsys, monkeypatch, argv, columns):
+    monkeypatch.setenv("COLUMNS", str(columns))
+    alone = _outcome(lambda argv: cli._parse(argv)[1], argv, capsys)
+    assert alone == _outcome(build_parser().parse_args, argv, capsys)
+
+
+@pytest.mark.parametrize("path,rest", VALID_ARGV.items())
+def test_a_valid_argv_is_parsed_by_the_parser_of_its_subcommand_alone(path, rest):
+    command, args = cli._parse(f"{path} {rest}".split())
+    assert command == path and not hasattr(args, "command")
+
+
+def test_every_subcommand_has_a_valid_argv():
+    assert list(VALID_ARGV) == [path for path, (func, _, _) in COMMANDS.items() if func]

@@ -25,6 +25,7 @@ from edslab.lrs import (
     is_degenerate,
     lrs_period_mod_p,
     nondegenerate_reduction,
+    ratio_orders,
     SquarePeriodResult,
     square_sampled_period,
 )
@@ -519,10 +520,10 @@ def test_gaussian_roots_degenerate():
 
 
 def test_nondegenerate_reduction():
-    m, reduced = nondegenerate_reduction(FIBONACCI)
+    m, reduced = nondegenerate_reduction(FIBONACCI, list(ratio_orders(FIBONACCI)))
     assert m == 1 and reduced is FIBONACCI
     spec = LrsSpec(2, (0, 1), (0, 2))
-    m, reduced = nondegenerate_reduction(spec)
+    m, reduced = nondegenerate_reduction(spec, list(ratio_orders(spec)))
     assert m == 2
     assert reduced.order == 1 and reduced.coeffs == (1,) and reduced.initial == (2,)
     assert is_degenerate(reduced) == (False, None)
@@ -538,7 +539,7 @@ def test_nondegenerate_reduction_random_property():
             tuple(rng.randint(-3, 3) for _ in range(k - 1)) + (rng.choice([-2, -1, 1, 2]),),
             tuple(rng.randint(-3, 3) for _ in range(k)),
         )
-        _, reduced = nondegenerate_reduction(spec)
+        _, reduced = nondegenerate_reduction(spec, list(ratio_orders(spec)))
         assert is_degenerate(reduced) == (False, None)
         done += 1
 
@@ -572,7 +573,7 @@ def test_one_scan_reduction_matches_divide_and_rescan():
         coeffs = tuple(int(-poly[k - i]) for i in range(1, k + 1))
         spec = LrsSpec(k, coeffs, tuple(rng.randint(-4, 4) for _ in range(k)))
         assert is_degenerate(spec)[0]
-        m, reduced = nondegenerate_reduction(spec)
+        m, reduced = nondegenerate_reduction(spec, list(ratio_orders(spec)))
         assert (m, reduced) == _reference_reduction(spec), spec
         orders_seen.add(k)
     assert orders_seen == {2, 3, 4, 5}
