@@ -13,10 +13,9 @@ from contextlib import contextmanager, nullcontext
 __version__ = "0.1.0"
 
 # The one tracing switch, set by EDSLAB_TRACE=1 at import and read by `_span`
-# as each span opens.  A span of a run without tracing costs one test of it,
-# and loads no json
+# as each span opens.  A span of a run without tracing costs one test of it
+# and one null context, writes nothing and loads no json
 _TRACING = os.environ.get("EDSLAB_TRACE") == "1"
-_UNTRACED = nullcontext()
 _open: list[str] = []  # names of the spans open in this process, innermost last
 
 # public name -> the submodule that defines it
@@ -38,11 +37,11 @@ __all__ = [*_HOMES, "__version__"]
 
 
 def _span(name: str, **fields):
-    """When tracing, a span: it gives its block the fields dict, to which the block
-    can add, and as the block ends, normally or not, writes one JSON line on stderr,
+    """A context that gives its block the fields dict, to which the block can add.  When
+    tracing, a span: as the block ends, normally or not, it writes one JSON line on stderr,
     {"span": name, "parent": enclosing span or null, "start": s, "s": seconds, ...fields},
-    on the `time.perf_counter` clock.  Otherwise a context that does nothing and gives None."""
-    return _write_span(name, fields) if _TRACING else _UNTRACED
+    on the `time.perf_counter` clock.  Otherwise it writes nothing."""
+    return _write_span(name, fields) if _TRACING else nullcontext(fields)
 
 
 @contextmanager

@@ -243,6 +243,14 @@ def _printable(name: str, values) -> None:
             raise _unprintable(name.format(n), limit)
 
 
+def _printable_fields(payload: dict) -> None:
+    """`_printable` over the numerator and the denominator of each int or
+    Fraction of the payload, named by its key."""
+    for key, value in payload.items():
+        if hasattr(value, "denominator"):
+            _printable("{}", [(key, value.numerator), (key, value.denominator)])
+
+
 def _printable_spec(spec: lrs.LrsSpec, what: str) -> str:
     """The spec's `lrs k c1..ck u1..uk` line, once each entry passes `_printable`."""
     _printable(f"c{{}} of {what}", enumerate(spec.coeffs, 1))
@@ -428,6 +436,7 @@ def _emit_density(fmt: str, report: galois_density.DensityReport) -> None:
         "delta_num": delta.numerator,
         "delta_den": delta.denominator,
     }
+    _printable_fields(payload)
     scan = report.empirical
     if scan is not None:
         counts = _fields(scan, "x", "hits", "scanned")
@@ -533,10 +542,11 @@ def cmd_prooflab_qlemma(args) -> int:
     payload = {
         "degree": result.degree,
         "predicted_degree": degree,
-        "leading": str(result.leading),
-        "predicted_leading": str(leading),
+        "leading": result.leading,  # a Fraction, printed by its str
+        "predicted_leading": leading,
         "pass": ok,
     }
+    _printable_fields(payload)
     _emit_record(args.format, payload)
     return EXIT_OK if ok else EXIT_VERIFY_FAILED
 
@@ -663,8 +673,11 @@ COMMANDS = {
         ("--x", dict(help="prime bound"), _Number(3, default=10_000)),  # 3: the least odd prime
         ("--jobs", dict(help="worker processes for the prime scan"), _Number(1, default=1)), _EXCLUDE,
     )),
+    # --q: verify fails a q above the top of the Hasse interval at refuter.MAX_WITNESS_P,
+    # 1,001,997, which divides no point order the finder reaches
     "refute": (cmd_refute, "find a witness prime and write a certificate", (
-        *_CURVE_POINT, *_LRS_SOURCE, ("--q", {}, _ANY), ("--a", dict(help="trace target (default 3)"), _ANY),
+        *_CURVE_POINT, *_LRS_SOURCE, ("--q", {}, _Number(most=1_001_997, bound="point-order bound")),
+        ("--a", dict(help="trace target (default 3)"), _ANY),
         ("--p-max", {}, _Number(3)), ("--out", dict(help="certificate output path (default: stdout)")), _EXCLUDE,
     )),
     "verify": (cmd_verify, "re-check a certificate file from scratch", (("certificate", {}),)),

@@ -130,9 +130,12 @@ def generate_geometric(curve: CurveQ, point: PointQ, n_terms: int) -> EdsSequenc
 
 
 def geometric_term(curve: CurveQ, point: PointQ, n: int) -> int:
-    """z_n alone, from w_(n-1), w_n, w_(n+1) of `_last_doubling`."""
-    w = _last_doubling(division_poly_seeds(curve, point), n, -1, 1)
-    return _z_from_w(point, _companion_gcd(curve, point) == 1, n, *w)
+    """z_n alone, from w_(n-1), w_n, w_(n+1) of `_last_doubling`.  Under
+    EDSLAB_TRACE=1 each call writes one span with `n` and the ladder's `steps`,
+    counted as `ward_period` counts them."""
+    with _span("eds.geometric_term", n=n, steps=max(n.bit_length(), 1)):
+        w = _last_doubling(division_poly_seeds(curve, point), n, -1, 1)
+        return _z_from_w(point, _companion_gcd(curve, point) == 1, n, *w)
 
 
 def generate_ward(seed: WardSeed, n_terms: int) -> EdsSequence:
@@ -201,32 +204,25 @@ def ward_period(seeds: tuple[int, int, int, int], p: int, rank: int) -> int | No
     EDSLAB_TRACE=1 each call writes one span: `rank`, `ladders` (those run),
     `steps` (max(n.bit_length(), 1) for the ladder to n, summed) and `period`.
     """
-    with _span("eds.ward_period", rank=rank) as record:
-        period, ladders, steps = _ward_period(seeds, p, rank)
-        if record is not None:
-            record.update(ladders=ladders, steps=steps, period=period)
-    return period
-
-
-def _ward_period(seeds: tuple[int, int, int, int], p: int, rank: int) -> tuple[int | None, int, int]:
-    """`ward_period`'s answer, with the ladders it ran and their doubling steps."""
-    block = ladder_block(seeds, p, rank)
-    w = [s % p for s in (-seeds[2], -seeds[1], -seeds[0], 0, *seeds)]  # the block at 0: w_n for n = -3..4
-    ladders, steps = 1, max(rank.bit_length(), 1)
-    if block[3] != 0 or 0 in block[4:6]:
-        return None, ladders, steps
-    for ell in factorize(rank):
-        ladders, steps = ladders + 1, steps + max((rank // ell).bit_length(), 1)
-        if ladder_block(seeds, p, rank // ell)[3] == 0:
-            return None, ladders, steps
-    a = block[5] * w[4] * pow(w[5] * block[4], -1, p) % p
-    b = block[4] * pow(w[4] * a, -1, p) % p
-    if any(block[n + 3] != w[n + 3] * pow(a, n, p) * b % p for n in range(-3, 5)):
-        return None, ladders, steps
-    t = multiplicative_order(a, p)
-    for ell, e in factorize(multiplicative_order(b, p)).items():
-        t = math.lcm(t, ell ** ((e + 1) // 2))
-    return rank * t, ladders, steps
+    with _span("eds.ward_period", rank=rank, ladders=1, steps=max(rank.bit_length(), 1), period=None) as record:
+        block = ladder_block(seeds, p, rank)
+        w = [s % p for s in (-seeds[2], -seeds[1], -seeds[0], 0, *seeds)]  # the block at 0: w_n for n = -3..4
+        if block[3] != 0 or 0 in block[4:6]:
+            return None
+        for ell in factorize(rank):
+            record["ladders"] += 1
+            record["steps"] += max((rank // ell).bit_length(), 1)
+            if ladder_block(seeds, p, rank // ell)[3] == 0:
+                return None
+        a = block[5] * w[4] * pow(w[5] * block[4], -1, p) % p
+        b = block[4] * pow(w[4] * a, -1, p) % p
+        if any(block[n + 3] != w[n + 3] * pow(a, n, p) * b % p for n in range(-3, 5)):
+            return None
+        t = multiplicative_order(a, p)
+        for ell, e in factorize(multiplicative_order(b, p)).items():
+            t = math.lcm(t, ell ** ((e + 1) // 2))
+        record["period"] = rank * t
+    return record["period"]
 
 
 @dataclass
@@ -310,22 +306,28 @@ class PrimitiveReport:
 def primitive_divisor_scan(seq: EdsSequence) -> list[PrimitiveReport]:
     """Per-index primitive primes: divisors of z_n dividing no earlier term.
 
-    The primitive part is isolated exactly with gcds against the running
-    product of earlier terms, so whether it is > 1 never depends on factoring;
-    only the listed primes can be incomplete under the effort cap.
+    The z_n of a point form a strong divisibility sequence, gcd(z_m, z_n) =
+    z_gcd(m,n) (the points with v_l(x) < 0 form the subgroup E_1(Q_l) of the
+    integral model), so a prime of z_n divides an earlier term iff it divides
+    z_(n/l) for a prime l | n.  The primitive part is isolated exactly with gcds
+    against those terms, so whether it is > 1 never depends on factoring; only
+    the listed primes can be incomplete under the effort cap.  Every prime
+    divides a zero term, as of a degenerate Ward sequence: each later part is 1.
     """
     reports = []
-    running = 1
+    zero_seen = False
     for n in range(1, len(seq) + 1):
         t = abs(seq.term(n))
         if t == 0:
             reports.append(PrimitiveReport(n, 0, [], True))
+            zero_seen = True
             continue
-        prim = t
-        g = math.gcd(prim, running)
-        while g > 1:
-            prim //= g
-            g = math.gcd(prim, g)
+        prim = 1 if zero_seen else t
+        for ell in factorize(n):
+            g = math.gcd(prim, seq.term(n // ell))
+            while g > 1:
+                prim //= g
+                g = math.gcd(prim, g)
         primes: list[int] = []
         complete = True
         if prim > 1:
@@ -335,7 +337,6 @@ def primitive_divisor_scan(seq: EdsSequence) -> list[PrimitiveReport]:
                 primes = sorted(exc.factors)
                 complete = False
         reports.append(PrimitiveReport(n, prim, primes, complete))
-        running *= t
     return reports
 
 
@@ -385,12 +386,11 @@ def save_sequence(cache_dir: str, seq: EdsSequence) -> str:
                     digest.update(line.encode())
                     fh.write(line)
                 fh.write(f"blake2b {digest.hexdigest()}\n")
+                record["bytes"] = fh.tell()
             os.replace(tmp, path)
         except BaseException:
             os.unlink(tmp)
             raise
-        if record is not None:
-            record["bytes"] = os.path.getsize(path)
     return path
 
 
@@ -412,8 +412,7 @@ def load_sequence(cache_dir: str, curve: CurveQ, point: PointQ, n_terms: int) ->
     """
     with _span("eds.load_sequence", n_terms=n_terms) as record:
         seq, miss = _read_cached(cache_path(cache_dir, curve, point), curve, point, n_terms)
-        if record is not None:
-            record.update(hit=seq is not None, miss=miss)
+        record.update(hit=seq is not None, miss=miss)
     return seq
 
 

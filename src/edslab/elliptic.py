@@ -607,8 +607,7 @@ def count_points(curve: CurveFp) -> tuple[int, int]:
             reason = "points_exhausted" if n_points is None else None
         if reason is not None:
             n_points = count_points_naive(curve)[0]
-        if record is not None:
-            record.update(path="mestre" if reason is None else "naive", reason=reason, points=points)
+        record.update(path="mestre" if reason is None else "naive", reason=reason, points=points)
     return n_points, p + 1 - n_points
 
 

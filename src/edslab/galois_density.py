@@ -176,8 +176,7 @@ def empirical_density(
         else:
             tallies = [_empirical_chunk(chunks[0])]
         counts = {key: sum(tally[key] for tally in tallies) for key in tallies[0]}
-        if record is not None:
-            record.update(primes=sum(counts.values()), **counts)
+        record.update(primes=sum(counts.values()), **counts)
     hits = counts["hits"]
     report.empirical = EmpiricalScan(x, hits, counts["residue_class"] + counts["order"] + hits)
     return report

@@ -355,8 +355,7 @@ def _walk(spec: LrsSpec, p: int):
             chunks += 1
             if at is not None:
                 del buffer[at:]
-                if record is not None:
-                    record.update(period=offset + at, terms=generated, chunks=chunks)
+                record.update(period=offset + at, terms=generated, chunks=chunks)
                 yield buffer
                 return
             tail = buffer[-k:]

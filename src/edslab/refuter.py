@@ -332,8 +332,7 @@ def find_witness(
             break
         stats = {"scanned": sum(tally.values()) + counts["candidates"], **tally, **counts}
         stats["divides_invariants"] = stats.pop("bad")
-        if record is not None:
-            record.update(stats, **({"p": cert.p} if cert else {}))
+        record.update(stats, **({"p": cert.p} if cert else {}))
     return FindResult(cert, stats)
 
 
@@ -379,14 +378,12 @@ def verify_certificate(cert: WitnessCertificate) -> VerifyResult:
     """
     with _span("refuter.verify_certificate", p=cert.p) as record:
         verdict = _verify(cert, record)
-        if record is not None:
-            record["failed"] = verdict.failures
+        record["failed"] = verdict.failures
     return verdict
 
 
-def _verify(cert: WitnessCertificate, record: dict | None) -> VerifyResult:
-    """`verify_certificate`'s checks, with the recount's n_points put in the
-    span record, when there is one."""
+def _verify(cert: WitnessCertificate, record: dict) -> VerifyResult:
+    """`verify_certificate`'s checks, with the recount's n_points put in its span record."""
     verdict = VerifyResult([])
 
     def check(name: str, ok: bool, detail: str = ""):
@@ -413,8 +410,7 @@ def _verify(cert: WitnessCertificate, record: dict | None) -> VerifyResult:
 
     cfp = CurveFp.from_curve(curve, p)
     n_points, trace = count_points_naive(cfp)
-    if record is not None:
-        record["n_points"] = n_points
+    record["n_points"] = n_points
     check("n_points", n_points == cert.n_points, f"recounted {n_points}")
     check("trace", trace == cert.trace, f"recomputed {trace}")
     low, high = hasse_interval(p)
@@ -484,7 +480,9 @@ def direct_falsify(
     """Indices n >= n_claim with z_n != +-u_{n^2} (mod p) over the window.
 
     An empty result only means no counterexample was seen in the window,
-    never that the sequences agree.
+    never that the sequences agree.  Under EDSLAB_TRACE=1 each call writes one
+    span with `p`, `ladders` (one per index) and their `steps`, counted as
+    `ward_period` counts them.
     """
     if not curve.contains(point):
         raise ValueError("point is not on the curve")
@@ -502,8 +500,10 @@ def direct_falsify(
     require_exact_companion(curve, point)
     seeds = division_poly_seeds(curve, point)
     # z_n = z_1*|w_n|; the sign of w_n does not matter against +-u_{n^2}
-    return [
-        n
-        for n in range(n_claim, hi + 1)
-        if _mismatch_residue(point.z * ladder_block(seeds, p, n)[3] % p, eval_mod(spec, n * n, p), p)
-    ]
+    steps = sum(n.bit_length() for n in range(n_claim, hi + 1))  # max(bits of n, 1), as n >= 1
+    with _span("refuter.direct_falsify", p=p, ladders=window, steps=steps):
+        return [
+            n
+            for n in range(n_claim, hi + 1)
+            if _mismatch_residue(point.z * ladder_block(seeds, p, n)[3] % p, eval_mod(spec, n * n, p), p)
+        ]

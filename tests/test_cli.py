@@ -13,7 +13,7 @@ import pytest
 import edslab
 from edslab import cli, eds, lrs, ntkernel, prooflab, refuter
 from edslab.cli import build_parser, main
-from edslab.elliptic import NAIVE_COUNT_BELOW, CurveQ, PointQ
+from edslab.elliptic import NAIVE_COUNT_BELOW, CurveQ, PointQ, hasse_interval
 from edslab.lrs import FIBONACCI
 
 
@@ -277,6 +277,29 @@ def test_traced_refute_names_the_path_of_each_point_count():
     assert counts and all(r["parent"] == "refuter.scan" for r in counts)
     small = ("naive", "small_p")
     assert all((r["path"], r["reason"]) == (small if r["p"] < NAIVE_COUNT_BELOW else ("mestre", None)) for r in counts)
+
+
+def test_traced_warm_eds_gen_writes_a_span_for_each_term_of_the_cache_check(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(edslab, "_TRACING", True)
+    gen = ("eds", "gen", "--curve", "0", "3", "--point", "1", "2", "1", "--n", "6", "--cache-dir", str(tmp_path))
+    checks = []
+    for _ in range(2):  # a miss, which checks no term, then a hit, which checks z_1 and z_6
+        code, _, err = run(capsys, *gen)
+        assert code == 0
+        checks.append([r for r in map(json.loads, err.splitlines()) if r["span"] == "eds.geometric_term"])
+    # one doubling step for the ladder to 1, three for 6
+    assert checks[0] == [] and [(r["parent"], r["n"], r["steps"]) for r in checks[1]] == [
+        ("eds.load_sequence", 1, 1), ("eds.load_sequence", 6, 3),
+    ]
+
+
+def test_traced_falsify_writes_one_span_with_its_ladders(monkeypatch, capsys):
+    monkeypatch.setattr(edslab, "_TRACING", True)
+    code, out, err = run(capsys, *FALSIFY_FIB, "--start", "10", "--window", "20")
+    [span] = [r for r in map(json.loads, err.splitlines()) if r["span"] == "refuter.direct_falsify"]
+    assert code == 0 and out.split()
+    # one ladder per index 10..29: six of 4 bits (10..15) and fourteen of 5 (16..29)
+    assert (span["parent"], span["p"], span["ladders"], span["steps"]) == ("cli.run", 7, 20, 94)
 
 
 Z87 = ("eds", "gen", "--curve", "8", "3", "--point", "13", "48", "1", "--n", "87")  # z_87 has 4,398 digits
@@ -1177,10 +1200,14 @@ def least_print_limit():
 
 
 N250 = 10**250
+# the least primes above 10^170 and 10^130: a gl2 cell's denominator (q^2 - 1)(q^2 - q)
+# has 680 digits at the first, and an affine cell's, q^2 times that, 780 at the second
+Q170, Q130 = str(ntkernel.next_prime(10**170)), str(ntkernel.next_prime(10**130))
 
 
-# every command that prints an integer whose size the caller controls, except
-# eds zsigmondy: it factors each term for minutes before it prints one this long
+# commands that print an integer whose size the caller controls, each naming the
+# first one past the limit; not every such command is here: eds zsigmondy factors
+# each term for minutes before it prints one this long
 @PRINT_LIMIT
 @pytest.mark.parametrize(
     "argv, terms, named",
@@ -1207,8 +1234,16 @@ N250 = 10**250
         (("lrs", "fit"), (1, N250, N250**2 - 1, 0), "c1 of the fitted recurrence"),
         # order 2 fits only with c1 = (N^3 - 2N - 1)/2, printed in the note on a non-integral fit
         (("lrs", "fit"), (1, N250, N250**2 - 2, 1), "c1 of the order-2 fit"),
+        (("density", "gl2", "--q", Q170, "--a", "3", "--b", "2"), None, "denominator"),
+        (("density", "affine", "--q", Q130, "--a", "3", "--b", "2"), None, "denominator"),
+        (("density", "empirical", *CURVE_44, "--q", Q130, "--x", "100"), None, "denominator"),
+        # the leading coefficient, and the predicted one, have 980 digits
+        (("prooflab", "qlemma", "--coeffs", "1", "7" * 200, "--alpha", "9" * 60), None, "leading"),
     ],
-    ids=["eds-gen", "eds-ward", "prooflab-ell", "lrs-eval", "lrs-decimate", "lrs-degenerate", "lrs-fit", "lrs-fatou"],
+    ids=[
+        "eds-gen", "eds-ward", "prooflab-ell", "lrs-eval", "lrs-decimate", "lrs-degenerate", "lrs-fit", "lrs-fatou",
+        "density-gl2", "density-affine", "density-empirical", "prooflab-qlemma",
+    ],
 )
 def test_an_integer_past_a_lowered_print_limit_is_named(tmp_path, capsys, least_print_limit, argv, terms, named):
     # the lrs commands exited 2 with CPython's own "Exceeds the limit (640 digits) ...;
@@ -1244,6 +1279,16 @@ def test_memory_sizing_option_past_its_bound_exit2_before_any_work(capsys, monke
     for module, name in refused:
         monkeypatch.setattr(module, name, _refuse)
     assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+def test_refute_q_past_every_certifiable_order_exit2_at_once(capsys):
+    # verify fails such a q untested, yet refute spent 7 s in is_prime before "q must be an odd prime"
+    [rule] = [option[2] for option in cli.COMMANDS["refute"][2] if option[0] == "--q"]
+    assert rule.most == hasse_interval(refuter.MAX_WITNESS_P)[1] == 1_001_997
+    start = time.perf_counter()
+    code, out, err = run(capsys, *REFUTE[:-1], str(10**4290 + 1))
+    assert time.perf_counter() - start < 1
+    assert (code, out, err) == (2, "", "error: --q 100000000000000000000... exceeds the point-order bound 1001997\n")
 
 
 def test_eds_gen_at_the_term_bound_runs(capsys, monkeypatch):

@@ -3,6 +3,7 @@ import math
 import os
 import random
 import shutil
+import time
 from itertools import islice
 
 import pytest
@@ -652,6 +653,56 @@ def test_largest_prime_grows():
                 best = largest
                 records.append(r.n)
     assert len(records) >= 6  # new record primes keep appearing
+
+
+def _running_product_parts(seq) -> list[int]:
+    """The reference primitive parts: |z_n| stripped of every prime of the product
+    of all earlier terms (0 for a zero term, after which that product is 0)."""
+    parts, running = [], 1
+    for n in range(1, len(seq) + 1):
+        prim = abs(seq.term(n))
+        g = math.gcd(prim, running) if prim else 1
+        while g > 1:
+            prim //= g
+            g = math.gcd(prim, g)
+        parts.append(prim)
+        running *= abs(seq.term(n))
+    return parts
+
+
+@pytest.fixture
+def unfactored_parts(monkeypatch):
+    """`primitive_divisor_scan` with the factoring of each part patched out, not of each index."""
+    factorize = eds.factorize
+    monkeypatch.setattr(eds, "factorize", lambda n, **cap: {} if cap else factorize(n))
+
+
+@pytest.mark.parametrize(
+    "curve, point",
+    [((-4, 4), (1, 1, 1)), ((0, 3), (1, 2, 1)), ((0, 17), (-2, 3, 1)), ((-16, 16), (0, 4, 1)), ((8, 3), (13, 48, 1))],
+    ids=["ayad", "fixture", "gcd-6", "not-minimal-at-2", "large-height"],
+)
+def test_primitive_parts_match_the_running_product(unfactored_parts, curve, point):
+    # strong divisibility: a prime of z_n that divides an earlier term divides some z_(n/l)
+    seq = generate_geometric(CurveQ(*curve), PointQ(*point), 120)
+    assert [r.primitive_part for r in primitive_divisor_scan(seq)] == _running_product_parts(seq)
+
+
+def test_primitive_parts_after_a_zero_term_are_one(unfactored_parts):
+    # w_4 = 0; w_5 = -27 and each later term is a multiple of 0, as the running product says
+    seq = generate_ward(WardSeed(1, 2, 3, 0), 30)
+    parts = [r.primitive_part for r in primitive_divisor_scan(seq)]
+    assert seq.degenerate_at == 4 and seq.term(5) == -27
+    assert parts == _running_product_parts(seq) == [1, 2, 3, 0, *[0 if seq.term(n) == 0 else 1 for n in range(5, 31)]]
+
+
+def test_primitive_parts_to_200_take_a_fraction_of_a_second(unfactored_parts):
+    # the running product of z_1..z_199 has about h*n^3/3 bits: its gcds took 2 s here
+    seq = generate_geometric(CurveQ(-4, 4), PointQ(1, 1, 1), 200)
+    start = time.perf_counter()
+    reports = primitive_divisor_scan(seq)
+    assert time.perf_counter() - start < 0.5
+    assert len(reports) == 200 and sum(r.primitive_part > 1 for r in reports) >= 190
 
 
 def test_cache_roundtrip_and_corruption(tmp_path):

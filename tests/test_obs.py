@@ -26,7 +26,7 @@ def test_only_edslab_trace_1_turns_tracing_on():
 def test_nothing_is_written_unless_tracing_is_on(monkeypatch, capsys):
     monkeypatch.setattr(edslab, "_TRACING", False)
     with edslab._span("outer", k=1) as record:
-        assert record is None
+        assert record == {"k": 1}
     assert _lines(capsys) == []
 
 
