@@ -307,6 +307,7 @@ def cmd_eds_zsigmondy(args) -> int:
     curve, point = _curve_point(args)
     seq = eds.generate_geometric(curve, point, n)
     reports = eds.primitive_divisor_scan(seq)
+    _printable("primitive part of z_{}", ((r.n, r.primitive_part) for r in reports))
     rows = [
         [
             r.n,

@@ -313,30 +313,39 @@ def primitive_divisor_scan(seq: EdsSequence) -> list[PrimitiveReport]:
     against those terms, so whether it is > 1 never depends on factoring; only
     the listed primes can be incomplete under the effort cap.  Every prime
     divides a zero term, as of a degenerate Ward sequence: each later part is 1.
+    Under EDSLAB_TRACE=1 each call writes one span with `terms`, `gcds` (the
+    gcds taken), `factored` (the parts handed to `factorize`) and `incomplete`.
     """
     reports = []
     zero_seen = False
-    for n in range(1, len(seq) + 1):
-        t = abs(seq.term(n))
-        if t == 0:
-            reports.append(PrimitiveReport(n, 0, [], True))
-            zero_seen = True
-            continue
-        prim = 1 if zero_seen else t
-        for ell in factorize(n):
-            g = math.gcd(prim, seq.term(n // ell))
-            while g > 1:
-                prim //= g
-                g = math.gcd(prim, g)
-        primes: list[int] = []
-        complete = True
-        if prim > 1:
-            try:
-                primes = sorted(factorize(prim, rho_iters=PRIMITIVE_RHO_ITERS))
-            except IncompleteFactorization as exc:
-                primes = sorted(exc.factors)
-                complete = False
-        reports.append(PrimitiveReport(n, prim, primes, complete))
+    gcds = factored = incomplete = 0
+    with _span("eds.primitive_divisor_scan", terms=len(seq)) as record:
+        for n in range(1, len(seq) + 1):
+            t = abs(seq.term(n))
+            if t == 0:
+                reports.append(PrimitiveReport(n, 0, [], True))
+                zero_seen = True
+                continue
+            prim = 1 if zero_seen else t
+            for ell in factorize(n):
+                g = math.gcd(prim, seq.term(n // ell))
+                gcds += 1
+                while g > 1:
+                    prim //= g
+                    g = math.gcd(prim, g)
+                    gcds += 1
+            primes: list[int] = []
+            complete = True
+            if prim > 1:
+                factored += 1
+                try:
+                    primes = sorted(factorize(prim, rho_iters=PRIMITIVE_RHO_ITERS))
+                except IncompleteFactorization as exc:
+                    primes = sorted(exc.factors)
+                    complete = False
+                    incomplete += 1
+            reports.append(PrimitiveReport(n, prim, primes, complete))
+        record.update(gcds=gcds, factored=factored, incomplete=incomplete)
     return reports
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from . import _span
+from . import _clip, _span
 from .elliptic import CurveQ, PointQ, order_class_primes, small_multiple
 from .ntkernel import check_sieve_limit, echelon, is_prime
 
@@ -50,7 +50,7 @@ def count_gl2(q: int, a: int, b: int) -> DensityReport:
     """Exact count of J in GL2(F_q) with tr(J) = a and det(J) = b != 0, from
     `conjugacy_type_count`."""
     if not is_prime(q):
-        raise ValueError(f"q={q} must be prime")
+        raise ValueError(f"q={_clip(q)} must be prime")
     a %= q
     b %= q
     if b == 0:
@@ -61,9 +61,9 @@ def count_gl2(q: int, a: int, b: int) -> DensityReport:
 def gl2_histogram(q: int) -> dict[tuple[int, int], int]:
     """Counts of invertible matrices by (trace, determinant) in one pass."""
     if not is_prime(q):
-        raise ValueError(f"q={q} must be prime")
+        raise ValueError(f"q={_clip(q)} must be prime")
     if q > LINEAR_CAP:
-        raise ValueError(f"q={q} exceeds the enumeration cap {LINEAR_CAP}")
+        raise ValueError(f"q={_clip(q)} exceeds the enumeration cap {LINEAR_CAP}")
     hist: dict[tuple[int, int], int] = {}
     for m11, m12, m21, m22 in product(range(q), repeat=4):
         det = (m11 * m22 - m12 * m21) % q

@@ -66,23 +66,45 @@ MAX_FALSIFY_INDEX = 10**6
 # certificates
 
 
-# scalar certificate fields: integers as decimal strings, windows as pairs of
-# them, flags as JSON booleans
-_INT_FIELDS = ("q", "p", "trace", "n_points", "point_order", "tz_period", "tu_period", "lrs_period")
-_WINDOW_FIELDS = ("tz_window", "tu_window")
-_FLAG_FIELDS = ("q_divides_tz", "q_divides_tu")
-
-
 def _int_pair(value, num) -> tuple[int, int]:
     if not isinstance(value, list) or len(value) != 2:
         raise TypeError(f"expected a pair of integers, got {_clip(repr(value))}")
     return num(value[0]), num(value[1])
 
 
-def _json_bool(value) -> bool:
+def _json_bool(value, _num) -> bool:
     if not isinstance(value, bool):
         raise TypeError(f"expected a JSON boolean, got {_clip(repr(value))}")
     return value
+
+
+# JSON key -> (attribute, its JSON form, its value read back from that form), in the
+# order `from_json` reads them.  Integers are decimal strings, which `num` reads, so no
+# JSON float or boolean is one; windows are pairs of them, flags JSON booleans
+_FIELDS = {
+    "curve": ("curve", lambda c: {"a": str(c.a), "b": str(c.b)}, lambda c, num: CurveQ(num(c["a"]), num(c["b"]))),
+    "point": (
+        "point",
+        lambda pt: {"x": str(pt.x), "y": str(pt.y), "z": str(pt.z)},
+        lambda pt, num: PointQ(num(pt["x"]), num(pt["y"]), num(pt["z"])),
+    ),
+    "lrs": (
+        "spec",
+        lambda s: {"order": str(s.order), "coeffs": [*map(str, s.coeffs)], "initial": [*map(str, s.initial)]},
+        lambda s, num: LrsSpec(num(s["order"]), tuple(map(num, s["coeffs"])), tuple(map(num, s["initial"]))),
+    ),
+    "mismatches": (
+        "mismatches",
+        lambda ms: [{"n": str(n), "z_mod": str(z), "u_mod": str(u)} for n, z, u in ms],
+        lambda ms, num: [(num(m["n"]), num(m["z_mod"]), num(m["u_mod"])) for m in ms],
+    ),
+    **{
+        k: (k, str, lambda v, num: num(v))
+        for k in ("q", "p", "trace", "n_points", "point_order", "tz_period", "tu_period", "lrs_period")
+    },
+    **{k: (k, lambda w: [*map(str, w)], _int_pair) for k in ("tz_window", "tu_window")},
+    **{k: (k, lambda flag: flag, _json_bool) for k in ("q_divides_tz", "q_divides_tu")},
+}
 
 
 @dataclass
@@ -106,22 +128,8 @@ class WitnessCertificate:
 
     def to_json(self) -> str:
         """Canonical JSON: sorted keys, integers as decimal strings."""
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "curve": {"a": str(self.curve.a), "b": str(self.curve.b)},
-            "point": {"x": str(self.point.x), "y": str(self.point.y), "z": str(self.point.z)},
-            "lrs": {
-                "order": str(self.spec.order),
-                "coeffs": [str(c) for c in self.spec.coeffs],
-                "initial": [str(u) for u in self.spec.initial],
-            },
-            "mismatches": [
-                {"n": str(n), "z_mod": str(z), "u_mod": str(u)} for n, z, u in self.mismatches
-            ],
-            **{name: str(getattr(self, name)) for name in _INT_FIELDS},
-            **{name: [str(v) for v in getattr(self, name)] for name in _WINDOW_FIELDS},
-            **{name: getattr(self, name) for name in _FLAG_FIELDS},
-        }
+        payload = {key: form(getattr(self, attr)) for key, (attr, form, _) in _FIELDS.items()}
+        payload["schema_version"] = SCHEMA_VERSION
         return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
 
     @classmethod
@@ -134,25 +142,16 @@ class WitnessCertificate:
             raise ValueError("a certificate must be a JSON object")
         if payload.get("schema_version") != SCHEMA_VERSION:
             raise ValueError(f"unsupported schema version {_clip(repr(payload.get('schema_version')))}")
-        parsers = {  # each field's value; `num` reads an integer from its text, so no JSON float or boolean is one
-            "curve": lambda c, num: CurveQ(num(c["a"]), num(c["b"])),
-            "point": lambda c, num: PointQ(num(c["x"]), num(c["y"]), num(c["z"])),
-            "lrs": lambda s, num: LrsSpec(num(s["order"]), tuple(map(num, s["coeffs"])), tuple(map(num, s["initial"]))),
-            "mismatches": lambda ms, num: [(num(m["n"]), num(m["z_mod"]), num(m["u_mod"])) for m in ms],
-            **dict.fromkeys(_INT_FIELDS, lambda v, num: num(v)),
-            **dict.fromkeys(_WINDOW_FIELDS, _int_pair),
-            **dict.fromkeys(_FLAG_FIELDS, lambda v, num: _json_bool(v)),
-        }
         fields = {}
-        for name, parse in parsers.items():
-            named = f"certificate field {name!r}"
-            if name not in payload:
+        for key, (attr, _, parse) in _FIELDS.items():
+            named = f"certificate field {key!r}"
+            if key not in payload:
                 raise ValueError(f"{named} is missing")
             try:  # a ValueError passes: `_int` names the field, and a class gives its reason
-                fields[name] = parse(payload[name], lambda value: _int(str(value), named))
+                fields[attr] = parse(payload[key], lambda value: _int(str(value), named))
             except (KeyError, TypeError) as exc:
                 raise ValueError(f"{named} is malformed: {exc!r}") from None
-        return cls(spec=fields.pop("lrs"), **fields)
+        return cls(**fields)
 
 
 # ---------------------------------------------------------------------------
@@ -372,24 +371,24 @@ def verify_certificate(cert: WitnessCertificate) -> VerifyResult:
     prefix to the largest stated index.  p, q, the window and the indices are
     bounded by the finder's limits before any primality test, count, ladder
     or exact term, and the walk of u mod p by `lrs.MAX_WALK`: no edit makes
-    it run away.  Under EDSLAB_TRACE=1 each call writes one span with `p`,
-    the recount's `n_points` (absent when a bound check ends it first) and
+    it run away.  The checks are the rows of the stages of `_SCHEMA_1`, in
+    order.  Under EDSLAB_TRACE=1 each call writes one span with `p`, the
+    recount's `n_points` (absent when a bound check ends it first) and
     `failed`, the names of the checks that failed.
     """
     with _span("refuter.verify_certificate", p=cert.p) as record:
-        verdict = _verify(cert, record)
+        verdict, found = VerifyResult([]), {}
+        for stage, ends_on_failure in _SCHEMA_1:
+            rows = [CheckResult(name, bool(ok), detail) for name, ok, detail in stage(cert, record, found)]
+            verdict.checks += rows
+            if ends_on_failure and not all(row.ok for row in rows):
+                break
         record["failed"] = verdict.failures
     return verdict
 
 
-def _verify(cert: WitnessCertificate, record: dict) -> VerifyResult:
-    """`verify_certificate`'s checks, with the recount's n_points put in its span record."""
-    verdict = VerifyResult([])
-
-    def check(name: str, ok: bool, detail: str = ""):
-        verdict.checks.append(CheckResult(name, bool(ok), detail))
-        return ok
-
+def _bounds(cert: WitnessCertificate, record: dict, found: dict):
+    """Every bound the later stages' work depends on, and the reductions at p."""
     # a number past the bounds fails untested: a q above the top of the Hasse interval
     # at the finder's limit divides no point order that p_bound lets through
     for name, n, top, what in (
@@ -397,72 +396,72 @@ def _verify(cert: WitnessCertificate, record: dict) -> VerifyResult:
         ("p", cert.p, MAX_WITNESS_P, "finder's limit"),
     ):
         untested = f", untested: above {top}, the {what}" if n > top else ""
-        check(f"{name}_prime", not untested and is_prime(n) and n % 2 == 1, f"{name}={n}{untested}")
-    check("p_bound", cert.p <= MAX_WITNESS_P, f"p={cert.p}, finder's limit {MAX_WITNESS_P}")
-    check("p_distinct_from_q", cert.p != cert.q)
-    curve, point, spec, p, q = cert.curve, cert.point, cert.spec, cert.p, cert.q
-    check("point_on_curve", curve.contains(point))
-    check("point_nontorsion", not is_torsion(point, curve)[0])
-    check("good_reduction", curve.bad_prime_product(point) % p != 0, "p must avoid disc, z1 and 2*y1")
-    check("lrs_reduction", spec.coeffs[-1] % p != 0, "p must not divide the last coefficient")
-    if not verdict.ok:
-        return verdict
+        yield f"{name}_prime", not untested and is_prime(n) and n % 2 == 1, f"{name}={n}{untested}"
+    yield "p_bound", cert.p <= MAX_WITNESS_P, f"p={cert.p}, finder's limit {MAX_WITNESS_P}"
+    yield "p_distinct_from_q", cert.p != cert.q, ""
+    yield "point_on_curve", cert.curve.contains(cert.point), ""
+    yield "point_nontorsion", not is_torsion(cert.point, cert.curve)[0], ""
+    yield "good_reduction", cert.curve.bad_prime_product(cert.point) % cert.p != 0, "p must avoid disc, z1 and 2*y1"
+    yield "lrs_reduction", cert.spec.coeffs[-1] % cert.p != 0, "p must not divide the last coefficient"
 
-    cfp = CurveFp.from_curve(curve, p)
+
+def _order(cert: WitnessCertificate, record: dict, found: dict):
+    """#E(F_p) recounted, with its trace, and the order of P mod p, which it puts in `found`."""
+    cfp = CurveFp.from_curve(cert.curve, cert.p)
     n_points, trace = count_points_naive(cfp)
     record["n_points"] = n_points
-    check("n_points", n_points == cert.n_points, f"recounted {n_points}")
-    check("trace", trace == cert.trace, f"recomputed {trace}")
-    low, high = hasse_interval(p)
-    check("hasse", low <= n_points <= high)
-    order_p = point_order_fp(reduce_point(point, curve, p), cfp, n_points)
-    check("point_order", order_p == cert.point_order, f"recomputed {order_p}")
-    check("q_divides_order", order_p % q == 0)
+    yield "n_points", n_points == cert.n_points, f"recounted {n_points}"
+    yield "trace", trace == cert.trace, f"recomputed {trace}"
+    low, high = hasse_interval(cert.p)
+    yield "hasse", low <= n_points <= high, ""
+    found["order"] = order_p = point_order_fp(reduce_point(cert.point, cert.curve, cert.p), cfp, n_points)
+    yield "point_order", order_p == cert.point_order, f"recomputed {order_p}"
+    yield "q_divides_order", order_p % cert.q == 0, ""
 
-    lo, hi = cert.tz_window
-    window_cap = _period_horizon(order_p, p)
-    window_ok = check("tz_window", hi <= window_cap, f"end {hi}, finder's limit {window_cap}")
+
+def _windows(cert: WitnessCertificate, record: dict, found: dict):
+    """The stated window and mismatch indices, within the finder's limits."""
+    hi, cap = cert.tz_window[1], _period_horizon(found["order"], cert.p)
+    yield "tz_window", hi <= cap, f"end {hi}, finder's limit {cap}"
     indices = [n for n, _, _ in cert.mismatches]
-    indices_ok = check(
-        "mismatch_index",
-        len(set(indices)) == len(indices) and all(1 <= n <= MAX_MISMATCH_INDEX for n in indices),
-        f"mismatches indices must be distinct and lie in 1..{MAX_MISMATCH_INDEX}",
-    )
-    if not (window_ok and indices_ok):
-        return verdict
+    ok = len(set(indices)) == len(indices) and all(1 <= n <= MAX_MISMATCH_INDEX for n in indices)
+    yield "mismatch_index", ok, f"mismatches indices must be distinct and lie in 1..{MAX_MISMATCH_INDEX}"
 
-    tz = cert.tz_period
-    least = ward_period(division_poly_seeds(curve, point), p, order_p)
+
+def _periods(cert: WitnessCertificate, record: dict, found: dict):
+    """The periods of w_n and u_(n^2) mod p, re-derived, and the stated mismatches recomputed."""
+    curve, point, p, q, tz = cert.curve, cert.point, cert.p, cert.q, cert.tz_period
+    lo, hi = cert.tz_window
+    least = ward_period(division_poly_seeds(curve, point), p, found["order"])
     tz_ok = least is not None and lo == 1 and 0 < 2 * tz <= hi and tz % least == 0
     tz_detail = f"least period {least}: tz must be a multiple of it, with 2*tz inside the stated window"
-    check("tz_period", tz_ok, "" if tz_ok else tz_detail)
-    check("tz_minimal", tz_ok and tz == least, "a smaller multiple of the point order must not be a period")
-    check("q_divides_tz", cert.q_divides_tz and cert.tz_period % q == 0)
-
+    yield "tz_period", tz_ok, "" if tz_ok else tz_detail
+    yield "tz_minimal", tz_ok and tz == least, "a smaller multiple of the point order must not be a period"
+    yield "q_divides_tz", cert.q_divides_tz and tz % q == 0, ""
     try:
-        sq = square_sampled_period(spec, p)
+        sq = square_sampled_period(cert.spec, p)
     except ValueError as exc:  # the period of u mod p passed lrs.MAX_WALK, or factoring gave up
-        check("lrs_period", False, str(exc))
-        return verdict
-    check("lrs_period", sq.lrs_period == cert.lrs_period, f"recomputed {sq.lrs_period}")
-    check("tu_period", sq.period == cert.tu_period, f"recomputed {sq.period}")
-    check("tu_window", cert.tu_window == sq.window, f"recomputed {sq.window}")
-    check("q_not_divides_tu", (not cert.q_divides_tu) and sq.period % q != 0)
-
-    mism_ok = len(cert.mismatches) >= 1
-    detail = ""
-    z_terms = generate_geometric(curve, point, max(indices)).terms if indices else []
+        yield "lrs_period", False, str(exc)
+        return
+    yield "lrs_period", sq.lrs_period == cert.lrs_period, f"recomputed {sq.lrs_period}"
+    yield "tu_period", sq.period == cert.tu_period, f"recomputed {sq.period}"
+    yield "tu_window", cert.tu_window == sq.window, f"recomputed {sq.window}"
+    yield "q_not_divides_tu", (not cert.q_divides_tu) and sq.period % q != 0, ""
+    z_terms = generate_geometric(curve, point, max(n for n, _, _ in cert.mismatches)).terms if cert.mismatches else []
     for n, z_stated, u_stated in cert.mismatches:
         z_mod, u_mod = z_terms[n - 1] % p, sq.u_mod(n * n)
-        if z_mod != z_stated or u_mod != u_stated:
-            mism_ok, detail = False, f"index {n}: stored residues do not recompute"
-            break
+        if (z_mod, u_mod) != (z_stated, u_stated):
+            yield "mismatches", False, f"index {n}: stored residues do not recompute"
+            return
         if not _mismatch_residue(z_mod, u_mod, p):
-            mism_ok, detail = False, f"index {n}: sequences agree up to sign"
-            break
-    check("mismatches", mism_ok, detail)
+            yield "mismatches", False, f"index {n}: sequences agree up to sign"
+            return
+    yield "mismatches", bool(cert.mismatches), ""
 
-    return verdict
+
+# a verifier's (stage, ends_on_failure) pairs, in order: a stage takes the certificate, the span's
+# record and the facts found by the stages before it, and yields its checks as (name, ok, detail)
+_SCHEMA_1 = ((_bounds, True), (_order, False), (_windows, True), (_periods, False))
 
 
 # ---------------------------------------------------------------------------

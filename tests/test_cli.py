@@ -246,6 +246,7 @@ def test_untraced_commands_never_reach_the_span_writer(tmp_path, monkeypatch, ca
         ("eds", "gen", "--curve", "0", "3", "--point", "1", "2", "1", "--cache-dir", str(tmp_path)),
         LRS_SQUARES,
         (*EMPIRICAL, "--x", "300"),
+        ("eds", "zsigmondy", "--curve", "0", "3", "--point", "1", "2", "1", "--n", "10"),
     ]
     assert [run(capsys, *argv)[0] for argv in commands] == [0] * len(commands)
 
@@ -597,6 +598,13 @@ def test_density_empirical_scan_columns_are_integers(capsys, fmt):
     assert x == 1000 and cells["frequency"] == f"{hits}/{scanned}" and 0 < scanned < x
 
 
+@pytest.mark.parametrize("leaf", ["gl2", "affine"])
+def test_density_echoes_the_start_of_a_long_q(capsys, leaf):
+    # both echoed all 1,001 digits of q in "q=... must be prime"
+    code, out, err = run(capsys, "density", leaf, "--q", str(10**1000), "--a", "3", "--b", "2")
+    assert (code, out, err) == (2, "", "error: q=100000000000000000000... must be prime\n")
+
+
 def test_refute_verify_roundtrip(tmp_path, capsys):
     cert_path = tmp_path / "cert.json"
     code, out, _ = run(
@@ -617,6 +625,25 @@ def test_refute_verify_roundtrip(tmp_path, capsys):
     code, out, _ = run(capsys, "verify", str(cert_path), "--format", "json")
     assert code == 4
     assert json.loads(out)["ok"] is False
+
+
+# the rows of `verify`, in order: bounds, the recount and the point order, the
+# window and the mismatch indices, then the periods and the mismatches
+VERIFIER_CHECKS = [
+    "q_prime", "p_prime", "p_bound", "p_distinct_from_q", "point_on_curve", "point_nontorsion", "good_reduction",
+    "lrs_reduction", "n_points", "trace", "hasse", "point_order", "q_divides_order", "tz_window", "mismatch_index",
+    "tz_period", "tz_minimal", "q_divides_tz", "lrs_period", "tu_period", "tu_window", "q_not_divides_tu", "mismatches",
+]
+
+
+def test_verify_of_a_valid_certificate_passes_every_check_in_order(tmp_path, capsys):
+    cert = tmp_path / "cert.json"
+    assert run(capsys, *REFUTE, "--p-max", "100", "--out", str(cert))[0] == 0
+    code, out, err = run(capsys, "verify", str(cert), "--format", "json")
+    payload = json.loads(out)
+    assert (code, err, payload["ok"]) == (0, "", True)
+    assert [check["name"] for check in payload["checks"]] == VERIFIER_CHECKS
+    assert all(check["ok"] for check in payload["checks"])
 
 
 def test_refute_verify_a_witness_past_the_former_horizon_cap(tmp_path, capsys):
@@ -1203,17 +1230,19 @@ N250 = 10**250
 # the least primes above 10^170 and 10^130: a gl2 cell's denominator (q^2 - 1)(q^2 - q)
 # has 680 digits at the first, and an affine cell's, q^2 times that, 780 at the second
 Q170, Q130 = str(ntkernel.next_prime(10**170)), str(ntkernel.next_prime(10**130))
+CURVE_83 = ("--curve", "8", "3", "--point", "13", "48", "1")  # z_n has about 0.58*n^2 digits
 
 
 # commands that print an integer whose size the caller controls, each naming the
-# first one past the limit; not every such command is here: eds zsigmondy factors
-# each term for minutes before it prints one this long
+# first one past the limit
 @PRINT_LIMIT
 @pytest.mark.parametrize(
     "argv, terms, named",
     [
-        (("eds", "gen", "--curve", "8", "3", "--point", "13", "48", "1", "--n", "40"), None, "z_34"),
+        (("eds", "gen", *CURVE_83, "--n", "40"), None, "z_34"),
         (("eds", "ward", "--seed", "1", "1", "-1", "1", "--n", "300"), None, "w_241"),
+        # the primitive parts of z_1..z_34 have at most 640 digits
+        (("eds", "zsigmondy", *CURVE_83, "--n", "36"), None, "primitive part of z_35"),
         (
             ("prooflab", "ell", "--r", "7", "--e", "800", "--n0", "1", "--j", "3", "--c", "1"),
             None,
@@ -1241,13 +1270,16 @@ Q170, Q130 = str(ntkernel.next_prime(10**170)), str(ntkernel.next_prime(10**130)
         (("prooflab", "qlemma", "--coeffs", "1", "7" * 200, "--alpha", "9" * 60), None, "leading"),
     ],
     ids=[
-        "eds-gen", "eds-ward", "prooflab-ell", "lrs-eval", "lrs-decimate", "lrs-degenerate", "lrs-fit", "lrs-fatou",
-        "density-gl2", "density-affine", "density-empirical", "prooflab-qlemma",
+        "eds-gen", "eds-ward", "eds-zsigmondy", "prooflab-ell", "lrs-eval", "lrs-decimate", "lrs-degenerate",
+        "lrs-fit", "lrs-fatou", "density-gl2", "density-affine", "density-empirical", "prooflab-qlemma",
     ],
 )
-def test_an_integer_past_a_lowered_print_limit_is_named(tmp_path, capsys, least_print_limit, argv, terms, named):
-    # the lrs commands exited 2 with CPython's own "Exceeds the limit (640 digits) ...;
-    # use sys.set_int_max_str_digits() to increase the limit", naming nothing
+def test_an_integer_past_a_lowered_print_limit_is_named(
+    tmp_path, capsys, monkeypatch, least_print_limit, argv, terms, named
+):
+    # the lrs commands and eds zsigmondy exited 2 with CPython's own "Exceeds the limit
+    # (640 digits) ...; use sys.set_int_max_str_digits() to increase the limit", naming nothing
+    monkeypatch.setattr(eds, "PRIMITIVE_RHO_ITERS", 10)  # zsigmondy's factoring gives up at once
     if terms:
         (tmp_path / "terms.txt").write_text("".join(f"{t}\n" for t in terms))
         argv = (*argv, "--terms-file", str(tmp_path / "terms.txt"))

@@ -1,13 +1,16 @@
 import hashlib
+import json
 import math
 import os
 import random
 import shutil
 import time
+import types
 from itertools import islice
 
 import pytest
 
+import edslab
 from edslab import eds, elliptic
 
 from edslab.eds import (
@@ -34,7 +37,7 @@ from edslab.elliptic import (
     point_order_fp,
     reduce_point,
 )
-from edslab.ntkernel import factorize, sieve_primes
+from edslab.ntkernel import IncompleteFactorization, factorize, sieve_primes
 from test_elliptic import ORACLE_FIXTURES, add, multiples
 
 E = CurveQ(0, 3)
@@ -703,6 +706,34 @@ def test_primitive_parts_to_200_take_a_fraction_of_a_second(unfactored_parts):
     reports = primitive_divisor_scan(seq)
     assert time.perf_counter() - start < 0.5
     assert len(reports) == 200 and sum(r.primitive_part > 1 for r in reports) >= 190
+
+
+def test_a_traced_primitive_scan_writes_its_counts_in_one_span(monkeypatch, capsys):
+    # the counts, taken here by wrapping the gcd and the factoring the scan calls;
+    # every part past 10^6 gives up, as factoring past the effort cap does
+    seq, gcds, parts = fixture_sequence(12), [], []
+    counting = types.SimpleNamespace(**{**vars(math), "gcd": lambda a, b: gcds.append(1) or math.gcd(a, b)})
+
+    def factoring_a_part(n, **cap):
+        if cap:
+            parts.append(n)
+            if n > 10**6:
+                raise IncompleteFactorization(n, {}, n)
+        return factorize(n, **cap)
+
+    monkeypatch.setattr(eds, "math", counting)
+    monkeypatch.setattr(eds, "factorize", factoring_a_part)
+    monkeypatch.setattr(edslab, "_TRACING", True)
+    reports = primitive_divisor_scan(seq)
+    spans = map(json.loads, capsys.readouterr().err.splitlines())
+    [span] = [r for r in spans if r["span"] == "eds.primitive_divisor_scan"]
+    assert parts == [r.primitive_part for r in reports if r.primitive_part > 1]
+    assert {k: span[k] for k in ("terms", "gcds", "factored", "incomplete")} == {
+        "terms": 12, "gcds": len(gcds), "factored": len(parts), "incomplete": sum(not r.complete for r in reports),
+    }
+    # one gcd per prime of each n <= 12 (14 in all) and 13 more that strip a common factor;
+    # z_1 = 1 has no part, and the parts of z_7..z_12 pass 10^6
+    assert (span["gcds"], span["factored"], span["incomplete"]) == (27, 11, 6)
 
 
 def test_cache_roundtrip_and_corruption(tmp_path):

@@ -4,7 +4,7 @@ import os
 import random
 import time
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 from itertools import islice
 
 import pytest
@@ -32,7 +32,7 @@ from edslab.refuter import (
     validate_q,
     verify_certificate,
 )
-from test_cli import factoring_gives_up_past
+from test_cli import VERIFIER_CHECKS, factoring_gives_up_past
 from test_elliptic import multiples
 
 # non-CM fixture with |w_n| = z_n: the certificate's stream is literally
@@ -251,7 +251,7 @@ def test_certificate_json_is_canonical_decimal_strings():
 
 
 def _mutations(payload):
-    """Twelve single-field corruptions, each of which must fail verification."""
+    """Corruptions of one field each, or of a curve and its point, each of which must fail verification."""
     def m(path, value):
         clone = json.loads(json.dumps(payload))
         node = clone
@@ -266,25 +266,37 @@ def _mutations(payload):
     yield m(["point", "x"], "2")
     yield m(["point", "y"], "3")
     yield m(["lrs", "coeffs"], ["1", "2"])
+    yield m(["lrs", "coeffs"], ["1", payload["p"]])
     yield m(["q"], "7")
+    yield m(["q"], "9")
+    yield m(["q"], "3")  # does not divide the point order 5
+    yield m(["p"], "9")
     yield m(["p"], "11")
+    yield m(["p"], "1000003")
     yield m(["trace"], str(int(payload["trace"]) + 1))
     yield m(["n_points"], str(int(payload["n_points"]) + 5))
     yield m(["point_order"], str(int(payload["point_order"]) * 2))
     yield m(["tz_period"], str(tz * int(payload["q"])))
+    yield m(["tz_period"], str(tz + 5))
+    yield m(["tz_window"], ["1", str(int(payload["tz_window"][1]) + 1)])
     yield m(["tu_period"], str(tu * int(payload["q"])))
-    yield m(["mismatches", 0, "n"], payload["mismatches"][0]["n"])  # placeholder, replaced below
+    yield m(["tu_window"], ["5", "3"])
+    yield m(["lrs_period"], str(int(payload["lrs_period"]) + 1))
+    yield m(["q_divides_tz"], False)
+    yield m(["q_divides_tu"], True)
+    yield m(["mismatches", 0, "n"], str(MAX_MISMATCH_INDEX + 1))
+    _, torsion = m(["curve"], {"a": "0", "b": "-1"})
+    torsion["point"] = {"x": "1", "y": "0", "z": "1"}  # of order 2 on y^2 = x^3 - 1
+    yield "point.torsion", torsion
 
 
 def test_mutation_suite_all_caught():
     cert = find_witness(E, P, FIBONACCI, 5, p_max=10_000).certificate
-    assert verify_certificate(cert).ok
+    assert cert.point_order == 5 and verify_certificate(cert).ok
     payload = json.loads(cert.to_json())
-    cases = list(_mutations(payload))[:-1]
-    # 12th mutation: swap a mismatch index for one where the sequences agree
+    cases = list(_mutations(payload))
+    # swap a mismatch index for one where the sequences agree
     geo = generate_geometric(E, P, 60)
-    from edslab.lrs import eval_mod
-
     p = cert.p
     agreeing = next(
         n
@@ -299,7 +311,8 @@ def test_mutation_suite_all_caught():
         "u_mod": str(eval_mod(FIBONACCI, agreeing * agreeing, p)),
     }
     cases.append(("mismatches.agreeing_index", clone))
-    assert len(cases) == 12
+    assert len(cases) == 25
+    failed = set()
     for name, mutated in cases:
         try:
             parsed = WitnessCertificate.from_json(json.dumps(mutated))
@@ -307,6 +320,15 @@ def test_mutation_suite_all_caught():
             continue  # malformed enough to be rejected at parse time
         verdict = verify_certificate(parsed)
         assert not verdict.ok, f"mutation {name} was not caught"
+        failed.update(verdict.failures)
+    # every check fails on some mutant but hasse, which reads only the recount of
+    # #E(F_p): no certificate field can move it out of the Hasse interval
+    assert failed == set(VERIFIER_CHECKS) - {"hasse"}
+
+
+def test_the_field_table_names_every_certificate_attribute_once():
+    attributes = [attr for attr, _, _ in refuter._FIELDS.values()]
+    assert sorted(attributes) == sorted(f.name for f in fields(WitnessCertificate))
 
 
 @pytest.mark.parametrize("window", [(5, 3), (1, 10**30)])
@@ -769,3 +791,26 @@ def test_verifier_checks_a_stated_index_60_in_bounded_time(monkeypatch):
     assert verdict.failures == ["mismatches"]
     assert verdict.checks[-1].detail == "index 60: sequences agree up to sign"
     assert calls == [60]
+
+
+# each claim these tests certify, as (curve, point, spec, q, a_target, p_max)
+CERTIFIED_CLAIMS = [
+    *((curve, point, spec, choose_q(spec, curve), 3, p_max) for curve, point, spec, p_max, _ in CERTIFICATE_DIGESTS),
+    (E, P, TRIBONACCI, 7, 4, 20_000),
+    (E, P, FIBONACCI, 31, 3, 10_000),
+    (E, P, LrsSpec(2, (0, 1), (0, 2)), 5, 3, 20_000),
+    (E, P, LrsSpec(3, (3, 4, -12), (1, 1, 1)), 5, 3, 20_000),
+    (E, P, LrsSpec(3, (2, 1, -2), (1, 1, 1)), 5, 3, 20_000),
+    (E, P, LrsSpec(4, (0, 3, 0, -1), (1, 1, 1, 1)), 13, 3, 20_000),
+    (E, P, LrsSpec(5, (1, 1, 0, 0, 1), (1, 1, 1, 1, 1)), 13, 3, 20_000),
+    (*CONSTANT_CLAIM[:4], 3, CONSTANT_CLAIM[4]),
+    (CurveQ(-5, 4), PointQ(0, 2, 1), LUCAS, choose_q(LUCAS, CurveQ(-5, 4)), 3, 5_000),
+    (CurveQ(-2, 0), PointQ(2, 2, 1), FIBONACCI, 5, 3, 2_000),
+]
+
+
+@pytest.mark.parametrize("curve,point,spec,q,a_target,p_max", CERTIFIED_CLAIMS)
+def test_each_certificate_reads_back_as_itself(curve, point, spec, q, a_target, p_max):
+    # a field that `_FIELDS` writes but reads back otherwise, or drops, fails here
+    cert = find_witness(curve, point, spec, q, a_target=a_target, p_max=p_max).certificate
+    assert WitnessCertificate.from_json(cert.to_json()) == cert
