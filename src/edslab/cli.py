@@ -306,8 +306,9 @@ def cmd_eds_zsigmondy(args) -> int:
     n = _at_most_terms(args, "n")
     curve, point = _curve_point(args)
     seq = eds.generate_geometric(curve, point, n)
+    # every part is known from gcds, as cheaply as the terms, before the scan factors any
+    _printable("primitive part of z_{}", enumerate(eds.primitive_parts(seq)[0], 1))
     reports = eds.primitive_divisor_scan(seq)
-    _printable("primitive part of z_{}", ((r.n, r.primitive_part) for r in reports))
     rows = [
         [
             r.n,

@@ -11,9 +11,10 @@ sign).  Periods of geometric and Ward-seeded streams come from Ward's symmetry
 (`ward_period`) on a few blocks of w_n, each read in O(log p) by `ladder_block`;
 the same ladder over Z gives one exact z_n (`geometric_term`) for the cache check.
 
-The division-value recurrence itself (the seeds, Ward's steps and the
-ladder, the one code that doubles it mod p) lives in `elliptic`, which forms
-n*P over Q from it too; this module builds the sequences on it and imports them.
+The division-value recurrence itself (the seeds, `ward_terms`, which steps it
+over Z or mod p, and the ladder, which doubles it) lives in `elliptic`, which
+forms n*P over Q and tests torsion from it too; this module builds the
+sequences on it and steps it nowhere itself.
 """
 
 from __future__ import annotations
@@ -29,10 +30,7 @@ from .elliptic import (
     CurveQ,
     PointQ,
     _companion_gcd,
-    _exact_div,
     _last_doubling,
-    _ward_denominators,
-    _ward_step,
     _z_from_w,
     count_points,
     division_poly_seeds,
@@ -41,6 +39,7 @@ from .elliptic import (
     ladder_block,
     point_order_fp,
     reduce_point,
+    ward_terms,
 )
 from .ntkernel import IncompleteFactorization, factorize, is_prime, multiplicative_order
 
@@ -108,7 +107,7 @@ def require_exact_companion(curve: CurveQ, point: PointQ) -> None:
 def generate_geometric(curve: CurveQ, point: PointQ, n_terms: int) -> EdsSequence:
     """z_1..z_N, each positive, from the division-polynomial recurrence.
 
-    The exact integers w_n of `generate_ward` on `division_poly_seeds` give
+    The exact integers w_n of `ward_terms` on `division_poly_seeds` give
     each z_n by `_z_from_w`.  No point is added: the chord-tangent law is
     kept only in the tests, as their independent oracle.  Under EDSLAB_TRACE=1
     each call writes one span with its `path` (`ayad` or `gcd`) and `terms`.
@@ -122,9 +121,8 @@ def generate_geometric(curve: CurveQ, point: PointQ, n_terms: int) -> EdsSequenc
         torsion, order = is_torsion(point, curve)
         if torsion:
             raise ValueError(f"point is torsion (order {order}); the sequence degenerates")
-        seed = WardSeed(*division_poly_seeds(curve, point))
         # the coprime path reads no w_(n+1): its last term is never generated
-        w = [0, *generate_ward(seed, n_terms + (not coprime)).terms, None]
+        w = [*ward_terms(division_poly_seeds(curve, point), None, n_terms + (not coprime)), None]
         terms = [_z_from_w(point, coprime, n, w[n - 1], w[n], w[n + 1]) for n in range(1, n_terms + 1)]
     return EdsSequence("geometric", terms, curve=curve, point=point)
 
@@ -139,24 +137,10 @@ def geometric_term(curve: CurveQ, point: PointQ, n: int) -> int:
 
 
 def generate_ward(seed: WardSeed, n_terms: int) -> EdsSequence:
-    """Extend four seed values by the bilinear recurrences of `_ward_step`,
-    checking that each division is exact.  Each w_i^2 and w_i^3 is formed once,
-    as the even step 2i - 2 or the odd step 2i - 1 first reads it."""
-    if n_terms < 1:
-        raise ValueError("need at least one term")
-    w = [0, *seed.as_tuple()]
-    den = _ward_denominators(seed.w1, seed.w2)
-    sq, cu = [x * x for x in w[:4]], [x**3 for x in w[:3]]  # w_i^2 for i <= 3, w_i^3 for i <= 2
-    for m in range(5, n_terms + 1):
-        n = m >> 1
-        if m & 1:
-            cu.append(sq[n + 1] * w[n + 1])
-            w.append(_exact_div(w[n + 2] * cu[n] - cu[n + 1] * w[n - 1], den[1], m))
-        else:
-            sq.append(w[n + 1] * w[n + 1])
-            w.append(_exact_div(w[n] * (w[n + 2] * sq[n - 1] - w[n - 2] * sq[n + 1]), den[0], m))
+    """w_1..w_N from the four seed values by `ward_terms` over Z, each division exact."""
+    w = ward_terms(seed.as_tuple(), None, n_terms)
     degenerate_at = next((i for i in range(1, n_terms + 1) if w[i] == 0), None)
-    return EdsSequence("ward", w[1 : n_terms + 1], seed=seed, degenerate_at=degenerate_at)
+    return EdsSequence("ward", w[1:], seed=seed, degenerate_at=degenerate_at)
 
 
 def height_ratio(n: int, z_n: int) -> float:
@@ -170,21 +154,13 @@ def height_ratio(n: int, z_n: int) -> float:
 
 
 def stream_mod_p(seeds: tuple[int, int, int, int], p: int, n_terms: int) -> list[int]:
-    """w_1..w_(n_terms) modulo p (index 0 unused), one `_ward_step` a term from
-    the seeds that `ladder_block(seeds, p, 0)` reduces; needs p coprime to w1*w2."""
-    if n_terms < 1:
-        raise ValueError("need at least one term")
-    w = [0] * (max(n_terms, 4) + 1)
-    w[1:5] = ladder_block(seeds, p, 0)[4:]  # the seeds mod p, refused unless p is coprime to w1*w2
-    inv = [pow(d, -1, p) for d in _ward_denominators(w[1], w[2])]
-    for m in range(5, n_terms + 1):
-        w[m] = _ward_step(w, m) * inv[m & 1] % p
-    return w[: n_terms + 1]
+    """w_1..w_(n_terms) modulo p (index 0 unused) of `ward_terms`; needs p coprime to w1*w2."""
+    return ward_terms(seeds, p, n_terms)
 
 
 def _period_horizon(rank: int, p: int) -> int:
-    """Stream length that holds twice a period of w_n mod p, at most rank*(p-1);
-    the verifier also bounds a stated window by it."""
+    """End of the window (1, end) that `eds period` and certificates state: twice
+    the largest period rank*(p-1), and more; the verifier bounds a stated window by it."""
     return 2 * rank * (p - 1) + 2 * rank + 16
 
 
@@ -303,37 +279,47 @@ class PrimitiveReport:
     complete: bool  # False when factoring the primitive part timed out
 
 
-def primitive_divisor_scan(seq: EdsSequence) -> list[PrimitiveReport]:
-    """Per-index primitive primes: divisors of z_n dividing no earlier term.
+def primitive_parts(seq: EdsSequence) -> tuple[list[int], int]:
+    """The primitive part of each |z_n|, the product of its prime powers that divide
+    no earlier term (0 for a zero term), and the number of gcds taken.
 
     The z_n of a point form a strong divisibility sequence, gcd(z_m, z_n) =
     z_gcd(m,n) (the points with v_l(x) < 0 form the subgroup E_1(Q_l) of the
     integral model), so a prime of z_n divides an earlier term iff it divides
-    z_(n/l) for a prime l | n.  The primitive part is isolated exactly with gcds
-    against those terms, so whether it is > 1 never depends on factoring; only
-    the listed primes can be incomplete under the effort cap.  Every prime
+    z_(n/l) for a prime l | n.  The part is isolated exactly with gcds against
+    those terms, so every part is known before any is factored.  Every prime
     divides a zero term, as of a degenerate Ward sequence: each later part is 1.
-    Under EDSLAB_TRACE=1 each call writes one span with `terms`, `gcds` (the
-    gcds taken), `factored` (the parts handed to `factorize`) and `incomplete`.
     """
-    reports = []
+    parts, gcds = [], 0
     zero_seen = False
-    gcds = factored = incomplete = 0
-    with _span("eds.primitive_divisor_scan", terms=len(seq)) as record:
-        for n in range(1, len(seq) + 1):
-            t = abs(seq.term(n))
-            if t == 0:
-                reports.append(PrimitiveReport(n, 0, [], True))
-                zero_seen = True
-                continue
-            prim = 1 if zero_seen else t
-            for ell in factorize(n):
-                g = math.gcd(prim, seq.term(n // ell))
+    for n in range(1, len(seq) + 1):
+        t = abs(seq.term(n))
+        if t == 0:
+            parts.append(0)
+            zero_seen = True
+            continue
+        prim = 1 if zero_seen else t
+        for ell in factorize(n):
+            g = math.gcd(prim, seq.term(n // ell))
+            gcds += 1
+            while g > 1:
+                prim //= g
+                g = math.gcd(prim, g)
                 gcds += 1
-                while g > 1:
-                    prim //= g
-                    g = math.gcd(prim, g)
-                    gcds += 1
+        parts.append(prim)
+    return parts, gcds
+
+
+def primitive_divisor_scan(seq: EdsSequence) -> list[PrimitiveReport]:
+    """Per-index primitive primes: each of the `primitive_parts` above 1 factored
+    under the effort cap, so only the listed primes can be incomplete.  Under
+    EDSLAB_TRACE=1 each call writes one span with `terms`, `gcds` (the gcds taken),
+    `factored` (the parts handed to `factorize`) and `incomplete`."""
+    reports = []
+    factored = incomplete = 0
+    with _span("eds.primitive_divisor_scan", terms=len(seq)) as record:
+        parts, gcds = primitive_parts(seq)
+        for n, prim in enumerate(parts, start=1):
             primes: list[int] = []
             complete = True
             if prim > 1:

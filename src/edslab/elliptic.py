@@ -187,6 +187,14 @@ def _double_block(w: list[int], b: int) -> tuple[int, ...]:
     return w3 * s1 * w1 - c2 * w0, m4, m5, m6, m7, m8, m9, m10
 
 
+def _block_at_zero(seeds: tuple[int, int, int, int], p: int | None) -> list[int]:
+    """w_-3..w_4 modulo p, or over Z when p is None; refused unless w1*w2 is non-zero there."""
+    w1, w2, w3, w4 = seeds if p is None else (s % p for s in seeds)
+    if w1 == 0 or w2 == 0:
+        raise ValueError("w1 and w2 must be non-zero" if p is None else f"stream modulo {p} needs p coprime to w1*w2")
+    return [-w3, -w2, -w1, 0, w1, w2, w3, w4]
+
+
 def ladder_block(seeds: tuple[int, int, int, int], p: int | None, n: int) -> list[int]:
     """w_{n-3}..w_{n+4} modulo p, or over Z when p is None, in O(log n) steps.
 
@@ -198,13 +206,8 @@ def ladder_block(seeds: tuple[int, int, int, int], p: int | None, n: int) -> lis
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    w1, w2, w3, w4 = seeds if p is None else (s % p for s in seeds)
-    if w1 == 0 or w2 == 0:
-        raise ValueError(
-            "w1 and w2 must be non-zero" if p is None else f"stream modulo {p} needs p coprime to w1*w2"
-        )
-    w = [-w3, -w2, -w1, 0, w1, w2, w3, w4]  # the block at j = 0
-    den = _ward_denominators(w1, w2)
+    w = _block_at_zero(seeds, p)  # the block at j = 0
+    den = _ward_denominators(w[4], w[5])
     bits = map(int, bin(n)[2:])
     if p is not None:
         inv = [pow(d % p, -1, p) for d in den]
@@ -220,6 +223,27 @@ def ladder_block(seeds: tuple[int, int, int, int], p: int | None, n: int) -> lis
         w = [_exact_div(num, den[m & 1], m + 2 * j - 6) for m, num in zip(steps, _double_block(w, b))]
         j = 2 * j + b
     return w
+
+
+def ward_terms(seeds: tuple[int, int, int, int], p: int | None, n: int) -> list[int]:
+    """w_0..w_n (w_0 = 0, n >= 1) modulo p, or over Z when p is None, one Ward step a term
+    from the seeds as `_block_at_zero` checks them for the ladder too.  Each w_i^2 and w_i^3
+    is formed once; a step is multiplied by a Ward inverse mod p or divided exactly over Z."""
+    if n < 1:
+        raise ValueError("need at least one term")
+    w = [0, *_block_at_zero(seeds, p)[4:]]
+    den = [d if p is None else pow(d, -1, p) for d in _ward_denominators(w[1], w[2])]
+    sq, cu = [x * x for x in w[:4]], [x**3 for x in w[:3]]  # w_i^2 for i <= 3, w_i^3 for i <= 2
+    for m in range(5, n + 1):
+        i = m >> 1
+        if m & 1:
+            cu.append(sq[i + 1] * w[i + 1])
+            num = w[i + 2] * cu[i] - cu[i + 1] * w[i - 1]
+        else:
+            sq.append(w[i + 1] * w[i + 1])
+            num = w[i] * (w[i + 2] * sq[i - 1] - w[i - 2] * sq[i + 1])
+        w.append(num * den[m & 1] % p if p else _exact_div(num, den[m & 1], m))
+    return w[: n + 1]
 
 
 def _last_doubling(seeds: tuple[int, int, int, int], n: int, lo: int, hi: int) -> list[int]:
@@ -270,20 +294,20 @@ def is_torsion(p: PointQ, curve: CurveQ) -> tuple[bool, int | None]:
     Nagell-Lutz (Silverman, AEC, Cor. VIII.7.2): on this integral model a
     torsion point P has z = 1, and y = 0 or y^2 | 4a^3 + 27b^2, and 2P,
     with x(2P) = x - w_3/w_2^2, is integral too.  By Mazur the order is
-    then the first n <= 12 with w_n = psi_n(P) = 0: the seeds w_1..w_4,
-    then w_5..w_12 from the exact `ladder_block` at 8.
+    then the first n <= 12 with w_n = psi_n(P) = 0 of `ward_terms` over Z,
+    or 2 when y = 0: w_2 = 0, which Ward's even step cannot divide by.
     """
     if p.is_infinity:
         return True, 1
     if p.z != 1 or (p.y != 0 and curve.disc % (p.y * p.y)):
         return False, None
-    seeds = division_poly_seeds(curve, p)  # w_1..w_4
-    if p.y != 0 and seeds[2] % (seeds[1] * seeds[1]):
+    if p.y == 0:
+        return True, 2
+    seeds = division_poly_seeds(curve, p)
+    if seeds[2] % (seeds[1] * seeds[1]):
         return False, None
-    order = next((n for n, w in enumerate(seeds, start=1) if w == 0), None)  # the ladder needs w_2 != 0
-    if order is None:
-        block = ladder_block(seeds, None, TORSION_SEARCH_BOUND - 4)  # w_5..w_12
-        order = next((n for n, w in enumerate(block, start=5) if w == 0), None)
+    w = ward_terms(seeds, None, TORSION_SEARCH_BOUND)
+    order = next((n for n in range(1, len(w)) if w[n] == 0), None)
     return order is not None, order
 
 

@@ -1278,8 +1278,15 @@ def test_an_integer_past_a_lowered_print_limit_is_named(
     tmp_path, capsys, monkeypatch, least_print_limit, argv, terms, named
 ):
     # the lrs commands and eds zsigmondy exited 2 with CPython's own "Exceeds the limit
-    # (640 digits) ...; use sys.set_int_max_str_digits() to increase the limit", naming nothing
-    monkeypatch.setattr(eds, "PRIMITIVE_RHO_ITERS", 10)  # zsigmondy's factoring gives up at once
+    # (640 digits) ...; use sys.set_int_max_str_digits() to increase the limit", naming nothing;
+    # and zsigmondy factored every primitive part first, which took minutes
+    factorize = eds.factorize
+
+    def unfactored(n, **cap):
+        assert not cap, "a primitive part was factored before the parts were checked"
+        return factorize(n)
+
+    monkeypatch.setattr(eds, "factorize", unfactored)
     if terms:
         (tmp_path / "terms.txt").write_text("".join(f"{t}\n" for t in terms))
         argv = (*argv, "--terms-file", str(tmp_path / "terms.txt"))

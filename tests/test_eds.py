@@ -36,6 +36,7 @@ from edslab.elliptic import (
     is_torsion,
     point_order_fp,
     reduce_point,
+    ward_terms,
 )
 from edslab.ntkernel import IncompleteFactorization, factorize, sieve_primes
 from test_elliptic import ORACLE_FIXTURES, add, multiples
@@ -857,14 +858,16 @@ def test_a_bad_term_past_the_requested_ones_is_a_malformed_miss(tmp_path, z11):
 
 
 def _count_ward_steps(monkeypatch):
-    """Record each term the ladder computes: the eight of each `_double_block`
-    and each `_ward_step` where its callers look it up (`_last_doubling` in
-    elliptic, `stream_mod_p` in eds).  Returns the list of steps."""
+    """Record each term Ward's recurrence computes: the eight of each `_double_block`,
+    each `_ward_step` (of `_last_doubling` and `scalar_mul`), and the n - 4 of each
+    `ward_terms`, wrapped where its callers look it up (`is_torsion` in elliptic,
+    generation and `stream_mod_p` in eds).  Returns the list of steps."""
     steps = []
-    step, block = elliptic._ward_step, elliptic._double_block
-    for module in (elliptic, eds):
-        monkeypatch.setattr(module, "_ward_step", lambda w, m: steps.append(m) or step(w, m))
+    step, block, terms = elliptic._ward_step, elliptic._double_block, elliptic.ward_terms
+    monkeypatch.setattr(elliptic, "_ward_step", lambda w, m: steps.append(m) or step(w, m))
     monkeypatch.setattr(elliptic, "_double_block", lambda w, b: steps.extend(range(3 + b, 11 + b)) or block(w, b))
+    for module in (elliptic, eds):
+        monkeypatch.setattr(module, "ward_terms", lambda s, p, n: steps.extend(range(5, n + 1)) or terms(s, p, n))
     return steps
 
 
@@ -926,6 +929,46 @@ def test_exact_ladder_reports_an_inexact_division():
     with pytest.raises(InexactDivisionError) as exc:
         ladder_block((3, 1, 1, 1), None, 5)
     assert exc.value.index == 5
+
+
+def _reference_terms(seeds, p, n):
+    """w_0..w_n, each from its own `_ward_step`: divided exactly over Z, or times an inverse mod p."""
+    w = [0, *(seeds if p is None else (s % p for s in seeds))]
+    den = (w[2] * w[1] ** 2, w[1] ** 3)
+    for m in range(5, n + 1):
+        num = elliptic._ward_step(w, m)
+        w.append(elliptic._exact_div(num, den[m & 1], m) if p is None else num * pow(den[m & 1], -1, p) % p)
+    return w[: n + 1]
+
+
+# the kernel's seeds, those of the exact-ladder points, two with zero terms from 4 and 5 on,
+# and (3, 1, 1, 1), whose w_5 = -2/27 is inexact over Z
+@pytest.mark.parametrize(
+    "seeds",
+    [
+        *KERNEL_SEEDS,
+        *(division_poly_seeds(curve, point) for curve, point in EXACT_LADDER_FIXTURES),
+        (1, 1, -1, 0),
+        (1, 1, 1, 1),
+        (3, 1, 1, 1),
+    ],
+)
+def test_ward_terms_match_one_ward_step_a_term_over_z_and_mod_p(seeds):
+    rng = random.Random(50)
+    primes = [p for p in _kernel_primes(seeds, rng) if seeds[0] * seeds[1] % p]
+    for n in [*range(1, 13), 60, 121]:
+        assert _outcome(ward_terms, seeds, None, n) == _outcome(_reference_terms, seeds, None, n), (seeds, n)
+        for p in primes:
+            assert ward_terms(seeds, p, n) == _reference_terms(seeds, p, n), (seeds, p, n)
+
+
+@pytest.mark.parametrize("seeds, p", [((1, 0, 1, 0), None), ((0, 2, 1, 2), None), ((1, 7, 1, 7), 7), ((3, 1, 1, 1), 3)])
+def test_ward_terms_refuse_the_seeds_that_the_ladder_refuses(seeds, p):
+    # w1*w2 = 0 over Z, or p | w1*w2: no step can divide, in the same words as the ladder's
+    words = "w1 and w2 must be non-zero" if p is None else f"stream modulo {p} needs p coprime to w1*w2"
+    refusal = ("ValueError", words)
+    for n in (1, 4, 12):
+        assert _outcome(ward_terms, seeds, p, n) == _outcome(ladder_block, seeds, p, n) == refusal
 
 
 class _Unprintable(int):

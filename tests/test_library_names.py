@@ -253,12 +253,9 @@ def test_every_import_names_its_home_module_and_is_used():
 # _span`) are shared by design and not listed.  The table only shrinks: an
 # entry whose import is gone must leave it.
 PRIVATE_IMPORTS = {
-    ("refuter", "eds", "_period_horizon"): "the verifier bounds a stated window by the finder's own stream horizon",
+    ("refuter", "eds", "_period_horizon"): "the window end that certificates and eds period state, which verify bounds",
     ("eds", "elliptic", "_companion_gcd"): "Ayad's gcd picks how z_n comes from w_n, in generation and the cache check",
-    ("eds", "elliptic", "_exact_div"): "generate_ward divides Ward's steps over Z exactly, as the ladder does",
     ("eds", "elliptic", "_last_doubling"): "geometric_term reads its three terms off the ladder's last doubling",
-    ("eds", "elliptic", "_ward_denominators"): "generate_ward and stream_mod_p divide each step by Ward's denominators",
-    ("eds", "elliptic", "_ward_step"): "stream_mod_p steps Ward's recurrence one term at a time",
     ("eds", "elliptic", "_z_from_w"): "generate_geometric and geometric_term turn w_n into z_n as scalar_mul does",
 }
 
