@@ -307,8 +307,9 @@ def cmd_eds_zsigmondy(args) -> int:
     curve, point = _curve_point(args)
     seq = eds.generate_geometric(curve, point, n)
     # every part is known from gcds, as cheaply as the terms, before the scan factors any
-    _printable("primitive part of z_{}", enumerate(eds.primitive_parts(seq)[0], 1))
-    reports = eds.primitive_divisor_scan(seq)
+    parts, gcds = eds.primitive_parts(seq)
+    _printable("primitive part of z_{}", enumerate(parts, 1))
+    reports = eds.primitive_divisor_scan(parts, gcds)
     rows = [
         [
             r.n,

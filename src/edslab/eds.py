@@ -310,15 +310,15 @@ def primitive_parts(seq: EdsSequence) -> tuple[list[int], int]:
     return parts, gcds
 
 
-def primitive_divisor_scan(seq: EdsSequence) -> list[PrimitiveReport]:
-    """Per-index primitive primes: each of the `primitive_parts` above 1 factored
-    under the effort cap, so only the listed primes can be incomplete.  Under
-    EDSLAB_TRACE=1 each call writes one span with `terms`, `gcds` (the gcds taken),
-    `factored` (the parts handed to `factorize`) and `incomplete`."""
+def primitive_divisor_scan(parts: list[int], gcds: int) -> list[PrimitiveReport]:
+    """Per-index primitive primes: each of the parts and the gcd count that
+    `primitive_parts` returns, every part above 1 factored under the effort cap,
+    so only the listed primes can be incomplete.  Under EDSLAB_TRACE=1 each call
+    writes one span with `terms`, `gcds` (the gcds taken), `factored` (the parts
+    handed to `factorize`) and `incomplete`."""
     reports = []
     factored = incomplete = 0
-    with _span("eds.primitive_divisor_scan", terms=len(seq)) as record:
-        parts, gcds = primitive_parts(seq)
+    with _span("eds.primitive_divisor_scan", terms=len(parts)) as record:
         for n, prim in enumerate(parts, start=1):
             primes: list[int] = []
             complete = True

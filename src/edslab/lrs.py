@@ -313,11 +313,13 @@ def nondegenerate_reduction(spec: LrsSpec, orders: list[int], max_decimation: fl
 # periods modulo p
 
 
-def _walk(spec: LrsSpec, p: int):
+def _walk(spec: LrsSpec, p: int, max_steps: int | None = None):
     """u_1, u_2, ... mod p until the initial state returns: L terms in all, L
     the period of u mod p (p does not divide c_k, so the state map is a
-    bijection), in consecutive chunks.  When L > `MAX_WALK`, ValueError is
-    raised before the first term.
+    bijection), in consecutive chunks.  When L > max_steps, ValueError is
+    raised once the walk passes max_steps terms without a return.  With
+    max_steps None the bound is `MAX_WALK`, and a larger L is refused before
+    the first term, from x^t mod chi when p^k > `MAX_WALK`.
 
     A chunk is an array of machine integers, or a list when p > 2^64.  It is
     built over a buffer that starts with the last k terms: iterators at
@@ -332,9 +334,11 @@ def _walk(spec: LrsSpec, p: int):
     span with p, the order, the period, the terms computed and the chunks.
     """
     k = spec.order
-    # L <= p^k - 1: only when p^k > MAX_WALK is L read first, from x^t mod chi
-    if p**k > MAX_WALK and _state_seq_period_matrix(spec, p) > MAX_WALK:
-        raise ValueError(f"the recurrence mod {p} does not return within {MAX_WALK} steps")
+    if max_steps is None:
+        max_steps = MAX_WALK
+        # L <= p^k - 1: only when p^k > MAX_WALK is L read first, from x^t mod chi
+        if p**k > MAX_WALK and _state_seq_period_matrix(spec, p) > MAX_WALK:
+            raise ValueError(f"the recurrence mod {p} does not return within {MAX_WALK} steps")
     with _span("lrs.walk", p=p, order=k) as record:
         from array import array  # here, not at the top: a C extension that only the walk needs
 
@@ -353,6 +357,9 @@ def _walk(spec: LrsSpec, p: int):
             generated += size
             at = _first_return(buffer, start)
             chunks += 1
+            searched = offset + (len(buffer) - k if at is None else at - 1)  # the state returns at no step up to it
+            if searched >= max_steps:
+                raise ValueError(f"the recurrence mod {p} does not return within {max_steps} steps")
             if at is not None:
                 del buffer[at:]
                 record.update(period=offset + at, terms=generated, chunks=chunks)
@@ -437,7 +444,7 @@ class SquarePeriodResult:
         return self.table[(n - 1) % self.lrs_period]
 
 
-def square_sampled_period(spec: LrsSpec, p: int) -> SquarePeriodResult:
+def square_sampled_period(spec: LrsSpec, p: int, max_steps: int | None = None) -> SquarePeriodResult:
     """Minimal T with u_{(n+T)^2} = u_{n^2} (mod p) for all n, fully verified.
 
     One `_walk` of the state mod p gives the period L of u, and its chunks
@@ -447,11 +454,12 @@ def square_sampled_period(spec: LrsSpec, p: int) -> SquarePeriodResult:
     mirrored.  v is purely periodic with period dividing L, and its periods
     are the multiples of the least one; `order_from_multiple` strips primes
     from L while a rotation by the candidate, compared without a copy, leaves
-    the cycle unchanged.  When L > `MAX_WALK`, ValueError is raised before
-    the walk.
+    the cycle unchanged.  When L > max_steps, the walk raises ValueError
+    once it has taken that many steps; with max_steps None, when L >
+    `MAX_WALK`, before it starts.
     """
     _require_purely_periodic(spec, p)
-    chunks = _walk(spec, p)
+    chunks = _walk(spec, p, max_steps)
     table = next(chunks)
     for chunk in chunks:
         table.extend(chunk)

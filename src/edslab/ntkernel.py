@@ -39,8 +39,10 @@ class IncompleteFactorization(ValueError):
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
-# Miller-Rabin with these bases is a proof of primality below this bound.
-_MR_DETERMINISTIC_BOUND = 3317044064679887385961981
+# Miller-Rabin with these 12 bases is a proof of primality below psi_12, the least strong
+# pseudoprime to all of them; from there the first 13 bases of the 26 below (up to 41) prove
+# it below psi_13 = 3317044064679887385961981 (Sorenson and Webster, Math. Comp. 86, 2017)
+_MR_DETERMINISTIC_BOUND = 318665857834031151167461
 # bases 2, 3, 5, 7 already prove it below this one (Pomerance, Selfridge and
 # Wagstaff, Math. Comp. 35, 1980)
 _MR_FOUR_BASES_BOUND = 3215031751

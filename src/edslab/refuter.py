@@ -21,14 +21,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from . import _clip, _int, _print_limit, _span
-from .eds import _period_horizon, generate_geometric, require_exact_companion, ward_period
+from . import _clip, _int, _print_limit, _span, lrs
+from .eds import _period_horizon, eds_period_mod_p, generate_geometric, require_exact_companion, ward_period
 from .elliptic import (
     DEFAULT_A_TARGET,
     CurveFp,
     CurveQ,
     PointQ,
-    count_points,
     count_points_naive,
     division_poly_seeds,
     hasse_interval,
@@ -250,9 +249,10 @@ def find_witness(
     Wanted: p = a_target - 1 (mod q), good reduction, and q | r = ord(P mod
     p); then q | #E(F_p) = a_target - a_p (mod q), so a_p = a_target (mod
     q).  The candidates are the primes `elliptic.order_class_primes` yields;
-    only at one are #E(F_p) and r computed, and the certificate states them.
-    Its periods come from `ward_period` (w_n) and `square_sampled_period`
-    (u); a p where the first returns None or the second refuses (past
+    only at one does `eds.eds_period_mod_p`, the routine `eds period` prints,
+    compute #E(F_p), a_p, r and the period of w_n with its window, which the
+    certificate states.  The period of u comes from `square_sampled_period`;
+    a p where the first is unconfirmed or the second refuses (past
     `lrs.MAX_WALK`, or factoring gave up) counts as `period_unconfirmed`.
     Mismatches come from z_1..z_24, or z_1..z_60 when those hold fewer than
     12, with the same result either way.  The scan stops at min(p_max,
@@ -269,7 +269,6 @@ def find_witness(
     torsion, order = is_torsion(point, curve)
     if torsion:
         raise ValueError(f"point is torsion (order {order})")
-    seeds = division_poly_seeds(curve, point)
     if q is None:
         q = choose_q(spec, curve, exclusions, a_target)
     else:
@@ -280,20 +279,16 @@ def find_witness(
     q_point = small_multiple(q, point, curve)
     counts = {"period_unconfirmed": 0, "too_few_mismatches": 0, "candidates": 0}
     tally: dict[str, int] = {}
-    exact_prefix: list[int] = []
     cert = None
 
     with _span("refuter.scan", q=q, p_max=bound, base="rational" if q_point else "per-prime") as record:
+        prefix = generate_geometric(curve, point, SHORT_MISMATCH_LIMIT)  # `eds_period_mod_p` reads no term
         for p in order_class_primes(curve, point, q_point, q, b_target, invariants, exclusions, bound, 0, tally):
             counts["candidates"] += 1
-            cfp = CurveFp(p, curve.a % p, curve.b % p, True)
-            n_points, trace = count_points(cfp)
-            assert trace % q == a_target % q  # #E = a_target - trace (mod q), and q | #E
-            order_p = point_order_fp(reduce_point(point, curve, p), cfp, n_points)
-
-            tz = ward_period(seeds, p, order_p)
+            at_p = eds_period_mod_p(prefix, p)
+            assert at_p.trace % q == a_target % q  # #E = a_target - trace (mod q), and q | #E
             try:
-                sq = square_sampled_period(spec, p) if tz is not None else None
+                sq = square_sampled_period(spec, p) if at_p.confirmed else None
             except ValueError:  # the period of u mod p passed lrs.MAX_WALK, or factoring gave up
                 sq = None
             if sq is None:
@@ -301,9 +296,9 @@ def find_witness(
                 continue
             assert sq.period % q, "q passes validate_q, so it divides no period of u mod p"
             for limit in (SHORT_MISMATCH_LIMIT, DEFAULT_MISMATCH_LIMIT):
-                if len(exact_prefix) < limit:
-                    exact_prefix = generate_geometric(curve, point, limit).terms
-                residues = [(n, z % p, sq.u_mod(n * n)) for n, z in enumerate(exact_prefix, start=1)]
+                if len(prefix) < limit:
+                    prefix = generate_geometric(curve, point, limit)
+                residues = [(n, z % p, sq.u_mod(n * n)) for n, z in enumerate(prefix.terms, start=1)]
                 mismatches = [(n, z, u) for n, z, u in residues if _mismatch_residue(z, u, p)]
                 if len(mismatches) >= LISTED_MISMATCHES:
                     break
@@ -316,15 +311,15 @@ def find_witness(
                 spec=spec,
                 q=q,
                 p=p,
-                trace=trace,
-                n_points=n_points,
-                point_order=order_p,
-                tz_period=tz,
-                tz_window=(1, _period_horizon(order_p, p)),
+                trace=at_p.trace,
+                n_points=at_p.n_points,
+                point_order=at_p.rank,
+                tz_period=at_p.period,
+                tz_window=at_p.window,
                 tu_period=sq.period,
                 tu_window=sq.window,
                 lrs_period=sq.lrs_period,
-                q_divides_tz=tz % q == 0,
+                q_divides_tz=at_p.period % q == 0,
                 q_divides_tu=False,
                 mismatches=mismatches[:LISTED_MISMATCHES],
             )
@@ -370,8 +365,8 @@ def verify_certificate(cert: WitnessCertificate) -> VerifyResult:
     and, to be minimal, equal it.  z_n comes from one `generate_geometric`
     prefix to the largest stated index.  p, q, the window and the indices are
     bounded by the finder's limits before any primality test, count, ladder
-    or exact term, and the walk of u mod p by `lrs.MAX_WALK`: no edit makes
-    it run away.  The checks are the rows of the stages of `_SCHEMA_1`, in
+    or exact term, and the walk of u mod p by the stated `lrs_period`, at
+    most `lrs.MAX_WALK`: no edit makes it run away.  The checks are the rows of the stages of `_SCHEMA_1`, in
     order.  Under EDSLAB_TRACE=1 each call writes one span with `p`, the
     recount's `n_points` (absent when a bound check ends it first) and
     `failed`, the names of the checks that failed.
@@ -439,8 +434,8 @@ def _periods(cert: WitnessCertificate, record: dict, found: dict):
     yield "tz_minimal", tz_ok and tz == least, "a smaller multiple of the point order must not be a period"
     yield "q_divides_tz", cert.q_divides_tz and tz % q == 0, ""
     try:
-        sq = square_sampled_period(cert.spec, p)
-    except ValueError as exc:  # the period of u mod p passed lrs.MAX_WALK, or factoring gave up
+        sq = square_sampled_period(cert.spec, p, min(cert.lrs_period, lrs.MAX_WALK))
+    except ValueError as exc:  # the period of u mod p passed the stated one or lrs.MAX_WALK, or factoring gave up
         yield "lrs_period", False, str(exc)
         return
     yield "lrs_period", sq.lrs_period == cert.lrs_period, f"recomputed {sq.lrs_period}"

@@ -618,8 +618,17 @@ def test_refute_verify_roundtrip(tmp_path, capsys):
     code, out, _ = run(capsys, "verify", str(cert_path))
     assert code == 0
 
-    # tamper: exit 4
+    # `eds period` at the witness prints the facts the certificate states
     payload = json.loads(cert_path.read_text())
+    code, out, _ = run(capsys, "eds", "period", "--curve", "-4", "4", "--point", "1", "1", "1",
+                       "--p", payload["p"], "--format", "json")
+    facts = json.loads(out)
+    assert code == 0 and facts["window"] == [int(end) for end in payload["tz_window"]]
+    assert [facts[k] for k in ("n_points", "trace", "rank", "period")] == [
+        int(payload[k]) for k in ("n_points", "trace", "point_order", "tz_period")
+    ]
+
+    # tamper: exit 4
     payload["point_order"] = str(int(payload["point_order"]) * 2)
     cert_path.write_text(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
     code, out, _ = run(capsys, "verify", str(cert_path), "--format", "json")
@@ -1113,11 +1122,31 @@ def test_verify_fails_lrs_period_when_factoring_gives_up(tmp_path, capsys, monke
     cert = tmp_path / "cert.json"
     order_5 = ("--lrs", "5", "1", "1", "0", "0", "1", *"11111", "--q", "13", "--out", str(cert))
     assert run(capsys, "refute", "--curve", "-4", "4", "--point", "1", "1", "1", *order_5)[0] == 0
-    monkeypatch.setattr(ntkernel, "factorize", factoring_gives_up_past(lrs.MAX_WALK))
+    # the verifier walks u mod p up to the stated period, 41,536, and strips primes from it
+    stated = int(json.loads(cert.read_text())["lrs_period"])
+    monkeypatch.setattr(ntkernel, "factorize", factoring_gives_up_past(stated - 1))
     code, out, err = run(capsys, "verify", str(cert), "--format", "json")
     assert (code, err) == (4, "")
     [failed] = [check for check in json.loads(out)["checks"] if not check["ok"]]
     assert failed["name"] == "lrs_period" and re.fullmatch(GIVES_UP, failed["detail"])
+
+
+def test_verify_walks_u_no_further_than_the_stated_period(tmp_path, capsys):
+    # an order-32 recurrence in place of Fibonacci at p = 223 (period 448):
+    # 223^32 > lrs.MAX_WALK, and the verifier stripped primes from a bound on
+    # the period for more than 20 s before its walk began
+    cert = tmp_path / "cert.json"
+    assert run(capsys, *REFUTE[:-1], "13", "--out", str(cert))[0] == 0
+    payload = json.loads(cert.read_text())
+    assert (payload["p"], payload["lrs_period"]) == ("223", "448")
+    payload["lrs"] = {"order": "32", "coeffs": ["1"] * 32, "initial": ["1"] * 32}
+    cert.write_text(json.dumps(payload))
+    start = time.monotonic()
+    code, out, err = run(capsys, "verify", str(cert), "--format", "json")
+    assert time.monotonic() - start < 2
+    assert (code, err) == (4, "")
+    [failed] = [check for check in json.loads(out)["checks"] if not check["ok"]]
+    assert (failed["name"], failed["detail"]) == ("lrs_period", "the recurrence mod 223 does not return within 448 steps")
 
 
 FIB_ARGS = ("--lrs", "2", "1", "1", "1", "1")
@@ -1142,6 +1171,21 @@ def _refuse(*args, **kwargs):
 def test_sizing_option_past_its_bound_exit2_before_any_work(capsys, monkeypatch, argv, message):
     for module, name in ((lrs, "generate"), (lrs, "eval_exact"), (refuter, "ladder_block")):
         monkeypatch.setattr(module, name, _refuse)
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+PSI_12 = "318665857834031151167461"  # 399165290221 * 798330580441, a strong pseudoprime to the bases 2..37
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("lrs", "period", *FIB_ARGS, "--p", PSI_12), "p must be prime"),
+        ((*FALSIFY_FIB[:-1], PSI_12), "p must be an odd prime"),
+    ],
+)
+def test_a_strong_pseudoprime_p_exit2(capsys, argv, message):
+    # both took psi_12 for a prime and exited 0: lrs period printed a period of u mod it
     assert run(capsys, *argv) == (2, "", f"error: {message}\n")
 
 

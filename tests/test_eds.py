@@ -23,6 +23,7 @@ from edslab.eds import (
     ladder_block,
     load_sequence,
     primitive_divisor_scan,
+    primitive_parts,
     save_sequence,
     stream_mod_p,
     ward_period,
@@ -618,7 +619,7 @@ def test_period_outside_companion_model_matches_the_stream():
 
 def test_primitive_divisors_fixture():
     seq = fixture_sequence(20)
-    reports = primitive_divisor_scan(seq)
+    reports = primitive_divisor_scan(*primitive_parts(seq))
     assert reports[0].primes == [1] or reports[0].primitive_part == 1  # z_1 = 1
     # all prime factors of z_2 = 4 are primitive
     assert reports[1].primes == [2]
@@ -639,7 +640,7 @@ def test_primitive_divisors_fixture():
 
 def test_primitive_primes_do_not_divide_earlier_terms():
     seq = fixture_sequence(16)
-    reports = primitive_divisor_scan(seq)
+    reports = primitive_divisor_scan(*primitive_parts(seq))
     for r in reports:
         for q in r.primes:
             assert all(seq.term(m) % q != 0 for m in range(1, r.n))
@@ -647,7 +648,7 @@ def test_primitive_primes_do_not_divide_earlier_terms():
 
 def test_largest_prime_grows():
     seq = fixture_sequence(18)
-    reports = primitive_divisor_scan(seq)
+    reports = primitive_divisor_scan(*primitive_parts(seq))
     best = 0
     records = []
     for r in reports:
@@ -689,13 +690,13 @@ def unfactored_parts(monkeypatch):
 def test_primitive_parts_match_the_running_product(unfactored_parts, curve, point):
     # strong divisibility: a prime of z_n that divides an earlier term divides some z_(n/l)
     seq = generate_geometric(CurveQ(*curve), PointQ(*point), 120)
-    assert [r.primitive_part for r in primitive_divisor_scan(seq)] == _running_product_parts(seq)
+    assert [r.primitive_part for r in primitive_divisor_scan(*primitive_parts(seq))] == _running_product_parts(seq)
 
 
 def test_primitive_parts_after_a_zero_term_are_one(unfactored_parts):
     # w_4 = 0; w_5 = -27 and each later term is a multiple of 0, as the running product says
     seq = generate_ward(WardSeed(1, 2, 3, 0), 30)
-    parts = [r.primitive_part for r in primitive_divisor_scan(seq)]
+    parts = [r.primitive_part for r in primitive_divisor_scan(*primitive_parts(seq))]
     assert seq.degenerate_at == 4 and seq.term(5) == -27
     assert parts == _running_product_parts(seq) == [1, 2, 3, 0, *[0 if seq.term(n) == 0 else 1 for n in range(5, 31)]]
 
@@ -704,7 +705,7 @@ def test_primitive_parts_to_200_take_a_fraction_of_a_second(unfactored_parts):
     # the running product of z_1..z_199 has about h*n^3/3 bits: its gcds took 2 s here
     seq = generate_geometric(CurveQ(-4, 4), PointQ(1, 1, 1), 200)
     start = time.perf_counter()
-    reports = primitive_divisor_scan(seq)
+    reports = primitive_divisor_scan(*primitive_parts(seq))
     assert time.perf_counter() - start < 0.5
     assert len(reports) == 200 and sum(r.primitive_part > 1 for r in reports) >= 190
 
@@ -725,7 +726,7 @@ def test_a_traced_primitive_scan_writes_its_counts_in_one_span(monkeypatch, caps
     monkeypatch.setattr(eds, "math", counting)
     monkeypatch.setattr(eds, "factorize", factoring_a_part)
     monkeypatch.setattr(edslab, "_TRACING", True)
-    reports = primitive_divisor_scan(seq)
+    reports = primitive_divisor_scan(*primitive_parts(seq))
     spans = map(json.loads, capsys.readouterr().err.splitlines())
     [span] = [r for r in spans if r["span"] == "eds.primitive_divisor_scan"]
     assert parts == [r.primitive_part for r in reports if r.primitive_part > 1]

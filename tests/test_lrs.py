@@ -773,6 +773,25 @@ def test_walk_matches_the_reference_walk(recorded_walk, monkeypatch, cap):
     assert (widest == cap) == (cap == 300)  # every lambda here is far below the default cap
 
 
+def test_a_walk_bounded_by_its_caller_refuses_exactly_the_returns_past_it(monkeypatch):
+    # with a bound given, no period is read from x^t mod chi first; the walk
+    # takes up to that many steps, also where a chunk ends (lambda = 64, 144)
+    def no_precheck(*args):
+        raise AssertionError("the bounded walk read the period from x^t mod chi")
+
+    monkeypatch.setattr(lrs, "_state_seq_period_matrix", no_precheck)
+    monkeypatch.setattr(lrs, "WALK_CHUNK", 300)
+    cases = [(FIBONACCI, 7), (LrsSpec(1, (125,), (1,)), 193), (LrsSpec(2, (125 + 238, -125 * 238), (1, 5)), 433)]
+    cases += [(LrsSpec(2, (3, 1), (1, 2)), 100_019), (LrsSpec(2, (1, 7), (1, 1)), 1_009)]
+    for spec, p in cases:
+        lam = len(list(_reference_walk(spec, p)))
+        for bound in (lam, lam + 1, 2 * lam):
+            assert square_sampled_period(spec, p, bound).lrs_period == lam
+        for bound in (lam - 1, lam // 2, 1, 0):
+            with pytest.raises(ValueError, match=f"^the recurrence mod {p} does not return within {bound} steps$"):
+                square_sampled_period(spec, p, bound)
+
+
 def test_square_period_of_an_odd_lambda_longer_than_its_square_period():
     # v_n = u_{n^2} mod L mirrors about L/2; at odd L the cycle has no middle term
     for spec, p, lam, period in ((LrsSpec(2, (6, -3), (4, 4)), 11, 15, 5), (LrsSpec(2, (-1, -1), (2, -4)), 19, 3, 1)):

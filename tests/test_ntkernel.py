@@ -156,6 +156,21 @@ def test_prime_helpers():
     assert next_prime(13) == 17
 
 
+PSI_12 = 318_665_857_834_031_151_167_461  # the least strong pseudoprime to the bases 2..37
+PSI_13 = 3_317_044_064_679_887_385_961_981  # ... to the bases 2..41
+
+
+@pytest.mark.parametrize("n", [3_215_031_751, PSI_12, PSI_13])
+def test_is_prime_refuses_the_strong_pseudoprimes_at_its_base_bounds(n):
+    # psi_12 passes all 12 bases 2..37: is_prime called it prime while the
+    # 12-base branch ran up to psi_13, and factorize returned it whole
+    assert not is_prime(n)
+
+
+def test_factorize_splits_psi_12():
+    assert factorize(PSI_12) == {399_165_290_221: 1, 798_330_580_441: 1}
+
+
 def test_factorize_roundtrip():
     rng = random.Random(17)
     for _ in range(50):

@@ -458,7 +458,7 @@ def test_soundness_across_fixtures(curve, point, spec):
 
 def test_verifier_recounts_independently_of_the_finder(monkeypatch):
     cert = find_witness(E, P, FIBONACCI, 5, p_max=10_000).certificate
-    monkeypatch.setattr(refuter, "count_points", lambda cfp: (cfp.p + 2, -1))
+    monkeypatch.setattr(eds, "count_points", lambda cfp: (cfp.p + 2, -1))
     verdict = verify_certificate(cert)
     assert verdict.ok, verdict.failures
 
@@ -531,8 +531,8 @@ def test_finder_counts_points_only_at_candidates(monkeypatch):
     # Q(sqrt(-3)), where 5 is inert, so its class p = 3 (mod 5) holds no
     # witness: 3 is bad, and q | #E(F_p) needs p = +-1 (mod 5) above it
     calls = []
-    count = refuter.count_points
-    monkeypatch.setattr(refuter, "count_points", lambda cfp: calls.append(cfp.p) or count(cfp))
+    count = eds.count_points
+    monkeypatch.setattr(eds, "count_points", lambda cfp: calls.append(cfp.p) or count(cfp))
     exhausted = find_witness(CurveQ(0, 3), PointQ(1, 2, 1), FIBONACCI, 5, a_target=4, p_max=10_000)
     assert not exhausted.found and exhausted.stats["order"] > 0
     assert exhausted.stats["candidates"] == 0 and calls == []
@@ -582,7 +582,7 @@ def test_exhausted_finder_counts_what_the_density_scan_counts(monkeypatch, capsy
     # one scan of the witness class: with no candidate confirmed, the finder
     # rejects each prime under the test the density scan does, and its
     # candidates are the scan's hits, with one worker or two
-    monkeypatch.setattr(refuter, "ward_period", lambda *args: None)
+    monkeypatch.setattr(eds, "ward_period", lambda *args: None)
     result = find_witness(E, P, FIBONACCI, 5, p_max=3000, exclusions=(7,))
     assert not result.found
     assert result.stats == {
