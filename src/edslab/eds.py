@@ -240,18 +240,18 @@ def eds_period_mod_p(seq: EdsSequence, p: int) -> EdsPeriodResult:
     such zero, or with a rank `ward_period` refuses, the status is
     "unconfirmed" and no period is given.
     """
-    if p == 2 or not is_prime(p):
-        raise ValueError("p must be an odd prime")
     if seq.source == "geometric":
         curve, point = seq.curve, seq.point
+        cfp = CurveFp.from_curve(curve, p)  # refuses a p that is not an odd prime
         if curve.bad_prime_product(point) % p == 0:
             raise ValueError(f"need p coprime to the discriminant, z1 and 2*y1 (p={p})")
-        cfp = CurveFp.from_curve(curve, p)
         n_points, trace = count_points(cfp)
         rank = point_order_fp(reduce_point(point, curve, p), cfp, n_points)
         seeds = division_poly_seeds(curve, point)
         bound = 2 * (p - 1) * n_points
     else:
+        if p == 2 or not is_prime(p):
+            raise ValueError("p must be an odd prime")
         n_points = trace = bound = None
         seeds = seq.seed.as_tuple()
         top = hasse_interval(p)[1]

@@ -19,7 +19,6 @@ from .ntkernel import (
     cyclotomic_factor_orders,
     echelon,
     is_prime,
-    lcm_tower,
     order_from_multiple,
 )
 
@@ -390,14 +389,14 @@ def _state_seq_period_matrix(spec: LrsSpec, p: int) -> int:
     refinement of a known multiple.
 
     F_p[x]/(chi) is F_p[C], so C^T s = s exactly when r = x^T mod chi gives
-    u_(j+T) = r_0*u_j + ... + r_(k-1)*u_(j+k-1) = u_j for j = 1..k.  The
-    order of C divides p^ceil(log_p k) * lcm(p^j - 1, j<=k), so the orbit
-    period divides that too; `order_from_multiple` strips prime factors
-    while the state still returns.
+    u_(j+T) = r_0*u_j + ... + r_(k-1)*u_(j+k-1) = u_j for j = 1..k.  As p
+    is prime (`_require_purely_periodic`), the order of C divides
+    p^ceil(log_p k) * lcm(p^j - 1, j<=k), and so does the orbit period;
+    `order_from_multiple` strips prime factors while the state still returns.
     """
     k = spec.order
     terms = [u % p for u in generate(spec, 2 * k - 1)]
-    bound = lcm_tower(p, k) * next(p**e for e in range(k) if p**e >= k)
+    bound = math.lcm(*(p**j - 1 for j in range(1, k + 1))) * next(p**e for e in range(k) if p**e >= k)
 
     def returns(t: int) -> bool:
         r = _x_pow_mod(spec.coeffs, t, p)

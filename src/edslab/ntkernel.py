@@ -219,7 +219,7 @@ def multiplicative_order(a: int, p: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# modular square roots, lcm towers
+# modular square roots and their Hensel lift
 
 
 def legendre_symbol(a: int, r: int) -> int:
@@ -288,15 +288,6 @@ def hensel_lift_sqrt(a: int, r: int, e: int) -> int:
         mod *= r
         s = (s - (s * s - a) * pow(2 * s, -1, mod)) % mod
     return s
-
-
-def lcm_tower(p: int, k: int) -> int:
-    """lcm of p**j - 1 for j = 1..k."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    return math.lcm(*(p**j - 1 for j in range(1, k + 1)))
 
 
 # ---------------------------------------------------------------------------

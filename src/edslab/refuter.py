@@ -255,20 +255,17 @@ def find_witness(
     a p where the first is unconfirmed or the second refuses (past
     `lrs.MAX_WALK`, or factoring gave up) counts as `period_unconfirmed`.
     Mismatches come from z_1..z_24, or z_1..z_60 when those hold fewer than
-    12, with the same result either way.  The scan stops at min(p_max,
-    `MAX_WITNESS_P`), as the verifier refuses a larger p.  Any non-torsion
-    point and any recurrence is accepted: the zeros of z_n mod p are the
-    multiples of r at every p the scan keeps, as each prime of gcd(2y, 3x^2
-    + a*z^4) divides 2y.  Identical inputs always produce identical output.
-    The stats add the candidates' counts to the scan's tallies, its `bad`
-    as `divides_invariants`; a traced run writes them, and the witness p,
-    in one `refuter.scan` span.
+    12, with the same result either way.  z_1..z_24 are built first: their
+    `generate_geometric` refuses a point off the curve or torsion.  The scan
+    stops at min(p_max, `MAX_WITNESS_P`), as the verifier refuses a larger
+    p.  Any other point and any recurrence is accepted: the zeros of z_n
+    mod p are the multiples of r at every p the scan keeps, as each prime
+    of gcd(2y, 3x^2 + a*z^4) divides 2y.  Identical inputs give identical
+    output.  The stats add the candidates' counts to the scan's tallies, its
+    `bad` as `divides_invariants`; a traced run writes them, and the witness
+    p, in one `refuter.scan` span.
     """
-    if not curve.contains(point):
-        raise ValueError("point is not on the curve")
-    torsion, order = is_torsion(point, curve)
-    if torsion:
-        raise ValueError(f"point is torsion (order {order})")
+    prefix = generate_geometric(curve, point, SHORT_MISMATCH_LIMIT)  # `eds_period_mod_p` reads no term
     if q is None:
         q = choose_q(spec, curve, exclusions, a_target)
     else:
@@ -282,7 +279,6 @@ def find_witness(
     cert = None
 
     with _span("refuter.scan", q=q, p_max=bound, base="rational" if q_point else "per-prime") as record:
-        prefix = generate_geometric(curve, point, SHORT_MISMATCH_LIMIT)  # `eds_period_mod_p` reads no term
         for p in order_class_primes(curve, point, q_point, q, b_target, invariants, exclusions, bound, 0, tally):
             counts["candidates"] += 1
             at_p = eds_period_mod_p(prefix, p)
@@ -490,7 +486,7 @@ def direct_falsify(
     if p == 2 or not is_prime(p):
         raise ValueError("p must be an odd prime")
     if curve.bad_prime_product(point) % p == 0:
-        raise ValueError("need good reduction and p coprime to z1, 2*y1")
+        raise ValueError(f"need p coprime to the discriminant, z1 and 2*y1 (p={p})")
     require_exact_companion(curve, point)
     seeds = division_poly_seeds(curve, point)
     # z_n = z_1*|w_n|; the sign of w_n does not matter against +-u_{n^2}

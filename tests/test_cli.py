@@ -440,8 +440,22 @@ def test_eds_period_json(capsys):
 def test_eds_period_refuses_a_prime_dividing_2y1(capsys):
     # 2*y1 = 52 = 4*13: modulo 13 the point has order 2 and w_2 = 0, and the
     # refusal named a stream that the command never walks
-    argv = ("eds", "period", "--curve", "-6", "1", "--point", "9", "26", "1", "--p", "13")
-    assert run(capsys, *argv) == (2, "", "error: need p coprime to the discriminant, z1 and 2*y1 (p=13)\n")
+    argv = ("--curve", "-6", "1", "--point", "9", "26", "1", "--p", "13")
+    refusal = (2, "", "error: need p coprime to the discriminant, z1 and 2*y1 (p=13)\n")
+    assert run(capsys, "eds", "period", *argv) == refusal
+    # falsify refuses it in the same words, which name p and the discriminant
+    assert run(capsys, "falsify", *argv, "--lrs", "2", "1", "1", "1", "1") == refusal
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("refute", "--lrs", "2", "1", "1", "1", "1"), ("eds", "gen"), ("eds", "period", "--p", "5"), ("eds", "zsigmondy")],
+    ids=["refute", "eds gen", "eds period", "eds zsigmondy"],
+)
+def test_a_torsion_point_is_refused_in_one_wording(capsys, argv):
+    # y = 0 gives a point of order 2, which each command refuses through `eds.generate_geometric`
+    torsion = ("--curve", "0", "-1", "--point", "1", "0", "1")
+    assert run(capsys, *argv, *torsion) == (2, "", "error: point is torsion (order 2); the sequence degenerates\n")
 
 
 def test_eds_period_unconfirmed_exit3(capsys, monkeypatch):

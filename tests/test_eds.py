@@ -11,7 +11,7 @@ from itertools import islice
 import pytest
 
 import edslab
-from edslab import eds, elliptic
+from edslab import eds, elliptic, lrs, ntkernel, refuter
 
 from edslab.eds import (
     WardSeed,
@@ -48,6 +48,13 @@ P = PointQ(1, 2, 1)
 
 def fixture_sequence(n=30):
     return generate_geometric(E, P, n)
+
+
+def test_generation_refuses_an_empty_prefix():
+    # the gcd path asks `ward_terms` for one term more than it lists, so its
+    # own check, not that of `ward_terms`, refuses n_terms = 0
+    with pytest.raises(ValueError, match="^need at least one term$"):
+        generate_geometric(CurveQ(0, 17), PointQ(-2, 3, 1), 0)
 
 
 def test_geometric_first_terms():
@@ -579,6 +586,28 @@ def test_period_rejects_bad_primes():
         eds_period_mod_p(fixture_sequence(5), 3)  # 3 divides the discriminant
     with pytest.raises(ValueError):
         eds_period_mod_p(fixture_sequence(5), 4)
+
+
+def primality_tests(monkeypatch, p: int) -> list[int]:
+    """A list that grows by one entry each time a module on the witness path tests p prime."""
+    calls = []
+
+    def counted(n: int, is_prime=ntkernel.is_prime) -> bool:
+        if n == p:
+            calls.append(n)
+        return is_prime(n)
+
+    for module in (ntkernel, elliptic, eds, lrs, refuter):
+        monkeypatch.setattr(module, "is_prime", counted)
+    return calls
+
+
+def test_a_geometric_period_tests_p_prime_once(monkeypatch):
+    # only `CurveFp.from_curve` tests it: `eds_period_mod_p` leaves a geometric source's p to it
+    seq = generate_geometric(CurveQ(-4, 4), PointQ(1, 1, 1), 1)
+    calls = primality_tests(monkeypatch, 10_007)
+    eds_period_mod_p(seq, 10_007)
+    assert len(calls) == 1
 
 
 def test_period_answers_for_point_outside_companion_model():

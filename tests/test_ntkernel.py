@@ -20,7 +20,6 @@ from edslab.ntkernel import (
     iter_primes,
     is_prime,
     kernel_basis,
-    lcm_tower,
     legendre_symbol,
     multiplicative_order,
     next_prime,
@@ -94,12 +93,6 @@ def test_hensel_lift_tower_consistency():
 def test_hensel_rejects_non_unit():
     with pytest.raises(ValueError):
         hensel_lift_sqrt(7, 7, 2)
-
-
-def test_lcm_tower_values():
-    assert lcm_tower(5, 2) == 24
-    assert lcm_tower(7, 1) == 6
-    assert lcm_tower(2, 3) == 21
 
 
 def test_sieve_matches_is_prime():

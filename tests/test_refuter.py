@@ -33,6 +33,7 @@ from edslab.refuter import (
     verify_certificate,
 )
 from test_cli import VERIFIER_CHECKS, factoring_gives_up_past
+from test_eds import primality_tests
 from test_elliptic import multiples
 
 # non-CM fixture with |w_n| = z_n: the certificate's stream is literally
@@ -204,8 +205,8 @@ def test_find_witness_certifies_degenerate_spec(spec, q, p):
 
 def test_find_witness_rejects_torsion_point():
     # on the curve, y = 0 forces z = 1, so the torsion rules refuse every such
-    # point as order 2 before any prime is scanned
-    with pytest.raises(ValueError, match=r"^point is torsion \(order 2\)$"):
+    # point as order 2 before any prime is scanned, in the words of `eds gen`
+    with pytest.raises(ValueError, match=r"^point is torsion \(order 2\); the sequence degenerates$"):
         find_witness(CurveQ(0, -1), PointQ(1, 0, 1), FIBONACCI, 5, p_max=100)
 
 
@@ -625,11 +626,19 @@ def test_finder_certifies_a_witness_whose_window_passes_the_former_cap():
     assert verdict.ok, verdict.failures
 
 
-def test_finder_rejects_a_long_walk_of_u_before_it_starts():
+def test_finder_tests_its_witness_prime_twice(monkeypatch):
+    # once in `CurveFp.from_curve`, once before the walk of u mod p
+    calls = primality_tests(monkeypatch, 223)
+    assert find_witness(E, P, FIBONACCI, 13, p_max=20_000).certificate.p == 223
+    assert len(calls) == 2
+
+
+def test_finder_rejects_a_long_walk_of_u_before_it_starts(monkeypatch):
     # chi = x^5 - x^4 - x^3 - 1: at the first candidate, p = 223, u mod p has
     # period 2,484,112,961 > MAX_WALK.  x^t mod chi finds it without a walk,
     # which would hold a list of MAX_WALK terms (over 80 MB) before giving up
     spec = LrsSpec(5, (1, 1, 0, 0, 1), (1, 1, 1, 1, 1))
+    calls = primality_tests(monkeypatch, 353)  # p^5 > MAX_WALK: the matrix method reads the multiple untested
     tracemalloc.start()
     try:
         result = find_witness(E, P, spec, 13, p_max=20_000)
@@ -638,6 +647,7 @@ def test_finder_rejects_a_long_walk_of_u_before_it_starts():
         tracemalloc.stop()
     assert result.found and result.certificate.p == 353
     assert result.stats["period_unconfirmed"] == 1
+    assert len(calls) == 2
     assert peak < 20_000_000
     verdict = verify_certificate(WitnessCertificate.from_json(result.certificate.to_json()))
     assert verdict.ok, verdict.failures
