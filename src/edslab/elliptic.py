@@ -481,7 +481,7 @@ def multiple_in_hasse(base: PointFp, p: int, a: int, d: int = 1) -> int | None:
     g = -(-(lo - s) // step)
     c = g * step
     r = fp_scalar_mul(g, (sx, sy), p, a)
-    while c - s <= hi:
+    while True:  # the first window has c - s <= lo <= hi; each later one is tested as c moves
         if r is None:
             k = c
         else:
@@ -503,7 +503,6 @@ def multiple_in_hasse(base: PointFp, p: int, a: int, d: int = 1) -> int | None:
             r = fp_scalar_mul(2, r, p, a)
         else:
             r = None
-    return None
 
 
 def small_multiple(q: int, point: PointQ, curve: CurveQ) -> PointQ | None:
@@ -586,11 +585,9 @@ def order_class_primes(
 
 def _unique_hasse_candidate(m_e: int, m_twist: int, p: int) -> int | None:
     """The one N in the Hasse interval with m_e | N and m_twist | 2p+2-N, if
-    there is exactly one."""
+    there is exactly one; as m_e | #E and m_twist | #E', gcd(m_e, m_twist) | 2p+2."""
     lo, hi = hasse_interval(p)
     g = math.gcd(m_e, m_twist)
-    if (2 * p + 2) % g:
-        return None
     # N = m_e * t with m_e * t = 2p + 2 (mod m_twist)
     mod = m_twist // g
     t = (2 * p + 2) // g * pow(m_e // g, -1, mod) % mod
@@ -646,9 +643,7 @@ def _mestre_count(curve: CurveFp) -> tuple[int | None, int]:
         if f == 0:
             continue
         pt, a_f = (x * f % p, f * f % p), a * f * f % p
-        multiple = multiple_in_hasse(pt, p, a_f)
-        if multiple is None:
-            break
+        multiple = multiple_in_hasse(pt, p, a_f)  # not None: pt's curve, E or E', has its order there
         points += 1
         order = order_from_multiple(multiple, lambda k: fp_scalar_mul(k, pt, p, a_f) is None)
         if pow(f, (p - 1) // 2, p) == 1:  # Euler's criterion: f is a square

@@ -131,9 +131,7 @@ def sieve_primes(limit: int) -> list[int]:
 
 
 def _brent_rho(n: int, c: int, max_iters: int) -> int:
-    """One Brent-cycle Pollard rho attempt; returns a factor or 1."""
-    if n % 2 == 0:
-        return 2
+    """One Brent-cycle Pollard rho attempt on an odd composite n; returns a proper factor or 1."""
     y, m, g, r, q = 2, 128, 1, 1, 1
     x = ys = y
     count = 0
@@ -180,18 +178,15 @@ def factorize(n: int, *, rho_iters: int = 2_000_000) -> dict[int, int]:
             rest //= p
     stack = [rest] if rest > 1 else []
     while stack:
-        m = stack.pop()
-        if m == 1:
-            continue
+        m = stack.pop()  # > 1: rest > 1, and d and m // d below are proper factors
         if is_prime(m):
             factors[m] = factors.get(m, 0) + 1
             continue
-        d = 1
-        for c in range(1, 40):
+        for c in range(1, 40):  # m is odd and composite: trial division took every prime below 10^4
             d = _brent_rho(m, c, rho_iters)
-            if 1 < d < m:
+            if d > 1:
                 break
-        if d == 1 or d == m:
+        if d == 1:
             raise IncompleteFactorization(n, factors, m)
         stack.append(d)
         stack.append(m // d)

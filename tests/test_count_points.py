@@ -1,5 +1,6 @@
 """Shanks-Mestre `count_points` against the character-sum oracle."""
 
+import math
 import random
 from contextlib import contextmanager
 
@@ -102,3 +103,29 @@ def test_each_count_writes_one_span_with_its_path(monkeypatch):
     assert records[:2] == [(97, "naive", "small_p", 0), (401, "naive", "bad_reduction", 0)]
     assert records[2][:3] == (99991, "mestre", None) and records[2][3] >= 1
     assert records[3] == (99991, "naive", "points_exhausted", elliptic.MESTRE_MAX_POINTS)
+
+
+def test_the_mestre_search_meets_only_the_cases_its_invariants_allow(monkeypatch):
+    # each point (x*f, f^2) lies on E or its twist E', whose order lies in the
+    # Hasse interval, so no d = 1 search comes back empty; and gcd(m_e, m_twist)
+    # divides #E + #E' = 2p + 2, so `_unique_hasse_candidate` can always solve
+    search, candidate = elliptic.multiple_in_hasse, elliptic._unique_hasse_candidate
+    searches, gcds = [], []
+
+    def recorded_search(base, p, a, d=1):
+        m = search(base, p, a, d)
+        searches.append((d, m))
+        return m
+
+    def recorded_candidate(m_e, m_twist, p):
+        gcds.append((math.gcd(m_e, m_twist), p))
+        return candidate(m_e, m_twist, p)
+
+    monkeypatch.setattr(elliptic, "multiple_in_hasse", recorded_search)
+    monkeypatch.setattr(elliptic, "_unique_hasse_candidate", recorded_candidate)
+    primes = [p for p in sieve_primes(3000) if p >= elliptic.NAIVE_COUNT_BELOW]
+    for curve in CURVES:
+        for cfp in _good_reductions(curve, primes):
+            count_points(cfp)
+    assert searches and all(d == 1 and m is not None for d, m in searches)
+    assert gcds and all((2 * p + 2) % g == 0 for g, p in gcds)

@@ -887,6 +887,27 @@ def test_a_bad_term_past_the_requested_ones_is_a_malformed_miss(tmp_path, z11):
     assert eds._read_cached(path, E, P, 7) == (None, "malformed")
 
 
+def test_a_cached_file_for_a_point_the_ladder_refuses_is_a_terms_miss(tmp_path, monkeypatch, capsys):
+    # (0, 0) on y^2 = x^3 - x has order 2: w2 = 0, so the exact check of z_1
+    # raises, and that is a miss; `eds gen` then refuses the point by name
+    from _blake2 import blake2b
+
+    from edslab.cli import main
+
+    curve, point = CurveQ(-1, 0), PointQ(0, 0, 1)
+    text = eds.CACHE_HEADER + "".join(f"{n} 1\n" for n in range(1, 4))
+    with open(eds.cache_path(str(tmp_path), curve, point), "w") as fh:
+        fh.write(text + f"blake2b {blake2b(text.encode(), digest_size=32).hexdigest()}\n")
+    monkeypatch.setattr(edslab, "_TRACING", True)
+    assert load_sequence(str(tmp_path), curve, point, 3) is None
+    [span] = [r for r in map(json.loads, capsys.readouterr().err.splitlines()) if r["span"] == "eds.load_sequence"]
+    assert (span["hit"], span["miss"]) == (False, "terms")
+    monkeypatch.setattr(edslab, "_TRACING", False)
+    code = main(["eds", "gen", "--curve", "-1", "0", "--point", "0", "0", "1", "--n", "3", "--cache-dir", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", "error: point is torsion (order 2); the sequence degenerates\n")
+
+
 def _count_ward_steps(monkeypatch):
     """Record each term Ward's recurrence computes: the eight of each `_double_block`,
     each `_ward_step` (of `_last_doubling` and `scalar_mul`), and the n - 4 of each

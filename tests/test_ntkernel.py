@@ -189,6 +189,28 @@ def test_factorize_effort_cap():
         factorize(4 * p * q, rho_iters=10)
 
 
+def test_rho_gets_an_odd_composite_and_returns_a_proper_factor_or_1(monkeypatch):
+    # trial division takes every prime below 10^4, so what reaches rho is odd
+    # and composite; a composite there splits, or with a tiny budget gives up
+    rho, calls = ntkernel._brent_rho, []
+
+    def recorded(n, c, max_iters):
+        calls.append((n, rho(n, c, max_iters)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(ntkernel, "_brent_rho", recorded)
+    p, q, r = 10_007, next_prime(10**6), next_prime(10**9)
+    for n in (p * q, 2**5 * 3 * p * r, p * q * r, q * q, 7 * p * p * q):
+        assert math.prod(f**e for f, e in factorize(n).items()) == n
+    big_p = next_prime(10**29)
+    with pytest.raises(IncompleteFactorization):
+        factorize(big_p * next_prime(big_p + 10), rho_iters=10)
+    assert calls and any(d == 1 for _, d in calls) and any(d > 1 for _, d in calls)
+    for n, d in calls:
+        assert n % 2 and not is_prime(n), n
+        assert d == 1 or (1 < d < n and n % d == 0), (n, d)
+
+
 def test_multiplicative_order_matches_exhaustive_powers():
     for p in (3, 5, 7, 13, 31, 97, 1009):
         for a in range(1, min(p, 120)):

@@ -600,6 +600,23 @@ def test_exhausted_finder_counts_what_the_density_scan_counts(monkeypatch, capsy
         assert (span["jobs"], report.empirical.hits) == (jobs, result.stats["candidates"])
 
 
+def test_a_candidate_with_too_few_mismatches_is_counted_and_skipped(monkeypatch, capsys):
+    # no prefix lists more than DEFAULT_MISMATCH_LIMIT mismatches, so with the
+    # minimum above it every candidate is refused under `too_few_mismatches`
+    from edslab.cli import main
+
+    monkeypatch.setattr(refuter, "DEFAULT_MIN_MISMATCHES", refuter.DEFAULT_MISMATCH_LIMIT + 1)
+    result = find_witness(E, P, FIBONACCI, 13, p_max=1_000)
+    assert not result.found and result.certificate is None
+    assert result.stats["too_few_mismatches"] == result.stats["candidates"] >= 1
+    counts = "".join(f"  {key}: {value}\n" for key, value in sorted(result.stats.items()))
+    code = main(["refute", "--curve", "-4", "4", "--point", "1", "1", "1", "--lrs", "2", "1", "1", "1", "1",
+                 "--q", "13", "--p-max", "1000"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (3, "")
+    assert captured.err == "no witness prime <= 1000; per-condition counts:\n" + counts
+
+
 def test_a_traced_finder_writes_its_stats_in_one_span(monkeypatch, capsys):
     _trace(monkeypatch)
     fields = {"span", "parent", "start", "s", "q", "p_max", "base"}
