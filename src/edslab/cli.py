@@ -141,12 +141,21 @@ def _emit(fmt: str, headers: list[str], rows: list[list], json_payload=None):
     if fmt == "json":
         import json  # here, not at the top, like csv below
 
-        payload = json_payload if json_payload is not None else [
-            dict(zip(headers, row)) for row in rows
-        ]
-        out.write(json.dumps(payload, sort_keys=True, default=str) + "\n")
+        if json_payload is not None:
+            out.write(json.dumps(json_payload, sort_keys=True, default=str) + "\n")
+            return
+        from decimal import Decimal  # loaded already: each command that emits rows runs eds
+
+        def value(v):  # as json.dumps writes it, and a Decimal (an eds gen term) as its digits
+            return str(v) if type(v) in (int, Decimal) else json.dumps(v, default=str)
+
+        # the rows as objects, sorted by key, as json.dumps writes them
+        order = sorted(range(len(headers)), key=headers.__getitem__)
+        keys = [json.dumps(headers[k]) for k in order]
+        objects = (", ".join(f"{key}: {value(row[k])}" for key, k in zip(keys, order)) for row in rows)
+        out.write("[" + ", ".join("{" + text + "}" for text in objects) + "]\n")
         return
-    cells = [[str(v) for v in row] for row in rows]  # int -> str is quadratic in the digits
+    cells = [[str(v) for v in row] for row in rows]  # int -> str is quadratic in the digits, Decimal -> str linear
     if fmt == "csv":
         import csv  # here, not at the top: importing it adds about 1 ms to every start
 
@@ -233,14 +242,15 @@ def _at_most_terms(args, *keys: str) -> int:
 
 def _printable(name: str, values) -> None:
     """Refuse the first (i, v) of values whose v has more digits than CPython
-    prints, named by name.format(i), before any v is converted.  A v of at
-    most 3*limit bits is below 8^limit and prints, so 10^limit, some 14,000
-    bits at the default limit, is formed only for a longer one."""
+    prints an int with, named by name.format(i), before any v is converted.
+    An int v of at most 3*limit bits is below 8^limit and prints, so 10^limit,
+    some 14,000 bits at the default limit, is formed only for a longer one; a
+    Decimal integer v has v.adjusted() + 1 digits."""
     limit = _print_limit()
     if limit:
-        n = next((i for i, v in values if abs(v).bit_length() > 3 * limit and abs(v) >= 10**limit), None)
-        if n is not None:
-            raise _unprintable(name.format(n), limit)
+        for i, v in values:
+            if v.adjusted() >= limit if not isinstance(v, int) else v.bit_length() > 3 * limit and abs(v) >= 10**limit:
+                raise _unprintable(name.format(i), limit)
 
 
 def _printable_fields(payload: dict) -> None:
@@ -264,16 +274,50 @@ def cmd_eds_gen(args) -> int:
     terms = _at_most_terms(args, "n", "stride")
     curve, point = _curve_point(args)
     cache = os.environ.get(CACHE_ENV) if args.cache_dir is None else args.cache_dir
-    seq = eds.load_sequence(cache, curve, point, terms) if cache else None
-    if seq is None:
-        seq = eds.generate_geometric(curve, point, terms)
-        if cache:
-            eds.save_sequence(cache, seq)
     indices = range(args.stride, terms + 1, args.stride)
+    seq = eds.load_sequence(cache, curve, point, terms) if cache else None
+    cached = seq is not None
+    if not cached:
+        seq = _printed_terms(curve, point, indices)
     _printable("z_{}", ((i, seq.term(i)) for i in indices))
-    rows = [[i, seq.term(i), f"{eds.height_ratio(i, seq.term(i)):.6f}"] for i in indices]
+    if cache and not cached:  # a refused request has stopped above and saves nothing
+        eds.save_sequence(cache, seq)
+    rows = [[i, z, f"{eds.height_ratio(i, z):.6f}"] for i in indices for z in [seq.term(i)]]
     _emit(args.format, ["n", "z_n", "log(z_n)/n^2"], rows)
     return EXIT_OK
+
+
+# The type `eds gen` generates in.  Decimal products cost 2.3-2.6x int ones at
+# 1,000-4,000 digits, but str() of a Decimal is linear where an int's is quadratic:
+# a cold request took as long either way with z_N of 500-700 digits on three pool
+# curves, and 1.58 ms as Decimals against 2.33 ms as ints at (1,-9), (2,1,1), N = 70
+# (1,347 digits; in process, Python 3.11.7).  So z_N estimated at EDS_DECIMAL_FROM
+# digits or more, and printable, takes Decimals; else ints, and a request estimated
+# to be refused stops after the estimated first unprintable term.  The margin covers
+# `eds.growth_estimate`, up to 4.2% low; a wrong guess costs time, never output.
+EDS_DECIMAL_FROM = 600
+EDS_DIGITS_MARGIN = 0.05
+
+
+def _printed_terms(curve, point, indices: range) -> eds.EdsSequence:
+    """z_1..z_N, N = indices[-1], as `eds gen` prints them, of the type chosen above;
+    on the int path refused by `_printable` at the first index of `indices` whose
+    term is past the limit, before any term after the estimated one is generated."""
+    from decimal import Decimal
+
+    from . import eds
+
+    terms, limit = indices[-1], _print_limit()
+    digits = eds.growth_estimate(curve, point, terms) / math.log(10)  # of z_n, per n^2
+    top = digits * terms**2
+    if top >= EDS_DECIMAL_FROM and (not limit or top * (1 + EDS_DIGITS_MARGIN) <= limit):
+        return eds.generate_geometric(curve, point, terms, Decimal)
+    last = terms
+    if limit and digits:  # one printed index past where the estimate, less its margin, passes the limit
+        last = min(terms, math.isqrt(int(limit / (digits * (1 - EDS_DIGITS_MARGIN)))) + 1 + indices.step)
+    seq = eds.generate_geometric(curve, point, last)
+    _printable("z_{}", ((i, seq.term(i)) for i in indices if i <= len(seq)))
+    return seq if len(seq) == terms else eds.generate_geometric(curve, point, terms)
 
 
 def cmd_eds_ward(args) -> int:

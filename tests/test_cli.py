@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import multiprocessing
 import os
 import re
@@ -315,7 +316,112 @@ def test_eds_gen_names_the_term_past_the_print_limit(tmp_path, capsys, monkeypat
     code, out, err = run(capsys, *Z87, "--format", fmt, "--cache-dir", str(tmp_path))
     assert (code, out) == (2, "")
     assert err == "error: z_87 has more than 4300 digits, the int-to-str limit (PYTHONINTMAXSTRDIGITS)\n"
-    assert eds.load_sequence(str(tmp_path), CurveQ(8, 3), PointQ(13, 48, 1), 87) is not None
+    assert not os.path.exists(eds.cache_path(str(tmp_path), CurveQ(8, 3), PointQ(13, 48, 1)))
+
+
+@PRINT_LIMIT
+def test_a_refused_eds_gen_stops_at_its_first_unprintable_term(tmp_path, capsys):
+    # generating and caching all 600 terms took about 7 s before the refusal of z_87
+    start = time.perf_counter()
+    code, out, err = run(capsys, *Z87[:-1], "600", "--cache-dir", str(tmp_path))
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err == "error: z_87 has more than 4300 digits, the int-to-str limit (PYTHONINTMAXSTRDIGITS)\n"
+    assert not os.listdir(tmp_path)
+
+
+@PRINT_LIMIT
+def test_a_refused_eds_gen_saves_nothing_when_the_estimate_took_decimals(tmp_path, capsys, monkeypatch):
+    # an estimate 4x too low says z_87 prints: all 87 terms are Decimals, and the refusal comes after
+    estimate = eds.growth_estimate
+    monkeypatch.setattr(eds, "growth_estimate", lambda *args: estimate(*args) / 4)
+    code, out, err = run(capsys, *Z87, "--cache-dir", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert err == "error: z_87 has more than 4300 digits, the int-to-str limit (PYTHONINTMAXSTRDIGITS)\n"
+    assert not os.listdir(tmp_path)
+
+
+def _pool_points():
+    """For each curve y^2 = x^3 + ax + b with |a|, |b| <= 12, its first integral
+    point of finite height with x in -30..399, x != 0 and y > 0."""
+    from edslab.elliptic import is_torsion
+
+    for a in range(-12, 13):
+        for b in range(-12, 13):
+            if 4 * a**3 + 27 * b**2 == 0:
+                continue
+            curve = CurveQ(a, b)
+            for x in range(-30, 400):
+                rhs = x**3 + a * x + b
+                if x and rhs > 0 and math.isqrt(rhs) ** 2 == rhs:
+                    point = PointQ(x, math.isqrt(rhs), 1)
+                    if not is_torsion(point, curve)[0]:
+                        yield curve, point
+                        break
+
+
+def _printed_ints(curve, point, limit=4300):
+    """z_1..z_N as ints, N the last index whose term prints (at most 1,000)."""
+    n, past = 64, 10**limit
+    while True:
+        terms = eds.generate_geometric(curve, point, n).terms
+        short = next((i for i, z in enumerate(terms) if z >= past), None)
+        if short is not None or n == 1000:
+            return terms[:short]
+        n = min(2 * n, 1000)
+
+
+@PRINT_LIMIT
+def test_eds_gen_ratio_column_is_math_log_of_each_int_term_cold_and_warm(tmp_path, capsys):
+    # every 8th of the 164 pool points on Ayad's path, and two of the 151 on the gcd path,
+    # whose cached terms are read as Decimals too: each term that prints, cold then warm
+    points = list(_pool_points())
+    ayad = [(c, p) for c, p in points if math.gcd(2 * p.y, 3 * p.x**2 + c.a) == 1]
+    assert (len(points), len(ayad)) == (315, 164)
+    short = long = 0
+    for curve, point in [*ayad[::8], (CurveQ(-6, -11), PointQ(6, 13, 1)), (CurveQ(12, 9), PointQ(4, 11, 1))]:
+        ints = _printed_ints(curve, point)
+        expected = [f"{math.log(z) / n**2:.6f}" for n, z in enumerate(ints, start=1)]
+        gen = ("eds", "gen", "--curve", str(curve.a), str(curve.b), "--point", str(point.x), str(point.y), "1")
+        for _ in ("cold", "warm"):
+            code, out, _ = run(capsys, *gen, "--n", str(len(ints)), "--format", "csv", "--cache-dir", str(tmp_path))
+            assert code == 0 and [row[2] for row in csv.reader(out.splitlines()[1:])] == expected, (curve, point)
+        short += sum(z < 10**20 for z in ints)
+        long += sum(z >= 10**20 for z in ints)
+    assert short > 50 and long > 1000  # the branch for 20 digits or fewer, and the one past it
+
+
+def _eds_gen_reference(ints, stride, fmt):
+    """eds gen's output for these int terms, written from str and math.log."""
+    indices = range(stride, len(ints) + 1, stride)
+    rows = [[str(n), str(ints[n - 1]), f"{math.log(ints[n - 1]) / n**2:.6f}"] for n in indices]
+    headers = ["n", "z_n", "log(z_n)/n^2"]
+    if fmt == "json":
+        return json.dumps([{"n": int(n), "z_n": int(z), "log(z_n)/n^2": r} for n, z, r in rows], sort_keys=True) + "\n"
+    if fmt == "csv":
+        return "".join(",".join(row) + "\n" for row in [headers, *rows])
+    widths = [max(len(cell) for cell in column) for column in zip(headers, *rows)]
+    return "".join("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip() + "\n" for row in [headers, *rows])
+
+
+# an Ayad point whose z_105 has 3,031 digits, and a point on the gcd path
+@pytest.mark.parametrize("curve, point, n", [((1, -9), (2, 1), 35), ((0, 17), (-2, 3), 14)])
+@pytest.mark.parametrize("stride", [1, 3])
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+@pytest.mark.parametrize("guess", ["estimate", "overestimate"])
+def test_eds_gen_prints_the_same_bytes_in_every_format_and_path(
+    tmp_path, capsys, monkeypatch, curve, point, n, stride, fmt, guess
+):
+    # cold, warm, then past the cached terms; an estimate 4x too high takes the int path,
+    # and at 105 terms stops at 66, which print, so it generates again: the bytes do not change
+    if guess == "overestimate":
+        estimate = eds.growth_estimate
+        monkeypatch.setattr(eds, "growth_estimate", lambda *args: 4 * estimate(*args))
+    ints = eds.generate_geometric(CurveQ(*curve), PointQ(*point, 1), 3 * n).terms
+    gen = ("eds", "gen", "--curve", *map(str, curve), "--point", *map(str, point), "1", "--format", fmt)
+    for terms in (n, n, 3 * n):
+        argv = (*gen, "--n", str(terms // stride), "--stride", str(stride), "--cache-dir", str(tmp_path))
+        assert run(capsys, *argv) == (0, _eds_gen_reference(ints[:terms], stride, fmt), "")
 
 
 @PRINT_LIMIT

@@ -6,6 +6,7 @@ import random
 import shutil
 import time
 import types
+from decimal import Decimal
 from itertools import islice
 
 import pytest
@@ -786,9 +787,9 @@ def test_cache_rejects_edited_middle_line(tmp_path):
     seq = fixture_sequence(12)
     path = save_sequence(str(tmp_path), seq)
     text = open(path).read()
-    assert text.startswith("edslab-eds 4\n") and text.splitlines()[-1].startswith("blake2b ")
+    assert text.startswith("edslab-eds 5\n") and text.splitlines()[-1].startswith("blake2b ")
     # z_6 changes while z_1 and z_12, the terms re-derived exactly, do not
-    edited = text.replace(f"\n6 {seq.term(6):x}\n", f"\n6 {seq.term(6) + 1:x}\n")
+    edited = text.replace(f"\n6 {seq.term(6)}\n", f"\n6 {seq.term(6) + 1}\n")
     assert edited != text
     open(path, "w").write(edited)
     assert load_sequence(str(tmp_path), E, P, 12) is None
@@ -808,16 +809,31 @@ def test_cache_rejects_missing_hash_and_old_format(tmp_path):
     assert load_sequence(str(tmp_path), E, P, 7).terms == seq.terms[:7]
 
 
-def test_cache_stores_hex_terms_and_misses_a_decimal_file(tmp_path):
+def test_cache_stores_decimal_terms_and_misses_a_decimal_file_of_format_2(tmp_path):
     seq = fixture_sequence(12)
     path = save_sequence(str(tmp_path), seq)
-    assert open(path).read().splitlines()[1:13] == [f"{n} {z:x}" for n, z in enumerate(seq.terms, start=1)]
+    assert open(path).read().splitlines()[1:13] == [f"{n} {z}" for n, z in enumerate(seq.terms, start=1)]
     # the decimal format 2, correctly hashed, is a miss; a new save overwrites it
     decimal = "edslab-eds 2\n" + "".join(f"{n} {z}\n" for n, z in enumerate(seq.terms, start=1))
     open(path, "w").write(decimal + f"sha256 {hashlib.sha256(decimal.encode()).hexdigest()}\n")
     assert load_sequence(str(tmp_path), E, P, 12) is None
     save_sequence(str(tmp_path), seq)
-    assert open(path).read().startswith("edslab-eds 4\n")
+    assert open(path).read().startswith("edslab-eds 5\n")
+    assert load_sequence(str(tmp_path), E, P, 12).terms == seq.terms
+
+
+def test_cache_misses_a_hex_file_of_format_4_by_its_header_and_overwrites_it(tmp_path):
+    # format 4 held each term in hex under a BLAKE2b-256 line, as format 5 holds its digits
+    from _blake2 import blake2b
+
+    seq = fixture_sequence(12)
+    path = eds.cache_path(str(tmp_path), E, P)
+    old = "edslab-eds 4\n" + "".join(f"{n} {z:x}\n" for n, z in enumerate(seq.terms, start=1))
+    open(path, "w").write(old + f"blake2b {blake2b(old.encode(), digest_size=32).hexdigest()}\n")
+    assert eds._read_cached(path, E, P, 12) == (None, "header")
+    assert save_sequence(str(tmp_path), seq) == path
+    text = open(path).read()
+    assert text.startswith("edslab-eds 5\n") and "\n12 " + str(seq.term(12)) + "\n" in text
     assert load_sequence(str(tmp_path), E, P, 12).terms == seq.terms
 
 
@@ -829,7 +845,7 @@ def test_cache_misses_a_sha256_file_of_format_3_and_overwrites_it(tmp_path):
     assert load_sequence(str(tmp_path), E, P, 12) is None
     assert save_sequence(str(tmp_path), seq) == path
     text = open(path).read()
-    assert text.startswith("edslab-eds 4\n") and text.splitlines()[-1].startswith("blake2b ")
+    assert text.startswith("edslab-eds 5\n") and text.splitlines()[-1].startswith("blake2b ")
     assert load_sequence(str(tmp_path), E, P, 12).terms == seq.terms
 
 
@@ -866,15 +882,23 @@ def test_cache_round_trips_terms_past_the_decimal_limit(tmp_path):
 
 
 def test_a_cache_hit_converts_only_the_terms_it_returns(tmp_path, monkeypatch):
+    # each returned term is read from its digits, and no term is converted to or from an int
     seq = fixture_sequence(30)
     save_sequence(str(tmp_path), seq)
-    bases = []
-    monkeypatch.setattr(eds, "int", lambda text, *base: bases.append(base) or int(text, *base), raising=False)
-    assert load_sequence(str(tmp_path), E, P, 12).terms == seq.terms[:12]
-    assert bases.count((16,)) == 12
+    read = []
+    monkeypatch.setattr(eds, "Decimal", lambda value: read.append(value) or Decimal(value))
+    monkeypatch.setattr(eds, "int", _refuse_int, raising=False)
+    loaded = load_sequence(str(tmp_path), E, P, 12)
+    assert all(type(z) is Decimal for z in loaded.terms) and loaded.terms == seq.terms[:12]
+    assert [text for text in read if isinstance(text, str)] == [str(z) for z in seq.terms[:12]]
 
 
-@pytest.mark.parametrize("z11", ["g", "-1f", "1F", ""])
+def _refuse_int(*args):
+    raise AssertionError("a term was converted to or from an int")
+
+
+# a hex term, a sign, an exponent, a point, an underscore (which Decimal() reads) and no digits
+@pytest.mark.parametrize("z11", ["1f", "-1", "1e5", "1.5", "1_0", ""])
 def test_a_bad_term_past_the_requested_ones_is_a_malformed_miss(tmp_path, z11):
     # the file is hashed correctly, and z_1..z_7 are right
     from _blake2 import blake2b
@@ -1022,31 +1046,35 @@ def test_ward_terms_refuse_the_seeds_that_the_ladder_refuses(seeds, p):
         assert _outcome(ward_terms, seeds, p, n) == _outcome(ladder_block, seeds, p, n) == refusal
 
 
-class _Unprintable(int):
-    # raises as its bytes are taken, which save_sequence writes in hex
-    def to_bytes(self, *args, **kwargs):
-        raise ValueError("Exceeds the limit for integer string conversion")
+def test_saved_terms_are_the_decimal_digits_of_each_term(tmp_path):
+    # z_1..z_100 of a pool curve, generated as ints, then as Decimals, and terms at the
+    # edges of a 19-digit word and past the int-to-str limit, which str() of an int refuses
+    curve, point = CurveQ(-4, 4), PointQ(1, 1, 1)
+    edges = [0, 1, 9, 10, 10**19 - 1, 10**19, 10**20 + 7]
+    for number in (int, Decimal):
+        seq = generate_geometric(curve, point, 100, number)
+        seq.terms += [number(z) for z in edges] + [10**4400 + 1]
+        path = save_sequence(str(tmp_path), seq)
+        lines = open(path).read().splitlines()[1:-1]
+        expected = [str(z) for z in generate_geometric(curve, point, 100).terms + edges] + ["1" + "0" * 4399 + "1"]
+        assert lines == [f"{n} {digits}" for n, digits in enumerate(expected, start=1)]
 
 
-def test_saved_terms_are_the_hex_text_of_each_term(tmp_path):
-    # z_1..z_100 of a pool curve, and terms at the byte edges: 0, and top bytes 0x01, 0x0f, 0x10 and 0xff
-    seq = generate_geometric(CurveQ(-4, 4), PointQ(1, 1, 1), 100)
-    seq.terms += [0, 1, 15, 16, 255, 256, 4095, 4096, 2**64 - 1, 2**64, 0x0F << 800, 0x10 << 800]
-    path = save_sequence(str(tmp_path), seq)
-    lines = open(path).read().splitlines()[1:-1]
-    assert lines == [f"{n} {z:x}" for n, z in enumerate(seq.terms, start=1)]
-    odd = sum(len(line.split()[1]) % 2 for line in lines)  # a top byte below 0x10 gives one hex digit
-    assert 10 < odd < len(lines) - 10
-
-
-def test_failed_save_keeps_previous_file_and_leaves_no_temp(tmp_path):
+def test_failed_save_keeps_previous_file_and_leaves_no_temp(tmp_path, monkeypatch):
     seq = fixture_sequence(12)
     path = save_sequence(str(tmp_path), seq)
     before = open(path).read()
     longer = fixture_sequence(20)
-    longer.terms[15] = _Unprintable(longer.terms[15])
-    with pytest.raises(ValueError, match="limit"):
+    longer.terms[15] = object()  # a term that has no digits
+    with pytest.raises(TypeError):
         save_sequence(str(tmp_path), longer)
+
+    def failing_replace(src, dst):
+        raise OSError("replace failed")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(OSError, match="replace failed"):
+        save_sequence(str(tmp_path), fixture_sequence(20))
     assert os.listdir(tmp_path) == [os.path.basename(path)]
     assert open(path).read() == before
     assert load_sequence(str(tmp_path), E, P, 12).terms == seq.terms
