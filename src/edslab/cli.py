@@ -47,8 +47,9 @@ MAX_PERIOD_P = 10**20
 # largest `prooflab resclass --r`: a bytearray(r) of squares and up to r*t
 # lookups; r = 10^6 + 3 took 1.7 s (18 MB max RSS) and 10^7 - 9 took 16 s (26 MB)
 MAX_RESCLASS_R = 10**7
-# largest `prooflab ell --e`: e - 1 Hensel lifts modulo r^e, in time about e^2.6;
-# at r = 7, e = 1,000 took 0.55 s.  It bounds lifts, not the size of r^e
+# largest `prooflab ell --e`: the lift to r^e takes ceil(log2 e) Newton steps, its work growing
+# with the size of r^e, which the print limit bounds; at e = 1,000, r = 7 took 0.8 ms and 19,949,
+# the largest prime whose r^e prints, 11 ms (in-process, shared 2-core machine, Python 3.11)
 MAX_ELL_E = 1000
 # most `prooflab det --betas`: the t x t determinant is eliminated modulo q; betas
 # 2..t+1 took 6 ms in-process at t = 50 and 0.29 s at t = 200 with q = 1,000,003

@@ -214,7 +214,7 @@ def multiplicative_order(a: int, p: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# modular square roots and their Hensel lift
+# modular square roots: Cipolla mod r, Newton lift to r^e
 
 
 def legendre_symbol(a: int, r: int) -> int:
@@ -228,60 +228,37 @@ def legendre_symbol(a: int, r: int) -> int:
     return -1 if ls == r - 1 else 1
 
 
-def sqrt_mod_prime(a: int, r: int) -> int:
-    """Canonical square root of a mod an odd prime r.
+def sqrt_mod_prime_power(a: int, r: int, e: int) -> int:
+    """Square root of a modulo r**e, r an odd prime: the root s0 mod r in
+    [0, r/2], and for e > 1 (r not dividing a) its unique lift that is s0 mod r.
 
-    Deterministic Tonelli-Shanks (smallest non-residue as the auxiliary
-    element); of the two roots the representative in [0, r/2] is returned.
-    """
-    ls = legendre_symbol(a, r)
-    if ls == -1:
-        raise NonResidueError(f"{a} has no square root modulo {r}")
-    a %= r
-    if ls == 0:
-        return 0
-    # Tonelli-Shanks: write r-1 = q * 2^e with q odd.
-    q, e = r - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        e += 1
-    z = 2
-    while pow(z, (r - 1) // 2, r) != r - 1:  # r is known prime here
-        z += 1
-    c = pow(z, q, r)
-    s = pow(a, (q + 1) // 2, r)
-    t = pow(a, q, r)
-    m = e
-    while t != 1:
-        i, x = 0, t
-        while x != 1:
-            x = x * x % r
-            i += 1
-        b = pow(c, 1 << (m - i - 1), r)
-        s = s * b % r
-        c = b * b % r
-        t = t * c % r
-        m = i
-    return min(s, r - s)
-
-
-def hensel_lift_sqrt(a: int, r: int, e: int) -> int:
-    """Square root of a modulo r**e lifted from the canonical root mod r.
-
-    Requires r odd prime and, for e > 1, r not dividing a (the unit case;
-    each lift step is then unique given the mod-r root).
+    s0 is Cipolla's: for the least t with d = t^2 - a a non-residue, w^r =
+    d^((r-1)/2) w = -w in F_r[w]/(w^2 - d), so x = (t + w)^((r+1)/2) has
+    x^2 = (t - w)(t + w) = a: x is one of the two roots of a, both in F_r.
+    Newton's step s - (s^2 - a)/(2s) takes a root modulo m to one modulo m^2
+    that is s mod m, so ceil(log2 e) steps, one inverse each, lift s0 to r^e.
     """
     if e < 1:
         raise ValueError("exponent must be >= 1")
-    s = sqrt_mod_prime(a, r)
-    if e == 1:
-        return s
-    if a % r == 0:
-        raise ValueError(f"{r} divides {a}: lifting needs a unit")
-    mod = r
-    for _ in range(e - 1):
-        mod *= r
-        s = (s - (s * s - a) * pow(2 * s, -1, mod)) % mod
+    ls = legendre_symbol(a, r)  # which first refuses an r that is not an odd prime
+    if ls == -1:
+        raise NonResidueError(f"{a} has no square root modulo {r}")
+    if ls == 0:
+        if e > 1:
+            raise ValueError(f"{r} divides {a}: lifting needs a unit")
+        return 0
+    t = 0
+    while pow(t * t - a, (r - 1) // 2, r) != r - 1:
+        t += 1
+    d, x, y = (t * t - a) % r, t, 1
+    for bit in bin((r + 1) // 2)[3:]:  # past the top bit: x + y*w <- (x + y*w)^2, times t + w on a 1
+        x, y = (x * x + y * y * d) % r, 2 * x * y % r
+        if bit == "1":
+            x, y = (t * x + d * y) % r, (x + t * y) % r
+    s, m, top = min(x, r - x), r, r**e
+    while m < top:
+        m = min(m * m, top)
+        s = (s - (s * s - a) * pow(2 * s, -1, m)) % m
     return s
 
 

@@ -14,10 +14,10 @@ from fractions import Fraction
 from .ntkernel import (
     Poly,
     echelon,
-    hensel_lift_sqrt,
     is_prime,
     kernel_basis,
     legendre_symbol,
+    sqrt_mod_prime_power,
 )
 
 
@@ -146,16 +146,17 @@ def count_admissible_residues(r: int, t: int, c: int = 1) -> ResidueCountReport:
 
 
 def construct_ell(r: int, e: int, n0: int, j: int, c: int) -> int:
-    """Solve 2*l*n0 + c*l^2 = j (mod r^e) via a lifted modular square root.
+    """Solve 2*l*n0 + c*l^2 = j (mod r^e) via a square root modulo r^e.
 
-    l = (-n0 + sqrt(n0^2 + j*c)) / c; the discriminant must be a quadratic
-    residue mod r (a non-residue raises NonResidueError).  The returned
-    l in [0, r^e) is substituted back and verified before returning.
+    l = (-n0 + s) / c, s = `sqrt_mod_prime_power(n0^2 + j*c, r, e)`: the
+    canonical root mod r, lifted by Newton's step; the discriminant must be
+    a quadratic residue mod r (a non-residue raises NonResidueError).  The
+    returned l in [0, r^e) is substituted back and verified before returning.
     """
     if legendre_symbol(c, r) == 0:  # which first refuses an r that is not an odd prime
         raise ValueError("c must be coprime to r")
     disc = n0 * n0 + j * c
-    s = hensel_lift_sqrt(disc, r, e)
+    s = sqrt_mod_prime_power(disc, r, e)
     modulus = r**e
     ell = (-n0 + s) * pow(c, -1, modulus) % modulus
     if (2 * ell * n0 + c * ell * ell - j) % modulus != 0:

@@ -392,8 +392,9 @@ def _bounds(cert: WitnessCertificate, record: dict, found: dict):
     yield "p_distinct_from_q", cert.p != cert.q, ""
     yield "point_on_curve", cert.curve.contains(cert.point), ""
     yield "point_nontorsion", not is_torsion(cert.point, cert.curve)[0], ""
-    yield "good_reduction", cert.curve.bad_prime_product(cert.point) % cert.p != 0, "p must avoid disc, z1 and 2*y1"
-    yield "lrs_reduction", cert.spec.coeffs[-1] % cert.p != 0, "p must not divide the last coefficient"
+    good = cert.p != 0 and cert.curve.bad_prime_product(cert.point) % cert.p != 0  # p = 0 fails p_prime
+    yield "good_reduction", good, "p must avoid disc, z1 and 2*y1"
+    yield "lrs_reduction", cert.p != 0 and cert.spec.coeffs[-1] % cert.p != 0, "p must not divide the last coefficient"
 
 
 def _order(cert: WitnessCertificate, record: dict, found: dict):

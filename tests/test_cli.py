@@ -824,6 +824,21 @@ def test_verify_unbounded_certificate_exit4(tmp_path, capsys, monkeypatch, field
     assert _failing_checks(out) == [field]
 
 
+def test_verify_fails_a_certificate_at_p_zero_without_dividing_by_it(tmp_path, capsys):
+    # good_reduction and lrs_reduction took a residue modulo p = 0: ZeroDivisionError escaped main
+    cert_path = tmp_path / "cert.json"
+    code, _, _ = run(
+        capsys,
+        "refute", "--curve", "-4", "4", "--point", "1", "1", "1",
+        "--lrs", "2", "1", "1", "1", "1", "--q", "5", "--p-max", "100", "--out", str(cert_path),
+    )
+    assert code == 0
+    cert_path.write_text(json.dumps({**json.loads(cert_path.read_text()), "p": "0"}))
+    code, out, _ = run(capsys, "verify", str(cert_path), "--format", "json")
+    assert code == 4
+    assert _failing_checks(out) == ["p_prime", "good_reduction", "lrs_reduction"]
+
+
 def test_verify_tests_no_primality_past_its_bounds(tmp_path, capsys, monkeypatch):
     # each is_prime of these 4,291-digit p and q took about 7.5 s (Python 3.11.7, one core of
     # a shared 2-core machine), both before p_bound failed

@@ -42,8 +42,8 @@ def test_counts_take_no_square_root(monkeypatch):
     def refuse(*args):
         raise AssertionError("count_points took a square root")
 
-    monkeypatch.setattr(ntkernel, "sqrt_mod_prime", refuse)
-    monkeypatch.setattr(elliptic, "sqrt_mod_prime", refuse, raising=False)
+    monkeypatch.setattr(ntkernel, "sqrt_mod_prime_power", refuse)
+    monkeypatch.setattr(elliptic, "sqrt_mod_prime_power", refuse, raising=False)
     primes = [p for p in sieve_primes(3000) if p >= 400]
     for curve in CURVES:
         for cfp in _good_reductions(curve, primes):

@@ -16,7 +16,6 @@ from edslab.ntkernel import (
     cyclotomic_orders,
     echelon,
     factorize,
-    hensel_lift_sqrt,
     iter_primes,
     is_prime,
     kernel_basis,
@@ -24,7 +23,7 @@ from edslab.ntkernel import (
     multiplicative_order,
     next_prime,
     sieve_primes,
-    sqrt_mod_prime,
+    sqrt_mod_prime_power,
 )
 
 
@@ -50,29 +49,41 @@ def test_legendre_rejects_bad_modulus():
 
 
 def test_sqrt_mod_prime_fixed_values():
-    assert sqrt_mod_prime(2, 7) == 3
-    assert sqrt_mod_prime(0, 7) == 0
-    assert sqrt_mod_prime(4, 11) == 2
+    assert sqrt_mod_prime_power(2, 7, 1) == 3
+    assert sqrt_mod_prime_power(0, 7, 1) == 0
+    assert sqrt_mod_prime_power(4, 11, 1) == 2
 
 
 def test_sqrt_mod_prime_canonical_and_correct():
     rng = random.Random(7)
     primes = [p for p in sieve_primes(500) if p > 2]
     drawn = [(r, rng.randrange(r)) for r in (rng.choice(primes) for _ in range(300))]
-    # and every a at r = 3, 7 and 11, where r - 1 = 2 * odd: Tonelli-Shanks with e = 1
+    # and every a at r = 3, 7 and 11, where r - 1 = 2 * odd, and a few at primes
+    # r = c * 2^k + 1 with k = 16, 20, 25 and 23, where r - 1 holds a large power of 2
+    fermat_like = (65537, 7340033, 167772161, 998244353)
+    drawn += [(r, a) for r in fermat_like for a in (*range(9), r - 1, rng.randrange(r))]
     for r, a in [*drawn, *((r, a) for r in (3, 7, 11) for a in range(r))]:
         if legendre_symbol(a, r) == -1:
             with pytest.raises(NonResidueError):
-                sqrt_mod_prime(a, r)
+                sqrt_mod_prime_power(a, r, 1)
         else:
-            s = sqrt_mod_prime(a, r)
+            s = sqrt_mod_prime_power(a, r, 1)
             assert s * s % r == a % r
             assert 0 <= s <= r // 2
+    # the canonical roots these primes had under Tonelli-Shanks
+    pinned = {
+        65537: {2: 4080, 8: 8160, 3801: 6015, 65536: 256},
+        7340033: {2: 1924662, 7: 1646388, 6509212: 851299, 7340032: 2306278},
+        167772161: {2: 41086686, 5: 4943721, 13919251: 41691496, 167772160: 65249968},
+        998244353: {2: 116195171, 7: 116190042, 121553981: 142441732, 998244352: 86583718},
+    }
+    for r, roots in pinned.items():
+        assert {a: sqrt_mod_prime_power(a, r, 1) for a in roots} == roots
 
 
 def test_hensel_lift_fixed_values():
-    assert hensel_lift_sqrt(2, 7, 2) == 10
-    assert hensel_lift_sqrt(4, 11, 1) == 2
+    assert sqrt_mod_prime_power(2, 7, 2) == 10
+    assert sqrt_mod_prime_power(4, 11, 1) == 2
 
 
 def test_hensel_lift_tower_consistency():
@@ -84,15 +95,30 @@ def test_hensel_lift_tower_consistency():
         if legendre_symbol(a, r) != 1:
             continue
         for e in range(1, 5):
-            s = hensel_lift_sqrt(a, r, e)
+            s = sqrt_mod_prime_power(a, r, e)
             assert s * s % r**e == a % r**e
             if e > 1:
-                assert s % r ** (e - 1) == hensel_lift_sqrt(a, r, e - 1)
+                assert s % r ** (e - 1) == sqrt_mod_prime_power(a, r, e - 1)
+
+
+def test_the_lift_to_r_e_takes_about_log2_e_inverses(monkeypatch):
+    # one Newton step per doubling of the exponent: ceil(log2 1000) = 10 inverses, not e - 1 = 999
+    inverses = []
+
+    def counting_pow(base, exp, mod=None):
+        if exp == -1:
+            inverses.append(mod)
+        return pow(base, exp, mod)
+
+    monkeypatch.setattr(ntkernel, "pow", counting_pow, raising=False)
+    s = sqrt_mod_prime_power(2, 7, 1000)
+    assert s * s % 7**1000 == 2 and s % 7 == 3
+    assert 0 < len(inverses) <= 10
 
 
 def test_hensel_rejects_non_unit():
     with pytest.raises(ValueError):
-        hensel_lift_sqrt(7, 7, 2)
+        sqrt_mod_prime_power(7, 7, 2)
 
 
 def test_sieve_matches_is_prime():
